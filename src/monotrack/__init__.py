@@ -50,10 +50,9 @@ from .simverify import (
 )
 from .solvability import (
     SolvabilityVerdict,
-    check_generalized,
-    check_lambda_free,
-    check_lambda_tuple,
+    check_solvable,
     repair_lambda_tuple,
+    validate_modes,
 )
 from .subspaces import (
     PairedBasis,
@@ -61,7 +60,6 @@ from .subspaces import (
     rstar,
     rstar_at,
     rstar_recursive,
-    spans_match,
     vstar_g,
     vstar_recursive,
 )

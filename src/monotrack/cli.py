@@ -28,7 +28,7 @@ from .ensemble import GeneratorSpec, batch_report, generate, genericity_trial
 from .numkernel import TolerancePolicy
 from .seeding import DEFAULT_SEED
 from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate, trace_to_csv
-from .solvability import check_lambda_free
+from .solvability import check_solvable
 from .subspaces import rstar, vstar_g
 from .synthesis import Replay, SynthesisSpec, synthesize
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros
@@ -131,7 +131,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
         },
     }
     if vg.dim <= system.n - system.p:
-        verdict = check_lambda_free(system, vg, rs_j, policy)
+        verdict = check_solvable(system, vg, rs_j, policy)
         payload["lambda_free"] = verdict.to_json_dict()
     else:
         payload["lambda_free"] = {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}
@@ -210,8 +210,6 @@ def _cmd_verify(config: JobConfig, out: Path) -> int:
                 per_output[j]["rate_ok"] = False
             per_output[j]["fit_residual"] = max(per_output[j]["fit_residual"], fits[j].relative_residual)
     verdict = {
-        "solvable": True,
-        "failing_subsets": [],
         "h": fb.V.shape[1] - len(fb.delta),
         "delta": list(fb.delta),
         "per_output": per_output,

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import GenerationFailed, MonotrackError
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
-from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
+from .seeding import DEFAULT_SEED, rng_for
 from .subspaces import _pencil_kernel, default_frequency_pool, rstar, vstar_g
+from .synthesis import _kernel_direction
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros
 
 _GENERATION_RETRIES = 20
@@ -235,15 +236,15 @@ def genericity_trial(
             rng = rng_for(trial_seed, "trial-directions")
             direction_cols = []
             for j in range(sys.p):
-                kernel = _pencil_kernel(sys, pool[j % len(pool)], j, tol)
+                mu = pool[j % len(pool)]
+                kernel = _pencil_kernel(sys, mu, j, tol)
                 if kernel.shape[1] == 0:
                     continue
-                col = kernel @ mixing_coefficients(rng, kernel.shape[1])
-                beta = float(sys.C[j] @ col[: sys.n] + sys.D[j] @ col[sys.n :])
-                if abs(beta) <= tol.absolute_floor:
+                pair = _kernel_direction(sys, j, mu, kernel, rng, tol)
+                if pair is None:
                     ok = False
                     break
-                direction_cols.append(col[: sys.n] / beta)
+                direction_cols.append(pair.v)
             if ok and vg.dim == sys.n - sys.p and len(direction_cols) == sys.p:
                 V = np.column_stack(direction_cols + [vg.V]) if vg.dim else np.column_stack(direction_cols)
                 ok = rank_of(V, tol) == sys.n

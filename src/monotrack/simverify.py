@@ -75,8 +75,6 @@ def _slowest_assigned_rate(fb: FeedbackResult, domain: TimeDomain) -> float:
     numeric = [m for m in fb.assigned_modes.values() if not isinstance(m, str)]
     if not numeric:
         return -1.0 if domain is TimeDomain.CONTINUOUS else 0.5
-    if domain is TimeDomain.CONTINUOUS:
-        return max(numeric)
     return max(numeric)
 
 

@@ -1,11 +1,12 @@
-"""Necessary-and-sufficient dimension tests for global monotonic tracking.
+"""Necessary-and-sufficient dimension test for global monotonic tracking.
 
 For every subset S of output indices the sum of the stabilisability
 output-nulling subspace with the per-output reachability subspaces must have
-dimension at least ``n - p + card(S)``. Three entry points cover the
-frequency-dependent family, the frequency-free family, and the generalized
-case where the stabilisability subspace is larger than ``n - p`` and some
-outputs can be tracked instantaneously.
+dimension at least ``n - p + card(S)``. One test covers every case: given the
+full per-output subspaces it is the frequency-free family, given the
+subspaces at a mode tuple it is the frequency-dependent family, and when the
+stabilisability subspace is larger than ``n - p`` it also finds the outputs
+that need an assigned mode (the rest are tracked instantaneously).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, subspace_sum_dim
 from .seeding import DEFAULT_SEED, rng_for
-from .sysmodel import InvariantZero, LtiSystem, exclusion_violation, invariant_zeros
+from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation, invariant_zeros
 
 _MAX_OUTPUTS = 20
 _MAX_REPORTED_FAILURES = 32
@@ -48,14 +49,14 @@ class SolvabilityVerdict:
         }
 
 
-def _subset_family(indices, vg, bases, threshold_base: int, tol: TolerancePolicy):
-    """Evaluate the dimension inequality over all subsets of ``indices``.
+def _subset_family(indices, sizes, vg, bases, threshold_base: int, tol: TolerancePolicy):
+    """Evaluate the dimension inequality over the subsets of ``indices`` with the given sizes.
 
     Returns (all_pass, failures) with failures ordered by subset cardinality.
     """
     failures = []
     all_pass = True
-    for size in range(len(indices) + 1):
+    for size in sizes:
         for subset in itertools.combinations(indices, size):
             achieved = subspace_sum_dim([vg] + [bases[j] for j in subset], tol)
             required = threshold_base + size
@@ -66,115 +67,46 @@ def _subset_family(indices, vg, bases, threshold_base: int, tol: TolerancePolicy
     return all_pass, failures
 
 
-def _prepare(sys: LtiSystem, vstar_g_basis, rstar_j_bases, tol: TolerancePolicy):
+def check_solvable(
+    sys: LtiSystem,
+    vstar_g_basis,
+    rstar_j_bases,
+    tol: TolerancePolicy = DEFAULT_POLICY,
+) -> SolvabilityVerdict:
+    """Subset-dimension test on the given stabilisability and per-output bases.
+
+    Pass the full per-output reachability subspaces for the frequency-free
+    test, or the subspaces at a mode tuple (validated beforehand with
+    :func:`validate_modes`) for the frequency-dependent one. When
+    h = dim V*g exceeds n - p, a witness set delta of cardinality ``n - h``
+    (lexicographic order, first hit returned) whose restricted subset family
+    passes with thresholds ``h + card(S)`` is searched for. The equivalent
+    global formulation over subsets of cardinality above ``h - (n - p)`` is
+    evaluated as a cross-check; disagreement raises, since both characterize
+    the same solvability property.
+    """
     vg = _as_matrix(vstar_g_basis)
     bases = [_as_matrix(b) for b in rstar_j_bases]
     if len(bases) != sys.p:
         raise ValueError(f"expected {sys.p} per-output bases, got {len(bases)}")
     if sys.p > _MAX_OUTPUTS:
         raise ValueError(f"subset enumeration over {sys.p} outputs exceeds the {_MAX_OUTPUTS}-output guard")
-    return vg, bases, rank_of(vg, tol)
+    n, p, h = sys.n, sys.p, rank_of(vg, tol)
+    if h <= n - p:
+        ok, failures = _subset_family(range(p), range(p + 1), vg, bases, n - p, tol)
+        delta = tuple(range(p)) if ok else None
+        return SolvabilityVerdict(solvable=ok, failing_subsets=tuple(failures), h=h, delta=delta)
 
-
-def check_lambda_free(
-    sys: LtiSystem,
-    vstar_g_basis,
-    rstar_j_bases,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-) -> SolvabilityVerdict:
-    """Frequency-free test over the full per-output reachability subspaces.
-
-    Valid when dim V*g = n - p; larger stabilisability subspaces must go
-    through :func:`check_generalized`.
-    """
-    vg, bases, h = _prepare(sys, vstar_g_basis, rstar_j_bases, tol)
-    if h > sys.n - sys.p:
-        raise ValueError("dim V*g exceeds n - p; use check_generalized")
-    ok, failures = _subset_family(range(sys.p), vg, bases, sys.n - sys.p, tol)
-    delta = tuple(range(sys.p)) if ok else None
-    return SolvabilityVerdict(solvable=ok, failing_subsets=tuple(failures), h=h, delta=delta)
-
-
-def _validate_lambdas(sys: LtiSystem, lambdas, zeros, tol: TolerancePolicy):
-    lambdas = tuple(float(l) for l in lambdas)
-    if len(lambdas) != sys.p:
-        raise ValueError(f"expected {sys.p} modes, got {len(lambdas)}")
-    for lam in lambdas:
-        if not sys.domain.is_stable(lam):
-            raise UnstableLambda(f"mode {lam} is outside the stability region")
-        if sys.domain.value == "discrete" and lam <= 0.0:
-            raise UnstableLambda(f"discrete modes must lie in (0, 1), got {lam}")
-        if exclusion_violation(lam, zeros, tol):
-            raise LambdaAtZero(f"mode {lam} coincides with an invariant zero")
-    return lambdas
-
-
-def check_lambda_tuple(
-    sys: LtiSystem,
-    vstar_g_basis,
-    lambdas,
-    rstar_j_at_lambda,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    zeros: list[InvariantZero] | None = None,
-) -> SolvabilityVerdict:
-    """Frequency-dependent test with the per-output subspaces at the given modes."""
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
-    _validate_lambdas(sys, lambdas, zeros, tol)
-    vg, bases, h = _prepare(sys, vstar_g_basis, rstar_j_at_lambda, tol)
-    if h > sys.n - sys.p:
-        raise ValueError("dim V*g exceeds n - p; use check_generalized")
-    ok, failures = _subset_family(range(sys.p), vg, bases, sys.n - sys.p, tol)
-    delta = tuple(range(sys.p)) if ok else None
-    return SolvabilityVerdict(solvable=ok, failing_subsets=tuple(failures), h=h, delta=delta)
-
-
-def check_generalized(
-    sys: LtiSystem,
-    vstar_g_basis,
-    lambdas,
-    rstar_j_at_lambda,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    zeros: list[InvariantZero] | None = None,
-) -> SolvabilityVerdict:
-    """Generalized test allowing dim V*g > n - p (instantaneous outputs).
-
-    Searches for a witness set delta of cardinality ``n - h`` (lexicographic
-    order, first hit returned) whose restricted subset family passes with
-    thresholds ``h + card(S)``. The equivalent global formulation over
-    subsets of cardinality above ``h - (n - p)`` is evaluated as a
-    cross-check; disagreement raises, since both characterize the same
-    solvability property.
-    """
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
-    vg, bases, h = _prepare(sys, vstar_g_basis, rstar_j_at_lambda, tol)
-    if h <= sys.n - sys.p:
-        return check_lambda_tuple(sys, vstar_g_basis, lambdas, rstar_j_at_lambda, tol, zeros)
-    _validate_lambdas(sys, lambdas, zeros, tol)
-
-    n, p = sys.n, sys.p
     witness = None
     first_failures: tuple = ()
     for delta in itertools.combinations(range(p), n - h):
-        ok, failures = _subset_family(delta, vg, bases, h, tol)
+        ok, failures = _subset_family(delta, range(len(delta) + 1), vg, bases, h, tol)
         if ok:
             witness = delta
             break
         if not first_failures:
             first_failures = tuple(failures)
-
-    global_ok = True
-    global_failures = []
-    for size in range(h - (n - p) + 1, p + 1):
-        for subset in itertools.combinations(range(p), size):
-            achieved = subspace_sum_dim([vg] + [bases[j] for j in subset], tol)
-            required = n - p + size
-            if achieved < required:
-                global_ok = False
-                if len(global_failures) < _MAX_REPORTED_FAILURES:
-                    global_failures.append((subset, achieved, required))
-
+    global_ok, global_failures = _subset_family(range(p), range(h - (n - p) + 1, p + 1), vg, bases, n - p, tol)
     if (witness is not None) != global_ok:
         raise NumericalInconsistency(
             "witness search and global subset formulation disagree; rank tolerances are inconsistent"
@@ -183,6 +115,36 @@ def check_generalized(
         return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=witness)
     reported = tuple(global_failures) if global_failures else first_failures
     return SolvabilityVerdict(solvable=False, failing_subsets=reported, h=h, delta=None)
+
+
+def _validate_mode(sys: LtiSystem, lam: float, zeros: list[InvariantZero], tol: TolerancePolicy) -> None:
+    if not sys.domain.is_stable(lam):
+        raise UnstableLambda(f"mode {lam} is outside the stability region")
+    if sys.domain is TimeDomain.DISCRETE and lam <= 0.0:
+        raise UnstableLambda(f"discrete modes must lie in (0, 1), got {lam}")
+    if exclusion_violation(lam, zeros, tol):
+        raise LambdaAtZero(f"mode {lam} coincides with an invariant zero")
+
+
+def validate_modes(
+    sys: LtiSystem, lambdas, zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY
+) -> tuple:
+    """One stable mode per output, none on an invariant zero; returns the modes as floats.
+
+    Raises
+    ------
+    UnstableLambda
+        If a mode lies outside the stability region (discrete modes must lie
+        in (0, 1)).
+    LambdaAtZero
+        If a mode lies inside the exclusion radius of an invariant zero.
+    """
+    lambdas = tuple(float(l) for l in lambdas)
+    if len(lambdas) != sys.p:
+        raise ValueError(f"expected {sys.p} modes, got {len(lambdas)}")
+    for lam in lambdas:
+        _validate_mode(sys, lam, zeros, tol)
+    return lambdas
 
 
 def repair_lambda_tuple(
@@ -218,13 +180,13 @@ def repair_lambda_tuple(
             if not sys.domain.is_stable(moved) or exclusion_violation(moved, zeros, tol):
                 moved = lam - shift
             candidate.append(moved)
-        candidate = tuple(candidate)
         try:
-            bases = [rstar_j_factory(j, candidate[j]) for j in range(sys.p)]
-            last = check_generalized(sys, vstar_g_basis, candidate, bases, tol, zeros)
+            candidate = validate_modes(sys, candidate, zeros, tol)
         except (UnstableLambda, LambdaAtZero):
             radius *= 2.0
             continue
+        bases = [rstar_j_factory(j, candidate[j]) for j in range(sys.p)]
+        last = check_solvable(sys, vstar_g_basis, bases, tol)
         if last.solvable:
             return candidate, last
         radius *= 2.0

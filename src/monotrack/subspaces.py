@@ -31,14 +31,21 @@ from .numkernel import (
     DEFAULT_POLICY,
     Basis,
     TolerancePolicy,
-    containment_residual,
     nullspace,
     orthonormalize,
     rank_of,
     realify_pair,
 )
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
-from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation, invariant_zeros
+from .sysmodel import (
+    InvariantZero,
+    LtiSystem,
+    TimeDomain,
+    _min_phase_violation,
+    exclusion_violation,
+    invariant_zeros,
+    rosenbrock,
+)
 
 # Relative residual above which a candidate column counts as extending a span.
 _EXTEND_RTOL = 1e-8
@@ -99,10 +106,9 @@ class PairedBasis:
 
 def _pencil_kernel(sys: LtiSystem, mu: complex, excluded_output: int | None, tol: TolerancePolicy) -> np.ndarray:
     """Orthonormal kernel of the pencil, optionally with one output row deleted."""
-    C = sys.C if excluded_output is None else np.delete(sys.C, excluded_output, axis=0)
-    D = sys.D if excluded_output is None else np.delete(sys.D, excluded_output, axis=0)
-    shift = sys.A - mu * np.eye(sys.n)
-    pencil = np.block([[shift, sys.B.astype(shift.dtype)], [C.astype(shift.dtype), D.astype(shift.dtype)]])
+    pencil = rosenbrock(sys, mu)
+    if excluded_output is not None:
+        pencil = np.delete(pencil, sys.n + excluded_output, axis=0)
     return nullspace(pencil, tol).columns
 
 
@@ -263,6 +269,90 @@ def _validated_pool(
     return pool
 
 
+def _real_columns(vec: np.ndarray, mode) -> list[np.ndarray]:
+    """One real column, or the realified pair of columns at a complex ``mode``."""
+    if isinstance(mode, complex):
+        return [realify_pair(vec, "odd"), realify_pair(np.conj(vec), "even")]
+    return [vec.real]
+
+
+def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy):
+    """Accumulate kernel state parts until a fresh pool frequency adds nothing.
+
+    The ``seeded`` (mode, kernel) pairs are taken in full first; pool kernels
+    follow in order. Returns the saturated dimension and the visited pool
+    kernels as (mode, kernel) pairs.
+    """
+    tracker = _SpanTracker(sys.n)
+    for mode, kernel in seeded:
+        for k in range(kernel.shape[1]):
+            for col in _real_columns(kernel[: sys.n, k], mode):
+                tracker.try_add(col.reshape(-1, 1))
+    visited = []
+    for mu in pool:
+        kernel = _pencil_kernel(sys, mu, excluded_output, tol)
+        before = tracker.dim
+        for k in range(kernel.shape[1]):
+            tracker.try_add(kernel[: sys.n, k : k + 1])
+        visited.append((mu, kernel))
+        if tracker.dim == before:
+            return tracker.dim, visited
+    if tracker.dim > 0 and visited:
+        raise SaturationFailure("subspace dimension still growing at pool exhaustion")
+    return tracker.dim, visited
+
+
+def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
+    """Best of ``kernel-dim`` random in-kernel combinations, by extension quality.
+
+    Returns the (state, input) blocks of the best draw, one column at a real
+    mode and a realified pair at a complex one, or None. Drawing several
+    candidates and keeping the best-conditioned one bounds the skew of the
+    assembled basis, which the gain solve would otherwise amplify. The draw
+    count is fixed by the kernel dimension, so results stay deterministic for
+    a given seed.
+    """
+    best, best_quality = None, 0.0
+    for _ in range(kernel.shape[1]):
+        col = kernel @ mixing_coefficients(rng, kernel.shape[1], complex_valued=isinstance(mode, complex))
+        block_v = np.column_stack(_real_columns(col[:n], mode))
+        quality = span.extension_quality(block_v)
+        if quality > best_quality:
+            best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode))), quality
+    return best
+
+
+def _assemble(sys: LtiSystem, seeded: list, visited: list, target: int, rng, max_retries: int, tol: TolerancePolicy):
+    """Minimal paired basis of dimension ``target`` drawn from the kernels.
+
+    Each seeded kernel gets one draw per kernel column; the visited pool
+    kernels are then cycled, one draw per visit, until ``target`` columns
+    extend the span. A pass that falls short or is rank deficient is redrawn
+    up to ``max_retries`` times.
+    """
+    seeded_slots = [(mode, kernel) for mode, kernel in seeded for _slot in range(kernel.shape[1])]
+    pool_slots = [(mu, kernel) for mu, kernel in visited if kernel.shape[1]] * (max_retries + 1)
+    for _ in range(max_retries + 1):
+        span = _SpanTracker(sys.n)
+        cols_v, cols_w, modes = [], [], []
+        for slot, (mode, kernel) in enumerate(seeded_slots + pool_slots):
+            if slot >= len(seeded_slots) and len(modes) == target:
+                break
+            block = _best_block(span, kernel, mode, sys.n, rng)
+            if block is not None and span.try_add(block[0]):
+                cols_v.extend(block[0].T)
+                cols_w.extend(block[1].T)
+                modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
+        if len(modes) != target:
+            continue
+        if target == 0:
+            return PairedBasis(V=np.zeros((sys.n, 0)), W=np.zeros((sys.m, 0)), modes=())
+        V = np.column_stack(cols_v)
+        if rank_of(V, tol) == target:
+            return PairedBasis(V=V, W=np.column_stack(cols_w), modes=tuple(modes))
+    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis after retries")
+
+
 def rstar(
     sys: LtiSystem,
     excluded_output: int | None = None,
@@ -283,65 +373,9 @@ def rstar(
     if zeros is None:
         zeros = invariant_zeros(sys, tol)
     pool = _validated_pool(sys, stable_pool, zeros, tol)
-
-    tracker = _SpanTracker(sys.n)
-    visited: list[tuple[float, np.ndarray]] = []
-    saturated = False
-    for mu in pool:
-        kernel = _pencil_kernel(sys, mu, excluded_output, tol)
-        before = tracker.dim
-        for k in range(kernel.shape[1]):
-            tracker.try_add(kernel[: sys.n, k : k + 1])
-        visited.append((mu, kernel))
-        if tracker.dim == before:
-            saturated = True
-            break
-    if not saturated and tracker.dim > 0:
-        raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    target = tracker.dim
-    if target == 0:
-        return PairedBasis(V=np.zeros((sys.n, 0)), W=np.zeros((sys.m, 0)), modes=())
-
+    target, visited = _discover(sys, [], pool, excluded_output, tol)
     rng = rng_for(seed, "rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
-    for _ in range(max_retries + 1):
-        span = _SpanTracker(sys.n)
-        cols_v, cols_w, modes = [], [], []
-        for _cycle in range(max_retries + 1):
-            for mu, kernel in visited:
-                if len(modes) == target:
-                    break
-                if kernel.shape[1] == 0:
-                    continue
-                col = _best_mixed_column(span, kernel, sys.n, rng)
-                if col is not None and span.try_add(col[: sys.n].reshape(-1, 1)):
-                    cols_v.append(col[: sys.n])
-                    cols_w.append(col[sys.n :])
-                    modes.append(mu)
-            if len(modes) == target:
-                break
-        if len(modes) != target:
-            continue
-        V = np.column_stack(cols_v)
-        if rank_of(V, tol) == target:
-            return PairedBasis(V=V, W=np.column_stack(cols_w), modes=tuple(modes))
-    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis after retries")
-
-
-def _best_mixed_column(span: _SpanTracker, kernel: np.ndarray, n: int, rng) -> np.ndarray | None:
-    """Best of ``kernel-dim`` random in-kernel combinations, by extension quality.
-
-    Drawing several candidates and keeping the best-conditioned one bounds the
-    skew of the assembled basis, which the gain solve would otherwise amplify.
-    The draw count is fixed by the kernel dimension, so results stay
-    deterministic for a given seed.
-    """
-    best, best_quality = None, 0.0
-    for _ in range(kernel.shape[1]):
-        cand = kernel @ mixing_coefficients(rng, kernel.shape[1])
-        quality = span.extension_quality(cand[:n].reshape(-1, 1))
-        if quality > best_quality:
-            best, best_quality = cand, quality
-    return best
+    return _assemble(sys, [], visited, target, rng, max_retries, tol)
 
 
 def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
@@ -350,17 +384,6 @@ def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
     pairs = sorted((z for z in minimum if z.value.imag > 0.0), key=lambda z: (z.value.real, z.value.imag))
     reals = sorted((z for z in minimum if z.value.imag == 0.0), key=lambda z: z.value.real)
     return pairs + reals
-
-
-def _check_distinct_min_phase(sys: LtiSystem, zeros: list[InvariantZero], tol: TolerancePolicy) -> None:
-    minimum = [z for z in zeros if z.is_minimum_phase]
-    for z in minimum:
-        if z.geometric_multiplicity != 1:
-            raise AssumptionViolation(f"minimum-phase zero {z.value} has multiplicity {z.geometric_multiplicity}")
-    for i, zi in enumerate(minimum):
-        for zj in minimum[i + 1 :]:
-            if abs(zi.value - zj.value) <= tol.zero_exclusion * (1.0 + abs(zi.value)):
-                raise AssumptionViolation(f"coincident minimum-phase zeros near {zi.value}")
 
 
 def vstar_g(
@@ -386,94 +409,16 @@ def vstar_g(
     """
     if zeros is None:
         zeros = invariant_zeros(sys, tol)
-    _check_distinct_min_phase(sys, zeros, tol)
-    min_phase = _conformable_min_phase(zeros)
+    reason = _min_phase_violation(zeros, tol)
+    if reason is not None:
+        raise AssumptionViolation(reason)
     pool = _validated_pool(sys, free_pool, zeros, tol, avoid)
-
-    zero_kernels: list[tuple[InvariantZero, np.ndarray]] = []
-    discovery = _SpanTracker(sys.n)
-    for z in min_phase:
-        # Real zeros keep a real pencil so the kernel carries no complex phase.
-        at = z.value if z.value.imag > 0.0 else float(z.value.real)
-        kernel = _pencil_kernel(sys, at, None, tol)
-        zero_kernels.append((z, kernel))
-        for k in range(kernel.shape[1]):
-            if z.value.imag > 0.0:
-                discovery.try_add(realify_pair(kernel[: sys.n, k], "odd").reshape(-1, 1))
-                discovery.try_add(realify_pair(np.conj(kernel[: sys.n, k]), "even").reshape(-1, 1))
-            else:
-                discovery.try_add(kernel[: sys.n, k : k + 1].real)
-    pool_kernels: list[tuple[float, np.ndarray]] = []
-    saturated = False
-    for mu in pool:
-        kernel = _pencil_kernel(sys, mu, None, tol)
-        before = discovery.dim
-        for k in range(kernel.shape[1]):
-            discovery.try_add(kernel[: sys.n, k : k + 1])
-        pool_kernels.append((mu, kernel))
-        if discovery.dim == before:
-            saturated = True
-            break
-    if not saturated and discovery.dim > 0 and pool_kernels:
-        raise SaturationFailure("stabilisability subspace still growing at pool exhaustion")
-    target = discovery.dim
-
-    rng = rng_for(seed, "vstar-g-mixing")
-    for _ in range(max_retries + 1):
-        span = _SpanTracker(sys.n)
-        cols_v, cols_w, modes = [], [], []
-        for z, kernel in zero_kernels:
-            if kernel.shape[1] == 0:
-                continue
-            is_pair = z.value.imag > 0.0
-            for _slot in range(kernel.shape[1]):
-                best_blocks, best_quality = None, 0.0
-                for _draw in range(kernel.shape[1]):
-                    col = kernel @ mixing_coefficients(rng, kernel.shape[1], complex_valued=is_pair)
-                    if is_pair:
-                        block_v = np.column_stack(
-                            [realify_pair(col[: sys.n], "odd"), realify_pair(np.conj(col[: sys.n]), "even")]
-                        )
-                        block_w = np.column_stack(
-                            [realify_pair(col[sys.n :], "odd"), realify_pair(np.conj(col[sys.n :]), "even")]
-                        )
-                    else:
-                        block_v = col.real[: sys.n].reshape(-1, 1)
-                        block_w = col.real[sys.n :].reshape(-1, 1)
-                    quality = span.extension_quality(block_v)
-                    if quality > best_quality:
-                        best_blocks, best_quality = (block_v, block_w), quality
-                if best_blocks is None or not span.try_add(best_blocks[0]):
-                    continue
-                block_v, block_w = best_blocks
-                for c in range(block_v.shape[1]):
-                    cols_v.append(block_v[:, c])
-                    cols_w.append(block_w[:, c])
-                if is_pair:
-                    modes.extend([complex(z.value), complex(z.value.conjugate())])
-                else:
-                    modes.append(float(z.value.real))
-        for _cycle in range(max_retries + 1):
-            if len(modes) == target:
-                break
-            for mu, kernel in pool_kernels:
-                if len(modes) == target:
-                    break
-                if kernel.shape[1] == 0:
-                    continue
-                col = _best_mixed_column(span, kernel, sys.n, rng)
-                if col is not None and span.try_add(col[: sys.n].reshape(-1, 1)):
-                    cols_v.append(col[: sys.n])
-                    cols_w.append(col[sys.n :])
-                    modes.append(mu)
-        if len(modes) != target:
-            continue
-        if target == 0:
-            return PairedBasis(V=np.zeros((sys.n, 0)), W=np.zeros((sys.m, 0)), modes=())
-        V = np.column_stack(cols_v)
-        if rank_of(V, tol) == target:
-            return PairedBasis(V=V, W=np.column_stack(cols_w), modes=tuple(modes))
-    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} stabilisability basis after retries")
+    # A conjugate pair is seeded at its upper representative; real zeros keep
+    # a real pencil so the kernel carries no complex phase.
+    modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
+    seeded = [(mode, _pencil_kernel(sys, mode, None, tol)) for mode in modes]
+    target, visited = _discover(sys, seeded, pool, None, tol)
+    return _assemble(sys, seeded, visited, target, rng_for(seed, "vstar-g-mixing"), max_retries, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +473,3 @@ def rstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> Ba
     S = _complement(V_dual, sys.n, tol)
     return Basis(_intersect(V, S, sys.n, tol))
 
-
-def spans_match(first, second, tol: TolerancePolicy = DEFAULT_POLICY, residual: float = 1e-8) -> bool:
-    """Convenience wrapper: two-sided containment of basis spans."""
-    first_m = first.V if isinstance(first, PairedBasis) else first
-    second_m = second.V if isinstance(second, PairedBasis) else second
-    return (
-        containment_residual(first_m, second_m, tol) <= residual
-        and containment_residual(second_m, first_m, tol) <= residual
-    )

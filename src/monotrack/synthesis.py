@@ -17,27 +17,16 @@ import numpy as np
 from .errors import (
     AssumptionViolation,
     DegenerateDirection,
-    LambdaAtZero,
     NotSolvable,
     RankDeficientAfterRetries,
     Unsolvable,
-    UnstableLambda,
     UnstableResult,
 )
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
-from .solvability import SolvabilityVerdict, check_generalized
+from .solvability import SolvabilityVerdict, _validate_mode, check_solvable, validate_modes
 from .subspaces import PairedBasis, _pencil_kernel, rstar_at, vstar_g
-from .sysmodel import (
-    AssumptionReport,
-    InvariantZero,
-    LtiSystem,
-    TimeDomain,
-    audit_assumptions,
-    exclusion_violation,
-    invariant_zeros,
-    rosenbrock,
-)
+from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, invariant_zeros, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
 
@@ -143,18 +132,14 @@ def direction_for_output(
     lam = float(lam)
     if zeros is None:
         zeros = invariant_zeros(sys, tol)
-    if not sys.domain.is_stable(lam):
-        raise UnstableLambda(f"mode {lam} is outside the stability region")
-    if exclusion_violation(lam, zeros, tol):
-        raise LambdaAtZero(f"mode {lam} coincides with an invariant zero")
+    _validate_mode(sys, lam, zeros, tol)
 
     rhs = np.zeros(sys.n + sys.p)
     rhs[sys.n + j] = 1.0
-    c_j, d_j = sys.C[j], sys.D[j]
     try:
         sol = min_norm_solve(rosenbrock(sys, lam), rhs, tol)
         v, w = sol[: sys.n], sol[sys.n :]
-        beta = float(c_j @ v + d_j @ w)
+        beta = float(sys.C[j] @ v + sys.D[j] @ w)
         if abs(beta) > tol.absolute_floor:
             return DirectionPair(v=v, w=w, beta=beta, output_index=j, mode=lam)
     except Unsolvable:
@@ -163,14 +148,26 @@ def direction_for_output(
     kernel = _pencil_kernel(sys, lam, j, tol)
     rng = rng_for(seed, "direction-redraw", j)
     for _ in range(max_retries):
-        if kernel.shape[1] == 0:
-            break
-        col = kernel @ mixing_coefficients(rng, kernel.shape[1])
-        v, w = col[: sys.n], col[sys.n :]
-        beta = float(c_j @ v + d_j @ w)
-        if abs(beta) > tol.absolute_floor:
-            return DirectionPair(v=v / beta, w=w / beta, beta=1.0, output_index=j, mode=lam)
+        pair = _kernel_direction(sys, j, lam, kernel, rng, tol)
+        if pair is not None:
+            return pair
     raise DegenerateDirection(f"no direction with nonzero coupling into output {j} at mode {lam}")
+
+
+def _kernel_direction(sys: LtiSystem, j: int, lam: float, kernel: np.ndarray, rng, tol: TolerancePolicy):
+    """One random combination of the output-``j``-deleted kernel, rescaled to beta = 1.
+
+    Returns None when the kernel is empty or the draw does not couple into
+    output ``j`` above the absolute floor.
+    """
+    if kernel.shape[1] == 0:
+        return None
+    col = kernel @ mixing_coefficients(rng, kernel.shape[1])
+    v, w = col[: sys.n], col[sys.n :]
+    beta = float(sys.C[j] @ v + sys.D[j] @ w)
+    if abs(beta) <= tol.absolute_floor:
+        return None
+    return DirectionPair(v=v / beta, w=w / beta, beta=1.0, output_index=j, mode=lam)
 
 
 def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +175,7 @@ def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tu
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != sys.p:
         raise ValueError(f"reference length {r.shape[0]} != outputs {sys.p}")
-    shift = sys.A if sys.domain is TimeDomain.CONTINUOUS else sys.A - np.eye(sys.n)
-    M = np.block([[shift, sys.B], [sys.C, sys.D]])
+    M = rosenbrock(sys, sys.domain.tracking_frequency)
     sol = min_norm_solve(M, np.concatenate([np.zeros(sys.n), r]), tol)
     return sol[: sys.n], sol[sys.n :]
 
@@ -300,9 +296,8 @@ def synthesize(
     report: AssumptionReport = audit_assumptions(sys, tol, spec.seed)
     if not report.all_pass:
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
-    if len(spec.lambdas) != sys.p:
-        raise ValueError(f"expected {sys.p} modes, got {len(spec.lambdas)}")
     zeros = invariant_zeros(sys, tol, spec.seed)
+    validate_modes(sys, spec.lambdas, zeros, tol)
 
     if replay is not None:
         vg_V = np.atleast_2d(np.asarray(replay.vg_state, dtype=float))
@@ -313,7 +308,7 @@ def synthesize(
         vg = vstar_g(sys, spec.free_pool, tol, spec.seed, zeros, spec.max_retries, avoid=spec.lambdas)
 
     rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros) for j in range(sys.p)]
-    verdict: SolvabilityVerdict = check_generalized(sys, vg, spec.lambdas, rstar_bases, tol, zeros)
+    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
     delta = verdict.delta
@@ -349,19 +344,13 @@ def synthesize(
             vg = vstar_g(sys, spec.free_pool, tol, spec.seed + attempt + 1, zeros, spec.max_retries, avoid=spec.lambdas)
         elif attempt == spec.max_retries:
             # Last resort: randomized directions from the output-deleted kernels.
-            rng_seed = spec.seed + 7919
             redraw = {}
             for j in delta:
                 kernel = _pencil_kernel(sys, spec.lambdas[j], j, tol)
-                rng = rng_for(rng_seed, "direction-final", j)
-                col = kernel @ mixing_coefficients(rng, kernel.shape[1]) if kernel.shape[1] else None
-                if col is None:
-                    raise RankDeficientAfterRetries("empty kernel during final direction redraw")
-                v, w = col[: sys.n], col[sys.n :]
-                beta = float(sys.C[j] @ v + sys.D[j] @ w)
-                if abs(beta) <= tol.absolute_floor:
-                    raise RankDeficientAfterRetries("degenerate coupling during final direction redraw")
-                redraw[j] = DirectionPair(v=v / beta, w=w / beta, beta=1.0, output_index=j, mode=spec.lambdas[j])
+                rng = rng_for(spec.seed + 7919, "direction-final", j)
+                redraw[j] = _kernel_direction(sys, j, spec.lambdas[j], kernel, rng, tol)
+                if redraw[j] is None:
+                    raise RankDeficientAfterRetries("empty kernel or degenerate coupling during final direction redraw")
             directions = redraw
         else:
             if failure is not None:

@@ -110,14 +110,6 @@ class LtiSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def output_deleted(self, j: int) -> "LtiSystem":
-        """The plant with output row ``j`` removed from C and D."""
-        if not 0 <= j < self.p:
-            raise ValueError(f"output index {j} out of range")
-        return LtiSystem.relaxed(
-            self.A, self.B, np.delete(self.C, j, axis=0), np.delete(self.D, j, axis=0), self.domain
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "time_domain": self.domain.value,
@@ -314,6 +306,19 @@ def classify_zeros(
     return minimum, non_minimum
 
 
+def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
+    """Why the minimum-phase zeros are not simple and pairwise distinct, or None when they are."""
+    minimum = [z for z in zeros if z.is_minimum_phase]
+    for z in minimum:
+        if z.geometric_multiplicity != 1:
+            return f"minimum-phase zero {z.value} has multiplicity {z.geometric_multiplicity}"
+    for i, zi in enumerate(minimum):
+        for zj in minimum[i + 1 :]:
+            if abs(zi.value - zj.value) <= tol.zero_exclusion * (1.0 + abs(zi.value)):
+                return f"coincident minimum-phase zeros near {zi.value}"
+    return None
+
+
 def audit_assumptions(
     sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED
 ) -> AssumptionReport:
@@ -340,17 +345,11 @@ def audit_assumptions(
     no_zero_at_freq = at_freq == sys.n + sys.p
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 
-    distinct = True
     try:
         minimum, _ = classify_zeros(sys, invariant_zeros(sys, tol, seed), tol)
-        for z in minimum:
-            if z.geometric_multiplicity != 1:
-                distinct = False
-        for i, zi in enumerate(minimum):
-            for zj in minimum[i + 1 :]:
-                if abs(zi.value - zj.value) <= tol.zero_exclusion * (1.0 + abs(zi.value)):
-                    distinct = False
-        details["distinct_min_phase_zeros"] = f"minimum-phase zeros {[z.value for z in minimum]}"
+        reason = _min_phase_violation(minimum, tol)
+        distinct = reason is None
+        details["distinct_min_phase_zeros"] = reason or f"minimum-phase zeros {[z.value for z in minimum]}"
     except IllConditionedPencil as exc:
         distinct = False
         details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {exc}"

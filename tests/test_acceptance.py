@@ -63,7 +63,7 @@ def test_criterion_02_subspace_dimensions(demo_system, demo_zeros, demo_replay):
 def test_criterion_03_subset_conditions(demo_system, demo_zeros):
     vg = mt.vstar_g(demo_system, zeros=demo_zeros)
     r_js = [mt.rstar(demo_system, excluded_output=j, zeros=demo_zeros) for j in range(3)]
-    verdict = mt.check_lambda_free(demo_system, vg, r_js)
+    verdict = mt.check_solvable(demo_system, vg, r_js)
     dims = (
         mt.subspace_sum_dim([vg, r_js[0]]),
         mt.subspace_sum_dim([vg, r_js[1]]),

@@ -112,6 +112,17 @@ class TestSynthesize:
         ])
         assert code == 1
 
+    def test_lambda_at_zero_is_config_error(self, tmp_path):
+        # -6 is an invariant zero of the demo plant.
+        code = run_cli([
+            "--command", "synthesize",
+            "--system", str(demo_system_path()),
+            "--lambdas=-6,-2,-1",
+            "--reference", "1,1,1",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+
 
 class TestSimulateAndVerify:
     def test_simulate_writes_traces(self, tmp_path):
@@ -145,7 +156,7 @@ class TestSimulateAndVerify:
         ])
         assert code == 0
         payload = read_json(out / "verify.json")
-        assert payload["solvable"] is True
+        assert payload["delta"] == [0, 1, 2]
         assert payload["h"] == 2
         for entry in payload["per_output"]:
             assert entry["monotone"] and entry["rate_ok"]

@@ -58,7 +58,7 @@ class TestGenerate:
         vg = mt.vstar_g(sys, zeros=zeros)
         lam = (-1.0, -1.5)
         r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
-        verdict = mt.check_generalized(sys, vg, lam, r_at)
+        verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable
         fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=lam, reference=(1.0, -1.0)))
         trace = mt.simulate(sys, fb, np.ones(4))

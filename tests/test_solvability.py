@@ -88,7 +88,7 @@ def brute_force_dim(*mats):
 class TestLambdaFree:
     def test_demo_passes_with_expected_dims(self, demo_system_module, demo_bases):
         vg, r_js = demo_bases
-        verdict = mt.check_lambda_free(demo_system_module, vg, r_js)
+        verdict = mt.check_solvable(demo_system_module, vg, r_js)
         assert verdict.solvable
         assert verdict.h == 2
         assert mt.subspace_sum_dim([vg, r_js[0]]) == 5
@@ -97,7 +97,7 @@ class TestLambdaFree:
 
     def test_empty_subset_auto_satisfied(self, demo_system_module, demo_bases):
         vg, r_js = demo_bases
-        verdict = mt.check_lambda_free(demo_system_module, vg, r_js)
+        verdict = mt.check_solvable(demo_system_module, vg, r_js)
         assert all(len(f[0]) > 0 for f in verdict.failing_subsets)
 
     def test_unsolvable_singleton(self, unsolvable_plant):
@@ -107,7 +107,7 @@ class TestLambdaFree:
         vg = mt.vstar_g(sys, zeros=zeros)
         assert vg.dim == sys.n - sys.p == 1
         r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
-        verdict = mt.check_lambda_free(sys, vg, r_js)
+        verdict = mt.check_solvable(sys, vg, r_js)
         assert not verdict.solvable
         assert verdict.failing_subsets[0][0] == (1,)
         # independent confirmation by brute-force dimension count
@@ -118,7 +118,7 @@ class TestLambdaFree:
         zeros = mt.invariant_zeros(sys)
         vg = mt.vstar_g(sys, zeros=zeros)
         r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
-        verdict = mt.check_lambda_free(sys, vg, r_js)
+        verdict = mt.check_solvable(sys, vg, r_js)
         sizes = [len(f[0]) for f in verdict.failing_subsets]
         assert sizes == sorted(sizes)
 
@@ -126,7 +126,7 @@ class TestLambdaFree:
         vg, _ = demo_bases
         fake = [vg.V] * 21
         with pytest.raises(ValueError):
-            mt.check_lambda_free(demo_system_module, vg, fake)
+            mt.check_solvable(demo_system_module, vg, fake)
 
 
 class TestLambdaTuple:
@@ -135,7 +135,7 @@ class TestLambdaTuple:
         vg, _ = demo_bases
         lam = (-1.0, -2.0, -1.0)
         r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(3)]
-        verdict = mt.check_lambda_tuple(sys, vg, lam, r_at)
+        verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable
         assert verdict.delta == (0, 1, 2)
 
@@ -149,19 +149,15 @@ class TestLambdaTuple:
             if any(abs(l - z.value) < 1e-3 for l in lam for z in zeros):
                 continue
             r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
-            assert not mt.check_lambda_tuple(sys, vg, lam, r_at).solvable
+            assert not mt.check_solvable(sys, vg, r_at).solvable
 
-    def test_unstable_lambda_rejected(self, demo_system_module, demo_zeros_module, demo_bases):
-        sys, zeros = demo_system_module, demo_zeros_module
-        vg, r_js = demo_bases
+    def test_unstable_lambda_rejected(self, demo_system_module, demo_zeros_module):
         with pytest.raises(mt.UnstableLambda):
-            mt.check_lambda_tuple(sys, vg, (1.0, -2.0, -1.0), r_js, zeros=zeros)
+            mt.validate_modes(demo_system_module, (1.0, -2.0, -1.0), demo_zeros_module)
 
-    def test_lambda_at_zero_rejected(self, demo_system_module, demo_zeros_module, demo_bases):
-        sys, zeros = demo_system_module, demo_zeros_module
-        vg, r_js = demo_bases
+    def test_lambda_at_zero_rejected(self, demo_system_module, demo_zeros_module):
         with pytest.raises(mt.LambdaAtZero):
-            mt.check_lambda_tuple(sys, vg, (-6.0, -2.0, -1.0), r_js, zeros=zeros)
+            mt.validate_modes(demo_system_module, (-6.0, -2.0, -1.0), demo_zeros_module)
 
 
 @pytest.fixture(scope="module")
@@ -176,12 +172,12 @@ class TestBadTuple:
     def test_mode_free_family_passes(self, plant):
         sys, zeros, vg = plant
         r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
-        assert mt.check_lambda_free(sys, vg, r_js).solvable
+        assert mt.check_solvable(sys, vg, r_js).solvable
 
     def test_specific_tuple_fails(self, plant):
         sys, zeros, vg = plant
         r_at = [mt.rstar_at(sys, BAD_TUPLE[j], j, zeros=zeros) for j in range(2)]
-        verdict = mt.check_lambda_tuple(sys, vg, BAD_TUPLE, r_at)
+        verdict = mt.check_solvable(sys, vg, r_at)
         assert not verdict.solvable
         bad_pair = verdict.failing_subsets[-1]
         assert bad_pair[0] == (0, 1) and bad_pair[1] < bad_pair[2]
@@ -203,15 +199,6 @@ class TestBadTuple:
 
 
 class TestGeneralized:
-    def test_delegates_when_h_equals_n_minus_p(self, demo_system_module, demo_zeros_module, demo_bases):
-        sys, zeros = demo_system_module, demo_zeros_module
-        vg, _ = demo_bases
-        lam = (-1.0, -2.0, -1.0)
-        r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(3)]
-        direct = mt.check_lambda_tuple(sys, vg, lam, r_at)
-        general = mt.check_generalized(sys, vg, lam, r_at)
-        assert direct == general
-
     def test_full_state_nulling_gives_empty_delta(self):
         # Square bi-proper plant with every zero stable: the whole state space
         # is output-nulling with stable dynamics, so no output needs a mode.
@@ -225,7 +212,7 @@ class TestGeneralized:
         assert vg.dim == 2
         lam = (-0.5, -0.7)
         r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
-        verdict = mt.check_generalized(sys, vg, lam, r_at)
+        verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable and verdict.delta == ()
 
     def test_intermediate_h_witness_agrees_with_global_form(self):
@@ -249,7 +236,7 @@ class TestGeneralized:
                     continue
                 lam = (-0.9, -1.7)
                 r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
-                verdict = mt.check_generalized(sys, vg, lam, r_at)
+                verdict = mt.check_solvable(sys, vg, r_at)
             except (mt.MonotrackError, ValueError):
                 continue
             if verdict.solvable:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import monotrack as mt
-from monotrack.numkernel import containment_residual
+from monotrack.numkernel import containment_residual, span_equal
 from monotrack.subspaces import _conformable_min_phase
 
 POLICY = mt.DEFAULT_POLICY
@@ -14,7 +14,7 @@ DEMO_RSTAR_J_AXES = {0: (1, 2, 3, 4), 1: (2, 3, 4), 2: (1, 2, 3, 4)}
 
 def axis_span_matches(basis, axes, n=5):
     target = np.eye(n)[:, list(axes)]
-    return mt.spans_match(basis.V, target)
+    return span_equal(basis.V, target)
 
 
 class TestRstarAt:
@@ -55,7 +55,7 @@ class TestRstar:
     def test_matches_recursion_oracle(self, demo_system, demo_zeros):
         stacked = mt.rstar(demo_system, zeros=demo_zeros)
         recursive = mt.rstar_recursive(demo_system)
-        assert mt.spans_match(stacked, recursive.columns)
+        assert span_equal(stacked, recursive.columns)
 
     def test_single_frequency_contained_in_sum(self, demo_system, demo_zeros):
         whole = mt.rstar(demo_system, excluded_output=0, zeros=demo_zeros)
@@ -70,6 +70,12 @@ class TestRstar:
             mt.rstar(demo_system, stable_pool=(-1.0, -1.0), zeros=demo_zeros)
         with pytest.raises(mt.FrequencyIsZero):
             mt.rstar(demo_system, stable_pool=(-6.0, -1.0), zeros=demo_zeros)
+
+    def test_pool_exhausted_before_saturation(self, demo_system, demo_zeros):
+        # A single frequency adds directions, and no second one can show that
+        # the sum has stopped growing.
+        with pytest.raises(mt.SaturationFailure):
+            mt.rstar(demo_system, stable_pool=(-1.0,), zeros=demo_zeros)
 
 
 class TestVstarRecursive:
@@ -93,7 +99,7 @@ class TestVstarG:
     def test_demo_span_matches_replay_basis(self, demo_system, demo_zeros, demo_replay):
         vg = mt.vstar_g(demo_system, zeros=demo_zeros)
         assert vg.dim == 2
-        assert mt.spans_match(vg.V, demo_replay.vg_state)
+        assert span_equal(vg.V, demo_replay.vg_state)
         vg.validate(demo_system)
 
     def test_demo_inner_modes_sit_on_the_stable_zero(self, demo_system, demo_zeros):
@@ -116,7 +122,7 @@ class TestVstarG:
             rs = mt.rstar(sys, zeros=zeros)
             assert vg.dim == rs.dim
             if vg.dim:
-                assert mt.spans_match(vg, rs)
+                assert span_equal(vg, rs)
             return
         pytest.skip("no all-unstable-zero draw found")
 
@@ -138,7 +144,7 @@ class TestVstarG:
     def test_remixing_preserves_span(self, demo_system, demo_zeros):
         first = mt.vstar_g(demo_system, zeros=demo_zeros, seed=1)
         second = mt.vstar_g(demo_system, zeros=demo_zeros, seed=2)
-        assert mt.spans_match(first, second)
+        assert span_equal(first, second)
 
     def test_coincident_min_phase_zeros_rejected(self):
         # Two decoupled channels sharing the zero -2: geometric multiplicity 2.
@@ -150,8 +156,10 @@ class TestVstarG:
         zeros = mt.invariant_zeros(sys)
         assert len(zeros) == 1 and abs(zeros[0].value + 2.0) <= 1e-9
         assert zeros[0].geometric_multiplicity == 2
-        assert not mt.audit_assumptions(sys).distinct_min_phase_zeros
-        with pytest.raises(mt.AssumptionViolation):
+        report = mt.audit_assumptions(sys)
+        assert not report.distinct_min_phase_zeros
+        assert "multiplicity 2" in report.details["distinct_min_phase_zeros"]
+        with pytest.raises(mt.AssumptionViolation, match="multiplicity 2"):
             mt.vstar_g(sys, zeros=zeros)
 
     def test_jordan_double_zero_merges_to_simple_geometric_zero(self):
@@ -186,7 +194,7 @@ class TestOracleEquivalence:
             recursive = mt.rstar_recursive(sys)
             assert stacked.dim == recursive.dim, f"seed {seed}"
             if stacked.dim:
-                assert mt.spans_match(stacked, recursive.columns, residual=1e-8), f"seed {seed}"
+                assert span_equal(stacked, recursive.columns, residual=1e-8), f"seed {seed}"
             count += 1
             if count >= 50:
                 return

@@ -48,6 +48,17 @@ class TestDirectionForOutput:
         with pytest.raises(mt.LambdaAtZero):
             mt.direction_for_output(demo_system, 0, -6.0, zeros=demo_zeros)
 
+    def test_rejects_nonpositive_discrete_mode(self):
+        sys = mt.LtiSystem(np.diag([0.5, 0.2]), np.eye(2), np.eye(2), np.zeros((2, 2)), mt.TimeDomain.DISCRETE)
+        with pytest.raises(mt.UnstableLambda):
+            mt.direction_for_output(sys, 0, -0.3, zeros=[])
+
+    def test_degenerate_coupling_raises(self):
+        # Output 1 reads nothing, so no kernel draw can couple into it.
+        sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+        with pytest.raises(mt.DegenerateDirection):
+            mt.direction_for_output(sys, 1, -3.0, zeros=[])
+
 
 class TestSteadyState:
     def test_reference_values_satisfy_equations(self, demo_system):
