@@ -87,4 +87,79 @@ from .sysmodel import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "AssumptionViolation",
+    "DegenerateDirection",
+    "DimensionMismatch",
+    "FrequencyIsZero",
+    "GenerationFailed",
+    "IllConditionedPencil",
+    "InsufficientData",
+    "LambdaAtZero",
+    "MonotrackError",
+    "NotSolvable",
+    "NumericalInconsistency",
+    "RankDeficientAfterRetries",
+    "SaturationFailure",
+    "Unsolvable",
+    "UnstableClosedLoop",
+    "UnstableLambda",
+    "UnstableResult",
+    # ensemble
+    "GeneratorSpec",
+    "GenericityStats",
+    "generate",
+    "genericity_trial",
+    # numkernel
+    "DEFAULT_POLICY",
+    "Basis",
+    "TolerancePolicy",
+    "min_norm_solve",
+    "nullspace",
+    "rank_of",
+    "realify_pair",
+    "subspace_sum_dim",
+    # simverify
+    "ModeFit",
+    "RateSpec",
+    "SimulationTrace",
+    "check_monotonic",
+    "check_rate",
+    "fit_single_mode",
+    "simulate",
+    "trace_to_csv",
+    "trace_to_json",
+    # solvability
+    "SolvabilityVerdict",
+    "check_solvable",
+    "repair_lambda_tuple",
+    "validate_modes",
+    # subspaces
+    "PairedBasis",
+    "default_frequency_pool",
+    "rstar",
+    "rstar_at",
+    "rstar_recursive",
+    "vstar_g",
+    "vstar_recursive",
+    # synthesis
+    "DirectionPair",
+    "FeedbackResult",
+    "Replay",
+    "SynthesisSpec",
+    "control_input",
+    "direction_for_output",
+    "steady_state",
+    "synthesize",
+    # sysmodel
+    "AssumptionReport",
+    "InvariantZero",
+    "LtiSystem",
+    "TimeDomain",
+    "audit_assumptions",
+    "classify_zeros",
+    "invariant_zeros",
+    "normal_rank",
+    "rosenbrock",
+]

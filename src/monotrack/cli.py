@@ -131,7 +131,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
         },
     }
     if vg.dim <= system.n - system.p:
-        verdict = check_solvable(system, vg, rs_j, policy)
+        verdict = check_solvable(system, vg, rs_j, policy, config.seed)
         payload["lambda_free"] = verdict.to_json_dict()
     else:
         payload["lambda_free"] = {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}

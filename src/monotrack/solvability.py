@@ -1,12 +1,19 @@
 """Necessary-and-sufficient dimension test for global monotonic tracking.
 
 For every subset S of output indices the sum of the stabilisability
-output-nulling subspace with the per-output reachability subspaces must have
-dimension at least ``n - p + card(S)``. One test covers every case: given the
-full per-output subspaces it is the frequency-free family, given the
-subspaces at a mode tuple it is the frequency-dependent family, and when the
-stabilisability subspace is larger than ``n - p`` it also finds the outputs
-that need an assigned mode (the rest are tracked instantaneously).
+output-nulling subspace V*g with the per-output reachability subspaces R_j
+must have dimension at least ``n - p + card(S)``. One test covers every case:
+given the full per-output subspaces it is the frequency-free family, given
+the subspaces at a mode tuple it is the frequency-dependent family, and when
+V*g is larger than ``n - p`` it also finds the outputs that need an assigned
+mode (the rest are tracked instantaneously).
+
+The family is Rado's condition for an independent transversal of the R_j
+taken modulo V*g (R. Rado 1942; J. Edmonds 1967), so it holds exactly when
+one generic pick r_j in each R_j gives rank [V*g, r_1 ... r_p] = n. The test
+draws the picks from a seeded stream and makes one rank test per draw; the
+subsets themselves are enumerated only after every draw failed, to report
+which of them fail.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ from dataclasses import dataclass
 
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, subspace_sum_dim
-from .seeding import DEFAULT_SEED, rng_for
+from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation, invariant_zeros
 
-_MAX_OUTPUTS = 20
+_DRAWS = 4
 _MAX_REPORTED_FAILURES = 32
 
 
@@ -49,22 +56,48 @@ class SolvabilityVerdict:
         }
 
 
-def _subset_family(indices, sizes, vg, bases, threshold_base: int, tol: TolerancePolicy):
-    """Evaluate the dimension inequality over the subsets of ``indices`` with the given sizes.
+def _transversal_witness(vg, bases, n: int, h: int, seed: int, attempt: int, tol: TolerancePolicy):
+    """One seeded transversal draw; returns the witness set delta, or None if the draw misses rank n.
 
-    Returns (all_pass, failures) with failures ordered by subset cardinality.
+    The verdict is a single rank test on [V*g, r_1 ... r_p]. When h exceeds
+    n - p, a greedy scan then adds output j to delta whenever r_j raises the
+    rank, stopping at n: the greedy basis of the transversal matroid, which
+    is its lexicographically first basis.
     """
+    rng = rng_for(seed, "transversal", attempt)
+    picks = [B @ mixing_coefficients(rng, B.shape[1])[:, None] for B in bases]
+    if subspace_sum_dim([vg, *picks], tol) != n:
+        return None
+    if h == n - len(picks):
+        return tuple(range(len(picks)))
+    delta, chosen, rank = [], [vg], h
+    for j, r in enumerate(picks):
+        if rank == n:
+            break
+        grown = subspace_sum_dim([*chosen, r], tol)
+        if grown > rank:
+            delta.append(j)
+            chosen.append(r)
+            rank = grown
+    return tuple(delta) if rank == n else None
+
+
+def _failing_subsets(vg, bases, n: int, h: int, tol: TolerancePolicy) -> tuple:
+    """Subsets S violating dim(V*g + sum R_j) >= n - p + card(S), smallest first, capped at 32.
+
+    Subsets of cardinality at most h - (n - p) satisfy the inequality
+    trivially and are skipped.
+    """
+    p = len(bases)
     failures = []
-    all_pass = True
-    for size in sizes:
-        for subset in itertools.combinations(indices, size):
+    for size in range(max(0, h - (n - p) + 1), p + 1):
+        for subset in itertools.combinations(range(p), size):
             achieved = subspace_sum_dim([vg] + [bases[j] for j in subset], tol)
-            required = threshold_base + size
-            if achieved < required:
-                all_pass = False
-                if len(failures) < _MAX_REPORTED_FAILURES:
-                    failures.append((subset, achieved, required))
-    return all_pass, failures
+            if achieved < n - p + size:
+                failures.append((subset, achieved, n - p + size))
+                if len(failures) == _MAX_REPORTED_FAILURES:
+                    return tuple(failures)
+    return tuple(failures)
 
 
 def check_solvable(
@@ -72,49 +105,48 @@ def check_solvable(
     vstar_g_basis,
     rstar_j_bases,
     tol: TolerancePolicy = DEFAULT_POLICY,
+    seed: int = DEFAULT_SEED,
 ) -> SolvabilityVerdict:
     """Subset-dimension test on the given stabilisability and per-output bases.
 
     Pass the full per-output reachability subspaces for the frequency-free
     test, or the subspaces at a mode tuple (validated beforehand with
-    :func:`validate_modes`) for the frequency-dependent one. When
-    h = dim V*g exceeds n - p, a witness set delta of cardinality ``n - h``
-    (lexicographic order, first hit returned) whose restricted subset family
-    passes with thresholds ``h + card(S)`` is searched for. The equivalent
-    global formulation over subsets of cardinality above ``h - (n - p)`` is
-    evaluated as a cross-check; disagreement raises, since both characterize
-    the same solvability property.
+    :func:`validate_modes`) for the frequency-dependent one.
+
+    The test draws one direction per output from the stream keyed by
+    ``seed`` and passes when V*g and the draws span the state space: one
+    rank test per draw, up to four draws. When h = dim V*g exceeds n - p, a
+    greedy scan of at most p more rank tests after the passing draw finds
+    the witness set delta of cardinality ``n - h``, the lexicographically
+    first set of outputs whose draws complete V*g (empty, with no draw, when
+    h = n). Only after every draw failed are the subsets enumerated, to fill
+    ``failing_subsets``; no draw is made when h + p < n, since none can
+    reach rank n.
+
+    Raises
+    ------
+    NumericalInconsistency
+        If every draw fails while no subset violates the inequality, which
+        only inconsistent rank decisions can cause.
     """
     vg = _as_matrix(vstar_g_basis)
     bases = [_as_matrix(b) for b in rstar_j_bases]
     if len(bases) != sys.p:
         raise ValueError(f"expected {sys.p} per-output bases, got {len(bases)}")
-    if sys.p > _MAX_OUTPUTS:
-        raise ValueError(f"subset enumeration over {sys.p} outputs exceeds the {_MAX_OUTPUTS}-output guard")
     n, p, h = sys.n, sys.p, rank_of(vg, tol)
-    if h <= n - p:
-        ok, failures = _subset_family(range(p), range(p + 1), vg, bases, n - p, tol)
-        delta = tuple(range(p)) if ok else None
-        return SolvabilityVerdict(solvable=ok, failing_subsets=tuple(failures), h=h, delta=delta)
-
-    witness = None
-    first_failures: tuple = ()
-    for delta in itertools.combinations(range(p), n - h):
-        ok, failures = _subset_family(delta, range(len(delta) + 1), vg, bases, h, tol)
-        if ok:
-            witness = delta
-            break
-        if not first_failures:
-            first_failures = tuple(failures)
-    global_ok, global_failures = _subset_family(range(p), range(h - (n - p) + 1, p + 1), vg, bases, n - p, tol)
-    if (witness is not None) != global_ok:
+    if h == n:
+        # V*g spans the state space, so every output is tracked instantaneously.
+        return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())
+    for attempt in range(_DRAWS if h + p >= n else 0):
+        delta = _transversal_witness(vg, bases, n, h, seed, attempt, tol)
+        if delta is not None:
+            return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=delta)
+    failures = _failing_subsets(vg, bases, n, h, tol)
+    if not failures:
         raise NumericalInconsistency(
-            "witness search and global subset formulation disagree; rank tolerances are inconsistent"
+            f"{_DRAWS} transversal draws missed rank {n} but no output subset violates the dimension condition"
         )
-    if witness is not None:
-        return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=witness)
-    reported = tuple(global_failures) if global_failures else first_failures
-    return SolvabilityVerdict(solvable=False, failing_subsets=reported, h=h, delta=None)
+    return SolvabilityVerdict(solvable=False, failing_subsets=failures, h=h, delta=None)
 
 
 def _validate_mode(sys: LtiSystem, lam: float, zeros: list[InvariantZero], tol: TolerancePolicy) -> None:
@@ -186,7 +218,7 @@ def repair_lambda_tuple(
             radius *= 2.0
             continue
         bases = [rstar_j_factory(j, candidate[j]) for j in range(sys.p)]
-        last = check_solvable(sys, vstar_g_basis, bases, tol)
+        last = check_solvable(sys, vstar_g_basis, bases, tol, seed)
         if last.solvable:
             return candidate, last
         radius *= 2.0

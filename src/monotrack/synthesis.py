@@ -308,7 +308,7 @@ def synthesize(
         vg = vstar_g(sys, spec.free_pool, tol, spec.seed, zeros, spec.max_retries, avoid=spec.lambdas)
 
     rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros) for j in range(sys.p)]
-    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol)
+    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol, spec.seed)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
     delta = verdict.delta

@@ -2,9 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import monotrack as mt
 from monotrack.fixtures import demo_replay_path, demo_system_path
+
+# Property tests draw the same examples on every run and never fail on
+# wall-clock time, so the suite gives the same result on a loaded machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import monotrack as mt
+from monotrack import solvability
 
 # Plant with a structurally pinned per-output reachability subspace: deleting
 # output 1 leaves kernel directions along e1 for every frequency, and e1 is
@@ -79,6 +84,34 @@ def demo_zeros_module(demo_system_module):
     return mt.invariant_zeros(demo_system_module)
 
 
+def enumeration_oracle(sys, vg, bases, tol=mt.DEFAULT_POLICY):
+    """The subset-dimension conditions by exhaustive enumeration: (solvable, delta).
+
+    When h = dim V*g exceeds n - p, delta is the first set of n - h outputs
+    (lexicographic order) whose restricted family passes with thresholds
+    h + card(S), and the global family over all subsets larger than
+    h - (n - p) must agree with the witness search.
+    """
+    n, p = sys.n, sys.p
+    h = mt.subspace_sum_dim([vg], tol)
+
+    def passes(indices, sizes, threshold):
+        return all(
+            mt.subspace_sum_dim([vg, *(bases[j] for j in subset)], tol) >= threshold + size
+            for size in sizes
+            for subset in itertools.combinations(indices, size)
+        )
+
+    if h <= n - p:
+        ok = passes(range(p), range(p + 1), n - p)
+        return ok, (tuple(range(p)) if ok else None)
+    witness = next(
+        (d for d in itertools.combinations(range(p), n - h) if passes(d, range(len(d) + 1), h)), None
+    )
+    assert (witness is not None) == passes(range(p), range(h - (n - p) + 1, p + 1), n - p)
+    return witness is not None, witness
+
+
 def brute_force_dim(*mats):
     stacked = np.hstack([np.atleast_2d(m) for m in mats if np.atleast_2d(m).shape[1]])
     s = np.linalg.svd(stacked, compute_uv=False)
@@ -122,11 +155,44 @@ class TestLambdaFree:
         sizes = [len(f[0]) for f in verdict.failing_subsets]
         assert sizes == sorted(sizes)
 
-    def test_output_guard(self, demo_system_module, demo_bases):
-        vg, _ = demo_bases
-        fake = [vg.V] * 21
-        with pytest.raises(ValueError):
-            mt.check_solvable(demo_system_module, vg, fake)
+    def test_many_outputs_get_a_verdict_in_few_rank_tests(self, monkeypatch):
+        # A 24-output strictly proper plant: enumeration would need 2^24 rank
+        # tests; the transversal test decides with one per draw, and a
+        # solvable design makes at most p + 4.
+        p = 24
+        n, m = p + 2, p + 1
+        rng = np.random.default_rng([0, n, m, p])
+        sys = mt.LtiSystem(
+            rng.standard_normal((n, n)) / np.sqrt(n),
+            rng.standard_normal((n, m)),
+            rng.standard_normal((p, n)),
+            np.zeros((p, m)),
+        )
+        calls = []
+        counted = solvability.subspace_sum_dim
+
+        def counting(bases, tol=mt.DEFAULT_POLICY):
+            calls.append(len(bases))
+            return counted(bases, tol)
+
+        monkeypatch.setattr(solvability, "subspace_sum_dim", counting)
+        spec = mt.SynthesisSpec(lambdas=tuple(-1.0 - 0.25 * k for k in range(p)), reference=np.ones(p))
+        fb = mt.synthesize(sys, spec)
+        assert fb.delta == tuple(range(p))
+        assert 1 <= len(calls) <= p + 4
+        zeros = mt.invariant_zeros(sys)
+        vg = mt.vstar_g(sys, zeros=zeros)
+        r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(p)]
+        assert mt.check_solvable(sys, vg, r_js).solvable
+
+    def test_failed_draws_on_a_passing_family_raise(self, monkeypatch, demo_system_module, demo_bases):
+        # Zero draws can never complete V*g, while every subset passes: the
+        # verdict would be wrong, so the call must raise instead.
+        vg, r_js = demo_bases
+        monkeypatch.setattr(solvability, "mixing_coefficients", lambda rng, size, complex_valued=False: np.zeros(size))
+        assert enumeration_oracle(demo_system_module, vg, r_js)[0]
+        with pytest.raises(mt.NumericalInconsistency):
+            mt.check_solvable(demo_system_module, vg, r_js)
 
 
 class TestLambdaTuple:
@@ -216,9 +282,9 @@ class TestGeneralized:
         assert verdict.solvable and verdict.delta == ()
 
     def test_intermediate_h_witness_agrees_with_global_form(self):
-        # Plants with dim V*g = n - p + 1: the witness search and the global
-        # subset formulation must return the same verdict (cross-checked
-        # internally; disagreement raises).
+        # Plants with dim V*g = n - p + 1: verdict and witness must match the
+        # enumeration oracle, whose witness search and global subset
+        # formulation must agree with each other.
         checked = 0
         for seed in range(160):
             rng = np.random.default_rng(1000 + seed)
@@ -239,9 +305,53 @@ class TestGeneralized:
                 verdict = mt.check_solvable(sys, vg, r_at)
             except (mt.MonotrackError, ValueError):
                 continue
+            assert (verdict.solvable, verdict.delta) == enumeration_oracle(sys, vg, r_at)
             if verdict.solvable:
-                assert verdict.delta is not None and len(verdict.delta) == sys.n - vg.dim
+                assert len(verdict.delta) == sys.n - vg.dim
             checked += 1
             if checked >= 50:
                 return
         raise AssertionError(f"only {checked} plants with intermediate stabilisability dimension")
+
+
+class TestTransversalMatchesEnumeration:
+    @given(
+        seed=st.integers(0, 2**20),
+        p=st.integers(1, 8),
+        extra_states=st.integers(0, 3),
+        biproper=st.booleans(),
+        at_modes=st.booleans(),
+        shape=st.sampled_from(("plant", "below", "alias", "collapse")),
+    )
+    @settings(max_examples=100)
+    def test_verdict_and_delta_match_the_oracle(self, seed, p, extra_states, biproper, at_modes, shape):
+        # h lands above n - p on bi-proper plants with stable zeros, at n - p
+        # on most others, and below it when V*g is truncated; aliasing or
+        # collapsing the per-output bases makes subsets fail.
+        rng = np.random.default_rng(seed)
+        n = p + extra_states
+        m = p + int(rng.integers(0, 2))
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        B = rng.normal(size=(n, m))
+        C = rng.normal(size=(p, n))
+        D = rng.normal(size=(p, m)) + 1.5 * np.eye(p, m) if biproper else np.zeros((p, m))
+        try:
+            sys = mt.LtiSystem(A, B, C, D)
+            zeros = mt.invariant_zeros(sys)
+            vg = mt.vstar_g(sys, seed=seed, zeros=zeros).V
+            if at_modes:
+                modes = mt.validate_modes(sys, [-0.6 - 0.45 * k for k in range(p)], zeros)
+                bases = [mt.rstar_at(sys, modes[j], j, zeros=zeros) for j in range(p)]
+            else:
+                bases = [mt.rstar(sys, excluded_output=j, seed=seed, zeros=zeros) for j in range(p)]
+        except (mt.MonotrackError, ValueError):
+            assume(False)
+        if shape == "below":
+            vg = vg[:, : max(0, n - p - 1)]
+        elif shape == "alias":
+            bases[-1] = bases[0]
+        elif shape == "collapse":
+            bases = [bases[0]] * p
+        verdict = mt.check_solvable(sys, vg, bases, seed=seed)
+        assert (verdict.solvable, verdict.delta) == enumeration_oracle(sys, vg, bases)
+        assert verdict.solvable == (not verdict.failing_subsets)
