@@ -79,7 +79,6 @@ from .sysmodel import (
     LtiSystem,
     TimeDomain,
     audit_assumptions,
-    classify_zeros,
     invariant_zeros,
     normal_rank,
     rosenbrock,
@@ -158,7 +157,6 @@ __all__ = [
     "LtiSystem",
     "TimeDomain",
     "audit_assumptions",
-    "classify_zeros",
     "invariant_zeros",
     "normal_rank",
     "rosenbrock",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     AssumptionViolation,
+    IllConditionedPencil,
     LambdaAtZero,
     MonotrackError,
     NotSolvable,
@@ -31,7 +32,7 @@ from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, s
 from .solvability import check_solvable
 from .subspaces import rstar, vstar_g
 from .synthesis import Replay, SynthesisSpec, synthesize
-from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros
+from .sysmodel import LtiSystem, TimeDomain, audit_assumptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -101,11 +102,13 @@ def _require(config: JobConfig, *names: str) -> None:
 def _cmd_analyze(config: JobConfig, out: Path) -> int:
     policy = config.policy()
     system = LtiSystem.load(config.system_path)
-    zeros = invariant_zeros(system, policy, config.seed)
     report = audit_assumptions(system, policy, config.seed)
+    zeros = report.zeros
+    if zeros is None:
+        raise IllConditionedPencil(report.details["distinct_min_phase_zeros"])
     rs = rstar(system, tol=policy, seed=config.seed, zeros=zeros)
     rs_j = [rstar(system, excluded_output=j, tol=policy, seed=config.seed, zeros=zeros) for j in range(system.p)]
-    vg = vstar_g(system, config.free_pool, policy, config.seed, zeros)
+    vg = vstar_g(system, config.free_pool, policy, config.seed, zeros=zeros)
     payload = {
         "system": system.to_json_dict(),
         "normal_rank_full": report.right_invertible,

@@ -171,11 +171,7 @@ def _verify_planted(sys: LtiSystem, spec: GeneratorSpec, tol: TolerancePolicy) -
     report = audit_assumptions(sys, tol, spec.seed)
     if not report.all_pass:
         return False
-    try:
-        zeros = invariant_zeros(sys, tol, spec.seed)
-    except MonotrackError:
-        return False
-    computed = [z.value for z in zeros]
+    computed = [z.value for z in report.zeros]
     for z in spec.planted_zero_values:
         if not any(abs(z - zc) <= 1e-6 * (1.0 + abs(z)) for zc in computed):
             return False

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, subspace_sum_dim
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
-from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation, invariant_zeros
+from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation
 
 _DRAWS = 4
 _MAX_REPORTED_FAILURES = 32
@@ -186,7 +186,8 @@ def repair_lambda_tuple(
     rstar_j_factory,
     tol: TolerancePolicy = DEFAULT_POLICY,
     seed: int = DEFAULT_SEED,
-    zeros: list[InvariantZero] | None = None,
+    *,
+    zeros: list[InvariantZero],
     attempts: int = 10,
 ):
     """Perturb a failing mode tuple until the frequency-dependent test passes.
@@ -198,8 +199,6 @@ def repair_lambda_tuple(
     Returns ``(tuple, verdict)`` on success, ``(None, last_verdict)``
     otherwise.
     """
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
     rng = rng_for(seed, "lambda-repair")
     lambdas = tuple(float(l) for l in lambdas)
     last = None

@@ -43,7 +43,6 @@ from .sysmodel import (
     TimeDomain,
     _min_phase_violation,
     exclusion_violation,
-    invariant_zeros,
     rosenbrock,
 )
 
@@ -226,7 +225,8 @@ def rstar_at(
     mu: float,
     excluded_output: int | None = None,
     tol: TolerancePolicy = DEFAULT_POLICY,
-    zeros: list[InvariantZero] | None = None,
+    *,
+    zeros: list[InvariantZero],
 ) -> PairedBasis:
     """Directions with a single assignable real mode ``mu``.
 
@@ -237,8 +237,6 @@ def rstar_at(
     input columns are kept aligned.
     """
     mu = float(mu)
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
     if exclusion_violation(mu, zeros, tol):
         raise FrequencyIsZero(f"frequency {mu} is within the exclusion radius of an invariant zero")
     kernel = _pencil_kernel(sys, mu, excluded_output, tol)
@@ -359,7 +357,8 @@ def rstar(
     stable_pool=None,
     tol: TolerancePolicy = DEFAULT_POLICY,
     seed: int = DEFAULT_SEED,
-    zeros: list[InvariantZero] | None = None,
+    *,
+    zeros: list[InvariantZero],
     max_retries: int = 5,
 ) -> PairedBasis:
     """Output-nulling reachability subspace via kernel accumulation.
@@ -370,8 +369,6 @@ def rstar(
     kernel visit, keeping columns that extend the span, and re-drawing on a
     rank-deficient pass up to ``max_retries`` times.
     """
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
     pool = _validated_pool(sys, stable_pool, zeros, tol)
     target, visited = _discover(sys, [], pool, excluded_output, tol)
     rng = rng_for(seed, "rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
@@ -391,7 +388,8 @@ def vstar_g(
     free_pool=None,
     tol: TolerancePolicy = DEFAULT_POLICY,
     seed: int = DEFAULT_SEED,
-    zeros: list[InvariantZero] | None = None,
+    *,
+    zeros: list[InvariantZero],
     max_retries: int = 5,
     avoid: tuple = (),
 ) -> PairedBasis:
@@ -407,8 +405,6 @@ def vstar_g(
     re-drawn up to ``max_retries`` times if a rank-deficient combination
     occurs.
     """
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
     reason = _min_phase_violation(zeros, tol)
     if reason is not None:
         raise AssumptionViolation(reason)

@@ -26,7 +26,7 @@ from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, _validate_mode, check_solvable, validate_modes
 from .subspaces import PairedBasis, _pencil_kernel, rstar_at, vstar_g
-from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, invariant_zeros, rosenbrock
+from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
 
@@ -119,7 +119,8 @@ def direction_for_output(
     tol: TolerancePolicy = DEFAULT_POLICY,
     seed: int = DEFAULT_SEED,
     max_retries: int = 5,
-    zeros: list[InvariantZero] | None = None,
+    *,
+    zeros: list[InvariantZero],
 ) -> DirectionPair:
     """Solve the pencil equation for output ``j`` at mode ``lam``.
 
@@ -130,8 +131,6 @@ def direction_for_output(
     those are rescaled back to beta = 1.
     """
     lam = float(lam)
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
     _validate_mode(sys, lam, zeros, tol)
 
     rhs = np.zeros(sys.n + sys.p)
@@ -296,7 +295,7 @@ def synthesize(
     report: AssumptionReport = audit_assumptions(sys, tol, spec.seed)
     if not report.all_pass:
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
-    zeros = invariant_zeros(sys, tol, spec.seed)
+    zeros = report.zeros
     validate_modes(sys, spec.lambdas, zeros, tol)
 
     if replay is not None:
@@ -305,9 +304,9 @@ def synthesize(
         vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W, tol))
         vg.validate(sys, tol)
     else:
-        vg = vstar_g(sys, spec.free_pool, tol, spec.seed, zeros, spec.max_retries, avoid=spec.lambdas)
+        vg = vstar_g(sys, spec.free_pool, tol, spec.seed, zeros=zeros, max_retries=spec.max_retries, avoid=spec.lambdas)
 
-    rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros) for j in range(sys.p)]
+    rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros=zeros) for j in range(sys.p)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol, spec.seed)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
@@ -322,7 +321,7 @@ def synthesize(
             pair = DirectionPair(v=v, w=w, beta=beta, output_index=j, mode=spec.lambdas[j])
             pair.validate(sys, tol)
         else:
-            pair = direction_for_output(sys, j, spec.lambdas[j], tol, spec.seed, spec.max_retries, zeros)
+            pair = direction_for_output(sys, j, spec.lambdas[j], tol, spec.seed, spec.max_retries, zeros=zeros)
         directions[j] = pair
 
     failure = None
@@ -341,7 +340,7 @@ def synthesize(
         if attempt < spec.max_retries and replay is None:
             # A rank-deficient or badly conditioned draw: re-randomize the
             # stabilisability mixing and try again.
-            vg = vstar_g(sys, spec.free_pool, tol, spec.seed + attempt + 1, zeros, spec.max_retries, avoid=spec.lambdas)
+            vg = vstar_g(sys, spec.free_pool, tol, spec.seed + attempt + 1, zeros=zeros, max_retries=spec.max_retries, avoid=spec.lambdas)
         elif attempt == spec.max_retries:
             # Last resort: randomized directions from the output-deleted kernels.
             redraw = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +69,9 @@ class LtiSystem:
     C: np.ndarray
     D: np.ndarray
     domain: TimeDomain = TimeDomain.CONTINUOUS
+    _check_ranks: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _check_ranks: bool):
         A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (self.A, self.B, self.C, self.D))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -83,7 +84,7 @@ class LtiSystem:
             raise ValueError("inconsistent state-space dimensions")
         if not all(np.all(np.isfinite(M)) for M in (A, B, C, D)):
             raise ValueError("matrices must be finite")
-        if getattr(self, "_skip_rank_checks", False):
+        if not _check_ranks:
             return
         if rank_of(np.vstack([B, D])) != m:
             raise ValueError("[B; D] must have full column rank")
@@ -93,10 +94,7 @@ class LtiSystem:
     @classmethod
     def relaxed(cls, A, B, C, D, domain: TimeDomain = TimeDomain.CONTINUOUS) -> "LtiSystem":
         """Build without the column/row rank checks (degenerate fixtures only)."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_skip_rank_checks", True)
-        obj.__init__(A=A, B=B, C=C, D=D, domain=domain)
-        return obj
+        return cls(A, B, C, D, domain, False)
 
     @property
     def n(self) -> int:
@@ -144,13 +142,21 @@ class InvariantZero:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of the standing-assumption audit."""
+    """Outcome of the standing-assumption audit, with the plant facts it computed.
+
+    ``normal_rank`` is the generic rank of the system pencil; ``zeros`` holds
+    the invariant zeros confirmed at that rank, or None when their
+    computation raised :class:`IllConditionedPencil` (the reason is then in
+    ``details["distinct_min_phase_zeros"]``).
+    """
 
     right_invertible: bool
     stabilizable: bool
     no_zero_at_tracking_frequency: bool
     distinct_min_phase_zeros: bool
     details: dict
+    normal_rank: int
+    zeros: list[InvariantZero] | None
 
     @property
     def all_pass(self) -> bool:
@@ -252,7 +258,11 @@ def invariant_zeros(
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    nr = normal_rank(sys, tol, seed)
+    return _confirmed_zeros(sys, normal_rank(sys, tol, seed), tol, seed)
+
+
+def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
+    """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``."""
     first = _compression_candidates(sys, seed, 0)
     second = _compression_candidates(sys, seed, 1)
     matched = [
@@ -291,21 +301,6 @@ def invariant_zeros(
     return sorted(zeros, key=lambda z: (z.value.real, z.value.imag))
 
 
-def classify_zeros(
-    sys: LtiSystem, zeros: list[InvariantZero] | None = None, tol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[list[InvariantZero], list[InvariantZero]]:
-    """Partition zeros into (minimum-phase, non-minimum-phase).
-
-    Boundary zeros (imaginary axis / unit circle) count as non-minimum-phase
-    because the stability region is open.
-    """
-    if zeros is None:
-        zeros = invariant_zeros(sys, tol)
-    minimum = [z for z in zeros if z.is_minimum_phase]
-    non_minimum = [z for z in zeros if not z.is_minimum_phase]
-    return minimum, non_minimum
-
-
 def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
     """Why the minimum-phase zeros are not simple and pairwise distinct, or None when they are."""
     minimum = [z for z in zeros if z.is_minimum_phase]
@@ -322,7 +317,11 @@ def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFA
 def audit_assumptions(
     sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED
 ) -> AssumptionReport:
-    """Check the four standing assumptions required by the tracking setup."""
+    """Check the four standing assumptions required by the tracking setup.
+
+    The normal rank and the invariant zeros are computed here once, at
+    ``seed``, and carried on the report for the caller to reuse.
+    """
     details: dict[str, str] = {}
     nr = normal_rank(sys, tol, seed)
     right_invertible = nr == sys.n + sys.p
@@ -346,13 +345,16 @@ def audit_assumptions(
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 
     try:
-        minimum, _ = classify_zeros(sys, invariant_zeros(sys, tol, seed), tol)
-        reason = _min_phase_violation(minimum, tol)
-        distinct = reason is None
-        details["distinct_min_phase_zeros"] = reason or f"minimum-phase zeros {[z.value for z in minimum]}"
+        zeros = _confirmed_zeros(sys, nr, tol, seed)
     except IllConditionedPencil as exc:
+        zeros = None
         distinct = False
         details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {exc}"
+    else:
+        reason = _min_phase_violation(zeros, tol)
+        distinct = reason is None
+        minimum = [z.value for z in zeros if z.is_minimum_phase]
+        details["distinct_min_phase_zeros"] = reason or f"minimum-phase zeros {minimum}"
 
     return AssumptionReport(
         right_invertible=right_invertible,
@@ -360,6 +362,8 @@ def audit_assumptions(
         no_zero_at_tracking_frequency=no_zero_at_freq,
         distinct_min_phase_zeros=distinct,
         details=details,
+        normal_rank=nr,
+        zeros=zeros,
     )
 
 

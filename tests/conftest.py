@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 
 import monotrack as mt
+from monotrack import sysmodel
 from monotrack.fixtures import demo_replay_path, demo_system_path
 
 # Property tests draw the same examples on every run and never fail on
@@ -22,6 +23,18 @@ def demo_system() -> mt.LtiSystem:
 @pytest.fixture(scope="session")
 def demo_zeros(demo_system):
     return mt.invariant_zeros(demo_system)
+
+
+@pytest.fixture
+def ill_conditioned_zeros(monkeypatch) -> str:
+    """Make every zero confirmation raise IllConditionedPencil; returns the forced reason."""
+    reason = "forced gray-zone candidate"
+
+    def raise_ill_conditioned(*args):
+        raise mt.IllConditionedPencil(reason)
+
+    monkeypatch.setattr(sysmodel, "_confirmed_zeros", raise_ill_conditioned)
+    return reason
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +67,17 @@ DEMO_XSS = np.array([0.0, -2.0, 10 / 3, 0.0, -7 / 15])
 DEMO_USS = np.array([-48 / 5, -14 / 15, -1.0, -2.0])
 
 DEMO_ZEROS = (-6.0, 2.0, 3.0, 5.0)
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (owner, name) function with monkeypatch; returns the live call counts by name."""
+    calls = {name: 0 for _, name in targets}
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -53,6 +53,12 @@ class TestAnalyze:
         payload = read_json(out / "analysis.json")
         assert payload["dims"]["vstar_g"] == 2
 
+    def test_ill_conditioned_zeros_are_a_numerical_failure(self, tmp_path, ill_conditioned_zeros, capsys):
+        code = run_cli(["--command", "analyze", "--system", str(demo_system_path()), "--out", str(tmp_path)])
+        assert code == 4
+        assert ill_conditioned_zeros in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
 
 class TestSynthesize:
     def test_replay_gain_csv(self, tmp_path):

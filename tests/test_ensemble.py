@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monotrack as mt
-from monotrack import ensemble
+from monotrack import ensemble, sysmodel
+
+from .conftest import count_calls
 
 
 class TestGeneratorSpec:
@@ -36,6 +39,20 @@ class TestGenerate:
         assert any(abs(v + 6.0) <= 1e-6 for v in values)
         pbh = mt.rank_of(np.hstack([sys.A + 6.0 * np.eye(sys.n), sys.B]))
         assert pbh < sys.n
+
+    def test_coincident_planted_zeros_exhaust_the_attempts(self):
+        # Two planted zeros at -1 fail the distinct minimum-phase zero audit on every attempt.
+        with pytest.raises(mt.GenerationFailed):
+            mt.generate(mt.GeneratorSpec(n=2, m=2, p=2, planted_zero_values=(-1.0, -1.0)))
+
+    def test_plant_facts_are_computed_once_per_attempt(self, monkeypatch):
+        calls = count_calls(
+            monkeypatch, (ensemble, "_verify_planted"), (sysmodel, "normal_rank"), (scipy.linalg, "eigvals")
+        )
+        mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=0))
+        attempts = calls["_verify_planted"]
+        assert attempts >= 1
+        assert calls == {"_verify_planted": attempts, "normal_rank": attempts, "eigvals": 2 * attempts}
 
     def test_scalar_plant(self):
         sys = mt.generate(mt.GeneratorSpec(n=1, m=1, p=1, seed=5))

@@ -33,7 +33,7 @@ class TestRstarAt:
         rng = np.random.default_rng(2)
         sys = mt.LtiSystem(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)),
                            rng.normal(size=(2, 3)), rng.normal(size=(2, 2)) + 2 * np.eye(2))
-        pb = mt.rstar_at(sys, -1.0)
+        pb = mt.rstar_at(sys, -1.0, zeros=mt.invariant_zeros(sys))
         assert pb.dim == 0
 
     def test_rejects_frequency_at_zero(self, demo_system, demo_zeros):

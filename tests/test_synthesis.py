@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monotrack as mt
+from monotrack import sysmodel
 
-from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS
+from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
 
 # Direction pairs of the demo plant at the requested modes, as exact rationals.
@@ -156,6 +158,13 @@ class TestSynthesize:
         sys = mt.LtiSystem(A, B, np.array([[1.0, 1.0]]), np.array([[1.0]]))
         with pytest.raises(mt.AssumptionViolation):
             mt.synthesize(sys, mt.SynthesisSpec(lambdas=(-1.0,), reference=(1.0,)))
+
+    def test_plant_facts_are_computed_once(self, demo_system, monkeypatch):
+        # The audit evaluates the normal rank once and solves the two
+        # compressed eigenproblems of one zero computation; synthesis reuses both.
+        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (scipy.linalg, "eigvals"))
+        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        assert calls == {"normal_rank": 1, "eigvals": 2}
 
     def test_plain_eigenstructure_assignment_when_p_equals_n(self):
         # Square controllable plant with as many outputs as states: no

@@ -22,6 +22,13 @@ class TestLtiSystem:
         sys = mt.LtiSystem.relaxed(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
         assert sys.n == 2
 
+    def test_relaxed_system_compares_prints_and_serialises_like_a_checked_one(self, demo_system):
+        relaxed = mt.LtiSystem.relaxed(demo_system.A, demo_system.B, demo_system.C, demo_system.D)
+        assert vars(relaxed).keys() == vars(demo_system).keys()
+        assert repr(relaxed) == repr(demo_system)
+        assert relaxed.to_json_dict() == demo_system.to_json_dict()
+        assert mt.LtiSystem.from_json_dict(relaxed.to_json_dict()).to_json_dict() == relaxed.to_json_dict()
+
     def test_json_round_trip(self, tmp_path, demo_system):
         path = tmp_path / "sys.json"
         demo_system.save(path)
@@ -119,8 +126,9 @@ class TestInvariantZeros:
 
 class TestClassifyZeros:
     def test_demo_partition(self, demo_system, demo_zeros):
-        minimum, non_minimum = mt.classify_zeros(demo_system, demo_zeros)
-        assert [z.value for z in minimum] == [-6.0 + 0j] or abs(minimum[0].value + 6) <= 1e-6
+        minimum = [z for z in demo_zeros if z.is_minimum_phase]
+        non_minimum = [z for z in demo_zeros if not z.is_minimum_phase]
+        assert len(minimum) == 1 and abs(minimum[0].value + 6) <= 1e-6
         assert len(non_minimum) == 3
 
     def test_discrete_region_membership(self, demo_zeros):
@@ -140,6 +148,20 @@ class TestAuditAssumptions:
         report = mt.audit_assumptions(demo_system)
         assert report.all_pass
         assert report.right_invertible and report.stabilizable
+
+    def test_report_carries_the_normal_rank_and_zeros(self, demo_system, demo_zeros):
+        report = mt.audit_assumptions(demo_system)
+        assert report.normal_rank == mt.normal_rank(demo_system) == demo_system.n + demo_system.p
+        assert report.zeros == demo_zeros
+
+    def test_ill_conditioned_zeros_are_recorded(self, demo_system, ill_conditioned_zeros):
+        report = mt.audit_assumptions(demo_system)
+        assert report.zeros is None
+        assert not report.distinct_min_phase_zeros and not report.all_pass
+        assert ill_conditioned_zeros in report.details["distinct_min_phase_zeros"]
+        with pytest.raises(mt.AssumptionViolation) as err:
+            mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        assert err.value.report == report
 
     def test_uncontrollable_unstable_mode_fails(self):
         A = np.diag([1.0, -2.0])
