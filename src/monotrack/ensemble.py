@@ -221,19 +221,23 @@ def genericity_trial(
     """
     zeros = invariant_zeros(sys, tol, seed)
     pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
+    trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
+    # The direction kernels do not depend on the trial; only their draws do.
+    mus = [pool[j % len(pool)] for j in range(sys.p)]
+    try:
+        kernels = [_pencil_kernel(sys, mu, j, tol) for j, mu in enumerate(mus)]
+    except MonotrackError:
+        return GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
     failures = 0
     failing = []
-    for t in range(trials):
-        trial_seed = seed + 1000003 * (t + 1)
+    for trial_seed in trial_seeds:
         ok = True
         try:
             rstar(sys, tol=tol, seed=trial_seed, zeros=zeros, max_retries=0)
             vg = vstar_g(sys, tol=tol, seed=trial_seed, zeros=zeros, max_retries=0)
             rng = rng_for(trial_seed, "trial-directions")
             direction_cols = []
-            for j in range(sys.p):
-                mu = pool[j % len(pool)]
-                kernel = _pencil_kernel(sys, mu, j, tol)
+            for j, (mu, kernel) in enumerate(zip(mus, kernels)):
                 if kernel.shape[1] == 0:
                     continue
                 pair = _kernel_direction(sys, j, mu, kernel, rng, tol)

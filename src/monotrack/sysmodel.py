@@ -169,9 +169,20 @@ class AssumptionReport:
 
 
 def rosenbrock(sys: LtiSystem, lam: complex) -> np.ndarray:
-    """System pencil [[A - lam*I, B], [C, D]] of shape (n+p) x (n+m)."""
-    shift = sys.A - lam * np.eye(sys.n)
-    return np.block([[shift, sys.B.astype(shift.dtype)], [sys.C.astype(shift.dtype), sys.D.astype(shift.dtype)]])
+    """System pencil [[A - lam*I, B], [C, D]] of shape (n+p) x (n+m).
+
+    The A block is formed as ``A - lam * I`` rather than by subtracting lam
+    on the diagonal alone: off the diagonal that subtracts ``lam * 0``, which
+    turns a -0.0 entry of A into +0.0 when lam is negative, and generated
+    plants carry such entries.
+    """
+    n = sys.n
+    pencil = np.empty((n + sys.p, n + sys.m), dtype=np.result_type(sys.A, lam))
+    np.subtract(sys.A, lam * np.eye(n), out=pencil[:n, :n])
+    pencil[:n, n:] = sys.B
+    pencil[n:, :n] = sys.C
+    pencil[n:, n:] = sys.D
+    return pencil
 
 
 def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED) -> int:

@@ -153,6 +153,21 @@ class TestGenericityTrial:
         with pytest.raises(mt.RankDeficientAfterRetries):
             mt.vstar_g(demo_system, zeros=demo_zeros, max_retries=0)
 
+    def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
+        calls = count_calls(monkeypatch, (ensemble, "_pencil_kernel"))
+        stats = mt.genericity_trial(demo_system, trials=20, seed=3)
+        assert stats.failures == 0
+        assert calls["_pencil_kernel"] == demo_system.p
+
+    def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
+        def failing_kernel(*args):
+            raise mt.IllConditionedPencil("forced kernel failure")
+
+        monkeypatch.setattr(ensemble, "_pencil_kernel", failing_kernel)
+        stats = mt.genericity_trial(demo_system, trials=4, seed=3)
+        assert stats.failures == 4
+        assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
+
     def test_batch_report_contains_hash(self, demo_system):
         stats = mt.genericity_trial(demo_system, trials=5, seed=1)
         report = ensemble.batch_report(demo_system, stats)

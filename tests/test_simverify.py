@@ -1,10 +1,202 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 import monotrack as mt
+from monotrack.numkernel import DEFAULT_POLICY
+from monotrack.simverify import _MONOTONE_TIE_TOL
 
 DEMO_X0_A = (0.1, -0.2, 0.1, 0.1, 0.0)
 DEMO_X0_B = (0.6, 0.2, 0.2, -0.2, 1.0)
+
+# Doubling fills 2^k samples per pass; these counts sit on, just past and
+# between powers of two, and include the continuous and discrete defaults.
+SAMPLE_COUNTS = (2, 3, 7, 8, 9, 200, 400, 401, 1000)
+FLOOR = DEFAULT_POLICY.absolute_floor
+
+
+# -- Oracles: the one-step recursion and the per-output verdict loops that
+# simulate and the checks replaced, kept as the reference for the fast paths.
+def sequential_trace(sys, fb, trace):
+    """``trace`` recomputed one transition per sample, as simulate once did."""
+    closed_loop = sys.A + sys.B @ fb.F
+    if sys.domain is mt.TimeDomain.CONTINUOUS:
+        step = scipy.linalg.expm(closed_loop * (trace.times[1] - trace.times[0]))
+    else:
+        step = closed_loop
+    xi = np.empty_like(trace.xi)
+    xi[:, 0] = trace.xi[:, 0]
+    for k in range(1, trace.num_samples):
+        xi[:, k] = step @ xi[:, k - 1]
+    out_map = sys.C + sys.D @ fb.F
+    for j, mode in fb.assigned_modes.items():
+        if mode == "instantaneous":
+            out_map[j, :] = 0.0
+    return mt.SimulationTrace(times=trace.times, xi=xi, epsilon=out_map @ xi, domain=trace.domain)
+
+
+def oracle_check_monotonic(trace, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY):
+    verdicts = []
+    for k in range(trace.num_outputs):
+        eps = trace.epsilon[k]
+        peak = float(np.max(np.abs(eps)))
+        if peak <= tol.absolute_floor:
+            verdicts.append("instantaneous")
+            continue
+        ties = tie_tol * peak
+        diffs = np.diff(eps)
+        signs = np.sign(diffs[np.abs(diffs) > ties])
+        same_sign = signs.size == 0 or np.all(signs == signs[0])
+        magnitudes = np.abs(eps)
+        non_increasing = bool(np.all(magnitudes[1:] <= magnitudes[:-1] + ties))
+        verdicts.append("monotone" if same_sign and non_increasing else "not_monotone")
+    return verdicts
+
+
+def oracle_check_rate(trace, rate, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY):
+    if trace.domain is mt.TimeDomain.CONTINUOUS:
+        envelope = np.exp(rate.rho * trace.times)
+    else:
+        envelope = rate.rho ** trace.times
+    verdicts = []
+    for k in range(trace.num_outputs):
+        eps = np.abs(trace.epsilon[k])
+        if np.max(eps) <= tol.absolute_floor:
+            verdicts.append(True)
+            continue
+        beta = eps[0] * (1.0 + tie_tol)
+        verdicts.append(bool(np.all(eps <= beta * envelope + tol.absolute_floor)))
+    return verdicts
+
+
+def polyfit_single_mode(trace, tol=DEFAULT_POLICY):
+    if trace.num_samples < 8:
+        raise mt.InsufficientData(f"{trace.num_samples} samples; at least 8 required")
+    fits = []
+    for k in range(trace.num_outputs):
+        eps = trace.epsilon[k]
+        peak = float(np.max(np.abs(eps)))
+        if peak <= tol.absolute_floor or abs(eps[0]) <= tol.absolute_floor:
+            fits.append(mt.ModeFit(k, None, None, 0.0, True))
+            continue
+        usable = np.abs(eps) > tol.absolute_floor
+        if np.sum(usable) < 2:
+            raise mt.InsufficientData(f"output {k} has fewer than two samples above the floor")
+        t_use, e_use = trace.times[usable], eps[usable]
+        sign_changes = np.any(np.sign(e_use[1:]) != np.sign(e_use[0]))
+        slope, intercept = np.polyfit(t_use, np.log(np.abs(e_use)), 1)
+        if trace.domain is mt.TimeDomain.CONTINUOUS:
+            lam_hat = float(slope)
+            model = np.exp(intercept + slope * trace.times)
+        else:
+            lam_hat = float(np.exp(slope))
+            model = np.exp(intercept) * lam_hat ** trace.times
+        gamma_hat = float(np.sign(e_use[0]) * np.exp(intercept))
+        predicted = np.sign(e_use[0]) * model
+        residual = float(np.sqrt(np.mean((eps - predicted) ** 2)) / peak)
+        if sign_changes:
+            residual = 1.0
+        fits.append(mt.ModeFit(k, lam_hat, gamma_hat, residual, False))
+    return fits
+
+
+# -- Traces for the verdict oracles.
+ROW_KINDS = ("decay", "instantaneous", "below_floor", "tail_below_floor", "ties", "on_envelope", "sign_change", "growing", "nan")
+
+
+def rate_for(domain):
+    return mt.RateSpec(-0.5 if domain is mt.TimeDomain.CONTINUOUS else 0.6)
+
+
+def rate_envelope(times, domain):
+    rho = rate_for(domain).rho
+    return np.exp(rho * times) if domain is mt.TimeDomain.CONTINUOUS else rho**times
+
+
+def sample_times(domain, num_samples, horizon=6.0):
+    if domain is mt.TimeDomain.CONTINUOUS:
+        return np.linspace(0.0, horizon, num_samples)
+    return np.arange(num_samples, dtype=float)
+
+
+def trace_row(kind, times, domain, gamma=1.3, rate=0.7, position=0, tie_sign=1.0, past_tie=False):
+    """One tracking-error row of the given kind; ``rate`` in (0, 1) sets the decay."""
+    decay = np.exp(-rate * 3.0 * times) if domain is mt.TimeDomain.CONTINUOUS else rate**times
+    row = gamma * decay
+    if kind == "instantaneous":
+        row = np.zeros_like(times)
+    elif kind == "below_floor":
+        row = row / abs(gamma) * FLOOR * rate
+    elif kind == "tail_below_floor":
+        row = gamma * np.exp(-40.0 * times / max(times[-1], 1.0) * np.log(10.0))
+    elif kind == "ties":
+        # [peak, 0, +-ties, 0, -+ties, 0, ...]: every step but the first is an
+        # exact tie at tie_tol * peak (or one ulp past it), and |eps| never grows.
+        ties = _MONOTONE_TIE_TOL * abs(gamma)
+        step = np.nextafter(ties, np.inf) if past_tie else ties
+        row = np.zeros_like(times)
+        row[0] = gamma
+        row[2::2] = tie_sign * step * (-1.0) ** np.arange(row[2::2].size)
+    elif kind == "on_envelope":
+        # |eps_k| equal to check_rate's bound beta * envelope + floor at every sample.
+        row = abs(gamma) * (1.0 + _MONOTONE_TIE_TOL) * rate_envelope(times, domain) + FLOOR
+        row[0] = abs(gamma)
+    elif kind == "sign_change":
+        row = gamma * (decay - 2.0 * decay**2)
+    elif kind == "growing":
+        row = gamma * (1.0 + times / max(times[-1], 1.0))
+    elif kind == "nan":
+        row[position % times.size] = np.nan
+    return row
+
+
+@st.composite
+def traces(draw):
+    num_samples = draw(st.sampled_from(SAMPLE_COUNTS))
+    domain = draw(st.sampled_from((mt.TimeDomain.CONTINUOUS, mt.TimeDomain.DISCRETE)))
+    times = sample_times(domain, num_samples, draw(st.floats(0.5, 10.0)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5)):
+        gamma = draw(st.floats(0.01, 10.0)) * draw(st.sampled_from((-1.0, 1.0)))
+        rows.append(
+            trace_row(
+                kind, times, domain, gamma,
+                rate=draw(st.floats(0.05, 0.95)),
+                position=draw(st.integers(0, 999)),
+                tie_sign=draw(st.sampled_from((-1.0, 1.0))),
+                past_tie=draw(st.booleans()),
+            )
+        )
+    return mt.SimulationTrace(times=times, xi=np.zeros((1, num_samples)), epsilon=np.array(rows), domain=domain)
+
+
+def fit_outcome(fit, trace):
+    try:
+        return fit(trace)
+    except mt.InsufficientData as exc:
+        return str(exc)
+
+
+def assert_fits_match_polyfit(trace):
+    expected, actual = fit_outcome(polyfit_single_mode, trace), fit_outcome(mt.fit_single_mode, trace)
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert (got.output_index, got.instantaneous) == (want.output_index, want.instantaneous)
+        if want.instantaneous:
+            assert got == want
+            continue
+        for name in ("lambda_hat", "gamma_hat", "relative_residual"):
+            a, b = getattr(got, name), getattr(want, name)
+            # relative_residual is already a ratio to the peak, so a floor of
+            # one keeps "relative" meaningful for residuals near zero.
+            assert (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-10 * max(1.0, abs(b)), (name, a, b)
+
+
 
 
 def diagonal_plant_and_gain():
@@ -248,3 +440,91 @@ class TestExport:
         payload = json.loads(mt.trace_to_json(trace))
         assert payload["domain"] == "continuous"
         assert len(payload["times"]) == 3
+
+
+class TestOracles:
+    @pytest.mark.parametrize("domain", [mt.TimeDomain.CONTINUOUS, mt.TimeDomain.DISCRETE])
+    @pytest.mark.parametrize("num_samples", SAMPLE_COUNTS)
+    def test_every_row_kind_matches_the_oracles(self, num_samples, domain):
+        times = sample_times(domain, num_samples)
+        rows = [trace_row(kind, times, domain, position=num_samples // 2) for kind in ROW_KINDS]
+        rows += [trace_row("ties", times, domain, tie_sign=-1.0), trace_row("ties", times, domain, past_tie=True)]
+        trace = mt.SimulationTrace(times=times, xi=np.zeros((1, num_samples)), epsilon=np.array(rows), domain=domain)
+        verdicts = mt.check_monotonic(trace)
+        assert verdicts == oracle_check_monotonic(trace)
+        assert mt.check_rate(trace, rate_for(domain)) == oracle_check_rate(trace, rate_for(domain))
+        assert_fits_match_polyfit(trace)
+        kinds = dict(zip(ROW_KINDS, verdicts))
+        assert kinds["instantaneous"] == kinds["below_floor"] == "instantaneous"
+        if num_samples >= 3:
+            # Exact ties are tolerated in both directions; one ulp past them is a sign change.
+            assert [kinds["ties"], *verdicts[-2:]] == ["monotone", "monotone", "not_monotone"]
+
+    @given(traces())
+    def test_verdicts_match_the_per_output_loops(self, trace):
+        assert mt.check_monotonic(trace) == oracle_check_monotonic(trace)
+        rate = rate_for(trace.domain)
+        assert mt.check_rate(trace, rate) == oracle_check_rate(trace, rate)
+
+    @given(traces())
+    def test_closed_form_fit_matches_polyfit(self, trace):
+        assert_fits_match_polyfit(trace)
+
+
+def wide_plant(seed, index, p):
+    """Strictly proper plant, n = p + 2, m = p + 1, as in the benchmark's wide-outputs workload."""
+    n, m = p + 2, p + 1
+    rng = np.random.default_rng([seed, index, n, m, p])
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    return mt.LtiSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), np.zeros((p, m)))
+
+
+@pytest.fixture(scope="module")
+def designs(demo_system, demo_feedback):
+    """(plant, feedback, x0) over the demo and generated plants, continuous and discrete."""
+    cases = [(demo_system, demo_feedback, np.asarray(DEMO_X0_A)), (demo_system, demo_feedback, np.asarray(DEMO_X0_B))]
+    generated = [
+        (mt.GeneratorSpec(n=6, m=3, p=2, planted_zero_values=(-3.0,), seed=0), (-1.0, -1.25)),
+        (mt.GeneratorSpec(n=8, m=4, p=3, seed=1), (-1.0, -1.25, -1.5)),
+        (mt.GeneratorSpec(n=6, m=3, p=2, domain=mt.TimeDomain.DISCRETE, seed=0), (0.3, 0.4)),
+        (mt.GeneratorSpec(n=8, m=4, p=3, domain=mt.TimeDomain.DISCRETE, seed=1), (0.3, 0.4, 0.5)),
+    ]
+    for spec, modes in generated:
+        plant = mt.generate(spec)
+        fb = mt.synthesize(plant, mt.SynthesisSpec(lambdas=modes, reference=np.ones(plant.p)))
+        cases.append((plant, fb, np.random.default_rng(spec.seed).uniform(-1.0, 1.0, plant.n)))
+    # A closed loop with transient growth (cond V ~ 2e6) whose output 0, at
+    # the slowest mode, sits within roundoff of the rate envelope.
+    plant = wide_plant(1, 2, 12)
+    rng = np.random.default_rng([1, 2, 12, 7])
+    modes = tuple(-1.0 - 0.25 * k for k in range(12))
+    fb = mt.synthesize(plant, mt.SynthesisSpec(lambdas=modes, reference=rng.uniform(-2.0, 2.0, 12)))
+    cases.append((plant, fb, rng.uniform(-1.0, 1.0, plant.n)))
+    return cases
+
+
+class TestDoubling:
+    @pytest.mark.parametrize("num_samples", SAMPLE_COUNTS)
+    def test_as_accurate_as_the_one_step_recursion(self, designs, num_samples):
+        for sys, fb, x0 in designs:
+            trace = mt.simulate(sys, fb, x0, num_samples=num_samples)
+            sequential = sequential_trace(sys, fb, trace)
+            closed_loop = sys.A + sys.B @ fb.F
+            xi0 = trace.xi[:, 0]
+            if sys.domain is mt.TimeDomain.CONTINUOUS:
+                exact = np.column_stack([scipy.linalg.expm(closed_loop * t) @ xi0 for t in trace.times])
+            else:
+                exact = np.column_stack([np.linalg.matrix_power(closed_loop, k) @ xi0 for k in range(num_samples)])
+            peak = np.max(np.abs(exact))
+            doubled_error = np.max(np.abs(trace.xi - exact))
+            sequential_error = np.max(np.abs(sequential.xi - exact))
+            assert doubled_error <= 4.0 * sequential_error + 1e-14 * peak
+
+    def test_verdicts_match_the_one_step_recursion(self, designs):
+        for sys, fb, x0 in designs:
+            trace = mt.simulate(sys, fb, x0)
+            sequential = sequential_trace(sys, fb, trace)
+            numeric = [m for m in fb.assigned_modes.values() if m != "instantaneous"]
+            rate = mt.RateSpec(max(numeric, default=-1.0) if sys.domain is mt.TimeDomain.CONTINUOUS else 0.9)
+            assert mt.check_monotonic(trace) == mt.check_monotonic(sequential)
+            assert mt.check_rate(trace, rate) == mt.check_rate(sequential, rate)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import monotrack as mt
-from monotrack import sysmodel
+from monotrack import synthesis, sysmodel
 
 from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
@@ -165,6 +165,26 @@ class TestSynthesize:
         calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (scipy.linalg, "eigvals"))
         mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"normal_rank": 1, "eigvals": 2}
+
+    def test_failed_verification_raises_unstable_result_after_every_retry(self, demo_system, monkeypatch):
+        reason = "forced verification failure"
+        verified = []
+
+        def failing_verification(*args):
+            verified.append(args)
+            return None, None, reason
+
+        monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
+        calls = count_calls(monkeypatch, (synthesis, "vstar_g"))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), max_retries=3)
+        with pytest.raises(mt.UnstableResult) as info:
+            mt.synthesize(demo_system, spec)
+        assert type(info.value) is mt.UnstableResult
+        assert str(info.value) == reason
+        # One verification for the first draw, one per reseeded V*g draw and
+        # one after the final direction redraw.
+        assert len(verified) == spec.max_retries + 2
+        assert calls["vstar_g"] == 1 + spec.max_retries
 
     def test_plain_eigenstructure_assignment_when_p_equals_n(self):
         # Square controllable plant with as many outputs as states: no

@@ -37,7 +37,26 @@ class TestLtiSystem:
         assert loaded.domain is mt.TimeDomain.CONTINUOUS
 
 
+def block_pencil(sys, lam):
+    """The np.block assembly rosenbrock used to make, kept as its byte-level oracle."""
+    shift = sys.A - lam * np.eye(sys.n)
+    return np.block([[shift, sys.B.astype(shift.dtype)], [sys.C.astype(shift.dtype), sys.D.astype(shift.dtype)]])
+
+
 class TestRosenbrock:
+    @pytest.mark.parametrize("lam", [-1.0, 2.5, 0.0, 0, -1.0 + 2.0j, 3.0j, -0.5 - 1.5j])
+    def test_matches_the_block_assembly_byte_for_byte(self, demo_system, lam):
+        rng = np.random.default_rng(5)
+        strictly_proper = mt.LtiSystem(rng.standard_normal((6, 6)), rng.standard_normal((6, 4)), rng.standard_normal((3, 6)), np.zeros((3, 4)))
+        # -0.0 off the diagonal: A - lam*I turns it into +0.0 for negative lam.
+        signed_zeros = mt.LtiSystem([[-1.0, -0.0], [-0.0, -2.0]], np.eye(2), [[1.0, -0.0]], [[0.0, -0.0]])
+        generated = mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=1))
+        for plant in (demo_system, strictly_proper, signed_zeros, generated):
+            pencil, expected = rosenbrock(plant, lam), block_pencil(plant, lam)
+            assert pencil.dtype == expected.dtype
+            assert pencil.shape == expected.shape == (plant.n + plant.p, plant.n + plant.m)
+            assert pencil.tobytes() == expected.tobytes()
+
     def test_zero_shift_concatenates_blocks(self, demo_system):
         P = rosenbrock(demo_system, 0.0)
         assert np.array_equal(P[:5, :5], demo_system.A)
