@@ -30,7 +30,7 @@ from .numkernel import TolerancePolicy
 from .seeding import DEFAULT_SEED
 from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate, trace_to_csv
 from .solvability import check_solvable
-from .subspaces import rstar, vstar_g
+from .subspaces import discover_rstar, discover_vstar_g
 from .synthesis import Replay, SynthesisSpec, synthesize
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions
 
@@ -106,9 +106,10 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
     zeros = report.zeros
     if zeros is None:
         raise IllConditionedPencil(report.details["distinct_min_phase_zeros"])
-    rs = rstar(system, tol=policy, seed=config.seed, zeros=zeros)
-    rs_j = [rstar(system, excluded_output=j, tol=policy, seed=config.seed, zeros=zeros) for j in range(system.p)]
-    vg = vstar_g(system, config.free_pool, policy, config.seed, zeros=zeros)
+    # Dimensions and solvability depend only on the spans, so no paired basis is drawn.
+    rs = discover_rstar(system, tol=policy, zeros=zeros)
+    rs_j = [discover_rstar(system, j, tol=policy, zeros=zeros) for j in range(system.p)]
+    vg = discover_vstar_g(system, config.free_pool, policy, zeros=zeros)
     payload = {
         "system": system.to_json_dict(),
         "normal_rank_full": report.right_invertible,
@@ -134,7 +135,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
         },
     }
     if vg.dim <= system.n - system.p:
-        verdict = check_solvable(system, vg, rs_j, policy, config.seed)
+        verdict = check_solvable(system, vg.basis, [b.basis for b in rs_j], policy, config.seed)
         payload["lambda_free"] = verdict.to_json_dict()
     else:
         payload["lambda_free"] = {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}

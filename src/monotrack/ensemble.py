@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GenerationFailed, MonotrackError
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
 from .seeding import DEFAULT_SEED, rng_for
-from .subspaces import _pencil_kernel, default_frequency_pool, rstar, vstar_g
+from .subspaces import _pencil_kernel, default_frequency_pool, discover_rstar, discover_vstar_g, draw
 from .synthesis import _kernel_direction
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros
 
@@ -222,10 +222,11 @@ def genericity_trial(
     zeros = invariant_zeros(sys, tol, seed)
     pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
     trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
-    # The direction kernels do not depend on the trial; only their draws do.
+    # The kernels do not depend on the trial; only their draws do.
     mus = [pool[j % len(pool)] for j in range(sys.p)]
     try:
         kernels = [_pencil_kernel(sys, mu, j, tol) for j, mu in enumerate(mus)]
+        rs_kernels, vg_kernels = discover_rstar(sys, tol=tol, zeros=zeros), discover_vstar_g(sys, tol=tol, zeros=zeros)
     except MonotrackError:
         return GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
     failures = 0
@@ -233,8 +234,8 @@ def genericity_trial(
     for trial_seed in trial_seeds:
         ok = True
         try:
-            rstar(sys, tol=tol, seed=trial_seed, zeros=zeros, max_retries=0)
-            vg = vstar_g(sys, tol=tol, seed=trial_seed, zeros=zeros, max_retries=0)
+            draw(rs_kernels, trial_seed, 0, tol)
+            vg = draw(vg_kernels, trial_seed, 0, tol)
             rng = rng_for(trial_seed, "trial-directions")
             direction_cols = []
             for j, (mu, kernel) in enumerate(zip(mus, kernels)):

@@ -8,7 +8,7 @@ governs every one of them. Complex arithmetic stays confined here and in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,33 +62,19 @@ DEFAULT_POLICY = TolerancePolicy()
 
 @dataclass(frozen=True)
 class Basis:
-    """A subspace represented by a full-column-rank matrix.
-
-    ``tags`` records per-column provenance: the generating frequency for
-    columns extracted from a pencil kernel, or ``"free"`` for columns with no
-    attached frequency.
-    """
+    """A subspace represented by a full-column-rank matrix."""
 
     columns: np.ndarray
-    tags: tuple = field(default=())
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns))
         object.__setattr__(self, "columns", cols)
-        if not self.tags:
-            object.__setattr__(self, "tags", ("free",) * cols.shape[1])
-        if len(self.tags) != cols.shape[1]:
-            raise ValueError("one tag per column required")
         if cols.shape[1] > cols.shape[0]:
             raise ValueError("more columns than ambient dimension")
 
     @property
     def dim(self) -> int:
         return self.columns.shape[1]
-
-    @property
-    def ambient(self) -> int:
-        return self.columns.shape[0]
 
 
 def _as_matrix(obj) -> np.ndarray:

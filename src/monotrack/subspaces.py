@@ -10,6 +10,12 @@ Three families of subspaces drive the solvability theory and the synthesis:
   dynamics, assembled from the kernels at the minimum-phase invariant zeros
   plus reachability directions.
 
+The last two are built in two steps. A deterministic discovery
+(``discover_rstar`` / ``discover_vstar_g``) computes the pencil kernels once
+and returns them as a ``KernelSpan`` with an orthonormal basis; ``draw`` then
+mixes a paired basis out of those kernels from a seeded stream, as often as a
+caller needs a fresh one. Dimensions and spans need no draw.
+
 A classical fixed-point recursion (``vstar_recursive`` / ``rstar_recursive``)
 is provided as an independent oracle for cross-checking the kernel-stacking
 path; the two routes must agree and the test suite enforces that they do.
@@ -128,51 +134,41 @@ class _SpanTracker:
     def dim(self) -> int:
         return self.Q.shape[1]
 
-    def _orthogonalize(self, col: np.ndarray, extra: list) -> np.ndarray:
-        res = col
-        for _ in range(2):
-            if self.Q.shape[1]:
-                res = res - self.Q @ (self.Q.T @ res)
-            for q in extra:
-                res = res - q * (q @ res)
-        return res
+    def extension(self, block: np.ndarray):
+        """(orthonormal columns, worst normalized residual, extends) of ``block`` against the span.
+
+        ``extends``: every residual exceeds ``_EXTEND_RTOL`` of its column's
+        norm. A block that does not fit or leaves a zero residual gives
+        ``(None, 0.0, False)``.
+        """
+        if self.dim + block.shape[1] > self.ambient:
+            return None, 0.0, False
+        added, worst, extends = [], np.inf, True
+        for col in block.T:
+            nrm, res = np.linalg.norm(col), col
+            for _ in range(2):
+                if self.dim:
+                    res = res - self.Q @ (self.Q.T @ res)
+                for q in added:
+                    res = res - q * (q @ res)
+            res_nrm = np.linalg.norm(res)
+            if nrm == 0.0 or res_nrm == 0.0:
+                return None, 0.0, False
+            worst = min(worst, float(res_nrm / nrm))
+            extends = extends and res_nrm > _EXTEND_RTOL * nrm
+            added.append(res / res_nrm)
+        return added, worst, extends
+
+    def add(self, extension) -> bool:
+        """Append the columns of an :meth:`extension` if every one extends the span."""
+        added, _, extends = extension
+        if extends:
+            self.Q = np.hstack([self.Q] + [a.reshape(-1, 1) for a in added])
+        return extends
 
     def try_add(self, block: np.ndarray) -> bool:
         """Add ``block`` only if it enlarges the span by its full column count."""
-        if self.dim + block.shape[1] > self.ambient:
-            return False
-        added = []
-        for k in range(block.shape[1]):
-            col = block[:, k]
-            nrm = np.linalg.norm(col)
-            if nrm == 0.0:
-                break
-            res = self._orthogonalize(col, added)
-            if np.linalg.norm(res) <= _EXTEND_RTOL * nrm:
-                break
-            added.append(res / np.linalg.norm(res))
-        if len(added) != block.shape[1]:
-            return False
-        self.Q = np.hstack([self.Q] + [a.reshape(-1, 1) for a in added])
-        return True
-
-    def extension_quality(self, block: np.ndarray) -> float:
-        """Worst normalized orthogonal residual of the block against the span."""
-        if self.dim + block.shape[1] > self.ambient:
-            return 0.0
-        added = []
-        worst = np.inf
-        for k in range(block.shape[1]):
-            col = block[:, k]
-            nrm = np.linalg.norm(col)
-            if nrm == 0.0:
-                return 0.0
-            res = self._orthogonalize(col, added)
-            worst = min(worst, float(np.linalg.norm(res) / nrm))
-            if np.linalg.norm(res) == 0.0:
-                return 0.0
-            added.append(res / np.linalg.norm(res))
-        return float(worst)
+        return self.add(self.extension(block))
 
 
 # Default pool values this close (relative) to a requested mode are skipped,
@@ -274,13 +270,28 @@ def _real_columns(vec: np.ndarray, mode) -> list[np.ndarray]:
     return [vec.real]
 
 
-def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy):
-    """Accumulate kernel state parts until a fresh pool frequency adds nothing.
+@dataclass(frozen=True)
+class KernelSpan:
+    """The pencil kernels spanning one kernel-stacked subspace; nothing in it is random.
 
-    The ``seeded`` (mode, kernel) pairs are taken in full first; pool kernels
-    follow in order. Returns the saturated dimension and the visited pool
-    kernels as (mode, kernel) pairs.
+    ``seeded``: (mode, kernel) pairs taken in full; ``visited``: pool pairs up
+    to saturation; ``basis``: orthonormal; ``tag``: the mixing stream of
+    :func:`draw`; ``inputs``: m.
     """
+
+    seeded: tuple
+    visited: tuple
+    basis: np.ndarray
+    tag: tuple
+    inputs: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
+
+
+def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple):
+    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing."""
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
         for k in range(kernel.shape[1]):
@@ -294,61 +305,76 @@ def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, t
             tracker.try_add(kernel[: sys.n, k : k + 1])
         visited.append((mu, kernel))
         if tracker.dim == before:
-            return tracker.dim, visited
-    if tracker.dim > 0 and visited:
-        raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    return tracker.dim, visited
+            break
+    else:
+        if tracker.dim > 0 and visited:
+            raise SaturationFailure("subspace dimension still growing at pool exhaustion")
+    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q, tag, sys.m)
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
     """Best of ``kernel-dim`` random in-kernel combinations, by extension quality.
 
-    Returns the (state, input) blocks of the best draw, one column at a real
-    mode and a realified pair at a complex one, or None. Drawing several
-    candidates and keeping the best-conditioned one bounds the skew of the
-    assembled basis, which the gain solve would otherwise amplify. The draw
-    count is fixed by the kernel dimension, so results stay deterministic for
-    a given seed.
+    Returns the (state, input, extension) blocks of the best draw, one column
+    at a real mode and a realified pair at a complex one, or None. Drawing
+    several candidates and keeping the best-conditioned one bounds the skew
+    of the assembled basis, which the gain solve would otherwise amplify. The
+    draw count is fixed by the kernel dimension, so results stay deterministic.
     """
     best, best_quality = None, 0.0
     for _ in range(kernel.shape[1]):
         col = kernel @ mixing_coefficients(rng, kernel.shape[1], complex_valued=isinstance(mode, complex))
         block_v = np.column_stack(_real_columns(col[:n], mode))
-        quality = span.extension_quality(block_v)
-        if quality > best_quality:
-            best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode))), quality
+        extension = span.extension(block_v)
+        if extension[1] > best_quality:
+            best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode)), extension), extension[1]
     return best
 
 
-def _assemble(sys: LtiSystem, seeded: list, visited: list, target: int, rng, max_retries: int, tol: TolerancePolicy):
-    """Minimal paired basis of dimension ``target`` drawn from the kernels.
+def draw(
+    kernels: KernelSpan, seed: int = DEFAULT_SEED, max_retries: int = 5, tol: TolerancePolicy = DEFAULT_POLICY
+) -> PairedBasis:
+    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels.
 
     Each seeded kernel gets one draw per kernel column; the visited pool
-    kernels are then cycled, one draw per visit, until ``target`` columns
-    extend the span. A pass that falls short or is rank deficient is redrawn
-    up to ``max_retries`` times.
+    kernels are then cycled, one draw per visit, until ``kernels.dim``
+    columns extend the span. A pass that falls short or is rank deficient is
+    redrawn up to ``max_retries`` times, from the stream keyed by ``seed``
+    and ``kernels.tag``.
     """
-    seeded_slots = [(mode, kernel) for mode, kernel in seeded for _slot in range(kernel.shape[1])]
-    pool_slots = [(mu, kernel) for mu, kernel in visited if kernel.shape[1]] * (max_retries + 1)
+    n, target = kernels.basis.shape[0], kernels.dim
+    rng = rng_for(seed, *kernels.tag)
+    seeded_slots = [(mode, kernel) for mode, kernel in kernels.seeded for _slot in range(kernel.shape[1])]
+    pool_slots = [(mu, kernel) for mu, kernel in kernels.visited if kernel.shape[1]] * (max_retries + 1)
     for _ in range(max_retries + 1):
-        span = _SpanTracker(sys.n)
+        span = _SpanTracker(n)
         cols_v, cols_w, modes = [], [], []
         for slot, (mode, kernel) in enumerate(seeded_slots + pool_slots):
             if slot >= len(seeded_slots) and len(modes) == target:
                 break
-            block = _best_block(span, kernel, mode, sys.n, rng)
-            if block is not None and span.try_add(block[0]):
+            block = _best_block(span, kernel, mode, n, rng)
+            if block is not None and span.add(block[2]):
                 cols_v.extend(block[0].T)
                 cols_w.extend(block[1].T)
                 modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
         if len(modes) != target:
             continue
         if target == 0:
-            return PairedBasis(V=np.zeros((sys.n, 0)), W=np.zeros((sys.m, 0)), modes=())
+            return PairedBasis(V=np.zeros((n, 0)), W=np.zeros((kernels.inputs, 0)), modes=())
         V = np.column_stack(cols_v)
         if rank_of(V, tol) == target:
             return PairedBasis(V=V, W=np.column_stack(cols_w), modes=tuple(modes))
     raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis after retries")
+
+
+def discover_rstar(
+    sys: LtiSystem, excluded_output: int | None = None, stable_pool=None, tol: TolerancePolicy = DEFAULT_POLICY,
+    *, zeros: list[InvariantZero],
+) -> KernelSpan:
+    """Kernels over the frequency pool spanning the output-nulling reachability subspace."""
+    pool = _validated_pool(sys, stable_pool, zeros, tol)
+    tag = ("rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
+    return _discover(sys, [], pool, excluded_output, tol, tag)
 
 
 def rstar(
@@ -361,18 +387,8 @@ def rstar(
     zeros: list[InvariantZero],
     max_retries: int = 5,
 ) -> PairedBasis:
-    """Output-nulling reachability subspace via kernel accumulation.
-
-    Phase one accumulates the full kernels over the frequency pool until the
-    subspace dimension saturates (a fresh frequency adds nothing). Phase two
-    assembles a minimal paired basis by drawing one random mixing vector per
-    kernel visit, keeping columns that extend the span, and re-drawing on a
-    rank-deficient pass up to ``max_retries`` times.
-    """
-    pool = _validated_pool(sys, stable_pool, zeros, tol)
-    target, visited = _discover(sys, [], pool, excluded_output, tol)
-    rng = rng_for(seed, "rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
-    return _assemble(sys, [], visited, target, rng, max_retries, tol)
+    """Output-nulling reachability subspace: :func:`discover_rstar`, then one :func:`draw`."""
+    return draw(discover_rstar(sys, excluded_output, stable_pool, tol, zeros=zeros), seed, max_retries, tol)
 
 
 def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
@@ -381,6 +397,27 @@ def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
     pairs = sorted((z for z in minimum if z.value.imag > 0.0), key=lambda z: (z.value.real, z.value.imag))
     reals = sorted((z for z in minimum if z.value.imag == 0.0), key=lambda z: z.value.real)
     return pairs + reals
+
+
+def discover_vstar_g(
+    sys: LtiSystem, free_pool=None, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero], avoid: tuple = ()
+) -> KernelSpan:
+    """The kernels that span the stabilisability output-nulling subspace.
+
+    The kernels at the minimum-phase invariant zeros are seeded first (they
+    carry the inner modes that are fixed anyway, and may cover reachability
+    directions as well, in which case those closed-loop modes land on the
+    zeros); free-pool kernels follow. A complex zero gives realified pairs.
+    """
+    reason = _min_phase_violation(zeros, tol)
+    if reason is not None:
+        raise AssumptionViolation(reason)
+    pool = _validated_pool(sys, free_pool, zeros, tol, avoid)
+    # A conjugate pair is seeded at its upper representative; real zeros keep
+    # a real pencil so the kernel carries no complex phase.
+    modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
+    seeded = [(mode, _pencil_kernel(sys, mode, None, tol)) for mode in modes]
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0))
 
 
 def vstar_g(
@@ -393,28 +430,8 @@ def vstar_g(
     max_retries: int = 5,
     avoid: tuple = (),
 ) -> PairedBasis:
-    """Stabilisability output-nulling subspace with paired input directions.
-
-    The kernels at the minimum-phase invariant zeros are consumed first (they
-    carry the inner modes that are fixed anyway, and may cover reachability
-    directions as well, in which case those closed-loop modes land on the
-    zeros); remaining dimensions are filled with directions generated at
-    free-pool frequencies. Complex zeros contribute realified column pairs
-    satisfying the rotation-block relation. Mixing coefficients are drawn from
-    the seeded stream with conjugate pairing enforced, and the assembly is
-    re-drawn up to ``max_retries`` times if a rank-deficient combination
-    occurs.
-    """
-    reason = _min_phase_violation(zeros, tol)
-    if reason is not None:
-        raise AssumptionViolation(reason)
-    pool = _validated_pool(sys, free_pool, zeros, tol, avoid)
-    # A conjugate pair is seeded at its upper representative; real zeros keep
-    # a real pencil so the kernel carries no complex phase.
-    modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
-    seeded = [(mode, _pencil_kernel(sys, mode, None, tol)) for mode in modes]
-    target, visited = _discover(sys, seeded, pool, None, tol)
-    return _assemble(sys, seeded, visited, target, rng_for(seed, "vstar-g-mixing"), max_retries, tol)
+    """Stabilisability output-nulling subspace: :func:`discover_vstar_g`, then one :func:`draw`."""
+    return draw(discover_vstar_g(sys, free_pool, tol, zeros=zeros, avoid=avoid), seed, max_retries, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, _validate_mode, check_solvable, validate_modes
-from .subspaces import PairedBasis, _pencil_kernel, rstar_at, vstar_g
+from .subspaces import PairedBasis, _pencil_kernel, discover_vstar_g, draw, rstar_at
 from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
@@ -304,7 +304,9 @@ def synthesize(
         vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W, tol))
         vg.validate(sys, tol)
     else:
-        vg = vstar_g(sys, spec.free_pool, tol, spec.seed, zeros=zeros, max_retries=spec.max_retries, avoid=spec.lambdas)
+        # V*g is a property of the plant; only its paired basis is redrawn.
+        vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
+        vg = draw(vg_kernels, spec.seed, spec.max_retries, tol)
 
     rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros=zeros) for j in range(sys.p)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol, spec.seed)
@@ -340,7 +342,7 @@ def synthesize(
         if attempt < spec.max_retries and replay is None:
             # A rank-deficient or badly conditioned draw: re-randomize the
             # stabilisability mixing and try again.
-            vg = vstar_g(sys, spec.free_pool, tol, spec.seed + attempt + 1, zeros=zeros, max_retries=spec.max_retries, avoid=spec.lambdas)
+            vg = draw(vg_kernels, spec.seed + attempt + 1, spec.max_retries, tol)
         elif attempt == spec.max_retries:
             # Last resort: randomized directions from the output-deleted kernels.
             redraw = {}

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from monotrack import cli
+from monotrack import cli, subspaces
 from monotrack.fixtures import demo_replay_path, demo_system_path
 
-from .conftest import DEMO_GAIN
+from .conftest import DEMO_GAIN, count_calls
 
 
 def run_cli(argv):
@@ -32,6 +32,18 @@ class TestAnalyze:
         assert payload["dims"]["rstar_j"] == [4, 3, 4]
         assert payload["lambda_free"]["solvable"] is True
         assert (out / "analysis.txt").exists()
+
+    @pytest.mark.parametrize("seed", [1729, 0])
+    def test_reads_spans_without_drawing_a_basis(self, tmp_path, monkeypatch, seed):
+        calls = count_calls(monkeypatch, (subspaces, "mixing_coefficients"))
+        out = tmp_path / "run"
+        code = run_cli(["--command", "analyze", "--system", str(demo_system_path()), "--seed", str(seed), "--out", str(out)])
+        assert code == 0
+        assert calls["mixing_coefficients"] == 0
+        payload = read_json(out / "analysis.json")
+        assert payload["dims"] == {"rstar": 1, "vstar_g": 2, "rstar_j": [4, 3, 4]}
+        assert payload["lambda_free"]["solvable"] is True
+        assert payload["lambda_free"]["delta"] == [0, 1, 2]
 
     def test_missing_system_is_config_error(self, tmp_path):
         code = run_cli(["--command", "analyze", "--out", str(tmp_path)])

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import monotrack as mt
-from monotrack import ensemble, sysmodel
+from monotrack import ensemble, subspaces, sysmodel
 
 from .conftest import count_calls
 
@@ -154,19 +154,29 @@ class TestGenericityTrial:
             mt.vstar_g(demo_system, zeros=demo_zeros, max_retries=0)
 
     def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
-        calls = count_calls(monkeypatch, (ensemble, "_pencil_kernel"))
-        stats = mt.genericity_trial(demo_system, trials=20, seed=3)
-        assert stats.failures == 0
-        assert calls["_pencil_kernel"] == demo_system.p
+        direction = count_calls(monkeypatch, (ensemble, "_pencil_kernel"))
+        discovery = count_calls(monkeypatch, (subspaces, "_pencil_kernel"))
+        per_call = []
+        for trials in (2, 20):
+            before = direction["_pencil_kernel"] + discovery["_pencil_kernel"]
+            stats = mt.genericity_trial(demo_system, trials=trials, seed=3)
+            assert stats.failures == 0
+            per_call.append(direction["_pencil_kernel"] + discovery["_pencil_kernel"] - before)
+        assert direction["_pencil_kernel"] == 2 * demo_system.p
+        # R* and V*g are discovered once per call; only their draws repeat per trial.
+        assert per_call[0] == per_call[1]
 
     def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
         def failing_kernel(*args):
             raise mt.IllConditionedPencil("forced kernel failure")
 
-        monkeypatch.setattr(ensemble, "_pencil_kernel", failing_kernel)
-        stats = mt.genericity_trial(demo_system, trials=4, seed=3)
-        assert stats.failures == 4
-        assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
+        # A direction kernel fails, then a kernel of the subspace discovery.
+        for owner in (ensemble, subspaces):
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, "_pencil_kernel", failing_kernel)
+                stats = mt.genericity_trial(demo_system, trials=4, seed=3)
+            assert stats.failures == 4
+            assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
 
     def test_batch_report_contains_hash(self, demo_system):
         stats = mt.genericity_trial(demo_system, trials=5, seed=1)

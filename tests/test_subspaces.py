@@ -3,7 +3,7 @@ import pytest
 
 import monotrack as mt
 from monotrack.numkernel import containment_residual, span_equal
-from monotrack.subspaces import _conformable_min_phase
+from monotrack.subspaces import _conformable_min_phase, discover_rstar, discover_vstar_g, draw
 
 POLICY = mt.DEFAULT_POLICY
 
@@ -76,6 +76,24 @@ class TestRstar:
         # the sum has stopped growing.
         with pytest.raises(mt.SaturationFailure):
             mt.rstar(demo_system, stable_pool=(-1.0,), zeros=demo_zeros)
+
+
+class TestDiscoverAndDraw:
+    def test_every_draw_spans_the_discovered_subspace(self, demo_system, demo_zeros):
+        cases = [(discover_vstar_g(demo_system, zeros=demo_zeros), None)]
+        cases += [(discover_rstar(demo_system, j, zeros=demo_zeros), j) for j in (None, 0, 1, 2)]
+        for kernels, excluded in cases:
+            assert np.allclose(kernels.basis.T @ kernels.basis, np.eye(kernels.dim), atol=1e-12)
+            for seed in (0, 1, 2):
+                pb = draw(kernels, seed)
+                assert pb.dim == kernels.dim
+                assert span_equal(pb.V, kernels.basis)
+                pb.validate(demo_system, excluded_output=excluded)
+
+    def test_empty_span_draws_an_empty_basis(self, demo_system, demo_zeros):
+        pb = draw(discover_rstar(demo_system, stable_pool=(), zeros=demo_zeros))
+        assert pb.V.shape == (demo_system.n, 0)
+        assert pb.W.shape == (demo_system.m, 0)
 
 
 class TestVstarRecursive:

@@ -175,16 +175,16 @@ class TestSynthesize:
             return None, None, reason
 
         monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
-        calls = count_calls(monkeypatch, (synthesis, "vstar_g"))
+        calls = count_calls(monkeypatch, (synthesis, "discover_vstar_g"), (synthesis, "draw"))
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), max_retries=3)
         with pytest.raises(mt.UnstableResult) as info:
             mt.synthesize(demo_system, spec)
         assert type(info.value) is mt.UnstableResult
         assert str(info.value) == reason
         # One verification for the first draw, one per reseeded V*g draw and
-        # one after the final direction redraw.
+        # one after the final direction redraw; V*g itself is found once.
         assert len(verified) == spec.max_retries + 2
-        assert calls["vstar_g"] == 1 + spec.max_retries
+        assert calls == {"discover_vstar_g": 1, "draw": 1 + spec.max_retries}
 
     def test_plain_eigenstructure_assignment_when_p_equals_n(self):
         # Square controllable plant with as many outputs as states: no
