@@ -6,9 +6,11 @@ domain. Invariant zeros are the frequencies where the system pencil
     [[A - lambda*I, B],
      [C,            D]]
 
-loses rank relative to its normal rank; they are computed by compressing the
-rectangular pencil to square generalized eigenproblems and confirming every
-candidate with an explicit rank test.
+loses rank relative to its normal rank. They are computed by compressing the
+rectangular pencil to a square one of the normal-rank size, shifting it to
+an imaginary frequency where it is invertible and solving the resulting
+standard eigenproblem; every candidate is then confirmed with an explicit
+rank test. Only NumPy's LAPACK routines are used.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditionedPencil
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, rank_of
@@ -190,43 +191,60 @@ def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int
 
     Samples are drawn away from the real axis, where all finite zeros of a
     real pencil would have to lie in conjugate pairs; the maximum over seven
-    samples equals the true normal rank with probability one.
+    samples equals the true normal rank with probability one. Sampling stops
+    early once a sample reaches min(n+p, n+m), which no rank can exceed.
     """
     rng = rng_for(seed, "normal-rank")
+    full = sys.n + min(sys.m, sys.p)
     best = 0
     for _ in range(_NORMAL_RANK_SAMPLES):
         lam = complex(rng.normal(scale=2.0), (0.5 + abs(rng.normal(scale=2.0))) * rng.choice([-1.0, 1.0]))
         best = max(best, rank_of(rosenbrock(sys, lam), tol))
+        if best == full:
+            break
     return best
 
 
-def _compression_candidates(sys: LtiSystem, seed: int, index: int) -> np.ndarray:
-    """Finite generalized eigenvalues of one random square compression of the pencil."""
-    P0 = rosenbrock(sys, 0.0)
-    E = np.zeros_like(P0)
-    E[: sys.n, : sys.n] = np.eye(sys.n)
-    k = min(P0.shape)
+def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int) -> np.ndarray:
+    """Finite zeros of one random nr x nr compression L P(lambda) R of the pencil.
+
+    With E the identity on the state block, the compressed pencil is
+    M - (lambda - sigma) L1 R1 for M = L P(sigma) R, L1 = L[:, :n] and
+    R1 = R[:n]. The shift sigma is imaginary and of the pencil's scale, so M
+    is invertible almost surely, and by Sylvester's determinant identity the
+    finite eigenvalues are sigma + 1/mu over the nonzero eigenvalues mu of
+    the n x n matrix R1 M^-1 L1.
+    """
+    n = sys.n
+    sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
     rng = rng_for(seed, "zero-compression", index)
-    L = rng.standard_normal((k, P0.shape[0]))
-    R = rng.standard_normal((P0.shape[1], k))
-    ev = scipy.linalg.eigvals(L @ P0 @ R, L @ E @ R)
+    L = rng.standard_normal((nr, n + sys.p))
+    R = rng.standard_normal((n + sys.m, nr))
+    M = L @ rosenbrock(sys, sigma) @ R
+    mu = np.linalg.eigvals(R[:n] @ np.linalg.solve(M, L[:, :n]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ev = sigma + 1.0 / mu
     finite = ev[np.isfinite(ev)]
     return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
 
 
-def _polish_candidate(sys: LtiSystem, z: complex, steps: int = 2) -> complex:
+def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: int = 2) -> complex:
     """Newton refinement of a candidate zero via the smallest singular pair.
 
     With u, v the left/right singular vectors of the smallest singular value
     of P(z), the correction solves u* P(z + dz) v = 0 to first order, where
-    dP/dz is minus the identity on the state block. A candidate that is not
-    actually a zero moves far away and is left untouched.
+    dP/dz is minus the identity on the state block. Refinement stops once
+    that singular value is at the rank threshold: the pencil is singular to
+    working precision there, and its singular vectors are noise. A candidate
+    that is not actually a zero moves far away and is left untouched.
     """
     refined = z
     for _ in range(steps):
         P = rosenbrock(sys, refined)
         u, s, vh = np.linalg.svd(P)
         k = min(P.shape) - 1
+        if s[k] <= tol.rank_threshold(P.shape, float(s[0])):
+            break
         u_min, v_min = u[:, k], vh[k, :].conj()
         slope = -(u_min.conj() @ np.concatenate([v_min[: sys.n], np.zeros(P.shape[0] - sys.n)]))
         if abs(slope) < 1e-3:
@@ -235,7 +253,9 @@ def _polish_candidate(sys: LtiSystem, z: complex, steps: int = 2) -> complex:
         refined = refined - step
     if abs(refined - z) > _CLUSTER_RTOL * (1.0 + abs(z)):
         return z
-    return refined
+    # A Python complex, so that the phase flag derived from it is a Python
+    # bool: json cannot write NumPy's bool.
+    return complex(refined)
 
 
 def _cluster(values: np.ndarray) -> list[complex]:
@@ -257,8 +277,8 @@ def invariant_zeros(
 ) -> list[InvariantZero]:
     """All finite invariant zeros with geometric multiplicities.
 
-    Two independent random compressions of the pencil are solved as
-    generalized eigenproblems; a true zero appears in both spectra, while the
+    Two independent random compressions of the pencil to its normal rank
+    are solved; a true zero appears in both spectra, while the
     spurious eigenvalues introduced by each compression differ almost surely.
     The intersection of the two candidate sets is then confirmed value by
     value through a rank test on the original rectangular pencil.
@@ -274,14 +294,14 @@ def invariant_zeros(
 
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
     """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``."""
-    first = _compression_candidates(sys, seed, 0)
-    second = _compression_candidates(sys, seed, 1)
+    first = _compression_candidates(sys, seed, 0, nr)
+    second = _compression_candidates(sys, seed, 1, nr)
     matched = [
         z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))
     ]
     zeros: list[InvariantZero] = []
     for z in _cluster(np.asarray(matched)):
-        z = _polish_candidate(sys, z)
+        z = _polish_candidate(sys, z, tol)
         if abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
             z = complex(z.real, 0.0)
         P = rosenbrock(sys, z)
@@ -300,15 +320,15 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -
             raise IllConditionedPencil(
                 f"candidate {z} has marginal singular value {s[nr - 1]:.3e} near threshold {threshold:.3e}"
             )
-    # A real pencil has conjugate-symmetric zeros; restore partners lost to numerics.
-    by_key = {(round(z.value.real, 9), round(z.value.imag, 9)): z for z in zeros}
+    # A real pencil has conjugate-symmetric zeros; restore partners lost to
+    # numerics. A partner is found by distance, not by rounding both values to
+    # a grid, so one straddling a grid line is not restored a second time.
     for z in list(zeros):
-        if abs(z.value.imag) > 0.0:
-            conj_key = (round(z.value.real, 9), round(-z.value.imag, 9))
-            if conj_key not in by_key:
-                zeros.append(
-                    InvariantZero(z.value.conjugate(), z.geometric_multiplicity, z.is_minimum_phase)
-                )
+        partner = z.value.conjugate()
+        if z.value.imag != 0.0 and not any(
+            abs(w.value - partner) <= _CLUSTER_RTOL * (1.0 + abs(partner)) for w in zeros
+        ):
+            zeros.append(InvariantZero(partner, z.geometric_multiplicity, z.is_minimum_phase))
     return sorted(zeros, key=lambda z: (z.value.real, z.value.imag))
 
 

@@ -69,6 +69,14 @@ DEMO_USS = np.array([-48 / 5, -14 / 15, -1.0, -2.0])
 DEMO_ZEROS = (-6.0, 2.0, 3.0, 5.0)
 
 
+def wide_plant(seed, index, p):
+    """Strictly proper plant, n = p + 2, m = p + 1, as in the benchmark's wide-outputs workload."""
+    n, m = p + 2, p + 1
+    rng = np.random.default_rng([seed, index, n, m, p])
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    return mt.LtiSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), np.zeros((p, m)))
+
+
 def count_calls(monkeypatch, *targets):
     """Wrap each (owner, name) function with monkeypatch; returns the live call counts by name."""
     calls = {name: 0 for _, name in targets}

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 import monotrack as mt
 from monotrack import ensemble, subspaces, sysmodel
@@ -47,12 +46,19 @@ class TestGenerate:
 
     def test_plant_facts_are_computed_once_per_attempt(self, monkeypatch):
         calls = count_calls(
-            monkeypatch, (ensemble, "_verify_planted"), (sysmodel, "normal_rank"), (scipy.linalg, "eigvals")
+            monkeypatch,
+            (ensemble, "_verify_planted"),
+            (sysmodel, "normal_rank"),
+            (sysmodel, "_compression_candidates"),
         )
         mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=0))
         attempts = calls["_verify_planted"]
         assert attempts >= 1
-        assert calls == {"_verify_planted": attempts, "normal_rank": attempts, "eigvals": 2 * attempts}
+        assert calls == {
+            "_verify_planted": attempts,
+            "normal_rank": attempts,
+            "_compression_candidates": 2 * attempts,
+        }
 
     def test_scalar_plant(self):
         sys = mt.generate(mt.GeneratorSpec(n=1, m=1, p=1, seed=5))

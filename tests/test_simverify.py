@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack.numkernel import DEFAULT_POLICY
-from monotrack.simverify import _MONOTONE_TIE_TOL
+from monotrack.simverify import _MONOTONE_TIE_TOL, _expm
+
+from .conftest import wide_plant
 
 DEMO_X0_A = (0.1, -0.2, 0.1, 0.1, 0.0)
 DEMO_X0_B = (0.6, 0.2, 0.2, -0.2, 1.0)
@@ -20,10 +22,14 @@ FLOOR = DEFAULT_POLICY.absolute_floor
 # -- Oracles: the one-step recursion and the per-output verdict loops that
 # simulate and the checks replaced, kept as the reference for the fast paths.
 def sequential_trace(sys, fb, trace):
-    """``trace`` recomputed one transition per sample, as simulate once did."""
+    """``trace`` recomputed one transition per sample, as simulate once did.
+
+    The transition is simulate's own ``_expm``, so a comparison with the
+    doubled trace measures the doubling alone.
+    """
     closed_loop = sys.A + sys.B @ fb.F
     if sys.domain is mt.TimeDomain.CONTINUOUS:
-        step = scipy.linalg.expm(closed_loop * (trace.times[1] - trace.times[0]))
+        step = _expm(closed_loop * (trace.times[1] - trace.times[0]))
     else:
         step = closed_loop
     xi = np.empty_like(trace.xi)
@@ -471,14 +477,6 @@ class TestOracles:
         assert_fits_match_polyfit(trace)
 
 
-def wide_plant(seed, index, p):
-    """Strictly proper plant, n = p + 2, m = p + 1, as in the benchmark's wide-outputs workload."""
-    n, m = p + 2, p + 1
-    rng = np.random.default_rng([seed, index, n, m, p])
-    A = rng.standard_normal((n, n)) / np.sqrt(n)
-    return mt.LtiSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), np.zeros((p, m)))
-
-
 @pytest.fixture(scope="module")
 def designs(demo_system, demo_feedback):
     """(plant, feedback, x0) over the demo and generated plants, continuous and discrete."""
@@ -528,3 +526,42 @@ class TestDoubling:
             rate = mt.RateSpec(max(numeric, default=-1.0) if sys.domain is mt.TimeDomain.CONTINUOUS else 0.9)
             assert mt.check_monotonic(trace) == mt.check_monotonic(sequential)
             assert mt.check_rate(trace, rate) == mt.check_rate(sequential, rate)
+
+
+class TestExpm:
+    """``_expm`` against ``scipy.linalg.expm``, the transition simulate once used, and exact values."""
+
+    @staticmethod
+    def relative_error(got, expected):
+        return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_matches_scipy_on_well_scaled_matrices(self, n, norm):
+        # Below theta_13 neither squares; from 1-norm 3 up SciPy's own error
+        # can exceed 1e-13 (1.8e-13 against a 60-digit reference at n = 2).
+        rng = np.random.default_rng([n, int(norm * 1000)])
+        for _ in range(5):
+            M = rng.standard_normal((n, n))
+            M *= norm / np.linalg.norm(M, 1)
+            assert self.relative_error(_expm(M), scipy.linalg.expm(M)) <= 1e-13
+
+    def test_as_accurate_as_scipy_after_squaring(self, designs):
+        # With squarings each can lose digits the other keeps, so each is
+        # judged against a 60-digit reference rather than the other.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        steps = [rng.standard_normal((n, n)) * scale for n in (2, 5, 8) for scale in (5.0, 20.0, 60.0)]
+        steps += [(sys.A + sys.B @ fb.F) * 0.1 for sys, fb, _ in designs if sys.domain is mt.TimeDomain.CONTINUOUS]
+        with mpmath.workdps(60):
+            for M in steps:
+                exact = np.array(mpmath.expm(mpmath.matrix(M.tolist())).tolist(), dtype=float)
+                ours = self.relative_error(_expm(M), exact)
+                assert ours <= max(2.0 * self.relative_error(scipy.linalg.expm(M), exact), 1e-13)
+
+    def test_exact_cases(self):
+        assert np.allclose(_expm(np.zeros((3, 3))), np.eye(3), rtol=0.0, atol=1e-15)
+        diagonal = np.diag([-40.0, -1.0, 0.5, 3.0])
+        assert np.allclose(_expm(diagonal), np.diag(np.exp(np.diag(diagonal))), rtol=1e-13, atol=0.0)
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert np.allclose(_expm(nilpotent), [[1.0, 1.0], [0.0, 1.0]], rtol=0.0, atol=1e-15)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import monotrack as mt
+from monotrack import ensemble, sysmodel
+from monotrack.seeding import rng_for
 from monotrack.sysmodel import exclusion_violation, rosenbrock
 
-from .conftest import DEMO_ZEROS
+from .conftest import DEMO_ZEROS, count_calls, wide_plant
 
 
 class TestLtiSystem:
@@ -143,6 +146,111 @@ class TestInvariantZeros:
         assert any(abs(v + 1.5) <= 1e-6 for v in values)
 
 
+def qz_compression_candidates(sys, seed, index, nr):
+    """The square QZ compression invariant_zeros used to solve, kept as its oracle.
+
+    It compresses to min(n+p, n+m) whatever the normal rank ``nr`` and solves
+    the generalized eigenproblem (L P(0) R, L E R) with SciPy.
+    """
+    P0 = rosenbrock(sys, 0.0)
+    E = np.zeros_like(P0)
+    E[: sys.n, : sys.n] = np.eye(sys.n)
+    k = min(P0.shape)
+    rng = rng_for(seed, "zero-compression", index)
+    L = rng.standard_normal((k, P0.shape[0]))
+    R = rng.standard_normal((P0.shape[1], k))
+    ev = scipy.linalg.eigvals(L @ P0 @ R, L @ E @ R)
+    finite = ev[np.isfinite(ev)]
+    return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
+
+
+def found_plant():
+    """Strictly proper n=16, m=p=12 plant whose zero at -85.02 sat in the QZ compression's gray zone."""
+    rng = np.random.default_rng([2, 16, 12, 12])
+    A = rng.standard_normal((16, 16)) / 4.0
+    return mt.LtiSystem(A, rng.standard_normal((16, 12)), rng.standard_normal((12, 16)), np.zeros((12, 12)))
+
+
+def oracle_plants(demo_system):
+    plants = [demo_system]
+    plants += [wide_plant(seed, index, p) for seed in (0, 1) for index in range(4) for p in (8, 10, 12)]
+    for n, m, p in ((4, 2, 2), (8, 4, 3), (12, 5, 4), (24, 8, 6)):
+        for planted in ((), (-3.0,), (2.0,), (-1.0 + 2.0j, -1.0 - 2.0j)):
+            plants.append(mt.generate(mt.GeneratorSpec(n=n, m=m, p=p, planted_zero_values=planted, seed=1)))
+    return plants
+
+
+class TestZeroCompression:
+    def test_agrees_with_the_qz_compression(self, demo_system, monkeypatch):
+        expected = {}
+        plants = oracle_plants(demo_system)
+        with monkeypatch.context() as patch:
+            patch.setattr(sysmodel, "_compression_candidates", qz_compression_candidates)
+            for i, plant in enumerate(plants):
+                expected[i] = mt.invariant_zeros(plant)
+        for i, plant in enumerate(plants):
+            got = mt.invariant_zeros(plant)
+            assert len(got) == len(expected[i]), f"plant {i}"
+            for want in expected[i]:
+                match = min(got, key=lambda z: abs(z.value - want.value))
+                got.remove(match)
+                assert abs(match.value - want.value) <= 1e-9 * abs(want.value), f"plant {i}"
+                assert match.geometric_multiplicity == want.geometric_multiplicity
+                assert match.is_minimum_phase == want.is_minimum_phase
+
+    def test_zero_in_the_qz_gray_zone_is_confirmed(self):
+        plant = found_plant()
+        nr = mt.normal_rank(plant)
+        zeros = mt.invariant_zeros(plant)
+        assert len(zeros) == 4
+        assert any(abs(z.value + 85.021) <= 1e-3 for z in zeros)
+        for z in zeros:
+            assert mt.rank_of(rosenbrock(plant, z.value)) == nr - z.geometric_multiplicity
+
+    def test_a_pair_straddling_the_rounding_grid_is_not_restored_twice(self, monkeypatch):
+        z = complex(-1.0, 2.0000000005)
+        plant = mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, planted_zero_values=(z, z.conjugate()), seed=0))
+        # The planted pair a few ulps off, already at the rank threshold, so
+        # polishing keeps it; at 9 digits the imaginary parts round to
+        # 2.000000001 and -2.0, not to a conjugate pair.
+        pair = np.array([complex(-1.0, 2.0000000005 + 3e-15), complex(-1.0, -2.0000000005 + 3e-15)])
+        monkeypatch.setattr(sysmodel, "_compression_candidates", lambda *args: pair)
+        assert [w.value for w in mt.invariant_zeros(plant)] == [complex(pair[1]), complex(pair[0])]
+
+
+class TestPolishCandidate:
+    def test_a_root_at_the_rank_threshold_is_not_stepped_away(self, monkeypatch):
+        # A second Newton step from an exact root follows noise singular
+        # vectors; polishing must stop once the pencil is singular to working
+        # precision.
+        audited = []
+        audit = ensemble.audit_assumptions
+
+        def capture(plant, *args, **kwargs):
+            audited.append(plant)
+            return audit(plant, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "audit_assumptions", capture)
+        mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=5))
+        plant, z = audited[0], complex(-2.9999999999998996)
+        P = rosenbrock(plant, z)
+        s = np.linalg.svd(P, compute_uv=False)
+        assert s[-1] <= mt.DEFAULT_POLICY.rank_threshold(P.shape, s[0])
+        assert sysmodel._polish_candidate(plant, z, mt.DEFAULT_POLICY) == z
+
+    def test_a_nearby_candidate_is_refined(self, demo_system):
+        refined = sysmodel._polish_candidate(demo_system, complex(-6.0 + 1e-8), mt.DEFAULT_POLICY)
+        assert abs(refined + 6.0) <= 1e-12
+        assert type(refined) is complex
+
+    def test_refined_complex_zeros_serialise(self):
+        # The complex pair of this plant is refined by a Newton step; its phase
+        # flags must stay Python bools for the CLI's json output.
+        zeros = mt.invariant_zeros(mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, seed=1)))
+        assert any(z.value.imag != 0.0 for z in zeros)
+        assert all(type(z.value) is complex and type(z.is_minimum_phase) is bool for z in zeros)
+
+
 class TestClassifyZeros:
     def test_demo_partition(self, demo_system, demo_zeros):
         minimum = [z for z in demo_zeros if z.is_minimum_phase]
@@ -167,6 +275,19 @@ class TestAuditAssumptions:
         report = mt.audit_assumptions(demo_system)
         assert report.all_pass
         assert report.right_invertible and report.stabilizable
+
+    def test_full_rank_audit_samples_the_normal_rank_once(self, demo_system, monkeypatch):
+        # One normal-rank sample reaches n + min(m, p); then one PBH test per
+        # unstable mode of A (0, 2, 2, 3) and one test at the tracking frequency.
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
+        mt.audit_assumptions(demo_system)
+        assert calls == {"rank_of": 1 + 4 + 1}
+
+    def test_normal_rank_samples_on_while_below_full_rank(self, monkeypatch):
+        sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
+        assert mt.normal_rank(sys) == 3
+        assert calls == {"rank_of": sysmodel._NORMAL_RANK_SAMPLES}
 
     def test_report_carries_the_normal_rank_and_zeros(self, demo_system, demo_zeros):
         report = mt.audit_assumptions(demo_system)
