@@ -95,6 +95,13 @@ def rank_of(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return int(np.sum(s > tol.rank_threshold(M.shape, float(s[0]))))
 
 
+def full_svd(M: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY):
+    """Full SVD factors ``(u, s, vh)`` of a non-empty ``M`` and its rank at the policy threshold."""
+    u, s, vh = np.linalg.svd(M)
+    rank = int(np.sum(s > tol.rank_threshold(M.shape, float(s[0])))) if s.size else 0
+    return u, s, vh, rank
+
+
 def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
     """Orthonormal basis of the kernel of ``M``.
 
@@ -104,9 +111,22 @@ def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         raise ValueError("nullspace of an empty matrix is undefined")
-    _, s, vh = np.linalg.svd(M)
-    rank = int(np.sum(s > tol.rank_threshold(M.shape, float(s[0])))) if s.size else 0
+    _, _, vh, rank = full_svd(M, tol)
     return Basis(vh[rank:].conj().T)
+
+
+def residual_violation(M, x, b, smax: float, tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
+    """Why ``x`` does not solve ``M x = b`` at tolerance, or None when it does.
+
+    The residual is accepted up to ``residual_tol * (smax |x| + |b|)``, with
+    ``smax`` the largest singular value of ``M``, and never below the
+    absolute floor.
+    """
+    residual = float(np.linalg.norm(M @ x - b))
+    bound = tol.residual_tol * (smax * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+    if residual > max(bound, tol.absolute_floor):
+        return f"residual {residual:.3e} exceeds tolerance {bound:.3e}"
+    return None
 
 
 def min_norm_solve(M, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -115,7 +135,7 @@ def min_norm_solve(M, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     Raises
     ------
     Unsolvable
-        If the residual exceeds ``residual_tol * (|M| |x| + |b|)``, i.e. the
+        If :func:`residual_violation` rejects the solution, i.e. the
         right-hand side is not in the range of ``M`` at tolerance.
     """
     M = np.atleast_2d(np.asarray(M))
@@ -129,11 +149,9 @@ def min_norm_solve(M, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     x = vh.conj().T[:, keep] @ coeff
     if not (np.iscomplexobj(M) or np.iscomplexobj(b)):
         x = x.real
-    smax = float(s[0]) if s.size else 0.0
-    residual = float(np.linalg.norm(M @ x - b))
-    bound = tol.residual_tol * (smax * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-    if residual > max(bound, tol.absolute_floor):
-        raise Unsolvable(f"residual {residual:.3e} exceeds tolerance {bound:.3e}")
+    reason = residual_violation(M, x, b, float(s[0]) if s.size else 0.0, tol)
+    if reason is not None:
+        raise Unsolvable(reason)
     return x
 
 

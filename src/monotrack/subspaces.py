@@ -37,10 +37,12 @@ from .numkernel import (
     DEFAULT_POLICY,
     Basis,
     TolerancePolicy,
+    full_svd,
     nullspace,
     orthonormalize,
     rank_of,
     realify_pair,
+    residual_violation,
 )
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .sysmodel import (
@@ -109,12 +111,54 @@ class PairedBasis:
             raise ValueError("state directions are rank deficient")
 
 
+@dataclass(frozen=True)
+class PencilFactor:
+    """One full SVD ``u diag(s) vh`` of the system pencil P(mu) and its rank decision.
+
+    Every kernel of P(mu), whole or with output row j deleted, and every
+    direction solving P(mu) x = e_{n+j} is read from these factors. The
+    row-deleted kernel is {x : P x in span(e_{n+j})}: ker P plus the
+    minimum-norm solution x_j = P^+ e_{n+j} when e_{n+j} lies in the range
+    of P, and ker P otherwise. x_j lies in the row space of P, so it extends
+    ker P orthogonally.
+    """
+
+    pencil: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+    n: int
+    tol: TolerancePolicy
+
+    def solution(self, j: int) -> np.ndarray | None:
+        """x_j = P^+ e_{n+j}, or None when :func:`residual_violation` rejects it."""
+        r = self.rank
+        x = self.vh[:r].conj().T @ (self.u[self.n + j, :r].conj() / self.s[:r])
+        rhs = np.zeros(self.pencil.shape[0])
+        rhs[self.n + j] = 1.0
+        return None if residual_violation(self.pencil, x, rhs, float(self.s[0]), self.tol) else x
+
+    @property
+    def null_basis(self) -> np.ndarray:
+        """Orthonormal basis of ker P."""
+        return self.vh[self.rank :].conj().T
+
+    def kernel(self, excluded_output: int | None = None) -> np.ndarray:
+        """Orthonormal kernel of P, or of P without output row ``excluded_output``."""
+        x = None if excluded_output is None else self.solution(excluded_output)
+        return self.null_basis if x is None else np.column_stack([x / np.linalg.norm(x), self.null_basis])
+
+
+def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_POLICY) -> PencilFactor:
+    """Factor the system pencil at ``mu`` once (one SVD)."""
+    pencil = rosenbrock(sys, mu)
+    return PencilFactor(pencil, *full_svd(pencil, tol), sys.n, tol)
+
+
 def _pencil_kernel(sys: LtiSystem, mu: complex, excluded_output: int | None, tol: TolerancePolicy) -> np.ndarray:
     """Orthonormal kernel of the pencil, optionally with one output row deleted."""
-    pencil = rosenbrock(sys, mu)
-    if excluded_output is not None:
-        pencil = np.delete(pencil, sys.n + excluded_output, axis=0)
-    return nullspace(pencil, tol).columns
+    return factor_pencil(sys, mu, tol).kernel(excluded_output)
 
 
 class _SpanTracker:
@@ -228,14 +272,20 @@ def rstar_at(
 
     The state parts of the returned basis span the kernel-projected subspace
     for the plant with output ``excluded_output`` deleted (or the full plant
-    when None). Kernel columns whose state parts are linearly dependent on
-    earlier ones are dropped, so V always has full column rank; the paired
-    input columns are kept aligned.
+    when None). The kernel is read from one :func:`factor_pencil` of the
+    whole pencil at ``mu``, which also yields the direction of
+    ``synthesis.direction_for_output`` at that mode. Kernel columns whose
+    state parts are linearly dependent on earlier ones are dropped, so V
+    always has full column rank; the paired input columns are kept aligned.
     """
     mu = float(mu)
     if exclusion_violation(mu, zeros, tol):
         raise FrequencyIsZero(f"frequency {mu} is within the exclusion radius of an invariant zero")
-    kernel = _pencil_kernel(sys, mu, excluded_output, tol)
+    return _single_mode_basis(sys, factor_pencil(sys, mu, tol).kernel(excluded_output), mu)
+
+
+def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedBasis:
+    """The paired basis of :func:`rstar_at` from a kernel at the real mode ``mu``."""
     tracker = _SpanTracker(sys.n)
     keep = [k for k in range(kernel.shape[1]) if tracker.try_add(kernel[: sys.n, k : k + 1])]
     V = kernel[: sys.n, keep] if keep else np.zeros((sys.n, 0))

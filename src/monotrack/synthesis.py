@@ -19,13 +19,12 @@ from .errors import (
     DegenerateDirection,
     NotSolvable,
     RankDeficientAfterRetries,
-    Unsolvable,
     UnstableResult,
 )
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, _validate_mode, check_solvable, validate_modes
-from .subspaces import PairedBasis, _pencil_kernel, discover_vstar_g, draw, rstar_at
+from .subspaces import PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
 from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
@@ -125,32 +124,42 @@ def direction_for_output(
     """Solve the pencil equation for output ``j`` at mode ``lam``.
 
     The right-hand side uses unit output coupling, so the minimum-norm
-    solution realizes beta = 1. If that coupling degenerates (below the
+    solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. It is read from one
+    :func:`~monotrack.subspaces.factor_pencil` of the pencil, the same
+    factorization that gives ``rstar_at`` the output-deleted kernel at
+    ``lam``. If x_j does not exist or its coupling degenerates (below the
     absolute floor), random combinations inside the kernel of the
     output-deleted pencil are drawn until one couples into output ``j``;
     those are rescaled back to beta = 1.
     """
     lam = float(lam)
     _validate_mode(sys, lam, zeros, tol)
+    return _direction_from(sys, j, lam, factor_pencil(sys, lam, tol), tol, seed, max_retries)
 
-    rhs = np.zeros(sys.n + sys.p)
-    rhs[sys.n + j] = 1.0
-    try:
-        sol = min_norm_solve(rosenbrock(sys, lam), rhs, tol)
-        v, w = sol[: sys.n], sol[sys.n :]
-        beta = float(sys.C[j] @ v + sys.D[j] @ w)
-        if abs(beta) > tol.absolute_floor:
-            return DirectionPair(v=v, w=w, beta=beta, output_index=j, mode=lam)
-    except Unsolvable:
-        pass
 
-    kernel = _pencil_kernel(sys, lam, j, tol)
+def _direction_from(
+    sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy, seed: int, max_retries: int
+) -> DirectionPair:
+    """:func:`direction_for_output` on the factored pencil at ``lam``."""
+    sol = factor.solution(j)
+    if sol is not None:
+        pair = _stacked_pair(sys, j, lam, sol)
+        if abs(pair.beta) > tol.absolute_floor:
+            return pair
+
+    kernel = factor.kernel(j)
     rng = rng_for(seed, "direction-redraw", j)
     for _ in range(max_retries):
         pair = _kernel_direction(sys, j, lam, kernel, rng, tol)
         if pair is not None:
             return pair
     raise DegenerateDirection(f"no direction with nonzero coupling into output {j} at mode {lam}")
+
+
+def _stacked_pair(sys: LtiSystem, j: int, lam: float, col: np.ndarray) -> DirectionPair:
+    """The pair (v, w) stacked in ``col``, with its coupling beta into output ``j``."""
+    v, w = col[: sys.n], col[sys.n :]
+    return DirectionPair(v=v, w=w, beta=float(sys.C[j] @ v + sys.D[j] @ w), output_index=j, mode=lam)
 
 
 def _kernel_direction(sys: LtiSystem, j: int, lam: float, kernel: np.ndarray, rng, tol: TolerancePolicy):
@@ -308,7 +317,10 @@ def synthesize(
         vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
         vg = draw(vg_kernels, spec.seed, spec.max_retries, tol)
 
-    rstar_bases = [rstar_at(sys, spec.lambdas[j], j, tol, zeros=zeros) for j in range(sys.p)]
+    # One factorization per distinct mode gives every output at that mode its
+    # R_j kernel, its direction and its last-resort redraw.
+    factors = {lam: factor_pencil(sys, lam, tol) for lam in dict.fromkeys(spec.lambdas)}
+    rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(spec.lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol, spec.seed)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
@@ -323,7 +335,8 @@ def synthesize(
             pair = DirectionPair(v=v, w=w, beta=beta, output_index=j, mode=spec.lambdas[j])
             pair.validate(sys, tol)
         else:
-            pair = direction_for_output(sys, j, spec.lambdas[j], tol, spec.seed, spec.max_retries, zeros=zeros)
+            lam = spec.lambdas[j]
+            pair = _direction_from(sys, j, lam, factors[lam], tol, spec.seed, spec.max_retries)
         directions[j] = pair
 
     failure = None
@@ -344,14 +357,17 @@ def synthesize(
             # stabilisability mixing and try again.
             vg = draw(vg_kernels, spec.seed + attempt + 1, spec.max_retries, tol)
         elif attempt == spec.max_retries:
-            # Last resort: randomized directions from the output-deleted kernels.
+            # Last resort: every solution of P(lam_j) x = e_{n+j} is x_j plus a
+            # vector of ker P(lam_j); add a random one to each direction.
             redraw = {}
             for j in delta:
-                kernel = _pencil_kernel(sys, spec.lambdas[j], j, tol)
+                factor = factors[spec.lambdas[j]]
+                sol = factor.solution(j)
+                if sol is None:
+                    raise RankDeficientAfterRetries("no direction solution during final direction redraw")
                 rng = rng_for(spec.seed + 7919, "direction-final", j)
-                redraw[j] = _kernel_direction(sys, j, spec.lambdas[j], kernel, rng, tol)
-                if redraw[j] is None:
-                    raise RankDeficientAfterRetries("empty kernel or degenerate coupling during final direction redraw")
+                k = factor.null_basis @ mixing_coefficients(rng, factor.null_basis.shape[1])
+                redraw[j] = _stacked_pair(sys, j, spec.lambdas[j], sol + k)
             directions = redraw
         else:
             if failure is not None:

@@ -228,7 +228,7 @@ def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int) -> n
     return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
 
 
-def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: int = 2) -> complex:
+def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: int = 2):
     """Newton refinement of a candidate zero via the smallest singular pair.
 
     With u, v the left/right singular vectors of the smallest singular value
@@ -237,8 +237,12 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: i
     that singular value is at the rank threshold: the pencil is singular to
     working precision there, and its singular vectors are noise. A candidate
     that is not actually a zero moves far away and is left untouched.
+
+    Returns the refined value and, when no step was taken, the singular
+    values of P at it (else None), so the caller can confirm the candidate
+    without factoring the same pencil again.
     """
-    refined = z
+    refined, s = z, None
     for _ in range(steps):
         P = rosenbrock(sys, refined)
         u, s, vh = np.linalg.svd(P)
@@ -251,11 +255,13 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: i
             break
         step = (u_min.conj() @ (P @ v_min)) / slope
         refined = refined - step
+    if refined != z:
+        s = None
     if abs(refined - z) > _CLUSTER_RTOL * (1.0 + abs(z)):
-        return z
+        return z, None
     # A Python complex, so that the phase flag derived from it is a Python
     # bool: json cannot write NumPy's bool.
-    return complex(refined)
+    return complex(refined), s
 
 
 def _cluster(values: np.ndarray) -> list[complex]:
@@ -301,11 +307,12 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -
     ]
     zeros: list[InvariantZero] = []
     for z in _cluster(np.asarray(matched)):
-        z = _polish_candidate(sys, z, tol)
-        if abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
-            z = complex(z.real, 0.0)
+        z, s = _polish_candidate(sys, z, tol)
+        if z.imag != 0.0 and abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+            z, s = complex(z.real, 0.0), None
         P = rosenbrock(sys, z)
-        s = np.linalg.svd(P, compute_uv=False)
+        if s is None:
+            s = np.linalg.svd(P, compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
         rank = int(np.sum(s > threshold))
         if rank < nr:
@@ -351,27 +358,33 @@ def audit_assumptions(
     """Check the four standing assumptions required by the tracking setup.
 
     The normal rank and the invariant zeros are computed here once, at
-    ``seed``, and carried on the report for the caller to reuse.
+    ``seed``, and carried on the report for the caller to reuse. The rank
+    test at the tracking frequency comes first: no rank exceeds
+    n + min(m, p), so when it reaches that value it is the normal rank, and
+    :func:`normal_rank` is not sampled.
     """
     details: dict[str, str] = {}
-    nr = normal_rank(sys, tol, seed)
+    freq = sys.domain.tracking_frequency
+    at_freq = rank_of(rosenbrock(sys, freq), tol)
+    nr = at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol, seed)
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
     stabilizable = True
     bad_modes = []
     for lam in np.linalg.eigvals(sys.A):
-        if not sys.domain.is_stable(lam):
-            pbh = rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol)
-            if pbh < sys.n:
-                stabilizable = False
-                bad_modes.append(lam)
+        # [A - conj(lam) I, B] is the conjugate of [A - lam I, B] and has the
+        # same rank: one test per conjugate pair, made at its upper member.
+        if lam.imag < 0.0 or sys.domain.is_stable(lam):
+            continue
+        pbh = rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol)
+        if pbh < sys.n:
+            stabilizable = False
+            bad_modes.extend([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
     details["stabilizable"] = (
         "all unstable modes controllable" if stabilizable else f"uncontrollable unstable modes {bad_modes}"
     )
 
-    freq = sys.domain.tracking_frequency
-    at_freq = rank_of(rosenbrock(sys, freq), tol)
     no_zero_at_freq = at_freq == sys.n + sys.p
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 

@@ -3,7 +3,10 @@ import pytest
 
 import monotrack as mt
 from monotrack.numkernel import containment_residual, span_equal
-from monotrack.subspaces import _conformable_min_phase, discover_rstar, discover_vstar_g, draw
+from monotrack.subspaces import _conformable_min_phase, discover_rstar, discover_vstar_g, draw, factor_pencil
+from monotrack.sysmodel import rosenbrock
+
+from .conftest import wide_plant
 
 POLICY = mt.DEFAULT_POLICY
 
@@ -39,6 +42,73 @@ class TestRstarAt:
     def test_rejects_frequency_at_zero(self, demo_system, demo_zeros):
         with pytest.raises(mt.FrequencyIsZero):
             mt.rstar_at(demo_system, -6.0, zeros=demo_zeros)
+
+
+def deleted_row_kernel(sys, mu, j):
+    """The kernel of the pencil with output row j deleted, from its own SVD."""
+    return mt.nullspace(np.delete(rosenbrock(sys, mu), sys.n + j, axis=0)).columns
+
+
+def min_norm_direction(sys, mu, j):
+    """The minimum-norm solution of P(mu) x = e_{n+j}, or None when there is none."""
+    rhs = np.zeros(sys.n + sys.p)
+    rhs[sys.n + j] = 1.0
+    try:
+        return mt.min_norm_solve(rosenbrock(sys, mu), rhs)
+    except mt.Unsolvable:
+        return None
+
+
+# The rungs of the benchmark's generated-ladder workload (generator seed 0).
+LADDER = (
+    (6, 3, 2, ()), (6, 3, 2, (-3.0,)), (6, 3, 2, (2.0,)), (8, 4, 3, ()), (8, 4, 3, (-3.0,)),
+    (8, 4, 3, (2.0,)), (10, 4, 3, ()), (12, 5, 4, (-3.0,)), (16, 6, 5, (2.0,)), (24, 8, 6, ()),
+)
+
+
+def factor_oracle_cases(demo_system):
+    """(plant, mode) pairs: the demo, the wide-outputs plants and the generated ladder at their modes."""
+    cases = [(demo_system, mu) for mu in (-1.0, -2.0, -0.7, -1.3)]
+    plants = [wide_plant(seed, index, p) for seed in (0, 1) for index in range(2) for p in (8, 10, 12)]
+    plants += [mt.generate(mt.GeneratorSpec(n=n, m=m, p=p, planted_zero_values=z, seed=0)) for n, m, p, z in LADDER]
+    for plant in plants:
+        cases += [(plant, -1.0 - 0.25 * k) for k in range(plant.p)]
+    return cases
+
+
+# p = 2 > m = 1; the mode -2 of A is neither reachable nor seen, so ker P(-2)
+# is the second state axis, and neither e_{n+j} lies in the range of P(-2).
+TALL_PLANT = mt.LtiSystem(np.diag([-1.0, -2.0]), [[1.0], [0.0]], [[1.0, 0.0], [2.0, 0.0]], [[0.0], [1.0]])
+
+
+class TestPencilFactor:
+    """One SVD of P(mu) against the old construction: a separate SVD of each row-deleted pencil plus a solve."""
+
+    def test_row_deleted_kernels_and_directions_match_the_old_construction(self, demo_system):
+        for plant, mu in factor_oracle_cases(demo_system):
+            factor = factor_pencil(plant, mu)
+            for j in range(plant.p):
+                kernel, expected = factor.kernel(j), deleted_row_kernel(plant, mu, j)
+                assert kernel.shape == expected.shape, (plant.n, plant.p, mu, j)
+                assert np.allclose(kernel.T @ kernel, np.eye(kernel.shape[1]), atol=1e-12)
+                assert span_equal(kernel, expected), (plant.n, plant.p, mu, j)
+                x, x_ref = factor.solution(j), min_norm_direction(plant, mu, j)
+                assert x_ref is not None
+                assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref), (plant.n, plant.p, mu, j)
+
+    def test_whole_kernel_is_the_nullspace_byte_for_byte(self, demo_system):
+        for plant, mu in factor_oracle_cases(demo_system)[::7]:
+            kernel = factor_pencil(plant, mu).kernel()
+            assert kernel.tobytes() == mt.nullspace(rosenbrock(plant, mu)).columns.tobytes()
+
+    def test_an_output_outside_the_range_leaves_the_kernel_of_the_whole_pencil(self):
+        factor = factor_pencil(TALL_PLANT, -2.0)
+        assert np.allclose(np.abs(factor.null_basis[:, 0]), [0.0, 1.0, 0.0])
+        for j in range(TALL_PLANT.p):
+            assert factor.solution(j) is None and min_norm_direction(TALL_PLANT, -2.0, j) is None
+            expected = deleted_row_kernel(TALL_PLANT, -2.0, j)
+            assert factor.kernel(j).shape == expected.shape == (3, 1)
+            assert span_equal(factor.kernel(j), expected)
 
 
 class TestRstar:

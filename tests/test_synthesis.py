@@ -159,11 +159,49 @@ class TestSynthesize:
             mt.synthesize(sys, mt.SynthesisSpec(lambdas=(-1.0,), reference=(1.0,)))
 
     def test_plant_facts_are_computed_once(self, demo_system, monkeypatch):
-        # The audit evaluates the normal rank once and solves the two
-        # compressed eigenproblems of one zero computation; synthesis reuses both.
+        # The audit reads the normal rank off its rank test at the tracking
+        # frequency (the demo has no zero there, so nothing is sampled) and
+        # solves the two compressed eigenproblems of one zero computation;
+        # synthesis reuses both.
         calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (sysmodel, "_compression_candidates"))
         mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"normal_rank": 1, "_compression_candidates": 2}
+        assert calls == {"normal_rank": 0, "_compression_candidates": 2}
+
+    def test_each_distinct_mode_pencil_is_factored_once(self, demo_system, monkeypatch):
+        # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
+        # come from one factorization.
+        calls = count_calls(monkeypatch, (synthesis, "factor_pencil"))
+        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        assert calls == {"factor_pencil": 2}
+
+    def test_demo_design_svd_budget(self, demo_system, monkeypatch):
+        # The audit: 1 rank test at the tracking frequency (it gives the normal
+        # rank), 4 PBH tests, 4 zero confirmations that reuse their polishing
+        # SVD. V*g: 2 pencil kernels and 1 rank test of the draw. 2 mode
+        # pencils, 2 solvability rank tests, 1 rank test of V, 1 steady-state
+        # solve. A change that brings back a recomputation fails here.
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        assert calls == {"svd": 9 + 3 + 2 + 2 + 1 + 1}
+
+    def test_last_resort_directions_solve_the_pencil_equation(self, demo_system, monkeypatch):
+        # Every verification fails, so the final redraw runs; its directions
+        # are x_j plus a kernel vector and keep unit coupling.
+        verified = []
+
+        def failing_verification(sys, spec, tol, vg, directions, delta, V, W):
+            verified.append(directions)
+            return None, None, "forced verification failure"
+
+        monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), max_retries=2)
+        with pytest.raises(mt.UnstableResult):
+            mt.synthesize(demo_system, spec)
+        first, last = verified[0], verified[-1]
+        for j, pair in last.items():
+            pair.validate(demo_system)
+            assert abs(pair.beta - 1.0) <= 1e-12
+            assert np.linalg.norm(pair.v - first[j].v) > 1e-6
 
     def test_failed_verification_raises_unstable_result_after_every_retry(self, demo_system, monkeypatch):
         reason = "forced verification failure"

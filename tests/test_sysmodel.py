@@ -218,6 +218,23 @@ class TestZeroCompression:
         assert [w.value for w in mt.invariant_zeros(plant)] == [complex(pair[1]), complex(pair[0])]
 
 
+class TestConfirmedZeros:
+    def test_confirmation_reuses_the_polishing_svd(self, demo_system, monkeypatch):
+        # Each of the 4 demo zeros is at the rank threshold already, so
+        # polishing takes no step and its SVD confirms the zero.
+        policy = mt.DEFAULT_POLICY
+        with monkeypatch.context() as patch:
+            # Discarding the polishing SVD forces a second SVD per zero.
+            polish = sysmodel._polish_candidate
+            patch.setattr(sysmodel, "_polish_candidate", lambda *args: (polish(*args)[0], None))
+            expected = sysmodel._confirmed_zeros(demo_system, 8, policy, 1729)
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        zeros = sysmodel._confirmed_zeros(demo_system, 8, policy, 1729)
+        assert calls == {"svd": 4}
+        assert zeros == expected
+        assert [z.value.real for z in zeros] == pytest.approx(DEMO_ZEROS, abs=1e-9)
+
+
 class TestPolishCandidate:
     def test_a_root_at_the_rank_threshold_is_not_stepped_away(self, monkeypatch):
         # A second Newton step from an exact root follows noise singular
@@ -236,12 +253,17 @@ class TestPolishCandidate:
         P = rosenbrock(plant, z)
         s = np.linalg.svd(P, compute_uv=False)
         assert s[-1] <= mt.DEFAULT_POLICY.rank_threshold(P.shape, s[0])
-        assert sysmodel._polish_candidate(plant, z, mt.DEFAULT_POLICY) == z
+        polished, singular_values = sysmodel._polish_candidate(plant, z, mt.DEFAULT_POLICY)
+        assert polished == z
+        # No step was taken: the singular values of P at the root come back.
+        assert np.allclose(singular_values, s, rtol=1e-12, atol=1e-12 * s[0])
 
     def test_a_nearby_candidate_is_refined(self, demo_system):
-        refined = sysmodel._polish_candidate(demo_system, complex(-6.0 + 1e-8), mt.DEFAULT_POLICY)
+        refined, singular_values = sysmodel._polish_candidate(demo_system, complex(-6.0 + 1e-8), mt.DEFAULT_POLICY)
         assert abs(refined + 6.0) <= 1e-12
         assert type(refined) is complex
+        # A step was taken, so the caller must factor the pencil at the new value.
+        assert singular_values is None
 
     def test_refined_complex_zeros_serialise(self):
         # The complex pair of this plant is refined by a Newton step; its phase
@@ -276,12 +298,43 @@ class TestAuditAssumptions:
         assert report.all_pass
         assert report.right_invertible and report.stabilizable
 
-    def test_full_rank_audit_samples_the_normal_rank_once(self, demo_system, monkeypatch):
-        # One normal-rank sample reaches n + min(m, p); then one PBH test per
-        # unstable mode of A (0, 2, 2, 3) and one test at the tracking frequency.
+    def test_full_rank_audit_reads_the_normal_rank_at_the_tracking_frequency(self, demo_system, monkeypatch):
+        # The test at the tracking frequency reaches n + min(m, p), which is
+        # then the normal rank; one PBH test per unstable mode of A (0, 2, 2, 3).
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"))
+        report = mt.audit_assumptions(demo_system)
+        assert calls == {"rank_of": 1 + 4, "normal_rank": 0}
+        assert report.normal_rank == demo_system.n + demo_system.p
+
+    def test_a_zero_at_the_tracking_frequency_samples_the_normal_rank(self, monkeypatch):
+        sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
+        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"))
+        report = mt.audit_assumptions(sys)
+        assert calls == {"normal_rank": 1}
+        assert report.normal_rank == 2
+        assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 1 at frequency 0.0"
+
+    def test_one_pbh_test_per_unstable_conjugate_pair(self, monkeypatch):
+        # Unstable modes 1 +- 2j and 0.5 with a stable mode -1; the pair is
+        # tested once, at its upper member.
+        A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
+        B = np.array([[1.0], [0.0], [1.0], [1.0]])
+        sys = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
-        mt.audit_assumptions(demo_system)
-        assert calls == {"rank_of": 1 + 4 + 1}
+        report = mt.audit_assumptions(sys)
+        assert report.stabilizable
+        # One test at the tracking frequency, two PBH tests.
+        assert calls == {"rank_of": 1 + 2}
+
+    def test_an_uncontrollable_pair_lists_both_members(self):
+        # The pair 1 +- 2j is not reachable from B; both members are reported.
+        A = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+        B = np.array([[0.0], [0.0], [1.0]])
+        sys = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0]], [[1.0]])
+        report = mt.audit_assumptions(sys)
+        assert not report.stabilizable
+        bad = [lam for lam in np.linalg.eigvals(A) if lam.real > 0.0]
+        assert report.details["stabilizable"] == f"uncontrollable unstable modes {bad}"
 
     def test_normal_rank_samples_on_while_below_full_rank(self, monkeypatch):
         sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
