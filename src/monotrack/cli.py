@@ -102,7 +102,7 @@ def _require(config: JobConfig, *names: str) -> None:
 def _cmd_analyze(config: JobConfig, out: Path) -> int:
     policy = config.policy()
     system = LtiSystem.load(config.system_path)
-    report = audit_assumptions(system, policy, config.seed)
+    report = audit_assumptions(system, policy)
     zeros = report.zeros
     if zeros is None:
         raise IllConditionedPencil(report.details["distinct_min_phase_zeros"])
@@ -135,7 +135,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
         },
     }
     if vg.dim <= system.n - system.p:
-        verdict = check_solvable(system, vg.basis, [b.basis for b in rs_j], policy, config.seed)
+        verdict = check_solvable(system, vg.basis, [b.basis for b in rs_j], policy)
         payload["lambda_free"] = verdict.to_json_dict()
     else:
         payload["lambda_free"] = {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}

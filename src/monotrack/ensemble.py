@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import GenerationFailed, MonotrackError
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
 from .seeding import DEFAULT_SEED, rng_for
-from .subspaces import _pencil_kernel, default_frequency_pool, discover_rstar, discover_vstar_g, draw
-from .synthesis import _kernel_direction
-from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros
+from .solvability import check_solvable
+from .subspaces import _single_mode_basis, default_frequency_pool, discover_rstar, discover_vstar_g, draw, factor_pencil
+from .synthesis import _direction_from, _random_direction
+from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros, rosenbrock
 
 _GENERATION_RETRIES = 20
 
@@ -106,9 +107,8 @@ def _extra_input_columns(A, B, C, D, planted: tuple, extra: int, rng: np.random.
     n = A.shape[0]
     constraints = []
     for z in {complex(z) for z in planted}:
-        pencil = np.block(
-            [[A - z * np.eye(n), B], [C.astype(complex), D.astype(complex)]]
-        )
+        # Relaxed: the checked constructor would spend two rank tests per attempt.
+        pencil = rosenbrock(LtiSystem.relaxed(A, B, C, D), z)
         left = nullspace(pencil.conj().T, tol).columns
         for k in range(left.shape[1]):
             # Complex SVD may rotate phases even at real zeros, so always
@@ -168,7 +168,7 @@ def _generate_once(spec: GeneratorSpec, rng: np.random.Generator, tol: Tolerance
 
 
 def _verify_planted(sys: LtiSystem, spec: GeneratorSpec, tol: TolerancePolicy) -> bool:
-    report = audit_assumptions(sys, tol, spec.seed)
+    report = audit_assumptions(sys, tol)
     if not report.all_pass:
         return False
     computed = [z.value for z in report.zeros]
@@ -214,47 +214,47 @@ def genericity_trial(
     """Sample the randomized constructions ``trials`` times without retries.
 
     Each trial draws fresh mixing coefficients for the reachability and
-    stabilisability bases, plus randomized direction pairs, and checks that
-    every draw is full rank with nonzero output couplings. Failures are
-    counted, never retried, so the reported fraction estimates the raw
-    genericity of a single draw.
+    stabilisability bases, and for each output j of the witness set delta
+    a random solution x_j + k (k in ker P(mu_j)) of its pencil equation at
+    the trial mode mu_j; it then rank-tests V = [those directions, V*g
+    draw]. delta holds every output when dim V*g = n - p; otherwise it
+    comes from one :func:`check_solvable` on the discovered V*g span and
+    the R_j at the trial modes, and a not-solvable verdict fails every trial
+    and is recorded in ``notes``. Failures are counted, never retried, so
+    the reported fraction estimates the raw genericity of a single draw.
     """
-    zeros = invariant_zeros(sys, tol, seed)
+    zeros = invariant_zeros(sys, tol)
     pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
     trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
-    # The kernels do not depend on the trial; only their draws do.
+    every_trial_fails = GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
+    # The kernels, delta and the x_j do not depend on the trial; only their draws do.
     mus = [pool[j % len(pool)] for j in range(sys.p)]
     try:
-        kernels = [_pencil_kernel(sys, mu, j, tol) for j, mu in enumerate(mus)]
+        factors = [factor_pencil(sys, mu, tol) for mu in mus]
         rs_kernels, vg_kernels = discover_rstar(sys, tol=tol, zeros=zeros), discover_vstar_g(sys, tol=tol, zeros=zeros)
+        delta = tuple(range(sys.p))
+        if vg_kernels.dim != sys.n - sys.p:
+            bases = [_single_mode_basis(sys, f.kernel(j), mu) for j, (mu, f) in enumerate(zip(mus, factors))]
+            verdict = check_solvable(sys, vg_kernels.basis, bases, tol)
+            if not verdict.solvable:
+                return replace(every_trial_fails, notes={"solvability": verdict.to_json_dict()})
+            delta = verdict.delta
+        pairs = {j: _direction_from(sys, j, mus[j], factors[j], tol) for j in delta}
     except MonotrackError:
-        return GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
-    failures = 0
+        return every_trial_fails
     failing = []
     for trial_seed in trial_seeds:
-        ok = True
         try:
             draw(rs_kernels, trial_seed, 0, tol)
             vg = draw(vg_kernels, trial_seed, 0, tol)
             rng = rng_for(trial_seed, "trial-directions")
-            direction_cols = []
-            for j, (mu, kernel) in enumerate(zip(mus, kernels)):
-                if kernel.shape[1] == 0:
-                    continue
-                pair = _kernel_direction(sys, j, mu, kernel, rng, tol)
-                if pair is None:
-                    ok = False
-                    break
-                direction_cols.append(pair.v)
-            if ok and vg.dim == sys.n - sys.p and len(direction_cols) == sys.p:
-                V = np.column_stack(direction_cols + [vg.V]) if vg.dim else np.column_stack(direction_cols)
-                ok = rank_of(V, tol) == sys.n
+            cols = [_random_direction(sys, pairs[j], factors[j].null_basis, rng).v for j in delta]
+            ok = rank_of(np.column_stack(cols + [vg.V]), tol) == sys.n
         except MonotrackError:
             ok = False
         if not ok:
-            failures += 1
             failing.append(trial_seed)
-    return GenericityStats(trials=trials, failures=failures, failing_seeds=tuple(failing))
+    return GenericityStats(trials=trials, failures=len(failing), failing_seeds=tuple(failing))
 
 
 def fixture_hash(sys: LtiSystem) -> str:

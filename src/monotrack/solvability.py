@@ -11,9 +11,9 @@ mode (the rest are tracked instantaneously).
 The family is Rado's condition for an independent transversal of the R_j
 taken modulo V*g (R. Rado 1942; J. Edmonds 1967), so it holds exactly when
 one generic pick r_j in each R_j gives rank [V*g, r_1 ... r_p] = n. The test
-draws the picks from a seeded stream and makes one rank test per draw; the
-subsets themselves are enumerated only after every draw failed, to report
-which of them fail.
+draws the picks from the fixed ``DEFAULT_SEED`` stream, so a verdict depends
+on the bases alone, and makes one rank test per draw; the subsets themselves
+are enumerated only after every draw failed, to report which of them fail.
 """
 
 from __future__ import annotations
@@ -101,11 +101,7 @@ def _failing_subsets(vg, bases, n: int, h: int, tol: TolerancePolicy) -> tuple:
 
 
 def check_solvable(
-    sys: LtiSystem,
-    vstar_g_basis,
-    rstar_j_bases,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = DEFAULT_SEED,
+    sys: LtiSystem, vstar_g_basis, rstar_j_bases, tol: TolerancePolicy = DEFAULT_POLICY
 ) -> SolvabilityVerdict:
     """Subset-dimension test on the given stabilisability and per-output bases.
 
@@ -113,15 +109,16 @@ def check_solvable(
     test, or the subspaces at a mode tuple (validated beforehand with
     :func:`validate_modes`) for the frequency-dependent one.
 
-    The test draws one direction per output from the stream keyed by
-    ``seed`` and passes when V*g and the draws span the state space: one
-    rank test per draw, up to four draws. When h = dim V*g exceeds n - p, a
-    greedy scan of at most p more rank tests after the passing draw finds
-    the witness set delta of cardinality ``n - h``, the lexicographically
-    first set of outputs whose draws complete V*g (empty, with no draw, when
-    h = n). Only after every draw failed are the subsets enumerated, to fill
-    ``failing_subsets``; no draw is made when h + p < n, since none can
-    reach rank n.
+    The test draws one direction per output from the ``DEFAULT_SEED``
+    transversal stream and passes when V*g and the draws span the state
+    space: one rank test per draw, up to four draws. It takes no seed: the
+    verdict and delta are functions of the bases, whoever asks. When
+    h = dim V*g exceeds n - p, a greedy scan of at most p more rank tests
+    after the passing draw finds the witness set delta of cardinality
+    ``n - h``, the lexicographically first set of outputs whose draws
+    complete V*g (empty, with no draw, when h = n). Only after every draw
+    failed are the subsets enumerated, to fill ``failing_subsets``; no draw
+    is made when h + p < n, since none can reach rank n.
 
     Raises
     ------
@@ -138,7 +135,7 @@ def check_solvable(
         # V*g spans the state space, so every output is tracked instantaneously.
         return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())
     for attempt in range(_DRAWS if h + p >= n else 0):
-        delta = _transversal_witness(vg, bases, n, h, seed, attempt, tol)
+        delta = _transversal_witness(vg, bases, n, h, DEFAULT_SEED, attempt, tol)
         if delta is not None:
             return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=delta)
     failures = _failing_subsets(vg, bases, n, h, tol)
@@ -217,7 +214,7 @@ def repair_lambda_tuple(
             radius *= 2.0
             continue
         bases = [rstar_j_factory(j, candidate[j]) for j in range(sys.p)]
-        last = check_solvable(sys, vstar_g_basis, bases, tol, seed)
+        last = check_solvable(sys, vstar_g_basis, bases, tol)
         if last.solvable:
             return candidate, last
         radius *= 2.0

@@ -156,11 +156,6 @@ def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_PO
     return PencilFactor(pencil, *full_svd(pencil, tol), sys.n, tol)
 
 
-def _pencil_kernel(sys: LtiSystem, mu: complex, excluded_output: int | None, tol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal kernel of the pencil, optionally with one output row deleted."""
-    return factor_pencil(sys, mu, tol).kernel(excluded_output)
-
-
 class _SpanTracker:
     """Incrementally orthonormalized span with an extension test.
 
@@ -294,15 +289,12 @@ def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedB
 
 
 def _validated_pool(
-    sys: LtiSystem,
-    stable_pool,
-    zeros: list[InvariantZero],
-    tol: TolerancePolicy,
-    avoid: tuple = (),
+    sys: LtiSystem, free_pool, zeros: list[InvariantZero], tol: TolerancePolicy, avoid: tuple = ()
 ) -> tuple[float, ...]:
-    if stable_pool is None:
+    """The user's ``free_pool``, checked, or the default pool when it is None."""
+    if free_pool is None:
         return default_frequency_pool(sys, zeros, tol, avoid=avoid)
-    pool = tuple(float(mu) for mu in stable_pool)
+    pool = tuple(float(mu) for mu in free_pool)
     if len(set(pool)) != len(pool):
         raise ValueError("pool values must be pairwise distinct")
     for mu in pool:
@@ -349,7 +341,7 @@ def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, t
                 tracker.try_add(col.reshape(-1, 1))
     visited = []
     for mu in pool:
-        kernel = _pencil_kernel(sys, mu, excluded_output, tol)
+        kernel = factor_pencil(sys, mu, tol).kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])
@@ -418,11 +410,11 @@ def draw(
 
 
 def discover_rstar(
-    sys: LtiSystem, excluded_output: int | None = None, stable_pool=None, tol: TolerancePolicy = DEFAULT_POLICY,
+    sys: LtiSystem, excluded_output: int | None = None, tol: TolerancePolicy = DEFAULT_POLICY,
     *, zeros: list[InvariantZero],
 ) -> KernelSpan:
-    """Kernels over the frequency pool spanning the output-nulling reachability subspace."""
-    pool = _validated_pool(sys, stable_pool, zeros, tol)
+    """Kernels over :func:`default_frequency_pool` spanning the output-nulling reachability subspace."""
+    pool = default_frequency_pool(sys, zeros, tol)
     tag = ("rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
     return _discover(sys, [], pool, excluded_output, tol, tag)
 
@@ -430,7 +422,6 @@ def discover_rstar(
 def rstar(
     sys: LtiSystem,
     excluded_output: int | None = None,
-    stable_pool=None,
     tol: TolerancePolicy = DEFAULT_POLICY,
     seed: int = DEFAULT_SEED,
     *,
@@ -438,7 +429,7 @@ def rstar(
     max_retries: int = 5,
 ) -> PairedBasis:
     """Output-nulling reachability subspace: :func:`discover_rstar`, then one :func:`draw`."""
-    return draw(discover_rstar(sys, excluded_output, stable_pool, tol, zeros=zeros), seed, max_retries, tol)
+    return draw(discover_rstar(sys, excluded_output, tol, zeros=zeros), seed, max_retries, tol)
 
 
 def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
@@ -466,7 +457,7 @@ def discover_vstar_g(
     # A conjugate pair is seeded at its upper representative; real zeros keep
     # a real pencil so the kernel carries no complex phase.
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
-    seeded = [(mode, _pencil_kernel(sys, mode, None, tol)) for mode in modes]
+    seeded = [(mode, factor_pencil(sys, mode, tol).kernel()) for mode in modes]
     return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0))
 
 

@@ -112,14 +112,7 @@ class FeedbackResult:
 
 
 def direction_for_output(
-    sys: LtiSystem,
-    j: int,
-    lam: float,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = DEFAULT_SEED,
-    max_retries: int = 5,
-    *,
-    zeros: list[InvariantZero],
+    sys: LtiSystem, j: int, lam: float, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero]
 ) -> DirectionPair:
     """Solve the pencil equation for output ``j`` at mode ``lam``.
 
@@ -127,55 +120,39 @@ def direction_for_output(
     solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. It is read from one
     :func:`~monotrack.subspaces.factor_pencil` of the pencil, the same
     factorization that gives ``rstar_at`` the output-deleted kernel at
-    ``lam``. If x_j does not exist or its coupling degenerates (below the
-    absolute floor), random combinations inside the kernel of the
-    output-deleted pencil are drawn until one couples into output ``j``;
-    those are rescaled back to beta = 1.
+    ``lam``. The direction is a property of the plant and the mode, so
+    nothing is drawn: when x_j does not exist, the output-deleted kernel is
+    ker P(lam), whose every vector has beta = 0, and
+    :class:`DegenerateDirection` is raised at once.
     """
     lam = float(lam)
     _validate_mode(sys, lam, zeros, tol)
-    return _direction_from(sys, j, lam, factor_pencil(sys, lam, tol), tol, seed, max_retries)
+    return _direction_from(sys, j, lam, factor_pencil(sys, lam, tol), tol)
 
 
-def _direction_from(
-    sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy, seed: int, max_retries: int
-) -> DirectionPair:
+def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy) -> DirectionPair:
     """:func:`direction_for_output` on the factored pencil at ``lam``."""
     sol = factor.solution(j)
-    if sol is not None:
-        pair = _stacked_pair(sys, j, lam, sol)
-        if abs(pair.beta) > tol.absolute_floor:
-            return pair
+    pair = None if sol is None else _stacked_pair(sys, j, lam, sol)
+    if pair is None or abs(pair.beta) <= tol.absolute_floor:
+        raise DegenerateDirection(f"no direction with nonzero coupling into output {j} at mode {lam}")
+    return pair
 
-    kernel = factor.kernel(j)
-    rng = rng_for(seed, "direction-redraw", j)
-    for _ in range(max_retries):
-        pair = _kernel_direction(sys, j, lam, kernel, rng, tol)
-        if pair is not None:
-            return pair
-    raise DegenerateDirection(f"no direction with nonzero coupling into output {j} at mode {lam}")
+
+def _random_direction(sys: LtiSystem, pair: DirectionPair, null_basis: np.ndarray, rng) -> DirectionPair:
+    """``pair`` plus a random vector of ker P(mode), given by its orthonormal ``null_basis``.
+
+    Every solution of the pencil equation of ``pair`` has this form, so the
+    result solves it too, with the same coupling.
+    """
+    k = null_basis @ mixing_coefficients(rng, null_basis.shape[1])
+    return _stacked_pair(sys, pair.output_index, pair.mode, np.concatenate([pair.v, pair.w]) + k)
 
 
 def _stacked_pair(sys: LtiSystem, j: int, lam: float, col: np.ndarray) -> DirectionPair:
     """The pair (v, w) stacked in ``col``, with its coupling beta into output ``j``."""
     v, w = col[: sys.n], col[sys.n :]
     return DirectionPair(v=v, w=w, beta=float(sys.C[j] @ v + sys.D[j] @ w), output_index=j, mode=lam)
-
-
-def _kernel_direction(sys: LtiSystem, j: int, lam: float, kernel: np.ndarray, rng, tol: TolerancePolicy):
-    """One random combination of the output-``j``-deleted kernel, rescaled to beta = 1.
-
-    Returns None when the kernel is empty or the draw does not couple into
-    output ``j`` above the absolute floor.
-    """
-    if kernel.shape[1] == 0:
-        return None
-    col = kernel @ mixing_coefficients(rng, kernel.shape[1])
-    v, w = col[: sys.n], col[sys.n :]
-    beta = float(sys.C[j] @ v + sys.D[j] @ w)
-    if abs(beta) <= tol.absolute_floor:
-        return None
-    return DirectionPair(v=v / beta, w=w / beta, beta=1.0, output_index=j, mode=lam)
 
 
 def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
@@ -244,7 +221,7 @@ def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
     expected = [complex(spec.lambdas[j]) for j in delta] + [complex(m) for m in vg.modes]
     if not _match_spectrum(spectrum, expected, _SPECTRUM_TOL):
         return None, None, (
-            f"closed-loop spectrum {sorted(spectrum, key=lambda z: (z.real, z.imag))} "
+            f"closed-loop spectrum {sorted(spectrum.tolist(), key=lambda z: (z.real, z.imag))} "
             "does not match the assigned modes"
         )
     if not all(sys.domain.is_stable(z) for z in spectrum):
@@ -301,7 +278,7 @@ def synthesize(
         Internal guard: the verified closed-loop spectrum disagrees with the
         assigned modes.
     """
-    report: AssumptionReport = audit_assumptions(sys, tol, spec.seed)
+    report: AssumptionReport = audit_assumptions(sys, tol)
     if not report.all_pass:
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
     zeros = report.zeros
@@ -321,7 +298,7 @@ def synthesize(
     # R_j kernel, its direction and its last-resort redraw.
     factors = {lam: factor_pencil(sys, lam, tol) for lam in dict.fromkeys(spec.lambdas)}
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(spec.lambdas)]
-    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol, spec.seed)
+    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
     delta = verdict.delta
@@ -336,7 +313,7 @@ def synthesize(
             pair.validate(sys, tol)
         else:
             lam = spec.lambdas[j]
-            pair = _direction_from(sys, j, lam, factors[lam], tol, spec.seed, spec.max_retries)
+            pair = _direction_from(sys, j, lam, factors[lam], tol)
         directions[j] = pair
 
     failure = None
@@ -359,16 +336,12 @@ def synthesize(
         elif attempt == spec.max_retries:
             # Last resort: every solution of P(lam_j) x = e_{n+j} is x_j plus a
             # vector of ker P(lam_j); add a random one to each direction.
-            redraw = {}
-            for j in delta:
-                factor = factors[spec.lambdas[j]]
-                sol = factor.solution(j)
-                if sol is None:
-                    raise RankDeficientAfterRetries("no direction solution during final direction redraw")
-                rng = rng_for(spec.seed + 7919, "direction-final", j)
-                k = factor.null_basis @ mixing_coefficients(rng, factor.null_basis.shape[1])
-                redraw[j] = _stacked_pair(sys, j, spec.lambdas[j], sol + k)
-            directions = redraw
+            directions = {
+                j: _random_direction(
+                    sys, pair, factors[pair.mode].null_basis, rng_for(spec.seed + 7919, "direction-final", j)
+                )
+                for j, pair in directions.items()
+            }
         else:
             if failure is not None:
                 raise UnstableResult(failure)

@@ -148,7 +148,9 @@ class AssumptionReport:
     ``normal_rank`` is the generic rank of the system pencil; ``zeros`` holds
     the invariant zeros confirmed at that rank, or None when their
     computation raised :class:`IllConditionedPencil` (the reason is then in
-    ``details["distinct_min_phase_zeros"]``).
+    ``details["distinct_min_phase_zeros"]``). Every field depends on the
+    plant and the tolerance policy only, never on a caller's seed, and the
+    ``details`` texts print plain Python numbers.
     """
 
     right_invertible: bool
@@ -186,15 +188,17 @@ def rosenbrock(sys: LtiSystem, lam: complex) -> np.ndarray:
     return pencil
 
 
-def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED) -> int:
-    """Generic rank of the pencil, sampled at seeded complex frequencies.
+def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
+    """Generic rank of the pencil, sampled at complex frequencies from a fixed stream.
 
     Samples are drawn away from the real axis, where all finite zeros of a
     real pencil would have to lie in conjugate pairs; the maximum over seven
     samples equals the true normal rank with probability one. Sampling stops
-    early once a sample reaches min(n+p, n+m), which no rank can exceed.
+    early once a sample reaches min(n+p, n+m), which no rank can exceed. The
+    samples come from the ``DEFAULT_SEED`` stream, so the rank is a function
+    of the plant alone.
     """
-    rng = rng_for(seed, "normal-rank")
+    rng = rng_for(DEFAULT_SEED, "normal-rank")
     full = sys.n + min(sys.m, sys.p)
     best = 0
     for _ in range(_NORMAL_RANK_SAMPLES):
@@ -278,16 +282,17 @@ def _cluster(values: np.ndarray) -> list[complex]:
     return [complex(r.real, 0.0) if abs(r.imag) <= _CLUSTER_RTOL * (1.0 + abs(r)) else r for r in reps]
 
 
-def invariant_zeros(
-    sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED
-) -> list[InvariantZero]:
+def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> list[InvariantZero]:
     """All finite invariant zeros with geometric multiplicities.
 
     Two independent random compressions of the pencil to its normal rank
     are solved; a true zero appears in both spectra, while the
     spurious eigenvalues introduced by each compression differ almost surely.
     The intersection of the two candidate sets is then confirmed value by
-    value through a rank test on the original rectangular pencil.
+    value through a rank test on the original rectangular pencil. The
+    compressions come from the ``DEFAULT_SEED`` streams, so the zeros are a
+    function of the plant alone and equal those of :func:`audit_assumptions`
+    bit for bit.
 
     Raises
     ------
@@ -295,7 +300,7 @@ def invariant_zeros(
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return _confirmed_zeros(sys, normal_rank(sys, tol, seed), tol, seed)
+    return _confirmed_zeros(sys, normal_rank(sys, tol), tol, DEFAULT_SEED)
 
 
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
@@ -352,27 +357,27 @@ def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFA
     return None
 
 
-def audit_assumptions(
-    sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY, seed: int = DEFAULT_SEED
-) -> AssumptionReport:
+def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> AssumptionReport:
     """Check the four standing assumptions required by the tracking setup.
 
-    The normal rank and the invariant zeros are computed here once, at
-    ``seed``, and carried on the report for the caller to reuse. The rank
-    test at the tracking frequency comes first: no rank exceeds
-    n + min(m, p), so when it reaches that value it is the normal rank, and
-    :func:`normal_rank` is not sampled.
+    The normal rank and the invariant zeros are computed here once and
+    carried on the report for the caller to reuse. Like every answer about
+    the plant they take no seed: the random samples and compressions come
+    from the ``DEFAULT_SEED`` streams, so the report is a function of the
+    plant alone. The rank test at the tracking frequency comes first: no
+    rank exceeds n + min(m, p), so when it reaches that value it is the
+    normal rank, and :func:`normal_rank` is not sampled.
     """
     details: dict[str, str] = {}
     freq = sys.domain.tracking_frequency
     at_freq = rank_of(rosenbrock(sys, freq), tol)
-    nr = at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol, seed)
+    nr = at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol)
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
     stabilizable = True
     bad_modes = []
-    for lam in np.linalg.eigvals(sys.A):
+    for lam in np.linalg.eigvals(sys.A).tolist():
         # [A - conj(lam) I, B] is the conjugate of [A - lam I, B] and has the
         # same rank: one test per conjugate pair, made at its upper member.
         if lam.imag < 0.0 or sys.domain.is_stable(lam):
@@ -389,7 +394,7 @@ def audit_assumptions(
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 
     try:
-        zeros = _confirmed_zeros(sys, nr, tol, seed)
+        zeros = _confirmed_zeros(sys, nr, tol, DEFAULT_SEED)
     except IllConditionedPencil as exc:
         zeros = None
         distinct = False

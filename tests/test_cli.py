@@ -45,6 +45,17 @@ class TestAnalyze:
         assert payload["lambda_free"]["solvable"] is True
         assert payload["lambda_free"]["delta"] == [0, 1, 2]
 
+    def test_artifacts_do_not_depend_on_the_seed(self, tmp_path):
+        payloads = []
+        for seed in (1, 2):
+            out = tmp_path / f"seed{seed}"
+            code = run_cli(["--command", "analyze", "--system", str(demo_system_path()), "--seed", str(seed), "--out", str(out)])
+            assert code == 0
+            payloads.append(read_json(out / "analysis.json"))
+        assert payloads[0] == payloads[1]
+        assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
+        assert "np." not in json.dumps(payloads[0]["assumptions"])
+
     def test_missing_system_is_config_error(self, tmp_path):
         code = run_cli(["--command", "analyze", "--out", str(tmp_path)])
         assert code == 1

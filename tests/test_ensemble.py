@@ -62,6 +62,23 @@ class TestGenerate:
             "_compression_candidates": 2 * attempts,
         }
 
+    def test_planted_zero_plants_are_pinned(self):
+        # The extra input columns come from the pencil at each planted zero;
+        # these hashes pin the generated plants bit for bit.
+        specs = {
+            "5ddbdd3689318ec024b178fe867f60479c7831ab793324092d1c1e62045fed81": mt.GeneratorSpec(
+                n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=0
+            ),
+            "7606eff30d94d93f528b441903ef4d10a97054866043319c377332682ee950f8": mt.GeneratorSpec(
+                n=6, m=3, p=2, planted_zero_values=(2.0,), seed=0
+            ),
+            "6b459c06b833aa2b4b7a2b0ab2395c7631e05569790483302876753733b97787": mt.GeneratorSpec(
+                n=12, m=5, p=4, planted_zero_values=(-1 + 2j, -1 - 2j), seed=1
+            ),
+        }
+        for digest, spec in specs.items():
+            assert ensemble.fixture_hash(mt.generate(spec)) == digest
+
     def test_scalar_plant(self):
         sys = mt.generate(mt.GeneratorSpec(n=1, m=1, p=1, seed=5))
         assert (sys.n, sys.m, sys.p) == (1, 1, 1)
@@ -162,29 +179,66 @@ class TestGenericityTrial:
             mt.vstar_g(demo_system, zeros=demo_zeros, max_retries=0)
 
     def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
-        direction = count_calls(monkeypatch, (ensemble, "_pencil_kernel"))
-        discovery = count_calls(monkeypatch, (subspaces, "_pencil_kernel"))
+        direction = count_calls(monkeypatch, (ensemble, "factor_pencil"), (ensemble, "check_solvable"))
+        discovery = count_calls(monkeypatch, (subspaces, "factor_pencil"))
         per_call = []
         for trials in (2, 20):
-            before = direction["_pencil_kernel"] + discovery["_pencil_kernel"]
+            before = direction["factor_pencil"] + discovery["factor_pencil"]
             stats = mt.genericity_trial(demo_system, trials=trials, seed=3)
             assert stats.failures == 0
-            per_call.append(direction["_pencil_kernel"] + discovery["_pencil_kernel"] - before)
-        assert direction["_pencil_kernel"] == 2 * demo_system.p
-        # R* and V*g are discovered once per call; only their draws repeat per trial.
+            per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
+        assert direction["factor_pencil"] == 2 * demo_system.p
+        # R* and V*g are discovered once per call; only their draws repeat per
+        # trial. dim V*g = n - p, so every output is in delta and no
+        # solvability test is made.
         assert per_call[0] == per_call[1]
+        assert direction["check_solvable"] == 0
 
     def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
-        def failing_kernel(*args):
+        def failing_factor(*args):
             raise mt.IllConditionedPencil("forced kernel failure")
 
-        # A direction kernel fails, then a kernel of the subspace discovery.
+        # A direction pencil fails, then a kernel of the subspace discovery.
         for owner in (ensemble, subspaces):
             with monkeypatch.context() as patch:
-                patch.setattr(owner, "_pencil_kernel", failing_kernel)
+                patch.setattr(owner, "factor_pencil", failing_factor)
                 stats = mt.genericity_trial(demo_system, trials=4, seed=3)
             assert stats.failures == 4
             assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
+
+    @pytest.mark.parametrize("n, m, p, delta", [(10, 4, 3, (0,)), (12, 5, 4, (0, 1))])
+    def test_a_larger_vstar_g_rank_tests_the_witness_directions(self, n, m, p, delta, monkeypatch):
+        # dim V*g exceeds n - p, so delta comes from one solvability test and
+        # every trial rank-tests its n x n matrix V.
+        plant = mt.generate(mt.GeneratorSpec(n=n, m=m, p=p, seed=0))
+        verdicts = []
+        solvable = ensemble.check_solvable
+
+        def capture(*args):
+            verdicts.append(solvable(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ensemble, "check_solvable", capture)
+        stats = mt.genericity_trial(plant, trials=5, seed=0)
+        assert [v.delta for v in verdicts] == [delta]
+        assert verdicts[0].h == n - len(delta) > n - p
+        assert stats.failures == 0
+
+    def test_every_trial_fails_when_the_rank_test_does(self, monkeypatch):
+        plant = mt.generate(mt.GeneratorSpec(n=10, m=4, p=3, seed=0))
+        rank_of = ensemble.rank_of
+        monkeypatch.setattr(
+            ensemble, "rank_of", lambda M, *args: plant.n - 1 if M.shape == (plant.n, plant.n) else rank_of(M, *args)
+        )
+        assert mt.genericity_trial(plant, trials=5, seed=0).failures == 5
+
+    def test_a_not_solvable_verdict_fails_every_trial(self, monkeypatch):
+        plant = mt.generate(mt.GeneratorSpec(n=10, m=4, p=3, seed=0))
+        verdict = mt.SolvabilityVerdict(solvable=False, failing_subsets=(((0, 1, 2), 9, 10),), h=9, delta=None)
+        monkeypatch.setattr(ensemble, "check_solvable", lambda *args: verdict)
+        stats = mt.genericity_trial(plant, trials=3, seed=0)
+        assert stats.failures == 3
+        assert stats.notes == {"solvability": verdict.to_json_dict()}
 
     def test_batch_report_contains_hash(self, demo_system):
         stats = mt.genericity_trial(demo_system, trials=5, seed=1)

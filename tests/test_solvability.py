@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack import solvability
+from monotrack.numkernel import _as_matrix
 
 # Plant with a structurally pinned per-output reachability subspace: deleting
 # output 1 leaves kernel directions along e1 for every frequency, and e1 is
@@ -352,6 +353,12 @@ class TestTransversalMatchesEnumeration:
             bases[-1] = bases[0]
         elif shape == "collapse":
             bases = [bases[0]] * p
-        verdict = mt.check_solvable(sys, vg, bases, seed=seed)
-        assert (verdict.solvable, verdict.delta) == enumeration_oracle(sys, vg, bases)
+        expected = enumeration_oracle(sys, vg, bases)
+        verdict = mt.check_solvable(sys, vg, bases)
+        assert (verdict.solvable, verdict.delta) == expected
         assert verdict.solvable == (not verdict.failing_subsets)
+        # check_solvable draws its picks from the default stream; the witness
+        # itself takes a seed, so the picks still vary across examples.
+        vg_m, bases_m = _as_matrix(vg), [_as_matrix(b) for b in bases]
+        witness = solvability._transversal_witness(vg_m, bases_m, n, mt.rank_of(vg_m), seed, 0, mt.DEFAULT_POLICY)
+        assert (witness is not None, witness) == expected

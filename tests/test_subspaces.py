@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack.numkernel import containment_residual, span_equal
@@ -101,6 +103,41 @@ class TestPencilFactor:
             kernel = factor_pencil(plant, mu).kernel()
             assert kernel.tobytes() == mt.nullspace(rosenbrock(plant, mu)).columns.tobytes()
 
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        extra_outputs=st.integers(1, 3),
+        hidden=st.booleans(),
+        rotated=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_without_a_solution_no_kernel_vector_couples_into_the_output(
+        self, seed, n, m, extra_outputs, hidden, rotated
+    ):
+        # p > m, so e_{n+j} is almost never in the range of P(mu); a hidden
+        # mode at mu (uncontrollable and unobservable, optionally rotated out
+        # of the state axes) leaves ker P(mu) nonempty. The kernel without
+        # output j is then ker P(mu), and no vector of it reaches output j:
+        # a direction redraw cannot succeed where x_j is missing.
+        rng, mu, p = np.random.default_rng(seed), -1.3, m + extra_outputs
+        A, B, C = rng.normal(size=(n, n)), rng.normal(size=(n, m)), rng.normal(size=(p, n))
+        if hidden:
+            A = np.block([[A, np.zeros((n, 1))], [np.zeros((1, n)), np.array([[mu]])]])
+            B, C = np.vstack([B, np.zeros((1, m))]), np.hstack([C, np.zeros((p, 1))])
+        if rotated:
+            Q = np.linalg.qr(rng.normal(size=(A.shape[0], A.shape[0])))[0]
+            A, B, C = Q @ A @ Q.T, Q @ B, C @ Q.T
+        plant = mt.LtiSystem.relaxed(A, B, C, rng.normal(size=(p, m)))
+        factor = factor_pencil(plant, mu)
+        missing = [j for j in range(p) if factor.solution(j) is None]
+        assume(missing)
+        for j in missing:
+            kernel = factor.kernel(j)
+            beta = plant.C[j] @ kernel[: plant.n] + plant.D[j] @ kernel[plant.n :]
+            # The kernel is orthonormal: this bounds |beta| over its unit vectors.
+            assert np.linalg.norm(beta) <= POLICY.absolute_floor
+
     def test_an_output_outside_the_range_leaves_the_kernel_of_the_whole_pencil(self):
         factor = factor_pencil(TALL_PLANT, -2.0)
         assert np.allclose(np.abs(factor.null_basis[:, 0]), [0.0, 1.0, 0.0])
@@ -133,19 +170,6 @@ class TestRstar:
             part = mt.rstar_at(demo_system, mu, excluded_output=0, zeros=demo_zeros)
             assert containment_residual(part.V, whole.V) <= 1e-9
 
-    def test_pool_validation(self, demo_system, demo_zeros):
-        with pytest.raises(ValueError):
-            mt.rstar(demo_system, stable_pool=(1.0, -2.0), zeros=demo_zeros)
-        with pytest.raises(ValueError):
-            mt.rstar(demo_system, stable_pool=(-1.0, -1.0), zeros=demo_zeros)
-        with pytest.raises(mt.FrequencyIsZero):
-            mt.rstar(demo_system, stable_pool=(-6.0, -1.0), zeros=demo_zeros)
-
-    def test_pool_exhausted_before_saturation(self, demo_system, demo_zeros):
-        # A single frequency adds directions, and no second one can show that
-        # the sum has stopped growing.
-        with pytest.raises(mt.SaturationFailure):
-            mt.rstar(demo_system, stable_pool=(-1.0,), zeros=demo_zeros)
 
 
 class TestDiscoverAndDraw:
@@ -160,10 +184,12 @@ class TestDiscoverAndDraw:
                 assert span_equal(pb.V, kernels.basis)
                 pb.validate(demo_system, excluded_output=excluded)
 
-    def test_empty_span_draws_an_empty_basis(self, demo_system, demo_zeros):
-        pb = draw(discover_rstar(demo_system, stable_pool=(), zeros=demo_zeros))
-        assert pb.V.shape == (demo_system.n, 0)
-        assert pb.W.shape == (demo_system.m, 0)
+    def test_empty_span_draws_an_empty_basis(self):
+        # A wide plant has no zeros, so an empty free pool leaves V*g nothing to span.
+        plant = wide_plant(0, 0, 8)
+        pb = draw(discover_vstar_g(plant, free_pool=(), zeros=mt.invariant_zeros(plant)))
+        assert pb.V.shape == (plant.n, 0)
+        assert pb.W.shape == (plant.m, 0)
 
 
 class TestVstarRecursive:
@@ -228,6 +254,24 @@ class TestVstarG:
         rot = np.array([[mu.real, -mu.imag], [mu.imag, mu.real]])
         assert np.allclose(sys.A @ block_v + sys.B @ block_w, block_v @ rot, atol=1e-9)
         assert np.allclose(sys.C @ block_v + sys.D @ block_w, 0.0, atol=1e-9)
+
+    def test_free_pool_validation(self, demo_system, demo_zeros):
+        # Unstable, repeated, and on the zero at -6.
+        with pytest.raises(ValueError):
+            mt.vstar_g(demo_system, free_pool=(1.0, -2.0), zeros=demo_zeros)
+        with pytest.raises(ValueError):
+            mt.vstar_g(demo_system, free_pool=(-1.0, -1.0), zeros=demo_zeros)
+        with pytest.raises(mt.FrequencyIsZero):
+            mt.vstar_g(demo_system, free_pool=(-6.0, -1.0), zeros=demo_zeros)
+
+    def test_free_pool_exhausted_before_saturation(self):
+        # V*g of a wide plant needs two pool kernels: a single frequency adds
+        # a direction, and no second one can show that the sum has stopped growing.
+        plant = wide_plant(0, 0, 8)
+        zeros = mt.invariant_zeros(plant)
+        assert mt.vstar_g(plant, zeros=zeros).dim == plant.n - plant.p == 2
+        with pytest.raises(mt.SaturationFailure):
+            mt.vstar_g(plant, free_pool=(-1.0,), zeros=zeros)
 
     def test_remixing_preserves_span(self, demo_system, demo_zeros):
         first = mt.vstar_g(demo_system, zeros=demo_zeros, seed=1)

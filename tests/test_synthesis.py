@@ -118,6 +118,25 @@ class TestSynthesize:
             assert np.max(np.abs(np.imag(fb.closed_loop_spectrum))) <= 1e-6
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-6, f"seed {seed}"
 
+    def test_plant_facts_do_not_depend_on_the_seed(self, demo_system, monkeypatch):
+        # The seed reaches only the drawn bases: every seed audits to the same
+        # zeros, bit for bit, and reaches the same delta.
+        reports = []
+        audit = synthesis.audit_assumptions
+
+        def capture(*args):
+            reports.append(audit(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(synthesis, "audit_assumptions", capture)
+        deltas = set()
+        for seed in range(10):
+            spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=seed)
+            deltas.add(mt.synthesize(demo_system, spec).delta)
+        zeros = {np.array([z.value for z in report.zeros]).tobytes() for report in reports}
+        assert len(reports) == 10 and len(zeros) == 1
+        assert deltas == {(0, 1, 2)}
+
     def test_gain_invariant_under_paired_scaling(self, demo_system, demo_replay):
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         fb = mt.synthesize(demo_system, spec, replay=demo_replay)
@@ -183,6 +202,14 @@ class TestSynthesize:
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"svd": 9 + 3 + 2 + 2 + 1 + 1}
+
+    def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
+        # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
+        monkeypatch.setattr(synthesis, "_SPECTRUM_TOL", 0.0)
+        with pytest.raises(mt.UnstableResult) as info:
+            mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        assert str(info.value).startswith("closed-loop spectrum [")
+        assert "np." not in str(info.value)
 
     def test_last_resort_directions_solve_the_pencil_equation(self, demo_system, monkeypatch):
         # Every verification fails, so the final redraw runs; its directions

@@ -292,6 +292,20 @@ class TestClassifyZeros:
         assert not zeros[0].is_minimum_phase
 
 
+class TestSeedFreeZeros:
+    def test_invariant_zeros_equal_the_audit_bit_for_bit(self, demo_system):
+        plants = [
+            demo_system,
+            wide_plant(0, 1, 10),
+            mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=0)),
+        ]
+        for plant in plants:
+            zeros, audited = mt.invariant_zeros(plant), mt.audit_assumptions(plant).zeros
+            assert zeros == audited
+            assert np.array([z.value for z in zeros]).tobytes() == np.array([z.value for z in audited]).tobytes()
+        assert any(abs(z.value + 3.0) <= 1e-9 for z in mt.invariant_zeros(plants[2]))
+
+
 class TestAuditAssumptions:
     def test_demo_passes_all(self, demo_system):
         report = mt.audit_assumptions(demo_system)
@@ -333,8 +347,10 @@ class TestAuditAssumptions:
         sys = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0]], [[1.0]])
         report = mt.audit_assumptions(sys)
         assert not report.stabilizable
-        bad = [lam for lam in np.linalg.eigvals(A) if lam.real > 0.0]
+        bad = [lam for lam in np.linalg.eigvals(A).tolist() if lam.real > 0.0]
         assert report.details["stabilizable"] == f"uncontrollable unstable modes {bad}"
+        # Plain Python numbers, not NumPy reprs.
+        assert "np." not in report.details["stabilizable"]
 
     def test_normal_rank_samples_on_while_below_full_rank(self, monkeypatch):
         sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
