@@ -29,12 +29,10 @@ from .errors import (
 from .ensemble import GeneratorSpec, GenericityStats, generate, genericity_trial
 from .numkernel import (
     DEFAULT_POLICY,
-    Basis,
     TolerancePolicy,
     min_norm_solve,
     nullspace,
     rank_of,
-    realify_pair,
     subspace_sum_dim,
 )
 from .simverify import (
@@ -46,21 +44,20 @@ from .simverify import (
     fit_single_mode,
     simulate,
     trace_to_csv,
-    trace_to_json,
 )
 from .solvability import (
     SolvabilityVerdict,
     check_solvable,
-    repair_lambda_tuple,
     validate_modes,
 )
 from .subspaces import (
     PairedBasis,
     default_frequency_pool,
-    rstar,
-    rstar_at,
+    discover_rstar,
+    discover_vstar_g,
+    draw,
+    factor_pencil,
     rstar_recursive,
-    vstar_g,
     vstar_recursive,
 )
 from .synthesis import (
@@ -69,7 +66,6 @@ from .synthesis import (
     Replay,
     SynthesisSpec,
     control_input,
-    direction_for_output,
     steady_state,
     synthesize,
 )
@@ -112,12 +108,10 @@ __all__ = [
     "genericity_trial",
     # numkernel
     "DEFAULT_POLICY",
-    "Basis",
     "TolerancePolicy",
     "min_norm_solve",
     "nullspace",
     "rank_of",
-    "realify_pair",
     "subspace_sum_dim",
     # simverify
     "ModeFit",
@@ -128,19 +122,18 @@ __all__ = [
     "fit_single_mode",
     "simulate",
     "trace_to_csv",
-    "trace_to_json",
     # solvability
     "SolvabilityVerdict",
     "check_solvable",
-    "repair_lambda_tuple",
     "validate_modes",
     # subspaces
     "PairedBasis",
     "default_frequency_pool",
-    "rstar",
-    "rstar_at",
+    "discover_rstar",
+    "discover_vstar_g",
+    "draw",
+    "factor_pencil",
     "rstar_recursive",
-    "vstar_g",
     "vstar_recursive",
     # synthesis
     "DirectionPair",
@@ -148,7 +141,6 @@ __all__ = [
     "Replay",
     "SynthesisSpec",
     "control_input",
-    "direction_for_output",
     "steady_state",
     "synthesize",
     # sysmodel

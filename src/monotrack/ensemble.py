@@ -109,14 +109,14 @@ def _extra_input_columns(A, B, C, D, planted: tuple, extra: int, rng: np.random.
     for z in {complex(z) for z in planted}:
         # Relaxed: the checked constructor would spend two rank tests per attempt.
         pencil = rosenbrock(LtiSystem.relaxed(A, B, C, D), z)
-        left = nullspace(pencil.conj().T, tol).columns
+        left = nullspace(pencil.conj().T, tol)
         for k in range(left.shape[1]):
             # Complex SVD may rotate phases even at real zeros, so always
             # impose both real and imaginary constraint rows.
             constraints.append(left[:, k].conj().real)
             constraints.append(left[:, k].conj().imag)
     if constraints:
-        admissible = nullspace(np.vstack(constraints), tol).columns
+        admissible = nullspace(np.vstack(constraints), tol)
     else:
         admissible = np.eye(n + C.shape[0])
     if admissible.shape[1] == 0:

@@ -60,27 +60,8 @@ class TolerancePolicy:
 DEFAULT_POLICY = TolerancePolicy()
 
 
-@dataclass(frozen=True)
-class Basis:
-    """A subspace represented by a full-column-rank matrix."""
-
-    columns: np.ndarray
-
-    def __post_init__(self):
-        cols = np.atleast_2d(np.asarray(self.columns))
-        object.__setattr__(self, "columns", cols)
-        if cols.shape[1] > cols.shape[0]:
-            raise ValueError("more columns than ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-
 def _as_matrix(obj) -> np.ndarray:
-    """Accept a Basis, a PairedBasis-like object (``.V``) or a raw array."""
-    if hasattr(obj, "columns"):
-        return np.atleast_2d(obj.columns)
+    """Accept a PairedBasis-like object (``.V``) or a raw array."""
     if hasattr(obj, "V"):
         return np.atleast_2d(obj.V)
     return np.atleast_2d(np.asarray(obj))
@@ -102,7 +83,7 @@ def full_svd(M: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY):
     return u, s, vh, rank
 
 
-def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
+def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the kernel of ``M``.
 
     The returned column count is ``cols(M) - rank_of(M)``; an empty basis is
@@ -112,7 +93,7 @@ def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
     if M.size == 0:
         raise ValueError("nullspace of an empty matrix is undefined")
     _, _, vh, rank = full_svd(M, tol)
-    return Basis(vh[rank:].conj().T)
+    return vh[rank:].conj().T
 
 
 def residual_violation(M, x, b, smax: float, tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
@@ -167,21 +148,6 @@ def subspace_sum_dim(bases, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return rank_of(np.hstack(mats), tol)
 
 
-def realify_pair(v, position: str) -> np.ndarray:
-    """Real or imaginary part of a (possibly complex) vector.
-
-    ``position`` follows the conjugate-pair convention: the odd slot of a
-    realified pair carries the real part, the even slot the imaginary part of
-    the conjugated partner column.
-    """
-    v = np.asarray(v)
-    if position == "odd":
-        return np.real(v).astype(float)
-    if position == "even":
-        return np.imag(v).astype(float)
-    raise ValueError("position must be 'odd' or 'even'")
-
-
 def orthonormalize(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the column span of ``M`` (may shrink the column count)."""
     M = _as_matrix(M)
@@ -190,32 +156,3 @@ def orthonormalize(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     u, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > tol.rank_threshold(M.shape, float(s[0]))))
     return u[:, :rank]
-
-
-def containment_residual(inner, outer, tol: TolerancePolicy = DEFAULT_POLICY) -> float:
-    """Worst-case relative distance of unit vectors of span(inner) from span(outer).
-
-    Zero (up to roundoff) iff span(inner) is contained in span(outer).
-    """
-    X = _as_matrix(inner)
-    if X.shape[1] == 0:
-        return 0.0
-    Q = orthonormalize(outer, tol)
-    worst = 0.0
-    for k in range(X.shape[1]):
-        c = X[:, k]
-        nrm = float(np.linalg.norm(c))
-        if nrm <= tol.absolute_floor:
-            continue
-        c = c / nrm
-        res = c - Q @ (Q.conj().T @ c) if Q.shape[1] else c
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
-
-
-def span_equal(first, second, tol: TolerancePolicy = DEFAULT_POLICY, residual: float = 1e-8) -> bool:
-    """Two-sided containment test at the given residual."""
-    return (
-        containment_residual(first, second, tol) <= residual
-        and containment_residual(second, first, tol) <= residual
-    )

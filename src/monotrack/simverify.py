@@ -16,9 +16,7 @@ the tracking error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -287,34 +285,14 @@ def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLIC
     return fits
 
 
-def trace_to_csv(trace: SimulationTrace, path, long_format: bool = False) -> None:
-    """Write a trace as CSV; wide format by default, (t, series, value) when long."""
-    path = Path(path)
+def trace_to_csv(trace: SimulationTrace, path) -> None:
+    """Write a trace as wide CSV: one row per sample, columns t, eps_k, xi_k."""
     p, n = trace.epsilon.shape[0], trace.xi.shape[0]
     with open(path, "w", encoding="utf-8") as fh:
-        if long_format:
-            fh.write("t,series,value\n")
-            for idx, t in enumerate(trace.times):
-                for k in range(p):
-                    fh.write(f"{t:.15g},eps_{k + 1},{trace.epsilon[k, idx]:.15g}\n")
-                for k in range(n):
-                    fh.write(f"{t:.15g},xi_{k + 1},{trace.xi[k, idx]:.15g}\n")
-        else:
-            header = ["t"] + [f"eps_{k + 1}" for k in range(p)] + [f"xi_{k + 1}" for k in range(n)]
-            fh.write(",".join(header) + "\n")
-            for idx, t in enumerate(trace.times):
-                row = [f"{t:.15g}"]
-                row += [f"{trace.epsilon[k, idx]:.15g}" for k in range(p)]
-                row += [f"{trace.xi[k, idx]:.15g}" for k in range(n)]
-                fh.write(",".join(row) + "\n")
-
-
-def trace_to_json(trace: SimulationTrace) -> str:
-    payload = {
-        "times": trace.times.tolist(),
-        "epsilon": trace.epsilon.tolist(),
-        "xi": trace.xi.tolist(),
-        "domain": trace.domain.value,
-        "metadata": trace.metadata,
-    }
-    return json.dumps(payload, sort_keys=True)
+        header = ["t"] + [f"eps_{k + 1}" for k in range(p)] + [f"xi_{k + 1}" for k in range(n)]
+        fh.write(",".join(header) + "\n")
+        for idx, t in enumerate(trace.times):
+            row = [f"{t:.15g}"]
+            row += [f"{trace.epsilon[k, idx]:.15g}" for k in range(p)]
+            row += [f"{trace.xi[k, idx]:.15g}" for k in range(n)]
+            fh.write(",".join(row) + "\n")

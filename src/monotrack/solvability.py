@@ -174,48 +174,3 @@ def validate_modes(
     for lam in lambdas:
         _validate_mode(sys, lam, zeros, tol)
     return lambdas
-
-
-def repair_lambda_tuple(
-    sys: LtiSystem,
-    vstar_g_basis,
-    lambdas,
-    rstar_j_factory,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = DEFAULT_SEED,
-    *,
-    zeros: list[InvariantZero],
-    attempts: int = 10,
-):
-    """Perturb a failing mode tuple until the frequency-dependent test passes.
-
-    The set of failing tuples has empty interior whenever the frequency-free
-    test passes, so a small random perturbation generically repairs a bad
-    tuple. The perturbation radius starts at 1e-3 and doubles each attempt;
-    ``rstar_j_factory(j, lam)`` must return the per-output basis at ``lam``.
-    Returns ``(tuple, verdict)`` on success, ``(None, last_verdict)``
-    otherwise.
-    """
-    rng = rng_for(seed, "lambda-repair")
-    lambdas = tuple(float(l) for l in lambdas)
-    last = None
-    radius = 1e-3
-    for _ in range(attempts):
-        shifts = rng.uniform(-radius, radius, len(lambdas))
-        candidate = []
-        for lam, shift in zip(lambdas, shifts):
-            moved = lam + shift
-            if not sys.domain.is_stable(moved) or exclusion_violation(moved, zeros, tol):
-                moved = lam - shift
-            candidate.append(moved)
-        try:
-            candidate = validate_modes(sys, candidate, zeros, tol)
-        except (UnstableLambda, LambdaAtZero):
-            radius *= 2.0
-            continue
-        bases = [rstar_j_factory(j, candidate[j]) for j in range(sys.p)]
-        last = check_solvable(sys, vstar_g_basis, bases, tol)
-        if last.solvable:
-            return candidate, last
-        radius *= 2.0
-    return None, last

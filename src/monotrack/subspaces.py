@@ -2,13 +2,15 @@
 
 Three families of subspaces drive the solvability theory and the synthesis:
 
-* ``rstar_at``   - the state directions reachable with a single assigned real
-  mode, for the full plant or with one output row deleted;
-* ``rstar``      - their saturated sum over a pool of distinct stable
-  frequencies, which yields the output-nulling reachability subspace;
-* ``vstar_g``    - the largest output-nulling subspace with stable inner
-  dynamics, assembled from the kernels at the minimum-phase invariant zeros
-  plus reachability directions.
+* R_j at a real mode - the state directions reachable with that single
+  assigned mode with output j deleted, read from one :func:`factor_pencil`
+  by :func:`_single_mode_basis`;
+* R* - the saturated sum of such kernels over a pool of distinct stable
+  frequencies, the output-nulling reachability subspace, for the full plant
+  or with one output row deleted;
+* V*g - the largest output-nulling subspace with stable inner dynamics,
+  assembled from the kernels at the minimum-phase invariant zeros plus
+  reachability directions.
 
 The last two are built in two steps. A deterministic discovery
 (``discover_rstar`` / ``discover_vstar_g``) computes the pencil kernels once
@@ -35,13 +37,11 @@ from .errors import (
 )
 from .numkernel import (
     DEFAULT_POLICY,
-    Basis,
     TolerancePolicy,
     full_svd,
     nullspace,
     orthonormalize,
     rank_of,
-    realify_pair,
     residual_violation,
 )
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
@@ -255,32 +255,15 @@ def default_frequency_pool(
     raise SaturationFailure(f"could not assemble a pool of {count} admissible frequencies")
 
 
-def rstar_at(
-    sys: LtiSystem,
-    mu: float,
-    excluded_output: int | None = None,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    *,
-    zeros: list[InvariantZero],
-) -> PairedBasis:
-    """Directions with a single assignable real mode ``mu``.
-
-    The state parts of the returned basis span the kernel-projected subspace
-    for the plant with output ``excluded_output`` deleted (or the full plant
-    when None). The kernel is read from one :func:`factor_pencil` of the
-    whole pencil at ``mu``, which also yields the direction of
-    ``synthesis.direction_for_output`` at that mode. Kernel columns whose
-    state parts are linearly dependent on earlier ones are dropped, so V
-    always has full column rank; the paired input columns are kept aligned.
-    """
-    mu = float(mu)
-    if exclusion_violation(mu, zeros, tol):
-        raise FrequencyIsZero(f"frequency {mu} is within the exclusion radius of an invariant zero")
-    return _single_mode_basis(sys, factor_pencil(sys, mu, tol).kernel(excluded_output), mu)
-
-
 def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedBasis:
-    """The paired basis of :func:`rstar_at` from a kernel at the real mode ``mu``."""
+    """Directions with the single assignable real mode ``mu``, from a kernel of P(mu).
+
+    Given ``factor_pencil(sys, mu).kernel(j)``, the state parts span R_j at
+    ``mu`` (the kernel-projected subspace of the plant with output ``j``
+    deleted). Kernel columns whose state parts depend linearly on earlier
+    ones are dropped, so V always has full column rank; the paired input
+    columns stay aligned.
+    """
     tracker = _SpanTracker(sys.n)
     keep = [k for k in range(kernel.shape[1]) if tracker.try_add(kernel[: sys.n, k : k + 1])]
     V = kernel[: sys.n, keep] if keep else np.zeros((sys.n, 0))
@@ -308,7 +291,7 @@ def _validated_pool(
 def _real_columns(vec: np.ndarray, mode) -> list[np.ndarray]:
     """One real column, or the realified pair of columns at a complex ``mode``."""
     if isinstance(mode, complex):
-        return [realify_pair(vec, "odd"), realify_pair(np.conj(vec), "even")]
+        return [vec.real, np.conj(vec).imag]
     return [vec.real]
 
 
@@ -419,19 +402,6 @@ def discover_rstar(
     return _discover(sys, [], pool, excluded_output, tol, tag)
 
 
-def rstar(
-    sys: LtiSystem,
-    excluded_output: int | None = None,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = DEFAULT_SEED,
-    *,
-    zeros: list[InvariantZero],
-    max_retries: int = 5,
-) -> PairedBasis:
-    """Output-nulling reachability subspace: :func:`discover_rstar`, then one :func:`draw`."""
-    return draw(discover_rstar(sys, excluded_output, tol, zeros=zeros), seed, max_retries, tol)
-
-
 def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
     """Minimum-phase zeros with conjugate pairs first (one representative each), reals last."""
     minimum = [z for z in zeros if z.is_minimum_phase]
@@ -461,20 +431,6 @@ def discover_vstar_g(
     return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0))
 
 
-def vstar_g(
-    sys: LtiSystem,
-    free_pool=None,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-    seed: int = DEFAULT_SEED,
-    *,
-    zeros: list[InvariantZero],
-    max_retries: int = 5,
-    avoid: tuple = (),
-) -> PairedBasis:
-    """Stabilisability output-nulling subspace: :func:`discover_vstar_g`, then one :func:`draw`."""
-    return draw(discover_vstar_g(sys, free_pool, tol, zeros=zeros, avoid=avoid), seed, max_retries, tol)
-
-
 # ---------------------------------------------------------------------------
 # Classical fixed-point recursions (independent oracle path)
 # ---------------------------------------------------------------------------
@@ -483,7 +439,7 @@ def vstar_g(
 def _complement(V: np.ndarray, n: int, tol: TolerancePolicy) -> np.ndarray:
     if V.shape[1] == 0:
         return np.eye(n)
-    return nullspace(V.T, tol).columns
+    return nullspace(V.T, tol)
 
 
 def _isa(A, B, C, D, tol: TolerancePolicy) -> np.ndarray:
@@ -493,7 +449,7 @@ def _isa(A, B, C, D, tol: TolerancePolicy) -> np.ndarray:
     for _ in range(n + 1):
         N = _complement(Vk, n, tol)
         M = np.vstack([np.hstack([N.T @ A, N.T @ B]), np.hstack([C, D])])
-        kernel = nullspace(M, tol).columns
+        kernel = nullspace(M, tol)
         Vnew = orthonormalize(kernel[:n, :], tol)
         if Vnew.shape[1] == Vk.shape[1]:
             return Vnew
@@ -501,9 +457,9 @@ def _isa(A, B, C, D, tol: TolerancePolicy) -> np.ndarray:
     return Vk
 
 
-def vstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
-    """Fixed point of V0 = X, V(k+1) = {x | exists u: Ax+Bu in Vk, Cx+Du = 0}."""
-    return Basis(_isa(sys.A, sys.B, sys.C, sys.D, tol))
+def vstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Orthonormal basis of the fixed point of V0 = X, V(k+1) = {x | exists u: Ax+Bu in Vk, Cx+Du = 0}."""
+    return _isa(sys.A, sys.B, sys.C, sys.D, tol)
 
 
 def _intersect(X: np.ndarray, Y: np.ndarray, n: int, tol: TolerancePolicy) -> np.ndarray:
@@ -511,11 +467,11 @@ def _intersect(X: np.ndarray, Y: np.ndarray, n: int, tol: TolerancePolicy) -> np
     stacked = np.vstack([NX.T, NY.T])
     if stacked.shape[0] == 0:
         return np.eye(n)
-    return nullspace(stacked, tol).columns
+    return nullspace(stacked, tol)
 
 
-def rstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> Basis:
-    """Oracle for the output-nulling reachability subspace.
+def rstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """Oracle basis of the output-nulling reachability subspace.
 
     Intersects the largest output-nulling subspace with the strongly
     reachable subspace, the latter obtained by duality as the orthogonal
@@ -525,5 +481,5 @@ def rstar_recursive(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> Ba
     V = _isa(sys.A, sys.B, sys.C, sys.D, tol)
     V_dual = _isa(sys.A.T, sys.C.T, sys.B.T, sys.D.T, tol)
     S = _complement(V_dual, sys.n, tol)
-    return Basis(_intersect(V, S, sys.n, tol))
+    return _intersect(V, S, sys.n, tol)
 

@@ -23,9 +23,9 @@ from .errors import (
 )
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
-from .solvability import SolvabilityVerdict, _validate_mode, check_solvable, validate_modes
+from .solvability import SolvabilityVerdict, check_solvable, validate_modes
 from .subspaces import PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
-from .sysmodel import AssumptionReport, InvariantZero, LtiSystem, audit_assumptions, rosenbrock
+from .sysmodel import AssumptionReport, LtiSystem, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
 
@@ -111,27 +111,17 @@ class FeedbackResult:
         }
 
 
-def direction_for_output(
-    sys: LtiSystem, j: int, lam: float, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero]
-) -> DirectionPair:
-    """Solve the pencil equation for output ``j`` at mode ``lam``.
+def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy) -> DirectionPair:
+    """Output ``j``'s direction pair at the mode ``lam``, read from ``factor = factor_pencil(sys, lam)``.
 
     The right-hand side uses unit output coupling, so the minimum-norm
-    solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. It is read from one
-    :func:`~monotrack.subspaces.factor_pencil` of the pencil, the same
-    factorization that gives ``rstar_at`` the output-deleted kernel at
-    ``lam``. The direction is a property of the plant and the mode, so
-    nothing is drawn: when x_j does not exist, the output-deleted kernel is
-    ker P(lam), whose every vector has beta = 0, and
-    :class:`DegenerateDirection` is raised at once.
+    solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. The same factor gives
+    R_j its output-deleted kernel at ``lam``. The direction is a property of
+    the plant and the mode, so nothing is drawn: when x_j does not exist, the
+    output-deleted kernel is ker P(lam), whose every vector has beta = 0, and
+    :class:`DegenerateDirection` is raised at once. The mode is not
+    validated here; ``synthesize`` runs :func:`validate_modes` first.
     """
-    lam = float(lam)
-    _validate_mode(sys, lam, zeros, tol)
-    return _direction_from(sys, j, lam, factor_pencil(sys, lam, tol), tol)
-
-
-def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy) -> DirectionPair:
-    """:func:`direction_for_output` on the factored pencil at ``lam``."""
     sol = factor.solution(j)
     pair = None if sol is None else _stacked_pair(sys, j, lam, sol)
     if pair is None or abs(pair.beta) <= tol.absolute_floor:

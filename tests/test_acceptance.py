@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import monotrack as mt
-from monotrack.numkernel import containment_residual
 from monotrack.sysmodel import rosenbrock
 
 from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS
+from .subspace_checks import containment_residual
 
 X0_FIRST = np.array([0.1, -0.2, 0.1, 0.1, 0.0])
 X0_SECOND = np.array([0.6, 0.2, 0.2, -0.2, 1.0])
@@ -43,12 +43,12 @@ def test_criterion_01_invariant_zeros(demo_system):
 
 
 def test_criterion_02_subspace_dimensions(demo_system, demo_zeros, demo_replay):
-    vg = mt.vstar_g(demo_system, zeros=demo_zeros)
+    vg = mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros))
     both_ways = max(
         containment_residual(vg.V, demo_replay.vg_state),
         containment_residual(demo_replay.vg_state, vg.V),
     )
-    r_js = [mt.rstar(demo_system, excluded_output=j, zeros=demo_zeros) for j in range(3)]
+    r_js = [mt.draw(mt.discover_rstar(demo_system, j, zeros=demo_zeros)) for j in range(3)]
     axes = {0: (1, 2, 3, 4), 1: (2, 3, 4), 2: (1, 2, 3, 4)}
     spans_ok = True
     for j, axis in axes.items():
@@ -61,8 +61,8 @@ def test_criterion_02_subspace_dimensions(demo_system, demo_zeros, demo_replay):
 
 
 def test_criterion_03_subset_conditions(demo_system, demo_zeros):
-    vg = mt.vstar_g(demo_system, zeros=demo_zeros)
-    r_js = [mt.rstar(demo_system, excluded_output=j, zeros=demo_zeros) for j in range(3)]
+    vg = mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros))
+    r_js = [mt.draw(mt.discover_rstar(demo_system, j, zeros=demo_zeros)) for j in range(3)]
     verdict = mt.check_solvable(demo_system, vg, r_js)
     dims = (
         mt.subspace_sum_dim([vg, r_js[0]]),
@@ -142,17 +142,17 @@ def test_criterion_08_oracle_equivalence():
         try:
             sys = mt.LtiSystem(A, B, C, D)
             zeros = mt.invariant_zeros(sys)
-            stacked = mt.rstar(sys, zeros=zeros)
+            stacked = mt.draw(mt.discover_rstar(sys, zeros=zeros))
         except (mt.MonotrackError, ValueError):
             continue
         attempts += 1
         recursive = mt.rstar_recursive(sys)
-        if stacked.dim != recursive.dim:
+        if stacked.dim != recursive.shape[1]:
             break
         if stacked.dim:
             both = max(
-                containment_residual(stacked.V, recursive.columns),
-                containment_residual(recursive.columns, stacked.V),
+                containment_residual(stacked.V, recursive),
+                containment_residual(recursive, stacked.V),
             )
             if both > 1e-8:
                 break
@@ -185,7 +185,7 @@ def test_criterion_10_superposition_and_invisibility(demo_system, demo_zeros, de
     left = mt.simulate(demo_system, demo_feedback, xss + x1, horizon=6.0, num_samples=200)
     right = mt.simulate(demo_system, demo_feedback, xss + x2, horizon=6.0, num_samples=200)
     superposition = float(np.max(np.abs(combined.epsilon - a * left.epsilon - b * right.epsilon)))
-    vg = mt.vstar_g(demo_system, zeros=demo_zeros)
+    vg = mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros))
     invisibility = 0.0
     for k in range(vg.dim):
         trace = mt.simulate(demo_system, demo_feedback, xss + vg.V[:, k], horizon=6.0, num_samples=200)

@@ -5,6 +5,7 @@ import monotrack as mt
 from monotrack import ensemble, subspaces, sysmodel
 
 from .conftest import count_calls
+from .subspace_checks import single_mode_basis
 
 
 class TestGeneratorSpec:
@@ -97,9 +98,9 @@ class TestGenerate:
         sys = mt.generate(spec)
         zeros = mt.invariant_zeros(sys)
         assert any(not z.is_minimum_phase for z in zeros)
-        vg = mt.vstar_g(sys, zeros=zeros)
+        vg = mt.draw(mt.discover_vstar_g(sys, zeros=zeros))
         lam = (-1.0, -1.5)
-        r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
+        r_at = [single_mode_basis(sys, lam[j], j) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable
         fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=lam, reference=(1.0, -1.0)))
@@ -121,8 +122,7 @@ class TestGenerate:
         sys = mt.generate(spec)
         zeros = mt.invariant_zeros(sys)
         assert sum(not z.is_minimum_phase for z in zeros) == 2
-        vg = mt.vstar_g(sys, zeros=zeros)
-        assert vg.dim == sys.n - sys.p
+        assert mt.discover_vstar_g(sys, zeros=zeros).dim == sys.n - sys.p
         fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=(0.5, 0.35), reference=(1.0, 1.0)))
         assert all(abs(z) < 1.0 for z in fb.closed_loop_spectrum)
         trace = mt.simulate(sys, fb, np.array([1.0, -0.5, 0.3, 0.8]))
@@ -164,7 +164,7 @@ class TestGenericityTrial:
             return true_mixing(rng, size, complex_valued)
 
         monkeypatch.setattr(subspaces, "mixing_coefficients", sabotaged)
-        vg = mt.vstar_g(demo_system, zeros=demo_zeros, max_retries=5)
+        vg = mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), max_retries=5)
         assert vg.dim == 2
         assert calls["count"] > 1
 
@@ -176,7 +176,7 @@ class TestGenericityTrial:
             lambda rng, size, complex_valued=False: np.zeros(size, dtype=complex if complex_valued else float),
         )
         with pytest.raises(mt.RankDeficientAfterRetries):
-            mt.vstar_g(demo_system, zeros=demo_zeros, max_retries=0)
+            mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), max_retries=0)
 
     def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
         direction = count_calls(monkeypatch, (ensemble, "factor_pencil"), (ensemble, "check_solvable"))

@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack.numkernel import containment_residual, orthonormalize
+from monotrack.numkernel import orthonormalize
+from monotrack.subspaces import _real_columns
+
+from .subspace_checks import containment_residual
 
 POLICY = mt.DEFAULT_POLICY
 
@@ -33,27 +36,27 @@ class TestRankOf:
 
 class TestNullspace:
     def test_invertible_has_empty_kernel(self):
-        assert mt.nullspace(np.eye(2)).dim == 0
+        assert mt.nullspace(np.eye(2)).shape == (2, 0)
 
     def test_single_equation(self):
         basis = mt.nullspace(np.array([[1.0, 1.0]]))
-        assert basis.dim == 1
+        assert basis.shape == (2, 1)
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        col = basis.columns[:, 0]
+        col = basis[:, 0]
         assert np.allclose(np.abs(col @ expected), 1.0)
 
     def test_columns_orthonormal_and_annihilated(self):
         rng = np.random.default_rng(1)
         M = rng.normal(size=(3, 7))
         basis = mt.nullspace(M)
-        assert np.allclose(basis.columns.T @ basis.columns, np.eye(basis.dim), atol=1e-12)
-        assert np.linalg.norm(M @ basis.columns) <= POLICY.residual_tol * np.linalg.norm(M)
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert np.linalg.norm(M @ basis) <= POLICY.residual_tol * np.linalg.norm(M)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, rows, cols, seed):
         M = np.random.default_rng(seed).normal(size=(rows, cols))
-        assert mt.rank_of(M) + mt.nullspace(M).dim == cols
+        assert mt.rank_of(M) + mt.nullspace(M).shape[1] == cols
 
 
 class TestMinNormSolve:
@@ -83,7 +86,7 @@ class TestMinNormSolve:
         b = M @ rng.normal(size=5)
         x = mt.min_norm_solve(M, b)
         kernel = mt.nullspace(M)
-        assert np.linalg.norm(kernel.columns.T @ x) <= POLICY.residual_tol
+        assert np.linalg.norm(kernel.T @ x) <= POLICY.residual_tol
 
 
 class TestSubspaceSumDim:
@@ -111,20 +114,25 @@ class TestSubspaceSumDim:
 
 
 class TestRealifyPair:
+    """``subspaces._real_columns``: one real column at a real mode, a realified pair at a complex one."""
+
     def test_real_odd_identity(self):
         v = np.array([1.0, -2.0])
-        assert np.allclose(mt.realify_pair(v, "odd"), v)
+        (col,) = _real_columns(v, -1.0)
+        assert np.array_equal(col, v)
 
     def test_even_takes_imaginary_part(self):
-        assert np.allclose(mt.realify_pair(np.array([1 + 2j, 3 + 0j]), "even"), [2.0, 0.0])
+        v = np.array([1 + 2j, 3 + 0j])
+        odd, even = _real_columns(v, complex(-1.0, 2.0))
+        assert np.array_equal(odd, [1.0, 3.0])
+        assert np.array_equal(even, [-2.0, 0.0])
 
     def test_conjugate_pair_spans_real_plane(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        odd = mt.realify_pair(v, "odd")
-        even = mt.realify_pair(np.conj(v), "even")
+        got = np.column_stack(_real_columns(v, complex(-1.0, 2.0)))
         expected = np.column_stack([v.real, v.imag])
-        got = np.column_stack([odd, even])
+        assert got.dtype == float
         assert mt.subspace_sum_dim([expected, got]) == mt.rank_of(expected)
 
 

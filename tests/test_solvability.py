@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import monotrack as mt
 from monotrack import solvability
 from monotrack.numkernel import _as_matrix
+from monotrack.subspaces import discover_rstar, discover_vstar_g, draw
+
+from .subspace_checks import single_mode_basis
 
 # Plant with a structurally pinned per-output reachability subspace: deleting
 # output 1 leaves kernel directions along e1 for every frequency, and e1 is
@@ -68,8 +71,8 @@ def unsolvable_plant():
 @pytest.fixture(scope="module")
 def demo_bases(demo_system_module, demo_zeros_module):
     sys, zeros = demo_system_module, demo_zeros_module
-    vg = mt.vstar_g(sys, zeros=zeros)
-    r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(sys.p)]
+    vg = draw(discover_vstar_g(sys, zeros=zeros))
+    r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(sys.p)]
     return vg, r_js
 
 
@@ -138,9 +141,9 @@ class TestLambdaFree:
         sys = unsolvable_plant
         zeros = mt.invariant_zeros(sys)
         assert mt.audit_assumptions(sys).all_pass
-        vg = mt.vstar_g(sys, zeros=zeros)
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
         assert vg.dim == sys.n - sys.p == 1
-        r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
+        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_js)
         assert not verdict.solvable
         assert verdict.failing_subsets[0][0] == (1,)
@@ -150,8 +153,8 @@ class TestLambdaFree:
     def test_failing_subsets_ordered_by_cardinality(self, unsolvable_plant):
         sys = unsolvable_plant
         zeros = mt.invariant_zeros(sys)
-        vg = mt.vstar_g(sys, zeros=zeros)
-        r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
+        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_js)
         sizes = [len(f[0]) for f in verdict.failing_subsets]
         assert sizes == sorted(sizes)
@@ -182,8 +185,8 @@ class TestLambdaFree:
         assert fb.delta == tuple(range(p))
         assert 1 <= len(calls) <= p + 4
         zeros = mt.invariant_zeros(sys)
-        vg = mt.vstar_g(sys, zeros=zeros)
-        r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(p)]
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
+        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(p)]
         assert mt.check_solvable(sys, vg, r_js).solvable
 
     def test_failed_draws_on_a_passing_family_raise(self, monkeypatch, demo_system_module, demo_bases):
@@ -201,7 +204,7 @@ class TestLambdaTuple:
         sys, zeros = demo_system_module, demo_zeros_module
         vg, _ = demo_bases
         lam = (-1.0, -2.0, -1.0)
-        r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(3)]
+        r_at = [single_mode_basis(sys, lam[j], j) for j in range(3)]
         verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable
         assert verdict.delta == (0, 1, 2)
@@ -209,41 +212,47 @@ class TestLambdaTuple:
     def test_lambda_free_failure_implies_tuple_failure(self, unsolvable_plant):
         sys = unsolvable_plant
         zeros = mt.invariant_zeros(sys)
-        vg = mt.vstar_g(sys, zeros=zeros)
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
         rng = np.random.default_rng(61)
         for _ in range(20):
             lam = tuple(-rng.uniform(0.1, 4.0, size=2))
             if any(abs(l - z.value) < 1e-3 for l in lam for z in zeros):
                 continue
-            r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
+            r_at = [single_mode_basis(sys, lam[j], j) for j in range(2)]
             assert not mt.check_solvable(sys, vg, r_at).solvable
 
     def test_unstable_lambda_rejected(self, demo_system_module, demo_zeros_module):
+        for lambdas in ((1.0, -2.0, -1.0), (0.5, -2.0, -1.0)):
+            with pytest.raises(mt.UnstableLambda):
+                mt.validate_modes(demo_system_module, lambdas, demo_zeros_module)
+        # A discrete mode must lie in (0, 1): -0.3 is inside the unit disc but rejected.
+        sys = mt.LtiSystem(np.diag([0.5, 0.2]), np.eye(2), np.eye(2), np.zeros((2, 2)), mt.TimeDomain.DISCRETE)
         with pytest.raises(mt.UnstableLambda):
-            mt.validate_modes(demo_system_module, (1.0, -2.0, -1.0), demo_zeros_module)
+            mt.validate_modes(sys, (-0.3, 0.5), [])
 
     def test_lambda_at_zero_rejected(self, demo_system_module, demo_zeros_module):
-        with pytest.raises(mt.LambdaAtZero):
-            mt.validate_modes(demo_system_module, (-6.0, -2.0, -1.0), demo_zeros_module)
+        for lambdas in ((-6.0, -2.0, -1.0), (-1.0, -2.0, -6.0)):
+            with pytest.raises(mt.LambdaAtZero):
+                mt.validate_modes(demo_system_module, lambdas, demo_zeros_module)
 
 
 @pytest.fixture(scope="module")
 def plant():
     sys = mt.LtiSystem(BADTUPLE_A, BADTUPLE_B, BADTUPLE_C, BADTUPLE_D)
     zeros = mt.invariant_zeros(sys)
-    vg = mt.vstar_g(sys, zeros=zeros)
+    vg = draw(discover_vstar_g(sys, zeros=zeros))
     return sys, zeros, vg
 
 
 class TestBadTuple:
     def test_mode_free_family_passes(self, plant):
         sys, zeros, vg = plant
-        r_js = [mt.rstar(sys, excluded_output=j, zeros=zeros) for j in range(2)]
+        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
         assert mt.check_solvable(sys, vg, r_js).solvable
 
     def test_specific_tuple_fails(self, plant):
         sys, zeros, vg = plant
-        r_at = [mt.rstar_at(sys, BAD_TUPLE[j], j, zeros=zeros) for j in range(2)]
+        r_at = [single_mode_basis(sys, BAD_TUPLE[j], j) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_at)
         assert not verdict.solvable
         bad_pair = verdict.failing_subsets[-1]
@@ -252,17 +261,6 @@ class TestBadTuple:
         stacked = np.hstack([vg.V, r_at[0].V, r_at[1].V])
         s = np.linalg.svd(stacked, compute_uv=False)
         assert np.sum(s > max(stacked.shape) * np.finfo(float).eps * s[0] * 10) < sys.n
-
-    def test_seeded_perturbation_repairs_the_tuple(self, plant):
-        sys, zeros, vg = plant
-        repaired, verdict = mt.repair_lambda_tuple(
-            sys, vg, BAD_TUPLE,
-            lambda j, lam: mt.rstar_at(sys, lam, j, zeros=zeros),
-            zeros=zeros,
-        )
-        assert repaired is not None
-        assert verdict.solvable
-        assert max(abs(r - b) for r, b in zip(repaired, BAD_TUPLE)) <= 0.011
 
 
 class TestGeneralized:
@@ -275,10 +273,10 @@ class TestGeneralized:
         C = rng.normal(size=(2, 2))
         sys = mt.LtiSystem(M + B @ C, B, C, np.eye(2))
         zeros = mt.invariant_zeros(sys)
-        vg = mt.vstar_g(sys, zeros=zeros)
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
         assert vg.dim == 2
         lam = (-0.5, -0.7)
-        r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
+        r_at = [single_mode_basis(sys, lam[j], j) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_at)
         assert verdict.solvable and verdict.delta == ()
 
@@ -298,11 +296,11 @@ class TestGeneralized:
                 if not mt.audit_assumptions(sys).all_pass:
                     continue
                 zeros = mt.invariant_zeros(sys)
-                vg = mt.vstar_g(sys, zeros=zeros)
+                vg = draw(discover_vstar_g(sys, zeros=zeros))
                 if vg.dim != sys.n - sys.p + 1:
                     continue
                 lam = (-0.9, -1.7)
-                r_at = [mt.rstar_at(sys, lam[j], j, zeros=zeros) for j in range(2)]
+                r_at = [single_mode_basis(sys, lam[j], j) for j in range(2)]
                 verdict = mt.check_solvable(sys, vg, r_at)
             except (mt.MonotrackError, ValueError):
                 continue
@@ -339,12 +337,12 @@ class TestTransversalMatchesEnumeration:
         try:
             sys = mt.LtiSystem(A, B, C, D)
             zeros = mt.invariant_zeros(sys)
-            vg = mt.vstar_g(sys, seed=seed, zeros=zeros).V
+            vg = draw(discover_vstar_g(sys, zeros=zeros), seed).V
             if at_modes:
                 modes = mt.validate_modes(sys, [-0.6 - 0.45 * k for k in range(p)], zeros)
-                bases = [mt.rstar_at(sys, modes[j], j, zeros=zeros) for j in range(p)]
+                bases = [single_mode_basis(sys, modes[j], j) for j in range(p)]
             else:
-                bases = [mt.rstar(sys, excluded_output=j, seed=seed, zeros=zeros) for j in range(p)]
+                bases = [draw(discover_rstar(sys, j, zeros=zeros), seed) for j in range(p)]
         except (mt.MonotrackError, ValueError):
             assume(False)
         if shape == "below":

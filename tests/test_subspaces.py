@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack.numkernel import containment_residual, span_equal
 from monotrack.subspaces import _conformable_min_phase, discover_rstar, discover_vstar_g, draw, factor_pencil
 from monotrack.sysmodel import rosenbrock
 
 from .conftest import wide_plant
+from .subspace_checks import containment_residual, single_mode_basis, span_equal
 
 POLICY = mt.DEFAULT_POLICY
 
@@ -23,13 +23,13 @@ def axis_span_matches(basis, axes, n=5):
 
 
 class TestRstarAt:
-    def test_full_output_kernel_is_one_dimensional(self, demo_system, demo_zeros):
-        pb = mt.rstar_at(demo_system, -1.3, zeros=demo_zeros)
+    def test_full_output_kernel_is_one_dimensional(self, demo_system):
+        pb = single_mode_basis(demo_system, -1.3)
         assert pb.dim == 1
         pb.validate(demo_system)
 
-    def test_deleted_output_span_containment(self, demo_system, demo_zeros):
-        pb = mt.rstar_at(demo_system, -0.7, excluded_output=1, zeros=demo_zeros)
+    def test_deleted_output_span_containment(self, demo_system):
+        pb = single_mode_basis(demo_system, -0.7, excluded_output=1)
         target = np.eye(5)[:, [2, 3, 4]]
         assert containment_residual(pb.V, target) <= 1e-9
         pb.validate(demo_system, excluded_output=1)
@@ -38,17 +38,13 @@ class TestRstarAt:
         rng = np.random.default_rng(2)
         sys = mt.LtiSystem(rng.normal(size=(3, 3)), rng.normal(size=(3, 2)),
                            rng.normal(size=(2, 3)), rng.normal(size=(2, 2)) + 2 * np.eye(2))
-        pb = mt.rstar_at(sys, -1.0, zeros=mt.invariant_zeros(sys))
+        pb = single_mode_basis(sys, -1.0)
         assert pb.dim == 0
-
-    def test_rejects_frequency_at_zero(self, demo_system, demo_zeros):
-        with pytest.raises(mt.FrequencyIsZero):
-            mt.rstar_at(demo_system, -6.0, zeros=demo_zeros)
 
 
 def deleted_row_kernel(sys, mu, j):
     """The kernel of the pencil with output row j deleted, from its own SVD."""
-    return mt.nullspace(np.delete(rosenbrock(sys, mu), sys.n + j, axis=0)).columns
+    return mt.nullspace(np.delete(rosenbrock(sys, mu), sys.n + j, axis=0))
 
 
 def min_norm_direction(sys, mu, j):
@@ -101,7 +97,7 @@ class TestPencilFactor:
     def test_whole_kernel_is_the_nullspace_byte_for_byte(self, demo_system):
         for plant, mu in factor_oracle_cases(demo_system)[::7]:
             kernel = factor_pencil(plant, mu).kernel()
-            assert kernel.tobytes() == mt.nullspace(rosenbrock(plant, mu)).columns.tobytes()
+            assert kernel.tobytes() == mt.nullspace(rosenbrock(plant, mu)).tobytes()
 
     @given(
         seed=st.integers(0, 2**20),
@@ -150,24 +146,23 @@ class TestPencilFactor:
 
 class TestRstar:
     def test_demo_dimension(self, demo_system, demo_zeros):
-        assert mt.rstar(demo_system, zeros=demo_zeros).dim == 1
+        assert draw(discover_rstar(demo_system, zeros=demo_zeros)).dim == 1
 
     @pytest.mark.parametrize("j", [0, 1, 2])
     def test_demo_deleted_output_spans(self, demo_system, demo_zeros, j):
-        pb = mt.rstar(demo_system, excluded_output=j, zeros=demo_zeros)
+        pb = draw(discover_rstar(demo_system, j, zeros=demo_zeros))
         assert pb.dim == len(DEMO_RSTAR_J_AXES[j])
         assert axis_span_matches(pb, DEMO_RSTAR_J_AXES[j])
         pb.validate(demo_system, excluded_output=j)
 
     def test_matches_recursion_oracle(self, demo_system, demo_zeros):
-        stacked = mt.rstar(demo_system, zeros=demo_zeros)
-        recursive = mt.rstar_recursive(demo_system)
-        assert span_equal(stacked, recursive.columns)
+        stacked = draw(discover_rstar(demo_system, zeros=demo_zeros))
+        assert span_equal(stacked, mt.rstar_recursive(demo_system))
 
     def test_single_frequency_contained_in_sum(self, demo_system, demo_zeros):
-        whole = mt.rstar(demo_system, excluded_output=0, zeros=demo_zeros)
+        whole = draw(discover_rstar(demo_system, 0, zeros=demo_zeros))
         for mu in (-0.4, -1.1, -2.7):
-            part = mt.rstar_at(demo_system, mu, excluded_output=0, zeros=demo_zeros)
+            part = single_mode_basis(demo_system, mu, excluded_output=0)
             assert containment_residual(part.V, whole.V) <= 1e-9
 
 
@@ -195,29 +190,28 @@ class TestDiscoverAndDraw:
 class TestVstarRecursive:
     def test_injective_output_yields_zero_subspace(self):
         sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
-        assert mt.vstar_recursive(sys).dim == 0
+        assert mt.vstar_recursive(sys).shape == (2, 0)
 
     def test_demo_dominates_stabilisability_subspace(self, demo_system, demo_zeros):
         vstar = mt.vstar_recursive(demo_system)
-        vg = mt.vstar_g(demo_system, zeros=demo_zeros)
-        assert vstar.dim >= vg.dim
-        assert containment_residual(vg.V, vstar.columns) <= 1e-9
+        vg = draw(discover_vstar_g(demo_system, zeros=demo_zeros))
+        assert vstar.shape[1] >= vg.dim
+        assert containment_residual(vg.V, vstar) <= 1e-9
 
     def test_rstar_contained_in_vstar(self, demo_system, demo_zeros):
-        rs = mt.rstar(demo_system, zeros=demo_zeros)
-        vstar = mt.vstar_recursive(demo_system)
-        assert containment_residual(rs.V, vstar.columns) <= 1e-9
+        rs = draw(discover_rstar(demo_system, zeros=demo_zeros))
+        assert containment_residual(rs.V, mt.vstar_recursive(demo_system)) <= 1e-9
 
 
 class TestVstarG:
     def test_demo_span_matches_replay_basis(self, demo_system, demo_zeros, demo_replay):
-        vg = mt.vstar_g(demo_system, zeros=demo_zeros)
+        vg = draw(discover_vstar_g(demo_system, zeros=demo_zeros))
         assert vg.dim == 2
         assert span_equal(vg.V, demo_replay.vg_state)
         vg.validate(demo_system)
 
     def test_demo_inner_modes_sit_on_the_stable_zero(self, demo_system, demo_zeros):
-        vg = mt.vstar_g(demo_system, zeros=demo_zeros)
+        vg = draw(discover_vstar_g(demo_system, zeros=demo_zeros))
         assert all(abs(m + 6.0) <= 1e-6 for m in np.real(vg.modes))
 
     def test_no_stable_zeros_degenerates_to_rstar(self):
@@ -232,8 +226,8 @@ class TestVstarG:
             zeros = mt.invariant_zeros(sys)
             if any(z.is_minimum_phase for z in zeros) or not mt.audit_assumptions(sys).all_pass:
                 continue
-            vg = mt.vstar_g(sys, zeros=zeros)
-            rs = mt.rstar(sys, zeros=zeros)
+            vg = draw(discover_vstar_g(sys, zeros=zeros))
+            rs = draw(discover_rstar(sys, zeros=zeros))
             assert vg.dim == rs.dim
             if vg.dim:
                 assert span_equal(vg, rs)
@@ -244,7 +238,7 @@ class TestVstarG:
         spec = mt.GeneratorSpec(n=4, m=2, p=2, planted_zero_values=(complex(-1, 2), complex(-1, -2)), seed=11)
         sys = mt.generate(spec)
         zeros = mt.invariant_zeros(sys)
-        vg = mt.vstar_g(sys, zeros=zeros)
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
         vg.validate(sys)
         pair_slots = [i for i, m in enumerate(vg.modes) if isinstance(m, complex) and m.imag > 0]
         assert pair_slots, "expected a realified pair column"
@@ -258,24 +252,24 @@ class TestVstarG:
     def test_free_pool_validation(self, demo_system, demo_zeros):
         # Unstable, repeated, and on the zero at -6.
         with pytest.raises(ValueError):
-            mt.vstar_g(demo_system, free_pool=(1.0, -2.0), zeros=demo_zeros)
+            discover_vstar_g(demo_system, free_pool=(1.0, -2.0), zeros=demo_zeros)
         with pytest.raises(ValueError):
-            mt.vstar_g(demo_system, free_pool=(-1.0, -1.0), zeros=demo_zeros)
+            discover_vstar_g(demo_system, free_pool=(-1.0, -1.0), zeros=demo_zeros)
         with pytest.raises(mt.FrequencyIsZero):
-            mt.vstar_g(demo_system, free_pool=(-6.0, -1.0), zeros=demo_zeros)
+            discover_vstar_g(demo_system, free_pool=(-6.0, -1.0), zeros=demo_zeros)
 
     def test_free_pool_exhausted_before_saturation(self):
         # V*g of a wide plant needs two pool kernels: a single frequency adds
         # a direction, and no second one can show that the sum has stopped growing.
         plant = wide_plant(0, 0, 8)
         zeros = mt.invariant_zeros(plant)
-        assert mt.vstar_g(plant, zeros=zeros).dim == plant.n - plant.p == 2
+        assert discover_vstar_g(plant, zeros=zeros).dim == plant.n - plant.p == 2
         with pytest.raises(mt.SaturationFailure):
-            mt.vstar_g(plant, free_pool=(-1.0,), zeros=zeros)
+            discover_vstar_g(plant, free_pool=(-1.0,), zeros=zeros)
 
     def test_remixing_preserves_span(self, demo_system, demo_zeros):
-        first = mt.vstar_g(demo_system, zeros=demo_zeros, seed=1)
-        second = mt.vstar_g(demo_system, zeros=demo_zeros, seed=2)
+        kernels = discover_vstar_g(demo_system, zeros=demo_zeros)
+        first, second = draw(kernels, 1), draw(kernels, 2)
         assert span_equal(first, second)
 
     def test_coincident_min_phase_zeros_rejected(self):
@@ -292,7 +286,7 @@ class TestVstarG:
         assert not report.distinct_min_phase_zeros
         assert "multiplicity 2" in report.details["distinct_min_phase_zeros"]
         with pytest.raises(mt.AssumptionViolation, match="multiplicity 2"):
-            mt.vstar_g(sys, zeros=zeros)
+            discover_vstar_g(sys, zeros=zeros)
 
     def test_jordan_double_zero_merges_to_simple_geometric_zero(self):
         # Algebraically double zero at -2 with a one-dimensional kernel: the
@@ -320,13 +314,13 @@ class TestOracleEquivalence:
             try:
                 sys = mt.LtiSystem(A, B, C, D)
                 zeros = mt.invariant_zeros(sys)
-                stacked = mt.rstar(sys, zeros=zeros)
+                stacked = draw(discover_rstar(sys, zeros=zeros))
             except (mt.MonotrackError, ValueError):
                 continue
             recursive = mt.rstar_recursive(sys)
-            assert stacked.dim == recursive.dim, f"seed {seed}"
+            assert stacked.dim == recursive.shape[1], f"seed {seed}"
             if stacked.dim:
-                assert span_equal(stacked, recursive.columns, residual=1e-8), f"seed {seed}"
+                assert span_equal(stacked, recursive, residual=1e-8), f"seed {seed}"
             count += 1
             if count >= 50:
                 return
