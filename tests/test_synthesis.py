@@ -48,6 +48,23 @@ class TestDirectionForOutput:
             closed = (demo_system.A + demo_system.B @ F) @ pair.v
             assert np.allclose(closed, lam * pair.v, atol=1e-9)
 
+    # synthesize checks every mode before it reads a direction at it.
+    def test_rejects_unstable_mode(self, demo_system):
+        spec = mt.SynthesisSpec(lambdas=(0.5, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        with pytest.raises(mt.UnstableLambda):
+            mt.synthesize(demo_system, spec)
+
+    def test_rejects_mode_at_zero(self, demo_system):
+        spec = mt.SynthesisSpec(lambdas=(-6.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        with pytest.raises(mt.LambdaAtZero):
+            mt.synthesize(demo_system, spec)
+
+    def test_rejects_nonpositive_discrete_mode(self):
+        sys = mt.LtiSystem(np.diag([0.5, 0.2]), np.eye(2), np.eye(2), np.zeros((2, 2)), mt.TimeDomain.DISCRETE)
+        spec = mt.SynthesisSpec(lambdas=(-0.3, 0.5), reference=(1.0, 1.0))
+        with pytest.raises(mt.UnstableLambda):
+            mt.synthesize(sys, spec)
+
     def test_degenerate_coupling_raises(self):
         # Output 1 reads nothing, so no kernel draw can couple into it.
         sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
