@@ -17,12 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GenerationFailed, MonotrackError
+from .errors import GenerationFailed, MonotrackError, NotSolvable
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
 from .seeding import DEFAULT_SEED, rng_for
-from .solvability import check_solvable
-from .subspaces import _single_mode_basis, default_frequency_pool, discover_rstar, discover_vstar_g, draw, factor_pencil
-from .synthesis import _direction_from, _random_direction
+from .subspaces import default_frequency_pool, discover_rstar, discover_vstar_g, draw
+from .synthesis import _random_direction, _witnesses
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros, rosenbrock
 
 _GENERATION_RETRIES = 20
@@ -213,33 +212,26 @@ def genericity_trial(
 ) -> GenericityStats:
     """Sample the randomized constructions ``trials`` times without retries.
 
-    Each trial draws fresh mixing coefficients for the reachability and
-    stabilisability bases, and for each output j of the witness set delta
-    a random solution x_j + k (k in ker P(mu_j)) of its pencil equation at
-    the trial mode mu_j; it then rank-tests V = [those directions, V*g
-    draw]. delta holds every output when dim V*g = n - p; otherwise it
-    comes from one :func:`check_solvable` on the discovered V*g span and
-    the R_j at the trial modes, and a not-solvable verdict fails every trial
-    and is recorded in ``notes``. Failures are counted, never retried, so
-    the reported fraction estimates the raw genericity of a single draw.
+    The trial modes are the first p values of the frequency pool. Delta and
+    the x_j come from the routine that :func:`synthesize` uses, with the
+    verdict decided once on the discovered V*g span; a not-solvable verdict
+    fails every trial and is recorded in ``notes``. Each trial then draws
+    fresh mixing coefficients for the reachability and stabilisability
+    bases, and for each output j of delta a random solution x_j + k
+    (k in ker P(mu_j)) of its pencil equation, and rank-tests V = [those
+    directions, V*g draw]. Failures are counted, never retried, so the
+    reported fraction estimates the raw genericity of a single draw.
     """
     zeros = invariant_zeros(sys, tol)
     pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
     trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
     every_trial_fails = GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
     # The kernels, delta and the x_j do not depend on the trial; only their draws do.
-    mus = [pool[j % len(pool)] for j in range(sys.p)]
     try:
-        factors = [factor_pencil(sys, mu, tol) for mu in mus]
         rs_kernels, vg_kernels = discover_rstar(sys, tol=tol, zeros=zeros), discover_vstar_g(sys, tol=tol, zeros=zeros)
-        delta = tuple(range(sys.p))
-        if vg_kernels.dim != sys.n - sys.p:
-            bases = [_single_mode_basis(sys, f.kernel(j), mu) for j, (mu, f) in enumerate(zip(mus, factors))]
-            verdict = check_solvable(sys, vg_kernels.basis, bases, tol)
-            if not verdict.solvable:
-                return replace(every_trial_fails, notes={"solvability": verdict.to_json_dict()})
-            delta = verdict.delta
-        pairs = {j: _direction_from(sys, j, mus[j], factors[j], tol) for j in delta}
+        delta, pairs, factors = _witnesses(sys, vg_kernels.basis, pool[: sys.p], tol)
+    except NotSolvable as exc:
+        return replace(every_trial_fails, notes={"solvability": exc.verdict.to_json_dict()})
     except MonotrackError:
         return every_trial_fails
     failing = []
@@ -248,7 +240,7 @@ def genericity_trial(
             draw(rs_kernels, trial_seed, 0, tol)
             vg = draw(vg_kernels, trial_seed, 0, tol)
             rng = rng_for(trial_seed, "trial-directions")
-            cols = [_random_direction(sys, pairs[j], factors[j].null_basis, rng).v for j in delta]
+            cols = [_random_direction(sys, pairs[j], factors[pairs[j].mode].null_basis, rng).v for j in delta]
             ok = rank_of(np.column_stack(cols + [vg.V]), tol) == sys.n
         except MonotrackError:
             ok = False

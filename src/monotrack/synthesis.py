@@ -28,17 +28,18 @@ from .subspaces import PairedBasis, PencilFactor, _single_mode_basis, discover_v
 from .sysmodel import AssumptionReport, LtiSystem, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
+# Reseeded V*g draws after the first one, before the last-resort directions.
+_REDRAWS = 5
 
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """Requested closed-loop modes, step reference and randomization policy."""
+    """Requested closed-loop modes, step reference, V*g frequency pool and the seed of the drawn bases."""
 
     lambdas: tuple
     reference: np.ndarray
     free_pool: tuple | None = None
     seed: int = DEFAULT_SEED
-    max_retries: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
@@ -46,8 +47,6 @@ class SynthesisSpec:
         if not np.all(np.isfinite(ref)):
             raise ValueError("reference must be finite")
         object.__setattr__(self, "reference", ref)
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,12 +114,11 @@ def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, to
     """Output ``j``'s direction pair at the mode ``lam``, read from ``factor = factor_pencil(sys, lam)``.
 
     The right-hand side uses unit output coupling, so the minimum-norm
-    solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. The same factor gives
-    R_j its output-deleted kernel at ``lam``. The direction is a property of
-    the plant and the mode, so nothing is drawn: when x_j does not exist, the
-    output-deleted kernel is ker P(lam), whose every vector has beta = 0, and
-    :class:`DegenerateDirection` is raised at once. The mode is not
-    validated here; ``synthesize`` runs :func:`validate_modes` first.
+    solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. The direction is a
+    property of the plant and the mode, so nothing is drawn: when x_j does
+    not exist, the output-deleted kernel is ker P(lam), whose every vector
+    has beta = 0, and :class:`DegenerateDirection` is raised at once. The
+    mode is not validated here.
     """
     sol = factor.solution(j)
     pair = None if sol is None else _stacked_pair(sys, j, lam, sol)
@@ -247,6 +245,39 @@ def _match_spectrum(actual: np.ndarray, expected: list, tolerance: float) -> boo
     return True
 
 
+def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
+    """The witness set delta, x_j for each j in it, and one :func:`factor_pencil` per distinct mode.
+
+    The verdict depends on the plant and the modes only, so it is decided on
+    the V*g span given (discovered, or a replay's validated basis) and
+    raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
+    kernel and their x_j, or :class:`DegenerateDirection`.
+    """
+    factors = {lam: factor_pencil(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
+    rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
+    verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
+    if not verdict.solvable:
+        raise NotSolvable("dimension conditions reject the requested modes", verdict)
+    directions = {j: _direction_from(sys, j, lambdas[j], factors[lambdas[j]], tol) for j in verdict.delta}
+    return verdict.delta, directions, factors
+
+
+def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, seed: int, tol: TolerancePolicy):
+    """The (V*g basis, directions) pairs a synthesis tries, each drawn when it is asked for.
+
+    The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, then the last
+    draw with each x_j plus a random vector of ker P(lam_j) (still a solution).
+    """
+    for k in range(_REDRAWS + 1):
+        vg = draw(vg_kernels, seed + k, _REDRAWS, tol)
+        yield vg, directions
+    final = {
+        j: _random_direction(sys, pair, factors[pair.mode].null_basis, rng_for(seed + 7919, "direction-final", j))
+        for j, pair in directions.items()
+    }
+    yield vg, final
+
+
 def synthesize(
     sys: LtiSystem,
     spec: SynthesisSpec,
@@ -254,6 +285,11 @@ def synthesize(
     replay: Replay | None = None,
 ) -> FeedbackResult:
     """Full synthesis pipeline: audit, solvability, direction assembly, gain.
+
+    Solvability and delta are decided once, on the discovered span of V*g
+    or the replayed basis, before any draw. Up to ``_REDRAWS + 2`` candidate
+    bases (:func:`_candidates`) are then tried until one has a full-rank V
+    and a gain that passes :func:`_verify_gain`; a replay is one candidate.
 
     Raises
     ------
@@ -263,10 +299,9 @@ def synthesize(
         If the dimension conditions reject the requested mode tuple (the
         verdict rides on the exception).
     RankDeficientAfterRetries
-        If no full-rank V could be assembled within the retry budget.
+        If the last candidate's V was singular.
     UnstableResult
-        Internal guard: the verified closed-loop spectrum disagrees with the
-        assigned modes.
+        If the last candidate's gain failed verification, with its reason.
     """
     report: AssumptionReport = audit_assumptions(sys, tol)
     if not report.all_pass:
@@ -279,71 +314,34 @@ def synthesize(
         vg_W = np.atleast_2d(np.asarray(replay.vg_input, dtype=float))
         vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W, tol))
         vg.validate(sys, tol)
+        delta, directions, _ = _witnesses(sys, vg, spec.lambdas, tol)
+        for j in delta:
+            if j in replay.directions:
+                v, w = (np.asarray(x, dtype=float).reshape(-1) for x in replay.directions[j])
+                directions[j] = _stacked_pair(sys, j, spec.lambdas[j], np.concatenate([v, w]))
+                directions[j].validate(sys, tol)
+        candidates = [(vg, directions)]
     else:
-        # V*g is a property of the plant; only its paired basis is redrawn.
+        # V*g is a property of the plant; only its paired basis is drawn.
         vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
-        vg = draw(vg_kernels, spec.seed, spec.max_retries, tol)
+        delta, directions, factors = _witnesses(sys, vg_kernels.basis, spec.lambdas, tol)
+        candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed, tol)
 
-    # One factorization per distinct mode gives every output at that mode its
-    # R_j kernel, its direction and its last-resort redraw.
-    factors = {lam: factor_pencil(sys, lam, tol) for lam in dict.fromkeys(spec.lambdas)}
-    rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(spec.lambdas)]
-    verdict: SolvabilityVerdict = check_solvable(sys, vg, rstar_bases, tol)
-    if not verdict.solvable:
-        raise NotSolvable("dimension conditions reject the requested modes", verdict)
-    delta = verdict.delta
-
-    directions = {}
-    for j in delta:
-        if replay is not None and j in replay.directions:
-            v, w = replay.directions[j]
-            v, w = np.asarray(v, dtype=float).reshape(-1), np.asarray(w, dtype=float).reshape(-1)
-            beta = float(sys.C[j] @ v + sys.D[j] @ w)
-            pair = DirectionPair(v=v, w=w, beta=beta, output_index=j, mode=spec.lambdas[j])
-            pair.validate(sys, tol)
-        else:
-            lam = spec.lambdas[j]
-            pair = _direction_from(sys, j, lam, factors[lam], tol)
-        directions[j] = pair
-
-    failure = None
-    for attempt in range(spec.max_retries + 2):
+    for vg, directions in candidates:
         V = np.column_stack([directions[j].v for j in delta] + ([vg.V] if vg.dim else []))
         W = np.column_stack([directions[j].w for j in delta] + ([vg.W] if vg.dim else []))
-        if V.shape[1] != sys.n:
-            raise RankDeficientAfterRetries(
-                f"direction count {V.shape[1]} does not fill the state dimension {sys.n}"
-            )
         failure = None
         if rank_of(V, tol) == sys.n:
             F, spectrum, failure = _verify_gain(sys, spec, tol, vg, directions, delta, V, W)
             if failure is None:
                 break
-        if attempt < spec.max_retries and replay is None:
-            # A rank-deficient or badly conditioned draw: re-randomize the
-            # stabilisability mixing and try again.
-            vg = draw(vg_kernels, spec.seed + attempt + 1, spec.max_retries, tol)
-        elif attempt == spec.max_retries:
-            # Last resort: every solution of P(lam_j) x = e_{n+j} is x_j plus a
-            # vector of ker P(lam_j); add a random one to each direction.
-            directions = {
-                j: _random_direction(
-                    sys, pair, factors[pair.mode].null_basis, rng_for(spec.seed + 7919, "direction-final", j)
-                )
-                for j, pair in directions.items()
-            }
-        else:
-            if failure is not None:
-                raise UnstableResult(failure)
-            raise RankDeficientAfterRetries("eigenvector matrix stayed singular after all retries")
-    if failure is not None:
-        raise UnstableResult(failure)
+    else:
+        if failure is not None:
+            raise UnstableResult(failure)
+        raise RankDeficientAfterRetries("eigenvector matrix stayed singular after all retries")
 
     x_ss, u_ss = steady_state(sys, spec.reference, tol)
-    assigned = {j: float(spec.lambdas[j]) for j in delta}
-    for j in range(sys.p):
-        if j not in assigned:
-            assigned[j] = "instantaneous"
+    assigned = {j: float(spec.lambdas[j]) for j in delta} | {j: "instantaneous" for j in range(sys.p) if j not in delta}
     column_modes = tuple([float(spec.lambdas[j]) for j in delta] + list(vg.modes))
     spectrum_sorted = tuple(sorted((complex(z) for z in spectrum), key=lambda z: (z.real, z.imag)))
     return FeedbackResult(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import monotrack as mt
-from monotrack import ensemble, subspaces, sysmodel
+from monotrack import ensemble, subspaces, synthesis, sysmodel
 
 from .conftest import count_calls
 from .subspace_checks import single_mode_basis
@@ -179,7 +179,7 @@ class TestGenericityTrial:
             mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), max_retries=0)
 
     def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
-        direction = count_calls(monkeypatch, (ensemble, "factor_pencil"), (ensemble, "check_solvable"))
+        direction = count_calls(monkeypatch, (synthesis, "factor_pencil"), (synthesis, "check_solvable"))
         discovery = count_calls(monkeypatch, (subspaces, "factor_pencil"))
         per_call = []
         for trials in (2, 20):
@@ -188,18 +188,17 @@ class TestGenericityTrial:
             assert stats.failures == 0
             per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
         assert direction["factor_pencil"] == 2 * demo_system.p
-        # R* and V*g are discovered once per call; only their draws repeat per
-        # trial. dim V*g = n - p, so every output is in delta and no
-        # solvability test is made.
+        # R* and V*g are discovered once per call, and solvability is decided
+        # once on the V*g span; only the draws repeat per trial.
         assert per_call[0] == per_call[1]
-        assert direction["check_solvable"] == 0
+        assert direction["check_solvable"] == 2
 
     def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
         def failing_factor(*args):
             raise mt.IllConditionedPencil("forced kernel failure")
 
         # A direction pencil fails, then a kernel of the subspace discovery.
-        for owner in (ensemble, subspaces):
+        for owner in (synthesis, subspaces):
             with monkeypatch.context() as patch:
                 patch.setattr(owner, "factor_pencil", failing_factor)
                 stats = mt.genericity_trial(demo_system, trials=4, seed=3)
@@ -212,13 +211,13 @@ class TestGenericityTrial:
         # every trial rank-tests its n x n matrix V.
         plant = mt.generate(mt.GeneratorSpec(n=n, m=m, p=p, seed=0))
         verdicts = []
-        solvable = ensemble.check_solvable
+        solvable = synthesis.check_solvable
 
         def capture(*args):
             verdicts.append(solvable(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(ensemble, "check_solvable", capture)
+        monkeypatch.setattr(synthesis, "check_solvable", capture)
         stats = mt.genericity_trial(plant, trials=5, seed=0)
         assert [v.delta for v in verdicts] == [delta]
         assert verdicts[0].h == n - len(delta) > n - p
@@ -232,13 +231,17 @@ class TestGenericityTrial:
         )
         assert mt.genericity_trial(plant, trials=5, seed=0).failures == 5
 
-    def test_a_not_solvable_verdict_fails_every_trial(self, monkeypatch):
-        plant = mt.generate(mt.GeneratorSpec(n=10, m=4, p=3, seed=0))
-        verdict = mt.SolvabilityVerdict(solvable=False, failing_subsets=(((0, 1, 2), 9, 10),), h=9, delta=None)
-        monkeypatch.setattr(ensemble, "check_solvable", lambda *args: verdict)
-        stats = mt.genericity_trial(plant, trials=3, seed=0)
-        assert stats.failures == 3
-        assert stats.notes == {"solvability": verdict.to_json_dict()}
+    def test_a_not_solvable_verdict_fails_every_trial(self, demo_system, monkeypatch):
+        # The generated plant has dim V*g = 9 > n - p, the demo dim V*g = 2 =
+        # n - p: the verdict is asked for, and honoured, whatever h is.
+        generated = mt.generate(mt.GeneratorSpec(n=10, m=4, p=3, seed=0))
+        for plant, h in ((generated, 9), (demo_system, 2)):
+            failing = (((0, 1, 2), h, plant.n),)
+            verdict = mt.SolvabilityVerdict(solvable=False, failing_subsets=failing, h=h, delta=None)
+            monkeypatch.setattr(synthesis, "check_solvable", lambda *args: verdict)
+            stats = mt.genericity_trial(plant, trials=3, seed=0)
+            assert stats.failures == 3
+            assert stats.notes == {"solvability": verdict.to_json_dict()}
 
     def test_batch_report_contains_hash(self, demo_system):
         stats = mt.genericity_trial(demo_system, trials=5, seed=1)

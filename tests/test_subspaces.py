@@ -214,6 +214,24 @@ class TestVstarG:
         vg = draw(discover_vstar_g(demo_system, zeros=demo_zeros))
         assert all(abs(m + 6.0) <= 1e-6 for m in np.real(vg.modes))
 
+    # `analyze` discovers V*g over the default pool, `synthesize` over the
+    # pool that skips its modes -1, -1.25, ...; both should find the plant's
+    # dimension: dim V* less the multiplicities of the non-minimum-phase
+    # zeros. Discovery stops when one more pool kernel extends the span by
+    # less than _EXTEND_RTOL, and neighbouring pool kernels are nearly
+    # parallel, so it stops early: today it gives 10 and 9 against 12 at
+    # (12, 5, 4), and 11 and 9 against 15 at (16, 6, 5) with a zero at +2.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("n, m, p, planted", [(12, 5, 4, ()), (16, 6, 5, (2.0,))])
+    def test_discovered_dim_depends_on_the_plant_alone(self, n, m, p, planted):
+        plant = mt.generate(mt.GeneratorSpec(n, m, p, planted_zero_values=planted, seed=0))
+        zeros = mt.invariant_zeros(plant)
+        unstable = sum(z.geometric_multiplicity for z in zeros if not z.is_minimum_phase)
+        oracle = mt.vstar_recursive(plant).shape[1] - unstable
+        modes = tuple(-1.0 - 0.25 * k for k in range(p))
+        dims = (discover_vstar_g(plant, zeros=zeros).dim, discover_vstar_g(plant, zeros=zeros, avoid=modes).dim)
+        assert dims == (oracle, oracle)
+
     def test_no_stable_zeros_degenerates_to_rstar(self):
         # All-unstable-zero plant: stabilisability subspace equals reachability.
         rng = np.random.default_rng(31)

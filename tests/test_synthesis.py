@@ -131,21 +131,28 @@ class TestSynthesize:
 
     def test_plant_facts_do_not_depend_on_the_seed(self, demo_system, monkeypatch):
         # The seed reaches only the drawn bases: every seed audits to the same
-        # zeros, bit for bit, and reaches the same delta.
-        reports = []
-        audit = synthesis.audit_assumptions
+        # zeros, bit for bit, decides solvability on the same V*g span, bit
+        # for bit, and reaches the same delta.
+        reports, spans = [], []
+        audit, solvable = synthesis.audit_assumptions, synthesis.check_solvable
 
         def capture(*args):
             reports.append(audit(*args))
             return reports[-1]
 
+        def capture_span(sys, span, *args):
+            spans.append(np.asarray(span).tobytes())
+            return solvable(sys, span, *args)
+
         monkeypatch.setattr(synthesis, "audit_assumptions", capture)
+        monkeypatch.setattr(synthesis, "check_solvable", capture_span)
         deltas = set()
         for seed in range(10):
             spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=seed)
             deltas.add(mt.synthesize(demo_system, spec).delta)
         zeros = {np.array([z.value for z in report.zeros]).tobytes() for report in reports}
         assert len(reports) == 10 and len(zeros) == 1
+        assert len(spans) == 10 and len(set(spans)) == 1
         assert deltas == {(0, 1, 2)}
 
     def test_gain_invariant_under_paired_scaling(self, demo_system, demo_replay):
@@ -173,13 +180,16 @@ class TestSynthesize:
     def test_spectrum_stays_stable(self, demo_feedback):
         assert all(z.real < 0 for z in demo_feedback.closed_loop_spectrum)
 
-    def test_unsolvable_plant_raises(self):
+    def test_unsolvable_plant_raises(self, monkeypatch):
+        # The verdict is decided on the discovered V*g span, so nothing is drawn.
+        calls = count_calls(monkeypatch, (synthesis, "draw"))
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)
         spec = mt.SynthesisSpec(lambdas=(-0.5, -0.9), reference=(1.0, 1.0))
         with pytest.raises(mt.NotSolvable) as err:
             mt.synthesize(sys, spec)
         assert err.value.verdict is not None
         assert not err.value.verdict.solvable
+        assert calls == {"draw": 0}
 
     def test_assumption_failure_raises(self):
         A = np.diag([1.0, -2.0])
@@ -232,7 +242,8 @@ class TestSynthesize:
             return None, None, "forced verification failure"
 
         monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
-        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), max_retries=2)
+        monkeypatch.setattr(synthesis, "_REDRAWS", 2)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         with pytest.raises(mt.UnstableResult):
             mt.synthesize(demo_system, spec)
         first, last = verified[0], verified[-1]
@@ -251,15 +262,16 @@ class TestSynthesize:
 
         monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
         calls = count_calls(monkeypatch, (synthesis, "discover_vstar_g"), (synthesis, "draw"))
-        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), max_retries=3)
+        monkeypatch.setattr(synthesis, "_REDRAWS", 3)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         with pytest.raises(mt.UnstableResult) as info:
             mt.synthesize(demo_system, spec)
         assert type(info.value) is mt.UnstableResult
         assert str(info.value) == reason
         # One verification for the first draw, one per reseeded V*g draw and
         # one after the final direction redraw; V*g itself is found once.
-        assert len(verified) == spec.max_retries + 2
-        assert calls == {"discover_vstar_g": 1, "draw": 1 + spec.max_retries}
+        assert len(verified) == synthesis._REDRAWS + 2
+        assert calls == {"discover_vstar_g": 1, "draw": 1 + synthesis._REDRAWS}
 
     def test_plain_eigenstructure_assignment_when_p_equals_n(self):
         # Square controllable plant with as many outputs as states: no
