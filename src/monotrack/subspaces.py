@@ -49,6 +49,7 @@ from .sysmodel import (
     InvariantZero,
     LtiSystem,
     TimeDomain,
+    _memo,
     _min_phase_violation,
     exclusion_violation,
     rosenbrock,
@@ -316,7 +317,11 @@ class KernelSpan:
 
 
 def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple):
-    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing."""
+    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing.
+
+    Each pool frequency's factor is kept on the plant under ``("pencil", mu, tol)``, so the
+    discoveries on one plant share one SVD per frequency of the fixed pool ladder.
+    """
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
         for k in range(kernel.shape[1]):
@@ -324,7 +329,7 @@ def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, t
                 tracker.try_add(col.reshape(-1, 1))
     visited = []
     for mu in pool:
-        kernel = factor_pencil(sys, mu, tol).kernel(excluded_output)
+        kernel = _memo(sys, ("pencil", mu, tol), lambda: factor_pencil(sys, mu, tol)).kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])

@@ -25,7 +25,7 @@ from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
 from .subspaces import PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
-from .sysmodel import AssumptionReport, LtiSystem, audit_assumptions, rosenbrock
+from .sysmodel import AssumptionReport, LtiSystem, _memo, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
 # Reseeded V*g draws after the first one, before the last-resort directions.
@@ -290,6 +290,9 @@ def synthesize(
     or the replayed basis, before any draw. Up to ``_REDRAWS + 2`` candidate
     bases (:func:`_candidates`) are then tried until one has a full-rank V
     and a gain that passes :func:`_verify_gain`; a replay is one candidate.
+    Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
+    kept on the plant for the latest (modes, pool, policy), so a repeat
+    design on the same plant only draws, verifies and solves.
 
     Raises
     ------
@@ -322,9 +325,13 @@ def synthesize(
                 directions[j].validate(sys, tol)
         candidates = [(vg, directions)]
     else:
-        # V*g is a property of the plant; only its paired basis is drawn.
-        vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
-        delta, directions, factors = _witnesses(sys, vg_kernels.basis, spec.lambdas, tol)
+        # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
+        def plant_facts():
+            vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
+            return (vg_kernels, *_witnesses(sys, vg_kernels.basis, spec.lambdas, tol))
+
+        pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
+        vg_kernels, delta, directions, factors = _memo(sys, (spec.lambdas, pool, tol), plant_facts, "witnesses")
         candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed, tol)
 
     for vg, directions in candidates:

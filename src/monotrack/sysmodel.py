@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,9 @@ class LtiSystem:
     input matrix [B; D] has full column rank and the concatenated output
     matrix [C D] has full row rank. Use :meth:`relaxed` to bypass these checks
     when deliberately building degenerate test systems.
+
+    The plant holds read-only copies of its matrices and keeps the facts
+    that depend on it alone in its private memo ``_facts`` (see :func:`_memo`).
     """
 
     A: np.ndarray
@@ -71,13 +74,13 @@ class LtiSystem:
     D: np.ndarray
     domain: TimeDomain = TimeDomain.CONTINUOUS
     _check_ranks: InitVar[bool] = True
+    _facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self, _check_ranks: bool):
-        A, B, C, D = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (self.A, self.B, self.C, self.D))
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        A, B, C, D = (np.array(M, dtype=float, ndmin=2) for M in (self.A, self.B, self.C, self.D))
+        for name, M in zip("ABCD", (A, B, C, D)):
+            M.setflags(write=False)
+            object.__setattr__(self, name, M)
         n, m, p = A.shape[0], B.shape[1], C.shape[0]
         if A.shape != (n, n):
             raise ValueError("A must be square")
@@ -132,6 +135,17 @@ class LtiSystem:
         with open(Path(path), "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _memo(sys: LtiSystem, key: tuple, compute, slot: str | None = None):
+    """``compute()``, kept on the plant under ``key``, or under ``slot`` for the latest key alone.
+
+    An exception is not kept: the next call computes again and raises afresh.
+    """
+    held = sys._facts.get(slot or key)
+    if held is None or held[0] != key:
+        held = sys._facts[slot or key] = (key, compute())
+    return held[1]
 
 
 @dataclass(frozen=True)
@@ -292,7 +306,8 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
     value through a rank test on the original rectangular pencil. The
     compressions come from the ``DEFAULT_SEED`` streams, so the zeros are a
     function of the plant alone and equal those of :func:`audit_assumptions`
-    bit for bit.
+    bit for bit. Both keep them on the plant under ``("zeros", tol)``, and
+    whichever runs first computes them; the list returned is the caller's own.
 
     Raises
     ------
@@ -300,7 +315,7 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return _confirmed_zeros(sys, normal_rank(sys, tol), tol, DEFAULT_SEED)
+    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, normal_rank(sys, tol), tol, DEFAULT_SEED)))
 
 
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
@@ -367,7 +382,15 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     plant alone. The rank test at the tracking frequency comes first: no
     rank exceeds n + min(m, p), so when it reaches that value it is the
     normal rank, and :func:`normal_rank` is not sampled.
+
+    The report is kept on the plant under ``("audit", tol)`` and returned
+    as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
     """
+    return _memo(sys, ("audit", tol), lambda: _audit(sys, tol))
+
+
+def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
+    """The report of :func:`audit_assumptions`, computed."""
     details: dict[str, str] = {}
     freq = sys.domain.tracking_frequency
     at_freq = rank_of(rosenbrock(sys, freq), tol)
@@ -394,7 +417,7 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 
     try:
-        zeros = _confirmed_zeros(sys, nr, tol, DEFAULT_SEED)
+        zeros = _memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, nr, tol, DEFAULT_SEED))
     except IllConditionedPencil as exc:
         zeros = None
         distinct = False

@@ -20,6 +20,12 @@ def demo_system() -> mt.LtiSystem:
     return mt.LtiSystem.load(demo_system_path())
 
 
+@pytest.fixture
+def fresh_demo() -> mt.LtiSystem:
+    """The demo plant as a new object, with none of its facts computed yet, for tests that count work."""
+    return mt.LtiSystem.load(demo_system_path())
+
+
 @pytest.fixture(scope="session")
 def demo_zeros(demo_system):
     return mt.invariant_zeros(demo_system)
@@ -27,7 +33,10 @@ def demo_zeros(demo_system):
 
 @pytest.fixture
 def ill_conditioned_zeros(monkeypatch) -> str:
-    """Make every zero confirmation raise IllConditionedPencil; returns the forced reason."""
+    """Make every zero confirmation raise IllConditionedPencil; returns the forced reason.
+
+    A plant that already holds its zeros does not confirm them again: use a new plant object.
+    """
     reason = "forced gray-zone candidate"
 
     def raise_ill_conditioned(*args):

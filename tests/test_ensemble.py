@@ -3,6 +3,7 @@ import pytest
 
 import monotrack as mt
 from monotrack import ensemble, subspaces, synthesis, sysmodel
+from monotrack.fixtures import demo_system_path
 
 from .conftest import count_calls
 from .subspace_checks import single_mode_basis
@@ -178,20 +179,31 @@ class TestGenericityTrial:
         with pytest.raises(mt.RankDeficientAfterRetries):
             mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), max_retries=0)
 
-    def test_direction_kernels_are_computed_once(self, demo_system, monkeypatch):
+    def test_direction_kernels_are_computed_once(self, monkeypatch):
         direction = count_calls(monkeypatch, (synthesis, "factor_pencil"), (synthesis, "check_solvable"))
         discovery = count_calls(monkeypatch, (subspaces, "factor_pencil"))
         per_call = []
         for trials in (2, 20):
+            # A new plant object per call: a plant keeps its pool factors.
+            plant = mt.LtiSystem.load(demo_system_path())
             before = direction["factor_pencil"] + discovery["factor_pencil"]
-            stats = mt.genericity_trial(demo_system, trials=trials, seed=3)
+            stats = mt.genericity_trial(plant, trials=trials, seed=3)
             assert stats.failures == 0
             per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
-        assert direction["factor_pencil"] == 2 * demo_system.p
+        assert direction["factor_pencil"] == 2 * plant.p
         # R* and V*g are discovered once per call, and solvability is decided
         # once on the V*g span; only the draws repeat per trial.
         assert per_call[0] == per_call[1]
         assert direction["check_solvable"] == 2
+
+    def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
+        # generate() audits the plant it returns, and the audit keeps its
+        # confirmed zeros on the plant, so the trial solves no compression.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, planted_zero_values=(-3.0,), seed=0))
+        calls = count_calls(monkeypatch, (sysmodel, "_compression_candidates"))
+        stats = mt.genericity_trial(plant, trials=20, seed=0)
+        assert calls == {"_compression_candidates": 0}
+        assert stats.trials == 20
 
     def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
         def failing_factor(*args):

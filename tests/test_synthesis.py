@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import monotrack as mt
-from monotrack import synthesis, sysmodel
+from monotrack import subspaces, synthesis, sysmodel
+from monotrack.fixtures import demo_system_path
 from monotrack.subspaces import factor_pencil
 from monotrack.synthesis import _direction_from
 
@@ -129,7 +130,7 @@ class TestSynthesize:
             assert np.max(np.abs(np.imag(fb.closed_loop_spectrum))) <= 1e-6
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-6, f"seed {seed}"
 
-    def test_plant_facts_do_not_depend_on_the_seed(self, demo_system, monkeypatch):
+    def test_plant_facts_do_not_depend_on_the_seed(self, monkeypatch):
         # The seed reaches only the drawn bases: every seed audits to the same
         # zeros, bit for bit, decides solvability on the same V*g span, bit
         # for bit, and reaches the same delta.
@@ -149,7 +150,7 @@ class TestSynthesize:
         deltas = set()
         for seed in range(10):
             spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=seed)
-            deltas.add(mt.synthesize(demo_system, spec).delta)
+            deltas.add(mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).delta)
         zeros = {np.array([z.value for z in report.zeros]).tobytes() for report in reports}
         assert len(reports) == 10 and len(zeros) == 1
         assert len(spans) == 10 and len(set(spans)) == 1
@@ -198,30 +199,30 @@ class TestSynthesize:
         with pytest.raises(mt.AssumptionViolation):
             mt.synthesize(sys, mt.SynthesisSpec(lambdas=(-1.0,), reference=(1.0,)))
 
-    def test_plant_facts_are_computed_once(self, demo_system, monkeypatch):
+    def test_plant_facts_are_computed_once(self, fresh_demo, monkeypatch):
         # The audit reads the normal rank off its rank test at the tracking
         # frequency (the demo has no zero there, so nothing is sampled) and
         # solves the two compressed eigenproblems of one zero computation;
         # synthesis reuses both.
         calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (sysmodel, "_compression_candidates"))
-        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"normal_rank": 0, "_compression_candidates": 2}
 
-    def test_each_distinct_mode_pencil_is_factored_once(self, demo_system, monkeypatch):
+    def test_each_distinct_mode_pencil_is_factored_once(self, fresh_demo, monkeypatch):
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
         # come from one factorization.
         calls = count_calls(monkeypatch, (synthesis, "factor_pencil"))
-        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"factor_pencil": 2}
 
-    def test_demo_design_svd_budget(self, demo_system, monkeypatch):
+    def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 rank test at the tracking frequency (it gives the normal
         # rank), 4 PBH tests, 4 zero confirmations that reuse their polishing
         # SVD. V*g: 2 pencil kernels and 1 rank test of the draw. 2 mode
         # pencils, 2 solvability rank tests, 1 rank test of V, 1 steady-state
         # solve. A change that brings back a recomputation fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"svd": 9 + 3 + 2 + 2 + 1 + 1}
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
@@ -252,7 +253,7 @@ class TestSynthesize:
             assert abs(pair.beta - 1.0) <= 1e-12
             assert np.linalg.norm(pair.v - first[j].v) > 1e-6
 
-    def test_failed_verification_raises_unstable_result_after_every_retry(self, demo_system, monkeypatch):
+    def test_failed_verification_raises_unstable_result_after_every_retry(self, fresh_demo, monkeypatch):
         reason = "forced verification failure"
         verified = []
 
@@ -265,7 +266,7 @@ class TestSynthesize:
         monkeypatch.setattr(synthesis, "_REDRAWS", 3)
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         with pytest.raises(mt.UnstableResult) as info:
-            mt.synthesize(demo_system, spec)
+            mt.synthesize(fresh_demo, spec)
         assert type(info.value) is mt.UnstableResult
         assert str(info.value) == reason
         # One verification for the first draw, one per reseeded V*g draw and
@@ -305,6 +306,59 @@ class TestSynthesize:
         assert fb.assigned_modes == {0: "instantaneous", 1: "instantaneous"}
         assert fb.delta == ()
         assert fb.instantaneous_outputs == (0, 1)
+
+
+class TestPlantMemo:
+    """A plant object keeps the facts that depend on it alone; every design is still drawn and verified."""
+
+    SPEC = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+
+    def test_a_second_design_only_draws_verifies_and_solves(self, fresh_demo, monkeypatch):
+        mt.synthesize(fresh_demo, self.SPEC)
+        calls = count_calls(
+            monkeypatch,
+            (sysmodel, "_audit"),
+            (synthesis, "discover_vstar_g"),
+            (synthesis, "factor_pencil"),
+            (subspaces, "factor_pencil"),
+            (synthesis, "check_solvable"),
+            (synthesis, "_verify_gain"),
+            (np.linalg, "svd"),
+        )
+        spec = mt.SynthesisSpec(lambdas=self.SPEC.lambdas, reference=(1.0, -0.5, 0.25), seed=3)
+        fb = mt.synthesize(fresh_demo, spec)
+        # The rank test of the V*g draw, the rank test of V and the steady-state solve.
+        assert calls == {
+            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 3,
+        }
+        assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
+
+    def test_designs_on_one_plant_equal_designs_on_fresh_plants(self, fresh_demo):
+        # Modes A, then B, then A again: the slot of A is replaced and refilled.
+        for k, lambdas in enumerate([(-1.0, -2.0, -1.0), (-0.5, -1.5, -2.5), (-1.0, -2.0, -1.0)]):
+            spec = mt.SynthesisSpec(lambdas=lambdas, reference=(2.0, -1.0, 0.5), seed=k)
+            fresh = mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec)
+            assert mt.synthesize(fresh_demo, spec).to_json_dict() == fresh.to_json_dict()
+
+    def test_replay_and_drawn_designs_do_not_share_directions(self, fresh_demo, demo_replay):
+        before = mt.synthesize(fresh_demo, self.SPEC, replay=demo_replay)
+        drawn = mt.synthesize(fresh_demo, self.SPEC)
+        after = mt.synthesize(fresh_demo, self.SPEC, replay=demo_replay)
+        assert after.F.tobytes() == before.F.tobytes()
+        assert np.max(np.abs(after.F - DEMO_GAIN)) <= 1e-9
+        assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == drawn.to_json_dict()
+        assert drawn.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), self.SPEC).to_json_dict()
+
+    def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
+        sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)
+        spec = mt.SynthesisSpec(lambdas=(-0.5, -0.9), reference=(1.0, 1.0))
+        raised = []
+        for _ in range(2):
+            with pytest.raises(mt.NotSolvable) as err:
+                mt.synthesize(sys, spec)
+            raised.append(err.value)
+        assert raised[0] is not raised[1]
+        assert raised[0].verdict == raised[1].verdict and not raised[0].verdict.solvable
 
 
 class TestControlInput:

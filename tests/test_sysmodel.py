@@ -32,6 +32,15 @@ class TestLtiSystem:
         assert relaxed.to_json_dict() == demo_system.to_json_dict()
         assert mt.LtiSystem.from_json_dict(relaxed.to_json_dict()).to_json_dict() == relaxed.to_json_dict()
 
+    def test_holds_read_only_copies_of_its_matrices(self):
+        A = np.diag([-1.0, -2.0])
+        plant = mt.LtiSystem(A, np.eye(2), np.eye(2), np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            plant.A[0, 0] = 1.0
+        A[0, 0] = 5.0
+        assert plant.A[0, 0] == -1.0
+        assert A.flags.writeable
+
     def test_json_round_trip(self, tmp_path, demo_system):
         path = tmp_path / "sys.json"
         demo_system.save(path)
@@ -209,7 +218,9 @@ class TestZeroCompression:
 
     def test_a_pair_straddling_the_rounding_grid_is_not_restored_twice(self, monkeypatch):
         z = complex(-1.0, 2.0000000005)
-        plant = mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, planted_zero_values=(z, z.conjugate()), seed=0))
+        generated = mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, planted_zero_values=(z, z.conjugate()), seed=0))
+        # A new object: the generated one keeps the zeros its audit confirmed.
+        plant = mt.LtiSystem.from_json_dict(generated.to_json_dict())
         # The planted pair a few ulps off, already at the rank threshold, so
         # polishing keeps it; at 9 digits the imaginary parts round to
         # 2.000000001 and -2.0, not to a conjugate pair.
@@ -312,13 +323,13 @@ class TestAuditAssumptions:
         assert report.all_pass
         assert report.right_invertible and report.stabilizable
 
-    def test_full_rank_audit_reads_the_normal_rank_at_the_tracking_frequency(self, demo_system, monkeypatch):
+    def test_full_rank_audit_reads_the_normal_rank_at_the_tracking_frequency(self, fresh_demo, monkeypatch):
         # The test at the tracking frequency reaches n + min(m, p), which is
         # then the normal rank; one PBH test per unstable mode of A (0, 2, 2, 3).
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"))
-        report = mt.audit_assumptions(demo_system)
+        report = mt.audit_assumptions(fresh_demo)
         assert calls == {"rank_of": 1 + 4, "normal_rank": 0}
-        assert report.normal_rank == demo_system.n + demo_system.p
+        assert report.normal_rank == fresh_demo.n + fresh_demo.p
 
     def test_a_zero_at_the_tracking_frequency_samples_the_normal_rank(self, monkeypatch):
         sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
@@ -363,14 +374,28 @@ class TestAuditAssumptions:
         assert report.normal_rank == mt.normal_rank(demo_system) == demo_system.n + demo_system.p
         assert report.zeros == demo_zeros
 
-    def test_ill_conditioned_zeros_are_recorded(self, demo_system, ill_conditioned_zeros):
-        report = mt.audit_assumptions(demo_system)
+    def test_ill_conditioned_zeros_are_recorded(self, fresh_demo, ill_conditioned_zeros):
+        report = mt.audit_assumptions(fresh_demo)
         assert report.zeros is None
         assert not report.distinct_min_phase_zeros and not report.all_pass
         assert ill_conditioned_zeros in report.details["distinct_min_phase_zeros"]
         with pytest.raises(mt.AssumptionViolation) as err:
-            mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+            mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert err.value.report == report
+
+    def test_the_report_and_zeros_are_kept_on_the_plant(self, fresh_demo, monkeypatch):
+        report = mt.audit_assumptions(fresh_demo)
+        calls = count_calls(monkeypatch, (sysmodel, "_audit"), (sysmodel, "_compression_candidates"))
+        assert mt.audit_assumptions(fresh_demo) is report
+        zeros = mt.invariant_zeros(fresh_demo)
+        assert zeros == report.zeros and zeros is not report.zeros
+        zeros.clear()
+        assert mt.invariant_zeros(fresh_demo) == report.zeros
+        assert calls == {"_audit": 0, "_compression_candidates": 0}
+        # Another policy is another key.
+        other = mt.TolerancePolicy(relative_rank_tol=1e-10)
+        assert mt.audit_assumptions(fresh_demo, other) is not report
+        assert calls == {"_audit": 1, "_compression_candidates": 2}
 
     def test_uncontrollable_unstable_mode_fails(self):
         A = np.diag([1.0, -2.0])
