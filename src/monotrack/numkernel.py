@@ -119,11 +119,21 @@ def min_norm_solve(M, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
         If :func:`residual_violation` rejects the solution, i.e. the
         right-hand side is not in the range of ``M`` at tolerance.
     """
+    return min_norm_from_factors(thin_svd(M), b, tol)
+
+
+def thin_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(M, u, s, vh)``: ``M`` as a 2-D array and its thin SVD, for :func:`min_norm_from_factors`."""
     M = np.atleast_2d(np.asarray(M))
+    return (M, *np.linalg.svd(M, full_matrices=False))
+
+
+def min_norm_from_factors(factors: tuple, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
+    """:func:`min_norm_solve` of ``M x = b`` from ``factors = thin_svd(M)``, so one factor serves many ``b``."""
+    M, u, s, vh = factors
     b = np.asarray(b).reshape(-1)
     if b.shape[0] != M.shape[0]:
         raise DimensionMismatch(f"rhs length {b.shape[0]} != rows {M.shape[0]}")
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
     thr = tol.rank_threshold(M.shape, float(s[0])) if s.size else 0.0
     keep = s > thr
     coeff = (u.conj().T @ b)[keep] / s[keep]

@@ -8,10 +8,13 @@ integrator ripple would otherwise produce false monotonicity verdicts. The
 samples are filled by doubling: the block of samples known so far is
 advanced by the transition matrix's power that spans it, and that power is
 squared, so N samples take about log2(N) matrix products, plus as many for
-one correction sweep that keeps the one-step recursion's accuracy. Verification
-covers three properties per output, each judged for all outputs at once:
-monotone decay, an exponential rate envelope, and single-mode structure of
-the tracking error.
+one correction sweep that keeps the one-step recursion's accuracy. The work
+that does not depend on the initial state (the stability check, the output
+map, the transition and its powers) runs once per gain, which the plant
+keeps; the fill, the sweep and the tracking error run per initial state.
+Verification covers three properties per output, each judged for all
+outputs at once: monotone decay, an exponential rate envelope, and
+single-mode structure of the tracking error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import InsufficientData, UnstableClosedLoop
 from .numkernel import DEFAULT_POLICY, TolerancePolicy
 from .synthesis import FeedbackResult
-from .sysmodel import LtiSystem, TimeDomain
+from .sysmodel import LtiSystem, TimeDomain, _memo, _read_only
 
 _DEFAULT_SAMPLES_CONTINUOUS = 400
 _DEFAULT_STEPS_DISCRETE = 200
@@ -113,6 +116,55 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return R
 
 
+def _transition(sys: LtiSystem, fb: FeedbackResult, horizon: float | None, num_samples: int | None):
+    """The part of :func:`simulate` that does not depend on x0, kept on the plant for the latest gain.
+
+    Returns read-only ``(times, out_map, *powers)``: the sample times, the
+    output map C + DF with its instantaneous rows zeroed, and the one-step
+    transition followed by its squared powers, one per doubling pass. The
+    stability gate runs with them; an unstable gain raises
+    :class:`UnstableClosedLoop`, which is never kept, on every call.
+    """
+    F = np.asarray(fb.F, dtype=float)
+    key = (F.shape, F.tobytes(), tuple(fb.assigned_modes.items()), horizon, num_samples)
+    return _memo(sys, key, lambda: _read_only(_compute_transition(sys, F, fb, horizon, num_samples)), "transition")
+
+
+def _compute_transition(sys: LtiSystem, F: np.ndarray, fb: FeedbackResult, horizon, num_samples) -> tuple:
+    closed_loop = sys.A + sys.B @ F
+    if not all(sys.domain.is_stable(z) for z in np.linalg.eigvals(closed_loop)):
+        raise UnstableClosedLoop("closed-loop spectrum is outside the stability region")
+    out_map = sys.C + sys.D @ F
+    # Rows certified instantaneous vanish identically in exact arithmetic
+    # (verified at synthesis time); suppress the gain-solve roundoff they
+    # would otherwise inject into the trace.
+    for j, mode in fb.assigned_modes.items():
+        if mode == "instantaneous":
+            out_map[j, :] = 0.0
+
+    if sys.domain is TimeDomain.CONTINUOUS:
+        if horizon is None:
+            horizon = 8.0 / abs(_slowest_assigned_rate(fb, sys.domain))
+        num_samples = num_samples if num_samples is not None else _DEFAULT_SAMPLES_CONTINUOUS
+        if num_samples < 2:
+            raise ValueError("at least two samples required")
+        times = np.linspace(0.0, float(horizon), num_samples)
+        step = _expm(closed_loop * (times[1] - times[0]))
+    else:
+        num_samples = num_samples if num_samples is not None else _DEFAULT_STEPS_DISCRETE
+        if num_samples < 2:
+            raise ValueError("at least two samples required")
+        times = np.arange(num_samples, dtype=float)
+        step = closed_loop
+
+    # One power per doubling pass of simulate's fill: step^1, ^2, ^4, ...
+    powers, filled = [step], 2
+    while filled < num_samples:
+        powers.append(powers[-1] @ powers[-1])
+        filled = min(2 * filled, num_samples)
+    return (times, out_map, *powers)
+
+
 def simulate(
     sys: LtiSystem,
     fb: FeedbackResult,
@@ -132,48 +184,25 @@ def simulate(
     the one-step recursion, so about 2 log2(N) matrix products replace N - 1
     matrix-vector products. The default horizon covers roughly eight time
     constants of the slowest assigned mode.
+
+    The stability gate, C + DF, the sample times and the transition's powers
+    run once per gain and sampling, and the plant keeps them for the latest
+    one (:func:`_transition`). The fill, the sweep and the tracking error run
+    per x0, and every trace gets its own copy of the times.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise ValueError(f"initial state length {x0.shape[0]} != states {sys.n}")
-    closed_loop = sys.A + sys.B @ fb.F
-    if not all(sys.domain.is_stable(z) for z in np.linalg.eigvals(closed_loop)):
-        raise UnstableClosedLoop("closed-loop spectrum is outside the stability region")
-    out_map = sys.C + sys.D @ fb.F
-    # Rows certified instantaneous vanish identically in exact arithmetic
-    # (verified at synthesis time); suppress the gain-solve roundoff they
-    # would otherwise inject into the trace.
-    for j, mode in fb.assigned_modes.items():
-        if mode == "instantaneous":
-            out_map[j, :] = 0.0
-    xi0 = x0 - fb.x_ss
-
-    if sys.domain is TimeDomain.CONTINUOUS:
-        if horizon is None:
-            horizon = 8.0 / abs(_slowest_assigned_rate(fb, sys.domain))
-        num_samples = num_samples if num_samples is not None else _DEFAULT_SAMPLES_CONTINUOUS
-        if num_samples < 2:
-            raise ValueError("at least two samples required")
-        times = np.linspace(0.0, float(horizon), num_samples)
-        step = _expm(closed_loop * (times[1] - times[0]))
-    else:
-        num_samples = num_samples if num_samples is not None else _DEFAULT_STEPS_DISCRETE
-        if num_samples < 2:
-            raise ValueError("at least two samples required")
-        times = np.arange(num_samples, dtype=float)
-        step = closed_loop
+    times, out_map, *powers = _transition(sys, fb, horizon, num_samples)
+    num_samples, step = times.shape[0], powers[0]
 
     xi = np.empty((sys.n, num_samples))
-    xi[:, 0] = xi0
-    powers = [step]
+    xi[:, 0] = x0 - fb.x_ss
     filled = 1
-    while True:
+    for power in powers:
         width = min(filled, num_samples - filled)
-        xi[:, filled : filled + width] = powers[-1] @ xi[:, :width]
+        xi[:, filled : filled + width] = power @ xi[:, :width]
         filled += width
-        if filled == num_samples:
-            break
-        powers.append(powers[-1] @ powers[-1])
     # Squaring a transition with transient growth leaves rounding in the
     # powers that the one-step recursion would have damped along each
     # output's left eigenvector. One correction sweep restores it: the
@@ -193,7 +222,7 @@ def simulate(
         "reference": reference.tolist(),
         "assigned_modes": {str(j): m for j, m in fb.assigned_modes.items()},
     }
-    return SimulationTrace(times=times, xi=xi, epsilon=epsilon, domain=sys.domain, metadata=metadata)
+    return SimulationTrace(times=times.copy(), xi=xi, epsilon=epsilon, domain=sys.domain, metadata=metadata)
 
 
 def check_monotonic(trace: SimulationTrace, tie_tol: float = _MONOTONE_TIE_TOL, tol: TolerancePolicy = DEFAULT_POLICY) -> list[str]:

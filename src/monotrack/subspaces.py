@@ -49,6 +49,7 @@ from .sysmodel import (
     InvariantZero,
     LtiSystem,
     TimeDomain,
+    _held,
     _memo,
     _min_phase_violation,
     exclusion_violation,
@@ -316,11 +317,27 @@ class KernelSpan:
         return self.basis.shape[1]
 
 
-def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple):
+def _held_factor(sys: LtiSystem, mu: float, tol: TolerancePolicy) -> PencilFactor | None:
+    """The factor of P(mu) that a default-pool discovery keeps on the plant, or None."""
+    return _held(sys, ("pencil", mu, tol))
+
+
+def _pool_factor(sys: LtiSystem, mu: float, tol: TolerancePolicy, keep: bool) -> PencilFactor:
+    """The factor of P(mu) that the plant holds, else a new one, kept on the plant when ``keep``."""
+    if keep:
+        return _memo(sys, ("pencil", mu, tol), lambda: factor_pencil(sys, mu, tol))
+    return _held_factor(sys, mu, tol) or factor_pencil(sys, mu, tol)
+
+
+def _discover(
+    sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple, keep: bool = True
+):
     """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing.
 
-    Each pool frequency's factor is kept on the plant under ``("pencil", mu, tol)``, so the
-    discoveries on one plant share one SVD per frequency of the fixed pool ladder.
+    With ``keep`` (a default pool), each pool frequency's factor is kept on the plant under
+    ``("pencil", mu, tol)``, so the discoveries on one plant share one SVD per frequency of
+    the fixed pool ladder. A user pool reads those factors but adds none, so the kept
+    factors stay bounded however many user pools a plant sees.
     """
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
@@ -329,7 +346,7 @@ def _discover(sys: LtiSystem, seeded: list, pool, excluded_output: int | None, t
                 tracker.try_add(col.reshape(-1, 1))
     visited = []
     for mu in pool:
-        kernel = _memo(sys, ("pencil", mu, tol), lambda: factor_pencil(sys, mu, tol)).kernel(excluded_output)
+        kernel = _pool_factor(sys, mu, tol, keep).kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])
@@ -433,7 +450,7 @@ def discover_vstar_g(
     # a real pencil so the kernel carries no complex phase.
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     seeded = [(mode, factor_pencil(sys, mode, tol).kernel()) for mode in modes]
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0))
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), keep=free_pool is None)
 
 
 # ---------------------------------------------------------------------------

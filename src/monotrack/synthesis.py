@@ -21,11 +21,11 @@ from .errors import (
     RankDeficientAfterRetries,
     UnstableResult,
 )
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_solve, rank_of
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
-from .subspaces import PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
-from .sysmodel import AssumptionReport, LtiSystem, _memo, audit_assumptions, rosenbrock
+from .subspaces import PairedBasis, PencilFactor, _held_factor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
+from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
 # Reseeded V*g draws after the first one, before the last-resort directions.
@@ -144,12 +144,19 @@ def _stacked_pair(sys: LtiSystem, j: int, lam: float, col: np.ndarray) -> Direct
 
 
 def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm steady-state pair (x_ss, u_ss) for the step reference ``r``."""
+    """Minimum-norm steady-state pair (x_ss, u_ss) for the step reference ``r``.
+
+    The thin SVD of the tracking pencil P(0) (P(1) in discrete time) is a
+    fact of the plant, kept on it per policy and read-only; only the solve
+    for ``r`` and its residual check run on every call, so an unreachable
+    reference raises :class:`Unsolvable` every time.
+    """
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != sys.p:
         raise ValueError(f"reference length {r.shape[0]} != outputs {sys.p}")
-    M = rosenbrock(sys, sys.domain.tracking_frequency)
-    sol = min_norm_solve(M, np.concatenate([np.zeros(sys.n), r]), tol)
+    tracking = sys.domain.tracking_frequency
+    factors = _memo(sys, ("steady-state", tol), lambda: _read_only(thin_svd(rosenbrock(sys, tracking))))
+    sol = min_norm_from_factors(factors, np.concatenate([np.zeros(sys.n), r]), tol)
     return sol[: sys.n], sol[sys.n :]
 
 
@@ -251,9 +258,11 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     The verdict depends on the plant and the modes only, so it is decided on
     the V*g span given (discovered, or a replay's validated basis) and
     raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
-    kernel and their x_j, or :class:`DegenerateDirection`.
+    kernel and their x_j, or :class:`DegenerateDirection`. A mode whose pool
+    factor the plant already holds reads it; the others are factored here
+    and not kept on the plant.
     """
-    factors = {lam: factor_pencil(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
+    factors = {lam: _held_factor(sys, lam, tol) or factor_pencil(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:

@@ -148,6 +148,19 @@ def _memo(sys: LtiSystem, key: tuple, compute, slot: str | None = None):
     return held[1]
 
 
+def _held(sys: LtiSystem, key: tuple):
+    """The fact :func:`_memo` keeps on the plant under ``key`` (not a slot), or None."""
+    held = sys._facts.get(key)
+    return None if held is None else held[1]
+
+
+def _read_only(arrays: tuple) -> tuple:
+    """``arrays``, each made read-only in place, so a fact kept by :func:`_memo` cannot be written through."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class InvariantZero:
     value: complex

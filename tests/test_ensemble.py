@@ -190,10 +190,12 @@ class TestGenericityTrial:
             stats = mt.genericity_trial(plant, trials=trials, seed=3)
             assert stats.failures == 0
             per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
-        assert direction["factor_pencil"] == 2 * plant.p
+        # The trial modes are -1, -1.5 and -2. The discoveries already hold
+        # P(-1) and P(-1.5), so only P(-2) is factored for the directions.
+        assert direction["factor_pencil"] == 2
         # R* and V*g are discovered once per call, and solvability is decided
         # once on the V*g span; only the draws repeat per trial.
-        assert per_call[0] == per_call[1]
+        assert per_call == [4, 4]
         assert direction["check_solvable"] == 2
 
     def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
@@ -205,15 +207,17 @@ class TestGenericityTrial:
         assert calls == {"_compression_candidates": 0}
         assert stats.trials == 20
 
-    def test_kernel_failure_fails_every_trial(self, demo_system, monkeypatch):
+    def test_kernel_failure_fails_every_trial(self, monkeypatch):
         def failing_factor(*args):
             raise mt.IllConditionedPencil("forced kernel failure")
 
         # A direction pencil fails, then a kernel of the subspace discovery.
+        # A new plant object per owner: a plant that holds the factor of every
+        # trial mode factors no direction pencil.
         for owner in (synthesis, subspaces):
             with monkeypatch.context() as patch:
                 patch.setattr(owner, "factor_pencil", failing_factor)
-                stats = mt.genericity_trial(demo_system, trials=4, seed=3)
+                stats = mt.genericity_trial(mt.LtiSystem.load(demo_system_path()), trials=4, seed=3)
             assert stats.failures == 4
             assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
 

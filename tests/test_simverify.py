@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monotrack as mt
+from monotrack import simverify
+from monotrack.fixtures import demo_system_path
 from monotrack.numkernel import DEFAULT_POLICY
 from monotrack.simverify import _MONOTONE_TIE_TOL, _expm
 
-from .conftest import wide_plant
+from .conftest import count_calls, wide_plant
 
 DEMO_X0_A = (0.1, -0.2, 0.1, 0.1, 0.0)
 DEMO_X0_B = (0.6, 0.2, 0.2, -0.2, 1.0)
@@ -281,6 +285,59 @@ class TestSimulate:
         out_map = demo_system.C + demo_system.D @ demo_feedback.F
         assert np.max(np.abs(trace.epsilon - out_map @ trace.xi)) <= 1e-12
         assert trace.times[0] == 0.0
+
+
+def assert_same_trace(trace, other):
+    for name in ("times", "xi", "epsilon"):
+        assert getattr(trace, name).tobytes() == getattr(other, name).tobytes(), name
+    assert trace.metadata == other.metadata
+
+
+class TestKeptTransition:
+    """The plant keeps the latest gain's transition; each x0 still gets its own fill, sweep and error."""
+
+    def test_a_second_simulate_of_a_gain_computes_no_transition(self, fresh_demo, demo_feedback, monkeypatch):
+        mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A)
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"), (simverify, "_expm"))
+        trace = mt.simulate(fresh_demo, demo_feedback, DEMO_X0_B)
+        assert calls == {"eigvals": 0, "_expm": 0}
+        assert_same_trace(trace, mt.simulate(mt.LtiSystem.load(demo_system_path()), demo_feedback, DEMO_X0_B))
+
+    @pytest.mark.parametrize("change", ["gain", "assigned_modes", "horizon", "num_samples"])
+    def test_a_new_gain_or_sampling_computes_the_transition_again(self, fresh_demo, demo_feedback, monkeypatch, change):
+        sampling = {"horizon": 6.0, "num_samples": 200}
+        mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A, **sampling)
+        fb = demo_feedback
+        if change == "gain":
+            F = demo_feedback.F.copy()
+            F[0, 0] = np.nextafter(F[0, 0], np.inf)
+            fb = dataclasses.replace(demo_feedback, F=F)
+        elif change == "assigned_modes":
+            # An instantaneous output's row of C + DF is zeroed in the trace.
+            fb = dataclasses.replace(demo_feedback, assigned_modes={**demo_feedback.assigned_modes, 1: "instantaneous"})
+        else:
+            sampling[change] = {"horizon": 5.0, "num_samples": 201}[change]
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"), (simverify, "_expm"))
+        trace = mt.simulate(fresh_demo, fb, DEMO_X0_A, **sampling)
+        assert calls == {"eigvals": 1, "_expm": 1}
+        assert_same_trace(trace, mt.simulate(mt.LtiSystem.load(demo_system_path()), fb, DEMO_X0_A, **sampling))
+
+    def test_an_unstable_gain_raises_on_every_call(self):
+        sys, stable = diagonal_plant_and_gain()
+        mt.simulate(sys, stable, [1.0, 1.0])
+        unstable = dataclasses.replace(stable, F=np.diag([3.0, 0.0]))
+        for _ in range(2):
+            with pytest.raises(mt.UnstableClosedLoop):
+                mt.simulate(sys, unstable, [1.0, 1.0])
+        # The failed calls left the stable gain's kept transition as it was.
+        assert_same_trace(mt.simulate(sys, stable, [1.0, 1.0]), mt.simulate(diagonal_plant_and_gain()[0], stable, [1.0, 1.0]))
+
+    def test_writing_to_a_trace_does_not_reach_the_next(self, fresh_demo, demo_feedback):
+        mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A).times[:] = -1.0
+        assert_same_trace(
+            mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A),
+            mt.simulate(mt.LtiSystem.load(demo_system_path()), demo_feedback, DEMO_X0_A),
+        )
 
 
 class TestCheckMonotonic:

@@ -111,6 +111,26 @@ class TestSteadyState:
         assert abs(sys.A[0, 0] * x_ss[0] + u_ss[0] - x_ss[0]) <= 1e-12
         assert abs(x_ss[0] - 1.0) <= 1e-12
 
+    def test_a_repeat_solve_reads_the_kept_factor(self, fresh_demo, monkeypatch):
+        reference = (1.0, -0.5, 0.25)
+        first = mt.steady_state(fresh_demo, reference)
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        again = mt.steady_state(fresh_demo, reference)
+        assert calls == {"svd": 0}
+        fresh = mt.steady_state(mt.LtiSystem.load(demo_system_path()), reference)
+        for kept, other, new in zip(first, again, fresh):
+            assert kept.tobytes() == other.tobytes() == new.tobytes()
+
+    def test_an_unreachable_reference_raises_on_every_call(self):
+        # G(s) = s / (s + 1) has a zero at the tracking frequency: no
+        # equilibrium reaches a nonzero reference, while zero is reachable.
+        sys = mt.LtiSystem([[-1.0]], [[1.0]], [[-1.0]], [[1.0]])
+        for _ in range(2):
+            with pytest.raises(mt.Unsolvable):
+                mt.steady_state(sys, (1.0,))
+        x_ss, u_ss = mt.steady_state(sys, (0.0,))
+        assert x_ss.tolist() == [0.0] and u_ss.tolist() == [0.0]
+
 
 class TestSynthesize:
     def test_replay_reproduces_reference_gain(self, demo_system, demo_replay):
@@ -327,9 +347,9 @@ class TestPlantMemo:
         )
         spec = mt.SynthesisSpec(lambdas=self.SPEC.lambdas, reference=(1.0, -0.5, 0.25), seed=3)
         fb = mt.synthesize(fresh_demo, spec)
-        # The rank test of the V*g draw, the rank test of V and the steady-state solve.
+        # The rank test of the V*g draw and the rank test of V; the steady-state factor is kept.
         assert calls == {
-            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 3,
+            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 2,
         }
         assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
 
@@ -348,6 +368,19 @@ class TestPlantMemo:
         assert np.max(np.abs(after.F - DEMO_GAIN)) <= 1e-9
         assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == drawn.to_json_dict()
         assert drawn.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), self.SPEC).to_json_dict()
+
+    def test_user_pools_keep_no_pencil_factor_off_the_default_ladder(self, fresh_demo):
+        # The default pools are drawn from -1, -1.5, -2, ...; a user pool's
+        # V*g kernels live in the witnesses slot, so its factors are not kept.
+        ladder = {-1.0 - 0.5 * k for k in range(64)}
+        mt.synthesize(fresh_demo, self.SPEC)
+        for k in range(40):
+            pool = tuple(-3.0 - 0.01 * k - 0.5 * i for i in range(4))
+            spec = mt.SynthesisSpec(lambdas=self.SPEC.lambdas, reference=(2.0, -1.0, 0.5), free_pool=pool, seed=k)
+            fresh = mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec)
+            assert mt.synthesize(fresh_demo, spec).to_json_dict() == fresh.to_json_dict()
+        held = [key[1] for key in fresh_demo._facts if isinstance(key, tuple) and key[0] == "pencil"]
+        assert held and all(mu in ladder for mu in held)
 
     def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)
