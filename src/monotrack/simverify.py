@@ -12,6 +12,9 @@ one correction sweep that keeps the one-step recursion's accuracy. The work
 that does not depend on the initial state (the stability check, the output
 map, the transition and its powers) runs once per gain, which the plant
 keeps; the fill, the sweep and the tracking error run per initial state.
+The closed loop A + BF, its spectrum and C + DF come from the plant's kept
+closed loop of the latest gain, which synthesis formed when it verified
+that gain, so a simulation right after a synthesis computes no spectrum.
 Verification covers three properties per output, each judged for all
 outputs at once: monotone decay, an exponential rate envelope, and
 single-mode structure of the tracking error.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientData, UnstableClosedLoop
 from .numkernel import DEFAULT_POLICY, TolerancePolicy
-from .synthesis import FeedbackResult
+from .synthesis import FeedbackResult, _closed_loop
 from .sysmodel import LtiSystem, TimeDomain, _memo, _read_only
 
 _DEFAULT_SAMPLES_CONTINUOUS = 400
@@ -121,8 +124,9 @@ def _transition(sys: LtiSystem, fb: FeedbackResult, horizon: float | None, num_s
 
     Returns read-only ``(times, out_map, *powers)``: the sample times, the
     output map C + DF with its instantaneous rows zeroed, and the one-step
-    transition followed by its squared powers, one per doubling pass. The
-    stability gate runs with them; an unstable gain raises
+    transition followed by its squared powers, one per doubling pass. They
+    are built from the gain's kept closed loop (``synthesis._closed_loop``).
+    The stability gate runs with them; an unstable gain raises
     :class:`UnstableClosedLoop`, which is never kept, on every call.
     """
     F = np.asarray(fb.F, dtype=float)
@@ -131,10 +135,15 @@ def _transition(sys: LtiSystem, fb: FeedbackResult, horizon: float | None, num_s
 
 
 def _compute_transition(sys: LtiSystem, F: np.ndarray, fb: FeedbackResult, horizon, num_samples) -> tuple:
-    closed_loop = sys.A + sys.B @ F
-    if not all(sys.domain.is_stable(z) for z in np.linalg.eigvals(closed_loop)):
+    """The tuple of :func:`_transition`, from the gain's closed loop that the plant keeps.
+
+    The stability gate judges the kept spectrum; the instantaneous rows are
+    zeroed in a copy of the kept C + DF.
+    """
+    closed_loop, spectrum, out_map = _closed_loop(sys, F)
+    if not all(sys.domain.is_stable(z) for z in spectrum):
         raise UnstableClosedLoop("closed-loop spectrum is outside the stability region")
-    out_map = sys.C + sys.D @ F
+    out_map = out_map.copy()
     # Rows certified instantaneous vanish identically in exact arithmetic
     # (verified at synthesis time); suppress the gain-solve roundoff they
     # would otherwise inject into the trace.
@@ -271,11 +280,15 @@ def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLIC
     floor, by the closed-form least-squares line. A sign change in the
     component forces the relative residual to one (a single real mode cannot
     change sign); outputs that never rise above the floor are tagged
-    instantaneous and skipped.
+    instantaneous and skipped. All outputs are fitted in one array pass,
+    over a copy of the non-instantaneous rows only when some output is
+    instantaneous, and each output's :class:`ModeFit` is built once.
     """
     if trace.num_samples < 8:
         raise InsufficientData(f"{trace.num_samples} samples; at least 8 required")
-    eps = trace.epsilon
+    # C order, as the row selection of the instantaneous case gives: the row
+    # sums below then take the same bits with or without one.
+    eps = np.ascontiguousarray(trace.epsilon)
     magnitudes = np.abs(eps)
     peak = np.max(magnitudes, axis=1)
     floor = tol.absolute_floor
@@ -285,19 +298,20 @@ def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLIC
     if np.any(short):
         raise InsufficientData(f"output {int(np.argmax(short))} has fewer than two samples above the floor")
 
-    rows = np.flatnonzero(~instantaneous)
-    eps, use = eps[rows], usable[rows]
-    weight = use.astype(float)
+    if np.any(instantaneous):
+        rows = np.flatnonzero(~instantaneous)
+        eps, usable, magnitudes, peak = eps[rows], usable[rows], magnitudes[rows], peak[rows]
+    weight = usable.astype(float)
     count = np.sum(weight, axis=1)
-    log_mag = np.log(np.where(use, magnitudes[rows], 1.0))
+    log_mag = np.log(np.where(usable, magnitudes, 1.0))
     t_mean = weight @ trace.times / count
     y_mean = np.sum(weight * log_mag, axis=1) / count
     t_dev = weight * (trace.times - t_mean[:, None])
     slope = np.sum(t_dev * (log_mag - y_mean[:, None]), axis=1) / np.sum(t_dev * t_dev, axis=1)
     intercept = y_mean - slope * t_mean
 
-    sign = np.sign(eps[np.arange(rows.size), np.argmax(use, axis=1)])[:, None]
-    sign_changes = np.any(use & (np.sign(eps) != sign), axis=1)
+    sign = np.sign(eps[np.arange(eps.shape[0]), np.argmax(usable, axis=1)])[:, None]
+    sign_changes = np.any(usable & (np.sign(eps) != sign), axis=1)
     if trace.domain is TimeDomain.CONTINUOUS:
         lam_hat = slope
         model = np.exp(intercept[:, None] + slope[:, None] * trace.times)
@@ -305,13 +319,14 @@ def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLIC
         lam_hat = np.exp(slope)
         model = np.exp(intercept)[:, None] * lam_hat[:, None] ** trace.times
     gamma_hat = sign[:, 0] * np.exp(intercept)
-    residual = np.sqrt(np.mean((eps - sign * model) ** 2, axis=1)) / peak[rows]
+    residual = np.sqrt(np.mean((eps - sign * model) ** 2, axis=1)) / peak
     residual[sign_changes] = 1.0
 
-    fits = [ModeFit(k, None, None, 0.0, True) for k in range(trace.num_outputs)]
-    for i, k in enumerate(rows):
-        fits[k] = ModeFit(int(k), float(lam_hat[i]), float(gamma_hat[i]), float(residual[i]), False)
-    return fits
+    fitted = zip(lam_hat.tolist(), gamma_hat.tolist(), residual.tolist())
+    return [
+        ModeFit(k, None, None, 0.0, True) if flat else ModeFit(k, *next(fitted), False)
+        for k, flat in enumerate(instantaneous.tolist())
+    ]
 
 
 def trace_to_csv(trace: SimulationTrace, path) -> None:

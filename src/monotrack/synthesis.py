@@ -198,21 +198,40 @@ def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray, tol: Toler
     return tuple(modes)
 
 
+def _closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
+    """Read-only ``(A + BF, eigvals(A + BF), C + DF)``, kept on the plant for the latest gain.
+
+    :func:`_verify_gain` forms them for each candidate gain, and
+    ``simverify`` reads them for the gain it simulates, so a simulation of a
+    gain that synthesis has just verified computes no spectrum again.
+    """
+    return _memo(sys, (F.shape, F.tobytes()), lambda: _read_only(_form_closed_loop(sys, F)), "closed-loop")
+
+
+def _form_closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
+    closed_loop = sys.A + sys.B @ F
+    return closed_loop, np.linalg.eigvals(closed_loop), sys.C + sys.D @ F
+
+
 def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
     """Compute F = W V^-1 and check every closed-loop invariant.
 
     Returns (F, spectrum, None) on success or (None, None, reason) when a
     check fails; callers treat a failed verification like a bad random draw
     and redraw, since ill-conditioned bases amplify the solve roundoff past
-    the contract tolerances.
+    the contract tolerances. The closed loop comes from :func:`_closed_loop`.
+    The first ``len(delta)`` columns of V are the directions of ``delta``, in
+    order: their couplings are checked as one product with C + DF, and the
+    instantaneous outputs through the row norms of C + DF. A failure names
+    the first failing output, in the order of ``delta`` and then of the
+    outputs.
     """
     F = np.linalg.solve(V.T, W.T).T
     scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
     if np.linalg.norm(F @ V - W) > tol.residual_tol * scale * max(1.0, float(np.linalg.norm(F))):
         return None, None, "gain does not reproduce the requested directions"
 
-    closed_loop = sys.A + sys.B @ F
-    spectrum = np.linalg.eigvals(closed_loop)
+    _, spectrum, out_map = _closed_loop(sys, F)
     expected = [complex(spec.lambdas[j]) for j in delta] + [complex(m) for m in vg.modes]
     if not _match_spectrum(spectrum, expected, _SPECTRUM_TOL):
         return None, None, (
@@ -222,33 +241,40 @@ def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
     if not all(sys.domain.is_stable(z) for z in spectrum):
         return None, None, "closed-loop spectrum is not contained in the stability region"
 
-    out_map = sys.C + sys.D @ F
     # Achievable accuracy of C + D F is bounded by the gain magnitude.
     out_scale = max(scale, float(np.linalg.norm(sys.C)) + float(np.linalg.norm(sys.D)) * float(np.linalg.norm(F)))
-    for j in delta:
-        target = np.zeros(sys.p)
-        target[j] = directions[j].beta
-        if np.linalg.norm(out_map @ directions[j].v - target) > tol.residual_tol * out_scale * 10:
-            return None, None, f"output coupling of direction {j} failed verification"
-    if vg.dim and np.linalg.norm(out_map @ vg.V) > tol.residual_tol * out_scale * 10:
+    bound = tol.residual_tol * out_scale * 10
+    coupling = out_map @ V[:, : len(delta)]
+    coupling[list(delta), np.arange(len(delta))] -= [directions[j].beta for j in delta]
+    failed = np.flatnonzero(np.linalg.norm(coupling, axis=0) > bound)
+    if failed.size:
+        return None, None, f"output coupling of direction {delta[failed[0]]} failed verification"
+    if vg.dim and np.linalg.norm(out_map @ vg.V) > bound:
         return None, None, "stabilisability basis is not output-nulling under the gain"
-    for j in range(sys.p):
-        if j not in delta and np.linalg.norm(out_map[j]) > tol.residual_tol * out_scale * 10:
+    for j in np.flatnonzero(np.linalg.norm(out_map, axis=1) > bound).tolist():
+        if j not in delta:
             return None, None, f"output {j} is tagged instantaneous but its error row does not vanish"
     return F, spectrum, None
 
 
 def _match_spectrum(actual: np.ndarray, expected: list, tolerance: float) -> bool:
-    """Multiplicity-aware matching of two complex multisets."""
+    """Multiplicity-aware matching of two complex multisets.
+
+    Each expected value in turn takes the nearest remaining actual value, the
+    first one on a tie. All distances come from one array pass; they use
+    ``hypot``, which gives the bits of the scalar ``abs`` of a complex
+    difference, where NumPy's vectorized complex ``abs`` may not.
+    """
     if len(actual) != len(expected):
         return False
-    remaining = list(actual)
-    for target in expected:
-        gaps = [abs(z - target) for z in remaining]
-        best = int(np.argmin(gaps))
-        if gaps[best] > tolerance * (1.0 + abs(target)):
+    diff = np.asarray(actual)[None, :] - np.asarray(expected, dtype=complex)[:, None]
+    gaps = np.hypot(diff.real, diff.imag).tolist()
+    remaining = list(range(len(actual)))
+    for target, row in zip(expected, gaps):
+        best = min(remaining, key=row.__getitem__)
+        if row[best] > tolerance * (1.0 + abs(target)):
             return False
-        remaining.pop(best)
+        remaining.remove(best)
     return True
 
 

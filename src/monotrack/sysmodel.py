@@ -236,18 +236,17 @@ def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return best
 
 
-def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int) -> np.ndarray:
+def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int, sigma: complex) -> np.ndarray:
     """Finite zeros of one random nr x nr compression L P(lambda) R of the pencil.
 
     With E the identity on the state block, the compressed pencil is
     M - (lambda - sigma) L1 R1 for M = L P(sigma) R, L1 = L[:, :n] and
-    R1 = R[:n]. The shift sigma is imaginary and of the pencil's scale, so M
-    is invertible almost surely, and by Sylvester's determinant identity the
-    finite eigenvalues are sigma + 1/mu over the nonzero eigenvalues mu of
-    the n x n matrix R1 M^-1 L1.
+    R1 = R[:n]. The shift sigma (see :func:`_confirmed_zeros`) is imaginary
+    and of the pencil's scale, so M is invertible almost surely, and by
+    Sylvester's determinant identity the finite eigenvalues are sigma + 1/mu
+    over the nonzero eigenvalues mu of the n x n matrix R1 M^-1 L1.
     """
     n = sys.n
-    sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
     rng = rng_for(seed, "zero-compression", index)
     L = rng.standard_normal((nr, n + sys.p))
     R = rng.standard_normal((n + sys.m, nr))
@@ -332,9 +331,13 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
 
 
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
-    """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``."""
-    first = _compression_candidates(sys, seed, 0, nr)
-    second = _compression_candidates(sys, seed, 1, nr)
+    """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``.
+
+    Both compressions share one shift sigma = i (1 + ||P(0)||_1).
+    """
+    sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
+    first = _compression_candidates(sys, seed, 0, nr, sigma)
+    second = _compression_candidates(sys, seed, 1, nr, sigma)
     matched = [
         z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))
     ]

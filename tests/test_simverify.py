@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack import simverify
+from monotrack import simverify, synthesis
 from monotrack.fixtures import demo_system_path
 from monotrack.numkernel import DEFAULT_POLICY
 from monotrack.simverify import _MONOTONE_TIE_TOL, _expm
@@ -112,6 +112,47 @@ def polyfit_single_mode(trace, tol=DEFAULT_POLICY):
     return fits
 
 
+def row_selection_fit_single_mode(trace, tol=DEFAULT_POLICY):
+    """fit_single_mode as it was: the fit over a copy of the non-instantaneous
+    rows, always, and a placeholder fit per output replaced for the fitted ones."""
+    if trace.num_samples < 8:
+        raise mt.InsufficientData(f"{trace.num_samples} samples; at least 8 required")
+    eps = trace.epsilon
+    magnitudes = np.abs(eps)
+    peak = np.max(magnitudes, axis=1)
+    floor = tol.absolute_floor
+    usable = magnitudes > floor
+    instantaneous = (peak <= floor) | (magnitudes[:, 0] <= floor)
+    short = ~instantaneous & (np.sum(usable, axis=1) < 2)
+    if np.any(short):
+        raise mt.InsufficientData(f"output {int(np.argmax(short))} has fewer than two samples above the floor")
+    rows = np.flatnonzero(~instantaneous)
+    eps, use = eps[rows], usable[rows]
+    weight = use.astype(float)
+    count = np.sum(weight, axis=1)
+    log_mag = np.log(np.where(use, magnitudes[rows], 1.0))
+    t_mean = weight @ trace.times / count
+    y_mean = np.sum(weight * log_mag, axis=1) / count
+    t_dev = weight * (trace.times - t_mean[:, None])
+    slope = np.sum(t_dev * (log_mag - y_mean[:, None]), axis=1) / np.sum(t_dev * t_dev, axis=1)
+    intercept = y_mean - slope * t_mean
+    sign = np.sign(eps[np.arange(rows.size), np.argmax(use, axis=1)])[:, None]
+    sign_changes = np.any(use & (np.sign(eps) != sign), axis=1)
+    if trace.domain is mt.TimeDomain.CONTINUOUS:
+        lam_hat = slope
+        model = np.exp(intercept[:, None] + slope[:, None] * trace.times)
+    else:
+        lam_hat = np.exp(slope)
+        model = np.exp(intercept)[:, None] * lam_hat[:, None] ** trace.times
+    gamma_hat = sign[:, 0] * np.exp(intercept)
+    residual = np.sqrt(np.mean((eps - sign * model) ** 2, axis=1)) / peak[rows]
+    residual[sign_changes] = 1.0
+    fits = [mt.ModeFit(k, None, None, 0.0, True) for k in range(trace.num_outputs)]
+    for i, k in enumerate(rows):
+        fits[k] = mt.ModeFit(int(k), float(lam_hat[i]), float(gamma_hat[i]), float(residual[i]), False)
+    return fits
+
+
 # -- Traces for the verdict oracles.
 ROW_KINDS = ("decay", "instantaneous", "below_floor", "tail_below_floor", "ties", "on_envelope", "sign_change", "growing", "nan")
 
@@ -207,6 +248,13 @@ def assert_fits_match_polyfit(trace):
             assert (np.isnan(a) and np.isnan(b)) or abs(a - b) <= 1e-10 * max(1.0, abs(b)), (name, a, b)
 
 
+
+
+def assert_fits_bit_equal(trace):
+    """fit_single_mode gives the row-selection fit's outcome: every field's type and bits, or the same error."""
+    expected, actual = fit_outcome(row_selection_fit_single_mode, trace), fit_outcome(mt.fit_single_mode, trace)
+    # repr shows each field's type and every bit of a float (-0.0 and nan included).
+    assert repr(actual) == repr(expected)
 
 
 def diagonal_plant_and_gain():
@@ -319,7 +367,8 @@ class TestKeptTransition:
             sampling[change] = {"horizon": 5.0, "num_samples": 201}[change]
         calls = count_calls(monkeypatch, (np.linalg, "eigvals"), (simverify, "_expm"))
         trace = mt.simulate(fresh_demo, fb, DEMO_X0_A, **sampling)
-        assert calls == {"eigvals": 1, "_expm": 1}
+        # The closed loop is a fact of the gain alone: only a new gain computes its spectrum.
+        assert calls == {"eigvals": int(change == "gain"), "_expm": 1}
         assert_same_trace(trace, mt.simulate(mt.LtiSystem.load(demo_system_path()), fb, DEMO_X0_A, **sampling))
 
     def test_an_unstable_gain_raises_on_every_call(self):
@@ -338,6 +387,41 @@ class TestKeptTransition:
             mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A),
             mt.simulate(mt.LtiSystem.load(demo_system_path()), demo_feedback, DEMO_X0_A),
         )
+
+
+class TestKeptClosedLoop:
+    """Synthesis and simulation share the latest gain's closed loop A + BF, its spectrum and C + DF."""
+
+    SPEC = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+
+    def test_a_simulate_after_synthesize_computes_no_spectrum(self, fresh_demo, monkeypatch):
+        fb = mt.synthesize(fresh_demo, self.SPEC)
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"))
+        trace = mt.simulate(fresh_demo, fb, DEMO_X0_A)
+        assert calls == {"eigvals": 0}
+        assert_same_trace(trace, mt.simulate(mt.LtiSystem.load(demo_system_path()), fb, DEMO_X0_A))
+
+    def test_the_kept_arrays_are_read_only(self, fresh_demo):
+        fb = mt.synthesize(fresh_demo, self.SPEC)
+        kept = synthesis._closed_loop(fresh_demo, fb.F)
+        assert len(kept) == 3
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # The transition zeroes instantaneous rows in its own copy of C + DF.
+        instantaneous = dataclasses.replace(fb, assigned_modes={**fb.assigned_modes, 1: "instantaneous"})
+        mt.simulate(fresh_demo, instantaneous, DEMO_X0_A)
+        assert np.any(synthesis._closed_loop(fresh_demo, fb.F)[2][1] != 0.0)
+
+    def test_an_unstable_gain_raises_on_every_call_from_its_kept_spectrum(self, monkeypatch):
+        sys, stable = diagonal_plant_and_gain()
+        unstable = dataclasses.replace(stable, F=np.diag([3.0, 0.0]))
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"))
+        for _ in range(3):
+            with pytest.raises(mt.UnstableClosedLoop):
+                mt.simulate(sys, unstable, [1.0, 1.0])
+        assert calls == {"eigvals": 1}
 
 
 class TestCheckMonotonic:
@@ -516,6 +600,62 @@ class TestOracles:
     @given(traces())
     def test_closed_form_fit_matches_polyfit(self, trace):
         assert_fits_match_polyfit(trace)
+
+
+class TestFitConstruction:
+    """fit_single_mode fits all outputs in one pass and builds each ModeFit once, with the old bits."""
+
+    @pytest.mark.parametrize("domain", [mt.TimeDomain.CONTINUOUS, mt.TimeDomain.DISCRETE])
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            ("decay", "sign_change", "growing", "tail_below_floor"),
+            ("decay", "instantaneous", "sign_change", "below_floor"),
+            ("instantaneous", "decay"),
+            ("instantaneous", "below_floor", "instantaneous"),
+            ("instantaneous",),
+        ],
+    )
+    def test_bit_equal_to_the_row_selection_fit(self, kinds, domain):
+        times = sample_times(domain, 200)
+        rows = np.array([trace_row(kind, times, domain, gamma=(-1.0) ** k * (0.5 + k)) for k, kind in enumerate(kinds)])
+        for epsilon in (rows, np.asfortranarray(rows)):
+            trace = mt.SimulationTrace(times=times, xi=np.zeros((1, 200)), epsilon=epsilon, domain=domain)
+            assert_fits_bit_equal(trace)
+        fits = mt.fit_single_mode(trace)
+        assert [fit.instantaneous for fit in fits] == [kind in ("instantaneous", "below_floor") for kind in kinds]
+
+    def test_a_first_sample_on_the_floor_is_instantaneous(self):
+        times = sample_times(mt.TimeDomain.CONTINUOUS, 50)
+        late = trace_row("decay", times, mt.TimeDomain.CONTINUOUS)
+        late[0] = 0.0
+        epsilon = np.array([trace_row("decay", times, mt.TimeDomain.CONTINUOUS), late])
+        trace = mt.SimulationTrace(times=times, xi=np.zeros((1, 50)), epsilon=epsilon, domain=mt.TimeDomain.CONTINUOUS)
+        assert_fits_bit_equal(trace)
+        assert [fit.instantaneous for fit in mt.fit_single_mode(trace)] == [False, True]
+
+    @pytest.mark.parametrize("instantaneous_first", [False, True])
+    def test_insufficient_data_is_raised_where_it_was(self, instantaneous_first):
+        times = sample_times(mt.TimeDomain.CONTINUOUS, 50)
+        lone = np.zeros(50)
+        lone[0] = 1.0
+        rows = [trace_row("decay", times, mt.TimeDomain.CONTINUOUS), lone]
+        if instantaneous_first:
+            rows.insert(0, np.zeros(50))
+        trace = mt.SimulationTrace(times=times, xi=np.zeros((1, 50)), epsilon=np.array(rows), domain=mt.TimeDomain.CONTINUOUS)
+        with pytest.raises(mt.InsufficientData, match=f"output {len(rows) - 1} has fewer than two samples"):
+            mt.fit_single_mode(trace)
+        assert_fits_bit_equal(trace)
+        short = mt.SimulationTrace(times=times[:7], xi=np.zeros((1, 7)), epsilon=np.array(rows)[:, :7], domain=trace.domain)
+        with pytest.raises(mt.InsufficientData, match="7 samples; at least 8 required"):
+            mt.fit_single_mode(short)
+        assert_fits_bit_equal(short)
+
+    @given(traces(), st.booleans())
+    def test_every_trace_fits_as_the_row_selection_fit(self, trace, fortran):
+        if fortran:
+            trace = dataclasses.replace(trace, epsilon=np.asfortranarray(trace.epsilon))
+        assert_fits_bit_equal(trace)
 
 
 @pytest.fixture(scope="module")

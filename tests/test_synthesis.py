@@ -1,5 +1,10 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack import subspaces, synthesis, sysmodel
@@ -7,7 +12,7 @@ from monotrack.fixtures import demo_system_path
 from monotrack.subspaces import factor_pencil
 from monotrack.synthesis import _direction_from
 
-from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls
+from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, wide_plant
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
 
 # Direction pairs of the demo plant at the requested modes, as exact rationals.
@@ -421,3 +426,178 @@ class TestControlInput:
         rng = np.random.default_rng(8)
         for _ in range(3):
             assert np.allclose(mt.control_input(frozen, rng.normal(size=5)), demo_feedback.u_ss)
+
+
+# -- Oracles: the per-target spectrum match and the per-output checks that
+# _match_spectrum and _verify_gain replaced, kept as the reference for the
+# array passes.
+def oracle_match_spectrum(actual, expected, tolerance):
+    if len(actual) != len(expected):
+        return False
+    remaining = list(actual)
+    for target in expected:
+        gaps = [abs(z - target) for z in remaining]
+        best = int(np.argmin(gaps))
+        if gaps[best] > tolerance * (1.0 + abs(target)):
+            return False
+        remaining.pop(best)
+    return True
+
+
+def oracle_verify_gain(sys, spec, tol, vg, directions, delta, V, W):
+    F = np.linalg.solve(V.T, W.T).T
+    scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
+    if np.linalg.norm(F @ V - W) > tol.residual_tol * scale * max(1.0, float(np.linalg.norm(F))):
+        return None, None, "gain does not reproduce the requested directions"
+    closed_loop = sys.A + sys.B @ F
+    spectrum = np.linalg.eigvals(closed_loop)
+    expected = [complex(spec.lambdas[j]) for j in delta] + [complex(m) for m in vg.modes]
+    if not oracle_match_spectrum(spectrum, expected, synthesis._SPECTRUM_TOL):
+        return None, None, (
+            f"closed-loop spectrum {sorted(spectrum.tolist(), key=lambda z: (z.real, z.imag))} "
+            "does not match the assigned modes"
+        )
+    if not all(sys.domain.is_stable(z) for z in spectrum):
+        return None, None, "closed-loop spectrum is not contained in the stability region"
+    out_map = sys.C + sys.D @ F
+    out_scale = max(scale, float(np.linalg.norm(sys.C)) + float(np.linalg.norm(sys.D)) * float(np.linalg.norm(F)))
+    for j in delta:
+        target = np.zeros(sys.p)
+        target[j] = directions[j].beta
+        if np.linalg.norm(out_map @ directions[j].v - target) > tol.residual_tol * out_scale * 10:
+            return None, None, f"output coupling of direction {j} failed verification"
+    if vg.dim and np.linalg.norm(out_map @ vg.V) > tol.residual_tol * out_scale * 10:
+        return None, None, "stabilisability basis is not output-nulling under the gain"
+    for j in range(sys.p):
+        if j not in delta and np.linalg.norm(out_map[j]) > tol.residual_tol * out_scale * 10:
+            return None, None, f"output {j} is tagged instantaneous but its error row does not vanish"
+    return F, spectrum, None
+
+
+def captured_verifications(monkeypatch, designs):
+    """The arguments of every ``_verify_gain`` call that the (plant, spec) ``designs`` make."""
+    captured = []
+    verify = synthesis._verify_gain
+
+    def capture(*args):
+        captured.append(args)
+        return verify(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(synthesis, "_verify_gain", capture)
+        for plant, spec in designs:
+            try:
+                mt.synthesize(plant, spec)
+            except mt.MonotrackError:
+                pass
+    return captured
+
+
+def assert_same_verification(args):
+    sys = args[0]
+    # A new plant object, so the gain's closed loop is formed here and not read.
+    got = synthesis._verify_gain(mt.LtiSystem.from_json_dict(sys.to_json_dict()), *args[1:])
+    want = oracle_verify_gain(*args)
+    assert got[2] == want[2]
+    for a, b in zip(got[:2], want[:2]):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@st.composite
+def spectra(draw):
+    """(actual, expected, tolerance): a multiset, and its permutation moved by amounts near the tolerance.
+
+    Values sit on a coarse grid around a few centres, so repeated modes,
+    conjugate pairs and exact ties between two remaining values are common.
+    """
+    tolerance = draw(st.sampled_from((1e-6, 1e-3, 0.1)))
+    centres = draw(st.lists(st.sampled_from((-1.0, -2.0, -0.5, 3.0)), min_size=1, max_size=3))
+    expected = []
+    for _ in range(draw(st.integers(1, 7))):
+        centre = draw(st.sampled_from(centres))
+        imag = draw(st.sampled_from((0.0, 0.0, 1.0, 2.5)))
+        expected += [complex(centre, imag), complex(centre, -imag)] if imag else [complex(centre)]
+    steps = st.sampled_from((0.0, 0.25, 0.5, 0.999999, 1.0, 1.5, 3.0))
+    actual = []
+    for z in draw(st.permutations(expected)):
+        size = draw(steps) * tolerance * (1.0 + abs(z))
+        direction = draw(st.sampled_from((1.0, -1.0, 1j, -1j)))
+        actual.append(z + direction * size)
+    if draw(st.booleans()):
+        actual = actual[:-1]
+    if all(z.imag == 0.0 for z in actual) and draw(st.booleans()):
+        return np.array([z.real for z in actual]), expected, tolerance
+    return np.array(actual, dtype=complex), expected, tolerance
+
+
+class TestVerifyGainOracles:
+    DEMO_SPEC = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+
+    @given(spectra())
+    def test_match_equals_the_per_target_loop(self, case):
+        actual, expected, tolerance = case
+        assert synthesis._match_spectrum(actual, expected, tolerance) == oracle_match_spectrum(actual, expected, tolerance)
+
+    def test_a_tie_goes_to_the_first_remaining_value(self):
+        # -1 is 2^-20 from both values; -1 + 2^-19 is within its bound of the
+        # second only, so the match holds when -1 takes the first one.
+        d = 2.0**-20
+        expected = [complex(-1.0), complex(-1.0 + 2 * d)]
+        for actual, matched in (([-1.0 - d, -1.0 + d], True), ([-1.0 + d, -1.0 - d], False)):
+            actual = np.array(actual, dtype=complex)
+            assert synthesis._match_spectrum(actual, expected, 1e-6) is matched
+            assert oracle_match_spectrum(actual, expected, 1e-6) is matched
+
+    def test_a_distance_on_the_bound_is_judged_as_the_scalar_abs_judges_it(self):
+        # Every distance is at most the largest, which is the bound: NumPy's
+        # vectorized complex abs can put that one an ulp past it.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            actual = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+            tolerance = max(abs(z) for z in actual)
+            assert synthesis._match_spectrum(actual, [0j] * 8, tolerance)
+            assert oracle_match_spectrum(actual, [0j] * 8, tolerance)
+
+    def test_the_demo_spectrum_matches_in_every_order(self, demo_feedback):
+        # -1, -2, -1 and the V*g modes: a repeated mode, in three orders.
+        spectrum = np.array(demo_feedback.closed_loop_spectrum)
+        modes = [complex(m) for m in demo_feedback.column_modes]
+        for expected in (modes, modes[::-1], modes[1:] + modes[:1]):
+            assert synthesis._match_spectrum(spectrum, expected, synthesis._SPECTRUM_TOL)
+        assert not synthesis._match_spectrum(spectrum, [complex(-1.0)] * len(modes), synthesis._SPECTRUM_TOL)
+
+    def test_every_design_verifies_as_the_per_output_loops(self, monkeypatch):
+        designs = [(mt.LtiSystem.load(demo_system_path()), dataclasses.replace(self.DEMO_SPEC, seed=s)) for s in range(4)]
+        designs += [
+            (wide_plant(0, k, p), mt.SynthesisSpec(lambdas=tuple(-1.0 - 0.25 * i for i in range(p)), reference=np.ones(p)))
+            for p in (8, 12) for k in range(2)
+        ]
+        for n, m, p, planted in ((6, 3, 2, (2.0,)), (10, 4, 3, ()), (12, 5, 4, (-3.0,))):
+            plant = mt.generate(mt.GeneratorSpec(n=n, m=m, p=p, planted_zero_values=planted, seed=0))
+            designs.append((plant, mt.SynthesisSpec(lambdas=tuple(-1.0 - 0.25 * i for i in range(p)), reference=np.ones(p))))
+        captured = captured_verifications(monkeypatch, designs)
+        assert len(captured) >= len(designs)
+        for args in captured:
+            assert_same_verification(args)
+
+    @pytest.mark.parametrize("corrupted", [(1,), (2,), (0, 2), (2, 1)])
+    def test_a_forced_coupling_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, corrupted):
+        (sys, spec, tol, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        directions = dict(directions)
+        for j in corrupted:
+            directions[j] = dataclasses.replace(directions[j], beta=2.0 * directions[j].beta)
+        args = (sys, spec, tol, vg, directions, delta, V, W)
+        assert_same_verification(args)
+        assert synthesis._verify_gain(*args)[2] == f"output coupling of direction {min(corrupted)} failed verification"
+
+    @pytest.mark.parametrize("tagged", [(2,), (0,), (0, 1), (1, 2)])
+    def test_a_forced_instantaneous_row_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, tagged):
+        # The outputs in ``tagged`` leave delta, and their modes join V*g's, so
+        # the spectrum and the couplings still pass and only their rows fail.
+        (sys, spec, tol, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        kept = tuple(j for j in delta if j not in tagged)
+        order = [delta.index(j) for j in kept + tagged] + list(range(len(delta), V.shape[1]))
+        tagged_vg = SimpleNamespace(V=vg.V, dim=vg.dim, modes=tuple(spec.lambdas[j] for j in tagged) + tuple(vg.modes))
+        args = (sys, spec, tol, tagged_vg, directions, kept, V[:, order], W[:, order])
+        assert_same_verification(args)
+        assert synthesis._verify_gain(*args)[2] == f"output {min(tagged)} is tagged instantaneous but its error row does not vanish"

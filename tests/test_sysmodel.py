@@ -155,11 +155,12 @@ class TestInvariantZeros:
         assert any(abs(v + 1.5) <= 1e-6 for v in values)
 
 
-def qz_compression_candidates(sys, seed, index, nr):
+def qz_compression_candidates(sys, seed, index, nr, sigma):
     """The square QZ compression invariant_zeros used to solve, kept as its oracle.
 
     It compresses to min(n+p, n+m) whatever the normal rank ``nr`` and solves
-    the generalized eigenproblem (L P(0) R, L E R) with SciPy.
+    the generalized eigenproblem (L P(0) R, L E R) with SciPy, so it needs no
+    shift ``sigma``.
     """
     P0 = rosenbrock(sys, 0.0)
     E = np.zeros_like(P0)
@@ -244,6 +245,22 @@ class TestConfirmedZeros:
         assert calls == {"svd": 4}
         assert zeros == expected
         assert [z.value.real for z in zeros] == pytest.approx(DEMO_ZEROS, abs=1e-9)
+
+    def test_both_compressions_share_one_shift(self, demo_system, monkeypatch):
+        shifts = []
+        compress = sysmodel._compression_candidates
+
+        def capture(*args):
+            shifts.append(args[-1])
+            return compress(*args)
+
+        monkeypatch.setattr(sysmodel, "_compression_candidates", capture)
+        calls = count_calls(monkeypatch, (sysmodel, "rosenbrock"))
+        sysmodel._confirmed_zeros(demo_system, 8, mt.DEFAULT_POLICY, 1729)
+        assert shifts == [1j * (1.0 + np.linalg.norm(rosenbrock(demo_system, 0.0), 1))] * 2
+        # P(0) once for the shift, P(sigma) per compression, and two pencils
+        # per demo zero (polishing and confirmation).
+        assert calls == {"rosenbrock": 1 + 2 + 2 * 4}
 
 
 class TestPolishCandidate:
