@@ -184,7 +184,7 @@ def _cmd_simulate(config: JobConfig, out: Path) -> int:
     system, fb = _synthesize_from_config(config)
     manifest = {"traces": []}
     for idx, x0 in enumerate(config.x0_list):
-        trace = simulate(system, fb, x0, config.horizon, config.samples, config.policy())
+        trace = simulate(system, fb, x0, config.horizon, config.samples)
         name = f"trace_{idx}.csv"
         trace_to_csv(trace, out / name)
         manifest["traces"].append({"x0": list(x0), "file": name, "samples": trace.num_samples})
@@ -203,7 +203,7 @@ def _cmd_verify(config: JobConfig, out: Path) -> int:
         for j in range(system.p)
     ]
     for x0 in config.x0_list:
-        trace = simulate(system, fb, x0, config.horizon, config.samples, policy)
+        trace = simulate(system, fb, x0, config.horizon, config.samples)
         mono = check_monotonic(trace, tol=policy)
         rates = check_rate(trace, rate, tol=policy) if rate else [True] * system.p
         fits = fit_single_mode(trace, policy)

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GenerationFailed, MonotrackError, NotSolvable
+from .errors import GenerationFailed, MonotrackError, NotSolvable, RankDeficientAfterRetries
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
 from .seeding import DEFAULT_SEED, rng_for
-from .subspaces import default_frequency_pool, discover_rstar, discover_vstar_g, draw
+from .subspaces import default_frequency_pool, discover_vstar_g, draw
 from .synthesis import _random_direction, _witnesses
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros, rosenbrock
 
@@ -210,17 +210,15 @@ def genericity_trial(
     seed: int = DEFAULT_SEED,
     tol: TolerancePolicy = DEFAULT_POLICY,
 ) -> GenericityStats:
-    """Sample the randomized constructions ``trials`` times without retries.
+    """Make one design try at each of ``trials`` trial seeds and count the failures.
 
     The trial modes are the first p values of the frequency pool. Delta and
-    the x_j come from the routine that :func:`synthesize` uses, with the
-    verdict decided once on the discovered V*g span; a not-solvable verdict
-    fails every trial and is recorded in ``notes``. Each trial then draws
-    fresh mixing coefficients for the reachability and stabilisability
-    bases, and for each output j of delta a random solution x_j + k
-    (k in ker P(mu_j)) of its pencil equation, and rank-tests V = [those
-    directions, V*g draw]. Failures are counted, never retried, so the
-    reported fraction estimates the raw genericity of a single draw.
+    the x_j come from the routine that :func:`synthesize` uses, decided once
+    on the discovered V*g span; a not-solvable verdict fails every trial and
+    is recorded in ``notes``. A trial draws only what a design draws: one V*g
+    pass and, for each j in delta, x_j + k with k random in ker P(mu_j); it
+    then rank-tests V = [those directions, V*g draw]. Failures are never
+    retried, so the fraction estimates the genericity of a single try.
     """
     zeros = invariant_zeros(sys, tol)
     pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
@@ -228,25 +226,24 @@ def genericity_trial(
     every_trial_fails = GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
     # The kernels, delta and the x_j do not depend on the trial; only their draws do.
     try:
-        rs_kernels, vg_kernels = discover_rstar(sys, tol=tol, zeros=zeros), discover_vstar_g(sys, tol=tol, zeros=zeros)
+        vg_kernels = discover_vstar_g(sys, tol=tol, zeros=zeros)
         delta, pairs, factors = _witnesses(sys, vg_kernels.basis, pool[: sys.p], tol)
     except NotSolvable as exc:
         return replace(every_trial_fails, notes={"solvability": exc.verdict.to_json_dict()})
     except MonotrackError:
         return every_trial_fails
-    failing = []
-    for trial_seed in trial_seeds:
+
+    def fails(trial_seed: int) -> bool:
         try:
-            draw(rs_kernels, trial_seed, 0, tol)
-            vg = draw(vg_kernels, trial_seed, 0, tol)
-            rng = rng_for(trial_seed, "trial-directions")
-            cols = [_random_direction(sys, pairs[j], factors[pairs[j].mode].null_basis, rng).v for j in delta]
-            ok = rank_of(np.column_stack(cols + [vg.V]), tol) == sys.n
-        except MonotrackError:
-            ok = False
-        if not ok:
-            failing.append(trial_seed)
-    return GenericityStats(trials=trials, failures=len(failing), failing_seeds=tuple(failing))
+            vg = draw(vg_kernels, trial_seed, tol)
+        except RankDeficientAfterRetries:
+            return True
+        rng = rng_for(trial_seed, "trial-directions")
+        cols = [_random_direction(sys, pairs[j], factors[pairs[j].mode].null_basis, rng).v for j in delta]
+        return rank_of(np.column_stack(cols + [vg.V]), tol) != sys.n
+
+    failing = tuple(trial_seed for trial_seed in trial_seeds if fails(trial_seed))
+    return GenericityStats(trials=trials, failures=len(failing), failing_seeds=failing)
 
 
 def fixture_hash(sys: LtiSystem) -> str:

@@ -26,7 +26,7 @@ class SaturationFailure(MonotrackError):
 
 
 class RankDeficientAfterRetries(MonotrackError):
-    """Randomized basis assembly stayed rank deficient after all retries."""
+    """Randomized basis assembly fell short or stayed rank deficient on every try made."""
 
 
 class UnstableLambda(MonotrackError):

@@ -180,7 +180,6 @@ def simulate(
     x0,
     horizon: float | None = None,
     num_samples: int | None = None,
-    tol: TolerancePolicy = DEFAULT_POLICY,
 ) -> SimulationTrace:
     """Propagate the closed loop from initial state ``x0``.
 

@@ -15,8 +15,8 @@ Three families of subspaces drive the solvability theory and the synthesis:
 The last two are built in two steps. A deterministic discovery
 (``discover_rstar`` / ``discover_vstar_g``) computes the pencil kernels once
 and returns them as a ``KernelSpan`` with an orthonormal basis; ``draw`` then
-mixes a paired basis out of those kernels from a seeded stream, as often as a
-caller needs a fresh one. Dimensions and spans need no draw.
+mixes a paired basis out of those kernels in one seeded pass, which raises if
+it fails; another try is a draw at another seed. Spans need no draw.
 
 A classical fixed-point recursion (``vstar_recursive`` / ``rstar_recursive``)
 is provided as an independent oracle for cross-checking the kernel-stacking
@@ -58,6 +58,8 @@ from .sysmodel import (
 
 # Relative residual above which a candidate column counts as extending a span.
 _EXTEND_RTOL = 1e-8
+# How many times one pass of :func:`draw` may visit each pool kernel.
+_POOL_VISITS = 6
 
 
 @dataclass(frozen=True)
@@ -378,40 +380,34 @@ def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
     return best
 
 
-def draw(
-    kernels: KernelSpan, seed: int = DEFAULT_SEED, max_retries: int = 5, tol: TolerancePolicy = DEFAULT_POLICY
-) -> PairedBasis:
-    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels.
+def draw(kernels: KernelSpan, seed: int = DEFAULT_SEED, tol: TolerancePolicy = DEFAULT_POLICY) -> PairedBasis:
+    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels in one pass.
 
     Each seeded kernel gets one draw per kernel column; the visited pool
-    kernels are then cycled, one draw per visit, until ``kernels.dim``
-    columns extend the span. A pass that falls short or is rank deficient is
-    redrawn up to ``max_retries`` times, from the stream keyed by ``seed``
-    and ``kernels.tag``.
+    kernels are then cycled, one draw per visit and ``_POOL_VISITS`` visits
+    each, until ``kernels.dim`` columns extend the span, from the stream keyed
+    by ``seed`` and ``kernels.tag``. A pass that falls short or is rank
+    deficient raises :class:`RankDeficientAfterRetries`.
     """
     n, target = kernels.basis.shape[0], kernels.dim
     rng = rng_for(seed, *kernels.tag)
     seeded_slots = [(mode, kernel) for mode, kernel in kernels.seeded for _slot in range(kernel.shape[1])]
-    pool_slots = [(mu, kernel) for mu, kernel in kernels.visited if kernel.shape[1]] * (max_retries + 1)
-    for _ in range(max_retries + 1):
-        span = _SpanTracker(n)
-        cols_v, cols_w, modes = [], [], []
-        for slot, (mode, kernel) in enumerate(seeded_slots + pool_slots):
-            if slot >= len(seeded_slots) and len(modes) == target:
-                break
-            block = _best_block(span, kernel, mode, n, rng)
-            if block is not None and span.add(block[2]):
-                cols_v.extend(block[0].T)
-                cols_w.extend(block[1].T)
-                modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
-        if len(modes) != target:
-            continue
-        if target == 0:
-            return PairedBasis(V=np.zeros((n, 0)), W=np.zeros((kernels.inputs, 0)), modes=())
-        V = np.column_stack(cols_v)
-        if rank_of(V, tol) == target:
-            return PairedBasis(V=V, W=np.column_stack(cols_w), modes=tuple(modes))
-    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis after retries")
+    pool_slots = [(mu, kernel) for mu, kernel in kernels.visited if kernel.shape[1]] * _POOL_VISITS
+    span = _SpanTracker(n)
+    cols_v, cols_w, modes = [], [], []
+    for slot, (mode, kernel) in enumerate(seeded_slots + pool_slots):
+        if slot >= len(seeded_slots) and len(modes) == target:
+            break
+        block = _best_block(span, kernel, mode, n, rng)
+        if block is not None and span.add(block[2]):
+            cols_v.extend(block[0].T)
+            cols_w.extend(block[1].T)
+            modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
+    V = np.column_stack(cols_v) if cols_v else np.zeros((n, 0))
+    W = np.column_stack(cols_w) if cols_w else np.zeros((kernels.inputs, 0))
+    if len(modes) == target and (target == 0 or rank_of(V, tol) == target):
+        return PairedBasis(V=V, W=W, modes=tuple(modes))
+    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis in one pass at seed {seed}")
 
 
 def discover_rstar(

@@ -300,11 +300,19 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
 def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, seed: int, tol: TolerancePolicy):
     """The (V*g basis, directions) pairs a synthesis tries, each drawn when it is asked for.
 
-    The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, then the last
-    draw with each x_j plus a random vector of ker P(lam_j) (still a solution).
+    The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, skipping a draw
+    that raises, then the last basis drawn with each x_j plus a random vector
+    of ker P(lam_j) (still a solution). If no draw succeeds, the last raises.
     """
+    vg = None
     for k in range(_REDRAWS + 1):
-        vg = draw(vg_kernels, seed + k, _REDRAWS, tol)
+        try:
+            vg = draw(vg_kernels, seed + k, tol)
+        except RankDeficientAfterRetries:
+            # Raised here, not kept: a kept error would tie this frame to its traceback in a cycle.
+            if vg is None and k == _REDRAWS:
+                raise
+            continue
         yield vg, directions
     final = {
         j: _random_direction(sys, pair, factors[pair.mode].null_basis, rng_for(seed + 7919, "direction-final", j))
@@ -323,8 +331,9 @@ def synthesize(
 
     Solvability and delta are decided once, on the discovered span of V*g
     or the replayed basis, before any draw. Up to ``_REDRAWS + 2`` candidate
-    bases (:func:`_candidates`) are then tried until one has a full-rank V
-    and a gain that passes :func:`_verify_gain`; a replay is one candidate.
+    bases (:func:`_candidates`, the one redraw loop) are then tried until one
+    has a full-rank V and a gain that passes :func:`_verify_gain`; a replay is
+    one candidate.
     Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
     kept on the plant for the latest (modes, pool, policy), so a repeat
     design on the same plant only draws, verifies and solves.
@@ -337,7 +346,7 @@ def synthesize(
         If the dimension conditions reject the requested mode tuple (the
         verdict rides on the exception).
     RankDeficientAfterRetries
-        If the last candidate's V was singular.
+        If the last candidate's V was singular, or every V*g draw failed.
     UnstableResult
         If the last candidate's gain failed verification, with its reason.
     """

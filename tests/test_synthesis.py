@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,20 @@ DEMO_W3 = np.array([-55 / 4, -9 / 2, 0.0, -9.0]) / 18.0
 def direction(sys, j, lam):
     """Output ``j``'s direction pair at ``lam``, as ``synthesize`` reads it from the factored pencil."""
     return _direction_from(sys, j, lam, factor_pencil(sys, lam), mt.DEFAULT_POLICY)
+
+
+def fail_first_draw(monkeypatch) -> list:
+    """Make the first V*g draw of ``synthesize`` raise; returns the seeds of every draw asked for."""
+    true_draw, seeds = synthesis.draw, []
+
+    def first_draw_fails(kernels, seed, *args):
+        seeds.append(seed)
+        if len(seeds) == 1:
+            raise mt.RankDeficientAfterRetries("forced draw failure")
+        return true_draw(kernels, seed, *args)
+
+    monkeypatch.setattr(synthesis, "draw", first_draw_fails)
+    return seeds
 
 
 class TestDirectionForOutput:
@@ -298,6 +313,41 @@ class TestSynthesize:
         # one after the final direction redraw; V*g itself is found once.
         assert len(verified) == synthesis._REDRAWS + 2
         assert calls == {"discover_vstar_g": 1, "draw": 1 + synthesis._REDRAWS}
+
+    def test_a_failed_draw_is_a_failed_try(self, fresh_demo, monkeypatch):
+        # The first V*g draw raises; the design comes from the draw at the next seed.
+        seeds = fail_first_draw(monkeypatch)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=4)
+        fb = mt.synthesize(fresh_demo, spec)
+        assert seeds == [4, 5]
+        monkeypatch.undo()
+        next_seed = mt.synthesize(mt.LtiSystem.load(demo_system_path()), dataclasses.replace(spec, seed=5))
+        assert fb.to_json_dict() == next_seed.to_json_dict()
+
+    def test_a_failed_draw_leaves_no_reference_cycle(self, fresh_demo, monkeypatch):
+        # A draw error kept in the candidate sequence would tie its frame to
+        # the error's traceback, and the arrays on it would wait for the cycle
+        # collector.
+        seeds = fail_first_draw(monkeypatch)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        gc.collect()
+        gc.disable()
+        try:
+            mt.synthesize(fresh_demo, spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(seeds) == 2
+
+    def test_when_every_draw_fails_the_last_draw_error_is_raised(self, fresh_demo, monkeypatch):
+        def failing_draw(kernels, seed, *args):
+            raise mt.RankDeficientAfterRetries(f"forced draw failure at seed {seed}")
+
+        monkeypatch.setattr(synthesis, "draw", failing_draw)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=4)
+        with pytest.raises(mt.RankDeficientAfterRetries) as info:
+            mt.synthesize(fresh_demo, spec)
+        assert str(info.value) == f"forced draw failure at seed {4 + synthesis._REDRAWS}"
 
     def test_plain_eigenstructure_assignment_when_p_equals_n(self):
         # Square controllable plant with as many outputs as states: no
