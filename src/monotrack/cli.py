@@ -3,17 +3,26 @@
 One process runs one job described by a JSON config file plus flag
 overrides; artifacts land in the output directory and the exit code is the
 only pass/fail channel: 0 success, 1 config or I/O error, 2 not solvable,
-3 assumption failure, 4 numerical failure.
+3 assumption failure, 4 numerical failure. Each ``_cmd_*`` imports the
+layers only its command runs, so a job pays no import for a layer it does
+not use.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+# A job works on small matrices in a process of its own, so BLAS threads buy
+# nothing. This must run before NumPy is first imported; a value already set
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -25,14 +34,9 @@ from .errors import (
     NotSolvable,
     UnstableLambda,
 )
-from .ensemble import GeneratorSpec, batch_report, generate, genericity_trial
 from .numkernel import TolerancePolicy
 from .seeding import DEFAULT_SEED
-from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate, trace_to_csv
-from .solvability import check_solvable
-from .subspaces import discover_rstar, discover_vstar_g
-from .synthesis import Replay, SynthesisSpec, synthesize
-from .sysmodel import LtiSystem, TimeDomain, audit_assumptions
+from .sysmodel import LtiSystem, audit_assumptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -80,7 +84,9 @@ def _write_gain_csv(path: Path, F: np.ndarray) -> None:
             fh.write(",".join(f"{x:.15g}" for x in row) + "\n")
 
 
-def _load_replay(path: str) -> Replay:
+def _load_replay(path: str):
+    from .synthesis import Replay
+
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     directions = {}
@@ -100,6 +106,9 @@ def _require(config: JobConfig, *names: str) -> None:
 
 
 def _cmd_analyze(config: JobConfig, out: Path) -> int:
+    from .solvability import check_solvable
+    from .subspaces import discover_rstar, discover_vstar_g
+
     policy = config.policy()
     system = LtiSystem.load(config.system_path)
     report = audit_assumptions(system, policy)
@@ -158,6 +167,8 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
 
 
 def _synthesize_from_config(config: JobConfig):
+    from .synthesis import SynthesisSpec, synthesize
+
     system = LtiSystem.load(config.system_path)
     spec = SynthesisSpec(
         lambdas=config.lambdas,
@@ -180,6 +191,8 @@ def _cmd_synthesize(config: JobConfig, out: Path) -> int:
 
 
 def _cmd_simulate(config: JobConfig, out: Path) -> int:
+    from .simverify import simulate, trace_to_csv
+
     _require(config, "system_path", "lambdas", "reference", "x0_list")
     system, fb = _synthesize_from_config(config)
     manifest = {"traces": []}
@@ -194,6 +207,8 @@ def _cmd_simulate(config: JobConfig, out: Path) -> int:
 
 
 def _cmd_verify(config: JobConfig, out: Path) -> int:
+    from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate
+
     _require(config, "system_path", "lambdas", "reference", "x0_list")
     policy = config.policy()
     system, fb = _synthesize_from_config(config)
@@ -234,6 +249,8 @@ def _cmd_verify(config: JobConfig, out: Path) -> int:
 
 
 def _cmd_ensemble(config: JobConfig, out: Path) -> int:
+    from .ensemble import GeneratorSpec, batch_report, generate, genericity_trial
+
     policy = config.policy()
     options = dict(config.ensemble_options)
     trials = int(options.pop("trials", 100))
@@ -247,7 +264,7 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
             n=int(options["n"]),
             m=int(options["m"]),
             p=int(options["p"]),
-            domain=TimeDomain(options.get("domain", "continuous")),
+            domain=options.get("domain", "continuous"),
             planted_zero_values=tuple(complex(z[0], z[1]) if isinstance(z, list) else complex(z) for z in options.get("planted_zeros", [])),
             planted_uncontrollable_modes=tuple(options.get("planted_uncontrollable", [])),
             seed=config.seed,

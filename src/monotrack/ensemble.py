@@ -40,6 +40,7 @@ class GeneratorSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        object.__setattr__(self, "domain", TimeDomain(self.domain))
         if min(self.n, self.m, self.p) < 1:
             raise ValueError("dimensions must be positive")
         if self.m < self.p:

@@ -30,6 +30,16 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError):
             mt.GeneratorSpec(n=2, m=2, p=2, planted_zero_values=(-1.0, -2.0), planted_uncontrollable_modes=(-3.0,))
 
+    def test_rejects_a_domain_that_is_no_time_domain(self):
+        # Planted zeros passed as the fourth positional field land in `domain`.
+        with pytest.raises(ValueError, match="TimeDomain"):
+            mt.GeneratorSpec(16, 6, 5, (2.0,), seed=0)
+
+    def test_takes_a_domain_by_its_value(self):
+        spec = mt.GeneratorSpec(n=3, m=2, p=2, domain="discrete", planted_uncontrollable_modes=(0.5,), seed=13)
+        assert spec.domain is mt.TimeDomain.DISCRETE
+        assert spec == mt.GeneratorSpec(n=3, m=2, p=2, domain=mt.TimeDomain.DISCRETE, planted_uncontrollable_modes=(0.5,), seed=13)
+
 
 class TestGenerate:
     def test_planted_zero_and_uncontrollable_mode(self):
