@@ -27,7 +27,7 @@ _EXPORTS = {
         "SaturationFailure", "Unsolvable", "UnstableClosedLoop", "UnstableLambda", "UnstableResult",
     ),
     "ensemble": ("GeneratorSpec", "GenericityStats", "generate", "genericity_trial"),
-    "numkernel": ("DEFAULT_POLICY", "TolerancePolicy", "min_norm_solve", "nullspace", "rank_of", "subspace_sum_dim"),
+    "numkernel": ("DEFAULT_POLICY", "TolerancePolicy", "nullspace", "rank_of", "subspace_sum_dim"),
     "simverify": (
         "ModeFit", "RateSpec", "SimulationTrace", "check_monotonic", "check_rate", "fit_single_mode",
         "simulate", "trace_to_csv",

@@ -65,9 +65,7 @@ class JobConfig:
     ensemble_options: dict = field(default_factory=dict)
 
     def policy(self) -> TolerancePolicy:
-        if self.tol_rank is not None:
-            return TolerancePolicy(relative_rank_tol=self.tol_rank)
-        return TolerancePolicy()
+        return TolerancePolicy(relative_rank_tol=self.tol_rank)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -210,7 +208,6 @@ def _cmd_verify(config: JobConfig, out: Path) -> int:
     from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate
 
     _require(config, "system_path", "lambdas", "reference", "x0_list")
-    policy = config.policy()
     system, fb = _synthesize_from_config(config)
     rate = RateSpec(config.rho) if config.rho is not None else None
     per_output = [
@@ -219,9 +216,9 @@ def _cmd_verify(config: JobConfig, out: Path) -> int:
     ]
     for x0 in config.x0_list:
         trace = simulate(system, fb, x0, config.horizon, config.samples)
-        mono = check_monotonic(trace, tol=policy)
-        rates = check_rate(trace, rate, tol=policy) if rate else [True] * system.p
-        fits = fit_single_mode(trace, policy)
+        mono = check_monotonic(trace)
+        rates = check_rate(trace, rate) if rate else [True] * system.p
+        fits = fit_single_mode(trace)
         for j in range(system.p):
             if mono[j] == "not_monotone":
                 per_output[j]["monotone"] = False
@@ -313,6 +310,20 @@ def _parse_vector(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
 
 
+def _number(key: str, value, kind: type):
+    """``value`` as ``kind`` (float, or int for a whole number), None kept; JSON may give a string or a float."""
+    if value is None:
+        return None
+    try:
+        number = kind(value)
+        exact = kind is float or float(value) == number
+    except (TypeError, ValueError):
+        exact = False
+    if not exact:
+        raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return number
+
+
 def build_config(argv=None) -> JobConfig:
     parser = argparse.ArgumentParser(prog="monotrack", description="Globally monotonic tracking toolbox")
     parser.add_argument("--config", help="JSON job file; flags override its fields")
@@ -353,12 +364,12 @@ def build_config(argv=None) -> JobConfig:
         lambdas=_parse_vector(lambdas) if isinstance(lambdas, str) else (tuple(lambdas) if lambdas else None),
         reference=_parse_vector(reference) if isinstance(reference, str) else (tuple(reference) if reference else None),
         x0_list=x0_parsed,
-        horizon=pick(args.horizon, "horizon"),
-        samples=pick(args.samples, "samples"),
-        rho=pick(args.rho, "rho"),
-        seed=int(pick(args.seed, "seed", DEFAULT_SEED)),
+        horizon=_number("horizon", pick(args.horizon, "horizon"), float),
+        samples=_number("samples", pick(args.samples, "samples"), int),
+        rho=_number("rho", pick(args.rho, "rho"), float),
+        seed=_number("seed", pick(args.seed, "seed", DEFAULT_SEED), int),
         out_dir=pick(args.out, "out", "."),
-        tol_rank=pick(args.tol_rank, "tol_rank"),
+        tol_rank=_number("tol_rank", pick(args.tol_rank, "tol_rank"), float),
         replay_vg=pick(args.replay_vg, "replay_vg"),
         free_pool=tuple(payload["free_pool"]) if payload.get("free_pool") else None,
         ensemble_options=payload.get("ensemble", {}),

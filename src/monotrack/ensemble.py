@@ -222,7 +222,7 @@ def genericity_trial(
     retried, so the fraction estimates the genericity of a single try.
     """
     zeros = invariant_zeros(sys, tol)
-    pool = default_frequency_pool(sys, zeros, tol, count=max(sys.n + 3, sys.p))
+    pool = default_frequency_pool(sys, zeros, count=max(sys.n + 3, sys.p))
     trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
     every_trial_fails = GenericityStats(trials=trials, failures=trials, failing_seeds=tuple(trial_seeds))
     # The kernels, delta and the x_j do not depend on the trial; only their draws do.

@@ -1,9 +1,11 @@
 """Tolerance-governed dense linear-algebra primitives.
 
 All structural decisions made by the library (rank tests, kernel extraction,
-dimension counts) route through this module so that a single tolerance policy
-governs every one of them. Complex arithmetic stays confined here and in
-:mod:`monotrack.sysmodel`; every basis exported to callers is real.
+dimension counts) route through this module. The rank threshold is the one
+tolerance a caller sets, through :class:`TolerancePolicy`; the other
+tolerances are the fixed constants below, so no caller can widen the checks
+that the design's guarantee rests on. Complex arithmetic stays confined here
+and in :mod:`monotrack.sysmodel`; every basis exported to callers is real.
 """
 
 from __future__ import annotations
@@ -15,46 +17,39 @@ import numpy as np
 from .errors import DimensionMismatch, Unsolvable
 
 _EPS = float(np.finfo(np.float64).eps)
+# Magnitudes below this are treated as exact zero.
+ABSOLUTE_FLOOR = 1e-12
+# Relative residual accepted for linear solves and basis invariants.
+RESIDUAL_TOL = 1e-9
+# Relative radius around an invariant zero inside which a frequency is
+# rejected, and the margin that keeps a zero off the stability boundary.
+ZERO_EXCLUSION = 1e-6
+# Safety factor on the machine-epsilon rank threshold.
+_RANK_SAFETY = 10.0
 
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Shared numerical tolerances.
+    """The rank threshold, the one tolerance a caller sets.
 
     Parameters
     ----------
     relative_rank_tol : float or None
         Explicit relative threshold for rank decisions. When None, the
         threshold for a matrix with largest singular value ``smax`` is
-        ``max(shape) * eps * smax * rank_safety``.
-    absolute_floor : float
-        Magnitudes below this are treated as exact zero.
-    residual_tol : float
-        Relative residual accepted for linear solves and basis invariants.
-    zero_exclusion : float
-        Relative radius around invariant zeros inside which a requested
-        frequency is rejected.
-    rank_safety : float
-        Safety factor applied to the machine-epsilon rank threshold.
+        ``max(shape) * eps * smax * 10``.
     """
 
     relative_rank_tol: float | None = None
-    absolute_floor: float = 1e-12
-    residual_tol: float = 1e-9
-    zero_exclusion: float = 1e-6
-    rank_safety: float = 10.0
 
     def __post_init__(self):
-        for name in ("absolute_floor", "residual_tol", "zero_exclusion", "rank_safety"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
         if self.relative_rank_tol is not None and self.relative_rank_tol <= 0.0:
             raise ValueError("relative_rank_tol must be strictly positive")
 
     def rank_threshold(self, shape: tuple[int, int], smax: float) -> float:
         if self.relative_rank_tol is not None:
             return self.relative_rank_tol * smax
-        return max(shape) * _EPS * smax * self.rank_safety
+        return max(shape) * _EPS * smax * _RANK_SAFETY
 
 
 DEFAULT_POLICY = TolerancePolicy()
@@ -96,30 +91,18 @@ def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def residual_violation(M, x, b, smax: float, tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
+def residual_violation(M, x, b, smax: float) -> str | None:
     """Why ``x`` does not solve ``M x = b`` at tolerance, or None when it does.
 
-    The residual is accepted up to ``residual_tol * (smax |x| + |b|)``, with
-    ``smax`` the largest singular value of ``M``, and never below the
-    absolute floor.
+    The residual is accepted up to ``RESIDUAL_TOL * (smax |x| + |b|)``, with
+    ``smax`` the largest singular value of ``M``, and never below
+    ``ABSOLUTE_FLOOR``.
     """
     residual = float(np.linalg.norm(M @ x - b))
-    bound = tol.residual_tol * (smax * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-    if residual > max(bound, tol.absolute_floor):
+    bound = RESIDUAL_TOL * (smax * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
+    if residual > max(bound, ABSOLUTE_FLOOR):
         return f"residual {residual:.3e} exceeds tolerance {bound:.3e}"
     return None
-
-
-def min_norm_solve(M, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Moore-Penrose minimum-norm solution of ``M x = b``.
-
-    Raises
-    ------
-    Unsolvable
-        If :func:`residual_violation` rejects the solution, i.e. the
-        right-hand side is not in the range of ``M`` at tolerance.
-    """
-    return min_norm_from_factors(thin_svd(M), b, tol)
 
 
 def thin_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,7 +112,10 @@ def thin_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def min_norm_from_factors(factors: tuple, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """:func:`min_norm_solve` of ``M x = b`` from ``factors = thin_svd(M)``, so one factor serves many ``b``."""
+    """Moore-Penrose minimum-norm solution of ``M x = b`` from ``factors = thin_svd(M)``, so one factor serves many ``b``.
+
+    Raises :class:`Unsolvable` when :func:`residual_violation` rejects it: ``b`` is not in the range of ``M``.
+    """
     M, u, s, vh = factors
     b = np.asarray(b).reshape(-1)
     if b.shape[0] != M.shape[0]:
@@ -140,7 +126,7 @@ def min_norm_from_factors(factors: tuple, b, tol: TolerancePolicy = DEFAULT_POLI
     x = vh.conj().T[:, keep] @ coeff
     if not (np.iscomplexobj(M) or np.iscomplexobj(b)):
         x = x.real
-    reason = residual_violation(M, x, b, float(s[0]) if s.size else 0.0, tol)
+    reason = residual_violation(M, x, b, float(s[0]) if s.size else 0.0)
     if reason is not None:
         raise Unsolvable(reason)
     return x

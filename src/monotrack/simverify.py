@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, UnstableClosedLoop
-from .numkernel import DEFAULT_POLICY, TolerancePolicy
+from .numkernel import ABSOLUTE_FLOOR
 from .synthesis import FeedbackResult, _closed_loop
 from .sysmodel import LtiSystem, TimeDomain, _memo, _read_only
 
@@ -233,32 +233,27 @@ def simulate(
     return SimulationTrace(times=times.copy(), xi=xi, epsilon=epsilon, domain=sys.domain, metadata=metadata)
 
 
-def check_monotonic(trace: SimulationTrace, tie_tol: float = _MONOTONE_TIE_TOL, tol: TolerancePolicy = DEFAULT_POLICY) -> list[str]:
+def check_monotonic(trace: SimulationTrace) -> list[str]:
     """Per-output verdict: "monotone", "not_monotone" or "instantaneous".
 
-    Differences within ``tie_tol * max|eps_k|`` count as ties so that
+    Differences within ``_MONOTONE_TIE_TOL * max|eps_k|`` count as ties so that
     floating-point plateaus near zero do not fail the check; beyond ties the
     successive differences must keep one sign and the magnitude must never
     grow.
     """
     magnitudes = np.abs(trace.epsilon)
     peak = np.max(magnitudes, axis=1)
-    ties = (tie_tol * peak)[:, None]
+    ties = (_MONOTONE_TIE_TOL * peak)[:, None]
     diffs = np.diff(trace.epsilon, axis=1)
     mixed_signs = np.any(diffs > ties, axis=1) & np.any(diffs < -ties, axis=1)
     non_increasing = np.all(magnitudes[:, 1:] <= magnitudes[:, :-1] + ties, axis=1)
     return [
         "instantaneous" if flat else "monotone" if ok else "not_monotone"
-        for flat, ok in zip(peak <= tol.absolute_floor, ~mixed_signs & non_increasing)
+        for flat, ok in zip(peak <= ABSOLUTE_FLOOR, ~mixed_signs & non_increasing)
     ]
 
 
-def check_rate(
-    trace: SimulationTrace,
-    rate: RateSpec,
-    tie_tol: float = _MONOTONE_TIE_TOL,
-    tol: TolerancePolicy = DEFAULT_POLICY,
-) -> list[bool]:
+def check_rate(trace: SimulationTrace, rate: RateSpec) -> list[bool]:
     """Envelope test |eps_k(t)| <= beta_k * exp(rho t) (or rho^t) per output."""
     rate.validate(trace.domain)
     if trace.domain is TimeDomain.CONTINUOUS:
@@ -266,13 +261,13 @@ def check_rate(
     else:
         envelope = rate.rho ** trace.times
     magnitudes = np.abs(trace.epsilon)
-    flat = np.max(magnitudes, axis=1) <= tol.absolute_floor
-    beta = magnitudes[:, :1] * (1.0 + tie_tol)
-    within = np.all(magnitudes <= beta * envelope + tol.absolute_floor, axis=1)
+    flat = np.max(magnitudes, axis=1) <= ABSOLUTE_FLOOR
+    beta = magnitudes[:, :1] * (1.0 + _MONOTONE_TIE_TOL)
+    within = np.all(magnitudes <= beta * envelope + ABSOLUTE_FLOOR, axis=1)
     return [bool(v) for v in flat | within]
 
 
-def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLICY) -> list[ModeFit]:
+def fit_single_mode(trace: SimulationTrace) -> list[ModeFit]:
     """Least-squares single-mode fit of each tracking-error component.
 
     The fit regresses log |eps_k| on time over the samples above the absolute
@@ -290,9 +285,8 @@ def fit_single_mode(trace: SimulationTrace, tol: TolerancePolicy = DEFAULT_POLIC
     eps = np.ascontiguousarray(trace.epsilon)
     magnitudes = np.abs(eps)
     peak = np.max(magnitudes, axis=1)
-    floor = tol.absolute_floor
-    usable = magnitudes > floor
-    instantaneous = (peak <= floor) | (magnitudes[:, 0] <= floor)
+    usable = magnitudes > ABSOLUTE_FLOOR
+    instantaneous = (peak <= ABSOLUTE_FLOOR) | (magnitudes[:, 0] <= ABSOLUTE_FLOOR)
     short = ~instantaneous & (np.sum(usable, axis=1) < 2)
     if np.any(short):
         raise InsufficientData(f"output {int(np.argmax(short))} has fewer than two samples above the floor")

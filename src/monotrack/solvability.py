@@ -146,18 +146,16 @@ def check_solvable(
     return SolvabilityVerdict(solvable=False, failing_subsets=failures, h=h, delta=None)
 
 
-def _validate_mode(sys: LtiSystem, lam: float, zeros: list[InvariantZero], tol: TolerancePolicy) -> None:
+def _validate_mode(sys: LtiSystem, lam: float, zeros: list[InvariantZero]) -> None:
     if not sys.domain.is_stable(lam):
         raise UnstableLambda(f"mode {lam} is outside the stability region")
     if sys.domain is TimeDomain.DISCRETE and lam <= 0.0:
         raise UnstableLambda(f"discrete modes must lie in (0, 1), got {lam}")
-    if exclusion_violation(lam, zeros, tol):
+    if exclusion_violation(lam, zeros):
         raise LambdaAtZero(f"mode {lam} coincides with an invariant zero")
 
 
-def validate_modes(
-    sys: LtiSystem, lambdas, zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY
-) -> tuple:
+def validate_modes(sys: LtiSystem, lambdas, zeros: list[InvariantZero]) -> tuple:
     """One stable mode per output, none on an invariant zero; returns the modes as floats.
 
     Raises
@@ -172,5 +170,5 @@ def validate_modes(
     if len(lambdas) != sys.p:
         raise ValueError(f"expected {sys.p} modes, got {len(lambdas)}")
     for lam in lambdas:
-        _validate_mode(sys, lam, zeros, tol)
+        _validate_mode(sys, lam, zeros)
     return lambdas

@@ -37,6 +37,8 @@ from .errors import (
 )
 from .numkernel import (
     DEFAULT_POLICY,
+    RESIDUAL_TOL,
+    ZERO_EXCLUSION,
     TolerancePolicy,
     full_svd,
     nullspace,
@@ -109,7 +111,7 @@ class PairedBasis:
                 res_state = (sys.A - mu * np.eye(sys.n)) @ v + sys.B @ w
                 res_out = C @ v + D @ w
                 i += 1
-            if np.linalg.norm(res_state) > tol.residual_tol * scale or np.linalg.norm(res_out) > tol.residual_tol * scale:
+            if np.linalg.norm(res_state) > RESIDUAL_TOL * scale or np.linalg.norm(res_out) > RESIDUAL_TOL * scale:
                 raise ValueError(f"pencil residual invariant violated at column {i - 1}")
         if self.dim and rank_of(self.V, tol) != self.dim:
             raise ValueError("state directions are rank deficient")
@@ -133,7 +135,6 @@ class PencilFactor:
     vh: np.ndarray
     rank: int
     n: int
-    tol: TolerancePolicy
 
     def solution(self, j: int) -> np.ndarray | None:
         """x_j = P^+ e_{n+j}, or None when :func:`residual_violation` rejects it."""
@@ -141,7 +142,7 @@ class PencilFactor:
         x = self.vh[:r].conj().T @ (self.u[self.n + j, :r].conj() / self.s[:r])
         rhs = np.zeros(self.pencil.shape[0])
         rhs[self.n + j] = 1.0
-        return None if residual_violation(self.pencil, x, rhs, float(self.s[0]), self.tol) else x
+        return None if residual_violation(self.pencil, x, rhs, float(self.s[0])) else x
 
     @property
     def null_basis(self) -> np.ndarray:
@@ -157,7 +158,7 @@ class PencilFactor:
 def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_POLICY) -> PencilFactor:
     """Factor the system pencil at ``mu`` once (one SVD)."""
     pencil = rosenbrock(sys, mu)
-    return PencilFactor(pencil, *full_svd(pencil, tol), sys.n, tol)
+    return PencilFactor(pencil, *full_svd(pencil, tol), sys.n)
 
 
 class _SpanTracker:
@@ -222,7 +223,6 @@ _POOL_AVOID_RTOL = 5e-3
 def default_frequency_pool(
     sys: LtiSystem,
     zeros: list[InvariantZero],
-    tol: TolerancePolicy = DEFAULT_POLICY,
     count: int | None = None,
     avoid: tuple = (),
 ) -> tuple[float, ...]:
@@ -247,9 +247,9 @@ def default_frequency_pool(
         candidates = (x for x in dyadic if 0.02 < x < 0.98)
     pool = []
     for mu in candidates:
-        if exclusion_violation(mu, zeros, tol):
+        if exclusion_violation(mu, zeros):
             continue
-        if any(abs(mu - q) <= tol.zero_exclusion for q in pool):
+        if any(abs(mu - q) <= ZERO_EXCLUSION for q in pool):
             continue
         if any(abs(mu - a) <= _POOL_AVOID_RTOL * (1.0 + abs(a)) for a in avoid):
             continue
@@ -275,19 +275,17 @@ def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedB
     return PairedBasis(V=V, W=W, modes=(mu,) * len(keep))
 
 
-def _validated_pool(
-    sys: LtiSystem, free_pool, zeros: list[InvariantZero], tol: TolerancePolicy, avoid: tuple = ()
-) -> tuple[float, ...]:
+def _validated_pool(sys: LtiSystem, free_pool, zeros: list[InvariantZero], avoid: tuple = ()) -> tuple[float, ...]:
     """The user's ``free_pool``, checked, or the default pool when it is None."""
     if free_pool is None:
-        return default_frequency_pool(sys, zeros, tol, avoid=avoid)
+        return default_frequency_pool(sys, zeros, avoid=avoid)
     pool = tuple(float(mu) for mu in free_pool)
     if len(set(pool)) != len(pool):
         raise ValueError("pool values must be pairwise distinct")
     for mu in pool:
         if not sys.domain.is_stable(mu):
             raise ValueError(f"pool value {mu} is not stable for the {sys.domain.value} domain")
-        if exclusion_violation(mu, zeros, tol):
+        if exclusion_violation(mu, zeros):
             raise FrequencyIsZero(f"pool value {mu} is within the exclusion radius of an invariant zero")
     return pool
 
@@ -415,7 +413,7 @@ def discover_rstar(
     *, zeros: list[InvariantZero],
 ) -> KernelSpan:
     """Kernels over :func:`default_frequency_pool` spanning the output-nulling reachability subspace."""
-    pool = default_frequency_pool(sys, zeros, tol)
+    pool = default_frequency_pool(sys, zeros)
     tag = ("rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
     return _discover(sys, [], pool, excluded_output, tol, tag)
 
@@ -438,10 +436,10 @@ def discover_vstar_g(
     directions as well, in which case those closed-loop modes land on the
     zeros); free-pool kernels follow. A complex zero gives realified pairs.
     """
-    reason = _min_phase_violation(zeros, tol)
+    reason = _min_phase_violation(zeros)
     if reason is not None:
         raise AssumptionViolation(reason)
-    pool = _validated_pool(sys, free_pool, zeros, tol, avoid)
+    pool = _validated_pool(sys, free_pool, zeros, avoid)
     # A conjugate pair is seeded at its upper representative; real zeros keep
     # a real pencil so the kernel carries no complex phase.
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]

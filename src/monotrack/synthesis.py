@@ -21,7 +21,7 @@ from .errors import (
     RankDeficientAfterRetries,
     UnstableResult,
 )
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
+from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
 from .subspaces import PairedBasis, PencilFactor, _held_factor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
@@ -59,15 +59,15 @@ class DirectionPair:
     output_index: int
     mode: float
 
-    def validate(self, sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> None:
+    def validate(self, sys: LtiSystem) -> None:
         scale = max(1.0, float(np.linalg.norm(sys.A)))
         res_state = (sys.A - self.mode * np.eye(sys.n)) @ self.v + sys.B @ self.w
         e_j = np.zeros(sys.p)
         e_j[self.output_index] = self.beta
         res_out = sys.C @ self.v + sys.D @ self.w - e_j
-        if np.linalg.norm(res_state) > tol.residual_tol * scale or np.linalg.norm(res_out) > tol.residual_tol * scale:
+        if np.linalg.norm(res_state) > RESIDUAL_TOL * scale or np.linalg.norm(res_out) > RESIDUAL_TOL * scale:
             raise ValueError("direction pair violates the pencil relation")
-        if abs(self.beta) <= tol.absolute_floor:
+        if abs(self.beta) <= ABSOLUTE_FLOOR:
             raise ValueError("direction pair has vanishing output coupling")
 
 
@@ -110,7 +110,7 @@ class FeedbackResult:
         }
 
 
-def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, tol: TolerancePolicy) -> DirectionPair:
+def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor) -> DirectionPair:
     """Output ``j``'s direction pair at the mode ``lam``, read from ``factor = factor_pencil(sys, lam)``.
 
     The right-hand side uses unit output coupling, so the minimum-norm
@@ -122,7 +122,7 @@ def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor, to
     """
     sol = factor.solution(j)
     pair = None if sol is None else _stacked_pair(sys, j, lam, sol)
-    if pair is None or abs(pair.beta) <= tol.absolute_floor:
+    if pair is None or abs(pair.beta) <= ABSOLUTE_FLOOR:
         raise DegenerateDirection(f"no direction with nonzero coupling into output {j} at mode {lam}")
     return pair
 
@@ -166,7 +166,7 @@ def control_input(fb: FeedbackResult, x) -> np.ndarray:
     return fb.F @ (x - fb.x_ss) + fb.u_ss
 
 
-def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray, tol: TolerancePolicy) -> tuple:
+def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray) -> tuple:
     """Assign a generating frequency to each replayed basis column.
 
     Columns satisfying a scalar eigen-relation get that real frequency;
@@ -179,7 +179,7 @@ def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray, tol: Toler
         v, w = V[:, k], W[:, k]
         image = sys.A @ v + sys.B @ w
         mu = float(v @ image / (v @ v))
-        if np.linalg.norm(image - mu * v) <= tol.residual_tol * scale * max(1.0, np.linalg.norm(v)):
+        if np.linalg.norm(image - mu * v) <= RESIDUAL_TOL * scale * max(1.0, np.linalg.norm(v)):
             modes.append(mu)
             k += 1
             continue
@@ -191,7 +191,7 @@ def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray, tol: Toler
         coeffs, *_ = np.linalg.lstsq(pair, np.column_stack([image, image2]), rcond=None)
         a, b = coeffs[0, 0], coeffs[1, 0]
         rot = np.array([[a, -b], [b, a]])
-        if np.linalg.norm(np.column_stack([image, image2]) - pair @ rot) > tol.residual_tol * scale * 10:
+        if np.linalg.norm(np.column_stack([image, image2]) - pair @ rot) > RESIDUAL_TOL * scale * 10:
             raise ValueError("replayed basis columns form no valid realified pair")
         modes.extend([complex(a, b), complex(a, -b)])
         k += 2
@@ -213,7 +213,7 @@ def _form_closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
     return closed_loop, np.linalg.eigvals(closed_loop), sys.C + sys.D @ F
 
 
-def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
+def _verify_gain(sys, spec, vg, directions, delta, V, W):
     """Compute F = W V^-1 and check every closed-loop invariant.
 
     Returns (F, spectrum, None) on success or (None, None, reason) when a
@@ -228,7 +228,7 @@ def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
     """
     F = np.linalg.solve(V.T, W.T).T
     scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
-    if np.linalg.norm(F @ V - W) > tol.residual_tol * scale * max(1.0, float(np.linalg.norm(F))):
+    if np.linalg.norm(F @ V - W) > RESIDUAL_TOL * scale * max(1.0, float(np.linalg.norm(F))):
         return None, None, "gain does not reproduce the requested directions"
 
     _, spectrum, out_map = _closed_loop(sys, F)
@@ -243,7 +243,7 @@ def _verify_gain(sys, spec, tol, vg, directions, delta, V, W):
 
     # Achievable accuracy of C + D F is bounded by the gain magnitude.
     out_scale = max(scale, float(np.linalg.norm(sys.C)) + float(np.linalg.norm(sys.D)) * float(np.linalg.norm(F)))
-    bound = tol.residual_tol * out_scale * 10
+    bound = RESIDUAL_TOL * out_scale * 10
     coupling = out_map @ V[:, : len(delta)]
     coupling[list(delta), np.arange(len(delta))] -= [directions[j].beta for j in delta]
     failed = np.flatnonzero(np.linalg.norm(coupling, axis=0) > bound)
@@ -293,7 +293,7 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:
         raise NotSolvable("dimension conditions reject the requested modes", verdict)
-    directions = {j: _direction_from(sys, j, lambdas[j], factors[lambdas[j]], tol) for j in verdict.delta}
+    directions = {j: _direction_from(sys, j, lambdas[j], factors[lambdas[j]]) for j in verdict.delta}
     return verdict.delta, directions, factors
 
 
@@ -354,19 +354,19 @@ def synthesize(
     if not report.all_pass:
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
     zeros = report.zeros
-    validate_modes(sys, spec.lambdas, zeros, tol)
+    validate_modes(sys, spec.lambdas, zeros)
 
     if replay is not None:
         vg_V = np.atleast_2d(np.asarray(replay.vg_state, dtype=float))
         vg_W = np.atleast_2d(np.asarray(replay.vg_input, dtype=float))
-        vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W, tol))
+        vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W))
         vg.validate(sys, tol)
         delta, directions, _ = _witnesses(sys, vg, spec.lambdas, tol)
         for j in delta:
             if j in replay.directions:
                 v, w = (np.asarray(x, dtype=float).reshape(-1) for x in replay.directions[j])
                 directions[j] = _stacked_pair(sys, j, spec.lambdas[j], np.concatenate([v, w]))
-                directions[j].validate(sys, tol)
+                directions[j].validate(sys)
         candidates = [(vg, directions)]
     else:
         # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
@@ -383,7 +383,7 @@ def synthesize(
         W = np.column_stack([directions[j].w for j in delta] + ([vg.W] if vg.dim else []))
         failure = None
         if rank_of(V, tol) == sys.n:
-            F, spectrum, failure = _verify_gain(sys, spec, tol, vg, directions, delta, V, W)
+            F, spectrum, failure = _verify_gain(sys, spec, vg, directions, delta, V, W)
             if failure is None:
                 break
     else:

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IllConditionedPencil
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, rank_of
+from .numkernel import DEFAULT_POLICY, ZERO_EXCLUSION, TolerancePolicy, rank_of
 from .seeding import DEFAULT_SEED, rng_for
 
 _NORMAL_RANK_SAMPLES = 7
 _CLUSTER_RTOL = 1e-6
 _GRAY_ZONE = 10.0
+_POLISH_STEPS = 2
 
 
 class TimeDomain(enum.Enum):
@@ -43,11 +44,11 @@ class TimeDomain(enum.Enum):
             return value.real < 0.0
         return abs(value) < 1.0
 
-    def is_interior_stable(self, value: complex, margin: float) -> bool:
-        """Strict membership with a safety belt; boundary points count as unstable."""
+    def is_interior_stable(self, value: complex) -> bool:
+        """Strict membership with a ``ZERO_EXCLUSION`` safety belt; boundary points count as unstable."""
         if self is TimeDomain.CONTINUOUS:
-            return value.real < -margin * (1.0 + abs(value))
-        return abs(value) < 1.0 - margin
+            return value.real < -ZERO_EXCLUSION * (1.0 + abs(value))
+        return abs(value) < 1.0 - ZERO_EXCLUSION
 
     @property
     def tracking_frequency(self) -> float:
@@ -236,8 +237,8 @@ def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return best
 
 
-def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int, sigma: complex) -> np.ndarray:
-    """Finite zeros of one random nr x nr compression L P(lambda) R of the pencil.
+def _compression_candidates(sys: LtiSystem, index: int, nr: int, sigma: complex) -> np.ndarray:
+    """Finite zeros of the random nr x nr compression L P(lambda) R number ``index`` of the ``DEFAULT_SEED`` stream.
 
     With E the identity on the state block, the compressed pencil is
     M - (lambda - sigma) L1 R1 for M = L P(sigma) R, L1 = L[:, :n] and
@@ -247,7 +248,7 @@ def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int, sigm
     over the nonzero eigenvalues mu of the n x n matrix R1 M^-1 L1.
     """
     n = sys.n
-    rng = rng_for(seed, "zero-compression", index)
+    rng = rng_for(DEFAULT_SEED, "zero-compression", index)
     L = rng.standard_normal((nr, n + sys.p))
     R = rng.standard_normal((n + sys.m, nr))
     M = L @ rosenbrock(sys, sigma) @ R
@@ -258,7 +259,7 @@ def _compression_candidates(sys: LtiSystem, seed: int, index: int, nr: int, sigm
     return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
 
 
-def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: int = 2):
+def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy):
     """Newton refinement of a candidate zero via the smallest singular pair.
 
     With u, v the left/right singular vectors of the smallest singular value
@@ -273,7 +274,7 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy, steps: i
     without factoring the same pencil again.
     """
     refined, s = z, None
-    for _ in range(steps):
+    for _ in range(_POLISH_STEPS):
         P = rosenbrock(sys, refined)
         u, s, vh = np.linalg.svd(P)
         k = min(P.shape) - 1
@@ -327,17 +328,17 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, normal_rank(sys, tol), tol, DEFAULT_SEED)))
+    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, normal_rank(sys, tol), tol)))
 
 
-def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -> list[InvariantZero]:
+def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[InvariantZero]:
     """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``.
 
     Both compressions share one shift sigma = i (1 + ||P(0)||_1).
     """
     sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
-    first = _compression_candidates(sys, seed, 0, nr, sigma)
-    second = _compression_candidates(sys, seed, 1, nr, sigma)
+    first = _compression_candidates(sys, 0, nr, sigma)
+    second = _compression_candidates(sys, 1, nr, sigma)
     matched = [
         z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))
     ]
@@ -356,7 +357,7 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -
                 InvariantZero(
                     value=z,
                     geometric_multiplicity=nr - rank,
-                    is_minimum_phase=sys.domain.is_interior_stable(z, tol.zero_exclusion),
+                    is_minimum_phase=sys.domain.is_interior_stable(z),
                 )
             )
         elif s[nr - 1] < _GRAY_ZONE * threshold:
@@ -375,7 +376,7 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy, seed: int) -
     return sorted(zeros, key=lambda z: (z.value.real, z.value.imag))
 
 
-def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY) -> str | None:
+def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
     """Why the minimum-phase zeros are not simple and pairwise distinct, or None when they are."""
     minimum = [z for z in zeros if z.is_minimum_phase]
     for z in minimum:
@@ -383,7 +384,7 @@ def _min_phase_violation(zeros: list[InvariantZero], tol: TolerancePolicy = DEFA
             return f"minimum-phase zero {z.value} has multiplicity {z.geometric_multiplicity}"
     for i, zi in enumerate(minimum):
         for zj in minimum[i + 1 :]:
-            if abs(zi.value - zj.value) <= tol.zero_exclusion * (1.0 + abs(zi.value)):
+            if abs(zi.value - zj.value) <= ZERO_EXCLUSION * (1.0 + abs(zi.value)):
                 return f"coincident minimum-phase zeros near {zi.value}"
     return None
 
@@ -433,13 +434,13 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
 
     try:
-        zeros = _memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, nr, tol, DEFAULT_SEED))
+        zeros = _memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, nr, tol))
     except IllConditionedPencil as exc:
         zeros = None
         distinct = False
         details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {exc}"
     else:
-        reason = _min_phase_violation(zeros, tol)
+        reason = _min_phase_violation(zeros)
         distinct = reason is None
         minimum = [z.value for z in zeros if z.is_minimum_phase]
         details["distinct_min_phase_zeros"] = reason or f"minimum-phase zeros {minimum}"
@@ -455,8 +456,6 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     )
 
 
-def exclusion_violation(
-    value: float, zeros: list[InvariantZero], tol: TolerancePolicy = DEFAULT_POLICY
-) -> bool:
+def exclusion_violation(value: float, zeros: list[InvariantZero]) -> bool:
     """True when ``value`` lies inside the exclusion radius of some invariant zero."""
-    return any(abs(value - z.value) <= tol.zero_exclusion * (1.0 + abs(z.value)) for z in zeros)
+    return any(abs(value - z.value) <= ZERO_EXCLUSION * (1.0 + abs(z.value)) for z in zeros)

@@ -3,7 +3,7 @@
 import numpy as np
 
 import monotrack as mt
-from monotrack.numkernel import _as_matrix, orthonormalize
+from monotrack.numkernel import ABSOLUTE_FLOOR, _as_matrix, orthonormalize
 from monotrack.subspaces import _single_mode_basis, factor_pencil
 
 
@@ -20,7 +20,7 @@ def containment_residual(inner, outer, tol=mt.DEFAULT_POLICY) -> float:
     for k in range(X.shape[1]):
         c = X[:, k]
         nrm = float(np.linalg.norm(c))
-        if nrm <= tol.absolute_floor:
+        if nrm <= ABSOLUTE_FLOOR:
             continue
         c = c / nrm
         res = c - Q @ (Q.conj().T @ c) if Q.shape[1] else c

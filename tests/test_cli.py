@@ -248,3 +248,36 @@ class TestDeterminism:
         assert code == 0
         assert (tmp_path / "second" / "analysis.json").exists()
         assert not (tmp_path / "first").exists()
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("samples", ["50", 50.0])
+    def test_numeric_fields_from_json_are_coerced(self, tmp_path, samples):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "command": "simulate",
+            "system": str(demo_system_path()),
+            "lambdas": [-1, -2, -1],
+            "reference": [2, 2, 2],
+            "x0": [[0.1, -0.2, 0.1, 0.1, 0.0]],
+            "tol_rank": "1e-10",
+            "horizon": "5",
+            "samples": samples,
+            "rho": "-1",
+            "seed": "42",
+            "out": str(tmp_path / "sim"),
+        }))
+        parsed = cli.build_config(["--config", str(config)])
+        assert (parsed.tol_rank, parsed.horizon, parsed.samples, parsed.rho, parsed.seed) == (1e-10, 5.0, 50, -1.0, 42)
+        assert type(parsed.samples) is int and type(parsed.horizon) is float
+        assert cli.run(parsed) == 0
+        assert read_json(tmp_path / "sim" / "simulate.json")["traces"][0]["samples"] == 50
+
+    @pytest.mark.parametrize("field, value", [("tol_rank", "tight"), ("samples", 50.5), ("rho", [1])])
+    def test_a_malformed_numeric_field_is_a_config_error(self, tmp_path, capsys, field, value):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"command": "analyze", "system": str(demo_system_path()), field: value}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be")

@@ -4,13 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack.numkernel import orthonormalize
+from monotrack.numkernel import RESIDUAL_TOL, min_norm_from_factors, orthonormalize, thin_svd
 from monotrack.subspaces import _real_columns
 
 from .subspace_checks import containment_residual
-
-POLICY = mt.DEFAULT_POLICY
-
 
 class TestRankOf:
     def test_identity(self):
@@ -31,7 +28,13 @@ class TestRankOf:
 
     def test_policy_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            mt.TolerancePolicy(residual_tol=0.0)
+            mt.TolerancePolicy(relative_rank_tol=0.0)
+
+    @pytest.mark.parametrize("name", ["absolute_floor", "residual_tol", "zero_exclusion", "rank_safety"])
+    def test_policy_sets_only_the_rank_threshold(self, name):
+        # The other tolerances are constants: no caller can widen the checks the design rests on.
+        with pytest.raises(TypeError):
+            mt.TolerancePolicy(**{name: 1.0})
 
 
 class TestNullspace:
@@ -50,7 +53,7 @@ class TestNullspace:
         M = rng.normal(size=(3, 7))
         basis = mt.nullspace(M)
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-        assert np.linalg.norm(M @ basis) <= POLICY.residual_tol * np.linalg.norm(M)
+        assert np.linalg.norm(M @ basis) <= RESIDUAL_TOL * np.linalg.norm(M)
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -61,13 +64,13 @@ class TestNullspace:
 
 class TestMinNormSolve:
     def test_identity(self):
-        x = mt.min_norm_solve(np.eye(2), np.array([3.0, 4.0]))
+        x = min_norm_from_factors(thin_svd(np.eye(2)), np.array([3.0, 4.0]))
         assert np.allclose(x, [3.0, 4.0])
 
     def test_inconsistent_raises(self):
         M = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(mt.Unsolvable):
-            mt.min_norm_solve(M, np.array([1.0, 2.0]))
+            min_norm_from_factors(thin_svd(M), np.array([1.0, 2.0]))
 
     def test_matches_lstsq_oracle_on_consistent_systems(self):
         rng = np.random.default_rng(7)
@@ -75,7 +78,7 @@ class TestMinNormSolve:
             rows, cols = rng.integers(1, 7, size=2)
             M = rng.normal(size=(rows, cols))
             b = M @ rng.normal(size=cols)
-            x = mt.min_norm_solve(M, b)
+            x = min_norm_from_factors(thin_svd(M), b)
             x_ref, *_ = np.linalg.lstsq(M, b, rcond=None)
             assert np.allclose(x, x_ref, atol=1e-9)
             assert np.linalg.norm(M @ x - b) <= 1e-9 * (1.0 + np.linalg.norm(b))
@@ -84,9 +87,9 @@ class TestMinNormSolve:
         rng = np.random.default_rng(11)
         M = rng.normal(size=(2, 5))
         b = M @ rng.normal(size=5)
-        x = mt.min_norm_solve(M, b)
+        x = min_norm_from_factors(thin_svd(M), b)
         kernel = mt.nullspace(M)
-        assert np.linalg.norm(kernel.T @ x) <= POLICY.residual_tol
+        assert np.linalg.norm(kernel.T @ x) <= RESIDUAL_TOL
 
 
 class TestSubspaceSumDim:

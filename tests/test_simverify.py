@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import monotrack as mt
 from monotrack import simverify, synthesis
 from monotrack.fixtures import demo_system_path
-from monotrack.numkernel import DEFAULT_POLICY
+from monotrack.numkernel import ABSOLUTE_FLOOR as FLOOR
 from monotrack.simverify import _MONOTONE_TIE_TOL, _expm
 
 from .conftest import count_calls, wide_plant
@@ -20,7 +20,6 @@ DEMO_X0_B = (0.6, 0.2, 0.2, -0.2, 1.0)
 # Doubling fills 2^k samples per pass; these counts sit on, just past and
 # between powers of two, and include the continuous and discrete defaults.
 SAMPLE_COUNTS = (2, 3, 7, 8, 9, 200, 400, 401, 1000)
-FLOOR = DEFAULT_POLICY.absolute_floor
 
 
 # -- Oracles: the one-step recursion and the per-output verdict loops that
@@ -47,15 +46,15 @@ def sequential_trace(sys, fb, trace):
     return mt.SimulationTrace(times=trace.times, xi=xi, epsilon=out_map @ xi, domain=trace.domain)
 
 
-def oracle_check_monotonic(trace, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY):
+def oracle_check_monotonic(trace):
     verdicts = []
     for k in range(trace.num_outputs):
         eps = trace.epsilon[k]
         peak = float(np.max(np.abs(eps)))
-        if peak <= tol.absolute_floor:
+        if peak <= FLOOR:
             verdicts.append("instantaneous")
             continue
-        ties = tie_tol * peak
+        ties = _MONOTONE_TIE_TOL * peak
         diffs = np.diff(eps)
         signs = np.sign(diffs[np.abs(diffs) > ties])
         same_sign = signs.size == 0 or np.all(signs == signs[0])
@@ -65,7 +64,7 @@ def oracle_check_monotonic(trace, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY)
     return verdicts
 
 
-def oracle_check_rate(trace, rate, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY):
+def oracle_check_rate(trace, rate):
     if trace.domain is mt.TimeDomain.CONTINUOUS:
         envelope = np.exp(rate.rho * trace.times)
     else:
@@ -73,25 +72,25 @@ def oracle_check_rate(trace, rate, tie_tol=_MONOTONE_TIE_TOL, tol=DEFAULT_POLICY
     verdicts = []
     for k in range(trace.num_outputs):
         eps = np.abs(trace.epsilon[k])
-        if np.max(eps) <= tol.absolute_floor:
+        if np.max(eps) <= FLOOR:
             verdicts.append(True)
             continue
-        beta = eps[0] * (1.0 + tie_tol)
-        verdicts.append(bool(np.all(eps <= beta * envelope + tol.absolute_floor)))
+        beta = eps[0] * (1.0 + _MONOTONE_TIE_TOL)
+        verdicts.append(bool(np.all(eps <= beta * envelope + FLOOR)))
     return verdicts
 
 
-def polyfit_single_mode(trace, tol=DEFAULT_POLICY):
+def polyfit_single_mode(trace):
     if trace.num_samples < 8:
         raise mt.InsufficientData(f"{trace.num_samples} samples; at least 8 required")
     fits = []
     for k in range(trace.num_outputs):
         eps = trace.epsilon[k]
         peak = float(np.max(np.abs(eps)))
-        if peak <= tol.absolute_floor or abs(eps[0]) <= tol.absolute_floor:
+        if peak <= FLOOR or abs(eps[0]) <= FLOOR:
             fits.append(mt.ModeFit(k, None, None, 0.0, True))
             continue
-        usable = np.abs(eps) > tol.absolute_floor
+        usable = np.abs(eps) > FLOOR
         if np.sum(usable) < 2:
             raise mt.InsufficientData(f"output {k} has fewer than two samples above the floor")
         t_use, e_use = trace.times[usable], eps[usable]
@@ -112,7 +111,7 @@ def polyfit_single_mode(trace, tol=DEFAULT_POLICY):
     return fits
 
 
-def row_selection_fit_single_mode(trace, tol=DEFAULT_POLICY):
+def row_selection_fit_single_mode(trace):
     """fit_single_mode as it was: the fit over a copy of the non-instantaneous
     rows, always, and a placeholder fit per output replaced for the fitted ones."""
     if trace.num_samples < 8:
@@ -120,7 +119,7 @@ def row_selection_fit_single_mode(trace, tol=DEFAULT_POLICY):
     eps = trace.epsilon
     magnitudes = np.abs(eps)
     peak = np.max(magnitudes, axis=1)
-    floor = tol.absolute_floor
+    floor = FLOOR
     usable = magnitudes > floor
     instantaneous = (peak <= floor) | (magnitudes[:, 0] <= floor)
     short = ~instantaneous & (np.sum(usable, axis=1) < 2)
@@ -184,7 +183,7 @@ def trace_row(kind, times, domain, gamma=1.3, rate=0.7, position=0, tie_sign=1.0
         row = gamma * np.exp(-40.0 * times / max(times[-1], 1.0) * np.log(10.0))
     elif kind == "ties":
         # [peak, 0, +-ties, 0, -+ties, 0, ...]: every step but the first is an
-        # exact tie at tie_tol * peak (or one ulp past it), and |eps| never grows.
+        # exact tie at _MONOTONE_TIE_TOL * peak (or one ulp past it), and |eps| never grows.
         ties = _MONOTONE_TIE_TOL * abs(gamma)
         step = np.nextafter(ties, np.inf) if past_tie else ties
         row = np.zeros_like(times)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import monotrack as mt
 from monotrack import subspaces, synthesis, sysmodel
 from monotrack.fixtures import demo_system_path
+from monotrack.numkernel import RESIDUAL_TOL
 from monotrack.subspaces import factor_pencil
 from monotrack.synthesis import _direction_from
 
@@ -27,7 +28,7 @@ DEMO_W3 = np.array([-55 / 4, -9 / 2, 0.0, -9.0]) / 18.0
 
 def direction(sys, j, lam):
     """Output ``j``'s direction pair at ``lam``, as ``synthesize`` reads it from the factored pencil."""
-    return _direction_from(sys, j, lam, factor_pencil(sys, lam), mt.DEFAULT_POLICY)
+    return _direction_from(sys, j, lam, factor_pencil(sys, lam))
 
 
 def fail_first_draw(monkeypatch) -> list:
@@ -278,7 +279,7 @@ class TestSynthesize:
         # are x_j plus a kernel vector and keep unit coupling.
         verified = []
 
-        def failing_verification(sys, spec, tol, vg, directions, delta, V, W):
+        def failing_verification(sys, spec, vg, directions, delta, V, W):
             verified.append(directions)
             return None, None, "forced verification failure"
 
@@ -494,10 +495,10 @@ def oracle_match_spectrum(actual, expected, tolerance):
     return True
 
 
-def oracle_verify_gain(sys, spec, tol, vg, directions, delta, V, W):
+def oracle_verify_gain(sys, spec, vg, directions, delta, V, W):
     F = np.linalg.solve(V.T, W.T).T
     scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
-    if np.linalg.norm(F @ V - W) > tol.residual_tol * scale * max(1.0, float(np.linalg.norm(F))):
+    if np.linalg.norm(F @ V - W) > RESIDUAL_TOL * scale * max(1.0, float(np.linalg.norm(F))):
         return None, None, "gain does not reproduce the requested directions"
     closed_loop = sys.A + sys.B @ F
     spectrum = np.linalg.eigvals(closed_loop)
@@ -514,12 +515,12 @@ def oracle_verify_gain(sys, spec, tol, vg, directions, delta, V, W):
     for j in delta:
         target = np.zeros(sys.p)
         target[j] = directions[j].beta
-        if np.linalg.norm(out_map @ directions[j].v - target) > tol.residual_tol * out_scale * 10:
+        if np.linalg.norm(out_map @ directions[j].v - target) > RESIDUAL_TOL * out_scale * 10:
             return None, None, f"output coupling of direction {j} failed verification"
-    if vg.dim and np.linalg.norm(out_map @ vg.V) > tol.residual_tol * out_scale * 10:
+    if vg.dim and np.linalg.norm(out_map @ vg.V) > RESIDUAL_TOL * out_scale * 10:
         return None, None, "stabilisability basis is not output-nulling under the gain"
     for j in range(sys.p):
-        if j not in delta and np.linalg.norm(out_map[j]) > tol.residual_tol * out_scale * 10:
+        if j not in delta and np.linalg.norm(out_map[j]) > RESIDUAL_TOL * out_scale * 10:
             return None, None, f"output {j} is tagged instantaneous but its error row does not vanish"
     return F, spectrum, None
 
@@ -632,11 +633,11 @@ class TestVerifyGainOracles:
 
     @pytest.mark.parametrize("corrupted", [(1,), (2,), (0, 2), (2, 1)])
     def test_a_forced_coupling_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, corrupted):
-        (sys, spec, tol, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        (sys, spec, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
         directions = dict(directions)
         for j in corrupted:
             directions[j] = dataclasses.replace(directions[j], beta=2.0 * directions[j].beta)
-        args = (sys, spec, tol, vg, directions, delta, V, W)
+        args = (sys, spec, vg, directions, delta, V, W)
         assert_same_verification(args)
         assert synthesis._verify_gain(*args)[2] == f"output coupling of direction {min(corrupted)} failed verification"
 
@@ -644,10 +645,10 @@ class TestVerifyGainOracles:
     def test_a_forced_instantaneous_row_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, tagged):
         # The outputs in ``tagged`` leave delta, and their modes join V*g's, so
         # the spectrum and the couplings still pass and only their rows fail.
-        (sys, spec, tol, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        (sys, spec, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
         kept = tuple(j for j in delta if j not in tagged)
         order = [delta.index(j) for j in kept + tagged] + list(range(len(delta), V.shape[1]))
         tagged_vg = SimpleNamespace(V=vg.V, dim=vg.dim, modes=tuple(spec.lambdas[j] for j in tagged) + tuple(vg.modes))
-        args = (sys, spec, tol, tagged_vg, directions, kept, V[:, order], W[:, order])
+        args = (sys, spec, tagged_vg, directions, kept, V[:, order], W[:, order])
         assert_same_verification(args)
         assert synthesis._verify_gain(*args)[2] == f"output {min(tagged)} is tagged instantaneous but its error row does not vanish"

@@ -4,8 +4,8 @@ import scipy.linalg
 
 import monotrack as mt
 from monotrack import ensemble, sysmodel
-from monotrack.seeding import rng_for
-from monotrack.sysmodel import exclusion_violation, rosenbrock
+from monotrack.seeding import DEFAULT_SEED, rng_for
+from monotrack.sysmodel import rosenbrock
 
 from .conftest import DEMO_ZEROS, count_calls, wide_plant
 
@@ -155,7 +155,7 @@ class TestInvariantZeros:
         assert any(abs(v + 1.5) <= 1e-6 for v in values)
 
 
-def qz_compression_candidates(sys, seed, index, nr, sigma):
+def qz_compression_candidates(sys, index, nr, sigma):
     """The square QZ compression invariant_zeros used to solve, kept as its oracle.
 
     It compresses to min(n+p, n+m) whatever the normal rank ``nr`` and solves
@@ -166,7 +166,7 @@ def qz_compression_candidates(sys, seed, index, nr, sigma):
     E = np.zeros_like(P0)
     E[: sys.n, : sys.n] = np.eye(sys.n)
     k = min(P0.shape)
-    rng = rng_for(seed, "zero-compression", index)
+    rng = rng_for(DEFAULT_SEED, "zero-compression", index)
     L = rng.standard_normal((k, P0.shape[0]))
     R = rng.standard_normal((P0.shape[1], k))
     ev = scipy.linalg.eigvals(L @ P0 @ R, L @ E @ R)
@@ -239,9 +239,9 @@ class TestConfirmedZeros:
             # Discarding the polishing SVD forces a second SVD per zero.
             polish = sysmodel._polish_candidate
             patch.setattr(sysmodel, "_polish_candidate", lambda *args: (polish(*args)[0], None))
-            expected = sysmodel._confirmed_zeros(demo_system, 8, policy, 1729)
+            expected = sysmodel._confirmed_zeros(demo_system, 8, policy)
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        zeros = sysmodel._confirmed_zeros(demo_system, 8, policy, 1729)
+        zeros = sysmodel._confirmed_zeros(demo_system, 8, policy)
         assert calls == {"svd": 4}
         assert zeros == expected
         assert [z.value.real for z in zeros] == pytest.approx(DEMO_ZEROS, abs=1e-9)
@@ -256,7 +256,7 @@ class TestConfirmedZeros:
 
         monkeypatch.setattr(sysmodel, "_compression_candidates", capture)
         calls = count_calls(monkeypatch, (sysmodel, "rosenbrock"))
-        sysmodel._confirmed_zeros(demo_system, 8, mt.DEFAULT_POLICY, 1729)
+        sysmodel._confirmed_zeros(demo_system, 8, mt.DEFAULT_POLICY)
         assert shifts == [1j * (1.0 + np.linalg.norm(rosenbrock(demo_system, 0.0), 1))] * 2
         # P(0) once for the shift, P(sigma) per compression, and two pencils
         # per demo zero (polishing and confirmation).
@@ -427,9 +427,3 @@ class TestAuditAssumptions:
         sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
         report = mt.audit_assumptions(sys)
         assert not report.no_zero_at_tracking_frequency
-
-
-def test_exclusion_radius_is_configurable(demo_zeros):
-    wide = mt.TolerancePolicy(zero_exclusion=0.5)
-    assert exclusion_violation(-5.7, demo_zeros, wide)
-    assert not exclusion_violation(-5.7, demo_zeros, mt.DEFAULT_POLICY)
