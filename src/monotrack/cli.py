@@ -250,7 +250,7 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
 
     policy = config.policy()
     options = dict(config.ensemble_options)
-    trials = int(options.pop("trials", 100))
+    trials = _number("trials", options.pop("trials", 100), int)
     if config.system_path:
         system = LtiSystem.load(config.system_path)
     else:
@@ -258,9 +258,9 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
         if not plant_keys <= options.keys():
             raise ValueError("ensemble without a system file needs n, m, p")
         spec = GeneratorSpec(
-            n=int(options["n"]),
-            m=int(options["m"]),
-            p=int(options["p"]),
+            n=_number("n", options["n"], int),
+            m=_number("m", options["m"], int),
+            p=_number("p", options["p"], int),
             domain=options.get("domain", "continuous"),
             planted_zero_values=tuple(complex(z[0], z[1]) if isinstance(z, list) else complex(z) for z in options.get("planted_zeros", [])),
             planted_uncontrollable_modes=tuple(options.get("planted_uncontrollable", [])),

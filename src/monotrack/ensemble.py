@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GenerationFailed, MonotrackError, NotSolvable, RankDeficientAfterRetries
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
 from .seeding import DEFAULT_SEED, rng_for
-from .subspaces import default_frequency_pool, discover_vstar_g, draw
+from .subspaces import _draw_pass, default_frequency_pool, discover_vstar_g
 from .synthesis import _random_direction, _witnesses
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros, rosenbrock
 
@@ -218,9 +218,12 @@ def genericity_trial(
     on the discovered V*g span; a not-solvable verdict fails every trial and
     is recorded in ``notes``. A trial draws only what a design draws: one V*g
     pass and, for each j in delta, x_j + k with k random in ker P(mu_j); it
-    then rank-tests V = [those directions, V*g draw]. Failures are never
-    retried, so the fraction estimates the genericity of a single try.
+    then rank-tests V = [those directions, V*g draw], its one rank test.
+    Failures are never retried, so the fraction estimates the genericity of
+    a single try. ``trials`` may be 0, not negative.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     zeros = invariant_zeros(sys, tol)
     pool = default_frequency_pool(sys, zeros, count=max(sys.n + 3, sys.p))
     trial_seeds = [seed + 1000003 * (t + 1) for t in range(trials)]
@@ -235,8 +238,16 @@ def genericity_trial(
         return every_trial_fails
 
     def fails(trial_seed: int) -> bool:
+        # The draw skips draw()'s rank test of the n x h V*g block: the test of
+        # the n x n V below implies it. Deleting the n - h direction columns
+        # gives sigma_n(V) <= sigma_h(V*g) (interlacing), and V's threshold,
+        # n eps sigma_1(V) 10 or the relative tolerance times sigma_1(V), is at
+        # least V*g's, as sigma_1(V) >= sigma_1(V*g). So a rank-deficient V*g
+        # draw fails the V test too, and no verdict changes. Only SVD roundoff
+        # can break the inequality, by about 1% of the threshold, so only a
+        # draw whose sigma_h sits in that band just below it could pass.
         try:
-            vg = draw(vg_kernels, trial_seed, tol)
+            vg = _draw_pass(vg_kernels, trial_seed)
         except RankDeficientAfterRetries:
             return True
         rng = rng_for(trial_seed, "trial-directions")

@@ -191,7 +191,8 @@ def simulate(
     sweep over the same powers then brings the samples to the accuracy of
     the one-step recursion, so about 2 log2(N) matrix products replace N - 1
     matrix-vector products. The default horizon covers roughly eight time
-    constants of the slowest assigned mode.
+    constants of the slowest assigned mode; a given horizon must be positive
+    and finite, or :class:`ValueError` is raised.
 
     The stability gate, C + DF, the sample times and the transition's powers
     run once per gain and sampling, and the plant keeps them for the latest
@@ -201,6 +202,8 @@ def simulate(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise ValueError(f"initial state length {x0.shape[0]} != states {sys.n}")
+    if horizon is not None and not 0.0 < float(horizon) < np.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     times, out_map, *powers = _transition(sys, fb, horizon, num_samples)
     num_samples, step = times.shape[0], powers[0]
 

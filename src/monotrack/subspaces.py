@@ -25,6 +25,7 @@ path; the two routes must agree and the test suite enforces that they do.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,12 @@ def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_PO
     return PencilFactor(pencil, *full_svd(pencil, tol), sys.n)
 
 
+def _norm(v: np.ndarray):
+    """The 2-norm of a real vector as ``np.linalg.norm`` computes it: the root of the dot of a contiguous copy."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(v @ v)
+
+
 class _SpanTracker:
     """Incrementally orthonormalized span with an extension test.
 
@@ -168,15 +175,17 @@ class _SpanTracker:
     orthogonality when consecutive kernel directions are nearly parallel
     (neighboring pool frequencies produce nearly parallel resolvent
     directions) and would let the tracked dimension inflate past truth.
+
+    The basis lives in a buffer sized for the whole ambient space, and ``Q``
+    is the C-contiguous (ambient, dim) head of it, so ``Q.T @ r`` runs the
+    BLAS kernel of a transposed row-major matrix whatever the span's size.
     """
 
     def __init__(self, ambient: int):
         self.ambient = ambient
-        self.Q = np.zeros((ambient, 0))
-
-    @property
-    def dim(self) -> int:
-        return self.Q.shape[1]
+        self._buffer = np.empty(ambient * ambient)
+        self.Q = self._buffer[:0].reshape(ambient, 0)
+        self.dim = 0
 
     def extension(self, block: np.ndarray):
         """(orthonormal columns, worst normalized residual, extends) of ``block`` against the span.
@@ -189,13 +198,13 @@ class _SpanTracker:
             return None, 0.0, False
         added, worst, extends = [], np.inf, True
         for col in block.T:
-            nrm, res = np.linalg.norm(col), col
+            nrm, res = _norm(col), col
             for _ in range(2):
                 if self.dim:
                     res = res - self.Q @ (self.Q.T @ res)
                 for q in added:
                     res = res - q * (q @ res)
-            res_nrm = np.linalg.norm(res)
+            res_nrm = _norm(res)
             if nrm == 0.0 or res_nrm == 0.0:
                 return None, 0.0, False
             worst = min(worst, float(res_nrm / nrm))
@@ -207,7 +216,13 @@ class _SpanTracker:
         """Append the columns of an :meth:`extension` if every one extends the span."""
         added, _, extends = extension
         if extends:
-            self.Q = np.hstack([self.Q] + [a.reshape(-1, 1) for a in added])
+            dim, grown = self.dim, self.dim + len(added)
+            Q = self._buffer[: self.ambient * grown].reshape(self.ambient, grown)
+            # The old head overlaps its new rows; NumPy copies it through a temporary.
+            Q[:, :dim] = self.Q
+            for i, column in enumerate(added, start=dim):
+                Q[:, i] = column
+            self.Q, self.dim = Q, grown
         return extends
 
     def try_add(self, block: np.ndarray) -> bool:
@@ -356,7 +371,7 @@ def _discover(
     else:
         if tracker.dim > 0 and visited:
             raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q, tag, sys.m)
+    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m)
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
@@ -367,45 +382,91 @@ def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
     several candidates and keeping the best-conditioned one bounds the skew
     of the assembled basis, which the gain solve would otherwise amplify. The
     draw count is fixed by the kernel dimension, so results stay deterministic.
+
+    At a real mode the k candidates are scored in one stacked pass: one
+    (k, k) draw of coefficients, row i for candidate i (the stream of k
+    draws of size k), one batched product with the kernel, the two
+    projections against the span and the norms as batched products. Each
+    batch entry runs the BLAS call that :meth:`_SpanTracker.extension` makes
+    for its one column, so the result is the same to the bit, and the first
+    best candidate wins, as a strict ``>`` over the candidates in turn picks
+    it. A complex mode scores its realified pairs one at a time.
     """
+    k = kernel.shape[1]
+    if isinstance(mode, complex):
+        best, best_quality = None, 0.0
+        for _ in range(k):
+            col = kernel @ mixing_coefficients(rng, k, complex_valued=True)
+            block_v = np.column_stack(_real_columns(col[:n], mode))
+            extension = span.extension(block_v)
+            if extension[1] > best_quality:
+                best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode)), extension), extension[1]
+        return best
+    # Drawn even when the span is full and nothing is scored, so the stream moves as it always did.
+    coeffs = mixing_coefficients(rng, (k, k))
+    if span.dim == span.ambient:
+        return None
+    cols = np.matmul(kernel, coeffs[:, :, None])
+    res = cols[:, :n]
+    norms = _stacked_norms(res)
+    for _ in range(2 if span.dim else 0):
+        res = res - np.matmul(span.Q, np.matmul(span.Q.T, res))
     best, best_quality = None, 0.0
-    for _ in range(kernel.shape[1]):
-        col = kernel @ mixing_coefficients(rng, kernel.shape[1], complex_valued=isinstance(mode, complex))
-        block_v = np.column_stack(_real_columns(col[:n], mode))
-        extension = span.extension(block_v)
-        if extension[1] > best_quality:
-            best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode)), extension), extension[1]
-    return best
+    for i, (nrm, res_nrm) in enumerate(zip(norms, _stacked_norms(res))):
+        if nrm != 0.0 and res_nrm != 0.0 and res_nrm / nrm > best_quality:
+            best, best_quality = (i, res_nrm, res_nrm > _EXTEND_RTOL * nrm), res_nrm / nrm
+    if best is None:
+        return None
+    i, res_nrm, extends = best
+    return cols[i, :n], cols[i, n:], ([res[i, :, 0] / res_nrm], best_quality, extends)
 
 
-def draw(kernels: KernelSpan, seed: int = DEFAULT_SEED, tol: TolerancePolicy = DEFAULT_POLICY) -> PairedBasis:
-    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels in one pass.
+def _stacked_norms(stack: np.ndarray) -> list[float]:
+    """2-norms of the (n, 1) entries of a (k, n, 1) stack, each the root of one BLAS dot as in :func:`_norm`."""
+    return [math.sqrt(square) for square in np.matmul(stack.transpose(0, 2, 1), stack).ravel().tolist()]
 
-    Each seeded kernel gets one draw per kernel column; the visited pool
-    kernels are then cycled, one draw per visit and ``_POOL_VISITS`` visits
-    each, until ``kernels.dim`` columns extend the span, from the stream keyed
-    by ``seed`` and ``kernels.tag``. A pass that falls short or is rank
-    deficient raises :class:`RankDeficientAfterRetries`.
+
+def _draw_pass(kernels: KernelSpan, seed: int) -> PairedBasis:
+    """The one pass of :func:`draw`, without its closing rank test.
+
+    Raises :class:`RankDeficientAfterRetries` only when the pass assembles
+    fewer than ``kernels.dim`` columns.
     """
     n, target = kernels.basis.shape[0], kernels.dim
     rng = rng_for(seed, *kernels.tag)
     seeded_slots = [(mode, kernel) for mode, kernel in kernels.seeded for _slot in range(kernel.shape[1])]
     pool_slots = [(mu, kernel) for mu, kernel in kernels.visited if kernel.shape[1]] * _POOL_VISITS
     span = _SpanTracker(n)
-    cols_v, cols_w, modes = [], [], []
+    blocks_v, blocks_w, modes = [], [], []
     for slot, (mode, kernel) in enumerate(seeded_slots + pool_slots):
         if slot >= len(seeded_slots) and len(modes) == target:
             break
         block = _best_block(span, kernel, mode, n, rng)
         if block is not None and span.add(block[2]):
-            cols_v.extend(block[0].T)
-            cols_w.extend(block[1].T)
+            blocks_v.append(block[0])
+            blocks_w.append(block[1])
             modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
-    V = np.column_stack(cols_v) if cols_v else np.zeros((n, 0))
-    W = np.column_stack(cols_w) if cols_w else np.zeros((kernels.inputs, 0))
-    if len(modes) == target and (target == 0 or rank_of(V, tol) == target):
-        return PairedBasis(V=V, W=W, modes=tuple(modes))
-    raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis in one pass at seed {seed}")
+    if len(modes) != target:
+        raise RankDeficientAfterRetries(f"could not assemble a rank-{target} paired basis in one pass at seed {seed}")
+    V = np.concatenate(blocks_v, axis=1) if blocks_v else np.zeros((n, 0))
+    W = np.concatenate(blocks_w, axis=1) if blocks_w else np.zeros((kernels.inputs, 0))
+    return PairedBasis(V=V, W=W, modes=tuple(modes))
+
+
+def draw(kernels: KernelSpan, seed: int = DEFAULT_SEED, tol: TolerancePolicy = DEFAULT_POLICY) -> PairedBasis:
+    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels in one pass.
+
+    Each seeded kernel gets one draw slot per kernel column; the visited pool
+    kernels are then cycled, one slot per visit and ``_POOL_VISITS`` visits
+    each, until ``kernels.dim`` columns extend the span, from the stream keyed
+    by ``seed`` and ``kernels.tag``. Each slot scores its candidates in one
+    stacked pass (:func:`_best_block`). A pass that falls short or is rank
+    deficient raises :class:`RankDeficientAfterRetries`.
+    """
+    basis = _draw_pass(kernels, seed)
+    if basis.dim == 0 or rank_of(basis.V, tol) == basis.dim:
+        return basis
+    raise RankDeficientAfterRetries(f"could not assemble a rank-{basis.dim} paired basis in one pass at seed {seed}")
 
 
 def discover_rstar(

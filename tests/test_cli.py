@@ -192,6 +192,25 @@ class TestSimulateAndVerify:
             assert entry["fit_residual"] <= 1e-6
 
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("horizon", ["-5", "0", "nan", "inf"])
+    def test_a_horizon_that_is_not_positive_and_finite_is_a_config_error(self, tmp_path, capsys, command, horizon):
+        out = tmp_path / "run"
+        code = run_cli([
+            "--command", command,
+            "--system", str(demo_system_path()),
+            "--lambdas=-1,-2,-1",
+            "--reference", "2,2,2",
+            "--x0=0.1,-0.2,0.1,0.1,0",
+            f"--horizon={horizon}",
+            "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "horizon must be positive and finite" in capsys.readouterr().err
+        assert not list(out.glob("trace_*.csv"))
+        assert not (out / "simulate.json").exists() and not (out / "verify.json").exists()
+
+
 class TestEnsembleCommand:
     def test_batch_report(self, tmp_path):
         config = tmp_path / "job.json"
@@ -206,6 +225,31 @@ class TestEnsembleCommand:
         payload = read_json(tmp_path / "ens" / "ensemble.json")
         assert payload["trials"] == 20
         assert payload["failures"] == 0
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"trials": -3}, "trials must be non-negative"),
+            ({"trials": 2.5}, "trials must be a int"),
+            ({"trials": 2, "n": 8.5, "m": 4, "p": 3}, "n must be a int"),
+        ],
+    )
+    def test_a_bad_trial_count_or_size_is_a_config_error(self, tmp_path, capsys, options, message):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"ensemble": options}))
+        out = tmp_path / "ens"
+        system = [] if "n" in options else ["--system", str(demo_system_path())]
+        code = run_cli(["--command", "ensemble", *system, "--config", str(config), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (out / "ensemble.json").exists()
+
+    def test_whole_numbers_from_json_are_coerced(self, tmp_path):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"ensemble": {"trials": "4", "n": 3.0, "m": "2", "p": 2}}))
+        out = tmp_path / "ens"
+        assert run_cli(["--command", "ensemble", "--seed", "7", "--config", str(config), "--out", str(out)]) == 0
+        assert read_json(out / "ensemble.json")["trials"] == 4
 
     def test_generated_plant_report(self, tmp_path):
         config = tmp_path / "job.json"

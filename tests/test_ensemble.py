@@ -162,17 +162,26 @@ class TestGenericityTrial:
         assert stats.failures == 0
         assert stats.success_fraction == 1.0
 
+    def test_a_negative_trial_count_raises_and_zero_trials_succeed(self, demo_system):
+        with pytest.raises(ValueError, match="trials must be non-negative"):
+            mt.genericity_trial(demo_system, trials=-3)
+        stats = mt.genericity_trial(demo_system, trials=0)
+        assert (stats.trials, stats.failures, stats.failing_seeds) == (0, 0, ())
+        assert stats.success_fraction == 1.0
+
     def test_a_zero_mixing_loses_the_best_of_k_choice(self, demo_system, demo_zeros, monkeypatch):
-        # The first in-kernel combination is zero; the pass keeps the better
-        # second candidate of that kernel slot, so one pass still succeeds.
+        # The first in-kernel combination is zero (row 0 of the first slot's
+        # stacked draw); the pass keeps the better second candidate of that
+        # kernel slot, so one pass still succeeds.
         calls = {"count": 0}
         true_mixing = subspaces.mixing_coefficients
 
         def sabotaged(rng, size, complex_valued=False):
             calls["count"] += 1
+            coeffs = true_mixing(rng, size, complex_valued)
             if calls["count"] == 1:
-                return np.zeros(size, dtype=complex if complex_valued else float)
-            return true_mixing(rng, size, complex_valued)
+                coeffs[0] = 0.0
+            return coeffs
 
         monkeypatch.setattr(subspaces, "mixing_coefficients", sabotaged)
         vg = mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), seed=0)

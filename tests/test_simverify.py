@@ -380,6 +380,17 @@ class TestKeptTransition:
         # The failed calls left the stable gain's kept transition as it was.
         assert_same_trace(mt.simulate(sys, stable, [1.0, 1.0]), mt.simulate(diagonal_plant_and_gain()[0], stable, [1.0, 1.0]))
 
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0, float("nan"), float("inf"), -float("inf")])
+    def test_a_horizon_that_is_not_positive_and_finite_raises_on_every_call(self, fresh_demo, demo_feedback, horizon):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="horizon"):
+                mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A, horizon=horizon)
+        # The rejected calls kept nothing: a good horizon simulates as on a new plant.
+        assert_same_trace(
+            mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A, horizon=6.0),
+            mt.simulate(mt.LtiSystem.load(demo_system_path()), demo_feedback, DEMO_X0_A, horizon=6.0),
+        )
+
     def test_writing_to_a_trace_does_not_reach_the_next(self, fresh_demo, demo_feedback):
         mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A).times[:] = -1.0
         assert_same_trace(

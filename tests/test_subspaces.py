@@ -4,11 +4,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack.numkernel import ABSOLUTE_FLOOR, min_norm_from_factors, thin_svd
-from monotrack.subspaces import _conformable_min_phase, discover_rstar, discover_vstar_g, draw, factor_pencil
+from monotrack.numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
+from monotrack.subspaces import (
+    _POOL_VISITS,
+    _best_block,
+    _conformable_min_phase,
+    _draw_pass,
+    _SpanTracker,
+    discover_rstar,
+    discover_vstar_g,
+    draw,
+    factor_pencil,
+)
 from monotrack.sysmodel import rosenbrock
 
 from .conftest import wide_plant
+from .draw_oracle import LoopSpanTracker, loop_best_block, loop_draw
 from .subspace_checks import containment_residual, single_mode_basis, span_equal
 
 # Canonical axis spans of the per-output reachability subspaces of the
@@ -361,3 +372,136 @@ def test_default_pool_skips_zeros(demo_system, demo_zeros):
     assert len(pool) >= demo_system.n
     assert all(mu < 0 for mu in pool)
     assert all(abs(mu + 6.0) > 1e-6 for mu in pool)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape, got.dtype) == (want.shape, want.dtype) and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+def tracked_spans(n: int, dim: int, rng):
+    """A :class:`_SpanTracker` and the loop oracle, each fed the same ``dim`` random columns."""
+    stacked, loop = _SpanTracker(n), LoopSpanTracker(n)
+    for col in rng.standard_normal((dim, n, 1)):
+        assert stacked.try_add(col) == loop.try_add(col)
+    assert stacked.dim == loop.dim == dim
+    assert same_bits(stacked.Q, loop.Q) and stacked.Q.flags.c_contiguous
+    return stacked, loop
+
+
+def block_kernel(kind: str, n: int, m: int, k: int, span: _SpanTracker, rng, layout: str) -> np.ndarray:
+    """A (n + m, k) kernel: random, all zero, complex, or with its state rows inside the span."""
+    if kind == "zero":
+        kernel = np.zeros((n + m, k))
+    elif kind == "complex":
+        kernel = rng.standard_normal((n + m, k)) + 1j * rng.standard_normal((n + m, k))
+    else:
+        kernel = rng.standard_normal((n + m, k))
+        if kind == "in-span":
+            kernel[:n] = span.Q @ rng.standard_normal((span.dim, k))
+    return np.asfortranarray(kernel) if layout == "F" else np.ascontiguousarray(kernel)
+
+
+def assert_blocks_match(n, m, k, dim, kind, layout, seed):
+    """The stacked block equals the loop oracle's to the bit, and leaves the rng stream where the oracle does."""
+    rng = np.random.default_rng(seed)
+    stacked, loop = tracked_spans(n, dim, rng)
+    kernel = block_kernel(kind, n, m, k, stacked, rng, layout)
+    mode = complex(-1.0, 2.0) if kind == "complex" else -1.5
+    stream, oracle_stream = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = _best_block(stacked, kernel, mode, n, stream)
+    want = loop_best_block(loop, kernel, mode, n, oracle_stream)
+    assert stream.random() == oracle_stream.random()
+    assert (got is None) == (want is None)
+    if want is None:
+        return None
+    (v, w, (added, quality, extends)), (v0, w0, (added0, quality0, extends0)) = got, want
+    assert same_bits(v, v0) and same_bits(w, w0)
+    assert len(added) == len(added0) and all(same_bits(a, a0) for a, a0 in zip(added, added0))
+    assert quality == quality0 and bool(extends) == bool(extends0)
+    assert stacked.add(got[2]) == loop.add(want[2])
+    assert same_bits(stacked.Q, loop.Q) and stacked.Q.flags.c_contiguous
+    return got
+
+
+class TestStackedDraw:
+    """The stacked draw slot against the per-column loop it replaced (``tests/draw_oracle.py``)."""
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(0, 4),
+        k=st.integers(1, 6),
+        dim_share=st.floats(0.0, 1.0),
+        kind=st.sampled_from(["random", "zero", "in-span", "complex"]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_slot_matches_the_loop_to_the_bit(self, n, m, k, dim_share, kind, layout, seed):
+        assert_blocks_match(n, m, k, round(dim_share * n), kind, layout, seed)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_each_kernel_dimension_on_empty_and_full_spans_and_a_zero_kernel(self, k):
+        n, m = 5, 3
+        assert assert_blocks_match(n, m, k, 0, "random", "F", k) is not None
+        assert assert_blocks_match(n, m, k, 2, "random", "C", k) is not None
+        assert assert_blocks_match(n, m, k, n, "random", "F", k) is None
+        assert assert_blocks_match(n, m, k, 2, "zero", "C", k) is None
+        # Kernel columns inside the span leave only roundoff: scored, but they do not extend it.
+        in_span = assert_blocks_match(n, m, k, 3, "in-span", "F", k)
+        assert in_span is None or not in_span[2][2]
+
+    @pytest.mark.parametrize("spec", [None, (12, 5, 4), (24, 14, 10)])
+    def test_a_pass_matches_the_loop_on_discovered_spans(self, demo_system, spec):
+        plant = demo_system if spec is None else mt.generate(mt.GeneratorSpec(*spec, seed=0))
+        zeros = mt.invariant_zeros(plant)
+        spans = [discover_vstar_g(plant, zeros=zeros), discover_rstar(plant, 0, zeros=zeros)]
+        for kernels in spans:
+            for seed in range(3):
+                want = loop_draw(kernels, seed, _POOL_VISITS)
+                if want is None:
+                    with pytest.raises(mt.RankDeficientAfterRetries):
+                        _draw_pass(kernels, seed)
+                    continue
+                got = _draw_pass(kernels, seed)
+                assert same_bits(got.V, want[0]) and same_bits(got.W, want[1]) and got.modes == want[2]
+
+
+class TestRankTestOnce:
+    """A genericity trial rank-tests only the n x n V: a rank-deficient V*g draw must fail that test too."""
+
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(2, 10),
+        data=st.data(),
+        below=st.floats(0.0, 0.95),
+        direction_scale=st.floats(-6.0, 1.0),
+        tol=st.sampled_from([DEFAULT_POLICY, TolerancePolicy(relative_rank_tol=1e-10), TolerancePolicy(relative_rank_tol=1e-7)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_rank_deficient_vstar_g_draw_fails_the_test_of_v(self, n, data, below, direction_scale, tol, seed):
+        # V*g with sigma_1 = 1 and sigma_h at ``below`` times its rank threshold,
+        # next to n - h random directions scaled by 10**direction_scale. Exact
+        # singular values interlace, sigma_n(V) <= sigma_h(V*g), and V's threshold
+        # is at least V*g's. Computed ones differ by SVD roundoff, measured at up
+        # to about 1.2% of the default threshold, so the draw sits at most at 95%.
+        h = data.draw(st.integers(2, n))
+        rng = np.random.default_rng(seed)
+        sigma = np.sort(rng.uniform(0.01, 1.0, h))[::-1]
+        sigma[0], sigma[-1] = 1.0, below * tol.rank_threshold((n, h), 1.0)
+        left = np.linalg.qr(rng.standard_normal((n, h)))[0]
+        right = np.linalg.qr(rng.standard_normal((h, h)))[0]
+        vg = (left * sigma) @ right
+        directions = rng.standard_normal((n, n - h)) * 10.0**direction_scale
+        assert rank_of(vg, tol) < h
+        assert rank_of(np.column_stack([directions, vg]), tol) < n
+
+    @pytest.mark.parametrize("h", [1, 3, 5])
+    def test_a_zero_vstar_g_column_fails_the_test_of_v(self, h):
+        rng = np.random.default_rng(h)
+        vg = rng.standard_normal((5, h))
+        vg[:, -1] = 0.0
+        assert rank_of(vg) < h
+        assert rank_of(np.column_stack([rng.standard_normal((5, 5 - h)), vg])) < 5
