@@ -22,6 +22,7 @@ single-mode structure of the tracking error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,7 +193,9 @@ def simulate(
     the one-step recursion, so about 2 log2(N) matrix products replace N - 1
     matrix-vector products. The default horizon covers roughly eight time
     constants of the slowest assigned mode; a given horizon must be positive
-    and finite, or :class:`ValueError` is raised.
+    and finite, or :class:`ValueError` is raised. In discrete time a horizon
+    H means the steps 0 ... floor(H), and a ``num_samples`` other than
+    floor(H) + 1 raises :class:`ValueError`.
 
     The stability gate, C + DF, the sample times and the transition's powers
     run once per gain and sampling, and the plant keeps them for the latest
@@ -204,6 +207,11 @@ def simulate(
         raise ValueError(f"initial state length {x0.shape[0]} != states {sys.n}")
     if horizon is not None and not 0.0 < float(horizon) < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if horizon is not None and sys.domain is TimeDomain.DISCRETE:
+        steps = math.floor(float(horizon)) + 1
+        if num_samples not in (None, steps):
+            raise ValueError(f"{num_samples} samples disagree with the discrete horizon {horizon}, which gives {steps}")
+        horizon, num_samples = None, steps
     times, out_map, *powers = _transition(sys, fb, horizon, num_samples)
     num_samples, step = times.shape[0], powers[0]
 

@@ -19,6 +19,7 @@ are enumerated only after every draw failed, to report which of them fail.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
@@ -147,6 +148,8 @@ def check_solvable(
 
 
 def _validate_mode(sys: LtiSystem, lam: float, zeros: list[InvariantZero]) -> None:
+    if not math.isfinite(lam):
+        raise UnstableLambda(f"mode {lam} is not finite")
     if not sys.domain.is_stable(lam):
         raise UnstableLambda(f"mode {lam} is outside the stability region")
     if sys.domain is TimeDomain.DISCRETE and lam <= 0.0:
@@ -161,8 +164,8 @@ def validate_modes(sys: LtiSystem, lambdas, zeros: list[InvariantZero]) -> tuple
     Raises
     ------
     UnstableLambda
-        If a mode lies outside the stability region (discrete modes must lie
-        in (0, 1)).
+        If a mode is not finite or lies outside the stability region
+        (discrete modes must lie in (0, 1)).
     LambdaAtZero
         If a mode lies inside the exclusion radius of an invariant zero.
     """

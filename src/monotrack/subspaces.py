@@ -15,8 +15,11 @@ Three families of subspaces drive the solvability theory and the synthesis:
 The last two are built in two steps. A deterministic discovery
 (``discover_rstar`` / ``discover_vstar_g``) computes the pencil kernels once
 and returns them as a ``KernelSpan`` with an orthonormal basis; ``draw`` then
-mixes a paired basis out of those kernels in one seeded pass, which raises if
-it fails; another try is a draw at another seed. Spans need no draw.
+mixes a paired basis out of those kernels in one seeded pass, which raises
+only if it falls short; another try is a draw at another seed. A draw makes
+no rank test: the test of a design try's n x n V implies it. Spans need no
+draw. Both steps test candidates against a span with the one stacked test of
+``_SpanTracker``.
 
 A classical fixed-point recursion (``vstar_recursive`` / ``rstar_recursive``)
 is provided as an independent oracle for cross-checking the kernel-stacking
@@ -99,19 +102,13 @@ class PairedBasis:
         scale = max(1.0, float(np.linalg.norm(sys.A)), float(np.linalg.norm(sys.B)))
         i = 0
         while i < self.dim:
-            mode = self.modes[i]
-            if isinstance(mode, complex) and mode.imag != 0.0:
-                v_pair, w_pair = self.V[:, i : i + 2], self.W[:, i : i + 2]
-                rot = np.array([[mode.real, -mode.imag], [mode.imag, mode.real]])
-                res_state = sys.A @ v_pair + sys.B @ w_pair - v_pair @ rot
-                res_out = C @ v_pair + D @ w_pair
-                i += 2
-            else:
-                mu = float(np.real(mode))
-                v, w = self.V[:, i], self.W[:, i]
-                res_state = (sys.A - mu * np.eye(sys.n)) @ v + sys.B @ w
-                res_out = C @ v + D @ w
-                i += 1
+            # A real mode is a 1x1 block; a realified pair obeys the 2x2 rotation block.
+            mode = complex(self.modes[i])
+            width = 2 if mode.imag != 0.0 else 1
+            rot = np.array([[mode.real, -mode.imag], [mode.imag, mode.real]])[:width, :width]
+            v, w = self.V[:, i : i + width], self.W[:, i : i + width]
+            i += width
+            res_state, res_out = sys.A @ v + sys.B @ w - v @ rot, C @ v + D @ w
             if np.linalg.norm(res_state) > RESIDUAL_TOL * scale or np.linalg.norm(res_out) > RESIDUAL_TOL * scale:
                 raise ValueError(f"pencil residual invariant violated at column {i - 1}")
         if self.dim and rank_of(self.V, tol) != self.dim:
@@ -162,23 +159,19 @@ def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_PO
     return PencilFactor(pencil, *full_svd(pencil, tol), sys.n)
 
 
-def _norm(v: np.ndarray):
-    """The 2-norm of a real vector as ``np.linalg.norm`` computes it: the root of the dot of a contiguous copy."""
-    v = np.ascontiguousarray(v)
-    return np.sqrt(v @ v)
-
-
 class _SpanTracker:
-    """Incrementally orthonormalized span with an extension test.
+    """Incrementally orthonormalized span with one stacked extension test.
 
-    Orthogonalization is applied twice per candidate; a single pass loses
-    orthogonality when consecutive kernel directions are nearly parallel
-    (neighboring pool frequencies produce nearly parallel resolvent
-    directions) and would let the tracked dimension inflate past truth.
-
-    The basis lives in a buffer sized for the whole ambient space, and ``Q``
-    is the C-contiguous (ambient, dim) head of it, so ``Q.T @ r`` runs the
-    BLAS kernel of a transposed row-major matrix whatever the span's size.
+    :meth:`scores` tests a (k, n, c) stack of k candidate blocks against the
+    span, and :meth:`add` appends one candidate's orthonormalized columns.
+    Each column is orthogonalized twice: one pass loses orthogonality on the
+    nearly parallel directions of neighboring pool frequencies and lets the
+    tracked dimension inflate. Each candidate runs the BLAS calls of a
+    one-column loop (a gemv per projection on its possibly strided column,
+    norms as unit-stride dots, as ``np.linalg.norm`` takes them), so it
+    scores the same to the bit whatever the stack holds beside it. ``Q``
+    is the C-contiguous (ambient, dim) head of a preallocated buffer, so
+    ``Q.T @ r`` runs one BLAS kernel whatever the span's size.
     """
 
     def __init__(self, ambient: int):
@@ -187,47 +180,58 @@ class _SpanTracker:
         self.Q = self._buffer[:0].reshape(ambient, 0)
         self.dim = 0
 
-    def extension(self, block: np.ndarray):
-        """(orthonormal columns, worst normalized residual, extends) of ``block`` against the span.
+    def scores(self, stack: np.ndarray):
+        """(quality, extends, residuals) of each (n, c) block of a (k, n, c) ``stack``.
 
-        ``extends``: every residual exceeds ``_EXTEND_RTOL`` of its column's
-        norm. A block that does not fit or leaves a zero residual gives
-        ``(None, 0.0, False)``.
+        Per candidate, the worst ratio of residual to column norm and whether every ratio exceeds
+        ``_EXTEND_RTOL``; a block that does not fit or leaves a zero residual scores (0.0, False).
         """
-        if self.dim + block.shape[1] > self.ambient:
-            return None, 0.0, False
-        added, worst, extends = [], np.inf, True
-        for col in block.T:
-            nrm, res = _norm(col), col
+        k, _, c = stack.shape
+        if self.dim + c > self.ambient:
+            return [0.0] * k, [False] * k, []
+        quality, extends, residuals, done = [math.inf] * k, [True] * k, [], []
+        for j in range(c):
+            res = col = stack[:, :, j : j + 1] if c > 1 else stack
             for _ in range(2):
                 if self.dim:
                     res = res - self.Q @ (self.Q.T @ res)
-                for q in added:
-                    res = res - q * (q @ res)
-            res_nrm = _norm(res)
-            if nrm == 0.0 or res_nrm == 0.0:
-                return None, 0.0, False
-            worst = min(worst, float(res_nrm / nrm))
-            extends = extends and res_nrm > _EXTEND_RTOL * nrm
-            added.append(res / res_nrm)
-        return added, worst, extends
+                for q in done:
+                    res = res - q * (q.transpose(0, 2, 1) @ res)
+            nrms = _stacked_norms(col)
+            res_nrms = nrms if res is col else _stacked_norms(res)
+            for i, (nrm, res_nrm) in enumerate(zip(nrms, res_nrms)):
+                alive = nrm != 0.0 and res_nrm != 0.0 and quality[i] != 0.0
+                quality[i] = min(quality[i], res_nrm / nrm) if alive else 0.0
+                extends[i] = alive and extends[i] and res_nrm > _EXTEND_RTOL * nrm
+            residuals.append((res, res_nrms))
+            if j + 1 < c:
+                # A zero residual has disqualified its candidate; dividing by 1 keeps the stack finite.
+                done.append(res / np.array([r or 1.0 for r in res_nrms])[:, None, None])
+        return quality, extends, residuals
 
-    def add(self, extension) -> bool:
-        """Append the columns of an :meth:`extension` if every one extends the span."""
-        added, _, extends = extension
-        if extends:
-            dim, grown = self.dim, self.dim + len(added)
-            Q = self._buffer[: self.ambient * grown].reshape(self.ambient, grown)
-            # The old head overlaps its new rows; NumPy copies it through a temporary.
-            Q[:, :dim] = self.Q
-            for i, column in enumerate(added, start=dim):
-                Q[:, i] = column
-            self.Q, self.dim = Q, grown
-        return extends
+    def add(self, residuals, i: int) -> None:
+        """Append the orthonormalized columns of candidate ``i`` of the :meth:`scores` that gave ``residuals``."""
+        dim, grown = self.dim, self.dim + len(residuals)
+        Q = self._buffer[: self.ambient * grown].reshape(self.ambient, grown)
+        # The old head overlaps its new rows; NumPy copies it through a temporary.
+        Q[:, :dim] = self.Q
+        for column, (res, res_nrms) in enumerate(residuals, start=dim):
+            Q[:, column] = res[i, :, 0] / res_nrms[i]
+        self.Q, self.dim = Q, grown
 
     def try_add(self, block: np.ndarray) -> bool:
-        """Add ``block`` only if it enlarges the span by its full column count."""
-        return self.add(self.extension(block))
+        """Add the (n, c) ``block`` only if it enlarges the span by its full column count."""
+        _, extends, residuals = self.scores(block[None])
+        if extends[0]:
+            self.add(residuals, 0)
+        return extends[0]
+
+
+def _stacked_norms(stack: np.ndarray) -> list[float]:
+    """2-norms of the (n, 1) entries of a (k, n, 1) stack, each the root of one BLAS dot with unit strides."""
+    if stack.strides[1] != stack.itemsize:
+        stack = np.ascontiguousarray(stack)
+    return list(map(math.sqrt, (stack.transpose(0, 2, 1) @ stack).ravel().tolist()))
 
 
 # Default pool values this close (relative) to a requested mode are skipped,
@@ -285,9 +289,7 @@ def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedB
     """
     tracker = _SpanTracker(sys.n)
     keep = [k for k in range(kernel.shape[1]) if tracker.try_add(kernel[: sys.n, k : k + 1])]
-    V = kernel[: sys.n, keep] if keep else np.zeros((sys.n, 0))
-    W = kernel[sys.n :, keep] if keep else np.zeros((sys.m, 0))
-    return PairedBasis(V=V, W=W, modes=(mu,) * len(keep))
+    return PairedBasis(V=kernel[: sys.n, keep], W=kernel[sys.n :, keep], modes=(mu,) * len(keep))
 
 
 def _validated_pool(sys: LtiSystem, free_pool, zeros: list[InvariantZero], avoid: tuple = ()) -> tuple[float, ...]:
@@ -298,6 +300,8 @@ def _validated_pool(sys: LtiSystem, free_pool, zeros: list[InvariantZero], avoid
     if len(set(pool)) != len(pool):
         raise ValueError("pool values must be pairwise distinct")
     for mu in pool:
+        if not math.isfinite(mu):
+            raise ValueError(f"pool value {mu} is not finite")
         if not sys.domain.is_stable(mu):
             raise ValueError(f"pool value {mu} is not stable for the {sys.domain.value} domain")
         if exclusion_violation(mu, zeros):
@@ -377,60 +381,36 @@ def _discover(
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
     """Best of ``kernel-dim`` random in-kernel combinations, by extension quality.
 
-    Returns the (state, input, extension) blocks of the best draw, one column
-    at a real mode and a realified pair at a complex one, or None. Drawing
-    several candidates and keeping the best-conditioned one bounds the skew
-    of the assembled basis, which the gain solve would otherwise amplify. The
-    draw count is fixed by the kernel dimension, so results stay deterministic.
-
-    At a real mode the k candidates are scored in one stacked pass: one
-    (k, k) draw of coefficients, row i for candidate i (the stream of k
-    draws of size k), one batched product with the kernel, the two
-    projections against the span and the norms as batched products. Each
-    batch entry runs the BLAS call that :meth:`_SpanTracker.extension` makes
-    for its one column, so the result is the same to the bit, and the first
-    best candidate wins, as a strict ``>`` over the candidates in turn picks
-    it. A complex mode scores its realified pairs one at a time.
+    Returns ``(state, input, quality, extends, chosen)`` of the first best
+    candidate, one column at a real mode and a realified pair at a complex
+    one, or None; ``span.add(*chosen)`` appends it. Keeping the best of
+    several bounds the skew of the assembled basis, which the gain solve
+    would amplify. The k candidates take one draw of coefficients, (k, 1, k)
+    or (k, 2, k) with each candidate's real then imaginary parts (the stream
+    of k draws in turn), one batched product with the kernel, and one
+    :meth:`_SpanTracker.scores` of their (k, n, c) state blocks.
     """
-    k = kernel.shape[1]
-    if isinstance(mode, complex):
-        best, best_quality = None, 0.0
-        for _ in range(k):
-            col = kernel @ mixing_coefficients(rng, k, complex_valued=True)
-            block_v = np.column_stack(_real_columns(col[:n], mode))
-            extension = span.extension(block_v)
-            if extension[1] > best_quality:
-                best, best_quality = (block_v, np.column_stack(_real_columns(col[n:], mode)), extension), extension[1]
-        return best
-    # Drawn even when the span is full and nothing is scored, so the stream moves as it always did.
-    coeffs = mixing_coefficients(rng, (k, k))
-    if span.dim == span.ambient:
+    k, pair = kernel.shape[1], isinstance(mode, complex)
+    coeffs = mixing_coefficients(rng, (k, 1 + pair, k))
+    mixed = coeffs[:, 0] + 1j * coeffs[:, 1] if pair else coeffs[:, 0]
+    cols = kernel @ mixed[:, :, None]
+    blocks = np.concatenate(_real_columns(cols, mode), axis=2) if pair else cols
+    quality, extends, residuals = span.scores(blocks[:, :n])
+    best = max(range(k), key=quality.__getitem__)
+    if quality[best] == 0.0:
         return None
-    cols = np.matmul(kernel, coeffs[:, :, None])
-    res = cols[:, :n]
-    norms = _stacked_norms(res)
-    for _ in range(2 if span.dim else 0):
-        res = res - np.matmul(span.Q, np.matmul(span.Q.T, res))
-    best, best_quality = None, 0.0
-    for i, (nrm, res_nrm) in enumerate(zip(norms, _stacked_norms(res))):
-        if nrm != 0.0 and res_nrm != 0.0 and res_nrm / nrm > best_quality:
-            best, best_quality = (i, res_nrm, res_nrm > _EXTEND_RTOL * nrm), res_nrm / nrm
-    if best is None:
-        return None
-    i, res_nrm, extends = best
-    return cols[i, :n], cols[i, n:], ([res[i, :, 0] / res_nrm], best_quality, extends)
+    return blocks[best, :n], blocks[best, n:], quality[best], extends[best], (residuals, best)
 
 
-def _stacked_norms(stack: np.ndarray) -> list[float]:
-    """2-norms of the (n, 1) entries of a (k, n, 1) stack, each the root of one BLAS dot as in :func:`_norm`."""
-    return [math.sqrt(square) for square in np.matmul(stack.transpose(0, 2, 1), stack).ravel().tolist()]
+def draw(kernels: KernelSpan, seed: int = DEFAULT_SEED) -> PairedBasis:
+    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels in one pass.
 
-
-def _draw_pass(kernels: KernelSpan, seed: int) -> PairedBasis:
-    """The one pass of :func:`draw`, without its closing rank test.
-
-    Raises :class:`RankDeficientAfterRetries` only when the pass assembles
-    fewer than ``kernels.dim`` columns.
+    Each seeded kernel gets one draw slot per kernel column; the visited pool
+    kernels are then cycled, one slot per visit and ``_POOL_VISITS`` visits
+    each, until ``kernels.dim`` columns extend the span, from the stream keyed
+    by ``seed`` and ``kernels.tag``. A pass that falls short raises
+    :class:`RankDeficientAfterRetries`. No rank test is made: a design try's
+    test of its n x n V implies it.
     """
     n, target = kernels.basis.shape[0], kernels.dim
     rng = rng_for(seed, *kernels.tag)
@@ -442,7 +422,8 @@ def _draw_pass(kernels: KernelSpan, seed: int) -> PairedBasis:
         if slot >= len(seeded_slots) and len(modes) == target:
             break
         block = _best_block(span, kernel, mode, n, rng)
-        if block is not None and span.add(block[2]):
+        if block is not None and block[3]:
+            span.add(*block[4])
             blocks_v.append(block[0])
             blocks_w.append(block[1])
             modes.extend([mode, mode.conjugate()] if isinstance(mode, complex) else [mode])
@@ -451,22 +432,6 @@ def _draw_pass(kernels: KernelSpan, seed: int) -> PairedBasis:
     V = np.concatenate(blocks_v, axis=1) if blocks_v else np.zeros((n, 0))
     W = np.concatenate(blocks_w, axis=1) if blocks_w else np.zeros((kernels.inputs, 0))
     return PairedBasis(V=V, W=W, modes=tuple(modes))
-
-
-def draw(kernels: KernelSpan, seed: int = DEFAULT_SEED, tol: TolerancePolicy = DEFAULT_POLICY) -> PairedBasis:
-    """Minimal paired basis of dimension ``kernels.dim`` drawn from the kernels in one pass.
-
-    Each seeded kernel gets one draw slot per kernel column; the visited pool
-    kernels are then cycled, one slot per visit and ``_POOL_VISITS`` visits
-    each, until ``kernels.dim`` columns extend the span, from the stream keyed
-    by ``seed`` and ``kernels.tag``. Each slot scores its candidates in one
-    stacked pass (:func:`_best_block`). A pass that falls short or is rank
-    deficient raises :class:`RankDeficientAfterRetries`.
-    """
-    basis = _draw_pass(kernels, seed)
-    if basis.dim == 0 or rank_of(basis.V, tol) == basis.dim:
-        return basis
-    raise RankDeficientAfterRetries(f"could not assemble a rank-{basis.dim} paired basis in one pass at seed {seed}")
 
 
 def discover_rstar(

@@ -297,17 +297,18 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     return verdict.delta, directions, factors
 
 
-def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, seed: int, tol: TolerancePolicy):
+def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, seed: int):
     """The (V*g basis, directions) pairs a synthesis tries, each drawn when it is asked for.
 
-    The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, skipping a draw
-    that raises, then the last basis drawn with each x_j plus a random vector
-    of ker P(lam_j) (still a solution). If no draw succeeds, the last raises.
+    The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, skipping a
+    draw whose pass falls short, then the last basis drawn with each x_j plus
+    a random vector of ker P(lam_j) (still a solution). If no draw succeeds,
+    the last raises.
     """
     vg = None
     for k in range(_REDRAWS + 1):
         try:
-            vg = draw(vg_kernels, seed + k, tol)
+            vg = draw(vg_kernels, seed + k)
         except RankDeficientAfterRetries:
             # Raised here, not kept: a kept error would tie this frame to its traceback in a cycle.
             if vg is None and k == _REDRAWS:
@@ -333,7 +334,7 @@ def synthesize(
     or the replayed basis, before any draw. Up to ``_REDRAWS + 2`` candidate
     bases (:func:`_candidates`, the one redraw loop) are then tried until one
     has a full-rank V and a gain that passes :func:`_verify_gain`; a replay is
-    one candidate.
+    one candidate. The test of V is a try's only rank test (see :func:`genericity_trial`).
     Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
     kept on the plant for the latest (modes, pool, policy), so a repeat
     design on the same plant only draws, verifies and solves.
@@ -376,7 +377,7 @@ def synthesize(
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
         vg_kernels, delta, directions, factors = _memo(sys, (spec.lambdas, pool, tol), plant_facts, "witnesses")
-        candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed, tol)
+        candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed)
 
     for vg, directions in candidates:
         V = np.column_stack([directions[j].v for j in delta] + ([vg.V] if vg.dim else []))

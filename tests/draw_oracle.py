@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from monotrack.seeding import mixing_coefficients, rng_for
+from monotrack.seeding import rng_for
 from monotrack.subspaces import _EXTEND_RTOL, _real_columns
 
 
@@ -50,8 +50,10 @@ class LoopSpanTracker:
 def loop_best_block(span: LoopSpanTracker, kernel: np.ndarray, mode, n: int, rng):
     """Best of ``kernel-dim`` random in-kernel combinations, each drawn and scored on its own."""
     best, best_quality = None, 0.0
-    for _ in range(kernel.shape[1]):
-        col = kernel @ mixing_coefficients(rng, kernel.shape[1], complex_valued=isinstance(mode, complex))
+    k = kernel.shape[1]
+    for _ in range(k):
+        real = rng.uniform(-1.0, 1.0, k)
+        col = kernel @ (real + 1j * rng.uniform(-1.0, 1.0, k) if isinstance(mode, complex) else real)
         block_v = np.column_stack(_real_columns(col[:n], mode))
         extension = span.extension(block_v)
         if extension[1] > best_quality:

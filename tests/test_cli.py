@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import monotrack as mt
 from monotrack import cli, subspaces
 from monotrack.fixtures import demo_replay_path, demo_system_path
 
@@ -141,6 +142,18 @@ class TestSynthesize:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("lambdas", ["-inf,-2,-1", "-1,nan,-1"])
+    def test_a_mode_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, lambdas):
+        code = run_cli([
+            "--command", "synthesize",
+            "--system", str(demo_system_path()),
+            f"--lambdas={lambdas}",
+            "--reference", "2,2,2",
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "is not finite" in capsys.readouterr().err
+
     def test_lambda_at_zero_is_config_error(self, tmp_path):
         # -6 is an invariant zero of the demo plant.
         code = run_cli([
@@ -209,6 +222,22 @@ class TestSimulateAndVerify:
         assert "horizon must be positive and finite" in capsys.readouterr().err
         assert not list(out.glob("trace_*.csv"))
         assert not (out / "simulate.json").exists() and not (out / "verify.json").exists()
+
+
+    def test_a_discrete_horizon_sets_the_trace_length(self, tmp_path, capsys):
+        system = tmp_path / "discrete.json"
+        mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3)).save(system)
+        argv = [
+            "--command", "simulate", "--system", str(system), "--lambdas=0.5,0.3", "--reference=1,-1",
+            "--x0=1,1,1,1", "--horizon=5",
+        ]
+        assert run_cli(argv + ["--out", str(tmp_path / "run")]) == 0
+        assert [trace["samples"] for trace in read_json(tmp_path / "run" / "simulate.json")["traces"]] == [6]
+        assert len((tmp_path / "run" / "trace_0.csv").read_text().splitlines()) == 1 + 6
+        bad = tmp_path / "bad"
+        assert run_cli(argv + ["--samples=200", "--out", str(bad)]) == cli.EXIT_CONFIG
+        assert "disagree with the discrete horizon" in capsys.readouterr().err
+        assert not (bad / "simulate.json").exists()
 
 
 class TestEnsembleCommand:

@@ -176,9 +176,9 @@ class TestGenericityTrial:
         calls = {"count": 0}
         true_mixing = subspaces.mixing_coefficients
 
-        def sabotaged(rng, size, complex_valued=False):
+        def sabotaged(rng, size):
             calls["count"] += 1
-            coeffs = true_mixing(rng, size, complex_valued)
+            coeffs = true_mixing(rng, size)
             if calls["count"] == 1:
                 coeffs[0] = 0.0
             return coeffs
@@ -189,10 +189,7 @@ class TestGenericityTrial:
         assert calls["count"] > 1
 
     def test_a_pass_that_falls_short_raises(self, demo_system, demo_zeros, monkeypatch):
-        monkeypatch.setattr(
-            subspaces, "mixing_coefficients",
-            lambda rng, size, complex_valued=False: np.zeros(size, dtype=complex if complex_valued else float),
-        )
+        monkeypatch.setattr(subspaces, "mixing_coefficients", lambda rng, size: np.zeros(size))
         with pytest.raises(mt.RankDeficientAfterRetries):
             mt.draw(mt.discover_vstar_g(demo_system, zeros=demo_zeros), seed=0)
 

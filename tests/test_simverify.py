@@ -391,6 +391,28 @@ class TestKeptTransition:
             mt.simulate(mt.LtiSystem.load(demo_system_path()), demo_feedback, DEMO_X0_A, horizon=6.0),
         )
 
+    def test_a_discrete_horizon_sets_the_steps(self):
+        # A discrete horizon H means the steps 0 ... floor(H); before, every
+        # horizon gave the default 200 steps.
+        sys = mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3))
+        fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=(0.5, 0.3), reference=(1.0, -1.0)))
+        x0 = np.ones(4)
+        full = mt.simulate(sys, fb, x0, num_samples=1001)
+        for horizon, steps in ((1.0, 2), (5.0, 6), (5.7, 6), (1000.0, 1001)):
+            for num_samples in (None, steps):
+                trace = mt.simulate(sys, fb, x0, horizon=horizon, num_samples=num_samples)
+                assert np.array_equal(trace.times, np.arange(steps, dtype=float))
+                assert np.allclose(trace.xi, full.xi[:, :steps], rtol=1e-12, atol=1e-12)
+        assert mt.simulate(sys, fb, x0).num_samples == 200
+
+    @pytest.mark.parametrize("horizon, num_samples", [(5.0, 200), (5.0, 5), (5.9, 7), (0.5, None)])
+    def test_samples_that_disagree_with_a_discrete_horizon_raise_on_every_call(self, horizon, num_samples):
+        sys = mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3))
+        fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=(0.5, 0.3), reference=(1.0, -1.0)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="samples"):
+                mt.simulate(sys, fb, np.ones(4), horizon=horizon, num_samples=num_samples)
+
     def test_writing_to_a_trace_does_not_reach_the_next(self, fresh_demo, demo_feedback):
         mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A).times[:] = -1.0
         assert_same_trace(

@@ -193,7 +193,7 @@ class TestLambdaFree:
         # Zero draws can never complete V*g, while every subset passes: the
         # verdict would be wrong, so the call must raise instead.
         vg, r_js = demo_bases
-        monkeypatch.setattr(solvability, "mixing_coefficients", lambda rng, size, complex_valued=False: np.zeros(size))
+        monkeypatch.setattr(solvability, "mixing_coefficients", lambda rng, size: np.zeros(size))
         assert enumeration_oracle(demo_system_module, vg, r_js)[0]
         with pytest.raises(mt.NumericalInconsistency):
             mt.check_solvable(demo_system_module, vg, r_js)
@@ -222,13 +222,14 @@ class TestLambdaTuple:
             assert not mt.check_solvable(sys, vg, r_at).solvable
 
     def test_unstable_lambda_rejected(self, demo_system_module, demo_zeros_module):
-        for lambdas in ((1.0, -2.0, -1.0), (0.5, -2.0, -1.0)):
+        for lambdas in ((1.0, -2.0, -1.0), (0.5, -2.0, -1.0), (-np.inf, -2.0, -1.0), (-1.0, np.nan, -1.0)):
             with pytest.raises(mt.UnstableLambda):
                 mt.validate_modes(demo_system_module, lambdas, demo_zeros_module)
         # A discrete mode must lie in (0, 1): -0.3 is inside the unit disc but rejected.
         sys = mt.LtiSystem(np.diag([0.5, 0.2]), np.eye(2), np.eye(2), np.zeros((2, 2)), mt.TimeDomain.DISCRETE)
-        with pytest.raises(mt.UnstableLambda):
-            mt.validate_modes(sys, (-0.3, 0.5), [])
+        for lambdas in ((-0.3, 0.5), (-np.inf, 0.5)):
+            with pytest.raises(mt.UnstableLambda):
+                mt.validate_modes(sys, lambdas, [])
 
     def test_lambda_at_zero_rejected(self, demo_system_module, demo_zeros_module):
         for lambdas in ((-6.0, -2.0, -1.0), (-1.0, -2.0, -6.0)):

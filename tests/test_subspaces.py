@@ -9,7 +9,6 @@ from monotrack.subspaces import (
     _POOL_VISITS,
     _best_block,
     _conformable_min_phase,
-    _draw_pass,
     _SpanTracker,
     discover_rstar,
     discover_vstar_g,
@@ -278,9 +277,12 @@ class TestVstarG:
         assert np.allclose(sys.C @ block_v + sys.D @ block_w, 0.0, atol=1e-9)
 
     def test_free_pool_validation(self, demo_system, demo_zeros):
-        # Unstable, repeated, and on the zero at -6.
+        # Unstable, not finite, repeated, and on the zero at -6.
         with pytest.raises(ValueError):
             discover_vstar_g(demo_system, free_pool=(1.0, -2.0), zeros=demo_zeros)
+        for value in (-np.inf, np.nan):
+            with pytest.raises(ValueError, match="not finite"):
+                discover_vstar_g(demo_system, free_pool=(value, -2.0, -3.0), zeros=demo_zeros)
         with pytest.raises(ValueError):
             discover_vstar_g(demo_system, free_pool=(-1.0, -1.0), zeros=demo_zeros)
         with pytest.raises(mt.FrequencyIsZero):
@@ -417,12 +419,13 @@ def assert_blocks_match(n, m, k, dim, kind, layout, seed):
     assert (got is None) == (want is None)
     if want is None:
         return None
-    (v, w, (added, quality, extends)), (v0, w0, (added0, quality0, extends0)) = got, want
+    (v, w, quality, extends, chosen), (v0, w0, extension) = got, want
     assert same_bits(v, v0) and same_bits(w, w0)
-    assert len(added) == len(added0) and all(same_bits(a, a0) for a, a0 in zip(added, added0))
-    assert quality == quality0 and bool(extends) == bool(extends0)
-    assert stacked.add(got[2]) == loop.add(want[2])
-    assert same_bits(stacked.Q, loop.Q) and stacked.Q.flags.c_contiguous
+    assert quality == extension[1] and extends == extension[2]
+    if extends:
+        stacked.add(*chosen)
+    assert loop.add(extension) == extends
+    assert stacked.dim == loop.dim and same_bits(stacked.Q, loop.Q) and stacked.Q.flags.c_contiguous
     return got
 
 
@@ -448,10 +451,14 @@ class TestStackedDraw:
         assert assert_blocks_match(n, m, k, 0, "random", "F", k) is not None
         assert assert_blocks_match(n, m, k, 2, "random", "C", k) is not None
         assert assert_blocks_match(n, m, k, n, "random", "F", k) is None
+        # Realified pairs: on an empty span, beside a span, and when a pair no longer fits.
+        assert assert_blocks_match(n, m, k, 0, "complex", "C", k) is not None
+        assert assert_blocks_match(n, m, k, 2, "complex", "F", k) is not None
+        assert assert_blocks_match(n, m, k, n - 1, "complex", "F", k) is None
         assert assert_blocks_match(n, m, k, 2, "zero", "C", k) is None
         # Kernel columns inside the span leave only roundoff: scored, but they do not extend it.
         in_span = assert_blocks_match(n, m, k, 3, "in-span", "F", k)
-        assert in_span is None or not in_span[2][2]
+        assert in_span is None or not in_span[3]
 
     @pytest.mark.parametrize("spec", [None, (12, 5, 4), (24, 14, 10)])
     def test_a_pass_matches_the_loop_on_discovered_spans(self, demo_system, spec):
@@ -463,9 +470,9 @@ class TestStackedDraw:
                 want = loop_draw(kernels, seed, _POOL_VISITS)
                 if want is None:
                     with pytest.raises(mt.RankDeficientAfterRetries):
-                        _draw_pass(kernels, seed)
+                        draw(kernels, seed)
                     continue
-                got = _draw_pass(kernels, seed)
+                got = draw(kernels, seed)
                 assert same_bits(got.V, want[0]) and same_bits(got.W, want[1]) and got.modes == want[2]
 
 

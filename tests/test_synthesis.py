@@ -35,11 +35,11 @@ def fail_first_draw(monkeypatch) -> list:
     """Make the first V*g draw of ``synthesize`` raise; returns the seeds of every draw asked for."""
     true_draw, seeds = synthesis.draw, []
 
-    def first_draw_fails(kernels, seed, *args):
+    def first_draw_fails(kernels, seed):
         seeds.append(seed)
         if len(seeds) == 1:
             raise mt.RankDeficientAfterRetries("forced draw failure")
-        return true_draw(kernels, seed, *args)
+        return true_draw(kernels, seed)
 
     monkeypatch.setattr(synthesis, "draw", first_draw_fails)
     return seeds
@@ -74,6 +74,20 @@ class TestDirectionForOutput:
     def test_rejects_unstable_mode(self, demo_system):
         spec = mt.SynthesisSpec(lambdas=(0.5, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         with pytest.raises(mt.UnstableLambda):
+            mt.synthesize(demo_system, spec)
+
+    @pytest.mark.parametrize("mode", [-np.inf, np.inf, np.nan])
+    def test_rejects_a_mode_that_is_not_finite(self, demo_system, mode):
+        # -inf is "stable" by its sign; it once made the pool's avoid radius
+        # infinite and surfaced as a SaturationFailure.
+        spec = mt.SynthesisSpec(lambdas=(mode, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        with pytest.raises(mt.UnstableLambda):
+            mt.synthesize(demo_system, spec)
+
+    @pytest.mark.parametrize("value", [-np.inf, np.nan])
+    def test_rejects_a_pool_value_that_is_not_finite(self, demo_system, value):
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), free_pool=(value, -3.0, -4.0))
+        with pytest.raises(ValueError, match="pool value"):
             mt.synthesize(demo_system, spec)
 
     def test_rejects_mode_at_zero(self, demo_system):
@@ -259,12 +273,12 @@ class TestSynthesize:
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 rank test at the tracking frequency (it gives the normal
         # rank), 4 PBH tests, 4 zero confirmations that reuse their polishing
-        # SVD. V*g: 2 pencil kernels and 1 rank test of the draw. 2 mode
+        # SVD. V*g: 2 pencil kernels; the draw makes no rank test. 2 mode
         # pencils, 2 solvability rank tests, 1 rank test of V, 1 steady-state
         # solve. A change that brings back a recomputation fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 9 + 3 + 2 + 2 + 1 + 1}
+        assert calls == {"svd": 9 + 2 + 2 + 2 + 1 + 1}
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
@@ -325,6 +339,31 @@ class TestSynthesize:
         next_seed = mt.synthesize(mt.LtiSystem.load(demo_system_path()), dataclasses.replace(spec, seed=5))
         assert fb.to_json_dict() == next_seed.to_json_dict()
 
+    def test_a_rank_deficient_vstar_g_draw_fails_the_test_of_v(self, fresh_demo, monkeypatch):
+        # draw() makes no rank test of its own. The first V*g draw repeats its
+        # first column in its last; the rank test of V rejects that try before
+        # any gain is verified, and the design comes from the draw at the next seed.
+        true_draw, seeds = synthesis.draw, []
+
+        def repeated_column(kernels, seed):
+            seeds.append(seed)
+            vg = true_draw(kernels, seed)
+            if len(seeds) > 1:
+                return vg
+            V, W = vg.V.copy(), vg.W.copy()
+            V[:, -1], W[:, -1] = V[:, 0], W[:, 0]
+            return mt.PairedBasis(V=V, W=W, modes=vg.modes[:-1] + vg.modes[:1])
+
+        monkeypatch.setattr(synthesis, "draw", repeated_column)
+        verified = count_calls(monkeypatch, (synthesis, "_verify_gain"))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=4)
+        fb = mt.synthesize(fresh_demo, spec)
+        assert seeds == [4, 5]
+        assert verified == {"_verify_gain": 1}
+        monkeypatch.undo()
+        next_seed = mt.synthesize(mt.LtiSystem.load(demo_system_path()), dataclasses.replace(spec, seed=5))
+        assert fb.to_json_dict() == next_seed.to_json_dict()
+
     def test_a_failed_draw_leaves_no_reference_cycle(self, fresh_demo, monkeypatch):
         # A draw error kept in the candidate sequence would tie its frame to
         # the error's traceback, and the arrays on it would wait for the cycle
@@ -341,7 +380,7 @@ class TestSynthesize:
         assert len(seeds) == 2
 
     def test_when_every_draw_fails_the_last_draw_error_is_raised(self, fresh_demo, monkeypatch):
-        def failing_draw(kernels, seed, *args):
+        def failing_draw(kernels, seed):
             raise mt.RankDeficientAfterRetries(f"forced draw failure at seed {seed}")
 
         monkeypatch.setattr(synthesis, "draw", failing_draw)
@@ -403,9 +442,9 @@ class TestPlantMemo:
         )
         spec = mt.SynthesisSpec(lambdas=self.SPEC.lambdas, reference=(1.0, -0.5, 0.25), seed=3)
         fb = mt.synthesize(fresh_demo, spec)
-        # The rank test of the V*g draw and the rank test of V; the steady-state factor is kept.
+        # The rank test of V, the one rank test of a try; the steady-state factor is kept.
         assert calls == {
-            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 2,
+            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
         }
         assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
 
