@@ -194,8 +194,8 @@ def simulate(
     matrix-vector products. The default horizon covers roughly eight time
     constants of the slowest assigned mode; a given horizon must be positive
     and finite, or :class:`ValueError` is raised. In discrete time a horizon
-    H means the steps 0 ... floor(H), and a ``num_samples`` other than
-    floor(H) + 1 raises :class:`ValueError`.
+    H of at least 1 means the steps 0 ... floor(H), and a ``num_samples``
+    other than floor(H) + 1 raises :class:`ValueError`.
 
     The stability gate, C + DF, the sample times and the transition's powers
     run once per gain and sampling, and the plant keeps them for the latest
@@ -208,6 +208,8 @@ def simulate(
     if horizon is not None and not 0.0 < float(horizon) < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if horizon is not None and sys.domain is TimeDomain.DISCRETE:
+        if float(horizon) < 1.0:
+            raise ValueError(f"a discrete horizon must be at least 1, got {horizon}")
         steps = math.floor(float(horizon)) + 1
         if num_samples not in (None, steps):
             raise ValueError(f"{num_samples} samples disagree with the discrete horizon {horizon}, which gives {steps}")

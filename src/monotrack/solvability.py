@@ -9,16 +9,15 @@ V*g is larger than ``n - p`` it also finds the outputs that need an assigned
 mode (the rest are tracked instantaneously).
 
 The family is Rado's condition for an independent transversal of the R_j
-taken modulo V*g (R. Rado 1942; J. Edmonds 1967), so it holds exactly when
-one generic pick r_j in each R_j gives rank [V*g, r_1 ... r_p] = n. The test
-draws the picks from the fixed ``DEFAULT_SEED`` stream, so a verdict depends
-on the bases alone, and makes one rank test per draw; the subsets themselves
-are enumerated only after every draw failed, to report which of them fail.
+taken modulo V*g (R. Rado 1942; J. Edmonds 1965, 1967): with one generic
+pick r_j in each R_j, rank [V*g, r_1 ... r_p] is the least value over S of
+dim(V*g + sum R_S) + p - card(S), so the family holds exactly when it is n,
+and n minus it is the largest deficiency of a subset. The picks come from the fixed
+``DEFAULT_SEED`` stream, so a verdict depends on the bases alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,17 +27,16 @@ from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation
 
 _DRAWS = 4
-_MAX_REPORTED_FAILURES = 32
 
 
 @dataclass(frozen=True)
 class SolvabilityVerdict:
     """Outcome of one condition family.
 
-    ``failing_subsets`` holds (subset, achieved dimension, required dimension)
-    triples ordered smallest subset first and capped at 32 entries;
-    ``delta`` is the witness set of outputs that receive an assigned mode in
-    the generalized case (all outputs when dim V*g equals n - p).
+    ``failing_subsets`` holds at most two (subset, achieved, required
+    dimension) triples, smallest first: the empty set if h < n - p, and the
+    smallest subset of largest deficiency; ``delta`` is the witness set of
+    outputs that receive an assigned mode when h > n - p (all outputs at n - p).
     """
 
     solvable: bool
@@ -57,18 +55,17 @@ class SolvabilityVerdict:
         }
 
 
-def _transversal_witness(vg, bases, n: int, h: int, seed: int, attempt: int, tol: TolerancePolicy):
-    """One seeded transversal draw; returns the witness set delta, or None if the draw misses rank n.
-
-    The verdict is a single rank test on [V*g, r_1 ... r_p]. When h exceeds
-    n - p, a greedy scan then adds output j to delta whenever r_j raises the
-    rank, stopping at n: the greedy basis of the transversal matroid, which
-    is its lexicographically first basis.
-    """
+def _picks(bases, seed: int, attempt: int) -> list:
+    """One seeded direction r_j = R_j c_j per output, from the ``seed`` transversal stream."""
     rng = rng_for(seed, "transversal", attempt)
-    picks = [B @ mixing_coefficients(rng, B.shape[1])[:, None] for B in bases]
-    if subspace_sum_dim([vg, *picks], tol) != n:
-        return None
+    return [B @ mixing_coefficients(rng, B.shape[1])[:, None] for B in bases]
+
+
+def _greedy_witness(vg, picks, n: int, h: int, tol: TolerancePolicy):
+    """The witness set delta of picks that complete V*g to rank n, or None if the scan falls short.
+
+    Output j joins delta when r_j raises the rank, up to n: the greedy, lexicographically first basis.
+    """
     if h == n - len(picks):
         return tuple(range(len(picks)))
     delta, chosen, rank = [], [vg], h
@@ -83,21 +80,19 @@ def _transversal_witness(vg, bases, n: int, h: int, seed: int, attempt: int, tol
     return tuple(delta) if rank == n else None
 
 
-def _failing_subsets(vg, bases, n: int, h: int, tol: TolerancePolicy) -> tuple:
-    """Subsets S violating dim(V*g + sum R_j) >= n - p + card(S), smallest first, capped at 32.
+def _certificate(vg, bases, picks, rank: int, n: int, h: int, tol: TolerancePolicy) -> tuple:
+    """The empty set and N, each if it fails on the full bases, from picks of rank ``rank`` below n.
 
-    Subsets of cardinality at most h - (n - p) satisfy the inequality
-    trivially and are skipped.
+    The subsets of largest deficiency n - rank are closed under intersection, and dropping a pick outside
+    one of them lowers the rank, so N, the outputs whose drop leaves ``rank``, is the smallest of them.
     """
     p = len(bases)
-    failures = []
-    for size in range(max(0, h - (n - p) + 1), p + 1):
-        for subset in itertools.combinations(range(p), size):
-            achieved = subspace_sum_dim([vg] + [bases[j] for j in subset], tol)
-            if achieved < n - p + size:
-                failures.append((subset, achieved, n - p + size))
-                if len(failures) == _MAX_REPORTED_FAILURES:
-                    return tuple(failures)
+    failures = [((), h, n - p)] if h < n - p else []
+    tight = tuple(j for j in range(p) if subspace_sum_dim([vg, *picks[:j], *picks[j + 1 :]], tol) >= rank)
+    if tight:
+        achieved = subspace_sum_dim([vg, *(bases[j] for j in tight)], tol)
+        if achieved < n - p + len(tight):
+            failures.append((tight, achieved, n - p + len(tight)))
     return tuple(failures)
 
 
@@ -112,20 +107,19 @@ def check_solvable(
 
     The test draws one direction per output from the ``DEFAULT_SEED``
     transversal stream and passes when V*g and the draws span the state
-    space: one rank test per draw, up to four draws. It takes no seed: the
-    verdict and delta are functions of the bases, whoever asks. When
+    space: one rank test per draw, up to four draws (one when h + p < n). It
+    takes no seed: the verdict and delta are functions of the bases. When
     h = dim V*g exceeds n - p, a greedy scan of at most p more rank tests
-    after the passing draw finds the witness set delta of cardinality
-    ``n - h``, the lexicographically first set of outputs whose draws
-    complete V*g (empty, with no draw, when h = n). Only after every draw
-    failed are the subsets enumerated, to fill ``failing_subsets``; no draw
-    is made when h + p < n, since none can reach rank n.
+    finds delta, of cardinality ``n - h`` (empty, with no draw, when h = n).
+    When every draw failed, p rank tests on the first draw's picks and one on
+    the full bases give the certificate in ``failing_subsets``: at most two
+    subsets, smallest first.
 
     Raises
     ------
     NumericalInconsistency
-        If every draw fails while no subset violates the inequality, which
-        only inconsistent rank decisions can cause.
+        If every draw fails while neither certificate subset violates the
+        inequality, which only inconsistent rank decisions can cause.
     """
     vg = _as_matrix(vstar_g_basis)
     bases = [_as_matrix(b) for b in rstar_j_bases]
@@ -135,14 +129,18 @@ def check_solvable(
     if h == n:
         # V*g spans the state space, so every output is tracked instantaneously.
         return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())
-    for attempt in range(_DRAWS if h + p >= n else 0):
-        delta = _transversal_witness(vg, bases, n, h, DEFAULT_SEED, attempt, tol)
+    for attempt in range(_DRAWS if h + p >= n else 1):
+        picks = _picks(bases, DEFAULT_SEED, attempt)
+        rank = subspace_sum_dim([vg, *picks], tol)
+        if attempt == 0:
+            first = picks, rank
+        delta = _greedy_witness(vg, picks, n, h, tol) if rank == n else None
         if delta is not None:
             return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=delta)
-    failures = _failing_subsets(vg, bases, n, h, tol)
+    failures = _certificate(vg, bases, *first, n, h, tol)
     if not failures:
         raise NumericalInconsistency(
-            f"{_DRAWS} transversal draws missed rank {n} but no output subset violates the dimension condition"
+            f"transversal draws missed rank {n} but neither certificate subset violates the dimension condition"
         )
     return SolvabilityVerdict(solvable=False, failing_subsets=failures, h=h, delta=None)
 

@@ -239,6 +239,18 @@ class TestSimulateAndVerify:
         assert "disagree with the discrete horizon" in capsys.readouterr().err
         assert not (bad / "simulate.json").exists()
 
+    def test_a_discrete_horizon_below_one_is_a_config_error(self, tmp_path, capsys):
+        system = tmp_path / "discrete.json"
+        mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3)).save(system)
+        out = tmp_path / "run"
+        code = run_cli([
+            "--command", "simulate", "--system", str(system), "--lambdas=0.5,0.3", "--reference=1,-1",
+            "--x0=1,1,1,1", "--horizon=0.5", "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: a discrete horizon must be at least 1, got 0.5" in capsys.readouterr().err
+        assert not list(out.glob("trace_*.csv")) and not (out / "simulate.json").exists()
+
 
 class TestEnsembleCommand:
     def test_batch_report(self, tmp_path):

@@ -405,13 +405,21 @@ class TestKeptTransition:
                 assert np.allclose(trace.xi, full.xi[:, :steps], rtol=1e-12, atol=1e-12)
         assert mt.simulate(sys, fb, x0).num_samples == 200
 
-    @pytest.mark.parametrize("horizon, num_samples", [(5.0, 200), (5.0, 5), (5.9, 7), (0.5, None)])
+    @pytest.mark.parametrize("horizon, num_samples", [(5.0, 200), (5.0, 5), (5.9, 7)])
     def test_samples_that_disagree_with_a_discrete_horizon_raise_on_every_call(self, horizon, num_samples):
         sys = mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3))
         fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=(0.5, 0.3), reference=(1.0, -1.0)))
         for _ in range(2):
             with pytest.raises(ValueError, match="samples"):
                 mt.simulate(sys, fb, np.ones(4), horizon=horizon, num_samples=num_samples)
+
+    @pytest.mark.parametrize("horizon, num_samples", [(0.5, None), (0.5, 1), (0.999, 2)])
+    def test_a_discrete_horizon_below_one_names_the_horizon(self, horizon, num_samples):
+        # Before, the error named "at least two samples", which the caller never gave.
+        sys = mt.generate(mt.GeneratorSpec(4, 3, 2, domain="discrete", seed=3))
+        fb = mt.synthesize(sys, mt.SynthesisSpec(lambdas=(0.5, 0.3), reference=(1.0, -1.0)))
+        with pytest.raises(ValueError, match=rf"discrete horizon must be at least 1, got {horizon}"):
+            mt.simulate(sys, fb, np.ones(4), horizon=horizon, num_samples=num_samples)
 
     def test_writing_to_a_trace_does_not_reach_the_next(self, fresh_demo, demo_feedback):
         mt.simulate(fresh_demo, demo_feedback, DEMO_X0_A).times[:] = -1.0

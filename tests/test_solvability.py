@@ -10,6 +10,7 @@ from monotrack import solvability
 from monotrack.numkernel import _as_matrix
 from monotrack.subspaces import discover_rstar, discover_vstar_g, draw
 
+from .subset_oracle import _failing_subsets, dimensions_consistent
 from .subspace_checks import single_mode_basis
 
 # Plant with a structurally pinned per-output reachability subspace: deleting
@@ -132,10 +133,16 @@ class TestLambdaFree:
         assert mt.subspace_sum_dim([vg, r_js[1]]) == 4
         assert mt.subspace_sum_dim([vg, r_js[1], r_js[2]]) == 5
 
-    def test_empty_subset_auto_satisfied(self, demo_system_module, demo_bases):
-        vg, r_js = demo_bases
-        verdict = mt.check_solvable(demo_system_module, vg, r_js)
-        assert all(len(f[0]) > 0 for f in verdict.failing_subsets)
+    def test_empty_subset_auto_satisfied(self, unsolvable_plant):
+        # With h = n - p the empty set meets its inequality and is never
+        # reported; with V*g dropped it fails, and it alone reaches the
+        # largest deficiency, so it is the whole certificate.
+        sys = unsolvable_plant
+        zeros = mt.invariant_zeros(sys)
+        vg = draw(discover_vstar_g(sys, zeros=zeros))
+        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
+        assert all(len(f[0]) > 0 for f in mt.check_solvable(sys, vg, r_js).failing_subsets)
+        assert mt.check_solvable(sys, vg.V[:, :0], r_js).failing_subsets == (((), 0, 1),)
 
     def test_unsolvable_singleton(self, unsolvable_plant):
         sys = unsolvable_plant
@@ -146,18 +153,24 @@ class TestLambdaFree:
         r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_js)
         assert not verdict.solvable
-        assert verdict.failing_subsets[0][0] == (1,)
+        assert verdict.failing_subsets == (((1,), 1, 2),)
         # independent confirmation by brute-force dimension count
         assert brute_force_dim(vg.V, r_js[1].V) == 1 < sys.n - sys.p + 1
 
-    def test_failing_subsets_ordered_by_cardinality(self, unsolvable_plant):
-        sys = unsolvable_plant
-        zeros = mt.invariant_zeros(sys)
-        vg = draw(discover_vstar_g(sys, zeros=zeros))
-        r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(2)]
-        verdict = mt.check_solvable(sys, vg, r_js)
-        sizes = [len(f[0]) for f in verdict.failing_subsets]
-        assert sizes == sorted(sizes)
+    def test_failing_subsets_ordered_by_cardinality(self):
+        # h = 1 < n - p = 3, so the empty set fails by 2; outputs 0 and 1
+        # share one direction, so {0, 1} fails by 3, the most of any subset,
+        # and is reported after it. {0}, {1} and {0, 1, 2} fail by less and
+        # are left out.
+        n, p = 6, 3
+        sys = mt.LtiSystem(-np.eye(n), np.eye(n, p), np.eye(p, n), np.zeros((p, p)))
+        e = np.eye(n)
+        bases = [e[:, 1:2], e[:, 1:2], e[:, 2:5]]
+        verdict = mt.check_solvable(sys, e[:, :1], bases)
+        assert verdict.failing_subsets == (((), 1, 3), ((0, 1), 2, 5))
+        assert _failing_subsets(e[:, :1], bases, n, 1, mt.DEFAULT_POLICY) == (
+            ((), 1, 3), ((0,), 2, 4), ((1,), 2, 4), ((0, 1), 2, 5), ((0, 1, 2), 5, 6)
+        )
 
     def test_many_outputs_get_a_verdict_in_few_rank_tests(self, monkeypatch):
         # A 24-output strictly proper plant: enumeration would need 2^24 rank
@@ -188,6 +201,29 @@ class TestLambdaFree:
         vg = draw(discover_vstar_g(sys, zeros=zeros))
         r_js = [draw(discover_rstar(sys, j, zeros=zeros)) for j in range(p)]
         assert mt.check_solvable(sys, vg, r_js).solvable
+
+    @pytest.mark.parametrize("p", [12, 16])
+    def test_not_solvable_in_p_plus_two_rank_tests(self, monkeypatch, p):
+        # h = n - p - 1 and three generic columns per R_j: only the empty set
+        # fails, so the enumeration visited all 2^p subsets. No draw can reach
+        # rank n; one draw and p drop tests decide (N is empty, so it needs no
+        # test of its own).
+        n = 2 * p + 4
+        rng = np.random.default_rng(p)
+        sys = mt.LtiSystem(-np.eye(n), np.eye(n, p), np.eye(p, n), np.zeros((p, p)))
+        vg = rng.standard_normal((n, n - p - 1))
+        bases = [rng.standard_normal((n, 3)) for _ in range(p)]
+        calls = []
+        counted = solvability.subspace_sum_dim
+
+        def counting(bases, tol=mt.DEFAULT_POLICY):
+            calls.append(len(bases))
+            return counted(bases, tol)
+
+        monkeypatch.setattr(solvability, "subspace_sum_dim", counting)
+        verdict = mt.check_solvable(sys, vg, bases)
+        assert verdict.failing_subsets == (((), n - p - 1, n - p),)
+        assert len(calls) <= p + 3
 
     def test_failed_draws_on_a_passing_family_raise(self, monkeypatch, demo_system_module, demo_bases):
         # Zero draws can never complete V*g, while every subset passes: the
@@ -256,8 +292,7 @@ class TestBadTuple:
         r_at = [single_mode_basis(sys, BAD_TUPLE[j], j) for j in range(2)]
         verdict = mt.check_solvable(sys, vg, r_at)
         assert not verdict.solvable
-        bad_pair = verdict.failing_subsets[-1]
-        assert bad_pair[0] == (0, 1) and bad_pair[1] < bad_pair[2]
+        assert verdict.failing_subsets == (((0, 1), 3, 4),)
         # independent confirmation: joint stack loses a dimension
         stacked = np.hstack([vg.V, r_at[0].V, r_at[1].V])
         s = np.linalg.svd(stacked, compute_uv=False)
@@ -356,8 +391,25 @@ class TestTransversalMatchesEnumeration:
         verdict = mt.check_solvable(sys, vg, bases)
         assert (verdict.solvable, verdict.delta) == expected
         assert verdict.solvable == (not verdict.failing_subsets)
-        # check_solvable draws its picks from the default stream; the witness
-        # itself takes a seed, so the picks still vary across examples.
+        # check_solvable draws its picks from the default stream; the picks
+        # themselves take a seed, so they still vary across examples.
+        tol = mt.DEFAULT_POLICY
         vg_m, bases_m = _as_matrix(vg), [_as_matrix(b) for b in bases]
-        witness = solvability._transversal_witness(vg_m, bases_m, n, mt.rank_of(vg_m), seed, 0, mt.DEFAULT_POLICY)
+        h = mt.rank_of(vg_m)
+        picks = solvability._picks(bases_m, seed, 0)
+        rank = mt.subspace_sum_dim([vg_m, *picks])
+        witness = solvability._greedy_witness(vg_m, picks, n, h, tol) if rank == n else None
         assert (witness is not None, witness) == expected
+        if verdict.solvable:
+            return
+        failing = _failing_subsets(vg_m, bases_m, n, h, tol, cap=None)
+        assert set(verdict.failing_subsets) <= set(failing)
+        if not dimensions_consistent(vg_m, bases_m, tol):
+            return
+        # On consistent rank decisions the certificate reaches the largest
+        # deficiency, and its subset is the smallest subset that does.
+        deficiency = max(required - achieved for _, achieved, required in failing)
+        subset, achieved, required = verdict.failing_subsets[-1]
+        assert required - achieved == deficiency
+        maximizers = [s for s, a, r in failing if r - a == deficiency]
+        assert subset == maximizers[0] and all(set(subset) <= set(s) for s in maximizers)
