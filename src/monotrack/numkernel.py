@@ -144,6 +144,43 @@ def subspace_sum_dim(bases, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return rank_of(np.hstack(mats), tol)
 
 
+def controllable_staircase(A: np.ndarray, B: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY):
+    """Orthonormal bases ``(X, Z)`` of the controllable subspace of (A, B) and of its orthogonal complement, and ``certain``.
+
+    The orthogonal staircase (Van Dooren 1981; Paige 1981): Z starts as I
+    and M as B. Each step takes one SVD of Z^T M, moves its r leading left
+    singular directions from Z to X, and makes A times them the next M. It
+    stops when r = 0 or Z is empty, after about n / rank B steps. Every rank
+    decision is made at the one threshold of the n x (n+m) matrix [A B],
+    with ``||[A B]||_F`` for its scale: a block's own largest singular value
+    would call a weakly controllable block full rank.
+
+    A direction kept at a singular value s is tilted by up to error / s,
+    where error is what a perturbation of [A B] at the threshold moves the
+    block by, and the next block moves by twice the scale times the tilt so
+    far. The tilt compounds from step to step, so a nearly uncontrollable
+    mode can reach a later block above the threshold. ``certain`` is False
+    when some step kept a singular value not above its error: Z then holds
+    the uncontrollable modes, but X may hold nearly uncontrollable ones too.
+    """
+    n = A.shape[0]
+    scale = float(np.linalg.norm(np.hstack([A, B])))
+    threshold = tol.rank_threshold((n, n + B.shape[1]), scale)
+    X, Z, M = np.empty((n, 0)), np.eye(n), B
+    tilt, certain = 0.0, True
+    while Z.shape[1]:
+        u, s, _ = np.linalg.svd(Z.T @ M)
+        r = int(np.sum(s > threshold))
+        if r == 0:
+            break
+        error = threshold + 2.0 * scale * tilt
+        certain = certain and bool(s[r - 1] > error)
+        tilt += error / s[r - 1]
+        reached = Z @ u[:, :r]
+        X, Z, M = np.hstack([X, reached]), Z @ u[:, r:], A @ reached
+    return X, Z, certain
+
+
 def orthonormalize(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     """Orthonormal basis of the column span of ``M`` (may shrink the column count)."""
     M = _as_matrix(M)

@@ -10,7 +10,15 @@ loses rank relative to its normal rank. They are computed by compressing the
 rectangular pencil to a square one of the normal-rank size, shifting it to
 an imaginary frequency where it is invertible and solving the resulting
 standard eigenproblem; every candidate is then confirmed with an explicit
-rank test. Only NumPy's LAPACK routines are used.
+rank test.
+
+Stabilizability is read off the orthogonal controllability staircase of
+:func:`monotrack.numkernel.controllable_staircase`: about n / rank B shrinking
+real SVDs split the state space into the controllable subspace and its
+orthogonal complement Z, and the uncontrollable modes are the eigenvalues of
+Z^T A Z. No eigenvalue problem on A and no rank test per unstable mode is
+made, unless the staircase flags a decision it cannot be sure of. Only
+NumPy's LAPACK routines are used.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IllConditionedPencil
-from .numkernel import DEFAULT_POLICY, ZERO_EXCLUSION, TolerancePolicy, rank_of
+from .numkernel import DEFAULT_POLICY, ZERO_EXCLUSION, TolerancePolicy, controllable_staircase, rank_of
 from .seeding import DEFAULT_SEED, rng_for
 
 _NORMAL_RANK_SAMPLES = 7
@@ -269,11 +277,17 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy):
     working precision there, and its singular vectors are noise. A candidate
     that is not actually a zero moves far away and is left untouched.
 
+    The singular values alone decide whether a step is needed, from the real
+    pencil at a real candidate; the full complex SVD is taken only for a step.
     Returns the refined value and, when no step was taken, the singular
     values of P at it (else None), so the caller can confirm the candidate
     without factoring the same pencil again.
     """
-    refined, s = z, None
+    P = rosenbrock(sys, z.real if z.imag == 0.0 else z)
+    s = np.linalg.svd(P, compute_uv=False)
+    if s[-1] <= tol.rank_threshold(P.shape, float(s[0])):
+        return complex(z), s
+    refined = z
     for _ in range(_POLISH_STEPS):
         P = rosenbrock(sys, refined)
         u, s, vh = np.linalg.svd(P)
@@ -347,7 +361,7 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[Inva
         z, s = _polish_candidate(sys, z, tol)
         if z.imag != 0.0 and abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
             z, s = complex(z.real, 0.0), None
-        P = rosenbrock(sys, z)
+        P = rosenbrock(sys, z.real if z.imag == 0.0 else z)
         if s is None:
             s = np.linalg.svd(P, compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
@@ -400,6 +414,17 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     rank exceeds n + min(m, p), so when it reaches that value it is the
     normal rank, and :func:`normal_rank` is not sampled.
 
+    Stabilizability comes from the controllability staircase: its steps
+    make about n / rank B real SVDs, and the uncontrollable modes are the
+    eigenvalues of Z^T A Z over the orthonormal complement Z of the
+    controllable subspace, computed only when Z is not empty. The plant is
+    stabilizable when none of them is unstable; ``details["stabilizable"]``
+    lists the unstable ones, both members of a pair. When a step kept a
+    singular value that a perturbation at the rank threshold, compounded
+    along the staircase, could account for, the staircase is not certain
+    that its controllable part holds no nearly uncontrollable mode; then
+    each unstable mode of that part is tested on the pencil [A - lam I, B].
+
     The report is kept on the plant under ``("audit", tol)`` and returned
     as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
     """
@@ -415,17 +440,18 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
-    stabilizable = True
-    bad_modes = []
-    for lam in np.linalg.eigvals(sys.A).tolist():
-        # [A - conj(lam) I, B] is the conjugate of [A - lam I, B] and has the
-        # same rank: one test per conjugate pair, made at its upper member.
-        if lam.imag < 0.0 or sys.domain.is_stable(lam):
-            continue
-        pbh = rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol)
-        if pbh < sys.n:
-            stabilizable = False
-            bad_modes.extend([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
+    X, Z, certain = controllable_staircase(sys.A, sys.B, tol)
+    uncontrollable = np.linalg.eigvals(Z.T @ sys.A @ Z).tolist() if Z.shape[1] else []
+    bad_modes = [lam for lam in uncontrollable if not sys.domain.is_stable(lam)]
+    if not certain:
+        # X may hold a nearly uncontrollable mode: test each unstable mode of
+        # the controllable part on the pencil, once per conjugate pair.
+        for lam in np.linalg.eigvals(X.T @ sys.A @ X).tolist():
+            if lam.imag < 0.0 or sys.domain.is_stable(lam):
+                continue
+            if rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol) < sys.n:
+                bad_modes.extend([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
+    stabilizable = not bad_modes
     details["stabilizable"] = (
         "all unstable modes controllable" if stabilizable else f"uncontrollable unstable modes {bad_modes}"
     )

@@ -272,13 +272,13 @@ class TestSynthesize:
 
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 rank test at the tracking frequency (it gives the normal
-        # rank), 4 PBH tests, 4 zero confirmations that reuse their polishing
-        # SVD. V*g: 2 pencil kernels; the draw makes no rank test. 2 mode
-        # pencils, 2 solvability rank tests, 1 rank test of V, 1 steady-state
-        # solve. A change that brings back a recomputation fails here.
+        # rank), 2 staircase steps, 4 zero confirmations that reuse their
+        # polishing SVD. V*g: 2 pencil kernels; the draw makes no rank test.
+        # 2 mode pencils, 2 solvability rank tests, 1 rank test of V, 1
+        # steady-state solve. A change that brings back a recomputation fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 9 + 2 + 2 + 2 + 1 + 1}
+        assert calls == {"svd": 7 + 2 + 2 + 2 + 1 + 1}
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.

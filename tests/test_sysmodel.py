@@ -1,13 +1,19 @@
+import ast
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack import ensemble, sysmodel
+from monotrack.numkernel import controllable_staircase
 from monotrack.seeding import DEFAULT_SEED, rng_for
 from monotrack.sysmodel import rosenbrock
 
 from .conftest import DEMO_ZEROS, count_calls, wide_plant
+from .pbh_oracle import pbh_stabilizable
 
 
 class TestLtiSystem:
@@ -342,11 +348,14 @@ class TestAuditAssumptions:
 
     def test_full_rank_audit_reads_the_normal_rank_at_the_tracking_frequency(self, fresh_demo, monkeypatch):
         # The test at the tracking frequency reaches n + min(m, p), which is
-        # then the normal rank; one PBH test per unstable mode of A (0, 2, 2, 3).
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"))
+        # then the normal rank. The staircase takes 2 steps: B reaches 4 of
+        # the 5 states, and A adds nothing to them, so one stable mode stays
+        # uncontrollable. The other 4 SVDs confirm the 4 zeros.
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"), (np.linalg, "svd"))
         report = mt.audit_assumptions(fresh_demo)
-        assert calls == {"rank_of": 1 + 4, "normal_rank": 0}
+        assert calls == {"rank_of": 1, "normal_rank": 0, "svd": 1 + 2 + 4}
         assert report.normal_rank == fresh_demo.n + fresh_demo.p
+        assert report.stabilizable
 
     def test_a_zero_at_the_tracking_frequency_samples_the_normal_rank(self, monkeypatch):
         sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
@@ -356,17 +365,31 @@ class TestAuditAssumptions:
         assert report.normal_rank == 2
         assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 1 at frequency 0.0"
 
-    def test_one_pbh_test_per_unstable_conjugate_pair(self, monkeypatch):
-        # Unstable modes 1 +- 2j and 0.5 with a stable mode -1; the pair is
-        # tested once, at its upper member.
+    def test_a_single_input_staircase_takes_one_step_per_state(self, monkeypatch):
+        # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
+        # from one input: each staircase step reaches one more state, so
+        # there are n = 4 steps, one SVD of a column vector each, and no
+        # eigenvalue problem. (The PBH loop took 2 tests, one per unstable
+        # conjugate pair, after an eigenvalue problem on A.)
         A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
         B = np.array([[1.0], [0.0], [1.0], [1.0]])
-        sys = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
+        calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
+        X, Z, certain = controllable_staircase(A, B)
+        assert calls == {"svd": 4, "eigvals": 0}
+        assert X.shape == (4, 4) and Z.shape == (4, 0) and certain
+        assert mt.audit_assumptions(mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])).stabilizable
+
+    def test_a_strictly_proper_draw_at_n_64_audits_in_three_svds(self, monkeypatch):
+        # B reaches 34 of the 64 states and A B the other 30: 2 staircase
+        # steps after the rank test at the tracking frequency. The plant has
+        # no zeros; the 2 eigenvalue problems are those of the zero compressions.
+        rng = np.random.default_rng([0, 64, 34, 26])
+        A = rng.standard_normal((64, 64)) / 8.0
+        sys = mt.LtiSystem(A, rng.standard_normal((64, 34)), rng.standard_normal((26, 64)), np.zeros((26, 34)))
+        calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(sys)
-        assert report.stabilizable
-        # One test at the tracking frequency, two PBH tests.
-        assert calls == {"rank_of": 1 + 2}
+        assert report.stabilizable and report.zeros == []
+        assert calls == {"svd": 1 + 2, "eigvals": 2}
 
     def test_an_uncontrollable_pair_lists_both_members(self):
         # The pair 1 +- 2j is not reachable from B; both members are reported.
@@ -427,3 +450,77 @@ class TestAuditAssumptions:
         sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
         report = mt.audit_assumptions(sys)
         assert not report.no_zero_at_tracking_frequency
+
+
+def _hidden_uncontrollable_plant(seed, kind, unstable, domain, n_c, m):
+    """T [[A_u, 0], [*, A_c]] T^T with B = T [0; B_c], and the eigenvalues of A_u.
+
+    A_u is a real mode, a complex pair or a 2 x 2 Jordan block, unstable or
+    stable in ``domain``; (A_c, B_c) is a random pair and T a random orthogonal matrix.
+    """
+    rng = np.random.default_rng(seed)
+    if domain is mt.TimeDomain.CONTINUOUS:
+        radius = rng.uniform(0.1, 3.0) * (1.0 if unstable else -1.0)
+        angle = rng.uniform(0.2, 2.0)
+        real, imag = radius, angle
+    else:
+        radius = rng.uniform(1.05, 2.0) if unstable else rng.uniform(0.1, 0.95)
+        angle = rng.uniform(0.2, 2.9)
+        real, imag = radius * np.cos(angle), radius * np.sin(angle)
+    if kind == "pair":
+        A_u = np.array([[real, imag], [-imag, real]])
+        modes = [complex(real, imag), complex(real, -imag)]
+    else:
+        lam = radius if domain is mt.TimeDomain.CONTINUOUS else radius * rng.choice([-1.0, 1.0])
+        A_u = np.array([[lam]]) if kind == "real" else np.array([[lam, 1.0], [0.0, lam]])
+        modes = [complex(lam)] * A_u.shape[0]
+    k = A_u.shape[0]
+    n = k + n_c
+    A = np.block([[A_u, np.zeros((k, n_c))], [rng.standard_normal((n_c, k)), rng.standard_normal((n_c, n_c)) / np.sqrt(n_c)]])
+    B = np.vstack([np.zeros((k, m)), rng.standard_normal((n_c, m))])
+    T, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    plant = mt.LtiSystem(T @ A @ T.T, T @ B, rng.standard_normal((1, n)), np.zeros((1, m)), domain)
+    return plant, modes
+
+
+class TestStaircaseAgainstPbh:
+    def test_an_uncertain_staircase_tests_its_controllable_part_on_the_pencil(self):
+        # Five single-input steps reach the controllable states, and the
+        # hidden mode leaks into the sixth block at about 1.3 times the
+        # threshold: the staircase alone calls the plant controllable, and
+        # flags that it cannot be sure of it.
+        plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
+        _, Z, certain = controllable_staircase(plant.A, plant.B)
+        assert Z.shape[1] == 0 and not certain
+        report = mt.audit_assumptions(plant)
+        assert not report.stabilizable
+        reported = ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))
+        assert reported == pytest.approx(modes, rel=1e-8)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(("real", "pair", "jordan")),
+        unstable=st.booleans(),
+        domain=st.sampled_from(tuple(mt.TimeDomain)),
+        n_c=st.integers(1, 6),
+        m=st.integers(1, 3),
+    )
+    @settings(max_examples=200)
+    def test_verdict_and_modes_match_the_pbh_oracle(self, seed, kind, unstable, domain, n_c, m):
+        assume(m <= n_c)
+        plant, modes = _hidden_uncontrollable_plant(seed, kind, unstable, domain, n_c, m)
+        report = mt.audit_assumptions(plant)
+        expected, _ = pbh_stabilizable(plant)
+        assert report.stabilizable == expected == (not unstable)
+        if report.stabilizable:
+            return
+        reported = [complex(r) for r in ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))]
+        assert len(reported) == len(modes)
+        if kind == "jordan":
+            # A perturbation e splits a defective eigenvalue by sqrt(e): only
+            # the mean of the pair is determined to working precision.
+            assert abs(sum(reported) / 2.0 - modes[0]) <= 1e-8 * abs(modes[0])
+            assert max(abs(r - modes[0]) for r in reported) <= 1e-6 * abs(modes[0])
+            return
+        for value in modes:
+            assert min(abs(r - value) for r in reported) <= 1e-8 * abs(value)
