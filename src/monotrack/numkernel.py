@@ -145,7 +145,7 @@ def subspace_sum_dim(bases, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
 
 
 def controllable_staircase(A: np.ndarray, B: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY):
-    """Orthonormal bases ``(X, Z)`` of the controllable subspace of (A, B) and of its orthogonal complement, and ``certain``.
+    """Orthonormal bases ``(X, Z)`` of the controllable subspace of (A, B) and of its orthogonal complement, or None.
 
     The orthogonal staircase (Van Dooren 1981; Paige 1981): Z starts as I
     and M as B. Each step takes one SVD of Z^T M, moves its r leading left
@@ -157,28 +157,34 @@ def controllable_staircase(A: np.ndarray, B: np.ndarray, tol: TolerancePolicy = 
 
     A direction kept at a singular value s is tilted by up to error / s,
     where error is what a perturbation of [A B] at the threshold moves the
-    block by, and the next block moves by twice the scale times the tilt so
-    far. The tilt compounds from step to step, so a nearly uncontrollable
-    mode can reach a later block above the threshold. ``certain`` is False
-    when some step kept a singular value not above its error: Z then holds
-    the uncontrollable modes, but X may hold nearly uncontrollable ones too.
+    block by, plus what the tilt so far moves it by: the next block is Z^T
+    A times the kept directions, and the tilt of Z and of those directions
+    moves it by up to ``||A||_F`` times the tilt each. The tilt compounds
+    from step to step, and a nearly
+    uncontrollable mode can reach a later block above the threshold; an
+    unstable mode hidden behind a long single-input chain does. So the
+    staircase returns None at the first step that keeps a singular value not
+    above its error: it cannot tell the controllable subspace from a
+    nearly uncontrollable one, and the caller must decide another way.
     """
     n = A.shape[0]
     scale = float(np.linalg.norm(np.hstack([A, B])))
     threshold = tol.rank_threshold((n, n + B.shape[1]), scale)
-    X, Z, M = np.empty((n, 0)), np.eye(n), B
-    tilt, certain = 0.0, True
+    growth = 2.0 * float(np.linalg.norm(A))
+    reached, Z, M, tilt = [np.empty((n, 0))], np.eye(n), B, 0.0
     while Z.shape[1]:
         u, s, _ = np.linalg.svd(Z.T @ M)
         r = int(np.sum(s > threshold))
         if r == 0:
             break
-        error = threshold + 2.0 * scale * tilt
-        certain = certain and bool(s[r - 1] > error)
+        error = threshold + growth * tilt
+        if s[r - 1] <= error:
+            return None
         tilt += error / s[r - 1]
-        reached = Z @ u[:, :r]
-        X, Z, M = np.hstack([X, reached]), Z @ u[:, r:], A @ reached
-    return X, Z, certain
+        W = Z @ u
+        reached.append(W[:, :r])
+        Z, M = W[:, r:], A @ W[:, :r]
+    return np.hstack(reached), Z
 
 
 def orthonormalize(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -16,9 +16,9 @@ Stabilizability is read off the orthogonal controllability staircase of
 :func:`monotrack.numkernel.controllable_staircase`: about n / rank B shrinking
 real SVDs split the state space into the controllable subspace and its
 orthogonal complement Z, and the uncontrollable modes are the eigenvalues of
-Z^T A Z. No eigenvalue problem on A and no rank test per unstable mode is
-made, unless the staircase flags a decision it cannot be sure of. Only
-NumPy's LAPACK routines are used.
+Z^T A Z. Where the staircase cannot be sure of a rank decision (long
+single-input chains), each unstable eigenvalue of A is tested on the pencil
+[A - lam I, B] instead. Only NumPy's LAPACK routines are used.
 """
 
 from __future__ import annotations
@@ -278,35 +278,39 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy):
     that is not actually a zero moves far away and is left untouched.
 
     The singular values alone decide whether a step is needed, from the real
-    pencil at a real candidate; the full complex SVD is taken only for a step.
-    Returns the refined value and, when no step was taken, the singular
-    values of P at it (else None), so the caller can confirm the candidate
-    without factoring the same pencil again.
+    pencil at a real value. A step takes the full SVD at the value it starts
+    from, and that of the value it reaches also decides whether to go on, so
+    a candidate that needs k steps costs k + 2 SVDs with its confirmation.
+    Returns the value and the singular values of P at it, so the caller can
+    confirm the candidate without factoring the same pencil again.
     """
-    P = rosenbrock(sys, z.real if z.imag == 0.0 else z)
-    s = np.linalg.svd(P, compute_uv=False)
-    if s[-1] <= tol.rank_threshold(P.shape, float(s[0])):
-        return complex(z), s
-    refined = z
+    P = _pencil_at(sys, z)
+    s = start = np.linalg.svd(P, compute_uv=False)
+    refined, u = z, None
+    k = min(P.shape) - 1
     for _ in range(_POLISH_STEPS):
-        P = rosenbrock(sys, refined)
-        u, s, vh = np.linalg.svd(P)
-        k = min(P.shape) - 1
         if s[k] <= tol.rank_threshold(P.shape, float(s[0])):
             break
+        if u is None:
+            # At z only the singular values were taken.
+            u, _, vh = np.linalg.svd(P)
         u_min, v_min = u[:, k], vh[k, :].conj()
         slope = -(u_min.conj() @ np.concatenate([v_min[: sys.n], np.zeros(P.shape[0] - sys.n)]))
         if abs(slope) < 1e-3:
             break
-        step = (u_min.conj() @ (P @ v_min)) / slope
-        refined = refined - step
-    if refined != z:
-        s = None
+        refined = refined - (u_min.conj() @ (P @ v_min)) / slope
+        P = _pencil_at(sys, refined)
+        u, s, vh = np.linalg.svd(P)
     if abs(refined - z) > _CLUSTER_RTOL * (1.0 + abs(z)):
-        return z, None
+        return complex(z), start
     # A Python complex, so that the phase flag derived from it is a Python
     # bool: json cannot write NumPy's bool.
     return complex(refined), s
+
+
+def _pencil_at(sys: LtiSystem, z: complex) -> np.ndarray:
+    """P(z), real at a real value."""
+    return rosenbrock(sys, z.real if z.imag == 0.0 else z)
 
 
 def _cluster(values: np.ndarray) -> list[complex]:
@@ -361,7 +365,7 @@ def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[Inva
         z, s = _polish_candidate(sys, z, tol)
         if z.imag != 0.0 and abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
             z, s = complex(z.real, 0.0), None
-        P = rosenbrock(sys, z.real if z.imag == 0.0 else z)
+        P = _pencil_at(sys, z)
         if s is None:
             s = np.linalg.svd(P, compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
@@ -419,11 +423,12 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     eigenvalues of Z^T A Z over the orthonormal complement Z of the
     controllable subspace, computed only when Z is not empty. The plant is
     stabilizable when none of them is unstable; ``details["stabilizable"]``
-    lists the unstable ones, both members of a pair. When a step kept a
-    singular value that a perturbation at the rank threshold, compounded
-    along the staircase, could account for, the staircase is not certain
-    that its controllable part holds no nearly uncontrollable mode; then
-    each unstable mode of that part is tested on the pencil [A - lam I, B].
+    lists the unstable ones, both members of a pair. The staircase gives up
+    at the first step whose kept singular value a perturbation at the rank
+    threshold, compounded along the staircase, could account for: it then
+    cannot rule out a nearly uncontrollable mode among the directions it
+    keeps, which happens on long single-input chains. Then each unstable
+    eigenvalue of A is tested on the pencil [A - lam I, B] instead.
 
     The report is kept on the plant under ``("audit", tol)`` and returned
     as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
@@ -440,13 +445,18 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
-    X, Z, certain = controllable_staircase(sys.A, sys.B, tol)
-    uncontrollable = np.linalg.eigvals(Z.T @ sys.A @ Z).tolist() if Z.shape[1] else []
-    bad_modes = [lam for lam in uncontrollable if not sys.domain.is_stable(lam)]
-    if not certain:
-        # X may hold a nearly uncontrollable mode: test each unstable mode of
-        # the controllable part on the pencil, once per conjugate pair.
-        for lam in np.linalg.eigvals(X.T @ sys.A @ X).tolist():
+    split = controllable_staircase(sys.A, sys.B, tol)
+    if split is not None:
+        Z = split[1]
+        uncontrollable = np.linalg.eigvals(Z.T @ sys.A @ Z).tolist() if Z.shape[1] else []
+        bad_modes = [lam for lam in uncontrollable if not sys.domain.is_stable(lam)]
+    else:
+        # The staircase cannot tell a nearly uncontrollable mode from a
+        # controllable one: test each unstable mode of A on the pencil
+        # [A - lam I, B]. [A - conj(lam) I, B] is its conjugate and has the
+        # same rank: one test per conjugate pair, made at its upper member.
+        bad_modes = []
+        for lam in np.linalg.eigvals(sys.A).tolist():
             if lam.imag < 0.0 or sys.domain.is_stable(lam):
                 continue
             if rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol) < sys.n:

@@ -125,8 +125,8 @@ class TestControllableStaircase:
         A = np.block([[rng.normal(size=(2, 2)), np.zeros((2, 4))], [rng.normal(size=(4, 2)), rng.normal(size=(4, 4))]])
         B = np.vstack([np.zeros((2, 2)), rng.normal(size=(4, 2))])
         T, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        X, Z, certain = controllable_staircase(T @ A @ T.T, T @ B)
-        assert X.shape == (6, 4) and Z.shape == (6, 2) and certain
+        X, Z = controllable_staircase(T @ A @ T.T, T @ B)
+        assert X.shape == (6, 4) and Z.shape == (6, 2)
         assert np.allclose(np.hstack([X, Z]).T @ np.hstack([X, Z]), np.eye(6), atol=1e-12)
         assert np.linalg.norm(Z.T @ T[:, 2:]) <= 1e-12
         assert np.sort_complex(np.linalg.eigvals(Z.T @ T @ A @ T.T @ Z)) == pytest.approx(
@@ -139,14 +139,14 @@ class TestControllableStaircase:
         # would be full rank, at the threshold of [A B] it is not.
         A = np.array([[-1.0, 0.0], [1e-15, 2.0]])
         B = np.array([[1.0], [0.0]])
-        X, Z, certain = controllable_staircase(A, B)
-        assert X.shape == (2, 1) and Z.shape == (2, 1) and certain
+        X, Z = controllable_staircase(A, B)
+        assert X.shape == (2, 1) and Z.shape == (2, 1)
         assert abs(Z[1, 0]) == pytest.approx(1.0)
 
     def test_an_uncontrollable_pair_ends_the_staircase_at_once(self):
         A = np.diag([1.0, -2.0])
-        X, Z, certain = controllable_staircase(A, np.array([[0.0], [1.0]]))
-        assert X.shape == (2, 1) and Z.shape == (2, 1) and certain
+        X, Z = controllable_staircase(A, np.array([[0.0], [1.0]]))
+        assert X.shape == (2, 1) and Z.shape == (2, 1)
 
 
 class TestRealifyPair:

@@ -292,12 +292,18 @@ class TestPolishCandidate:
         # No step was taken: the singular values of P at the root come back.
         assert np.allclose(singular_values, s, rtol=1e-12, atol=1e-12 * s[0])
 
-    def test_a_nearby_candidate_is_refined(self, demo_system):
+    def test_a_nearby_candidate_is_refined(self, demo_system, monkeypatch):
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
         refined, singular_values = sysmodel._polish_candidate(demo_system, complex(-6.0 + 1e-8), mt.DEFAULT_POLICY)
         assert abs(refined + 6.0) <= 1e-12
         assert type(refined) is complex
-        # A step was taken, so the caller must factor the pencil at the new value.
-        assert singular_values is None
+        # One step costs 3 SVDs: the singular values at the candidate, the
+        # full SVD it steps from, and the full SVD at the value it reaches,
+        # whose singular values come back to confirm the refined value, so
+        # the caller factors no pencil.
+        assert calls == {"svd": 3}
+        expected = np.linalg.svd(rosenbrock(demo_system, refined.real), compute_uv=False)
+        assert np.allclose(singular_values, expected, rtol=1e-12, atol=1e-12 * expected[0])
 
     def test_refined_complex_zeros_serialise(self):
         # The complex pair of this plant is refined by a Newton step; its phase
@@ -374,9 +380,9 @@ class TestAuditAssumptions:
         A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
         B = np.array([[1.0], [0.0], [1.0], [1.0]])
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
-        X, Z, certain = controllable_staircase(A, B)
+        X, Z = controllable_staircase(A, B)
         assert calls == {"svd": 4, "eigvals": 0}
-        assert X.shape == (4, 4) and Z.shape == (4, 0) and certain
+        assert X.shape == (4, 4) and Z.shape == (4, 0)
         assert mt.audit_assumptions(mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])).stabilizable
 
     def test_a_strictly_proper_draw_at_n_64_audits_in_three_svds(self, monkeypatch):
@@ -484,15 +490,21 @@ def _hidden_uncontrollable_plant(seed, kind, unstable, domain, n_c, m):
 
 
 class TestStaircaseAgainstPbh:
-    def test_an_uncertain_staircase_tests_its_controllable_part_on_the_pencil(self):
+    def test_an_uncertain_staircase_gives_way_to_the_pencil_test(self, monkeypatch):
         # Five single-input steps reach the controllable states, and the
         # hidden mode leaks into the sixth block at about 1.3 times the
-        # threshold: the staircase alone calls the plant controllable, and
-        # flags that it cannot be sure of it.
+        # threshold, so the staircase alone would call the plant
+        # controllable. Its error bound has grown past that block's singular
+        # value by then, so it gives up, and the audit tests each unstable
+        # eigenvalue of A on the pencil after one eigenvalue problem on A.
         plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
-        _, Z, certain = controllable_staircase(plant.A, plant.B)
-        assert Z.shape[1] == 0 and not certain
-        report = mt.audit_assumptions(plant)
+        assert controllable_staircase(plant.A, plant.B) is None
+        tested = [lam for lam in np.linalg.eigvals(plant.A) if lam.imag >= 0.0 and not plant.domain.is_stable(lam)]
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
+        report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
+        # The rank test at the tracking frequency, one pencil test per
+        # unstable mode or pair; eigvals(A) and the two zero compressions.
+        assert calls == {"rank_of": 1 + len(tested), "eigvals": 1 + 2}
         assert not report.stabilizable
         reported = ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))
         assert reported == pytest.approx(modes, rel=1e-8)
