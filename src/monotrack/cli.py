@@ -142,7 +142,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
         },
     }
     if vg.dim <= system.n - system.p:
-        verdict = check_solvable(system, vg.basis, [b.basis for b in rs_j], policy)
+        verdict = check_solvable(system, vg, rs_j, policy)
         payload["lambda_free"] = verdict.to_json_dict()
     else:
         payload["lambda_free"] = {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}

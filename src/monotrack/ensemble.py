@@ -231,7 +231,7 @@ def genericity_trial(
     # The kernels, delta and the x_j do not depend on the trial; only their draws do.
     try:
         vg_kernels = discover_vstar_g(sys, tol=tol, zeros=zeros)
-        delta, pairs, factors = _witnesses(sys, vg_kernels.basis, pool[: sys.p], tol)
+        delta, pairs, factors = _witnesses(sys, vg_kernels, pool[: sys.p], tol)
     except NotSolvable as exc:
         return replace(every_trial_fails, notes={"solvability": exc.verdict.to_json_dict()})
     except MonotrackError:

@@ -56,9 +56,11 @@ DEFAULT_POLICY = TolerancePolicy()
 
 
 def _as_matrix(obj) -> np.ndarray:
-    """Accept a PairedBasis-like object (``.V``) or a raw array."""
+    """Accept a PairedBasis-like object (``.V``), a KernelSpan-like one (``.basis``) or a raw array."""
     if hasattr(obj, "V"):
         return np.atleast_2d(obj.V)
+    if hasattr(obj, "basis"):
+        return obj.basis
     return np.atleast_2d(np.asarray(obj))
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
 from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, subspace_sum_dim
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
+from .subspaces import KernelSpan
 from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation
 
 _DRAWS = 4
@@ -103,7 +104,9 @@ def check_solvable(
 
     Pass the full per-output reachability subspaces for the frequency-free
     test, or the subspaces at a mode tuple (validated beforehand with
-    :func:`validate_modes`) for the frequency-dependent one.
+    :func:`validate_modes`) for the frequency-dependent one. h = dim V*g is
+    read from a :class:`KernelSpan`, whose basis is orthonormal, and taken
+    by a rank test of any other basis (an array, or a replayed paired basis).
 
     The test draws one direction per output from the ``DEFAULT_SEED``
     transversal stream and passes when V*g and the draws span the state
@@ -125,7 +128,8 @@ def check_solvable(
     bases = [_as_matrix(b) for b in rstar_j_bases]
     if len(bases) != sys.p:
         raise ValueError(f"expected {sys.p} per-output bases, got {len(bases)}")
-    n, p, h = sys.n, sys.p, rank_of(vg, tol)
+    n, p = sys.n, sys.p
+    h = vstar_g_basis.dim if isinstance(vstar_g_basis, KernelSpan) else rank_of(vg, tol)
     if h == n:
         # V*g spans the state space, so every output is tracked instantaneously.
         return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())

@@ -14,7 +14,11 @@ Three families of subspaces drive the solvability theory and the synthesis:
 
 The last two are built in two steps. A deterministic discovery
 (``discover_rstar`` / ``discover_vstar_g``) computes the pencil kernels once
-and returns them as a ``KernelSpan`` with an orthonormal basis; ``draw`` then
+and returns them as a ``KernelSpan`` with an orthonormal basis. It visits
+pool frequencies until one adds nothing or, for V*g and the full plant's R*,
+until the span reaches the dimension the invariant zeros leave (dim V* less
+their geometric multiplicities: all of them for R*, the non-minimum-phase
+ones for V*g), so a span that reaches it costs no confirming factor. ``draw`` then
 mixes a paired basis out of those kernels in one seeded pass, which raises
 only if it falls short; another try is a draw at another seed. A draw makes
 no rank test: the test of a design try's n x n V implies it. Spans need no
@@ -348,10 +352,35 @@ def _pool_factor(sys: LtiSystem, mu: float, tol: TolerancePolicy, keep: bool) ->
     return _held_factor(sys, mu, tol) or factor_pencil(sys, mu, tol)
 
 
+def _fixed_dims(zeros: list[InvariantZero], every: bool) -> int:
+    """The sum of the geometric multiplicities of ``every`` zero, or of the non-minimum-phase ones."""
+    return sum(z.geometric_multiplicity for z in zeros if every or not z.is_minimum_phase)
+
+
+def _dimension_bound(sys: LtiSystem, fixed: int, rank: int | None) -> int:
+    """An upper bound on dim V* less the ``fixed`` dimensions that zeros keep off a span.
+
+    The bound on dim V* is n, or 2n - ``rank`` when D = 0 and ``rank`` is the
+    rank of P(mu) at some mu: V* lies in ker C then, and rank C >= rank P(mu) - n.
+    n - p would be wrong for a plant whose C is rank deficient.
+    """
+    bound = sys.n if rank is None or sys.D.any() else min(sys.n, 2 * sys.n - rank)
+    return bound - fixed
+
+
 def _discover(
-    sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple, keep: bool = True
+    sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple,
+    keep: bool = True, fixed: int | None = None,
 ):
-    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing.
+    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing or the bound is reached.
+
+    ``fixed`` is the number of dimensions the invariant zeros keep off the
+    span: the zeros are the fixed modes of A + BF on V*/R* (Morse 1973), so a
+    zero of geometric multiplicity g takes at least g dimensions of V*. The
+    span stops growing at :func:`_dimension_bound`, which reads the rank of the
+    first pool factor when D = 0, and once it is reached no further pool
+    frequency is factored; reaching it at the last pool value is saturation.
+    None sets no bound.
 
     With ``keep`` (a default pool), each pool frequency's factor is kept on the plant under
     ``("pencil", mu, tol)``, so the discoveries on one plant share one SVD per frequency of
@@ -363,14 +392,20 @@ def _discover(
         for k in range(kernel.shape[1]):
             for col in _real_columns(kernel[: sys.n, k], mode):
                 tracker.try_add(col.reshape(-1, 1))
+    bound = math.inf if fixed is None else _dimension_bound(sys, fixed, None)
     visited = []
     for mu in pool:
-        kernel = _pool_factor(sys, mu, tol, keep).kernel(excluded_output)
+        if tracker.dim >= bound:
+            break
+        factor = _pool_factor(sys, mu, tol, keep)
+        if fixed is not None:
+            bound = min(bound, _dimension_bound(sys, fixed, factor.rank))
+        kernel = factor.kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])
         visited.append((mu, kernel))
-        if tracker.dim == before:
+        if tracker.dim == before or tracker.dim >= bound:
             break
     else:
         if tracker.dim > 0 and visited:
@@ -438,10 +473,17 @@ def discover_rstar(
     sys: LtiSystem, excluded_output: int | None = None, tol: TolerancePolicy = DEFAULT_POLICY,
     *, zeros: list[InvariantZero],
 ) -> KernelSpan:
-    """Kernels over :func:`default_frequency_pool` spanning the output-nulling reachability subspace."""
+    """Kernels over :func:`default_frequency_pool` spanning the output-nulling reachability subspace.
+
+    For the full plant the discovery stops once the span reaches dim V* less
+    the geometric multiplicities of all the zeros (see :func:`_discover`). A
+    plant with output ``excluded_output`` deleted has zeros of its own, which
+    are not known, so its discovery stops only when a pool kernel adds nothing.
+    """
     pool = default_frequency_pool(sys, zeros)
-    tag = ("rstar-mixing", 0 if excluded_output is None else excluded_output + 1)
-    return _discover(sys, [], pool, excluded_output, tol, tag)
+    if excluded_output is None:
+        return _discover(sys, [], pool, None, tol, ("rstar-mixing", 0), fixed=_fixed_dims(zeros, every=True))
+    return _discover(sys, [], pool, excluded_output, tol, ("rstar-mixing", excluded_output + 1))
 
 
 def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
@@ -461,6 +503,10 @@ def discover_vstar_g(
     carry the inner modes that are fixed anyway, and may cover reachability
     directions as well, in which case those closed-loop modes land on the
     zeros); free-pool kernels follow. A complex zero gives realified pairs.
+    The discovery stops once the span reaches dim V* less the geometric
+    multiplicities of the zeros that are not minimum phase (see
+    :func:`_discover`); the seeded kernels alone may reach it, and then no
+    pool frequency is factored.
     """
     reason = _min_phase_violation(zeros)
     if reason is not None:
@@ -470,7 +516,8 @@ def discover_vstar_g(
     # a real pencil so the kernel carries no complex phase.
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     seeded = [(mode, factor_pencil(sys, mode, tol).kernel()) for mode in modes]
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), keep=free_pool is None)
+    fixed = _fixed_dims(zeros, every=False)
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), keep=free_pool is None, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------

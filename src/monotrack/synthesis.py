@@ -373,7 +373,7 @@ def synthesize(
         # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
         def plant_facts():
             vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
-            return (vg_kernels, *_witnesses(sys, vg_kernels.basis, spec.lambdas, tol))
+            return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol))
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
         vg_kernels, delta, directions, factors = _memo(sys, (spec.lambdas, pool, tol), plant_facts, "witnesses")

@@ -337,8 +337,9 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
     value through a rank test on the original rectangular pencil. The
     compressions come from the ``DEFAULT_SEED`` streams, so the zeros are a
     function of the plant alone and equal those of :func:`audit_assumptions`
-    bit for bit. Both keep them on the plant under ``("zeros", tol)``, and
-    whichever runs first computes them; the list returned is the caller's own.
+    bit for bit. Both take the normal rank from :func:`_pencil_ranks` and keep
+    the zeros on the plant under ``("zeros", tol)``, and whichever runs first
+    computes them; the list returned is the caller's own.
 
     Raises
     ------
@@ -346,7 +347,17 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, normal_rank(sys, tol), tol)))
+    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, _pencil_ranks(sys, tol)[1], tol)))
+
+
+def _pencil_ranks(sys: LtiSystem, tol: TolerancePolicy) -> tuple[int, int]:
+    """The rank of P at the tracking frequency, and the normal rank.
+
+    No rank exceeds n + min(m, p), so when the first reaches that value it
+    is the normal rank, and :func:`normal_rank` is not sampled.
+    """
+    at_freq = rank_of(rosenbrock(sys, sys.domain.tracking_frequency), tol)
+    return at_freq, at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol)
 
 
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[InvariantZero]:
@@ -414,9 +425,9 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     carried on the report for the caller to reuse. Like every answer about
     the plant they take no seed: the random samples and compressions come
     from the ``DEFAULT_SEED`` streams, so the report is a function of the
-    plant alone. The rank test at the tracking frequency comes first: no
-    rank exceeds n + min(m, p), so when it reaches that value it is the
-    normal rank, and :func:`normal_rank` is not sampled.
+    plant alone. The rank test at the tracking frequency comes first (see
+    :func:`_pencil_ranks`): when it reaches n + min(m, p) it is the normal
+    rank, and :func:`normal_rank` is not sampled.
 
     Stabilizability comes from the controllability staircase: its steps
     make about n / rank B real SVDs, and the uncontrollable modes are the
@@ -439,9 +450,7 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
 def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     """The report of :func:`audit_assumptions`, computed."""
     details: dict[str, str] = {}
-    freq = sys.domain.tracking_frequency
-    at_freq = rank_of(rosenbrock(sys, freq), tol)
-    nr = at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol)
+    at_freq, nr = _pencil_ranks(sys, tol)
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
@@ -467,7 +476,7 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     )
 
     no_zero_at_freq = at_freq == sys.n + sys.p
-    details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {freq}"
+    details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {sys.domain.tracking_frequency}"
 
     try:
         zeros = _memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, nr, tol))

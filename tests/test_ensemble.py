@@ -212,12 +212,12 @@ class TestGenericityTrial:
             stats = mt.genericity_trial(plant, trials=trials, seed=3)
             assert stats.failures == 0
             per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
-        # The trial modes are -1, -1.5 and -2. The V*g discovery already
-        # holds P(-1), so P(-1.5) and P(-2) are factored for the directions,
-        # once per call.
-        assert direction["factor_pencil"] == 2 * 2
-        # V*g is discovered once per call (P(-6) and P(-1)), and solvability
-        # is decided once on its span; only the draws repeat per trial.
+        # The trial modes are -1, -1.5 and -2. The V*g discovery factors no
+        # pool pencil, so P(-1), P(-1.5) and P(-2) are factored for the
+        # directions, once per call.
+        assert direction["factor_pencil"] == 2 * 3
+        # V*g is discovered once per call (P(-6) alone reaches its bound), and
+        # solvability is decided once on its span; only the draws repeat per trial.
         assert per_call == [4, 4]
         assert direction["check_solvable"] == 2
 

@@ -9,6 +9,8 @@ from monotrack.subspaces import (
     _POOL_VISITS,
     _best_block,
     _conformable_min_phase,
+    _dimension_bound,
+    _fixed_dims,
     _SpanTracker,
     discover_rstar,
     discover_vstar_g,
@@ -18,6 +20,7 @@ from monotrack.subspaces import (
 from monotrack.sysmodel import rosenbrock
 
 from .conftest import wide_plant
+from .discover_oracle import probe_rstar, probe_vstar_g
 from .draw_oracle import LoopSpanTracker, loop_best_block, loop_draw
 from .subspace_checks import containment_residual, single_mode_basis, span_equal
 
@@ -355,6 +358,96 @@ class TestOracleEquivalence:
             if count >= 50:
                 return
         raise AssertionError(f"only {count} admissible random plants")
+
+
+SWEEP_SIZES = [(4, 2, 2), (6, 3, 2), (8, 4, 3), (10, 4, 3), (12, 5, 4), (16, 6, 5)]
+STRICTLY_PROPER_SIZES = [(4, 2, 2), (6, 3, 2), (8, 4, 3), (10, 4, 3), (12, 5, 4), (12, 7, 6), (16, 6, 5), (20, 10, 8)]
+
+
+def sweep_plants(n, m, p):
+    """The generated plants of one size: planted zeros none, -3 or +2, generator seeds 0-5."""
+    return [
+        mt.generate(mt.GeneratorSpec(n, m, p, planted_zero_values=planted, seed=seed))
+        for planted in ((), (-3.0,), (2.0,))
+        for seed in range(6)
+    ]
+
+
+def strictly_proper_plants(n, m, p):
+    """A/sqrt(n), B and C standard normal, D = 0, from ``default_rng([seed, n, m, p])``, seeds 0-5."""
+    plants = []
+    for seed in range(6):
+        rng = np.random.default_rng([seed, n, m, p])
+        A = rng.standard_normal((n, n)) / np.sqrt(n)
+        plants.append(mt.LtiSystem(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)), np.zeros((p, m))))
+    return plants
+
+
+def rank_deficient_output_plant():
+    """A relaxed strictly proper plant whose C has rank 1 < p: dim V* = 2n - rank P(mu) = 1, not n - p = 0."""
+    return mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 0.0], [0.0, 0.0]], np.zeros((2, 2)))
+
+
+BOUND_CASES = (
+    [pytest.param(sweep_plants, size, id=f"sweep-{size}") for size in SWEEP_SIZES]
+    + [pytest.param(strictly_proper_plants, size, id=f"strictly-proper-{size}") for size in STRICTLY_PROPER_SIZES]
+    + [pytest.param(lambda *_: [rank_deficient_output_plant()], (2, 2, 2), id="rank-deficient-C")]
+)
+
+
+def discovered(discover):
+    """(dim, basis bytes) of a discovery, or the name of the error it raised."""
+    try:
+        span = discover()
+    except mt.MonotrackError as exc:
+        return type(exc).__name__
+    return span.dim, span.basis.tobytes()
+
+
+class TestBoundedDiscovery:
+    @pytest.mark.parametrize("plants, size", BOUND_CASES)
+    def test_discovery_matches_the_probe_oracle(self, plants, size):
+        # Stopping at the bound drops only the probe: dims and bases are those of
+        # the loop that factors pool pencils until one adds nothing.
+        for plant in plants(*size):
+            zeros = mt.invariant_zeros(plant)
+            modes = tuple(-1.0 - 0.25 * k for k in range(plant.p))
+            assert discovered(lambda: discover_vstar_g(plant, zeros=zeros)) == discovered(lambda: probe_vstar_g(plant, zeros))
+            assert discovered(lambda: discover_vstar_g(plant, zeros=zeros, avoid=modes)) == discovered(
+                lambda: probe_vstar_g(plant, zeros, avoid=modes)
+            )
+            assert discovered(lambda: discover_rstar(plant, zeros=zeros)) == discovered(lambda: probe_rstar(plant, zeros))
+            for j in range(plant.p):
+                assert discovered(lambda: discover_rstar(plant, j, zeros=zeros)) == discovered(
+                    lambda: probe_rstar(plant, zeros, j)
+                )
+
+    @pytest.mark.parametrize("plants, size", BOUND_CASES)
+    def test_the_bound_holds_the_dimension_the_zeros_leave(self, plants, size):
+        # The V*g bound is at least dim V* (the recursion) less the non-minimum-phase
+        # zeros, and no discovery exceeds its bound.
+        for plant in plants(*size):
+            zeros = mt.invariant_zeros(plant)
+            rank = factor_pencil(plant, mt.default_frequency_pool(plant, zeros)[0]).rank
+            unstable = _fixed_dims(zeros, every=False)
+            vg_bound = _dimension_bound(plant, unstable, rank)
+            assert vg_bound >= mt.vstar_recursive(plant).shape[1] - unstable
+            assert discover_vstar_g(plant, zeros=zeros).dim <= vg_bound
+            assert discover_rstar(plant, zeros=zeros).dim <= _dimension_bound(plant, _fixed_dims(zeros, every=True), rank)
+
+    def test_a_rank_deficient_c_keeps_its_output_nulling_direction(self):
+        plant = rank_deficient_output_plant()
+        zeros = mt.invariant_zeros(plant)
+        assert zeros == []
+        assert discover_vstar_g(plant, zeros=zeros).dim == discover_rstar(plant, zeros=zeros).dim == 1
+
+    def test_a_span_that_reaches_its_bound_at_the_last_pool_value_is_saturated(self):
+        # A wide plant's V*g (n - p = 2) needs two pool kernels; with exactly two
+        # there is no probe to show saturation, and the bound shows it instead.
+        plant = wide_plant(0, 0, 8)
+        zeros = mt.invariant_zeros(plant)
+        span = discover_vstar_g(plant, free_pool=(-1.0, -1.5), zeros=zeros)
+        assert span.dim == 2 and [mu for mu, _ in span.visited] == [-1.0, -1.5]
 
 
 def test_conformable_ordering_puts_pairs_first():

@@ -197,7 +197,7 @@ class TestSynthesize:
             return reports[-1]
 
         def capture_span(sys, span, *args):
-            spans.append(np.asarray(span).tobytes())
+            spans.append(span.basis.tobytes())
             return solvable(sys, span, *args)
 
         monkeypatch.setattr(synthesis, "audit_assumptions", capture)
@@ -273,12 +273,14 @@ class TestSynthesize:
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 rank test at the tracking frequency (it gives the normal
         # rank), 2 staircase steps, 4 zero confirmations that reuse their
-        # polishing SVD. V*g: 2 pencil kernels; the draw makes no rank test.
-        # 2 mode pencils, 2 solvability rank tests, 1 rank test of V, 1
-        # steady-state solve. A change that brings back a recomputation fails here.
+        # polishing SVD. V*g: the kernel of P(-6) reaches n less the zeros 2, 3
+        # and 5, so no pool pencil is factored; the draw makes no rank test.
+        # 2 mode pencils, 1 solvability rank test (h is the span's dimension),
+        # 1 rank test of V, 1 steady-state solve. A change that brings back a
+        # recomputation fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 7 + 2 + 2 + 2 + 1 + 1}
+        assert calls == {"svd": 7 + 1 + 2 + 1 + 1 + 1}
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
@@ -464,18 +466,23 @@ class TestPlantMemo:
         assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == drawn.to_json_dict()
         assert drawn.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), self.SPEC).to_json_dict()
 
-    def test_user_pools_keep_no_pencil_factor_off_the_default_ladder(self, fresh_demo):
+    def test_user_pools_keep_no_pencil_factor_off_the_default_ladder(self):
         # The default pools are drawn from -1, -1.5, -2, ...; a user pool's
         # V*g kernels live in the witnesses slot, so its factors are not kept.
+        # The demo's V*g is the kernel at its zero -6 alone, so this plant,
+        # whose V*g takes six pool kernels, holds the default factors.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
         ladder = {-1.0 - 0.5 * k for k in range(64)}
-        mt.synthesize(fresh_demo, self.SPEC)
+        mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -2.0), reference=(1.0, -0.5)))
+        default = [key[1] for key in plant._facts if isinstance(key, tuple) and key[0] == "pencil"]
+        assert len(default) == 6
         for k in range(40):
-            pool = tuple(-3.0 - 0.01 * k - 0.5 * i for i in range(4))
-            spec = mt.SynthesisSpec(lambdas=self.SPEC.lambdas, reference=(2.0, -1.0, 0.5), free_pool=pool, seed=k)
-            fresh = mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec)
-            assert mt.synthesize(fresh_demo, spec).to_json_dict() == fresh.to_json_dict()
-        held = [key[1] for key in fresh_demo._facts if isinstance(key, tuple) and key[0] == "pencil"]
-        assert held and all(mu in ladder for mu in held)
+            pool = tuple(-0.7 - 0.01 * k - 0.9 * i for i in range(6))
+            spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0), reference=(2.0, -1.0), free_pool=pool, seed=k)
+            fresh = mt.synthesize(mt.LtiSystem(plant.A, plant.B, plant.C, plant.D), spec)
+            assert mt.synthesize(plant, spec).to_json_dict() == fresh.to_json_dict()
+        held = [key[1] for key in plant._facts if isinstance(key, tuple) and key[0] == "pencil"]
+        assert held == default and all(mu in ladder for mu in held)
 
     def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)

@@ -371,6 +371,19 @@ class TestAuditAssumptions:
         assert report.normal_rank == 2
         assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 1 at frequency 0.0"
 
+    def test_zeros_alone_take_the_normal_rank_as_the_audit_does(self, fresh_demo, monkeypatch):
+        # invariant_zeros without an audit tests the real pencil at the
+        # tracking frequency first, and samples no complex pencil; a plant with
+        # a zero there samples the normal rank. The zeros are the audit's, bit for bit.
+        audited = mt.audit_assumptions(mt.LtiSystem(fresh_demo.A, fresh_demo.B, fresh_demo.C, fresh_demo.D)).zeros
+        zero_at_zero = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
+        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (np.linalg, "svd"))
+        zeros = mt.invariant_zeros(fresh_demo)
+        assert calls == {"normal_rank": 0, "svd": 1 + 4}
+        assert np.array([z.value for z in zeros]).tobytes() == np.array([z.value for z in audited]).tobytes()
+        mt.invariant_zeros(zero_at_zero)
+        assert calls["normal_rank"] == 1
+
     def test_a_single_input_staircase_takes_one_step_per_state(self, monkeypatch):
         # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
         # from one input: each staircase step reaches one more state, so
