@@ -27,7 +27,7 @@ _EXPORTS = {
         "SaturationFailure", "Unsolvable", "UnstableClosedLoop", "UnstableLambda", "UnstableResult",
     ),
     "ensemble": ("GeneratorSpec", "GenericityStats", "generate", "genericity_trial"),
-    "numkernel": ("DEFAULT_POLICY", "TolerancePolicy", "nullspace", "rank_of", "subspace_sum_dim"),
+    "numkernel": ("DEFAULT_POLICY", "TolerancePolicy", "nullspace", "rank_of", "ranks_of", "subspace_sum_dim"),
     "simverify": (
         "ModeFit", "RateSpec", "SimulationTrace", "check_monotonic", "check_rate", "fit_single_mode",
         "simulate", "trace_to_csv",
@@ -35,7 +35,7 @@ _EXPORTS = {
     "solvability": ("SolvabilityVerdict", "check_solvable", "validate_modes"),
     "subspaces": (
         "PairedBasis", "default_frequency_pool", "discover_rstar", "discover_vstar_g", "draw",
-        "factor_pencil", "rstar_recursive", "vstar_recursive",
+        "factor_pencil", "factor_pencils", "rstar_recursive", "vstar_recursive",
     ),
     "synthesis": (
         "DirectionPair", "FeedbackResult", "Replay", "SynthesisSpec", "control_input", "steady_state",

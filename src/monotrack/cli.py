@@ -298,6 +298,11 @@ def run(config: JobConfig) -> int:
     except AssumptionViolation as exc:
         print(f"assumption failure: {exc}", file=_sys.stderr)
         return EXIT_ASSUMPTIONS
+    except np.linalg.LinAlgError as exc:
+        # A LAPACK failure (no SVD convergence, a singular solve) is numerical,
+        # though LinAlgError subclasses ValueError.
+        print(f"numerical failure: {exc}", file=_sys.stderr)
+        return EXIT_NUMERICAL
     except (UnstableLambda, LambdaAtZero, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

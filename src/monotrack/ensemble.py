@@ -1,12 +1,15 @@
 """Random plant generation and statistical genericity harness.
 
 Planted invariant zeros are realized by cascading first-order (or rank-one
-second-order, for conjugate pairs) inner factors onto a zero-free square
-base; planted uncontrollable modes are added by block-triangular state
-augmentation, which for right-invertible plants automatically makes them
-invariant zeros as well. The genericity trial samples the randomized
-constructions many times and counts rank-deficiency events, which the
-underlying theory predicts to be measure zero.
+second-order, for conjugate pairs) inner factors onto a square base
+(A, B, 0, I). That base is not free of zeros: its pencil has
+det P(lambda) = det(A - lambda I), so its poles are invariant zeros, and
+when m = p they stay zeros of the plant. Planted uncontrollable modes are
+added by block-triangular state augmentation, which for right-invertible
+plants automatically makes them invariant zeros as well. The genericity
+trial samples the randomized constructions many times and counts
+rank-deficiency events, which the underlying theory predicts to be measure
+zero.
 """
 
 from __future__ import annotations
@@ -18,13 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GenerationFailed, MonotrackError, NotSolvable, RankDeficientAfterRetries
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of, ranks_of
 from .seeding import DEFAULT_SEED, rng_for
 from .subspaces import default_frequency_pool, discover_vstar_g, draw
 from .synthesis import _random_direction, _witnesses
 from .sysmodel import LtiSystem, TimeDomain, audit_assumptions, invariant_zeros, rosenbrock
 
 _GENERATION_RETRIES = 20
+# Trials whose V matrices are rank-tested by one stacked SVD; it bounds the
+# memory of a trial batch at this many n x n matrices.
+_TRIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -217,10 +223,14 @@ def genericity_trial(
     the x_j come from the routine that :func:`synthesize` uses, decided once
     on the discovered V*g span; a not-solvable verdict fails every trial and
     is recorded in ``notes``. A trial draws only what a design draws: one V*g
-    pass and, for each j in delta, x_j + k with k random in ker P(mu_j); it
-    then rank-tests V = [those directions, V*g draw], its one rank test, as
-    in :func:`synthesize`. Failures are never retried, so the fraction
-    estimates the genericity of a single try. ``trials`` may be 0, not negative.
+    pass and, for each j in delta, x_j + k with k random in ker P(mu_j), from
+    its own streams; its one rank test, as in :func:`synthesize`, is that of
+    V = [those directions, V*g draw]. The trials are drawn in order and
+    their V rank-tested together, one :func:`ranks_of` per chunk of
+    ``_TRIAL_CHUNK`` trials, so memory stays at a chunk of n x n matrices and
+    each verdict is that of a separate test. Failures are never retried, so
+    the fraction estimates the genericity of a single try. ``trials`` may be
+    0, not negative.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -237,25 +247,33 @@ def genericity_trial(
     except MonotrackError:
         return every_trial_fails
 
-    def fails(trial_seed: int) -> bool:
-        # Neither draw() nor the trial rank-tests the n x h V*g block: the test
-        # of the n x n V below implies it. Deleting the n - h direction columns
-        # gives sigma_n(V) <= sigma_h(V*g) (interlacing), and V's threshold,
-        # n eps sigma_1(V) 10 or the relative tolerance times sigma_1(V), is at
-        # least V*g's, as sigma_1(V) >= sigma_1(V*g). So a rank-deficient V*g
-        # draw fails the V test too. Only SVD roundoff can break the
-        # inequality, by about 1% of the threshold, so only a draw whose
-        # sigma_h sits in that band just below it could pass.
+    def trial_matrix(trial_seed: int) -> np.ndarray | None:
+        """The trial's n x n V = [its directions, its V*g draw], or None when the draw falls short.
+
+        Neither draw() nor the trial rank-tests the n x h V*g block: the test
+        of V implies it. Deleting the n - h direction columns gives
+        sigma_n(V) <= sigma_h(V*g) (interlacing), and V's threshold, n eps
+        sigma_1(V) 10 or the relative tolerance times sigma_1(V), is at least
+        V*g's, as sigma_1(V) >= sigma_1(V*g). So a rank-deficient V*g draw
+        fails the V test too. Only SVD roundoff can break the inequality, by
+        about 1% of the threshold, so only a draw whose sigma_h sits in that
+        band just below it could pass.
+        """
         try:
             vg = draw(vg_kernels, trial_seed)
         except RankDeficientAfterRetries:
-            return True
+            return None
         rng = rng_for(trial_seed, "trial-directions")
         cols = [_random_direction(sys, pairs[j], factors[pairs[j].mode].null_basis, rng).v for j in delta]
-        return rank_of(np.column_stack(cols + [vg.V]), tol) != sys.n
+        return np.column_stack(cols + [vg.V])
 
-    failing = tuple(trial_seed for trial_seed in trial_seeds if fails(trial_seed))
-    return GenericityStats(trials=trials, failures=len(failing), failing_seeds=failing)
+    failing = []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        chunk = trial_seeds[start : start + _TRIAL_CHUNK]
+        drawn = {t: V for t in chunk if (V := trial_matrix(t)) is not None}
+        ranks = dict(zip(drawn, ranks_of(np.stack(list(drawn.values())), tol))) if drawn else {}
+        failing += [t for t in chunk if ranks.get(t) != sys.n]
+    return GenericityStats(trials=trials, failures=len(failing), failing_seeds=tuple(failing))
 
 
 def fixture_hash(sys: LtiSystem) -> str:

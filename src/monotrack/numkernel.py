@@ -64,20 +64,56 @@ def _as_matrix(obj) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj))
 
 
+def _rank(s: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
+    """Number of the descending singular values ``s`` of a non-empty matrix of ``shape`` above the policy threshold."""
+    return int(np.sum(s > tol.rank_threshold(shape, float(s[0]))))
+
+
+def _per_dtype(mats: list, factor) -> list:
+    """``factor`` of each same-shape matrix of ``mats``, from one stacked call per dtype, in the order given.
+
+    ``factor`` maps a (k, r, c) stack to k per-member results. Real and
+    complex matrices go into separate stacks, so no real matrix is factored
+    in complex arithmetic. No call is made for an empty list.
+    """
+    results = [None] * len(mats)
+    for dtype in dict.fromkeys(M.dtype for M in mats):
+        members = [i for i, M in enumerate(mats) if M.dtype == dtype]
+        for i, result in zip(members, factor(np.stack([mats[i] for i in members]))):
+            results[i] = result
+    return results
+
+
+def ranks_of(stack, tol: TolerancePolicy = DEFAULT_POLICY) -> list[int]:
+    """Rank of each (r, c) member of a (k, r, c) ``stack``, from one singular-value SVD; an empty member has rank 0.
+
+    Each member gets its own threshold, from its own largest singular value.
+    LAPACK factors the members one at a time, so each rank is the one a
+    separate call would give, bit for bit.
+    """
+    stack = np.asarray(stack)
+    if stack.size == 0:
+        return [0] * stack.shape[0]
+    return [_rank(s, stack.shape[1:], tol) for s in np.linalg.svd(stack, compute_uv=False)]
+
+
 def rank_of(M, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Number of singular values of ``M`` above the policy threshold."""
-    M = np.atleast_2d(np.asarray(M))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > tol.rank_threshold(M.shape, float(s[0]))))
+    """Number of singular values of ``M`` above the policy threshold (:func:`ranks_of` of one member)."""
+    return ranks_of(np.atleast_2d(np.asarray(M))[None], tol)[0]
+
+
+def full_svds(stack: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY) -> list[tuple]:
+    """Full SVD factors ``(u, s, vh)`` of each member of a (k, r, c) stack of non-empty matrices, and its rank.
+
+    One LAPACK call factors the whole stack; each member's factors are views into it.
+    """
+    u, s, vh = np.linalg.svd(stack)
+    return [(u[i], s[i], vh[i], _rank(s[i], stack.shape[1:], tol)) for i in range(stack.shape[0])]
 
 
 def full_svd(M: np.ndarray, tol: TolerancePolicy = DEFAULT_POLICY):
     """Full SVD factors ``(u, s, vh)`` of a non-empty ``M`` and its rank at the policy threshold."""
-    u, s, vh = np.linalg.svd(M)
-    rank = int(np.sum(s > tol.rank_threshold(M.shape, float(s[0])))) if s.size else 0
-    return u, s, vh, rank
+    return full_svds(M[None], tol)[0]
 
 
 def nullspace(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -195,5 +231,4 @@ def orthonormalize(M, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
     if M.shape[1] == 0:
         return M.astype(float)
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > tol.rank_threshold(M.shape, float(s[0]))))
-    return u[:, :rank]
+    return u[:, : _rank(s, M.shape, tol)]

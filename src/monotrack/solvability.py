@@ -21,8 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, subspace_sum_dim
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, ranks_of, subspace_sum_dim
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .subspaces import KernelSpan
 from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation
@@ -86,10 +88,12 @@ def _certificate(vg, bases, picks, rank: int, n: int, h: int, tol: TolerancePoli
 
     The subsets of largest deficiency n - rank are closed under intersection, and dropping a pick outside
     one of them lowers the rank, so N, the outputs whose drop leaves ``rank``, is the smallest of them.
+    The p drop-one matrices [V*g, picks without r_j] share one shape and take one :func:`ranks_of`.
     """
     p = len(bases)
     failures = [((), h, n - p)] if h < n - p else []
-    tight = tuple(j for j in range(p) if subspace_sum_dim([vg, *picks[:j], *picks[j + 1 :]], tol) >= rank)
+    drops = np.stack([np.hstack([vg, *picks[:j], *picks[j + 1 :]]) for j in range(p)])
+    tight = tuple(j for j, dropped in enumerate(ranks_of(drops, tol)) if dropped >= rank)
     if tight:
         achieved = subspace_sum_dim([vg, *(bases[j] for j in tight)], tol)
         if achieved < n - p + len(tight):
@@ -114,9 +118,9 @@ def check_solvable(
     takes no seed: the verdict and delta are functions of the bases. When
     h = dim V*g exceeds n - p, a greedy scan of at most p more rank tests
     finds delta, of cardinality ``n - h`` (empty, with no draw, when h = n).
-    When every draw failed, p rank tests on the first draw's picks and one on
-    the full bases give the certificate in ``failing_subsets``: at most two
-    subsets, smallest first.
+    When every draw failed, p rank tests on the first draw's picks, made as
+    one stacked test, and one on the full bases give the certificate in
+    ``failing_subsets``: at most two subsets, smallest first.
 
     Raises
     ------

@@ -48,7 +48,8 @@ from .numkernel import (
     RESIDUAL_TOL,
     ZERO_EXCLUSION,
     TolerancePolicy,
-    full_svd,
+    _per_dtype,
+    full_svds,
     nullspace,
     orthonormalize,
     rank_of,
@@ -157,10 +158,21 @@ class PencilFactor:
         return self.null_basis if x is None else np.column_stack([x / np.linalg.norm(x), self.null_basis])
 
 
+def factor_pencils(sys: LtiSystem, mus, tol: TolerancePolicy = DEFAULT_POLICY) -> list[PencilFactor]:
+    """Factor the system pencil at each of ``mus``, in order, with one stacked SVD per dtype.
+
+    The pencils at real values are real and those at complex values complex,
+    so they make at most two stacks; an empty ``mus`` makes no call. Each
+    factor equals that of a separate SVD bit for bit.
+    """
+    pencils = [rosenbrock(sys, mu) for mu in mus]
+    factors = _per_dtype(pencils, lambda stack: full_svds(stack, tol))
+    return [PencilFactor(pencil, *factor, sys.n) for pencil, factor in zip(pencils, factors)]
+
+
 def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_POLICY) -> PencilFactor:
-    """Factor the system pencil at ``mu`` once (one SVD)."""
-    pencil = rosenbrock(sys, mu)
-    return PencilFactor(pencil, *full_svd(pencil, tol), sys.n)
+    """Factor the system pencil at ``mu`` once (one SVD): :func:`factor_pencils` of one value."""
+    return factor_pencils(sys, (mu,), tol)[0]
 
 
 class _SpanTracker:
@@ -515,7 +527,7 @@ def discover_vstar_g(
     # A conjugate pair is seeded at its upper representative; real zeros keep
     # a real pencil so the kernel carries no complex phase.
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
-    seeded = [(mode, factor_pencil(sys, mode, tol).kernel()) for mode in modes]
+    seeded = [(mode, factor.kernel()) for mode, factor in zip(modes, factor_pencils(sys, modes, tol))]
     fixed = _fixed_dims(zeros, every=False)
     return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), keep=free_pool is None, fixed=fixed)
 

@@ -24,7 +24,7 @@ from .errors import (
 from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
-from .subspaces import PairedBasis, PencilFactor, _held_factor, _single_mode_basis, discover_vstar_g, draw, factor_pencil
+from .subspaces import PairedBasis, PencilFactor, _held_factor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
 from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
@@ -111,7 +111,7 @@ class FeedbackResult:
 
 
 def _direction_from(sys: LtiSystem, j: int, lam: float, factor: PencilFactor) -> DirectionPair:
-    """Output ``j``'s direction pair at the mode ``lam``, read from ``factor = factor_pencil(sys, lam)``.
+    """Output ``j``'s direction pair at the mode ``lam``, read from ``factor``, the factor of P(lam).
 
     The right-hand side uses unit output coupling, so the minimum-norm
     solution x_j = P(lam)^+ e_{n+j} realizes beta = 1. The direction is a
@@ -279,16 +279,19 @@ def _match_spectrum(actual: np.ndarray, expected: list, tolerance: float) -> boo
 
 
 def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
-    """The witness set delta, x_j for each j in it, and one :func:`factor_pencil` per distinct mode.
+    """The witness set delta, x_j for each j in it, and the factor of P(lam) at each distinct mode.
 
     The verdict depends on the plant and the modes only, so it is decided on
     the V*g span given (discovered, or a replay's validated basis) and
     raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
     kernel and their x_j, or :class:`DegenerateDirection`. A mode whose pool
-    factor the plant already holds reads it; the others are factored here
-    and not kept on the plant.
+    factor the plant already holds reads it; one :func:`factor_pencils` call
+    factors the others, none when the plant holds them all, and they are not
+    kept on the plant.
     """
-    factors = {lam: _held_factor(sys, lam, tol) or factor_pencil(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
+    factors = {lam: _held_factor(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
+    missing = [lam for lam, factor in factors.items() if factor is None]
+    factors.update(zip(missing, factor_pencils(sys, missing, tol)))
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:

@@ -31,7 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IllConditionedPencil
-from .numkernel import DEFAULT_POLICY, ZERO_EXCLUSION, TolerancePolicy, controllable_staircase, rank_of
+from .numkernel import (
+    DEFAULT_POLICY,
+    ZERO_EXCLUSION,
+    TolerancePolicy,
+    _per_dtype,
+    controllable_staircase,
+    rank_of,
+    ranks_of,
+)
 from .seeding import DEFAULT_SEED, rng_for
 
 _NORMAL_RANK_SAMPLES = 7
@@ -245,29 +253,33 @@ def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     return best
 
 
-def _compression_candidates(sys: LtiSystem, index: int, nr: int, sigma: complex) -> np.ndarray:
-    """Finite zeros of the random nr x nr compression L P(lambda) R number ``index`` of the ``DEFAULT_SEED`` stream.
+def _compression_candidates(sys: LtiSystem, nr: int, sigma: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Finite zeros of the random nr x nr compressions L P(lambda) R number 0 and 1 of the ``DEFAULT_SEED`` stream.
 
-    With E the identity on the state block, the compressed pencil is
+    With E the identity on the state block, a compressed pencil is
     M - (lambda - sigma) L1 R1 for M = L P(sigma) R, L1 = L[:, :n] and
     R1 = R[:n]. The shift sigma (see :func:`_confirmed_zeros`) is imaginary
     and of the pencil's scale, so M is invertible almost surely, and by
     Sylvester's determinant identity the finite eigenvalues are sigma + 1/mu
-    over the nonzero eigenvalues mu of the n x n matrix R1 M^-1 L1.
+    over the nonzero eigenvalues mu of the n x n matrix R1 M^-1 L1. The two
+    compressions share P(sigma), one stacked solve and one stacked eigvals.
     """
     n = sys.n
-    rng = rng_for(DEFAULT_SEED, "zero-compression", index)
-    L = rng.standard_normal((nr, n + sys.p))
-    R = rng.standard_normal((n + sys.m, nr))
-    M = L @ rosenbrock(sys, sigma) @ R
-    mu = np.linalg.eigvals(R[:n] @ np.linalg.solve(M, L[:, :n]))
+    P = rosenbrock(sys, sigma)
+    Ls, Rs = [], []
+    for index in (0, 1):
+        rng = rng_for(DEFAULT_SEED, "zero-compression", index)
+        Ls.append(rng.standard_normal((nr, n + sys.p)))
+        Rs.append(rng.standard_normal((n + sys.m, nr)))
+    X = np.linalg.solve(np.stack([L @ P @ R for L, R in zip(Ls, Rs)]), np.stack([L[:, :n] for L in Ls]))
+    mu = np.linalg.eigvals(np.stack([R[:n] @ x for R, x in zip(Rs, X)]))
     with np.errstate(divide="ignore", invalid="ignore"):
         ev = sigma + 1.0 / mu
-    finite = ev[np.isfinite(ev)]
-    return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
+        keep = np.isfinite(ev) & (np.abs(ev) < 1.0 / np.sqrt(np.finfo(float).eps))
+    return ev[0][keep[0]], ev[1][keep[1]]
 
 
-def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy):
+def _polish_candidate(sys: LtiSystem, z: complex, P: np.ndarray, start: np.ndarray, tol: TolerancePolicy):
     """Newton refinement of a candidate zero via the smallest singular pair.
 
     With u, v the left/right singular vectors of the smallest singular value
@@ -277,15 +289,15 @@ def _polish_candidate(sys: LtiSystem, z: complex, tol: TolerancePolicy):
     working precision there, and its singular vectors are noise. A candidate
     that is not actually a zero moves far away and is left untouched.
 
-    The singular values alone decide whether a step is needed, from the real
-    pencil at a real value. A step takes the full SVD at the value it starts
-    from, and that of the value it reaches also decides whether to go on, so
-    a candidate that needs k steps costs k + 2 SVDs with its confirmation.
-    Returns the value and the singular values of P at it, so the caller can
-    confirm the candidate without factoring the same pencil again.
+    ``P`` is ``_pencil_at(sys, z)``, real at a real value, and ``start`` its
+    singular values, which alone decide whether a step is needed; the caller
+    takes those of all its candidates in one stacked SVD. A step takes the
+    full SVD at the value it starts from, and that of the value it reaches
+    also decides whether to go on, so a candidate that needs k steps costs
+    k + 1 SVDs here. Returns the value and the singular values of P at it, so
+    the caller can confirm the candidate without factoring the same pencil again.
     """
-    P = _pencil_at(sys, z)
-    s = start = np.linalg.svd(P, compute_uv=False)
+    s = start
     refined, u = z, None
     k = min(P.shape) - 1
     for _ in range(_POLISH_STEPS):
@@ -363,22 +375,28 @@ def _pencil_ranks(sys: LtiSystem, tol: TolerancePolicy) -> tuple[int, int]:
 def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[InvariantZero]:
     """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``.
 
-    Both compressions share one shift sigma = i (1 + ||P(0)||_1).
+    Both compressions share one shift sigma = i (1 + ||P(0)||_1) and are
+    solved together (:func:`_compression_candidates`). The singular values of
+    P at every clustered candidate come from one stacked SVD per dtype (real
+    pencils at real candidates, complex ones at complex candidates); each
+    candidate is polished from them, and the singular values at its polished
+    value confirm it.
     """
     sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
-    first = _compression_candidates(sys, 0, nr, sigma)
-    second = _compression_candidates(sys, 1, nr, sigma)
+    first, second = _compression_candidates(sys, nr, sigma)
     matched = [
         z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))
     ]
+    candidates = _cluster(np.asarray(matched))
+    pencils = [_pencil_at(sys, z) for z in candidates]
+    starts = _per_dtype(pencils, lambda stack: np.linalg.svd(stack, compute_uv=False))
     zeros: list[InvariantZero] = []
-    for z in _cluster(np.asarray(matched)):
-        z, s = _polish_candidate(sys, z, tol)
+    for z, P, start in zip(candidates, pencils, starts):
+        z, s = _polish_candidate(sys, z, P, start, tol)
         if z.imag != 0.0 and abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
             z, s = complex(z.real, 0.0), None
-        P = _pencil_at(sys, z)
         if s is None:
-            s = np.linalg.svd(P, compute_uv=False)
+            s = np.linalg.svd(_pencil_at(sys, z), compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
         rank = int(np.sum(s > threshold))
         if rank < nr:
@@ -462,14 +480,18 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     else:
         # The staircase cannot tell a nearly uncontrollable mode from a
         # controllable one: test each unstable mode of A on the pencil
-        # [A - lam I, B]. [A - conj(lam) I, B] is its conjugate and has the
-        # same rank: one test per conjugate pair, made at its upper member.
-        bad_modes = []
-        for lam in np.linalg.eigvals(sys.A).tolist():
-            if lam.imag < 0.0 or sys.domain.is_stable(lam):
-                continue
-            if rank_of(np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]), tol) < sys.n:
-                bad_modes.extend([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
+        # [A - lam I, B], all in one stacked rank test. [A - conj(lam) I, B]
+        # is its conjugate and has the same rank: one test per conjugate
+        # pair, made at its upper member.
+        unstable = [
+            lam for lam in np.linalg.eigvals(sys.A).tolist() if lam.imag >= 0.0 and not sys.domain.is_stable(lam)
+        ]
+        pencils = [np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]) for lam in unstable]
+        ranks = ranks_of(np.stack(pencils), tol) if pencils else []
+        bad_modes = [
+            mode for lam, rank in zip(unstable, ranks) if rank < sys.n
+            for mode in ([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
+        ]
     stabilizable = not bad_modes
     details["stabilizable"] = (
         "all unstable modes controllable" if stabilizable else f"uncontrollable unstable modes {bad_modes}"

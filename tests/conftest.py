@@ -98,3 +98,16 @@ def count_calls(monkeypatch, *targets):
 
         monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def record_calls(monkeypatch, owner, name, read):
+    """Wrap ``owner.name`` with monkeypatch; returns the live list of ``read(*args)``, one entry per call."""
+    seen = []
+    original = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        seen.append(read(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    return seen

@@ -84,6 +84,20 @@ class TestAnalyze:
         assert not (tmp_path / "analysis.json").exists()
 
 
+    def test_a_lapack_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which is a config error; a
+        # LAPACK failure inside a job is numerical. A new plant object is
+        # loaded by the job, so its audit factors pencils and meets the failure.
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        code = run_cli(["--command", "analyze", "--system", str(demo_system_path()), "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "SVD did not converge" in err
+        assert not (tmp_path / "analysis.json").exists()
+
 class TestSynthesize:
     def test_replay_gain_csv(self, tmp_path):
         out = tmp_path / "syn"

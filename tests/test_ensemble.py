@@ -5,8 +5,9 @@ import monotrack as mt
 from monotrack import ensemble, subspaces, synthesis, sysmodel
 from monotrack.fixtures import demo_system_path
 
-from .conftest import count_calls
+from .conftest import count_calls, record_calls
 from .subspace_checks import single_mode_basis
+from .trial_oracle import loop_failing_seeds
 
 
 class TestGeneratorSpec:
@@ -71,7 +72,7 @@ class TestGenerate:
         assert calls == {
             "_verify_planted": attempts,
             "normal_rank": 0,
-            "_compression_candidates": 2 * attempts,
+            "_compression_candidates": attempts,
         }
 
     def test_planted_zero_plants_are_pinned(self):
@@ -201,25 +202,53 @@ class TestGenericityTrial:
         stats = mt.genericity_trial(mt.generate(mt.GeneratorSpec(24, 8, 6, seed=0)), trials=50, seed=5)
         assert stats.failures < stats.trials
 
+    # At (24,8,6), seed 5, 6 of 50 trials fail, all on a draw that falls
+    # short. On the demo at a relative rank tolerance of 1e-3, the rank test
+    # of V fails 2 of 50 trials at seed 5, so the order of the stacked ranks matters.
+    LOOSE = mt.TolerancePolicy(relative_rank_tol=1e-3)
+
+    def test_stacked_rank_tests_give_the_failing_seeds_of_the_loop(self, demo_system):
+        plant = mt.generate(mt.GeneratorSpec(24, 8, 6, seed=0))
+        stats = mt.genericity_trial(plant, trials=50, seed=5)
+        assert stats.failures == 6
+        assert stats.failing_seeds == loop_failing_seeds(plant, 50, 5)
+        assert mt.genericity_trial(demo_system, trials=30, seed=1).failing_seeds == loop_failing_seeds(demo_system, 30, 1) == ()
+        loose = mt.genericity_trial(demo_system, trials=50, seed=5, tol=self.LOOSE)
+        assert loose.failures == 2
+        assert loose.failing_seeds == loop_failing_seeds(demo_system, 50, 5, self.LOOSE)
+
+    def test_chunks_give_the_failing_seeds_of_the_loop(self, demo_system, monkeypatch):
+        stacks = record_calls(monkeypatch, ensemble, "ranks_of", lambda stack, *args: (len(stack), stack.shape[1:]))
+        monkeypatch.setattr(ensemble, "_TRIAL_CHUNK", 7)
+        plant = mt.generate(mt.GeneratorSpec(24, 8, 6, seed=0))
+        assert mt.genericity_trial(plant, trials=50, seed=5).failing_seeds == loop_failing_seeds(plant, 50, 5)
+        # One stacked rank test per chunk of 7 trials, of the trials whose draw did not fall short.
+        assert len(stacks) == 8
+        assert all(1 <= k <= 7 and shape == (24, 24) for k, shape in stacks)
+        stacks.clear()
+        loose = mt.genericity_trial(demo_system, trials=50, seed=5, tol=self.LOOSE)
+        assert loose.failing_seeds == loop_failing_seeds(demo_system, 50, 5, self.LOOSE)
+        assert stacks == [(7, (5, 5))] * 7 + [(1, (5, 5))]
+
     def test_direction_kernels_are_computed_once(self, monkeypatch):
-        direction = count_calls(monkeypatch, (synthesis, "factor_pencil"), (synthesis, "check_solvable"))
-        discovery = count_calls(monkeypatch, (subspaces, "factor_pencil"))
-        per_call = []
+        # subspaces.factor_pencil factors through subspaces.factor_pencils, so a pool factor is seen too.
+        factored = {
+            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
+            for owner, key in ((synthesis, "direction"), (subspaces, "discovery"))
+        }
+        calls = count_calls(monkeypatch, (synthesis, "check_solvable"))
         for trials in (2, 20):
             # A new plant object per call: a plant keeps its pool factors.
-            plant = mt.LtiSystem.load(demo_system_path())
-            before = direction["factor_pencil"] + discovery["factor_pencil"]
-            stats = mt.genericity_trial(plant, trials=trials, seed=3)
+            stats = mt.genericity_trial(mt.LtiSystem.load(demo_system_path()), trials=trials, seed=3)
             assert stats.failures == 0
-            per_call.append(direction["factor_pencil"] + discovery["factor_pencil"] - before)
         # The trial modes are -1, -1.5 and -2. The V*g discovery factors no
         # pool pencil, so P(-1), P(-1.5) and P(-2) are factored for the
-        # directions, once per call.
-        assert direction["factor_pencil"] == 2 * 3
+        # directions, in one stacked call per genericity call.
+        assert factored["direction"] == [[-1.0, -1.5, -2.0]] * 2
         # V*g is discovered once per call (P(-6) alone reaches its bound), and
         # solvability is decided once on its span; only the draws repeat per trial.
-        assert per_call == [4, 4]
-        assert direction["check_solvable"] == 2
+        assert factored["discovery"] == [pytest.approx([-6.0], abs=1e-9)] * 2
+        assert calls["check_solvable"] == 2
 
     def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
         # generate() audits the plant it returns, and the audit keeps its
@@ -234,12 +263,12 @@ class TestGenericityTrial:
         def failing_factor(*args):
             raise mt.IllConditionedPencil("forced kernel failure")
 
-        # A direction pencil fails, then a kernel of the subspace discovery.
-        # A new plant object per owner: a plant that holds the factor of every
-        # trial mode factors no direction pencil.
+        # The stacked direction pencils fail, then a kernel of the subspace
+        # discovery. A new plant object per owner: a plant that holds the
+        # factor of every trial mode factors no direction pencil.
         for owner in (synthesis, subspaces):
             with monkeypatch.context() as patch:
-                patch.setattr(owner, "factor_pencil", failing_factor)
+                patch.setattr(owner, "factor_pencils", failing_factor)
                 stats = mt.genericity_trial(mt.LtiSystem.load(demo_system_path()), trials=4, seed=3)
             assert stats.failures == 4
             assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))
@@ -264,9 +293,11 @@ class TestGenericityTrial:
 
     def test_every_trial_fails_when_the_rank_test_does(self, monkeypatch):
         plant = mt.generate(mt.GeneratorSpec(n=10, m=4, p=3, seed=0))
-        rank_of = ensemble.rank_of
+        ranks_of = ensemble.ranks_of
         monkeypatch.setattr(
-            ensemble, "rank_of", lambda M, *args: plant.n - 1 if M.shape == (plant.n, plant.n) else rank_of(M, *args)
+            ensemble,
+            "ranks_of",
+            lambda stack, *args: [plant.n - 1] * len(stack) if stack.shape[1:] == (plant.n, plant.n) else ranks_of(stack, *args),
         )
         assert mt.genericity_trial(plant, trials=5, seed=0).failures == 5
 

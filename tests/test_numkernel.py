@@ -7,6 +7,7 @@ import monotrack as mt
 from monotrack.numkernel import RESIDUAL_TOL, controllable_staircase, min_norm_from_factors, orthonormalize, thin_svd
 from monotrack.subspaces import _real_columns
 
+from .conftest import count_calls
 from .subspace_checks import containment_residual
 
 class TestRankOf:
@@ -35,6 +36,51 @@ class TestRankOf:
         # The other tolerances are constants: no caller can widen the checks the design rests on.
         with pytest.raises(TypeError):
             mt.TolerancePolicy(**{name: 1.0})
+
+
+POLICIES = (mt.DEFAULT_POLICY, mt.TolerancePolicy(relative_rank_tol=1e-8))
+
+
+class TestRanksOf:
+    """One stacked rank test against one ``rank_of`` per member."""
+
+    @given(
+        seed=st.integers(0, 2**20),
+        k=st.integers(0, 5),
+        rows=st.integers(1, 6),
+        cols=st.integers(0, 6),
+        complex_entries=st.booleans(),
+        policy=st.sampled_from(POLICIES),
+    )
+    @settings(max_examples=80)
+    def test_equals_one_rank_test_per_member(self, seed, k, rows, cols, complex_entries, policy):
+        # Each member is a product through a random inner dimension, so ranks
+        # below full occur; a member scaled by 1e-9 sits near the relative threshold.
+        rng = np.random.default_rng(seed)
+        members = []
+        for inner in rng.integers(0, 7, size=k):
+            M = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+            if complex_entries:
+                M = M + 1j * (rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols)))
+            members.append(M + 1e-9 * rng.normal(size=(rows, cols)) * rng.integers(0, 2))
+        stack = np.array(members, dtype=complex if complex_entries else float).reshape(k, rows, cols)
+        ranks = mt.ranks_of(stack, policy)
+        assert ranks == [mt.rank_of(M, policy) for M in stack]
+        assert all(type(r) is int for r in ranks)
+
+    def test_an_empty_member_has_rank_zero(self, monkeypatch):
+        # A drop-one matrix with no column left, as at p = 1 with h = 0.
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        assert mt.ranks_of(np.zeros((1, 4, 0))) == [0]
+        assert mt.ranks_of(np.zeros((3, 0, 2))) == [0, 0, 0]
+        assert mt.ranks_of(np.zeros((0, 4, 4))) == []
+        assert calls == {"svd": 0}
+
+    def test_one_call_for_the_stack(self, monkeypatch):
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))])
+        assert mt.ranks_of(stack) == [3, 2, 0]
+        assert calls == {"svd": 1}
 
 
 class TestNullspace:

@@ -16,10 +16,11 @@ from monotrack.subspaces import (
     discover_vstar_g,
     draw,
     factor_pencil,
+    factor_pencils,
 )
 from monotrack.sysmodel import rosenbrock
 
-from .conftest import wide_plant
+from .conftest import count_calls, wide_plant
 from .discover_oracle import probe_rstar, probe_vstar_g
 from .draw_oracle import LoopSpanTracker, loop_best_block, loop_draw
 from .subspace_checks import containment_residual, single_mode_basis, span_equal
@@ -154,6 +155,47 @@ class TestPencilFactor:
             expected = deleted_row_kernel(TALL_PLANT, -2.0, j)
             assert factor.kernel(j).shape == expected.shape == (3, 1)
             assert span_equal(factor.kernel(j), expected)
+
+
+class TestFactorPencils:
+    """One stacked SVD per dtype against one ``factor_pencil`` per mode, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**20),
+        n=st.integers(1, 4),
+        m=st.integers(1, 3),
+        p=st.integers(1, 3),
+        picks=st.lists(st.integers(0, 5), max_size=5),
+        policy=st.sampled_from((DEFAULT_POLICY, TolerancePolicy(relative_rank_tol=1e-8))),
+    )
+    @settings(max_examples=60)
+    def test_equals_one_factor_per_mode(self, seed, n, m, p, picks, policy):
+        # A diagonal A with integer modes and a hidden state makes P(mu) rank
+        # deficient at some real modes; complex modes make a second stack.
+        rng = np.random.default_rng(seed)
+        A = np.diag(rng.integers(-3, 0, size=n).astype(float))
+        B, C = rng.normal(size=(n, m)), rng.normal(size=(p, n))
+        B[0], C[:, 0] = 0.0, 0.0
+        plant = mt.LtiSystem.relaxed(A, B, C, rng.normal(size=(p, m)))
+        values = (float(A[0, 0]), -1.5, complex(-1.0, 2.0), complex(-2.0, -0.5), float(A[-1, -1]), -0.25)
+        mus = [values[i] for i in picks]
+        factors = factor_pencils(plant, mus, policy)
+        assert len(factors) == len(mus)
+        for mu, got in zip(mus, factors):
+            want = factor_pencil(plant, mu, policy)
+            assert got.rank == want.rank and got.n == want.n
+            for name in ("pencil", "u", "s", "vh"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (mu, name)
+
+    def test_modes_of_one_dtype_take_one_svd(self, demo_system, monkeypatch):
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        assert factor_pencils(demo_system, []) == []
+        assert calls == {"svd": 0}
+        factor_pencils(demo_system, [-1.0, -2.0, -1.5])
+        assert calls == {"svd": 1}
+        factor_pencils(demo_system, [-1.0, complex(-1.0, 1.0), -2.0])
+        assert calls == {"svd": 3}
 
 
 class TestRstar:

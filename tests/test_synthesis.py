@@ -14,7 +14,7 @@ from monotrack.numkernel import RESIDUAL_TOL
 from monotrack.subspaces import factor_pencil
 from monotrack.synthesis import _direction_from
 
-from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, wide_plant
+from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, record_calls, wide_plant
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
 
 # Direction pairs of the demo plant at the requested modes, as exact rationals.
@@ -257,30 +257,31 @@ class TestSynthesize:
     def test_plant_facts_are_computed_once(self, fresh_demo, monkeypatch):
         # The audit reads the normal rank off its rank test at the tracking
         # frequency (the demo has no zero there, so nothing is sampled) and
-        # solves the two compressed eigenproblems of one zero computation;
+        # solves the two compressed eigenproblems of one zero computation together;
         # synthesis reuses both.
         calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (sysmodel, "_compression_candidates"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"normal_rank": 0, "_compression_candidates": 2}
+        assert calls == {"normal_rank": 0, "_compression_candidates": 1}
 
     def test_each_distinct_mode_pencil_is_factored_once(self, fresh_demo, monkeypatch):
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
-        # come from one factorization.
-        calls = count_calls(monkeypatch, (synthesis, "factor_pencil"))
+        # come from one factorization, and one stacked call factors both modes.
+        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"factor_pencil": 2}
+        assert factored == [[-1.0, -2.0]]
 
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 rank test at the tracking frequency (it gives the normal
-        # rank), 2 staircase steps, 4 zero confirmations that reuse their
-        # polishing SVD. V*g: the kernel of P(-6) reaches n less the zeros 2, 3
-        # and 5, so no pool pencil is factored; the draw makes no rank test.
-        # 2 mode pencils, 1 solvability rank test (h is the span's dimension),
-        # 1 rank test of V, 1 steady-state solve. A change that brings back a
-        # recomputation fails here.
+        # rank), 2 staircase steps, 1 stacked SVD at the 4 zero candidates,
+        # whose singular values also confirm them. V*g: the kernel of P(-6)
+        # reaches n less the zeros 2, 3 and 5, so no pool pencil is factored;
+        # the draw makes no rank test. 1 stacked SVD of the 2 mode pencils,
+        # 1 solvability rank test (h is the span's dimension), 1 rank test of
+        # V, 1 steady-state solve. A change that brings back a recomputation
+        # or splits a stacked call fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 7 + 1 + 2 + 1 + 1 + 1}
+        assert calls == {"svd": 4 + 1 + 1 + 1 + 1 + 1}
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
@@ -436,8 +437,8 @@ class TestPlantMemo:
             monkeypatch,
             (sysmodel, "_audit"),
             (synthesis, "discover_vstar_g"),
-            (synthesis, "factor_pencil"),
-            (subspaces, "factor_pencil"),
+            (synthesis, "factor_pencils"),
+            (subspaces, "factor_pencils"),
             (synthesis, "check_solvable"),
             (synthesis, "_verify_gain"),
             (np.linalg, "svd"),
@@ -446,7 +447,7 @@ class TestPlantMemo:
         fb = mt.synthesize(fresh_demo, spec)
         # The rank test of V, the one rank test of a try; the steady-state factor is kept.
         assert calls == {
-            "_audit": 0, "discover_vstar_g": 0, "factor_pencil": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
+            "_audit": 0, "discover_vstar_g": 0, "factor_pencils": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
         }
         assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
 

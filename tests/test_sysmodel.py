@@ -12,7 +12,7 @@ from monotrack.numkernel import controllable_staircase
 from monotrack.seeding import DEFAULT_SEED, rng_for
 from monotrack.sysmodel import rosenbrock
 
-from .conftest import DEMO_ZEROS, count_calls, wide_plant
+from .conftest import DEMO_ZEROS, count_calls, record_calls, wide_plant
 from .pbh_oracle import pbh_stabilizable
 
 
@@ -161,23 +161,26 @@ class TestInvariantZeros:
         assert any(abs(v + 1.5) <= 1e-6 for v in values)
 
 
-def qz_compression_candidates(sys, index, nr, sigma):
-    """The square QZ compression invariant_zeros used to solve, kept as its oracle.
+def qz_compression_candidates(sys, nr, sigma):
+    """The square QZ compressions invariant_zeros used to solve, kept as their oracle.
 
-    It compresses to min(n+p, n+m) whatever the normal rank ``nr`` and solves
-    the generalized eigenproblem (L P(0) R, L E R) with SciPy, so it needs no
-    shift ``sigma``.
+    Each of the two compresses to min(n+p, n+m) whatever the normal rank
+    ``nr`` and solves the generalized eigenproblem (L P(0) R, L E R) with
+    SciPy, one at a time, so it needs no shift ``sigma``.
     """
     P0 = rosenbrock(sys, 0.0)
     E = np.zeros_like(P0)
     E[: sys.n, : sys.n] = np.eye(sys.n)
     k = min(P0.shape)
-    rng = rng_for(DEFAULT_SEED, "zero-compression", index)
-    L = rng.standard_normal((k, P0.shape[0]))
-    R = rng.standard_normal((P0.shape[1], k))
-    ev = scipy.linalg.eigvals(L @ P0 @ R, L @ E @ R)
-    finite = ev[np.isfinite(ev)]
-    return finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)]
+    candidates = []
+    for index in (0, 1):
+        rng = rng_for(DEFAULT_SEED, "zero-compression", index)
+        L = rng.standard_normal((k, P0.shape[0]))
+        R = rng.standard_normal((P0.shape[1], k))
+        ev = scipy.linalg.eigvals(L @ P0 @ R, L @ E @ R)
+        finite = ev[np.isfinite(ev)]
+        candidates.append(finite[np.abs(finite) < 1.0 / np.sqrt(np.finfo(float).eps)])
+    return tuple(candidates)
 
 
 def found_plant():
@@ -232,14 +235,15 @@ class TestZeroCompression:
         # polishing keeps it; at 9 digits the imaginary parts round to
         # 2.000000001 and -2.0, not to a conjugate pair.
         pair = np.array([complex(-1.0, 2.0000000005 + 3e-15), complex(-1.0, -2.0000000005 + 3e-15)])
-        monkeypatch.setattr(sysmodel, "_compression_candidates", lambda *args: pair)
+        monkeypatch.setattr(sysmodel, "_compression_candidates", lambda *args: (pair, pair))
         assert [w.value for w in mt.invariant_zeros(plant)] == [complex(pair[1]), complex(pair[0])]
 
 
 class TestConfirmedZeros:
     def test_confirmation_reuses_the_polishing_svd(self, demo_system, monkeypatch):
-        # Each of the 4 demo zeros is at the rank threshold already, so
-        # polishing takes no step and its SVD confirms the zero.
+        # One stacked SVD gives the singular values at the 4 real demo
+        # candidates. Each is at the rank threshold already, so polishing
+        # takes no step and those singular values confirm the zero.
         policy = mt.DEFAULT_POLICY
         with monkeypatch.context() as patch:
             # Discarding the polishing SVD forces a second SVD per zero.
@@ -248,7 +252,7 @@ class TestConfirmedZeros:
             expected = sysmodel._confirmed_zeros(demo_system, 8, policy)
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         zeros = sysmodel._confirmed_zeros(demo_system, 8, policy)
-        assert calls == {"svd": 4}
+        assert calls == {"svd": 1}
         assert zeros == expected
         assert [z.value.real for z in zeros] == pytest.approx(DEMO_ZEROS, abs=1e-9)
 
@@ -263,10 +267,11 @@ class TestConfirmedZeros:
         monkeypatch.setattr(sysmodel, "_compression_candidates", capture)
         calls = count_calls(monkeypatch, (sysmodel, "rosenbrock"))
         sysmodel._confirmed_zeros(demo_system, 8, mt.DEFAULT_POLICY)
-        assert shifts == [1j * (1.0 + np.linalg.norm(rosenbrock(demo_system, 0.0), 1))] * 2
-        # P(0) once for the shift, P(sigma) per compression, and two pencils
-        # per demo zero (polishing and confirmation).
-        assert calls == {"rosenbrock": 1 + 2 + 2 * 4}
+        # One call solves both compressions.
+        assert shifts == [1j * (1.0 + np.linalg.norm(rosenbrock(demo_system, 0.0), 1))]
+        # P(0) once for the shift, P(sigma) once for both compressions, and
+        # one pencil per demo zero, whose singular values also confirm it.
+        assert calls == {"rosenbrock": 1 + 1 + 4}
 
 
 class TestPolishCandidate:
@@ -284,24 +289,29 @@ class TestPolishCandidate:
         monkeypatch.setattr(ensemble, "audit_assumptions", capture)
         mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=5))
         plant, z = audited[0], complex(-2.9999999999998996)
-        P = rosenbrock(plant, z)
+        P = sysmodel._pencil_at(plant, z)
         s = np.linalg.svd(P, compute_uv=False)
         assert s[-1] <= mt.DEFAULT_POLICY.rank_threshold(P.shape, s[0])
-        polished, singular_values = sysmodel._polish_candidate(plant, z, mt.DEFAULT_POLICY)
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        polished, singular_values = sysmodel._polish_candidate(plant, z, P, s, mt.DEFAULT_POLICY)
         assert polished == z
         # No step was taken: the singular values of P at the root come back.
-        assert np.allclose(singular_values, s, rtol=1e-12, atol=1e-12 * s[0])
+        assert singular_values is s
+        assert calls == {"svd": 0}
 
     def test_a_nearby_candidate_is_refined(self, demo_system, monkeypatch):
+        z = complex(-6.0 + 1e-8)
+        P = sysmodel._pencil_at(demo_system, z)
+        start = np.linalg.svd(P, compute_uv=False)
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        refined, singular_values = sysmodel._polish_candidate(demo_system, complex(-6.0 + 1e-8), mt.DEFAULT_POLICY)
+        refined, singular_values = sysmodel._polish_candidate(demo_system, z, P, start, mt.DEFAULT_POLICY)
         assert abs(refined + 6.0) <= 1e-12
         assert type(refined) is complex
-        # One step costs 3 SVDs: the singular values at the candidate, the
-        # full SVD it steps from, and the full SVD at the value it reaches,
-        # whose singular values come back to confirm the refined value, so
-        # the caller factors no pencil.
-        assert calls == {"svd": 3}
+        # The caller gives the singular values at the candidate. One step
+        # costs 2 SVDs more: the full SVD it steps from, and the full SVD at
+        # the value it reaches, whose singular values come back to confirm
+        # the refined value, so the caller factors no pencil.
+        assert calls == {"svd": 2}
         expected = np.linalg.svd(rosenbrock(demo_system, refined.real), compute_uv=False)
         assert np.allclose(singular_values, expected, rtol=1e-12, atol=1e-12 * expected[0])
 
@@ -356,10 +366,10 @@ class TestAuditAssumptions:
         # The test at the tracking frequency reaches n + min(m, p), which is
         # then the normal rank. The staircase takes 2 steps: B reaches 4 of
         # the 5 states, and A adds nothing to them, so one stable mode stays
-        # uncontrollable. The other 4 SVDs confirm the 4 zeros.
+        # uncontrollable. One stacked SVD confirms the 4 zeros.
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"), (np.linalg, "svd"))
         report = mt.audit_assumptions(fresh_demo)
-        assert calls == {"rank_of": 1, "normal_rank": 0, "svd": 1 + 2 + 4}
+        assert calls == {"rank_of": 1, "normal_rank": 0, "svd": 1 + 2 + 1}
         assert report.normal_rank == fresh_demo.n + fresh_demo.p
         assert report.stabilizable
 
@@ -379,7 +389,7 @@ class TestAuditAssumptions:
         zero_at_zero = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
         calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (np.linalg, "svd"))
         zeros = mt.invariant_zeros(fresh_demo)
-        assert calls == {"normal_rank": 0, "svd": 1 + 4}
+        assert calls == {"normal_rank": 0, "svd": 1 + 1}
         assert np.array([z.value for z in zeros]).tobytes() == np.array([z.value for z in audited]).tobytes()
         mt.invariant_zeros(zero_at_zero)
         assert calls["normal_rank"] == 1
@@ -401,14 +411,14 @@ class TestAuditAssumptions:
     def test_a_strictly_proper_draw_at_n_64_audits_in_three_svds(self, monkeypatch):
         # B reaches 34 of the 64 states and A B the other 30: 2 staircase
         # steps after the rank test at the tracking frequency. The plant has
-        # no zeros; the 2 eigenvalue problems are those of the zero compressions.
+        # no zeros; the one stacked eigenvalue problem is that of both zero compressions.
         rng = np.random.default_rng([0, 64, 34, 26])
         A = rng.standard_normal((64, 64)) / 8.0
         sys = mt.LtiSystem(A, rng.standard_normal((64, 34)), rng.standard_normal((26, 64)), np.zeros((26, 34)))
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(sys)
         assert report.stabilizable and report.zeros == []
-        assert calls == {"svd": 1 + 2, "eigvals": 2}
+        assert calls == {"svd": 1 + 2, "eigvals": 1}
 
     def test_an_uncontrollable_pair_lists_both_members(self):
         # The pair 1 +- 2j is not reachable from B; both members are reported.
@@ -454,7 +464,7 @@ class TestAuditAssumptions:
         # Another policy is another key.
         other = mt.TolerancePolicy(relative_rank_tol=1e-10)
         assert mt.audit_assumptions(fresh_demo, other) is not report
-        assert calls == {"_audit": 1, "_compression_candidates": 2}
+        assert calls == {"_audit": 1, "_compression_candidates": 1}
 
     def test_uncontrollable_unstable_mode_fails(self):
         A = np.diag([1.0, -2.0])
@@ -513,11 +523,14 @@ class TestStaircaseAgainstPbh:
         plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
         assert controllable_staircase(plant.A, plant.B) is None
         tested = [lam for lam in np.linalg.eigvals(plant.A) if lam.imag >= 0.0 and not plant.domain.is_stable(lam)]
+        stacks = record_calls(monkeypatch, sysmodel, "ranks_of", lambda stack, *args: len(stack))
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
         report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
-        # The rank test at the tracking frequency, one pencil test per
-        # unstable mode or pair; eigvals(A) and the two zero compressions.
-        assert calls == {"rank_of": 1 + len(tested), "eigvals": 1 + 2}
+        # The rank test at the tracking frequency and one stacked pencil test
+        # with a member per unstable mode or pair; eigvals(A) and the one
+        # stacked eigvals of both zero compressions.
+        assert calls == {"rank_of": 1, "eigvals": 1 + 1}
+        assert stacks == [len(tested)]
         assert not report.stabilizable
         reported = ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))
         assert reported == pytest.approx(modes, rel=1e-8)
