@@ -64,6 +64,20 @@ class JobConfig:
     free_pool: tuple | None = None
     ensemble_options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Read each field as its type: a malformed one raises ValueError, a config error, so no job meets it."""
+        for key, value, kind in (
+            ("system", self.system_path, str), ("out", self.out_dir, str), ("replay_vg", self.replay_vg, str),
+            ("ensemble", self.ensemble_options, dict), ("x0", self.x0_list, (list, tuple)),
+        ):
+            if value is not None and not isinstance(value, kind):
+                raise ValueError(f"{key} has the wrong type: {value!r}")
+        self.x0_list = tuple(_vector("x0", x0) for x0 in self.x0_list or ())
+        for key in ("lambdas", "reference", "free_pool"):
+            setattr(self, key, _vector(key, getattr(self, key)) or None)
+        for key, kind in (("horizon", float), ("samples", int), ("rho", float), ("seed", int), ("tol_rank", float)):
+            setattr(self, key, _number(key, getattr(self, key), kind))
+
     def policy(self) -> TolerancePolicy:
         return TolerancePolicy(relative_rank_tol=self.tol_rank)
 
@@ -262,8 +276,8 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
             m=_number("m", options["m"], int),
             p=_number("p", options["p"], int),
             domain=options.get("domain", "continuous"),
-            planted_zero_values=tuple(complex(z[0], z[1]) if isinstance(z, list) else complex(z) for z in options.get("planted_zeros", [])),
-            planted_uncontrollable_modes=tuple(options.get("planted_uncontrollable", [])),
+            planted_zero_values=_vector("planted_zeros", options.get("planted_zeros", []), complex),
+            planted_uncontrollable_modes=_vector("planted_uncontrollable", options.get("planted_uncontrollable", [])),
             seed=config.seed,
         )
         system = generate(spec, policy)
@@ -311,22 +325,26 @@ def run(config: JobConfig) -> int:
         return EXIT_NUMERICAL
 
 
-def _parse_vector(text: str) -> tuple:
-    return tuple(float(x) for x in text.split(","))
-
-
 def _number(key: str, value, kind: type):
-    """``value`` as ``kind`` (float, or int for a whole number), None kept; JSON may give a string or a float."""
+    """``value`` as ``kind`` (float, int for a whole number, complex from a number or an [re, im] pair), None kept."""
     if value is None:
         return None
     try:
-        number = kind(value)
-        exact = kind is float or float(value) == number
+        number = kind(*value) if kind is complex and isinstance(value, list) and len(value) == 2 else kind(value)
+        exact = kind is not int or float(value) == number
     except (TypeError, ValueError):
         exact = False
     if not exact:
         raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
     return number
+
+
+def _vector(key: str, value, kind: type = float) -> tuple:
+    """A list of numbers, or a comma-separated string of them, as a tuple of ``kind`` read by :func:`_number`; None is ()."""
+    items = () if value is None else value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)) or any(x is None for x in items):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return tuple(_number(key, x, kind) for x in items)
 
 
 def build_config(argv=None) -> JobConfig:
@@ -357,26 +375,20 @@ def build_config(argv=None) -> JobConfig:
     command = pick(args.command, "command")
     if command is None:
         parser.error("a command is required (flag --command or config field)")
-    x0_list = args.x0 if args.x0 else payload.get("x0", [])
-    x0_parsed = tuple(
-        _parse_vector(x) if isinstance(x, str) else tuple(float(v) for v in x) for x in x0_list
-    )
-    lambdas = pick(args.lambdas, "lambdas")
-    reference = pick(args.reference, "reference")
     return JobConfig(
         command=command,
         system_path=pick(args.system, "system"),
-        lambdas=_parse_vector(lambdas) if isinstance(lambdas, str) else (tuple(lambdas) if lambdas else None),
-        reference=_parse_vector(reference) if isinstance(reference, str) else (tuple(reference) if reference else None),
-        x0_list=x0_parsed,
-        horizon=_number("horizon", pick(args.horizon, "horizon"), float),
-        samples=_number("samples", pick(args.samples, "samples"), int),
-        rho=_number("rho", pick(args.rho, "rho"), float),
-        seed=_number("seed", pick(args.seed, "seed", DEFAULT_SEED), int),
+        lambdas=pick(args.lambdas, "lambdas"),
+        reference=pick(args.reference, "reference"),
+        x0_list=args.x0 if args.x0 else payload.get("x0", []),
+        horizon=pick(args.horizon, "horizon"),
+        samples=pick(args.samples, "samples"),
+        rho=pick(args.rho, "rho"),
+        seed=pick(args.seed, "seed", DEFAULT_SEED),
         out_dir=pick(args.out, "out", "."),
-        tol_rank=_number("tol_rank", pick(args.tol_rank, "tol_rank"), float),
+        tol_rank=pick(args.tol_rank, "tol_rank"),
         replay_vg=pick(args.replay_vg, "replay_vg"),
-        free_pool=tuple(payload["free_pool"]) if payload.get("free_pool") else None,
+        free_pool=payload.get("free_pool"),
         ensemble_options=payload.get("ensemble", {}),
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GenerationFailed, MonotrackError, NotSolvable, RankDeficientAfterRetries
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, nullspace, rank_of, ranks_of
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, _per_dtype, full_svds, nullspace, rank_of, ranks_of
 from .seeding import DEFAULT_SEED, rng_for
 from .subspaces import default_frequency_pool, discover_vstar_g, draw
 from .synthesis import _random_direction, _witnesses
@@ -109,22 +109,20 @@ def _extra_input_columns(A, B, C, D, planted: tuple, extra: int, rng: np.random.
 
     At a planted zero the square pencil has a nonzero left kernel; a new
     column preserves the rank drop iff it is orthogonal to that left kernel.
+    The left kernels at all the planted zeros come from one stacked SVD.
     """
     n = A.shape[0]
+    # Relaxed: the checked constructor would spend two rank tests per attempt.
+    base = LtiSystem.relaxed(A, B, C, D)
+    pencils = [rosenbrock(base, z).conj().T for z in {complex(z) for z in planted}]
     constraints = []
-    for z in {complex(z) for z in planted}:
-        # Relaxed: the checked constructor would spend two rank tests per attempt.
-        pencil = rosenbrock(LtiSystem.relaxed(A, B, C, D), z)
-        left = nullspace(pencil.conj().T, tol)
-        for k in range(left.shape[1]):
-            # Complex SVD may rotate phases even at real zeros, so always
-            # impose both real and imaginary constraint rows.
-            constraints.append(left[:, k].conj().real)
-            constraints.append(left[:, k].conj().imag)
-    if constraints:
-        admissible = nullspace(np.vstack(constraints), tol)
-    else:
-        admissible = np.eye(n + C.shape[0])
+    for _, _, vh, rank in _per_dtype(pencils, lambda stack: full_svds(stack, tol)):
+        # The rows of vh past the rank are the conjugated left kernel. Complex
+        # SVD may rotate phases even at real zeros, so always impose both real
+        # and imaginary constraint rows.
+        for row in vh[rank:]:
+            constraints += [row.real, row.imag]
+    admissible = nullspace(np.vstack(constraints), tol) if constraints else np.eye(n + C.shape[0])
     if admissible.shape[1] == 0:
         raise GenerationFailed("no admissible extra input directions remain")
     cols = admissible @ rng.uniform(-1.0, 1.0, (admissible.shape[1], extra))

@@ -132,7 +132,7 @@ def _transition(sys: LtiSystem, fb: FeedbackResult, horizon: float | None, num_s
     """
     F = np.asarray(fb.F, dtype=float)
     key = (F.shape, F.tobytes(), tuple(fb.assigned_modes.items()), horizon, num_samples)
-    return _memo(sys, key, lambda: _read_only(_compute_transition(sys, F, fb, horizon, num_samples)), "transition")
+    return _memo(sys, "transition", key, lambda: _read_only(_compute_transition(sys, F, fb, horizon, num_samples)))
 
 
 def _compute_transition(sys: LtiSystem, F: np.ndarray, fb: FeedbackResult, horizon, num_samples) -> tuple:

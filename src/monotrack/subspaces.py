@@ -60,7 +60,6 @@ from .sysmodel import (
     InvariantZero,
     LtiSystem,
     TimeDomain,
-    _held,
     _memo,
     _min_phase_violation,
     exclusion_violation,
@@ -338,7 +337,7 @@ class KernelSpan:
 
     ``seeded``: (mode, kernel) pairs taken in full; ``visited``: pool pairs up
     to saturation; ``basis``: orthonormal; ``tag``: the mixing stream of
-    :func:`draw`; ``inputs``: m.
+    :func:`draw`; ``inputs``: m; ``pool``: the frequencies the discovery may visit.
     """
 
     seeded: tuple
@@ -346,22 +345,11 @@ class KernelSpan:
     basis: np.ndarray
     tag: tuple
     inputs: int
+    pool: tuple
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-
-def _held_factor(sys: LtiSystem, mu: float, tol: TolerancePolicy) -> PencilFactor | None:
-    """The factor of P(mu) that a default-pool discovery keeps on the plant, or None."""
-    return _held(sys, ("pencil", mu, tol))
-
-
-def _pool_factor(sys: LtiSystem, mu: float, tol: TolerancePolicy, keep: bool) -> PencilFactor:
-    """The factor of P(mu) that the plant holds, else a new one, kept on the plant when ``keep``."""
-    if keep:
-        return _memo(sys, ("pencil", mu, tol), lambda: factor_pencil(sys, mu, tol))
-    return _held_factor(sys, mu, tol) or factor_pencil(sys, mu, tol)
 
 
 def _fixed_dims(zeros: list[InvariantZero], every: bool) -> int:
@@ -381,8 +369,8 @@ def _dimension_bound(sys: LtiSystem, fixed: int, rank: int | None) -> int:
 
 
 def _discover(
-    sys: LtiSystem, seeded: list, pool, excluded_output: int | None, tol: TolerancePolicy, tag: tuple,
-    keep: bool = True, fixed: int | None = None,
+    sys: LtiSystem, seeded: list, pool: tuple, excluded_output: int | None, tol: TolerancePolicy, tag: tuple,
+    fixed: int | None = None,
 ):
     """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing or the bound is reached.
 
@@ -394,10 +382,10 @@ def _discover(
     frequency is factored; reaching it at the last pool value is saturation.
     None sets no bound.
 
-    With ``keep`` (a default pool), each pool frequency's factor is kept on the plant under
-    ``("pencil", mu, tol)``, so the discoveries on one plant share one SVD per frequency of
-    the fixed pool ladder. A user pool reads those factors but adds none, so the kept
-    factors stay bounded however many user pools a plant sees.
+    Each visited frequency's factor goes into the plant's ``pool`` fact, a dict
+    from mu to :class:`PencilFactor` for ``(pool, tol)``: the discoveries over
+    one pool (R*, every R*_j, V*g) share one SVD per frequency, and
+    :func:`synthesis._witnesses` reads the factors at its modes from it.
     """
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
@@ -405,11 +393,11 @@ def _discover(
             for col in _real_columns(kernel[: sys.n, k], mode):
                 tracker.try_add(col.reshape(-1, 1))
     bound = math.inf if fixed is None else _dimension_bound(sys, fixed, None)
-    visited = []
+    visited, factors = [], _memo(sys, "pool", (pool, tol), dict)
     for mu in pool:
         if tracker.dim >= bound:
             break
-        factor = _pool_factor(sys, mu, tol, keep)
+        factor = factors[mu] if mu in factors else factors.setdefault(mu, factor_pencil(sys, mu, tol))
         if fixed is not None:
             bound = min(bound, _dimension_bound(sys, fixed, factor.rank))
         kernel = factor.kernel(excluded_output)
@@ -422,7 +410,7 @@ def _discover(
     else:
         if tracker.dim > 0 and visited:
             raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m)
+    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m, pool)
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
@@ -529,7 +517,7 @@ def discover_vstar_g(
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     seeded = [(mode, factor.kernel()) for mode, factor in zip(modes, factor_pencils(sys, modes, tol))]
     fixed = _fixed_dims(zeros, every=False)
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), keep=free_pool is None, fixed=fixed)
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
 from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
-from .subspaces import PairedBasis, PencilFactor, _held_factor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
+from .subspaces import KernelSpan, PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
 from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions, rosenbrock
 
 _SPECTRUM_TOL = 1e-6
@@ -155,7 +155,7 @@ def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tu
     if r.shape[0] != sys.p:
         raise ValueError(f"reference length {r.shape[0]} != outputs {sys.p}")
     tracking = sys.domain.tracking_frequency
-    factors = _memo(sys, ("steady-state", tol), lambda: _read_only(thin_svd(rosenbrock(sys, tracking))))
+    factors = _memo(sys, "steady-state", tol, lambda: _read_only(thin_svd(rosenbrock(sys, tracking))))
     sol = min_norm_from_factors(factors, np.concatenate([np.zeros(sys.n), r]), tol)
     return sol[: sys.n], sol[sys.n :]
 
@@ -205,7 +205,7 @@ def _closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
     ``simverify`` reads them for the gain it simulates, so a simulation of a
     gain that synthesis has just verified computes no spectrum again.
     """
-    return _memo(sys, (F.shape, F.tobytes()), lambda: _read_only(_form_closed_loop(sys, F)), "closed-loop")
+    return _memo(sys, "closed-loop", (F.shape, F.tobytes()), lambda: _read_only(_form_closed_loop(sys, F)))
 
 
 def _form_closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
@@ -284,14 +284,14 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     The verdict depends on the plant and the modes only, so it is decided on
     the V*g span given (discovered, or a replay's validated basis) and
     raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
-    kernel and their x_j, or :class:`DegenerateDirection`. A mode whose pool
-    factor the plant already holds reads it; one :func:`factor_pencils` call
-    factors the others, none when the plant holds them all, and they are not
-    kept on the plant.
+    kernel and their x_j, or :class:`DegenerateDirection`. A mode that the
+    discovery of ``vg_span`` visited reads its factor from the plant's
+    ``pool`` fact; one :func:`factor_pencils` call factors the others, none
+    when the discovery visited them all, and they are not kept on the plant.
     """
-    factors = {lam: _held_factor(sys, lam, tol) for lam in dict.fromkeys(lambdas)}
-    missing = [lam for lam, factor in factors.items() if factor is None]
-    factors.update(zip(missing, factor_pencils(sys, missing, tol)))
+    held = _memo(sys, "pool", (vg_span.pool, tol), dict) if isinstance(vg_span, KernelSpan) else {}
+    missing = [lam for lam in dict.fromkeys(lambdas) if lam not in held]
+    factors = {lam: held[lam] for lam in lambdas if lam in held} | dict(zip(missing, factor_pencils(sys, missing, tol)))
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:
@@ -379,7 +379,7 @@ def synthesize(
             return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol))
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
-        vg_kernels, delta, directions, factors = _memo(sys, (spec.lambdas, pool, tol), plant_facts, "witnesses")
+        vg_kernels, delta, directions, factors = _memo(sys, "witnesses", (spec.lambdas, pool, tol), plant_facts)
         candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed)
 
     for vg, directions in candidates:

@@ -81,8 +81,8 @@ class LtiSystem:
     matrix [C D] has full row rank. Use :meth:`relaxed` to bypass these checks
     when deliberately building degenerate test systems.
 
-    The plant holds read-only copies of its matrices and keeps the facts
-    that depend on it alone in its private memo ``_facts`` (see :func:`_memo`).
+    The plant holds read-only copies of its matrices and keeps the facts that
+    depend on it alone in its private memo ``_facts``, one per kind (see :func:`_memo`).
     """
 
     A: np.ndarray
@@ -154,21 +154,15 @@ class LtiSystem:
             fh.write("\n")
 
 
-def _memo(sys: LtiSystem, key: tuple, compute, slot: str | None = None):
-    """``compute()``, kept on the plant under ``key``, or under ``slot`` for the latest key alone.
+def _memo(sys: LtiSystem, kind: str, key, compute):
+    """``compute()``, kept on the plant as its fact of ``kind`` for the latest ``key`` alone: one fact per kind.
 
     An exception is not kept: the next call computes again and raises afresh.
     """
-    held = sys._facts.get(slot or key)
+    held = sys._facts.get(kind)
     if held is None or held[0] != key:
-        held = sys._facts[slot or key] = (key, compute())
+        held = sys._facts[kind] = (key, compute())
     return held[1]
-
-
-def _held(sys: LtiSystem, key: tuple):
-    """The fact :func:`_memo` keeps on the plant under ``key`` (not a slot), or None."""
-    held = sys._facts.get(key)
-    return None if held is None else held[1]
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -350,8 +344,8 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
     compressions come from the ``DEFAULT_SEED`` streams, so the zeros are a
     function of the plant alone and equal those of :func:`audit_assumptions`
     bit for bit. Both take the normal rank from :func:`_pencil_ranks` and keep
-    the zeros on the plant under ``("zeros", tol)``, and whichever runs first
-    computes them; the list returned is the caller's own.
+    the zeros on the plant as its ``zeros`` fact for ``tol``, and whichever
+    runs first computes them; the list returned is the caller's own.
 
     Raises
     ------
@@ -359,7 +353,7 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return list(_memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, _pencil_ranks(sys, tol)[1], tol)))
+    return list(_memo(sys, "zeros", tol, lambda: _confirmed_zeros(sys, _pencil_ranks(sys, tol)[1], tol)))
 
 
 def _pencil_ranks(sys: LtiSystem, tol: TolerancePolicy) -> tuple[int, int]:
@@ -459,10 +453,10 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     keeps, which happens on long single-input chains. Then each unstable
     eigenvalue of A is tested on the pencil [A - lam I, B] instead.
 
-    The report is kept on the plant under ``("audit", tol)`` and returned
-    as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
+    The report is kept on the plant as its ``audit`` fact for ``tol`` and
+    returned as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
     """
-    return _memo(sys, ("audit", tol), lambda: _audit(sys, tol))
+    return _memo(sys, "audit", tol, lambda: _audit(sys, tol))
 
 
 def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
@@ -501,7 +495,7 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {sys.domain.tracking_frequency}"
 
     try:
-        zeros = _memo(sys, ("zeros", tol), lambda: _confirmed_zeros(sys, nr, tol))
+        zeros = _memo(sys, "zeros", tol, lambda: _confirmed_zeros(sys, nr, tol))
     except IllConditionedPencil as exc:
         zeros = None
         distinct = False

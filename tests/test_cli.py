@@ -7,7 +7,7 @@ import monotrack as mt
 from monotrack import cli, subspaces
 from monotrack.fixtures import demo_replay_path, demo_system_path
 
-from .conftest import DEMO_GAIN, count_calls
+from .conftest import DEMO_GAIN, count_calls, record_calls
 
 
 def run_cli(argv):
@@ -45,6 +45,25 @@ class TestAnalyze:
         assert payload["dims"] == {"rstar": 1, "vstar_g": 2, "rstar_j": [4, 3, 4]}
         assert payload["lambda_free"]["solvable"] is True
         assert payload["lambda_free"]["delta"] == [0, 1, 2]
+
+    def test_the_discoveries_factor_each_pool_frequency_once(self, tmp_path, monkeypatch):
+        # R*, every R*_j and V*g walk one pool, whose factors the plant keeps
+        # as one fact: the 12 visits of the demo's 1 + 3 + 1 discoveries
+        # factor its 4 frequencies once each.
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
+        visits = []
+        discover = subspaces._discover
+
+        def recording(*args, **kwargs):
+            span = discover(*args, **kwargs)
+            visits.extend(mu for mu, _ in span.visited)
+            return span
+
+        monkeypatch.setattr(subspaces, "_discover", recording)
+        assert run_cli(["--command", "analyze", "--system", str(demo_system_path()), "--out", str(tmp_path)]) == 0
+        assert len(visits) == 12
+        # The V*g discovery also factors its seeded zero -6, which is no pool value.
+        assert [mu for mus in factored for mu in mus if mu in visits] == [-1.0, -1.5, -2.0, -2.5]
 
     def test_artifacts_do_not_depend_on_the_seed(self, tmp_path):
         payloads = []
@@ -380,3 +399,45 @@ class TestConfigFields:
             cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
         assert info.value.code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("simulate", "lambdas", [[-1], -2, -1]),
+            ("simulate", "free_pool", [None, -3]),
+            ("simulate", "x0", [[1, 2, 3, 4, None]]),
+            ("simulate", "lambdas", 5),
+            ("simulate", "free_pool", 5),
+            ("simulate", "x0", 5),
+            ("simulate", "system", 5),
+            ("ensemble", "ensemble", 5),
+            ("ensemble", "planted_uncontrollable", [None]),
+            ("ensemble", "planted_zeros", [[1]]),
+        ],
+    )
+    def test_a_field_of_the_wrong_type_is_a_config_error(self, tmp_path, capsys, command, field, value):
+        out = tmp_path / "out"
+        job = {
+            "command": command,
+            "system": str(demo_system_path()),
+            "lambdas": [-1, -2, -1],
+            "reference": [2, 2, 2],
+            "x0": [[0.1, -0.2, 0.1, 0.1, 0.0]],
+            "out": str(out),
+        }
+        if command == "ensemble":
+            del job["system"]
+            job["ensemble"] = {"trials": 2, "n": 8, "m": 4, "p": 3}
+        (job["ensemble"] if field.startswith("planted") else job)[field] = value
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps(job))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(config)])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_a_job_config_holds_no_field_of_the_wrong_type(self):
+        # So cli.run, which turns errors into exit codes, never meets one.
+        with pytest.raises(ValueError, match="free_pool must be a list of numbers"):
+            cli.JobConfig(command="analyze", system_path=str(demo_system_path()), free_pool=(None, -3.0))

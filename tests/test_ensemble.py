@@ -92,6 +92,23 @@ class TestGenerate:
         for digest, spec in specs.items():
             assert ensemble.fixture_hash(mt.generate(spec)) == digest
 
+    def test_the_planted_zero_kernels_take_one_svd(self, monkeypatch):
+        svds = record_calls(monkeypatch, np.linalg, "svd", lambda M, *args: np.shape(M))
+        inside = []
+        original = ensemble._extra_input_columns
+
+        def counted(*args):
+            start = len(svds)
+            result = original(*args)
+            inside.append(svds[start:])
+            return result
+
+        monkeypatch.setattr(ensemble, "_extra_input_columns", counted)
+        mt.generate(mt.GeneratorSpec(10, 5, 3, planted_zero_values=(-1 + 2j, -1 - 2j, -3.0), seed=0))
+        # One attempt: one stacked SVD of the 13 x 13 pencils at the three
+        # planted zeros, then one of the six constraint rows their left kernels give.
+        assert inside == [[(3, 13, 13), (1, 6, 13)]]
+
     def test_scalar_plant(self):
         sys = mt.generate(mt.GeneratorSpec(n=1, m=1, p=1, seed=5))
         assert (sys.n, sys.m, sys.p) == (1, 1, 1)
@@ -249,6 +266,20 @@ class TestGenericityTrial:
         # solvability is decided once on its span; only the draws repeat per trial.
         assert factored["discovery"] == [pytest.approx([-6.0], abs=1e-9)] * 2
         assert calls["check_solvable"] == 2
+
+    def test_a_trial_mode_the_discovery_visited_is_not_factored_again(self, monkeypatch):
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
+        factored = {
+            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
+            for owner, key in ((synthesis, "direction"), (subspaces, "discovery"))
+        }
+        stats = mt.genericity_trial(plant, trials=20)
+        assert stats.trials == 20
+        # The V*g discovery visits -1, -1.5, ..., -3.5, which holds the trial
+        # modes -1 and -1.5; the directions read their factors from the
+        # plant's pool fact, so the stacked call factors nothing.
+        assert [mu for mus in factored["discovery"] for mu in mus] == [-1.0 - 0.5 * k for k in range(6)]
+        assert factored["direction"] == [[]]
 
     def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
         # generate() audits the plant it returns, and the audit keeps its

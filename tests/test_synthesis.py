@@ -467,23 +467,27 @@ class TestPlantMemo:
         assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == drawn.to_json_dict()
         assert drawn.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), self.SPEC).to_json_dict()
 
-    def test_user_pools_keep_no_pencil_factor_off_the_default_ladder(self):
-        # The default pools are drawn from -1, -1.5, -2, ...; a user pool's
-        # V*g kernels live in the witnesses slot, so its factors are not kept.
-        # The demo's V*g is the kernel at its zero -6 alone, so this plant,
-        # whose V*g takes six pool kernels, holds the default factors.
+    def test_the_kept_facts_stay_one_per_kind_and_never_stale(self):
+        # One plant object through 40 user pools, two tolerance policies, a
+        # gain per design and two samplings per gain. It keeps the latest
+        # value of each of its seven kinds of fact, and every design and
+        # trace equals that of a fresh plant.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
-        ladder = {-1.0 - 0.5 * k for k in range(64)}
-        mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -2.0), reference=(1.0, -0.5)))
-        default = [key[1] for key in plant._facts if isinstance(key, tuple) and key[0] == "pencil"]
-        assert len(default) == 6
+        policies = (mt.DEFAULT_POLICY, mt.TolerancePolicy(relative_rank_tol=1e-10))
+        x0 = np.linspace(-1.0, 1.0, plant.n)
         for k in range(40):
             pool = tuple(-0.7 - 0.01 * k - 0.9 * i for i in range(6))
             spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0), reference=(2.0, -1.0), free_pool=pool, seed=k)
-            fresh = mt.synthesize(mt.LtiSystem(plant.A, plant.B, plant.C, plant.D), spec)
-            assert mt.synthesize(plant, spec).to_json_dict() == fresh.to_json_dict()
-        held = [key[1] for key in plant._facts if isinstance(key, tuple) and key[0] == "pencil"]
-        assert held == default and all(mu in ladder for mu in held)
+            tol = policies[k % 2]
+            fresh = mt.LtiSystem(plant.A, plant.B, plant.C, plant.D)
+            fb = mt.synthesize(plant, spec, tol)
+            assert fb.to_json_dict() == mt.synthesize(fresh, spec, tol).to_json_dict()
+            assert len(plant._facts) <= 7
+            for samples in (40, 64):
+                trace = mt.simulate(plant, fb, x0, num_samples=samples)
+                assert trace.epsilon.tobytes() == mt.simulate(fresh, fb, x0, num_samples=samples).epsilon.tobytes()
+                assert len(plant._facts) <= 7
+        assert len(plant._facts) == 7
 
     def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)
