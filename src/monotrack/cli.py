@@ -36,7 +36,7 @@ from .errors import (
 )
 from .numkernel import TolerancePolicy
 from .seeding import DEFAULT_SEED
-from .sysmodel import LtiSystem, audit_assumptions
+from .sysmodel import LtiSystem, TimeDomain, audit_assumptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,8 +70,8 @@ class JobConfig:
             ("system", self.system_path, str), ("out", self.out_dir, str), ("replay_vg", self.replay_vg, str),
             ("ensemble", self.ensemble_options, dict), ("x0", self.x0_list, (list, tuple)),
         ):
-            if value is not None and not isinstance(value, kind):
-                raise ValueError(f"{key} has the wrong type: {value!r}")
+            if value is not None:
+                _typed(key, value, kind)
         self.x0_list = tuple(_vector("x0", x0) for x0 in self.x0_list or ())
         for key in ("lambdas", "reference", "free_pool"):
             setattr(self, key, _vector(key, getattr(self, key)) or None)
@@ -100,15 +100,19 @@ def _load_replay(path: str):
     from .synthesis import Replay
 
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = _typed("replay", json.load(fh), dict)
     directions = {}
-    for entry in payload.get("directions", []):
-        directions[int(entry["output"])] = (entry["v"], entry["w"])
-    return Replay(
-        vg_state=np.asarray(payload["V_g"], dtype=float),
-        vg_input=np.asarray(payload["W_g"], dtype=float),
-        directions=directions,
-    )
+    for entry in _typed("directions", payload.get("directions", []), list):
+        entry = _typed("direction", entry, dict)
+        directions[_typed("output", entry["output"], int)] = (_vector("v", entry["v"]), _vector("w", entry["w"]))
+    return Replay(vg_state=_matrix("V_g", payload["V_g"]), vg_input=_matrix("W_g", payload["W_g"]), directions=directions)
+
+
+def _load_system(path: str) -> LtiSystem:
+    """The system file at ``path``, each matrix read by :func:`_matrix`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = _typed("system", json.load(fh), dict)
+    return LtiSystem(*(_matrix(key, payload[key]) for key in "ABCD"), TimeDomain(payload["time_domain"]))
 
 
 def _require(config: JobConfig, *names: str) -> None:
@@ -122,7 +126,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
     from .subspaces import discover_rstar, discover_vstar_g
 
     policy = config.policy()
-    system = LtiSystem.load(config.system_path)
+    system = _load_system(config.system_path)
     report = audit_assumptions(system, policy)
     zeros = report.zeros
     if zeros is None:
@@ -181,7 +185,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
 def _synthesize_from_config(config: JobConfig):
     from .synthesis import SynthesisSpec, synthesize
 
-    system = LtiSystem.load(config.system_path)
+    system = _load_system(config.system_path)
     spec = SynthesisSpec(
         lambdas=config.lambdas,
         reference=config.reference,
@@ -266,7 +270,7 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
     options = dict(config.ensemble_options)
     trials = _number("trials", options.pop("trials", 100), int)
     if config.system_path:
-        system = LtiSystem.load(config.system_path)
+        system = _load_system(config.system_path)
     else:
         plant_keys = {"n", "m", "p"}
         if not plant_keys <= options.keys():
@@ -337,6 +341,20 @@ def _number(key: str, value, kind: type):
     if not exact:
         raise ValueError(f"{key} must be a {kind.__name__}, got {value!r}")
     return number
+
+
+def _typed(key: str, value, kind):
+    """``value`` when it is a ``kind``; anything else, None included, raises ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
+def _matrix(key: str, value) -> np.ndarray:
+    """A list of rows, each read by :func:`_vector`, as a float array; ragged rows raise ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of rows, got {value!r}")
+    return np.array([_vector(key, row) for row in value], dtype=float)
 
 
 def _vector(key: str, value, kind: type = float) -> tuple:

@@ -62,6 +62,7 @@ from .sysmodel import (
     TimeDomain,
     _memo,
     _min_phase_violation,
+    _read_only,
     exclusion_violation,
     rosenbrock,
 )
@@ -383,9 +384,10 @@ def _discover(
     None sets no bound.
 
     Each visited frequency's factor goes into the plant's ``pool`` fact, a dict
-    from mu to :class:`PencilFactor` for ``(pool, tol)``: the discoveries over
-    one pool (R*, every R*_j, V*g) share one SVD per frequency, and
-    :func:`synthesis._witnesses` reads the factors at its modes from it.
+    from mu to :class:`PencilFactor` for ``(pool, tol)``, with its arrays made
+    read-only, so no kernel returned from it can be written through: the
+    discoveries over one pool (R*, every R*_j, V*g) share one SVD per
+    frequency, and :func:`synthesis._witnesses` reads the factors at its modes from it.
     """
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
@@ -397,7 +399,10 @@ def _discover(
     for mu in pool:
         if tracker.dim >= bound:
             break
-        factor = factors[mu] if mu in factors else factors.setdefault(mu, factor_pencil(sys, mu, tol))
+        if mu not in factors:
+            factor = factors[mu] = factor_pencil(sys, mu, tol)
+            _read_only((factor.pencil, factor.u, factor.s, factor.vh))
+        factor = factors[mu]
         if fixed is not None:
             bound = min(bound, _dimension_bound(sys, fixed, factor.rank))
         kernel = factor.kernel(excluded_output)

@@ -6,11 +6,11 @@ domain. Invariant zeros are the frequencies where the system pencil
     [[A - lambda*I, B],
      [C,            D]]
 
-loses rank relative to its normal rank. They are computed by compressing the
-rectangular pencil to a square one of the normal-rank size, shifting it to
-an imaginary frequency where it is invertible and solving the resulting
-standard eigenproblem; every candidate is then confirmed with an explicit
-rank test.
+loses rank relative to its normal rank. One orthogonal reduction of the
+plant (Emami-Naeini & Van Dooren 1982) gives the normal rank and the plant on
+V*, the largest subspace a feedback can hold at zero output. The zeros are
+the modes there that no such feedback moves (Morse 1973); each candidate is
+confirmed with an explicit rank test of the pencil.
 
 Stabilizability is read off the orthogonal controllability staircase of
 :func:`monotrack.numkernel.controllable_staircase`: about n / rank B shrinking
@@ -36,16 +36,15 @@ from .numkernel import (
     ZERO_EXCLUSION,
     TolerancePolicy,
     _per_dtype,
+    _rank,
     controllable_staircase,
+    full_svd,
     rank_of,
     ranks_of,
 )
-from .seeding import DEFAULT_SEED, rng_for
 
-_NORMAL_RANK_SAMPLES = 7
 _CLUSTER_RTOL = 1e-6
 _GRAY_ZONE = 10.0
-_POLISH_STEPS = 2
 
 
 class TimeDomain(enum.Enum):
@@ -185,10 +184,10 @@ class AssumptionReport:
 
     ``normal_rank`` is the generic rank of the system pencil; ``zeros`` holds
     the invariant zeros confirmed at that rank, or None when their
-    computation raised :class:`IllConditionedPencil` (the reason is then in
+    confirmation raised :class:`IllConditionedPencil` (the reason is then in
     ``details["distinct_min_phase_zeros"]``). Every field depends on the
-    plant and the tolerance policy only, never on a caller's seed, and the
-    ``details`` texts print plain Python numbers.
+    plant and the tolerance policy only, and the ``details`` texts print
+    plain Python numbers.
     """
 
     right_invertible: bool
@@ -227,99 +226,50 @@ def rosenbrock(sys: LtiSystem, lam: complex) -> np.ndarray:
 
 
 def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Generic rank of the pencil, sampled at complex frequencies from a fixed stream.
+    """Generic rank of the pencil: n + p less the output rows :func:`_reduction` finds dependent, with no sample."""
+    return _reduction(sys, tol)[2]
 
-    Samples are drawn away from the real axis, where all finite zeros of a
-    real pencil would have to lie in conjugate pairs; the maximum over seven
-    samples equals the true normal rank with probability one. Sampling stops
-    early once a sample reaches min(n+p, n+m), which no rank can exceed. The
-    samples come from the ``DEFAULT_SEED`` stream, so the rank is a function
-    of the plant alone.
+
+def _reduction(sys: LtiSystem, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """``(A_f, B_f, normal rank, threshold)``: the plant on V* from one orthogonal reduction.
+
+    Each step compresses the rows of D by an SVD. The rows C_2 of C left
+    without feedthrough must stay zero, so the state is restricted to ker C_2
+    and C_2 [A B] is appended to the outputs (Emami-Naeini & Van Dooren
+    1982). The steps end when D has full row rank or no state is left; the
+    state left is V*. There F0 = -D^+ C is a friend, N = ker D holds the free
+    inputs, A_f = A + B F0 and B_f = B N. A dependent row of C_2 is a zero
+    row of the pencil at every frequency, and the normal rank is n + p less
+    their count. Every rank decision is made at ``threshold``, the policy's
+    for P's shape and ``||P(0)||_F``; a matrix whose Frobenius norm is below
+    it has rank 0 and is not factored.
     """
-    rng = rng_for(DEFAULT_SEED, "normal-rank")
-    full = sys.n + min(sys.m, sys.p)
-    best = 0
-    for _ in range(_NORMAL_RANK_SAMPLES):
-        lam = complex(rng.normal(scale=2.0), (0.5 + abs(rng.normal(scale=2.0))) * rng.choice([-1.0, 1.0]))
-        best = max(best, rank_of(rosenbrock(sys, lam), tol))
-        if best == full:
+    n, m, p = sys.n, sys.m, sys.p
+    threshold = tol.rank_threshold((n + p, n + m), float(np.linalg.norm(rosenbrock(sys, 0.0))))
+    A, B, C, D, dependent = sys.A, sys.B, sys.C, sys.D, 0
+    while True:
+        if np.linalg.norm(D) <= threshold:
+            U, s, Wh, r = np.eye(D.shape[0]), np.empty(0), np.eye(m), 0
+        else:
+            U, s, Wh, _ = full_svd(D, tol)
+            r = int(np.sum(s > threshold))
+        C, D = U.T @ C, U.T @ D
+        C2, C, D = C[r:], C[:r], D[:r]
+        q = 0
+        if np.linalg.norm(C2) > threshold:
+            _, s2, Vh, _ = full_svd(C2, tol)
+            q = int(np.sum(s2 > threshold))
+        dependent += C2.shape[0] - q
+        if q == 0:
             break
-    return best
+        R, K = Vh[:q].T, Vh[q:].T
+        C, D = np.vstack([C @ K, R.T @ A @ K]), np.vstack([D, R.T @ B])
+        A, B = K.T @ A @ K, K.T @ B
+    F0 = -Wh[:r].T @ (C / s[:r, None])
+    return A + B @ F0, B @ Wh[r:].T, n + p - dependent, threshold
 
 
-def _compression_candidates(sys: LtiSystem, nr: int, sigma: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Finite zeros of the random nr x nr compressions L P(lambda) R number 0 and 1 of the ``DEFAULT_SEED`` stream.
-
-    With E the identity on the state block, a compressed pencil is
-    M - (lambda - sigma) L1 R1 for M = L P(sigma) R, L1 = L[:, :n] and
-    R1 = R[:n]. The shift sigma (see :func:`_confirmed_zeros`) is imaginary
-    and of the pencil's scale, so M is invertible almost surely, and by
-    Sylvester's determinant identity the finite eigenvalues are sigma + 1/mu
-    over the nonzero eigenvalues mu of the n x n matrix R1 M^-1 L1. The two
-    compressions share P(sigma), one stacked solve and one stacked eigvals.
-    """
-    n = sys.n
-    P = rosenbrock(sys, sigma)
-    Ls, Rs = [], []
-    for index in (0, 1):
-        rng = rng_for(DEFAULT_SEED, "zero-compression", index)
-        Ls.append(rng.standard_normal((nr, n + sys.p)))
-        Rs.append(rng.standard_normal((n + sys.m, nr)))
-    X = np.linalg.solve(np.stack([L @ P @ R for L, R in zip(Ls, Rs)]), np.stack([L[:, :n] for L in Ls]))
-    mu = np.linalg.eigvals(np.stack([R[:n] @ x for R, x in zip(Rs, X)]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ev = sigma + 1.0 / mu
-        keep = np.isfinite(ev) & (np.abs(ev) < 1.0 / np.sqrt(np.finfo(float).eps))
-    return ev[0][keep[0]], ev[1][keep[1]]
-
-
-def _polish_candidate(sys: LtiSystem, z: complex, P: np.ndarray, start: np.ndarray, tol: TolerancePolicy):
-    """Newton refinement of a candidate zero via the smallest singular pair.
-
-    With u, v the left/right singular vectors of the smallest singular value
-    of P(z), the correction solves u* P(z + dz) v = 0 to first order, where
-    dP/dz is minus the identity on the state block. Refinement stops once
-    that singular value is at the rank threshold: the pencil is singular to
-    working precision there, and its singular vectors are noise. A candidate
-    that is not actually a zero moves far away and is left untouched.
-
-    ``P`` is ``_pencil_at(sys, z)``, real at a real value, and ``start`` its
-    singular values, which alone decide whether a step is needed; the caller
-    takes those of all its candidates in one stacked SVD. A step takes the
-    full SVD at the value it starts from, and that of the value it reaches
-    also decides whether to go on, so a candidate that needs k steps costs
-    k + 1 SVDs here. Returns the value and the singular values of P at it, so
-    the caller can confirm the candidate without factoring the same pencil again.
-    """
-    s = start
-    refined, u = z, None
-    k = min(P.shape) - 1
-    for _ in range(_POLISH_STEPS):
-        if s[k] <= tol.rank_threshold(P.shape, float(s[0])):
-            break
-        if u is None:
-            # At z only the singular values were taken.
-            u, _, vh = np.linalg.svd(P)
-        u_min, v_min = u[:, k], vh[k, :].conj()
-        slope = -(u_min.conj() @ np.concatenate([v_min[: sys.n], np.zeros(P.shape[0] - sys.n)]))
-        if abs(slope) < 1e-3:
-            break
-        refined = refined - (u_min.conj() @ (P @ v_min)) / slope
-        P = _pencil_at(sys, refined)
-        u, s, vh = np.linalg.svd(P)
-    if abs(refined - z) > _CLUSTER_RTOL * (1.0 + abs(z)):
-        return complex(z), start
-    # A Python complex, so that the phase flag derived from it is a Python
-    # bool: json cannot write NumPy's bool.
-    return complex(refined), s
-
-
-def _pencil_at(sys: LtiSystem, z: complex) -> np.ndarray:
-    """P(z), real at a real value."""
-    return rosenbrock(sys, z.real if z.imag == 0.0 else z)
-
-
-def _cluster(values: np.ndarray) -> list[complex]:
+def _cluster(values) -> list[complex]:
     """Merge values within the relative clustering radius; snap near-real to real."""
     reps: list[complex] = []
     for z in sorted(values, key=lambda v: (v.real, v.imag)):
@@ -336,16 +286,15 @@ def _cluster(values: np.ndarray) -> list[complex]:
 def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> list[InvariantZero]:
     """All finite invariant zeros with geometric multiplicities.
 
-    Two independent random compressions of the pencil to its normal rank
-    are solved; a true zero appears in both spectra, while the
-    spurious eigenvalues introduced by each compression differ almost surely.
-    The intersection of the two candidate sets is then confirmed value by
-    value through a rank test on the original rectangular pencil. The
-    compressions come from the ``DEFAULT_SEED`` streams, so the zeros are a
-    function of the plant alone and equal those of :func:`audit_assumptions`
-    bit for bit. Both take the normal rank from :func:`_pencil_ranks` and keep
-    the zeros on the plant as its ``zeros`` fact for ``tol``, and whichever
-    runs first computes them; the list returned is the caller's own.
+    The zeros are the modes of A + BF on V* that no friend F moves (Morse
+    1973): the uncontrollable modes of the pair (A_f, B_f) of
+    :func:`_reduction`. They are the values common to eig(A_f) and
+    eig(A_f - s B_f B_f^T), s = ||A_f||_F / ||B_f||_F^2, from one stacked
+    eigenvalue problem; a B_f below the reduction's threshold has no columns.
+    Each candidate is confirmed by a rank test on P(z) (:func:`_confirm`). No
+    random number is drawn. The zeros are kept on the plant as its ``zeros``
+    fact for ``tol``, which :func:`audit_assumptions` shares; the list
+    returned is the caller's own.
 
     Raises
     ------
@@ -353,68 +302,62 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it.
     """
-    return list(_memo(sys, "zeros", tol, lambda: _confirmed_zeros(sys, _pencil_ranks(sys, tol)[1], tol)))
+    zeros = _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))[0]
+    if isinstance(zeros, IllConditionedPencil):
+        raise zeros.with_traceback(None)
+    return list(zeros)
 
 
-def _pencil_ranks(sys: LtiSystem, tol: TolerancePolicy) -> tuple[int, int]:
-    """The rank of P at the tracking frequency, and the normal rank.
+def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
+    """``(zeros, normal rank, rank of P at the tracking frequency tf)``; ``zeros`` may be the confirmation's error.
 
-    No rank exceeds n + min(m, p), so when the first reaches that value it
-    is the normal rank, and :func:`normal_rank` is not sampled.
+    A candidate has two values: its eigenvalue of A_f and the nearest one of the shifted matrix. P(tf) is
+    factored only when a candidate lies within the clustering radius of tf, and no candidate is moved onto tf.
     """
-    at_freq = rank_of(rosenbrock(sys, sys.domain.tracking_frequency), tol)
-    return at_freq, at_freq if at_freq == sys.n + min(sys.m, sys.p) else normal_rank(sys, tol)
+    A_f, B_f, nr, threshold = _reduction(sys, tol)
+    pairs = []
+    if A_f.size:
+        norm_b = float(np.linalg.norm(B_f))
+        stack = [A_f] if norm_b <= threshold else [A_f, A_f - np.linalg.norm(A_f) / norm_b**2 * (B_f @ B_f.T)]
+        spectra = np.linalg.eigvals(np.stack(stack))
+        for z in _cluster(spectra[0]):
+            w = complex(spectra[-1][np.argmin(np.abs(spectra[-1] - z))])
+            if z.imag >= 0.0 and abs(w - z) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+                pairs.append((z, w if z.imag else complex(w.real, 0.0)))
+    tf = sys.domain.tracking_frequency
+    probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _ in pairs) else []
+    try:
+        zeros, ranks = _confirm(sys, pairs, probe, nr, tol)
+    except IllConditionedPencil as exc:
+        zeros, ranks = exc, [rank_of(rosenbrock(sys, tf), tol) for _ in probe]
+    return zeros, nr, ranks[0] if probe else nr
 
 
-def _confirmed_zeros(sys: LtiSystem, nr: int, tol: TolerancePolicy) -> list[InvariantZero]:
-    """The zeros of :func:`invariant_zeros`, confirmed against the given normal rank ``nr``.
+def _confirm(sys: LtiSystem, pairs: list, probe: list, nr: int, tol: TolerancePolicy):
+    """The zeros among the candidates ``pairs`` at the normal rank ``nr``, and the rank of P at each value of ``probe``.
 
-    Both compressions share one shift sigma = i (1 + ||P(0)||_1) and are
-    solved together (:func:`_compression_candidates`). The singular values of
-    P at every clustered candidate come from one stacked SVD per dtype (real
-    pencils at real candidates, complex ones at complex candidates); each
-    candidate is polished from them, and the singular values at its polished
-    value confirm it.
+    One singular-value SVD per dtype factors P at every value, real at a real one. A candidate is decided at
+    the value of its two where P is nearer singular, since a controllable mode near it perturbs one of them;
+    in the upper half-plane it brings its conjugate.
     """
-    sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
-    first, second = _compression_candidates(sys, nr, sigma)
-    matched = [
-        z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))
-    ]
-    candidates = _cluster(np.asarray(matched))
-    pencils = [_pencil_at(sys, z) for z in candidates]
-    starts = _per_dtype(pencils, lambda stack: np.linalg.svd(stack, compute_uv=False))
+    values = [v for pair in pairs for v in pair] + probe
+    pencils = [rosenbrock(sys, z.real if z.imag == 0.0 else z) for z in values]
+    spectra = _per_dtype(pencils, lambda stack: np.linalg.svd(stack, compute_uv=False))
     zeros: list[InvariantZero] = []
-    for z, P, start in zip(candidates, pencils, starts):
-        z, s = _polish_candidate(sys, z, P, start, tol)
-        if z.imag != 0.0 and abs(z.imag) <= _CLUSTER_RTOL * (1.0 + abs(z)):
-            z, s = complex(z.real, 0.0), None
-        if s is None:
-            s = np.linalg.svd(_pencil_at(sys, z), compute_uv=False)
+    for i in range(0, 2 * len(pairs), 2):
+        j = min((i, i + 1), key=lambda j: spectra[j][nr - 1] / (spectra[j][0] or 1.0))
+        z, P, s = values[j], pencils[j], spectra[j]
         threshold = tol.rank_threshold(P.shape, float(s[0]))
         rank = int(np.sum(s > threshold))
         if rank < nr:
-            zeros.append(
-                InvariantZero(
-                    value=z,
-                    geometric_multiplicity=nr - rank,
-                    is_minimum_phase=sys.domain.is_interior_stable(z),
-                )
-            )
+            phase = sys.domain.is_interior_stable(z)
+            zeros += [InvariantZero(w, nr - rank, phase) for w in ([z, z.conjugate()] if z.imag else [z])]
         elif s[nr - 1] < _GRAY_ZONE * threshold:
             raise IllConditionedPencil(
                 f"candidate {z} has marginal singular value {s[nr - 1]:.3e} near threshold {threshold:.3e}"
             )
-    # A real pencil has conjugate-symmetric zeros; restore partners lost to
-    # numerics. A partner is found by distance, not by rounding both values to
-    # a grid, so one straddling a grid line is not restored a second time.
-    for z in list(zeros):
-        partner = z.value.conjugate()
-        if z.value.imag != 0.0 and not any(
-            abs(w.value - partner) <= _CLUSTER_RTOL * (1.0 + abs(partner)) for w in zeros
-        ):
-            zeros.append(InvariantZero(partner, z.geometric_multiplicity, z.is_minimum_phase))
-    return sorted(zeros, key=lambda z: (z.value.real, z.value.imag))
+    ranks = [_rank(s, P.shape, tol) for P, s in zip(pencils[2 * len(pairs) :], spectra[2 * len(pairs) :])]
+    return sorted(zeros, key=lambda z: (z.value.real, z.value.imag)), ranks
 
 
 def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
@@ -433,13 +376,12 @@ def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
 def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> AssumptionReport:
     """Check the four standing assumptions required by the tracking setup.
 
-    The normal rank and the invariant zeros are computed here once and
-    carried on the report for the caller to reuse. Like every answer about
-    the plant they take no seed: the random samples and compressions come
-    from the ``DEFAULT_SEED`` streams, so the report is a function of the
-    plant alone. The rank test at the tracking frequency comes first (see
-    :func:`_pencil_ranks`): when it reaches n + min(m, p) it is the normal
-    rank, and :func:`normal_rank` is not sampled.
+    The normal rank, the invariant zeros and the rank of the pencil at the
+    tracking frequency come from the plant's ``zeros`` fact, which
+    :func:`invariant_zeros` shares: one orthogonal reduction, one stacked
+    eigenvalue problem and one stacked confirmation (see :func:`_zero_facts`).
+    They are carried on the report for the caller to reuse, and no random
+    number is drawn.
 
     Stabilizability comes from the controllability staircase: its steps
     make about n / rank B real SVDs, and the uncontrollable modes are the
@@ -454,7 +396,7 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     eigenvalue of A is tested on the pencil [A - lam I, B] instead.
 
     The report is kept on the plant as its ``audit`` fact for ``tol`` and
-    returned as is by later calls (treat it as read-only); its zeros serve :func:`invariant_zeros`.
+    returned as is by later calls (treat it as read-only).
     """
     return _memo(sys, "audit", tol, lambda: _audit(sys, tol))
 
@@ -462,7 +404,7 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
 def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     """The report of :func:`audit_assumptions`, computed."""
     details: dict[str, str] = {}
-    at_freq, nr = _pencil_ranks(sys, tol)
+    zeros, nr, at_freq = _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
@@ -494,12 +436,9 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     no_zero_at_freq = at_freq == sys.n + sys.p
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {sys.domain.tracking_frequency}"
 
-    try:
-        zeros = _memo(sys, "zeros", tol, lambda: _confirmed_zeros(sys, nr, tol))
-    except IllConditionedPencil as exc:
-        zeros = None
-        distinct = False
-        details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {exc}"
+    if isinstance(zeros, IllConditionedPencil):
+        details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {zeros}"
+        zeros, distinct = None, False
     else:
         reason = _min_phase_violation(zeros)
         distinct = reason is None

@@ -42,7 +42,7 @@ def ill_conditioned_zeros(monkeypatch) -> str:
     def raise_ill_conditioned(*args):
         raise mt.IllConditionedPencil(reason)
 
-    monkeypatch.setattr(sysmodel, "_confirmed_zeros", raise_ill_conditioned)
+    monkeypatch.setattr(sysmodel, "_confirm", raise_ill_conditioned)
     return reason
 
 

@@ -441,3 +441,47 @@ class TestConfigFields:
         # So cli.run, which turns errors into exit codes, never meets one.
         with pytest.raises(ValueError, match="free_pool must be a list of numbers"):
             cli.JobConfig(command="analyze", system_path=str(demo_system_path()), free_pool=(None, -3.0))
+
+
+class TestMalformedFiles:
+    """A replay or system file of the wrong shape is a config error that writes nothing, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("directions", 5),
+            ("directions", [5]),
+            ("V_g", {"a": 1}),
+            ("W_g", [[1.0, [2.0]]]),
+            ("directions", [{"output": None, "v": [0.0] * 5, "w": [0.0] * 4}]),
+            ("directions", [{"output": 0, "v": {"x": 1}, "w": [0.0] * 4}]),
+        ],
+    )
+    def test_a_malformed_replay_file_is_a_config_error(self, tmp_path, capsys, field, value):
+        replay = json.loads(demo_replay_path().read_text()) | {field: value}
+        path, out = tmp_path / "replay.json", tmp_path / "out"
+        path.write_text(json.dumps(replay))
+        code = run_cli([
+            "--command", "synthesize", "--system", str(demo_system_path()), "--lambdas=-1,-2,-1",
+            "--reference=2,2,2", "--replay-vg", str(path), "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("field, value", [("A", {"x": 1}), ("B", 5), ("C", [[1.0, None, 0.0, 0.0, 0.0]]), ("D", [[1.0], [2.0, 3.0]])])
+    def test_a_malformed_system_file_is_a_config_error(self, tmp_path, capsys, field, value):
+        system = json.loads(demo_system_path().read_text()) | {field: value}
+        path, out = tmp_path / "system.json", tmp_path / "out"
+        path.write_text(json.dumps(system))
+        assert run_cli(["--command", "analyze", "--system", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not any(out.iterdir())
+
+    def test_a_well_formed_replay_reads_as_before(self, demo_replay):
+        replay = cli._load_replay(str(demo_replay_path()))
+        assert np.array_equal(replay.vg_state, demo_replay.vg_state)
+        assert np.array_equal(replay.vg_input, demo_replay.vg_input)
+        assert replay.directions.keys() == demo_replay.directions.keys()
+        for j, (v, w) in replay.directions.items():
+            assert np.array_equal(v, demo_replay.directions[j][0]) and np.array_equal(w, demo_replay.directions[j][1])

@@ -62,17 +62,16 @@ class TestGenerate:
             monkeypatch,
             (ensemble, "_verify_planted"),
             (sysmodel, "normal_rank"),
-            (sysmodel, "_compression_candidates"),
+            (sysmodel, "_reduction"),
         )
         mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=0))
         attempts = calls["_verify_planted"]
         assert attempts >= 1
-        # No zero sits at the tracking frequency, so every audit reads the
-        # normal rank off its rank test there and samples nothing.
+        # Every audit reads the normal rank and the zeros off one reduction.
         assert calls == {
             "_verify_planted": attempts,
             "normal_rank": 0,
-            "_compression_candidates": attempts,
+            "_reduction": attempts,
         }
 
     def test_planted_zero_plants_are_pinned(self):
@@ -283,11 +282,11 @@ class TestGenericityTrial:
 
     def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
         # generate() audits the plant it returns, and the audit keeps its
-        # confirmed zeros on the plant, so the trial solves no compression.
+        # confirmed zeros on the plant, so the trial reduces the plant no more.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, planted_zero_values=(-3.0,), seed=0))
-        calls = count_calls(monkeypatch, (sysmodel, "_compression_candidates"))
+        calls = count_calls(monkeypatch, (sysmodel, "_reduction"))
         stats = mt.genericity_trial(plant, trials=20, seed=0)
-        assert calls == {"_compression_candidates": 0}
+        assert calls == {"_reduction": 0}
         assert stats.trials == 20
 
     def test_kernel_failure_fails_every_trial(self, monkeypatch):

@@ -342,6 +342,20 @@ class TestVstarG:
         with pytest.raises(mt.SaturationFailure):
             discover_vstar_g(plant, free_pool=(-1.0,), zeros=zeros)
 
+    def test_a_kept_pool_kernel_cannot_be_written_through(self):
+        # A visited kernel is a view of a factor the plant keeps in its pool
+        # fact, which a design over the same pool reads; a write to it must
+        # fail rather than change that design.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0))
+        before = mt.synthesize(mt.LtiSystem.from_json_dict(plant.to_json_dict()), spec).F
+        span = discover_vstar_g(plant, zeros=mt.invariant_zeros(plant), avoid=spec.lambdas)
+        kernel = span.visited[0][1]
+        assert any(np.shares_memory(kernel, f.vh) for f in plant._facts["pool"][1].values())
+        with pytest.raises(ValueError):
+            kernel[...] = 0.0
+        assert np.array_equal(mt.synthesize(plant, spec).F, before)
+
     def test_remixing_preserves_span(self, demo_system, demo_zeros):
         kernels = discover_vstar_g(demo_system, zeros=demo_zeros)
         first, second = draw(kernels, 1), draw(kernels, 2)

@@ -255,13 +255,11 @@ class TestSynthesize:
             mt.synthesize(sys, mt.SynthesisSpec(lambdas=(-1.0,), reference=(1.0,)))
 
     def test_plant_facts_are_computed_once(self, fresh_demo, monkeypatch):
-        # The audit reads the normal rank off its rank test at the tracking
-        # frequency (the demo has no zero there, so nothing is sampled) and
-        # solves the two compressed eigenproblems of one zero computation together;
-        # synthesis reuses both.
-        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (sysmodel, "_compression_candidates"))
+        # The audit reads the normal rank and the zeros off one reduction of
+        # the plant; synthesis reuses both.
+        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (sysmodel, "_reduction"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"normal_rank": 0, "_compression_candidates": 1}
+        assert calls == {"normal_rank": 0, "_reduction": 1}
 
     def test_each_distinct_mode_pencil_is_factored_once(self, fresh_demo, monkeypatch):
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions

@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack import ensemble, sysmodel
+from monotrack import sysmodel
 from monotrack.numkernel import controllable_staircase
 from monotrack.seeding import DEFAULT_SEED, rng_for
 from monotrack.sysmodel import rosenbrock
 
+from .compression_oracle import oracle_zeros, sampled_normal_rank
 from .conftest import DEMO_ZEROS, count_calls, record_calls, wide_plant
 from .pbh_oracle import pbh_stabilizable
 
@@ -111,6 +112,14 @@ class TestNormalRank:
         sys = mt.LtiSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]])
         assert mt.normal_rank(sys) == 2
 
+    def test_a_dependent_output_row_is_counted_without_sampling(self, monkeypatch):
+        # The second state is unreachable and C = I: the reduction finds one
+        # dependent row after one step, and the sampled rank agrees.
+        sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
+        assert mt.normal_rank(sys) == 3 == sampled_normal_rank(sys)
+        assert calls == {"rank_of": 0}
+
 
 class TestInvariantZeros:
     def test_demo_zero_set(self, demo_zeros):
@@ -154,6 +163,12 @@ class TestInvariantZeros:
             for z in values:
                 assert any(abs(z.conjugate() - other) <= 1e-6 * (1 + abs(z)) for other in values)
 
+    def test_complex_zeros_serialise(self):
+        # The phase flags of a complex pair must stay Python bools for the CLI's json output.
+        zeros = mt.invariant_zeros(mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, seed=1)))
+        assert any(z.value.imag != 0.0 for z in zeros)
+        assert all(type(z.value) is complex and type(z.is_minimum_phase) is bool for z in zeros)
+
     def test_uncontrollable_modes_appear_among_zeros(self):
         spec = mt.GeneratorSpec(n=4, m=2, p=2, planted_uncontrollable_modes=(-1.5,), seed=21)
         sys = mt.generate(spec)
@@ -162,7 +177,7 @@ class TestInvariantZeros:
 
 
 def qz_compression_candidates(sys, nr, sigma):
-    """The square QZ compressions invariant_zeros used to solve, kept as their oracle.
+    """The square QZ compressions invariant_zeros once solved, an independent candidate set for the compression oracle.
 
     Each of the two compresses to min(n+p, n+m) whatever the normal rank
     ``nr`` and solves the generalized eigenproblem (L P(0) R, L E R) with
@@ -199,23 +214,46 @@ def oracle_plants(demo_system):
     return plants
 
 
-class TestZeroCompression:
-    def test_agrees_with_the_qz_compression(self, demo_system, monkeypatch):
-        expected = {}
-        plants = oracle_plants(demo_system)
-        with monkeypatch.context() as patch:
-            patch.setattr(sysmodel, "_compression_candidates", qz_compression_candidates)
-            for i, plant in enumerate(plants):
-                expected[i] = mt.invariant_zeros(plant)
-        for i, plant in enumerate(plants):
-            got = mt.invariant_zeros(plant)
-            assert len(got) == len(expected[i]), f"plant {i}"
-            for want in expected[i]:
-                match = min(got, key=lambda z: abs(z.value - want.value))
-                got.remove(match)
-                assert abs(match.value - want.value) <= 1e-9 * abs(want.value), f"plant {i}"
-                assert match.geometric_multiplicity == want.geometric_multiplicity
-                assert match.is_minimum_phase == want.is_minimum_phase
+def sweep_plants():
+    """``generate`` over the six sweep sizes, planted none, -3, +2 or -1 +- 2j, seeds 0-2."""
+    sizes = ((4, 2, 2), (6, 3, 2), (8, 4, 3), (10, 4, 3), (12, 5, 4), (16, 6, 5))
+    plantings = ((), (-3.0,), (2.0,), (-1.0 + 2.0j, -1.0 - 2.0j))
+    return [
+        mt.generate(mt.GeneratorSpec(n, m, p, planted_zero_values=planted, seed=seed))
+        for n, m, p in sizes for planted in plantings for seed in range(3)
+    ]
+
+
+def assert_same_zeros(got, want, rtol, label):
+    """The two zero lists agree value by value to ``rtol`` relative, with the same multiplicities and phases."""
+    assert len(got) == len(want), label
+    got = list(got)
+    for w in want:
+        match = min(got, key=lambda z: abs(z.value - w.value))
+        got.remove(match)
+        assert abs(match.value - w.value) <= rtol * abs(w.value), label
+        assert match.geometric_multiplicity == w.geometric_multiplicity, label
+        assert match.is_minimum_phase == w.is_minimum_phase, label
+
+
+def confirmed_by_rank_test(plant, zeros):
+    """Each zero drops the rank of P(z) below the normal rank by its multiplicity, by a direct rank test."""
+    nr = sampled_normal_rank(plant)
+    return all(mt.rank_of(rosenbrock(plant, z.value)) == nr - z.geometric_multiplicity for z in zeros)
+
+
+class TestZerosAgainstTheCompressionOracle:
+    def test_the_zeros_and_normal_rank_equal_the_compression_path(self):
+        for i, plant in enumerate(sweep_plants()):
+            fresh = mt.LtiSystem.from_json_dict(plant.to_json_dict())
+            want, nr = oracle_zeros(fresh)
+            assert mt.normal_rank(fresh) == nr, f"plant {i}"
+            assert_same_zeros(mt.invariant_zeros(fresh), want, 1e-10, f"plant {i}")
+
+    def test_agrees_with_the_qz_compression(self, demo_system):
+        for i, plant in enumerate(oracle_plants(demo_system)):
+            want, _ = oracle_zeros(plant, candidates=qz_compression_candidates)
+            assert_same_zeros(mt.invariant_zeros(plant), want, 1e-9, f"plant {i}")
 
     def test_zero_in_the_qz_gray_zone_is_confirmed(self):
         plant = found_plant()
@@ -226,101 +264,86 @@ class TestZeroCompression:
         for z in zeros:
             assert mt.rank_of(rosenbrock(plant, z.value)) == nr - z.geometric_multiplicity
 
-    def test_a_pair_straddling_the_rounding_grid_is_not_restored_twice(self, monkeypatch):
-        z = complex(-1.0, 2.0000000005)
-        generated = mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, planted_zero_values=(z, z.conjugate()), seed=0))
-        # A new object: the generated one keeps the zeros its audit confirmed.
-        plant = mt.LtiSystem.from_json_dict(generated.to_json_dict())
-        # The planted pair a few ulps off, already at the rank threshold, so
-        # polishing keeps it; at 9 digits the imaginary parts round to
-        # 2.000000001 and -2.0, not to a conjugate pair.
-        pair = np.array([complex(-1.0, 2.0000000005 + 3e-15), complex(-1.0, -2.0000000005 + 3e-15)])
-        monkeypatch.setattr(sysmodel, "_compression_candidates", lambda *args: (pair, pair))
-        assert [w.value for w in mt.invariant_zeros(plant)] == [complex(pair[1]), complex(pair[0])]
+    def test_every_zero_pair_is_exactly_conjugate(self, demo_system):
+        for plant in oracle_plants(demo_system):
+            values = [z.value for z in mt.invariant_zeros(plant)]
+            assert all(v.conjugate() in values for v in values if v.imag)
 
 
-class TestConfirmedZeros:
-    def test_confirmation_reuses_the_polishing_svd(self, demo_system, monkeypatch):
-        # One stacked SVD gives the singular values at the 4 real demo
-        # candidates. Each is at the rank threshold already, so polishing
-        # takes no step and those singular values confirm the zero.
-        policy = mt.DEFAULT_POLICY
-        with monkeypatch.context() as patch:
-            # Discarding the polishing SVD forces a second SVD per zero.
-            polish = sysmodel._polish_candidate
-            patch.setattr(sysmodel, "_polish_candidate", lambda *args: (polish(*args)[0], None))
-            expected = sysmodel._confirmed_zeros(demo_system, 8, policy)
-        calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        zeros = sysmodel._confirmed_zeros(demo_system, 8, policy)
-        assert calls == {"svd": 1}
-        assert zeros == expected
-        assert [z.value.real for z in zeros] == pytest.approx(DEMO_ZEROS, abs=1e-9)
+class TestReduction:
+    def test_a_roundoff_input_on_vstar_has_no_columns(self):
+        # The reduction leaves one state, at 5, and a B_f of roundoff size,
+        # below the threshold. Taken as a column, the scaled shift
+        # s B_f B_f^T would move 5 onto 0, and the zero would be lost.
+        D = np.zeros((3, 4))
+        D[0, 0] = 1.0
+        plant = mt.LtiSystem.relaxed(
+            [[-1, -3, -3], [-2, 3, 1], [2, -1, 3]],
+            [[-2, 2, -2, -2], [-2, 1, -1, 0], [0, 1, -1, -2]],
+            [[-1, -1, 1], [1, -2, 1], [-2, 1, -1]],
+            D,
+        )
+        A_f, B_f, nr, threshold = sysmodel._reduction(plant, mt.DEFAULT_POLICY)
+        assert A_f.shape == (1, 1) and A_f[0, 0] == pytest.approx(5.0, rel=1e-12)
+        assert np.linalg.norm(B_f) <= threshold
+        assert nr == sampled_normal_rank(plant) == 6
+        zeros = mt.invariant_zeros(plant)
+        assert [(round(z.value.real, 9), z.geometric_multiplicity) for z in zeros] == [(5.0, 1)]
+        assert confirmed_by_rank_test(plant, zeros)
 
-    def test_both_compressions_share_one_shift(self, demo_system, monkeypatch):
-        shifts = []
-        compress = sysmodel._compression_candidates
+    @pytest.mark.parametrize("state", [4.0, -1.0])
+    def test_a_state_no_input_or_output_reaches_is_a_zero(self, state):
+        # P(lam) = [[state - lam, 0], [0, 0] x 3]: normal rank 1, and rank 0 at lam = state.
+        plant = mt.LtiSystem.relaxed([[state]], np.zeros((1, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        zeros = mt.invariant_zeros(plant)
+        assert mt.normal_rank(plant) == 1
+        assert zeros == [mt.InvariantZero(complex(state), 1, state < 0.0)]
+        assert confirmed_by_rank_test(plant, zeros)
 
-        def capture(*args):
-            shifts.append(args[-1])
-            return compress(*args)
+    @pytest.mark.parametrize("domain", tuple(mt.TimeDomain))
+    def test_a_zero_near_the_tracking_frequency_keeps_its_value(self, domain, monkeypatch):
+        # SISO zero at A - B C / D = a - 2; P at the tracking frequency joins
+        # the confirmation's one stacked SVD, after the candidate's two
+        # values, and the zero is not moved onto it.
+        tf = domain.tracking_frequency
+        plant = mt.LtiSystem([[tf + 2.0 + 1e-7]], [[1.0]], [[1.0]], [[0.5]], domain)
+        stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
+        report = mt.audit_assumptions(plant)
+        assert (3, 2, 2) in stacks
+        assert [z.value for z in report.zeros] == pytest.approx([tf + 1e-7], abs=1e-15)
+        assert report.no_zero_at_tracking_frequency and report.all_pass
+        assert report.details["no_zero_at_tracking_frequency"] == f"pencil rank 2 at frequency {tf}"
+        assert confirmed_by_rank_test(plant, report.zeros)
 
-        monkeypatch.setattr(sysmodel, "_compression_candidates", capture)
-        calls = count_calls(monkeypatch, (sysmodel, "rosenbrock"))
-        sysmodel._confirmed_zeros(demo_system, 8, mt.DEFAULT_POLICY)
-        # One call solves both compressions.
-        assert shifts == [1j * (1.0 + np.linalg.norm(rosenbrock(demo_system, 0.0), 1))]
-        # P(0) once for the shift, P(sigma) once for both compressions, and
-        # one pencil per demo zero, whose singular values also confirm it.
-        assert calls == {"rosenbrock": 1 + 1 + 4}
+    @pytest.mark.parametrize("domain", tuple(mt.TimeDomain))
+    def test_a_zero_at_the_tracking_frequency_fails_the_audit(self, domain):
+        tf = domain.tracking_frequency
+        report = mt.audit_assumptions(mt.LtiSystem([[tf + 2.0]], [[1.0]], [[1.0]], [[0.5]], domain))
+        assert [z.value for z in report.zeros] == [tf]
+        assert not report.no_zero_at_tracking_frequency
+        assert report.details["no_zero_at_tracking_frequency"] == f"pencil rank 1 at frequency {tf}"
 
+    def test_the_confirmation_is_one_stacked_svd(self, demo_system, monkeypatch):
+        # The demo's four real zeros, each with its two values, are confirmed
+        # by one singular-value SVD of a stack of eight real pencils; no
+        # candidate is polished.
+        pairs = [(complex(z), complex(z)) for z in DEMO_ZEROS]
+        stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
+        zeros, ranks = sysmodel._confirm(demo_system, pairs, [], 8, mt.DEFAULT_POLICY)
+        assert stacks == [(8, 8, 9)] and ranks == []
+        assert [z.value for z in zeros] == list(DEMO_ZEROS)
 
-class TestPolishCandidate:
-    def test_a_root_at_the_rank_threshold_is_not_stepped_away(self, monkeypatch):
-        # A second Newton step from an exact root follows noise singular
-        # vectors; polishing must stop once the pencil is singular to working
-        # precision.
-        audited = []
-        audit = ensemble.audit_assumptions
-
-        def capture(plant, *args, **kwargs):
-            audited.append(plant)
-            return audit(plant, *args, **kwargs)
-
-        monkeypatch.setattr(ensemble, "audit_assumptions", capture)
-        mt.generate(mt.GeneratorSpec(n=8, m=4, p=3, planted_zero_values=(-3.0,), seed=5))
-        plant, z = audited[0], complex(-2.9999999999998996)
-        P = sysmodel._pencil_at(plant, z)
-        s = np.linalg.svd(P, compute_uv=False)
-        assert s[-1] <= mt.DEFAULT_POLICY.rank_threshold(P.shape, s[0])
-        calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        polished, singular_values = sysmodel._polish_candidate(plant, z, P, s, mt.DEFAULT_POLICY)
-        assert polished == z
-        # No step was taken: the singular values of P at the root come back.
-        assert singular_values is s
-        assert calls == {"svd": 0}
-
-    def test_a_nearby_candidate_is_refined(self, demo_system, monkeypatch):
-        z = complex(-6.0 + 1e-8)
-        P = sysmodel._pencil_at(demo_system, z)
-        start = np.linalg.svd(P, compute_uv=False)
-        calls = count_calls(monkeypatch, (np.linalg, "svd"))
-        refined, singular_values = sysmodel._polish_candidate(demo_system, z, P, start, mt.DEFAULT_POLICY)
-        assert abs(refined + 6.0) <= 1e-12
-        assert type(refined) is complex
-        # The caller gives the singular values at the candidate. One step
-        # costs 2 SVDs more: the full SVD it steps from, and the full SVD at
-        # the value it reaches, whose singular values come back to confirm
-        # the refined value, so the caller factors no pencil.
-        assert calls == {"svd": 2}
-        expected = np.linalg.svd(rosenbrock(demo_system, refined.real), compute_uv=False)
-        assert np.allclose(singular_values, expected, rtol=1e-12, atol=1e-12 * expected[0])
-
-    def test_refined_complex_zeros_serialise(self):
-        # The complex pair of this plant is refined by a Newton step; its phase
-        # flags must stay Python bools for the CLI's json output.
-        zeros = mt.invariant_zeros(mt.generate(mt.GeneratorSpec(n=4, m=2, p=2, seed=1)))
-        assert any(z.value.imag != 0.0 for z in zeros)
-        assert all(type(z.value) is complex and type(z.is_minimum_phase) is bool for z in zeros)
+    def test_a_zero_beside_a_controllable_mode_is_decided_at_its_shifted_value(self):
+        # The uncontrollable state's mode -2 lies 3e-4 from a controllable
+        # mode of A_f, so its eigenvalue of A_f is off by 1e-11 and P there is
+        # 33 times the threshold from singular. The shift moves the
+        # controllable mode away, and P at the shifted value confirms the zero.
+        A = [[2, 2, 1, -3, -2, -3], [-2, 3, 2, 0, -1, 3], [3, -3, 3, 3, 0, -2], [-2, -1, 0, -1, 1, -2], [1, 3, 3, -3, 3, -3], [0, 0, 0, 0, 0, -2]]
+        B = [[-2, 0, -1, 2], [0, -2, 2, 0], [-2, -2, 1, 1], [2, 2, 0, 2], [0, -2, 2, -2], [0, 0, 0, 0]]
+        plant = mt.LtiSystem.relaxed(A, B, [[1, -2, -2, -2, 1, -2]], np.zeros((1, 4)))
+        zeros = mt.invariant_zeros(plant)
+        assert [(round(z.value.real, 9), z.geometric_multiplicity) for z in zeros] == [(-2.0, 1)]
+        assert confirmed_by_rank_test(plant, zeros)
 
 
 class TestClassifyZeros:
@@ -362,37 +385,26 @@ class TestAuditAssumptions:
         assert report.all_pass
         assert report.right_invertible and report.stabilizable
 
-    def test_full_rank_audit_reads_the_normal_rank_at_the_tracking_frequency(self, fresh_demo, monkeypatch):
-        # The test at the tracking frequency reaches n + min(m, p), which is
-        # then the normal rank. The staircase takes 2 steps: B reaches 4 of
-        # the 5 states, and A adds nothing to them, so one stable mode stays
-        # uncontrollable. One stacked SVD confirms the 4 zeros.
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (sysmodel, "normal_rank"), (np.linalg, "svd"))
+    def test_full_rank_audit_takes_the_normal_rank_from_the_reduction(self, fresh_demo, monkeypatch):
+        # The demo's D has full row rank: the reduction makes one SVD and no
+        # step. The staircase takes 2 steps: B reaches 4 of the 5 states, and A adds
+        # nothing to them, so one stable mode stays uncontrollable. One
+        # stacked SVD confirms the 4 zeros; no zero is near 0, so P(0) is not factored.
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "svd"))
         report = mt.audit_assumptions(fresh_demo)
-        assert calls == {"rank_of": 1, "normal_rank": 0, "svd": 1 + 2 + 1}
+        assert calls == {"rank_of": 0, "svd": 1 + 2 + 1}
         assert report.normal_rank == fresh_demo.n + fresh_demo.p
+        assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 8 at frequency 0.0"
         assert report.stabilizable
 
-    def test_a_zero_at_the_tracking_frequency_samples_the_normal_rank(self, monkeypatch):
-        sys = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
-        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"))
-        report = mt.audit_assumptions(sys)
-        assert calls == {"normal_rank": 1}
-        assert report.normal_rank == 2
-        assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 1 at frequency 0.0"
-
-    def test_zeros_alone_take_the_normal_rank_as_the_audit_does(self, fresh_demo, monkeypatch):
-        # invariant_zeros without an audit tests the real pencil at the
-        # tracking frequency first, and samples no complex pencil; a plant with
-        # a zero there samples the normal rank. The zeros are the audit's, bit for bit.
+    def test_zeros_alone_are_the_audit_zeros_bit_for_bit(self, fresh_demo, monkeypatch):
+        # invariant_zeros without an audit makes the reduction's one SVD, the
+        # one stacked eigenvalue problem and the one confirmation SVD, and no staircase.
         audited = mt.audit_assumptions(mt.LtiSystem(fresh_demo.A, fresh_demo.B, fresh_demo.C, fresh_demo.D)).zeros
-        zero_at_zero = mt.LtiSystem([[2.0]], [[1.0]], [[1.0]], [[0.5]])
-        calls = count_calls(monkeypatch, (sysmodel, "normal_rank"), (np.linalg, "svd"))
+        calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         zeros = mt.invariant_zeros(fresh_demo)
-        assert calls == {"normal_rank": 0, "svd": 1 + 1}
+        assert calls == {"svd": 1 + 1, "eigvals": 1}
         assert np.array([z.value for z in zeros]).tobytes() == np.array([z.value for z in audited]).tobytes()
-        mt.invariant_zeros(zero_at_zero)
-        assert calls["normal_rank"] == 1
 
     def test_a_single_input_staircase_takes_one_step_per_state(self, monkeypatch):
         # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
@@ -408,17 +420,19 @@ class TestAuditAssumptions:
         assert X.shape == (4, 4) and Z.shape == (4, 0)
         assert mt.audit_assumptions(mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])).stabilizable
 
-    def test_a_strictly_proper_draw_at_n_64_audits_in_three_svds(self, monkeypatch):
-        # B reaches 34 of the 64 states and A B the other 30: 2 staircase
-        # steps after the rank test at the tracking frequency. The plant has
-        # no zeros; the one stacked eigenvalue problem is that of both zero compressions.
+    def test_a_strictly_proper_draw_at_n_64_audits_in_four_svds(self, monkeypatch):
+        # D = 0 is below the threshold and takes no SVD. The reduction makes
+        # one SVD of C, restricts the state to ker C and appends C B, which
+        # has full row rank: one SVD more. B reaches 34 of the 64 states and
+        # A B the other 30: 2 staircase steps. The plant has no zeros and no
+        # candidate, so the one stacked eigenvalue problem is all the zeros cost.
         rng = np.random.default_rng([0, 64, 34, 26])
         A = rng.standard_normal((64, 64)) / 8.0
         sys = mt.LtiSystem(A, rng.standard_normal((64, 34)), rng.standard_normal((26, 64)), np.zeros((26, 34)))
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(sys)
         assert report.stabilizable and report.zeros == []
-        assert calls == {"svd": 1 + 2, "eigvals": 1}
+        assert calls == {"svd": 2 + 2, "eigvals": 1}
 
     def test_an_uncontrollable_pair_lists_both_members(self):
         # The pair 1 +- 2j is not reachable from B; both members are reported.
@@ -431,12 +445,6 @@ class TestAuditAssumptions:
         assert report.details["stabilizable"] == f"uncontrollable unstable modes {bad}"
         # Plain Python numbers, not NumPy reprs.
         assert "np." not in report.details["stabilizable"]
-
-    def test_normal_rank_samples_on_while_below_full_rank(self, monkeypatch):
-        sys = mt.LtiSystem.relaxed(np.diag([-1.0, -2.0]), [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], np.zeros((2, 2)))
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
-        assert mt.normal_rank(sys) == 3
-        assert calls == {"rank_of": sysmodel._NORMAL_RANK_SAMPLES}
 
     def test_report_carries_the_normal_rank_and_zeros(self, demo_system, demo_zeros):
         report = mt.audit_assumptions(demo_system)
@@ -454,17 +462,17 @@ class TestAuditAssumptions:
 
     def test_the_report_and_zeros_are_kept_on_the_plant(self, fresh_demo, monkeypatch):
         report = mt.audit_assumptions(fresh_demo)
-        calls = count_calls(monkeypatch, (sysmodel, "_audit"), (sysmodel, "_compression_candidates"))
+        calls = count_calls(monkeypatch, (sysmodel, "_audit"), (sysmodel, "_reduction"))
         assert mt.audit_assumptions(fresh_demo) is report
         zeros = mt.invariant_zeros(fresh_demo)
         assert zeros == report.zeros and zeros is not report.zeros
         zeros.clear()
         assert mt.invariant_zeros(fresh_demo) == report.zeros
-        assert calls == {"_audit": 0, "_compression_candidates": 0}
+        assert calls == {"_audit": 0, "_reduction": 0}
         # Another policy is another key.
         other = mt.TolerancePolicy(relative_rank_tol=1e-10)
         assert mt.audit_assumptions(fresh_demo, other) is not report
-        assert calls == {"_audit": 1, "_compression_candidates": 1}
+        assert calls == {"_audit": 1, "_reduction": 1}
 
     def test_uncontrollable_unstable_mode_fails(self):
         A = np.diag([1.0, -2.0])
@@ -526,10 +534,9 @@ class TestStaircaseAgainstPbh:
         stacks = record_calls(monkeypatch, sysmodel, "ranks_of", lambda stack, *args: len(stack))
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
         report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
-        # The rank test at the tracking frequency and one stacked pencil test
-        # with a member per unstable mode or pair; eigvals(A) and the one
-        # stacked eigvals of both zero compressions.
-        assert calls == {"rank_of": 1, "eigvals": 1 + 1}
+        # One stacked pencil test with a member per unstable mode or pair;
+        # eigvals(A) and the one stacked eigenvalue problem of the zeros.
+        assert calls == {"rank_of": 0, "eigvals": 1 + 1}
         assert stacks == [len(tested)]
         assert not report.stabilizable
         reported = ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))
