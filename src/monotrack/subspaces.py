@@ -18,12 +18,13 @@ and returns them as a ``KernelSpan`` with an orthonormal basis. It visits
 pool frequencies until one adds nothing or, for V*g and the full plant's R*,
 until the span reaches the dimension the invariant zeros leave (dim V* less
 their geometric multiplicities: all of them for R*, the non-minimum-phase
-ones for V*g), so a span that reaches it costs no confirming factor. ``draw`` then
-mixes a paired basis out of those kernels in one seeded pass, which raises
-only if it falls short; another try is a draw at another seed. A draw makes
-no rank test: the test of a design try's n x n V implies it. Spans need no
-draw. Both steps test candidates against a span with the one stacked test of
-``_SpanTracker``.
+ones for V*g), so a span that reaches it costs no confirming factor; its
+pencils are factored in few stacked calls, sized from the kept normal rank.
+``draw`` then mixes a paired basis out of those kernels in one seeded pass,
+which raises only if it falls short; another try is a draw at another seed.
+A draw makes no rank test: the test of a design try's n x n V implies it.
+Spans need no draw. Both steps test candidates against a span with the one
+stacked test of ``_SpanTracker``.
 
 A classical fixed-point recursion (``vstar_recursive`` / ``rstar_recursive``)
 is provided as an independent oracle for cross-checking the kernel-stacking
@@ -371,37 +372,57 @@ def _dimension_bound(sys: LtiSystem, fixed: int, rank: int | None) -> int:
 
 def _discover(
     sys: LtiSystem, seeded: list, pool: tuple, excluded_output: int | None, tol: TolerancePolicy, tag: tuple,
-    fixed: int | None = None,
+    fixed: int | None = None, extra: tuple = (),
 ):
-    """Span of the ``seeded`` kernels, then of pool kernels in order until one adds nothing or the bound is reached.
+    """Span of the kernels at the ``seeded`` modes, then of pool kernels in order until one adds nothing.
 
     ``fixed`` is the number of dimensions the invariant zeros keep off the
     span: the zeros are the fixed modes of A + BF on V*/R* (Morse 1973), so a
     zero of geometric multiplicity g takes at least g dimensions of V*. The
-    span stops growing at :func:`_dimension_bound`, which reads the rank of the
-    first pool factor when D = 0, and once it is reached no further pool
-    frequency is factored; reaching it at the last pool value is saturation.
-    None sets no bound.
+    span stops growing at :func:`_dimension_bound`, which reads the rank of
+    each pool factor when D = 0; reaching it at the last pool value is
+    saturation. None sets no bound. A pool exhausted below the bound at the
+    normal rank nr, an empty one too, raises :class:`SaturationFailure`.
 
-    Each visited frequency's factor goes into the plant's ``pool`` fact, a dict
-    from mu to :class:`PencilFactor` for ``(pool, tol)``, with its arrays made
-    read-only, so no kernel returned from it can be written through: the
-    discoveries over one pool (R*, every R*_j, V*g) share one SVD per
-    frequency, and :func:`synthesis._witnesses` reads the factors at its modes from it.
+    The factors are kept read-only in the plant's ``pool`` fact, a dict from
+    mu to :class:`PencilFactor` for ``(pool, tol)`` that the discoveries over
+    one pool and :func:`synthesis._witnesses` share; of the values off the
+    pool it keeps only the last discovery's, so it stays bounded. One
+    :func:`factor_pencils` call factors the seeded modes, the ``extra``
+    values and the pool values the walk is predicted to visit, and one more
+    each value the walk reaches unfactored and those predicted to follow it:
+    ceil((bound at nr - dim) / w), where a kernel off the zeros has
+    w = n + m - nr columns (one more, x_j, with an output row deleted) and a
+    seeded one, at a simple zero, w + 1, twice for a pair; an unbounded walk
+    predicts up to n. nr is read from the plant's ``zeros`` fact; without it,
+    a call factors one value.
     """
+    factors = _memo(sys, "pool", (pool, tol), dict)
+    for mu in set(factors).difference(pool):
+        del factors[mu]
+    nr = (_memo(sys, "zeros", tol) or (None, None))[1]
+    width = None if nr is None else sys.n + sys.m - nr + (excluded_output is not None)
+    limit = sys.n if fixed is None else _dimension_bound(sys, fixed, nr)
+    bound = math.inf if fixed is None else _dimension_bound(sys, fixed, None)
+
+    def stop(i: int, dim: int) -> int:  # the index past the values predicted from pool[i] at dimension dim
+        return i + (max(1, -(-(limit - dim) // width)) if width else 1)
+
+    seeded_dim = sum(((width or 0) + 1) * (1 + isinstance(mode, complex)) for mode in seeded)
+    ahead = pool[: stop(0, seeded_dim)] if width is not None and seeded_dim < bound else ()
+    _factor_into(sys, factors, [*seeded, *extra, *ahead], tol)
+    seeded = [(mode, factors[mode].kernel()) for mode in seeded]
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
         for k in range(kernel.shape[1]):
             for col in _real_columns(kernel[: sys.n, k], mode):
                 tracker.try_add(col.reshape(-1, 1))
-    bound = math.inf if fixed is None else _dimension_bound(sys, fixed, None)
-    visited, factors = [], _memo(sys, "pool", (pool, tol), dict)
-    for mu in pool:
+    visited = []
+    for i, mu in enumerate(pool):
         if tracker.dim >= bound:
             break
         if mu not in factors:
-            factor = factors[mu] = factor_pencil(sys, mu, tol)
-            _read_only((factor.pencil, factor.u, factor.s, factor.vh))
+            _factor_into(sys, factors, pool[i : stop(i, tracker.dim)], tol)
         factor = factors[mu]
         if fixed is not None:
             bound = min(bound, _dimension_bound(sys, fixed, factor.rank))
@@ -413,9 +434,17 @@ def _discover(
         if tracker.dim == before or tracker.dim >= bound:
             break
     else:
-        if tracker.dim > 0 and visited:
+        if visited or tracker.dim < limit:
             raise SaturationFailure("subspace dimension still growing at pool exhaustion")
     return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m, pool)
+
+
+def _factor_into(sys: LtiSystem, factors: dict, values: list, tol: TolerancePolicy) -> None:
+    """Factor the ``values`` that ``factors`` lacks, in one :func:`factor_pencils` call, into it, read-only."""
+    missing = [mu for mu in dict.fromkeys(values) if mu not in factors]
+    for mu, factor in zip(missing, factor_pencils(sys, missing, tol)):
+        factors[mu] = factor
+        _read_only((factor.pencil, factor.u, factor.s, factor.vh))
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
@@ -511,7 +540,8 @@ def discover_vstar_g(
     The discovery stops once the span reaches dim V* less the geometric
     multiplicities of the zeros that are not minimum phase (see
     :func:`_discover`); the seeded kernels alone may reach it, and then no
-    pool frequency is factored.
+    pool frequency is visited. The first :func:`factor_pencils` call also
+    factors the ``avoid`` values, a design's modes, for :func:`synthesis._witnesses`.
     """
     reason = _min_phase_violation(zeros)
     if reason is not None:
@@ -519,10 +549,9 @@ def discover_vstar_g(
     pool = _validated_pool(sys, free_pool, zeros, avoid)
     # A conjugate pair is seeded at its upper representative; real zeros keep
     # a real pencil so the kernel carries no complex phase.
-    modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
-    seeded = [(mode, factor.kernel()) for mode, factor in zip(modes, factor_pencils(sys, modes, tol))]
+    seeded = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     fixed = _fixed_dims(zeros, every=False)
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed)
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed, extra=avoid)
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,10 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     The verdict depends on the plant and the modes only, so it is decided on
     the V*g span given (discovered, or a replay's validated basis) and
     raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
-    kernel and their x_j, or :class:`DegenerateDirection`. A mode that the
-    discovery of ``vg_span`` visited reads its factor from the plant's
-    ``pool`` fact; one :func:`factor_pencils` call factors the others, none
-    when the discovery visited them all, and they are not kept on the plant.
+    kernel and their x_j, or :class:`DegenerateDirection`. A mode whose
+    factor the plant's ``pool`` fact holds (the V*g discovery of
+    :func:`synthesize` factors every mode into it) is read from there; one
+    :func:`factor_pencils` call factors the others, not kept on the plant.
     """
     held = _memo(sys, "pool", (vg_span.pool, tol), dict) if isinstance(vg_span, KernelSpan) else {}
     missing = [lam for lam in dict.fromkeys(lambdas) if lam not in held]

@@ -153,13 +153,16 @@ class LtiSystem:
             fh.write("\n")
 
 
-def _memo(sys: LtiSystem, kind: str, key, compute):
+def _memo(sys: LtiSystem, kind: str, key, compute=None):
     """``compute()``, kept on the plant as its fact of ``kind`` for the latest ``key`` alone: one fact per kind.
 
-    An exception is not kept: the next call computes again and raises afresh.
+    An exception is not kept: the next call computes again and raises afresh. With no ``compute``, a read: the
+    fact held for ``key``, or None.
     """
     held = sys._facts.get(kind)
     if held is None or held[0] != key:
+        if compute is None:
+            return None
         held = sys._facts[kind] = (key, compute())
     return held[1]
 
@@ -300,7 +303,7 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
     ------
     IllConditionedPencil
         If a candidate sits in the gray zone where the rank test can neither
-        confirm nor reject it.
+        confirm nor reject it, also after one Newton step (see :func:`_confirm`).
     """
     zeros = _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))[0]
     if isinstance(zeros, IllConditionedPencil):
@@ -338,7 +341,8 @@ def _confirm(sys: LtiSystem, pairs: list, probe: list, nr: int, tol: TolerancePo
 
     One singular-value SVD per dtype factors P at every value, real at a real one. A candidate is decided at
     the value of its two where P is nearer singular, since a controllable mode near it perturbs one of them;
-    in the upper half-plane it brings its conjugate.
+    in the upper half-plane it brings its conjugate. A candidate rejected there, as roundoff in its value can
+    make it, is decided again after one :func:`_newton_step` that stays within ``_CLUSTER_RTOL``.
     """
     values = [v for pair in pairs for v in pair] + probe
     pencils = [rosenbrock(sys, z.real if z.imag == 0.0 else z) for z in values]
@@ -347,6 +351,11 @@ def _confirm(sys: LtiSystem, pairs: list, probe: list, nr: int, tol: TolerancePo
     for i in range(0, 2 * len(pairs), 2):
         j = min((i, i + 1), key=lambda j: spectra[j][nr - 1] / (spectra[j][0] or 1.0))
         z, P, s = values[j], pencils[j], spectra[j]
+        if s[nr - 1] > tol.rank_threshold(P.shape, float(s[0])):
+            step = _newton_step(sys, P, nr)
+            if abs(step) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+                z += step
+                s = np.linalg.svd(rosenbrock(sys, z.real if z.imag == 0.0 else z), compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
         rank = int(np.sum(s > threshold))
         if rank < nr:
@@ -358,6 +367,12 @@ def _confirm(sys: LtiSystem, pairs: list, probe: list, nr: int, tol: TolerancePo
             )
     ranks = [_rank(s, P.shape, tol) for P, s in zip(pencils[2 * len(pairs) :], spectra[2 * len(pairs) :])]
     return sorted(zeros, key=lambda z: (z.value.real, z.value.imag)), ranks
+
+
+def _newton_step(sys: LtiSystem, P: np.ndarray, nr: int) -> complex:
+    """Newton's step dz toward a zero of the ``nr``-th singular value of ``P`` = P(z); dP/dz is -diag(I_n, 0)."""
+    u, s, vh = np.linalg.svd(P)
+    return complex(s[nr - 1] / (u[: sys.n, nr - 1].conj() @ vh[nr - 1, : sys.n].conj()))
 
 
 def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:

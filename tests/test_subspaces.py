@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
+from monotrack import subspaces
 from monotrack.numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from monotrack.subspaces import (
     _POOL_VISITS,
@@ -20,7 +21,7 @@ from monotrack.subspaces import (
 )
 from monotrack.sysmodel import rosenbrock
 
-from .conftest import count_calls, wide_plant
+from .conftest import count_calls, record_calls, wide_plant
 from .discover_oracle import probe_rstar, probe_vstar_g
 from .draw_oracle import LoopSpanTracker, loop_best_block, loop_draw
 from .subspace_checks import containment_residual, single_mode_basis, span_equal
@@ -234,8 +235,9 @@ class TestDiscoverAndDraw:
                 pb.validate(demo_system, excluded_output=excluded)
 
     def test_empty_span_draws_an_empty_basis(self):
-        # A wide plant has no zeros, so an empty free pool leaves V*g nothing to span.
-        plant = wide_plant(0, 0, 8)
+        # C has full column rank and D = 0, so V* = {0}: the bound 2n - nr is 0,
+        # and an empty free pool leaves V*g nothing to span.
+        plant = mt.LtiSystem(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
         pb = draw(discover_vstar_g(plant, free_pool=(), zeros=mt.invariant_zeros(plant)))
         assert pb.V.shape == (plant.n, 0)
         assert pb.W.shape == (plant.m, 0)
@@ -341,6 +343,20 @@ class TestVstarG:
         assert discover_vstar_g(plant, zeros=zeros).dim == plant.n - plant.p == 2
         with pytest.raises(mt.SaturationFailure):
             discover_vstar_g(plant, free_pool=(-1.0,), zeros=zeros)
+
+    def test_an_empty_pool_below_the_bound_is_exhausted(self):
+        # The plant has no zeros, so nothing is seeded and an empty pool leaves
+        # the span at 0, below the bound: the pool is exhausted, as with one value.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
+        for pool in ((), (-1.5,)):
+            with pytest.raises(mt.SaturationFailure):
+                mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0), free_pool=pool))
+
+    def test_an_empty_pool_is_enough_when_the_seeded_kernels_reach_the_bound(self, fresh_demo):
+        # The demo's kernel at its zero -6 spans V*g alone.
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), free_pool=())
+        fb = mt.synthesize(fresh_demo, spec)
+        assert sorted(fb.closed_loop_spectrum, key=lambda z: z.real)[:2] == pytest.approx([-6.0, -6.0])
 
     def test_a_kept_pool_kernel_cannot_be_written_through(self):
         # A visited kernel is a view of a factor the plant keeps in its pool
@@ -504,6 +520,85 @@ class TestBoundedDiscovery:
         zeros = mt.invariant_zeros(plant)
         span = discover_vstar_g(plant, free_pool=(-1.0, -1.5), zeros=zeros)
         assert span.dim == 2 and [mu for mu, _ in span.visited] == [-1.0, -1.5]
+
+
+LADDER_SPECS = (
+    (6, 3, 2, ()), (6, 3, 2, (-3.0,)), (6, 3, 2, (2.0,)), (8, 4, 3, ()), (8, 4, 3, (-3.0,)),
+    (8, 4, 3, (2.0,)), (10, 4, 3, ()), (12, 5, 4, (-3.0,)), (16, 6, 5, (2.0,)), (24, 8, 6, ()),
+)
+
+
+def ladder_plants():
+    return [mt.generate(mt.GeneratorSpec(n, m, p, planted_zero_values=z, seed=0)) for n, m, p, z in LADDER_SPECS]
+
+
+def batch_plants():
+    return ladder_plants() + [wide_plant(0, k, p) for p in (8, 10, 12) for k in range(4)]
+
+
+def audited_copy(plant):
+    """A new object of ``plant`` that holds its zeros fact alone, and the zeros."""
+    copy = mt.LtiSystem.from_json_dict(plant.to_json_dict())
+    return copy, mt.invariant_zeros(copy)
+
+
+def modes_of(plant):
+    return tuple(-1.0 - 0.25 * k for k in range(plant.p))
+
+
+def discoveries_bits(plant, design_modes: bool):
+    """The bytes of each discovery's basis, seeded and visited kernels and of the pool factors kept after it.
+
+    The discoveries are those of ``analyze``: R*, every R*_j and V*g, then V*g over the pool that avoids the
+    design's modes when ``design_modes``.
+    """
+    plant, zeros = audited_copy(plant)
+    discoveries = [lambda: discover_rstar(plant, zeros=zeros)]
+    discoveries += [lambda j=j: discover_rstar(plant, j, zeros=zeros) for j in range(plant.p)]
+    discoveries += [lambda: discover_vstar_g(plant, zeros=zeros)]
+    if design_modes:
+        discoveries += [lambda: discover_vstar_g(plant, zeros=zeros, avoid=modes_of(plant))]
+    bits = []
+    for discover in discoveries:
+        try:
+            span = discover()
+        except mt.MonotrackError as exc:
+            bits.append(repr(exc))
+            continue
+        bits.append([span.basis.tobytes(), [(mode, k.tobytes()) for mode, k in span.seeded + span.visited]])
+        kept = plant._facts["pool"][1]
+        bits.append([(mu, f.rank, *(a.tobytes() for a in (f.pencil, f.u, f.s, f.vh))) for mu, f in kept.items()])
+    return bits
+
+
+class TestBatchedDiscovery:
+    def test_a_batch_gives_the_bits_of_one_value_per_call(self, demo_system, monkeypatch):
+        cases = [(demo_system, False)] + [(plant, True) for plant in batch_plants()]
+        batches = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: len(mus))
+        batched = [discoveries_bits(plant, design) for plant, design in cases]
+        assert max(batches) > 1
+        factor = subspaces.factor_pencils
+        monkeypatch.setattr(subspaces, "factor_pencils", lambda sys, mus, tol: [f for mu in mus for f in factor(sys, [mu], tol)])
+        assert [discoveries_bits(plant, design) for plant, design in cases] == batched
+
+    def test_a_span_that_reaches_its_bound_visits_every_value_it_factored(self, monkeypatch):
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
+        reached = 0
+        for plant in batch_plants():
+            for fixed, discover in (
+                (True, lambda plant, zeros: discover_rstar(plant, zeros=zeros)),
+                (False, lambda plant, zeros: discover_vstar_g(plant, zeros=zeros)),
+                (False, lambda plant, zeros: discover_vstar_g(plant, zeros=zeros, avoid=modes_of(plant))),
+            ):
+                copy, zeros = audited_copy(plant)
+                factored.clear()
+                span = discover(copy, zeros)
+                if span.dim == _dimension_bound(copy, _fixed_dims(zeros, every=fixed), mt.normal_rank(copy)):
+                    # Every kernel added its full width, so one call factored the values visited, and no other.
+                    reached += 1
+                    calls = [[mu for mu in mus if mu in span.pool] for mus in factored]
+                    assert [mus for mus in calls if mus] == [[mu for mu, _ in span.visited]]
+        assert reached >= 50
 
 
 def test_conformable_ordering_puts_pairs_first():

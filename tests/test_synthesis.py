@@ -263,23 +263,36 @@ class TestSynthesize:
 
     def test_each_distinct_mode_pencil_is_factored_once(self, fresh_demo, monkeypatch):
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
-        # come from one factorization, and one stacked call factors both modes.
-        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
+        # come from one factorization. The V*g discovery factors the distinct
+        # modes with its zero -6 in one stacked call, and the witnesses read
+        # them from the plant's pool fact.
+        factored = {
+            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
+            for owner, key in ((subspaces, "discovery"), (synthesis, "witnesses"))
+        }
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert factored == [[-1.0, -2.0]]
+        assert factored == {"discovery": [pytest.approx([-6.0, -1.0, -2.0], abs=1e-9)], "witnesses": [[]]}
 
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
-        # The audit: 1 rank test at the tracking frequency (it gives the normal
-        # rank), 2 staircase steps, 1 stacked SVD at the 4 zero candidates,
-        # whose singular values also confirm them. V*g: the kernel of P(-6)
-        # reaches n less the zeros 2, 3 and 5, so no pool pencil is factored;
-        # the draw makes no rank test. 1 stacked SVD of the 2 mode pencils,
-        # 1 solvability rank test (h is the span's dimension), 1 rank test of
-        # V, 1 steady-state solve. A change that brings back a recomputation
-        # or splits a stacked call fails here.
+        # The audit: 1 SVD of D in the reduction, 1 stacked SVD at the zero
+        # candidates, 2 staircase steps. V*g: 1 stacked SVD of P(-6) and the
+        # 2 mode pencils; the kernel of P(-6) reaches n less the zeros 2, 3
+        # and 5, so no pool pencil is factored, and the draw makes no rank
+        # test. 1 solvability rank test (h is the span's dimension), 1 rank
+        # test of V, 1 steady-state solve. A change that brings back a
+        # recomputation or splits a stacked call fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 4 + 1 + 1 + 1 + 1 + 1}
+        assert calls == {"svd": 4 + 1 + 1 + 1 + 1}
+
+    def test_a_first_design_factors_its_pencils_in_one_call(self, monkeypatch):
+        # The seeded zero -3, the modes -1 and -1.25 and the pool values the
+        # V*g discovery is predicted to visit share one stacked full SVD; one
+        # call per pool value would make six.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, planted_zero_values=(-3.0,), seed=0))
+        shapes = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args: np.shape(a))
+        mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0)))
+        assert [shape for shape in shapes if len(shape) == 3 and shape[1:] == (8, 9)] == [(7, 8, 9)]
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
@@ -486,6 +499,16 @@ class TestPlantMemo:
                 assert trace.epsilon.tobytes() == mt.simulate(fresh, fb, x0, num_samples=samples).epsilon.tobytes()
                 assert len(plant._facts) <= 7
         assert len(plant._facts) == 7
+
+    def test_the_pool_fact_holds_the_latest_design_modes_alone(self):
+        # One user pool and six mode tuples: the V*g discovery factors each
+        # design's modes into the pool fact and drops the earlier ones.
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
+        pool = (-1.5, -2.0, -2.5, -3.0, -3.5, -4.0, -4.5)
+        for k in range(6):
+            lambdas = (-1.1 - 0.1 * k, -1.35 - 0.1 * k)
+            mt.synthesize(plant, mt.SynthesisSpec(lambdas=lambdas, reference=(1.0, 1.0), free_pool=pool))
+            assert {mu for mu in plant._facts["pool"][1] if mu not in pool} == set(lambdas).difference(pool)
 
     def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)

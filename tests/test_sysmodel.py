@@ -205,6 +205,12 @@ def found_plant():
     return mt.LtiSystem(A, rng.standard_normal((16, 12)), rng.standard_normal((12, 16)), np.zeros((12, 12)))
 
 
+def gray_zone_plant():
+    """A SISO plant whose zero near 0.504 leaves both of its candidate values in the rank test's gray zone."""
+    A = [[-1, -2, -2, -2], [-3, -1, 1, -3], [0, 3, -2, -3], [3, 2, -3, 0]]
+    return mt.LtiSystem(A, [[-1], [3], [-3], [-3]], [[-3, 0, 1, -1]], [[0.00665095169634921]])
+
+
 def oracle_plants(demo_system):
     plants = [demo_system]
     plants += [wide_plant(seed, index, p) for seed in (0, 1) for index in range(4) for p in (8, 10, 12)]
@@ -263,6 +269,33 @@ class TestZerosAgainstTheCompressionOracle:
         assert any(abs(z.value + 85.021) <= 1e-3 for z in zeros)
         for z in zeros:
             assert mt.rank_of(rosenbrock(plant, z.value)) == nr - z.geometric_multiplicity
+
+    def test_a_gray_zone_candidate_is_confirmed_after_one_newton_step(self):
+        # sigma_min of P at the candidate 0.5039911855668655 is 5.49e-13, within
+        # ten thresholds (9.39e-14), which raised; one step from its singular
+        # pair takes it to 0.5039911855660518, where sigma_min is 2.6e-16.
+        plant = gray_zone_plant()
+        zeros = mt.invariant_zeros(plant)
+        want, _ = oracle_zeros(gray_zone_plant())
+        assert_same_zeros(zeros, want, 1e-10, "gray zone")
+        assert [z.value for z in zeros if not z.is_minimum_phase] == [pytest.approx(0.50399118556605, rel=1e-10)]
+        assert confirmed_by_rank_test(plant, zeros)
+
+    def test_a_candidate_beyond_the_gray_zone_is_decided_after_one_newton_step(self):
+        # The zeros solve D z^2 + 12 z - 6 + 2D = 0: one near 0.5, one near -12/D. The eigenvalue
+        # at 0.5 leaves sigma_min of P at 35 thresholds, which rejected the zero without a word.
+        d = 0.00016989328613053583
+        plant = mt.LtiSystem([[-2, 2], [-3, 2]], [[2], [2]], [[3, 3]], [[d]])
+        q = -(12.0 + np.sqrt(144.0 - 4.0 * d * (2.0 * d - 6.0))) / 2.0
+        zeros = mt.invariant_zeros(plant)
+        assert [z.value.real for z in zeros] == pytest.approx([q / d, (2.0 * d - 6.0) / q], rel=1e-12)
+        assert [z.is_minimum_phase for z in zeros] == [True, False]
+        assert confirmed_by_rank_test(plant, zeros)
+
+    def test_a_step_beyond_the_clustering_radius_leaves_the_candidate_ill_conditioned(self, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_newton_step", lambda *args: 1e-3)
+        with pytest.raises(mt.IllConditionedPencil, match=r"candidate \(0\.50399118556"):
+            mt.invariant_zeros(gray_zone_plant())
 
     def test_every_zero_pair_is_exactly_conjugate(self, demo_system):
         for plant in oracle_plants(demo_system):
