@@ -36,7 +36,7 @@ from .errors import (
 )
 from .numkernel import TolerancePolicy
 from .seeding import DEFAULT_SEED
-from .sysmodel import LtiSystem, TimeDomain, audit_assumptions
+from .sysmodel import LtiSystem, audit_assumptions
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,13 +108,6 @@ def _load_replay(path: str):
     return Replay(vg_state=_matrix("V_g", payload["V_g"]), vg_input=_matrix("W_g", payload["W_g"]), directions=directions)
 
 
-def _load_system(path: str) -> LtiSystem:
-    """The system file at ``path``, each matrix read by :func:`_matrix`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = _typed("system", json.load(fh), dict)
-    return LtiSystem(*(_matrix(key, payload[key]) for key in "ABCD"), TimeDomain(payload["time_domain"]))
-
-
 def _require(config: JobConfig, *names: str) -> None:
     missing = [n for n in names if getattr(config, n) in (None, (), "")]
     if missing:
@@ -126,7 +119,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
     from .subspaces import discover_rstar, discover_vstar_g
 
     policy = config.policy()
-    system = _load_system(config.system_path)
+    system = LtiSystem.load(config.system_path)
     report = audit_assumptions(system, policy)
     zeros = report.zeros
     if zeros is None:
@@ -185,7 +178,7 @@ def _cmd_analyze(config: JobConfig, out: Path) -> int:
 def _synthesize_from_config(config: JobConfig):
     from .synthesis import SynthesisSpec, synthesize
 
-    system = _load_system(config.system_path)
+    system = LtiSystem.load(config.system_path)
     spec = SynthesisSpec(
         lambdas=config.lambdas,
         reference=config.reference,
@@ -270,7 +263,7 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
     options = dict(config.ensemble_options)
     trials = _number("trials", options.pop("trials", 100), int)
     if config.system_path:
-        system = _load_system(config.system_path)
+        system = LtiSystem.load(config.system_path)
     else:
         plant_keys = {"n", "m", "p"}
         if not plant_keys <= options.keys():

@@ -64,6 +64,7 @@ from .sysmodel import (
     _memo,
     _min_phase_violation,
     _read_only,
+    _zero_fact,
     exclusion_violation,
     rosenbrock,
 )
@@ -359,17 +360,6 @@ def _fixed_dims(zeros: list[InvariantZero], every: bool) -> int:
     return sum(z.geometric_multiplicity for z in zeros if every or not z.is_minimum_phase)
 
 
-def _dimension_bound(sys: LtiSystem, fixed: int, rank: int | None) -> int:
-    """An upper bound on dim V* less the ``fixed`` dimensions that zeros keep off a span.
-
-    The bound on dim V* is n, or 2n - ``rank`` when D = 0 and ``rank`` is the
-    rank of P(mu) at some mu: V* lies in ker C then, and rank C >= rank P(mu) - n.
-    n - p would be wrong for a plant whose C is rank deficient.
-    """
-    bound = sys.n if rank is None or sys.D.any() else min(sys.n, 2 * sys.n - rank)
-    return bound - fixed
-
-
 def _discover(
     sys: LtiSystem, seeded: list, pool: tuple, excluded_output: int | None, tol: TolerancePolicy, tag: tuple,
     fixed: int | None = None, extra: tuple = (),
@@ -379,10 +369,11 @@ def _discover(
     ``fixed`` is the number of dimensions the invariant zeros keep off the
     span: the zeros are the fixed modes of A + BF on V*/R* (Morse 1973), so a
     zero of geometric multiplicity g takes at least g dimensions of V*. The
-    span stops growing at :func:`_dimension_bound`, which reads the rank of
-    each pool factor when D = 0; reaching it at the last pool value is
-    saturation. None sets no bound. A pool exhausted below the bound at the
-    normal rank nr, an empty one too, raises :class:`SaturationFailure`.
+    span stops growing at dim V* less ``fixed``; reaching it at the last pool
+    value is saturation. None sets no bound. A pool exhausted below the
+    bound, an empty one too, raises :class:`SaturationFailure`. dim V* and
+    the normal rank nr are read from the plant's ``zeros`` fact, computed if
+    the plant lacks it.
 
     The factors are kept read-only in the plant's ``pool`` fact, a dict from
     mu to :class:`PencilFactor` for ``(pool, tol)`` that the discoveries over
@@ -391,25 +382,24 @@ def _discover(
     :func:`factor_pencils` call factors the seeded modes, the ``extra``
     values and the pool values the walk is predicted to visit, and one more
     each value the walk reaches unfactored and those predicted to follow it:
-    ceil((bound at nr - dim) / w), where a kernel off the zeros has
+    ceil((bound - dim) / w), where a kernel off the zeros has
     w = n + m - nr columns (one more, x_j, with an output row deleted) and a
     seeded one, at a simple zero, w + 1, twice for a pair; an unbounded walk
-    predicts up to n. nr is read from the plant's ``zeros`` fact; without it,
-    a call factors one value.
+    predicts up to n.
     """
     factors = _memo(sys, "pool", (pool, tol), dict)
     for mu in set(factors).difference(pool):
         del factors[mu]
-    nr = (_memo(sys, "zeros", tol) or (None, None))[1]
-    width = None if nr is None else sys.n + sys.m - nr + (excluded_output is not None)
-    limit = sys.n if fixed is None else _dimension_bound(sys, fixed, nr)
-    bound = math.inf if fixed is None else _dimension_bound(sys, fixed, None)
+    _, nr, _, dim_vstar = _zero_fact(sys, tol)
+    width = sys.n + sys.m - nr + (excluded_output is not None)
+    bound = math.inf if fixed is None else dim_vstar - fixed
+    limit = sys.n if fixed is None else bound
 
     def stop(i: int, dim: int) -> int:  # the index past the values predicted from pool[i] at dimension dim
         return i + (max(1, -(-(limit - dim) // width)) if width else 1)
 
-    seeded_dim = sum(((width or 0) + 1) * (1 + isinstance(mode, complex)) for mode in seeded)
-    ahead = pool[: stop(0, seeded_dim)] if width is not None and seeded_dim < bound else ()
+    seeded_dim = sum((width + 1) * (1 + isinstance(mode, complex)) for mode in seeded)
+    ahead = pool[: stop(0, seeded_dim)] if seeded_dim < bound else ()
     _factor_into(sys, factors, [*seeded, *extra, *ahead], tol)
     seeded = [(mode, factors[mode].kernel()) for mode in seeded]
     tracker = _SpanTracker(sys.n)
@@ -423,10 +413,7 @@ def _discover(
             break
         if mu not in factors:
             _factor_into(sys, factors, pool[i : stop(i, tracker.dim)], tol)
-        factor = factors[mu]
-        if fixed is not None:
-            bound = min(bound, _dimension_bound(sys, fixed, factor.rank))
-        kernel = factor.kernel(excluded_output)
+        kernel = factors[mu].kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])

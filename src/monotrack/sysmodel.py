@@ -12,13 +12,11 @@ V*, the largest subspace a feedback can hold at zero output. The zeros are
 the modes there that no such feedback moves (Morse 1973); each candidate is
 confirmed with an explicit rank test of the pencil.
 
-Stabilizability is read off the orthogonal controllability staircase of
-:func:`monotrack.numkernel.controllable_staircase`: about n / rank B shrinking
-real SVDs split the state space into the controllable subspace and its
-orthogonal complement Z, and the uncontrollable modes are the eigenvalues of
-Z^T A Z. Where the staircase cannot be sure of a rank decision (long
-single-input chains), each unstable eigenvalue of A is tested on the pencil
-[A - lam I, B] instead. Only NumPy's LAPACK routines are used.
+Stabilizability is the same question asked of the pair (A, B): its
+uncontrollable modes are its fixed modes too, and one routine finds the
+candidates of both pairs (the eigenvalues that recur when the input's Gram
+matrix shifts the state matrix) and one confirms them by a rank test. Only
+NumPy's LAPACK routines are used.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ from .numkernel import (
     TolerancePolicy,
     _per_dtype,
     _rank,
-    controllable_staircase,
     full_svd,
     rank_of,
-    ranks_of,
 )
 
 _CLUSTER_RTOL = 1e-6
@@ -139,11 +135,18 @@ class LtiSystem:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LtiSystem":
-        domain = TimeDomain(payload["time_domain"])
-        return cls(payload["A"], payload["B"], payload["C"], payload["D"], domain)
+        """The plant of a :meth:`to_json_dict` payload; ValueError if it is not an object or a matrix is not numeric."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a system must be an object, got {payload!r}")
+        try:
+            matrices = [np.array(payload[key], dtype=float) for key in "ABCD"]
+        except TypeError as exc:
+            raise ValueError(f"system matrices must be numeric: {exc}") from None
+        return cls(*matrices, TimeDomain(payload["time_domain"]))
 
     @classmethod
     def load(cls, path) -> "LtiSystem":
+        """The plant of the system file at ``path``, read by :meth:`from_json_dict`."""
         with open(Path(path), "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
 
@@ -272,18 +275,22 @@ def _reduction(sys: LtiSystem, tol: TolerancePolicy) -> tuple[np.ndarray, np.nda
     return A + B @ F0, B @ Wh[r:].T, n + p - dependent, threshold
 
 
-def _cluster(values) -> list[complex]:
-    """Merge values within the relative clustering radius; snap near-real to real."""
-    reps: list[complex] = []
+def _cluster(values, rtol: float = _CLUSTER_RTOL) -> list[tuple[complex, int]]:
+    """``(representative, size)`` of each group of values merged within the relative radius ``rtol``.
+
+    A representative is the running mean of its members, snapped to real when it lies that near the real axis.
+    """
+    clusters: list[list] = []
     for z in sorted(values, key=lambda v: (v.real, v.imag)):
-        tol = _CLUSTER_RTOL * (1.0 + abs(z))
-        for i, r in enumerate(reps):
-            if abs(z - r) <= tol:
-                reps[i] = (r + z) / 2.0
+        tol = rtol * (1.0 + abs(z))
+        for cluster in clusters:
+            if abs(z - cluster[0]) <= tol:
+                cluster[0] = (cluster[0] + z) / 2.0
+                cluster[1] += 1
                 break
         else:
-            reps.append(complex(z))
-    return [complex(r.real, 0.0) if abs(r.imag) <= _CLUSTER_RTOL * (1.0 + abs(r)) else r for r in reps]
+            clusters.append([complex(z), 1])
+    return [(complex(r.real, 0.0) if abs(r.imag) <= rtol * (1.0 + abs(r)) else r, k) for r, k in clusters]
 
 
 def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> list[InvariantZero]:
@@ -291,13 +298,11 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
 
     The zeros are the modes of A + BF on V* that no friend F moves (Morse
     1973): the uncontrollable modes of the pair (A_f, B_f) of
-    :func:`_reduction`. They are the values common to eig(A_f) and
-    eig(A_f - s B_f B_f^T), s = ||A_f||_F / ||B_f||_F^2, from one stacked
-    eigenvalue problem; a B_f below the reduction's threshold has no columns.
-    Each candidate is confirmed by a rank test on P(z) (:func:`_confirm`). No
-    random number is drawn. The zeros are kept on the plant as its ``zeros``
-    fact for ``tol``, which :func:`audit_assumptions` shares; the list
-    returned is the caller's own.
+    :func:`_reduction`, found by :func:`_fixed_mode_candidates` and each
+    confirmed by a rank test on P(z) (:func:`_confirm`). No random number is
+    drawn. The zeros are kept on the plant as its ``zeros`` fact for ``tol``,
+    which :func:`audit_assumptions` shares; the list returned is the
+    caller's own.
 
     Raises
     ------
@@ -305,74 +310,99 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it, also after one Newton step (see :func:`_confirm`).
     """
-    zeros = _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))[0]
+    zeros = _zero_fact(sys, tol)[0]
     if isinstance(zeros, IllConditionedPencil):
         raise zeros.with_traceback(None)
     return list(zeros)
 
 
-def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
-    """``(zeros, normal rank, rank of P at the tracking frequency tf)``; ``zeros`` may be the confirmation's error.
+def _zero_fact(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
+    """The plant's ``zeros`` fact for ``tol``: :func:`_zero_facts`, computed once."""
+    return _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))
 
-    A candidate has two values: its eigenvalue of A_f and the nearest one of the shifted matrix. P(tf) is
-    factored only when a candidate lies within the clustering radius of tf, and no candidate is moved onto tf.
+
+def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
+    """``(zeros, normal rank, rank of P at the tracking frequency tf, dim V*)``.
+
+    ``zeros`` may be the confirmation's error. P(tf) is factored only when a candidate lies within the clustering
+    radius of tf, and no candidate is moved onto tf.
     """
     A_f, B_f, nr, threshold = _reduction(sys, tol)
-    pairs = []
-    if A_f.size:
-        norm_b = float(np.linalg.norm(B_f))
-        stack = [A_f] if norm_b <= threshold else [A_f, A_f - np.linalg.norm(A_f) / norm_b**2 * (B_f @ B_f.T)]
-        spectra = np.linalg.eigvals(np.stack(stack))
-        for z in _cluster(spectra[0]):
-            w = complex(spectra[-1][np.argmin(np.abs(spectra[-1] - z))])
-            if z.imag >= 0.0 and abs(w - z) <= _CLUSTER_RTOL * (1.0 + abs(z)):
-                pairs.append((z, w if z.imag else complex(w.real, 0.0)))
+    candidates = _fixed_mode_candidates(A_f, B_f, threshold)
     tf = sys.domain.tracking_frequency
-    probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _ in pairs) else []
+    probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _, _ in candidates) else []
     try:
-        zeros, ranks = _confirm(sys, pairs, probe, nr, tol)
+        confirmed, ranks = _confirm(lambda v: rosenbrock(sys, v), sys.n, candidates, probe, nr, tol)
+        zeros = sorted(
+            (
+                InvariantZero(w, lost, sys.domain.is_interior_stable(z))
+                for z, lost in filter(None, confirmed)
+                for w in ([z, z.conjugate()] if z.imag else [z])
+            ),
+            key=lambda z: (z.value.real, z.value.imag),
+        )
     except IllConditionedPencil as exc:
         zeros, ranks = exc, [rank_of(rosenbrock(sys, tf), tol) for _ in probe]
-    return zeros, nr, ranks[0] if probe else nr
+    return zeros, nr, ranks[0] if probe else nr, A_f.shape[0]
 
 
-def _confirm(sys: LtiSystem, pairs: list, probe: list, nr: int, tol: TolerancePolicy):
-    """The zeros among the candidates ``pairs`` at the normal rank ``nr``, and the rank of P at each value of ``probe``.
+def _fixed_mode_candidates(A: np.ndarray, B: np.ndarray, threshold: float) -> list[tuple]:
+    """``(value, shifted value, size)`` of each candidate uncontrollable mode of the pair (A, B).
 
-    One singular-value SVD per dtype factors P at every value, real at a real one. A candidate is decided at
-    the value of its two where P is nearer singular, since a controllable mode near it perturbs one of them;
-    in the upper half-plane it brings its conjugate. A candidate rejected there, as roundoff in its value can
+    The uncontrollable modes are the eigenvalues common to A and A - s B B^T, s = ||A||_F / ||B||_F^2, which
+    one stacked eigenvalue problem gives; a B at or below ``threshold`` has no columns. A candidate is a
+    cluster of eig(A) in the closed upper half-plane (its conjugate stands for itself) with the nearest
+    eigenvalue of the shifted matrix within the clustering radius; ``size`` counts its eigenvalues of A.
+    """
+    if not A.size:
+        return []
+    norm_b = float(np.linalg.norm(B))
+    stack = [A] if norm_b <= threshold else [A, A - np.linalg.norm(A) / norm_b**2 * (B @ B.T)]
+    spectra = np.linalg.eigvals(np.stack(stack))
+    candidates = []
+    for z, size in _cluster(spectra[0]):
+        w = complex(spectra[-1][np.argmin(np.abs(spectra[-1] - z))])
+        if z.imag >= 0.0 and abs(w - z) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+            candidates.append((z, w if z.imag else complex(w.real, 0.0), size))
+    return candidates
+
+
+def _confirm(pencil, n: int, candidates: list, probe: list, target: int, tol: TolerancePolicy):
+    """Per candidate, ``(value, rank lost)`` where ``pencil`` drops below rank ``target``, or None; and its rank at ``probe``.
+
+    ``pencil(v)`` is a pencil whose derivative in v is -diag(I_n, 0), as P(v) and [A - vI, B] are. One
+    singular-value SVD per dtype factors it at the candidates' two values and at ``probe``, real at a real
+    value. A candidate is decided at the value of its two where the pencil is nearer singular, since a
+    controllable mode near it perturbs one of them. A candidate rejected there, as roundoff in its value can
     make it, is decided again after one :func:`_newton_step` that stays within ``_CLUSTER_RTOL``.
     """
-    values = [v for pair in pairs for v in pair] + probe
-    pencils = [rosenbrock(sys, z.real if z.imag == 0.0 else z) for z in values]
+    values = [v for candidate in candidates for v in candidate[:2]] + probe
+    pencils = [pencil(z.real if z.imag == 0.0 else z) for z in values]
     spectra = _per_dtype(pencils, lambda stack: np.linalg.svd(stack, compute_uv=False))
-    zeros: list[InvariantZero] = []
-    for i in range(0, 2 * len(pairs), 2):
-        j = min((i, i + 1), key=lambda j: spectra[j][nr - 1] / (spectra[j][0] or 1.0))
+    confirmed = []
+    for i in range(0, 2 * len(candidates), 2):
+        j = min((i, i + 1), key=lambda j: spectra[j][target - 1] / (spectra[j][0] or 1.0))
         z, P, s = values[j], pencils[j], spectra[j]
-        if s[nr - 1] > tol.rank_threshold(P.shape, float(s[0])):
-            step = _newton_step(sys, P, nr)
+        if s[target - 1] > tol.rank_threshold(P.shape, float(s[0])):
+            step = _newton_step(P, n, target)
             if abs(step) <= _CLUSTER_RTOL * (1.0 + abs(z)):
                 z += step
-                s = np.linalg.svd(rosenbrock(sys, z.real if z.imag == 0.0 else z), compute_uv=False)
+                s = np.linalg.svd(pencil(z.real if z.imag == 0.0 else z), compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
         rank = int(np.sum(s > threshold))
-        if rank < nr:
-            phase = sys.domain.is_interior_stable(z)
-            zeros += [InvariantZero(w, nr - rank, phase) for w in ([z, z.conjugate()] if z.imag else [z])]
-        elif s[nr - 1] < _GRAY_ZONE * threshold:
+        if rank >= target and s[target - 1] < _GRAY_ZONE * threshold:
             raise IllConditionedPencil(
-                f"candidate {z} has marginal singular value {s[nr - 1]:.3e} near threshold {threshold:.3e}"
+                f"candidate {z} has marginal singular value {s[target - 1]:.3e} near threshold {threshold:.3e}"
             )
-    ranks = [_rank(s, P.shape, tol) for P, s in zip(pencils[2 * len(pairs) :], spectra[2 * len(pairs) :])]
-    return sorted(zeros, key=lambda z: (z.value.real, z.value.imag)), ranks
+        confirmed.append((z, target - rank) if rank < target else None)
+    ranks = [_rank(s, P.shape, tol) for P, s in zip(pencils[2 * len(candidates) :], spectra[2 * len(candidates) :])]
+    return confirmed, ranks
 
 
-def _newton_step(sys: LtiSystem, P: np.ndarray, nr: int) -> complex:
-    """Newton's step dz toward a zero of the ``nr``-th singular value of ``P`` = P(z); dP/dz is -diag(I_n, 0)."""
+def _newton_step(P: np.ndarray, n: int, target: int) -> complex:
+    """Newton's step dz toward a zero of the ``target``-th singular value of ``P`` = P(z); dP/dz is -diag(I_n, 0)."""
     u, s, vh = np.linalg.svd(P)
-    return complex(s[nr - 1] / (u[: sys.n, nr - 1].conj() @ vh[nr - 1, : sys.n].conj()))
+    return complex(s[target - 1] / (u[:n, target - 1].conj() @ vh[target - 1, :n].conj()))
 
 
 def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
@@ -398,17 +428,14 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     They are carried on the report for the caller to reuse, and no random
     number is drawn.
 
-    Stabilizability comes from the controllability staircase: its steps
-    make about n / rank B real SVDs, and the uncontrollable modes are the
-    eigenvalues of Z^T A Z over the orthonormal complement Z of the
-    controllable subspace, computed only when Z is not empty. The plant is
-    stabilizable when none of them is unstable; ``details["stabilizable"]``
-    lists the unstable ones, both members of a pair. The staircase gives up
-    at the first step whose kept singular value a perturbation at the rank
-    threshold, compounded along the staircase, could account for: it then
-    cannot rule out a nearly uncontrollable mode among the directions it
-    keeps, which happens on long single-input chains. Then each unstable
-    eigenvalue of A is tested on the pencil [A - lam I, B] instead.
+    Stabilizability is the same fixed-mode test applied to the pair (A, B)
+    (see :func:`_unstable_fixed_modes`): one stacked eigenvalue problem
+    finds the candidates, and one stacked SVD per dtype confirms the
+    unstable ones on [A - vI, B]. The plant is stabilizable when none is
+    confirmed; ``details["stabilizable"]`` lists the confirmed modes, both
+    members of a pair, once per eigenvalue of A. An unstable candidate that the
+    rank test can neither confirm nor reject fails the assumption, with the
+    reason in the details.
 
     The report is kept on the plant as its ``audit`` fact for ``tol`` and
     returned as is by later calls (treat it as read-only).
@@ -416,37 +443,43 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     return _memo(sys, "audit", tol, lambda: _audit(sys, tol))
 
 
+def _unstable_fixed_modes(sys: LtiSystem, tol: TolerancePolicy) -> list[complex]:
+    """The unstable uncontrollable modes of (A, B), both members of a pair.
+
+    The candidates of :func:`_fixed_mode_candidates` are taken at the threshold of [A B], and the unstable ones
+    are confirmed by :func:`_confirm` on [A - vI, B] at rank n, which may raise :class:`IllConditionedPencil`.
+    The eigenvalues of A in the confirmed clusters, and their conjugates, are listed at the means of the
+    groups they form within the square root of the clustering radius, once per eigenvalue: roundoff splits
+    a defective mode by about its square root, also beyond the clustering radius, and the mean stays.
+    """
+    A, B, n = sys.A, sys.B, sys.n
+    threshold = tol.rank_threshold((n, n + sys.m), float(np.linalg.norm(np.hstack([A, B]))))
+    unstable = [c for c in _fixed_mode_candidates(A, B, threshold) if not sys.domain.is_stable(c[0])]
+    if not unstable:
+        return []
+    confirmed, _ = _confirm(lambda v: np.hstack([A - v * np.eye(n), B]), n, unstable, [], n, tol)
+    modes = [
+        mode
+        for (z, _, size), hit in zip(unstable, confirmed) if hit
+        for mode in [z] * size + ([z.conjugate()] * size if z.imag else [])
+    ]
+    return [complex(z) for z, size in _cluster(modes, _CLUSTER_RTOL**0.5) for _ in range(size)]
+
+
 def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     """The report of :func:`audit_assumptions`, computed."""
     details: dict[str, str] = {}
-    zeros, nr, at_freq = _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))
+    zeros, nr, at_freq, _ = _zero_fact(sys, tol)
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
-    split = controllable_staircase(sys.A, sys.B, tol)
-    if split is not None:
-        Z = split[1]
-        uncontrollable = np.linalg.eigvals(Z.T @ sys.A @ Z).tolist() if Z.shape[1] else []
-        bad_modes = [lam for lam in uncontrollable if not sys.domain.is_stable(lam)]
-    else:
-        # The staircase cannot tell a nearly uncontrollable mode from a
-        # controllable one: test each unstable mode of A on the pencil
-        # [A - lam I, B], all in one stacked rank test. [A - conj(lam) I, B]
-        # is its conjugate and has the same rank: one test per conjugate
-        # pair, made at its upper member.
-        unstable = [
-            lam for lam in np.linalg.eigvals(sys.A).tolist() if lam.imag >= 0.0 and not sys.domain.is_stable(lam)
-        ]
-        pencils = [np.hstack([sys.A - lam * np.eye(sys.n), sys.B.astype(complex)]) for lam in unstable]
-        ranks = ranks_of(np.stack(pencils), tol) if pencils else []
-        bad_modes = [
-            mode for lam, rank in zip(unstable, ranks) if rank < sys.n
-            for mode in ([lam, lam.conjugate()] if lam.imag > 0.0 else [lam])
-        ]
-    stabilizable = not bad_modes
-    details["stabilizable"] = (
-        "all unstable modes controllable" if stabilizable else f"uncontrollable unstable modes {bad_modes}"
-    )
+    try:
+        bad_modes = _unstable_fixed_modes(sys, tol)
+        reason = f"uncontrollable unstable modes {bad_modes}" if bad_modes else None
+    except IllConditionedPencil as exc:
+        reason = f"stabilizability test ill-conditioned: {exc}"
+    stabilizable = reason is None
+    details["stabilizable"] = reason or "all unstable modes controllable"
 
     no_zero_at_freq = at_freq == sys.n + sys.p
     details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {sys.domain.tracking_frequency}"

@@ -91,7 +91,7 @@ def oracle_zeros(sys, tol=DEFAULT_POLICY, candidates=compression_candidates) -> 
     sigma = 1j * (1.0 + np.linalg.norm(rosenbrock(sys, 0.0), 1))
     first, second = candidates(sys, nr, sigma)
     matched = [z for z in first if second.size and np.min(np.abs(second - z)) <= _CLUSTER_RTOL * (1.0 + abs(z))]
-    values = _cluster(np.asarray(matched))
+    values = [z for z, _ in _cluster(np.asarray(matched))]
     pencils = [_pencil_at(sys, z) for z in values]
     starts = _per_dtype(pencils, lambda stack: np.linalg.svd(stack, compute_uv=False))
     zeros = []

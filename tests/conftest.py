@@ -33,7 +33,7 @@ def demo_zeros(demo_system):
 
 @pytest.fixture
 def ill_conditioned_zeros(monkeypatch) -> str:
-    """Make every zero confirmation raise IllConditionedPencil; returns the forced reason.
+    """Make every confirmation, of the zeros and of stabilizability, raise IllConditionedPencil; returns the reason.
 
     A plant that already holds its zeros does not confirm them again: use a new plant object.
     """

@@ -1,4 +1,4 @@
-"""The PBH loop that ``sysmodel`` once decided stabilizability with, as an oracle for the controllability staircase."""
+"""The PBH loop that ``sysmodel`` once decided stabilizability with, as an oracle for its fixed-mode test of (A, B)."""
 
 import numpy as np
 

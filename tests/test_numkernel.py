@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack.numkernel import RESIDUAL_TOL, controllable_staircase, min_norm_from_factors, orthonormalize, thin_svd
+from monotrack.numkernel import RESIDUAL_TOL, min_norm_from_factors, orthonormalize, thin_svd
 from monotrack.subspaces import _real_columns
 
 from .conftest import count_calls
@@ -160,39 +160,6 @@ class TestSubspaceSumDim:
         assert mt.subspace_sum_dim(parts[::-1]) == base
         mixed = [p @ np.triu(rng.normal(size=(p.shape[1], p.shape[1])) + 3 * np.eye(p.shape[1])) for p in parts]
         assert mt.subspace_sum_dim(mixed) == base
-
-
-class TestControllableStaircase:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_bases_split_the_state_space_at_the_reachable_subspace(self, seed):
-        # x_u = (x1, x2) is not reached from u; (A_c, B_c) is a random pair,
-        # so the controllable subspace is spanned by the last 4 coordinates.
-        rng = np.random.default_rng(seed)
-        A = np.block([[rng.normal(size=(2, 2)), np.zeros((2, 4))], [rng.normal(size=(4, 2)), rng.normal(size=(4, 4))]])
-        B = np.vstack([np.zeros((2, 2)), rng.normal(size=(4, 2))])
-        T, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        X, Z = controllable_staircase(T @ A @ T.T, T @ B)
-        assert X.shape == (6, 4) and Z.shape == (6, 2)
-        assert np.allclose(np.hstack([X, Z]).T @ np.hstack([X, Z]), np.eye(6), atol=1e-12)
-        assert np.linalg.norm(Z.T @ T[:, 2:]) <= 1e-12
-        assert np.sort_complex(np.linalg.eigvals(Z.T @ T @ A @ T.T @ Z)) == pytest.approx(
-            np.sort_complex(np.linalg.eigvals(A[:2, :2])), abs=1e-12
-        )
-
-    def test_a_weak_coupling_is_judged_at_the_threshold_of_A_B(self):
-        # x2 is reached only through a 1e-15 coupling from x1. The second
-        # block is that coupling alone: at its own largest singular value it
-        # would be full rank, at the threshold of [A B] it is not.
-        A = np.array([[-1.0, 0.0], [1e-15, 2.0]])
-        B = np.array([[1.0], [0.0]])
-        X, Z = controllable_staircase(A, B)
-        assert X.shape == (2, 1) and Z.shape == (2, 1)
-        assert abs(Z[1, 0]) == pytest.approx(1.0)
-
-    def test_an_uncontrollable_pair_ends_the_staircase_at_once(self):
-        A = np.diag([1.0, -2.0])
-        X, Z = controllable_staircase(A, np.array([[0.0], [1.0]]))
-        assert X.shape == (2, 1) and Z.shape == (2, 1)
 
 
 class TestRealifyPair:

@@ -4,13 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
-from monotrack import subspaces
+from monotrack import subspaces, sysmodel
 from monotrack.numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
 from monotrack.subspaces import (
     _POOL_VISITS,
     _best_block,
     _conformable_min_phase,
-    _dimension_bound,
     _fixed_dims,
     _SpanTracker,
     discover_rstar,
@@ -235,7 +234,7 @@ class TestDiscoverAndDraw:
                 pb.validate(demo_system, excluded_output=excluded)
 
     def test_empty_span_draws_an_empty_basis(self):
-        # C has full column rank and D = 0, so V* = {0}: the bound 2n - nr is 0,
+        # C has full column rank and D = 0, so V* = {0} and the bound is 0,
         # and an empty free pool leaves V*g nothing to span.
         plant = mt.LtiSystem(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
         pb = draw(discover_vstar_g(plant, free_pool=(), zeros=mt.invariant_zeros(plant)))
@@ -496,16 +495,14 @@ class TestBoundedDiscovery:
 
     @pytest.mark.parametrize("plants, size", BOUND_CASES)
     def test_the_bound_holds_the_dimension_the_zeros_leave(self, plants, size):
-        # The V*g bound is at least dim V* (the recursion) less the non-minimum-phase
-        # zeros, and no discovery exceeds its bound.
+        # The kept dim V* is that of the recursion, and no discovery exceeds
+        # it less the zeros that the span leaves out.
         for plant in plants(*size):
             zeros = mt.invariant_zeros(plant)
-            rank = factor_pencil(plant, mt.default_frequency_pool(plant, zeros)[0]).rank
-            unstable = _fixed_dims(zeros, every=False)
-            vg_bound = _dimension_bound(plant, unstable, rank)
-            assert vg_bound >= mt.vstar_recursive(plant).shape[1] - unstable
-            assert discover_vstar_g(plant, zeros=zeros).dim <= vg_bound
-            assert discover_rstar(plant, zeros=zeros).dim <= _dimension_bound(plant, _fixed_dims(zeros, every=True), rank)
+            dim_vstar = kept_dim_vstar(plant)
+            assert dim_vstar == mt.vstar_recursive(plant).shape[1]
+            assert discover_vstar_g(plant, zeros=zeros).dim <= dim_vstar - _fixed_dims(zeros, every=False)
+            assert discover_rstar(plant, zeros=zeros).dim <= dim_vstar - _fixed_dims(zeros, every=True)
 
     def test_a_rank_deficient_c_keeps_its_output_nulling_direction(self):
         plant = rank_deficient_output_plant()
@@ -534,6 +531,11 @@ def ladder_plants():
 
 def batch_plants():
     return ladder_plants() + [wide_plant(0, k, p) for p in (8, 10, 12) for k in range(4)]
+
+
+def kept_dim_vstar(plant):
+    """dim V* as the plant's ``zeros`` fact keeps it."""
+    return sysmodel._zero_fact(plant, DEFAULT_POLICY)[3]
 
 
 def audited_copy(plant):
@@ -593,7 +595,7 @@ class TestBatchedDiscovery:
                 copy, zeros = audited_copy(plant)
                 factored.clear()
                 span = discover(copy, zeros)
-                if span.dim == _dimension_bound(copy, _fixed_dims(zeros, every=fixed), mt.normal_rank(copy)):
+                if span.dim == kept_dim_vstar(copy) - _fixed_dims(zeros, every=fixed):
                     # Every kernel added its full width, so one call factored the values visited, and no other.
                     reached += 1
                     calls = [[mu for mu in mus if mu in span.pool] for mus in factored]

@@ -275,15 +275,16 @@ class TestSynthesize:
 
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 SVD of D in the reduction, 1 stacked SVD at the zero
-        # candidates, 2 staircase steps. V*g: 1 stacked SVD of P(-6) and the
-        # 2 mode pencils; the kernel of P(-6) reaches n less the zeros 2, 3
-        # and 5, so no pool pencil is factored, and the draw makes no rank
-        # test. 1 solvability rank test (h is the span's dimension), 1 rank
-        # test of V, 1 steady-state solve. A change that brings back a
-        # recomputation or splits a stacked call fails here.
+        # candidates, none for stabilizability (its one uncontrollable mode
+        # is stable). V*g: 1 stacked SVD of P(-6) and the 2 mode pencils; the
+        # kernel of P(-6) reaches n less the zeros 2, 3 and 5, so no pool
+        # pencil is factored, and the draw makes no rank test. 1 solvability
+        # rank test (h is the span's dimension), 1 rank test of V, 1
+        # steady-state solve. A change that brings back a recomputation or
+        # splits a stacked call fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 4 + 1 + 1 + 1 + 1}
+        assert calls == {"svd": 2 + 1 + 1 + 1 + 1}
 
     def test_a_first_design_factors_its_pencils_in_one_call(self, monkeypatch):
         # The seeded zero -3, the modes -1 and -1.25 and the pool values the

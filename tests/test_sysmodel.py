@@ -1,4 +1,5 @@
 import ast
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack import sysmodel
-from monotrack.numkernel import controllable_staircase
 from monotrack.seeding import DEFAULT_SEED, rng_for
 from monotrack.sysmodel import rosenbrock
 
@@ -54,6 +54,16 @@ class TestLtiSystem:
         loaded = mt.LtiSystem.load(path)
         assert np.array_equal(loaded.A, demo_system.A)
         assert loaded.domain is mt.TimeDomain.CONTINUOUS
+
+    @pytest.mark.parametrize("field, value", [(None, [1, 2]), ("A", {"x": 1}), ("B", [[1.0, [2.0]]]), ("C", "row")])
+    def test_a_malformed_payload_raises_value_error(self, tmp_path, demo_system, field, value):
+        payload = value if field is None else demo_system.to_json_dict() | {field: value}
+        with pytest.raises(ValueError):
+            mt.LtiSystem.from_json_dict(payload)
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            mt.LtiSystem.load(path)
 
 
 def block_pencil(sys, lam):
@@ -360,11 +370,12 @@ class TestReduction:
         # The demo's four real zeros, each with its two values, are confirmed
         # by one singular-value SVD of a stack of eight real pencils; no
         # candidate is polished.
-        pairs = [(complex(z), complex(z)) for z in DEMO_ZEROS]
+        candidates = [(complex(z), complex(z), 1) for z in DEMO_ZEROS]
         stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
-        zeros, ranks = sysmodel._confirm(demo_system, pairs, [], 8, mt.DEFAULT_POLICY)
+        pencil = lambda v: rosenbrock(demo_system, v)  # noqa: E731
+        confirmed, ranks = sysmodel._confirm(pencil, demo_system.n, candidates, [], 8, mt.DEFAULT_POLICY)
         assert stacks == [(8, 8, 9)] and ranks == []
-        assert [z.value for z in zeros] == list(DEMO_ZEROS)
+        assert confirmed == [(z, 1) for z in DEMO_ZEROS]
 
     def test_a_zero_beside_a_controllable_mode_is_decided_at_its_shifted_value(self):
         # The uncontrollable state's mode -2 lies 3e-4 from a controllable
@@ -420,61 +431,63 @@ class TestAuditAssumptions:
 
     def test_full_rank_audit_takes_the_normal_rank_from_the_reduction(self, fresh_demo, monkeypatch):
         # The demo's D has full row rank: the reduction makes one SVD and no
-        # step. The staircase takes 2 steps: B reaches 4 of the 5 states, and A adds
-        # nothing to them, so one stable mode stays uncontrollable. One
-        # stacked SVD confirms the 4 zeros; no zero is near 0, so P(0) is not factored.
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "svd"))
+        # step. One stacked SVD confirms the 4 zeros; no zero is near 0, so
+        # P(0) is not factored. One mode of A is uncontrollable, but it is
+        # stable, so the stabilizability test takes its eigenvalue problem
+        # and no SVD.
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(fresh_demo)
-        assert calls == {"rank_of": 0, "svd": 1 + 2 + 1}
+        assert calls == {"rank_of": 0, "svd": 1 + 1, "eigvals": 1 + 1}
         assert report.normal_rank == fresh_demo.n + fresh_demo.p
         assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 8 at frequency 0.0"
         assert report.stabilizable
 
     def test_zeros_alone_are_the_audit_zeros_bit_for_bit(self, fresh_demo, monkeypatch):
         # invariant_zeros without an audit makes the reduction's one SVD, the
-        # one stacked eigenvalue problem and the one confirmation SVD, and no staircase.
+        # one stacked eigenvalue problem and the one confirmation SVD, and no
+        # stabilizability test.
         audited = mt.audit_assumptions(mt.LtiSystem(fresh_demo.A, fresh_demo.B, fresh_demo.C, fresh_demo.D)).zeros
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         zeros = mt.invariant_zeros(fresh_demo)
         assert calls == {"svd": 1 + 1, "eigvals": 1}
         assert np.array([z.value for z in zeros]).tobytes() == np.array([z.value for z in audited]).tobytes()
 
-    def test_a_single_input_staircase_takes_one_step_per_state(self, monkeypatch):
+    def test_a_controllable_single_input_plant_takes_one_eigenvalue_problem(self, monkeypatch):
         # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
-        # from one input: each staircase step reaches one more state, so
-        # there are n = 4 steps, one SVD of a column vector each, and no
-        # eigenvalue problem. (The PBH loop took 2 tests, one per unstable
-        # conjugate pair, after an eigenvalue problem on A.)
+        # from one input: no eigenvalue of A recurs in A - s b b^T, so the
+        # one stacked eigenvalue problem leaves no candidate and no pencil is
+        # factored.
         A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
         B = np.array([[1.0], [0.0], [1.0], [1.0]])
+        plant = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
-        X, Z = controllable_staircase(A, B)
-        assert calls == {"svd": 4, "eigvals": 0}
-        assert X.shape == (4, 4) and Z.shape == (4, 0)
-        assert mt.audit_assumptions(mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])).stabilizable
+        assert sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY) == []
+        assert calls == {"svd": 0, "eigvals": 1}
+        assert mt.audit_assumptions(plant).stabilizable
 
-    def test_a_strictly_proper_draw_at_n_64_audits_in_four_svds(self, monkeypatch):
+    def test_a_strictly_proper_draw_at_n_64_audits_in_two_svds(self, monkeypatch):
         # D = 0 is below the threshold and takes no SVD. The reduction makes
         # one SVD of C, restricts the state to ker C and appends C B, which
-        # has full row rank: one SVD more. B reaches 34 of the 64 states and
-        # A B the other 30: 2 staircase steps. The plant has no zeros and no
-        # candidate, so the one stacked eigenvalue problem is all the zeros cost.
+        # has full row rank: one SVD more. The plant has no zeros and (A, B)
+        # no uncontrollable mode: neither stacked eigenvalue problem leaves a
+        # candidate, so no pencil is factored.
         rng = np.random.default_rng([0, 64, 34, 26])
         A = rng.standard_normal((64, 64)) / 8.0
         sys = mt.LtiSystem(A, rng.standard_normal((64, 34)), rng.standard_normal((26, 64)), np.zeros((26, 34)))
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(sys)
         assert report.stabilizable and report.zeros == []
-        assert calls == {"svd": 2 + 2, "eigvals": 1}
+        assert calls == {"svd": 2, "eigvals": 1 + 1}
 
     def test_an_uncontrollable_pair_lists_both_members(self):
-        # The pair 1 +- 2j is not reachable from B; both members are reported.
+        # The pair 1 +- 2j is not reachable from B; both members are reported,
+        # lower first.
         A = np.array([[1.0, 2.0, 0.0], [-2.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
         B = np.array([[0.0], [0.0], [1.0]])
         sys = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0]], [[1.0]])
         report = mt.audit_assumptions(sys)
         assert not report.stabilizable
-        bad = [lam for lam in np.linalg.eigvals(A).tolist() if lam.real > 0.0]
+        bad = sorted((lam for lam in np.linalg.eigvals(A).tolist() if lam.real > 0.0), key=lambda lam: lam.imag)
         assert report.details["stabilizable"] == f"uncontrollable unstable modes {bad}"
         # Plain Python numbers, not NumPy reprs.
         assert "np." not in report.details["stabilizable"]
@@ -553,27 +566,62 @@ def _hidden_uncontrollable_plant(seed, kind, unstable, domain, n_c, m):
     return plant, modes
 
 
-class TestStaircaseAgainstPbh:
-    def test_an_uncertain_staircase_gives_way_to_the_pencil_test(self, monkeypatch):
-        # Five single-input steps reach the controllable states, and the
-        # hidden mode leaks into the sixth block at about 1.3 times the
-        # threshold, so the staircase alone would call the plant
-        # controllable. Its error bound has grown past that block's singular
-        # value by then, so it gives up, and the audit tests each unstable
-        # eigenvalue of A on the pencil after one eigenvalue problem on A.
+def reported_modes(report):
+    """The modes that ``details["stabilizable"]`` of a failed audit lists."""
+    return [complex(r) for r in ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))]
+
+
+class TestStabilizabilityAgainstPbh:
+    def test_a_hidden_mode_behind_a_single_input_chain_takes_one_eigenvalue_problem_and_one_svd(self, monkeypatch):
+        # Five single-input steps of a controllability staircase reach the
+        # controllable states, and the hidden mode leaks into the sixth block
+        # at about 1.3 times the threshold. The fixed-mode test finds it in
+        # one stacked eigenvalue problem and confirms it in one stacked SVD
+        # of [A - vI, b] at its two values, with no Newton step.
         plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
-        assert controllable_staircase(plant.A, plant.B) is None
-        tested = [lam for lam in np.linalg.eigvals(plant.A) if lam.imag >= 0.0 and not plant.domain.is_stable(lam)]
-        stacks = record_calls(monkeypatch, sysmodel, "ranks_of", lambda stack, *args: len(stack))
+        stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
+        bad = sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY)
+        assert calls == {"rank_of": 0, "eigvals": 1}
+        assert stacks == [(2, 6, 7)]
+        assert bad == pytest.approx(modes, rel=1e-8)
         report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
-        # One stacked pencil test with a member per unstable mode or pair;
-        # eigvals(A) and the one stacked eigenvalue problem of the zeros.
-        assert calls == {"rank_of": 0, "eigvals": 1 + 1}
-        assert stacks == [len(tested)]
+        assert not report.stabilizable and reported_modes(report) == bad
+
+    @pytest.mark.parametrize(
+        "seed, kind, domain, n_c, m",
+        [
+            (131, "real", mt.TimeDomain.DISCRETE, 3, 1),
+            (131, "real", mt.TimeDomain.DISCRETE, 3, 2),
+            (131, "real", mt.TimeDomain.DISCRETE, 3, 3),
+            (11, "real", mt.TimeDomain.CONTINUOUS, 6, 1),
+            (54, "jordan", mt.TimeDomain.CONTINUOUS, 3, 3),
+            (112, "jordan", mt.TimeDomain.CONTINUOUS, 4, 2),
+        ],
+    )
+    def test_a_hidden_mode_the_pbh_test_misses_fails_the_audit(self, seed, kind, domain, n_c, m):
+        # The real cases hide an unstable mode 1e-5 or 1e-2 from a
+        # controllable one: its computed eigenvalue of A is off by more than
+        # the threshold, and the PBH test there calls the plant stabilizable.
+        # The Jordan pairs split, and the PBH test at the split values misses
+        # them; the last one's eigenvalues of A lie 1.9e-6 apart, beyond the
+        # clustering radius, and are reported at their mean.
+        plant, modes = _hidden_uncontrollable_plant(seed, kind, True, domain, n_c, m)
+        report = mt.audit_assumptions(plant)
         assert not report.stabilizable
-        reported = ast.literal_eval(report.details["stabilizable"].removeprefix("uncontrollable unstable modes "))
-        assert reported == pytest.approx(modes, rel=1e-8)
+        reported = reported_modes(report)
+        assert len(reported) == len(modes)
+        if kind == "jordan":
+            assert abs(sum(reported) / 2.0 - modes[0]) <= 1e-8 * abs(modes[0])
+            assert max(abs(r - modes[0]) for r in reported) <= 1e-6 * abs(modes[0])
+        else:
+            assert reported == pytest.approx(modes, rel=1e-8)
+
+    def test_an_undecided_candidate_fails_the_assumption(self, ill_conditioned_zeros):
+        plant, _ = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
+        report = mt.audit_assumptions(plant)
+        assert not report.stabilizable
+        assert report.details["stabilizable"] == f"stabilizability test ill-conditioned: {ill_conditioned_zeros}"
 
     @given(
         seed=st.integers(0, 2**32 - 1),
