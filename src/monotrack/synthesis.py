@@ -21,7 +21,7 @@ from .errors import (
     RankDeficientAfterRetries,
     UnstableResult,
 )
-from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, rank_of, thin_svd
+from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, ranks_of, thin_svd
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
 from .subspaces import KernelSpan, PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
@@ -198,48 +198,64 @@ def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray) -> tuple:
     return tuple(modes)
 
 
-def _closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
+def _closed_loop(sys: LtiSystem, F: np.ndarray, formed: tuple | None = None) -> tuple:
     """Read-only ``(A + BF, eigvals(A + BF), C + DF)``, kept on the plant for the latest gain.
 
-    :func:`_verify_gain` forms them for each candidate gain, and
-    ``simverify`` reads them for the gain it simulates, so a simulation of a
-    gain that synthesis has just verified computes no spectrum again.
+    :func:`synthesize` keeps the closed loop that its try formed
+    (``formed``) for the gain it returns, and ``simverify`` reads it for the
+    gain it simulates, so a simulation of a gain that synthesis has just
+    verified computes no spectrum again. Without ``formed``,
+    :func:`_closed_loops` forms it.
     """
-    return _memo(sys, "closed-loop", (F.shape, F.tobytes()), lambda: _read_only(_form_closed_loop(sys, F)))
+    return _memo(sys, "closed-loop", (F.shape, F.tobytes()), lambda: _read_only(formed or _closed_loops(sys, [F])[0]))
 
 
-def _form_closed_loop(sys: LtiSystem, F: np.ndarray) -> tuple:
-    closed_loop = sys.A + sys.B @ F
-    return closed_loop, np.linalg.eigvals(closed_loop), sys.C + sys.D @ F
+def _closed_loops(sys: LtiSystem, gains) -> list[tuple]:
+    """``(A + BF, eigvals(A + BF), C + DF)`` for each gain F of ``gains``, the spectra from one stacked ``eigvals``.
 
-
-def _verify_gain(sys, spec, vg, directions, delta, V, W):
-    """Compute F = W V^-1 and check every closed-loop invariant.
-
-    Returns (F, spectrum, None) on success or (None, None, reason) when a
-    check fails; callers treat a failed verification like a bad random draw
-    and redraw, since ill-conditioned bases amplify the solve roundoff past
-    the contract tolerances. The closed loop comes from :func:`_closed_loop`.
-    The first ``len(delta)`` columns of V are the directions of ``delta``, in
-    order: their couplings are checked as one product with C + DF, and the
-    instantaneous outputs through the row norms of C + DF. A failure names
-    the first failing output, in the order of ``delta`` and then of the
-    outputs.
+    A gain whose closed loop the plant keeps (:func:`_closed_loop`), as a
+    repeat design of the same gain has it, is read, not formed. The others'
+    products are formed one gain at a time, as 2-D products, since a
+    batched ``matmul`` may round differently. A stacked ``eigvals`` returns
+    every spectrum complex once one member has a complex eigenvalue; each
+    spectrum here is real when all of its imaginary parts are zero, as a
+    2-D ``eigvals`` returns it. LAPACK factors the members one at a time, so
+    each member has the bits and the dtype of a separate call.
     """
-    F = np.linalg.solve(V.T, W.T).T
+    loops = [_memo(sys, "closed-loop", (F.shape, F.tobytes())) for F in gains]
+    missing = [i for i, loop in enumerate(loops) if loop is None]
+    if missing:
+        closed = [sys.A + sys.B @ gains[i] for i in missing]
+        for i, a, s in zip(missing, closed, np.linalg.eigvals(np.array(closed))):
+            loops[i] = (a, s.real if np.iscomplexobj(s) and not s.imag.any() else s, sys.C + sys.D @ gains[i])
+    return loops
+
+
+def _verify_gain(sys, spec, vg, directions, delta, V, W, F, closed_loop):
+    """Check every closed-loop invariant of the gain F = W V^-1, with its ``closed_loop`` from :func:`_closed_loops`.
+
+    Returns None when the gain passes, or the reason of the first check that
+    fails; callers treat a failed verification like a bad random draw and
+    try the next candidate, since ill-conditioned bases amplify the solve
+    roundoff past the contract tolerances. The first ``len(delta)`` columns
+    of V are the directions of ``delta``, in order: their couplings are
+    checked as one product with C + DF, and the instantaneous outputs
+    through the row norms of C + DF. A failure names the first failing
+    output, in the order of ``delta`` and then of the outputs.
+    """
     scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
     if np.linalg.norm(F @ V - W) > RESIDUAL_TOL * scale * max(1.0, float(np.linalg.norm(F))):
-        return None, None, "gain does not reproduce the requested directions"
+        return "gain does not reproduce the requested directions"
 
-    _, spectrum, out_map = _closed_loop(sys, F)
+    _, spectrum, out_map = closed_loop
     expected = [complex(spec.lambdas[j]) for j in delta] + [complex(m) for m in vg.modes]
     if not _match_spectrum(spectrum, expected, _SPECTRUM_TOL):
-        return None, None, (
+        return (
             f"closed-loop spectrum {sorted(spectrum.tolist(), key=lambda z: (z.real, z.imag))} "
             "does not match the assigned modes"
         )
     if not all(sys.domain.is_stable(z) for z in spectrum):
-        return None, None, "closed-loop spectrum is not contained in the stability region"
+        return "closed-loop spectrum is not contained in the stability region"
 
     # Achievable accuracy of C + D F is bounded by the gain magnitude.
     out_scale = max(scale, float(np.linalg.norm(sys.C)) + float(np.linalg.norm(sys.D)) * float(np.linalg.norm(F)))
@@ -248,13 +264,13 @@ def _verify_gain(sys, spec, vg, directions, delta, V, W):
     coupling[list(delta), np.arange(len(delta))] -= [directions[j].beta for j in delta]
     failed = np.flatnonzero(np.linalg.norm(coupling, axis=0) > bound)
     if failed.size:
-        return None, None, f"output coupling of direction {delta[failed[0]]} failed verification"
+        return f"output coupling of direction {delta[failed[0]]} failed verification"
     if vg.dim and np.linalg.norm(out_map @ vg.V) > bound:
-        return None, None, "stabilisability basis is not output-nulling under the gain"
+        return "stabilisability basis is not output-nulling under the gain"
     for j in np.flatnonzero(np.linalg.norm(out_map, axis=1) > bound).tolist():
         if j not in delta:
-            return None, None, f"output {j} is tagged instantaneous but its error row does not vanish"
-    return F, spectrum, None
+            return f"output {j} is tagged instantaneous but its error row does not vanish"
+    return None
 
 
 def _match_spectrum(actual: np.ndarray, expected: list, tolerance: float) -> bool:
@@ -306,7 +322,8 @@ def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, see
     The draws at ``seed`` ... ``seed + _REDRAWS`` with the x_j, skipping a
     draw whose pass falls short, then the last basis drawn with each x_j plus
     a random vector of ker P(lam_j) (still a solution). If no draw succeeds,
-    the last raises.
+    the last raises. :func:`_try_candidates` asks for the first pair alone
+    and, only if it fails, for all the others at once.
     """
     vg = None
     for k in range(_REDRAWS + 1):
@@ -325,6 +342,56 @@ def _candidates(sys: LtiSystem, vg_kernels, directions: dict, factors: dict, see
     yield vg, final
 
 
+def _try_batch(sys: LtiSystem, spec: SynthesisSpec, delta, batch: list, tol: TolerancePolicy):
+    """Try the (V*g basis, directions) candidates of ``batch`` in order, in one stacked pass.
+
+    One :func:`ranks_of` tests every V, one stacked ``solve`` gives the gain
+    of each full-rank member, and :func:`_closed_loops` their closed loops
+    from one stacked ``eigvals``; only the LAPACK operands are stacked, and
+    each member has the bits of a separate call. :func:`_verify_gain` then
+    checks the members in order until one passes. Returns
+    ``((vg, V, W, F, closed_loop), None)`` for the first passing member, or
+    ``(None, failure)`` with the last member's own failure: the reason its
+    gain failed verification, or None when its V is singular.
+    """
+    Vs = np.array([np.column_stack([dirs[j].v for j in delta] + ([vg.V] if vg.dim else [])) for vg, dirs in batch])
+    Ws = np.array([np.column_stack([dirs[j].w for j in delta] + ([vg.W] if vg.dim else [])) for vg, dirs in batch])
+    full = [i for i, rank in enumerate(ranks_of(Vs, tol)) if rank == sys.n]
+    solved = {}
+    if full:
+        gains = list(np.linalg.solve(Vs[full].transpose(0, 2, 1), Ws[full].transpose(0, 2, 1)).transpose(0, 2, 1))
+        solved = dict(zip(full, zip(gains, _closed_loops(sys, gains))))
+    for i, (vg, directions) in enumerate(batch):
+        failure = None
+        if i in solved:
+            F, closed_loop = solved[i]
+            failure = _verify_gain(sys, spec, vg, directions, delta, Vs[i], Ws[i], F, closed_loop)
+            if failure is None:
+                return (vg, Vs[i], Ws[i], F, closed_loop), None
+    return None, failure
+
+
+def _try_candidates(sys: LtiSystem, spec: SynthesisSpec, delta, candidates, tol: TolerancePolicy):
+    """The first of ``candidates`` with a full-rank V and a gain that passes, as ``(vg, V, W, F, closed_loop)``.
+
+    Two :func:`_try_batch` passes: the first candidate alone, so a design
+    that passes on its first try draws and factors nothing more, then, only
+    if it fails, every remaining candidate, all drawn at once. When none
+    passes, the last candidate's own failure is raised: :class:`UnstableResult`
+    with its reason, or :class:`RankDeficientAfterRetries` when its V is singular.
+    """
+    candidates = iter(candidates)
+    found, failure = _try_batch(sys, spec, delta, [next(candidates)], tol)
+    rest = [] if found else list(candidates)
+    if rest:
+        found, failure = _try_batch(sys, spec, delta, rest, tol)
+    if found:
+        return found
+    if failure is not None:
+        raise UnstableResult(failure)
+    raise RankDeficientAfterRetries("eigenvector matrix stayed singular after all retries")
+
+
 def synthesize(
     sys: LtiSystem,
     spec: SynthesisSpec,
@@ -335,9 +402,12 @@ def synthesize(
 
     Solvability and delta are decided once, on the discovered span of V*g
     or the replayed basis, before any draw. Up to ``_REDRAWS + 2`` candidate
-    bases (:func:`_candidates`, the one redraw loop) are then tried until one
-    has a full-rank V and a gain that passes :func:`_verify_gain`; a replay is
-    one candidate. The test of V is a try's only rank test (see :func:`genericity_trial`).
+    bases (:func:`_candidates`, the one redraw loop) are then tried in two
+    batches (:func:`_try_candidates`): the first alone, then, only if it
+    fails, all the others in one stacked pass; the first candidate in order
+    with a full-rank V and a gain that passes :func:`_verify_gain` wins. A
+    replay is one candidate. The test of V is a try's only rank test (see
+    :func:`genericity_trial`).
     Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
     kept on the plant for the latest (modes, pool, policy), so a repeat
     design on the same plant only draws, verifies and solves.
@@ -382,18 +452,8 @@ def synthesize(
         vg_kernels, delta, directions, factors = _memo(sys, "witnesses", (spec.lambdas, pool, tol), plant_facts)
         candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed)
 
-    for vg, directions in candidates:
-        V = np.column_stack([directions[j].v for j in delta] + ([vg.V] if vg.dim else []))
-        W = np.column_stack([directions[j].w for j in delta] + ([vg.W] if vg.dim else []))
-        failure = None
-        if rank_of(V, tol) == sys.n:
-            F, spectrum, failure = _verify_gain(sys, spec, vg, directions, delta, V, W)
-            if failure is None:
-                break
-    else:
-        if failure is not None:
-            raise UnstableResult(failure)
-        raise RankDeficientAfterRetries("eigenvector matrix stayed singular after all retries")
+    vg, V, W, F, closed_loop = _try_candidates(sys, spec, delta, candidates, tol)
+    spectrum = _closed_loop(sys, F, closed_loop)[1]
 
     x_ss, u_ss = steady_state(sys, spec.reference, tol)
     assigned = {j: float(spec.lambdas[j]) for j in delta} | {j: "instantaneous" for j in range(sys.p) if j not in delta}

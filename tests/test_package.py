@@ -131,3 +131,23 @@ def test_cli_job_runs_on_numpy_alone(command, tmp_path):
     if command == "analyze":
         # NumPy's random module loads hashlib (through secrets); no layer of the job does.
         assert any(m.startswith("numpy.random") for m in enclosing_imports(result.stderr, "hashlib"))
+
+
+def test_a_failing_hypothesis_test_reports_failed_not_an_internal_error(tmp_path):
+    # The project's warning filters turn every warning into an error; one
+    # raised inside Hypothesis's report hook would make pytest print
+    # INTERNALERROR in place of the failure.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given\n"
+        "from hypothesis import strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n",
+        encoding="utf-8",
+    )
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "--rootdir", str(tmp_path), "test_fails.py"]
+    result = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 1, result.stdout[-800:] + result.stderr[-800:]
+    assert "FAILED test_fails.py::test_fails" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr

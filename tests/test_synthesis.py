@@ -16,6 +16,7 @@ from monotrack.synthesis import _direction_from
 
 from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, record_calls, wide_plant
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
+from .try_oracle import one_try_at_a_time
 
 # Direction pairs of the demo plant at the requested modes, as exact rationals.
 DEMO_V1 = np.array([0.0, -27 / 4, 20.0, -29.0, -3.0]) / 18.0
@@ -286,6 +287,21 @@ class TestSynthesize:
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert calls == {"svd": 2 + 1 + 1 + 1 + 1}
 
+    def test_a_failing_design_tries_in_two_batches(self, monkeypatch):
+        # Every try of the (10,4,3) ladder rung fails. The first candidate is
+        # tried alone, then the six others in one stacked pass: one rank test
+        # of the V stack, one solve and one eigvals per batch. Verifying a try
+        # after the first on its own would make 6 of each.
+        plant = mt.generate(mt.GeneratorSpec(10, 4, 3, seed=0))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -1.25, -1.5), reference=(1.0, 1.0, 1.0))
+        with pytest.raises(mt.UnstableResult):
+            mt.synthesize(plant, spec)
+        # The plant keeps its audit, V*g and witnesses, so a repeat design makes only its tries' calls.
+        shapes = {name: record_calls(monkeypatch, np.linalg, name, lambda a, *args: np.shape(a)) for name in ("svd", "solve", "eigvals")}
+        with pytest.raises(mt.UnstableResult):
+            mt.synthesize(plant, spec)
+        assert shapes == {name: [(1, 10, 10), (6, 10, 10)] for name in ("svd", "solve", "eigvals")}
+
     def test_a_first_design_factors_its_pencils_in_one_call(self, monkeypatch):
         # The seeded zero -3, the modes -1 and -1.25 and the pool values the
         # V*g discovery is predicted to visit share one stacked full SVD; one
@@ -308,9 +324,9 @@ class TestSynthesize:
         # are x_j plus a kernel vector and keep unit coupling.
         verified = []
 
-        def failing_verification(sys, spec, vg, directions, delta, V, W):
+        def failing_verification(sys, spec, vg, directions, delta, V, W, F, closed_loop):
             verified.append(directions)
-            return None, None, "forced verification failure"
+            return "forced verification failure"
 
         monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
         monkeypatch.setattr(synthesis, "_REDRAWS", 2)
@@ -329,7 +345,7 @@ class TestSynthesize:
 
         def failing_verification(*args):
             verified.append(args)
-            return None, None, reason
+            return reason
 
         monkeypatch.setattr(synthesis, "_verify_gain", failing_verification)
         calls = count_calls(monkeypatch, (synthesis, "discover_vstar_g"), (synthesis, "draw"))
@@ -357,7 +373,8 @@ class TestSynthesize:
     def test_a_rank_deficient_vstar_g_draw_fails_the_test_of_v(self, fresh_demo, monkeypatch):
         # draw() makes no rank test of its own. The first V*g draw repeats its
         # first column in its last; the rank test of V rejects that try before
-        # any gain is verified, and the design comes from the draw at the next seed.
+        # any gain is verified, and the design comes from the draw at the next
+        # seed. The second batch draws every remaining seed at once.
         true_draw, seeds = synthesis.draw, []
 
         def repeated_column(kernels, seed):
@@ -373,7 +390,7 @@ class TestSynthesize:
         verified = count_calls(monkeypatch, (synthesis, "_verify_gain"))
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0), seed=4)
         fb = mt.synthesize(fresh_demo, spec)
-        assert seeds == [4, 5]
+        assert seeds == list(range(4, 5 + synthesis._REDRAWS))
         assert verified == {"_verify_gain": 1}
         monkeypatch.undo()
         next_seed = mt.synthesize(mt.LtiSystem.load(demo_system_path()), dataclasses.replace(spec, seed=5))
@@ -462,6 +479,15 @@ class TestPlantMemo:
             "_audit": 0, "discover_vstar_g": 0, "factor_pencils": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
         }
         assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
+
+    def test_a_repeat_design_of_the_same_gain_reads_its_kept_closed_loop(self, fresh_demo, monkeypatch):
+        # The gain does not depend on the reference, so a new reference at the
+        # same seed gives the same F, whose closed loop the plant keeps.
+        first = mt.synthesize(fresh_demo, self.SPEC)
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"))
+        again = mt.synthesize(fresh_demo, dataclasses.replace(self.SPEC, reference=np.array([1.0, -0.5, 0.25])))
+        assert calls == {"eigvals": 0}
+        assert again.F.tobytes() == first.F.tobytes()
 
     def test_designs_on_one_plant_equal_designs_on_fresh_plants(self, fresh_demo):
         # Modes A, then B, then A again: the slot of A is replaced and refilled.
@@ -572,30 +598,30 @@ def oracle_verify_gain(sys, spec, vg, directions, delta, V, W):
     F = np.linalg.solve(V.T, W.T).T
     scale = max(1.0, float(np.linalg.norm(V)), float(np.linalg.norm(W)))
     if np.linalg.norm(F @ V - W) > RESIDUAL_TOL * scale * max(1.0, float(np.linalg.norm(F))):
-        return None, None, "gain does not reproduce the requested directions"
+        return "gain does not reproduce the requested directions"
     closed_loop = sys.A + sys.B @ F
     spectrum = np.linalg.eigvals(closed_loop)
     expected = [complex(spec.lambdas[j]) for j in delta] + [complex(m) for m in vg.modes]
     if not oracle_match_spectrum(spectrum, expected, synthesis._SPECTRUM_TOL):
-        return None, None, (
+        return (
             f"closed-loop spectrum {sorted(spectrum.tolist(), key=lambda z: (z.real, z.imag))} "
             "does not match the assigned modes"
         )
     if not all(sys.domain.is_stable(z) for z in spectrum):
-        return None, None, "closed-loop spectrum is not contained in the stability region"
+        return "closed-loop spectrum is not contained in the stability region"
     out_map = sys.C + sys.D @ F
     out_scale = max(scale, float(np.linalg.norm(sys.C)) + float(np.linalg.norm(sys.D)) * float(np.linalg.norm(F)))
     for j in delta:
         target = np.zeros(sys.p)
         target[j] = directions[j].beta
         if np.linalg.norm(out_map @ directions[j].v - target) > RESIDUAL_TOL * out_scale * 10:
-            return None, None, f"output coupling of direction {j} failed verification"
+            return f"output coupling of direction {j} failed verification"
     if vg.dim and np.linalg.norm(out_map @ vg.V) > RESIDUAL_TOL * out_scale * 10:
-        return None, None, "stabilisability basis is not output-nulling under the gain"
+        return "stabilisability basis is not output-nulling under the gain"
     for j in range(sys.p):
         if j not in delta and np.linalg.norm(out_map[j]) > RESIDUAL_TOL * out_scale * 10:
-            return None, None, f"output {j} is tagged instantaneous but its error row does not vanish"
-    return F, spectrum, None
+            return f"output {j} is tagged instantaneous but its error row does not vanish"
+    return None
 
 
 def captured_verifications(monkeypatch, designs):
@@ -617,14 +643,20 @@ def captured_verifications(monkeypatch, designs):
     return captured
 
 
+def solved(sys, V, W) -> tuple:
+    """The gain F = W V^-1 and its closed loop ``(A + BF, eigvals(A + BF), C + DF)``, each from a 2-D call."""
+    F = np.linalg.solve(V.T, W.T).T
+    closed_loop = sys.A + sys.B @ F
+    return F, (closed_loop, np.linalg.eigvals(closed_loop), sys.C + sys.D @ F)
+
+
 def assert_same_verification(args):
-    sys = args[0]
-    # A new plant object, so the gain's closed loop is formed here and not read.
-    got = synthesis._verify_gain(mt.LtiSystem.from_json_dict(sys.to_json_dict()), *args[1:])
-    want = oracle_verify_gain(*args)
-    assert got[2] == want[2]
-    for a, b in zip(got[:2], want[:2]):
-        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    """The captured gain and closed loop have the bits and dtypes of 2-D calls, and the verdict is the oracle's."""
+    sys, spec, vg, directions, delta, V, W, F, closed_loop = args
+    want_F, want_loop = solved(sys, V, W)
+    for got, want in zip((F, *closed_loop), (want_F, *want_loop)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert synthesis._verify_gain(*args) == oracle_verify_gain(*args[:7])
 
 
 @st.composite
@@ -706,22 +738,112 @@ class TestVerifyGainOracles:
 
     @pytest.mark.parametrize("corrupted", [(1,), (2,), (0, 2), (2, 1)])
     def test_a_forced_coupling_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, corrupted):
-        (sys, spec, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        (sys, spec, vg, directions, delta, V, W, *gain), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
         directions = dict(directions)
         for j in corrupted:
             directions[j] = dataclasses.replace(directions[j], beta=2.0 * directions[j].beta)
-        args = (sys, spec, vg, directions, delta, V, W)
+        args = (sys, spec, vg, directions, delta, V, W, *gain)
         assert_same_verification(args)
-        assert synthesis._verify_gain(*args)[2] == f"output coupling of direction {min(corrupted)} failed verification"
+        assert synthesis._verify_gain(*args) == f"output coupling of direction {min(corrupted)} failed verification"
 
     @pytest.mark.parametrize("tagged", [(2,), (0,), (0, 1), (1, 2)])
     def test_a_forced_instantaneous_row_failure_names_the_oracles_output(self, fresh_demo, monkeypatch, tagged):
         # The outputs in ``tagged`` leave delta, and their modes join V*g's, so
         # the spectrum and the couplings still pass and only their rows fail.
-        (sys, spec, vg, directions, delta, V, W), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
+        (sys, spec, vg, directions, delta, V, W, *_), = captured_verifications(monkeypatch, [(fresh_demo, self.DEMO_SPEC)])
         kept = tuple(j for j in delta if j not in tagged)
         order = [delta.index(j) for j in kept + tagged] + list(range(len(delta), V.shape[1]))
         tagged_vg = SimpleNamespace(V=vg.V, dim=vg.dim, modes=tuple(spec.lambdas[j] for j in tagged) + tuple(vg.modes))
-        args = (sys, spec, tagged_vg, directions, kept, V[:, order], W[:, order])
+        V, W = V[:, order], W[:, order]
+        args = (sys, spec, tagged_vg, directions, kept, V, W, *solved(sys, V, W))
         assert_same_verification(args)
-        assert synthesis._verify_gain(*args)[2] == f"output {min(tagged)} is tagged instantaneous but its error row does not vanish"
+        assert synthesis._verify_gain(*args) == f"output {min(tagged)} is tagged instantaneous but its error row does not vanish"
+
+
+def swept(n, m, p, planted, seed, domain="continuous"):
+    """A sweep plant and its design spec: synthesis seed equal to the generator seed, reference all ones."""
+    plant = mt.generate(mt.GeneratorSpec(n, m, p, domain=domain, planted_zero_values=planted, seed=seed))
+    modes = [0.5 - 0.05 * k for k in range(p)] if domain == "discrete" else [-1.0 - 0.25 * k for k in range(p)]
+    return plant, mt.SynthesisSpec(lambdas=modes, reference=np.ones(p), seed=seed)
+
+
+def outcome(plant, spec):
+    """The design's JSON dict, or the class and text of its error."""
+    try:
+        return mt.synthesize(plant, spec).to_json_dict()
+    except mt.MonotrackError as err:
+        return type(err), str(err)
+
+
+class TestTwoBatches:
+    """The first try alone, then every other try in one stacked pass, decide as one try at a time does."""
+
+    RETRIED = {
+        # Designs on tries 2-7.
+        "c-8-4-3-s2": (8, 4, 3, (), 2),
+        "c-8-4-3-z-3-s1": (8, 4, 3, (-3.0,), 1),
+        "c-10-4-3-s0": (10, 4, 3, (), 0),
+        "c-10-4-3-z2-s2": (10, 4, 3, (2.0,), 2),
+        "c-12-5-4-z-3-s4": (12, 5, 4, (-3.0,), 4),
+        "d-12-5-4-z2-s1": (12, 5, 4, (2.0,), 1, "discrete"),
+        "d-16-6-5-s4": (16, 6, 5, (), 4, "discrete"),
+        # Every try fails: UnstableResult, and one whose last V is singular.
+        "c-8-4-3-s0": (8, 4, 3, (), 0),
+        "c-12-5-4-s0": (12, 5, 4, (), 0),
+        "d-16-6-5-z2-s1": (16, 6, 5, (2.0,), 1, "discrete"),
+        "d-16-6-5-s2": (16, 6, 5, (), 2, "discrete"),
+    }
+    # The ladder rungs that fail, at the ladder's generator seed and the default synthesis seed.
+    LADDER = {"ladder-10-4-3": (10, 4, 3, ()), "ladder-12-5-4-z-3": (12, 5, 4, (-3.0,)), "ladder-24-8-6": (24, 8, 6, ())}
+
+    def assert_as_one_try_at_a_time(self, make, monkeypatch):
+        plant, spec = make()
+        batches = count_calls(monkeypatch, (synthesis, "_try_batch"))
+        got = outcome(plant, spec)
+        assert batches == {"_try_batch": 2}
+        monkeypatch.setattr(synthesis, "_try_candidates", one_try_at_a_time)
+        assert got == outcome(make()[0], spec)
+        return got
+
+    @pytest.mark.parametrize("case", RETRIED.values(), ids=RETRIED.keys())
+    def test_a_sweep_plant_that_retries(self, case, monkeypatch):
+        self.assert_as_one_try_at_a_time(lambda: swept(*case), monkeypatch)
+
+    @pytest.mark.parametrize("rung", LADDER.values(), ids=LADDER.keys())
+    def test_a_failing_ladder_rung(self, rung, monkeypatch):
+        n, m, p, planted = rung
+
+        def make():
+            plant = mt.generate(mt.GeneratorSpec(n, m, p, planted_zero_values=planted, seed=0))
+            return plant, mt.SynthesisSpec(lambdas=[-1.0 - 0.25 * k for k in range(p)], reference=np.ones(p))
+
+        error, _ = self.assert_as_one_try_at_a_time(make, monkeypatch)
+        assert error is mt.UnstableResult
+
+    def test_each_spectrum_has_the_dtype_of_a_2d_eigvals(self):
+        # The second gain's closed loop has the pair -1 +- j, so a stacked
+        # eigvals returns all three spectra complex.
+        plant = mt.LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        gains = [np.diag([-1.0, -2.0]), np.array([[-1.0, 1.0], [-1.0, -1.0]]), np.diag([-3.0, -0.5])]
+        loops = synthesis._closed_loops(plant, gains)
+        assert [spectrum.dtype.kind for _, spectrum, _ in loops] == ["f", "c", "f"]
+        for (_, spectrum, _), F in zip(loops, gains):
+            want = np.linalg.eigvals(plant.A + plant.B @ F)
+            assert spectrum.dtype == want.dtype and spectrum.tobytes() == want.tobytes()
+
+    def test_a_batch_of_real_and_complex_spectra_reports_plain_floats(self, monkeypatch):
+        # The second batch mixes real and complex spectra, and the last
+        # candidate's is real: its error text prints plain floats.
+        batches, closed_loops = [], synthesis._closed_loops
+
+        def spy(plant, gains):
+            loops = closed_loops(plant, gains)
+            batches.append([spectrum.dtype.kind for _, spectrum, _ in loops])
+            return loops
+
+        monkeypatch.setattr(synthesis, "_closed_loops", spy)
+        error, text = self.assert_as_one_try_at_a_time(lambda: swept(10, 4, 3, (-3.0,), 4), monkeypatch)
+        assert error is mt.UnstableResult
+        _, second = batches
+        assert len(second) == 6 and set(second) == {"f", "c"} and second[-1] == "f"
+        assert text.startswith("closed-loop spectrum [") and "j" not in text and "np." not in text
