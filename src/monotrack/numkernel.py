@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, Unsolvable
+from .errors import DimensionMismatch
 
 _EPS = float(np.finfo(np.float64).eps)
 # Magnitudes below this are treated as exact zero.
@@ -70,15 +70,15 @@ def _rank(s: np.ndarray, shape: tuple[int, int], tol: TolerancePolicy) -> int:
 
 
 def _per_dtype(mats: list, factor) -> list:
-    """``factor`` of each same-shape matrix of ``mats``, from one stacked call per dtype, in the order given.
+    """``factor`` of each matrix of ``mats``, from one stacked call per dtype and shape, in the order given.
 
     ``factor`` maps a (k, r, c) stack to k per-member results. Real and
     complex matrices go into separate stacks, so no real matrix is factored
     in complex arithmetic. No call is made for an empty list.
     """
     results = [None] * len(mats)
-    for dtype in dict.fromkeys(M.dtype for M in mats):
-        members = [i for i, M in enumerate(mats) if M.dtype == dtype]
+    for kind in dict.fromkeys((M.dtype, M.shape) for M in mats):
+        members = [i for i, M in enumerate(mats) if (M.dtype, M.shape) == kind]
         for i, result in zip(members, factor(np.stack([mats[i] for i in members]))):
             results[i] = result
     return results
@@ -141,33 +141,6 @@ def residual_violation(M, x, b, smax: float) -> str | None:
     if residual > max(bound, ABSOLUTE_FLOOR):
         return f"residual {residual:.3e} exceeds tolerance {bound:.3e}"
     return None
-
-
-def thin_svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(M, u, s, vh)``: ``M`` as a 2-D array and its thin SVD, for :func:`min_norm_from_factors`."""
-    M = np.atleast_2d(np.asarray(M))
-    return (M, *np.linalg.svd(M, full_matrices=False))
-
-
-def min_norm_from_factors(factors: tuple, b, tol: TolerancePolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Moore-Penrose minimum-norm solution of ``M x = b`` from ``factors = thin_svd(M)``, so one factor serves many ``b``.
-
-    Raises :class:`Unsolvable` when :func:`residual_violation` rejects it: ``b`` is not in the range of ``M``.
-    """
-    M, u, s, vh = factors
-    b = np.asarray(b).reshape(-1)
-    if b.shape[0] != M.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != rows {M.shape[0]}")
-    thr = tol.rank_threshold(M.shape, float(s[0])) if s.size else 0.0
-    keep = s > thr
-    coeff = (u.conj().T @ b)[keep] / s[keep]
-    x = vh.conj().T[:, keep] @ coeff
-    if not (np.iscomplexobj(M) or np.iscomplexobj(b)):
-        x = x.real
-    reason = residual_violation(M, x, b, float(s[0]) if s.size else 0.0)
-    if reason is not None:
-        raise Unsolvable(reason)
-    return x
 
 
 def subspace_sum_dim(bases, tol: TolerancePolicy = DEFAULT_POLICY) -> int:

@@ -127,8 +127,8 @@ class PencilFactor:
     """One full SVD ``u diag(s) vh`` of the system pencil P(mu) and its rank decision.
 
     Every kernel of P(mu), whole or with output row j deleted, and every
-    direction solving P(mu) x = e_{n+j} is read from these factors. The
-    row-deleted kernel is {x : P x in span(e_{n+j})}: ker P plus the
+    minimum-norm solution of P(mu) x = b (:meth:`solve`) is read from these
+    factors. The row-deleted kernel is {x : P x in span(e_{n+j})}: ker P plus the
     minimum-norm solution x_j = P^+ e_{n+j} when e_{n+j} lies in the range
     of P, and ker P otherwise. x_j lies in the row space of P, so it extends
     ker P orthogonally.
@@ -141,13 +141,15 @@ class PencilFactor:
     rank: int
     n: int
 
-    def solution(self, j: int) -> np.ndarray | None:
-        """x_j = P^+ e_{n+j}, or None when :func:`residual_violation` rejects it."""
+    def solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """The minimum-norm solution x = P^+ rhs of P x = rhs, or None when :func:`residual_violation` rejects it."""
         r = self.rank
-        x = self.vh[:r].conj().T @ (self.u[self.n + j, :r].conj() / self.s[:r])
-        rhs = np.zeros(self.pencil.shape[0])
-        rhs[self.n + j] = 1.0
+        x = self.vh[:r].conj().T @ ((self.u[:, :r].conj().T @ rhs) / self.s[:r])
         return None if residual_violation(self.pencil, x, rhs, float(self.s[0])) else x
+
+    def solution(self, j: int) -> np.ndarray | None:
+        """x_j = P^+ e_{n+j}: :meth:`solve` of e_{n+j}, whose product with u is an exact read of its row n + j."""
+        return self.solve(np.eye(self.pencil.shape[0])[self.n + j])
 
     @property
     def null_basis(self) -> np.ndarray:
@@ -161,7 +163,7 @@ class PencilFactor:
 
 
 def factor_pencils(sys: LtiSystem, mus, tol: TolerancePolicy = DEFAULT_POLICY) -> list[PencilFactor]:
-    """Factor the system pencil at each of ``mus``, in order, with one stacked SVD per dtype.
+    """Factor the system pencil at each of ``mus``, in order, with one stacked SVD per dtype; the factors are read-only.
 
     The pencils at real values are real and those at complex values complex,
     so they make at most two stacks; an empty ``mus`` makes no call. Each
@@ -169,7 +171,7 @@ def factor_pencils(sys: LtiSystem, mus, tol: TolerancePolicy = DEFAULT_POLICY) -
     """
     pencils = [rosenbrock(sys, mu) for mu in mus]
     factors = _per_dtype(pencils, lambda stack: full_svds(stack, tol))
-    return [PencilFactor(pencil, *factor, sys.n) for pencil, factor in zip(pencils, factors)]
+    return [PencilFactor(*_read_only((P, u, s, vh)), rank, sys.n) for P, (u, s, vh, rank) in zip(pencils, factors)]
 
 
 def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_POLICY) -> PencilFactor:
@@ -390,7 +392,7 @@ def _discover(
     factors = _memo(sys, "pool", (pool, tol), dict)
     for mu in set(factors).difference(pool):
         del factors[mu]
-    _, nr, _, dim_vstar = _zero_fact(sys, tol)
+    nr, _, dim_vstar = _zero_fact(sys, tol)[1:4]
     width = sys.n + sys.m - nr + (excluded_output is not None)
     bound = math.inf if fixed is None else dim_vstar - fixed
     limit = sys.n if fixed is None else bound
@@ -427,11 +429,9 @@ def _discover(
 
 
 def _factor_into(sys: LtiSystem, factors: dict, values: list, tol: TolerancePolicy) -> None:
-    """Factor the ``values`` that ``factors`` lacks, in one :func:`factor_pencils` call, into it, read-only."""
+    """Factor the ``values`` that ``factors`` lacks, in one :func:`factor_pencils` call, into it."""
     missing = [mu for mu in dict.fromkeys(values) if mu not in factors]
-    for mu, factor in zip(missing, factor_pencils(sys, missing, tol)):
-        factors[mu] = factor
-        _read_only((factor.pencil, factor.u, factor.s, factor.vh))
+    factors.update(zip(missing, factor_pencils(sys, missing, tol)))
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
@@ -516,7 +516,8 @@ def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
 
 
 def discover_vstar_g(
-    sys: LtiSystem, free_pool=None, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero], avoid: tuple = ()
+    sys: LtiSystem, free_pool=None, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero],
+    avoid: tuple = (), extra: tuple = (),
 ) -> KernelSpan:
     """The kernels that span the stabilisability output-nulling subspace.
 
@@ -528,7 +529,8 @@ def discover_vstar_g(
     multiplicities of the zeros that are not minimum phase (see
     :func:`_discover`); the seeded kernels alone may reach it, and then no
     pool frequency is visited. The first :func:`factor_pencils` call also
-    factors the ``avoid`` values, a design's modes, for :func:`synthesis._witnesses`.
+    factors the ``avoid`` values, a design's modes, and the ``extra`` ones, its
+    tracking frequency, into the plant's ``pool`` fact for :func:`synthesis._witnesses`.
     """
     reason = _min_phase_violation(zeros)
     if reason is not None:
@@ -538,7 +540,7 @@ def discover_vstar_g(
     # a real pencil so the kernel carries no complex phase.
     seeded = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     fixed = _fixed_dims(zeros, every=False)
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed, extra=avoid)
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed, extra=(*avoid, *extra))
 
 
 # ---------------------------------------------------------------------------

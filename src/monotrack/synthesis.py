@@ -20,12 +20,13 @@ from .errors import (
     NotSolvable,
     RankDeficientAfterRetries,
     UnstableResult,
+    Unsolvable,
 )
-from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, min_norm_from_factors, ranks_of, thin_svd
+from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, ranks_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
 from .subspaces import KernelSpan, PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
-from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions, rosenbrock
+from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions
 
 _SPECTRUM_TOL = 1e-6
 # Reseeded V*g draws after the first one, before the last-resort directions.
@@ -146,17 +147,19 @@ def _stacked_pair(sys: LtiSystem, j: int, lam: float, col: np.ndarray) -> Direct
 def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm steady-state pair (x_ss, u_ss) for the step reference ``r``.
 
-    The thin SVD of the tracking pencil P(0) (P(1) in discrete time) is a
-    fact of the plant, kept on it per policy and read-only; only the solve
-    for ``r`` and its residual check run on every call, so an unreachable
-    reference raises :class:`Unsolvable` every time.
+    The :class:`PencilFactor` of the tracking pencil P(0) (P(1) in discrete
+    time) is the plant's ``steady-state`` fact, kept per policy: a design takes
+    it from the stacked SVD of its modes (:func:`_witnesses`), a call alone
+    makes one SVD. Only the solve for ``r`` and its residual check run on
+    every call, so an unreachable reference raises :class:`Unsolvable` every time.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != sys.p:
         raise ValueError(f"reference length {r.shape[0]} != outputs {sys.p}")
-    tracking = sys.domain.tracking_frequency
-    factors = _memo(sys, "steady-state", tol, lambda: _read_only(thin_svd(rosenbrock(sys, tracking))))
-    sol = min_norm_from_factors(factors, np.concatenate([np.zeros(sys.n), r]), tol)
+    factor = _memo(sys, "steady-state", tol, lambda: factor_pencils(sys, (sys.domain.tracking_frequency,), tol)[0])
+    sol = factor.solve(np.concatenate([np.zeros(sys.n), r]))
+    if sol is None:
+        raise Unsolvable(f"no equilibrium reaches the reference {r.tolist()}")
     return sol[: sys.n], sol[sys.n :]
 
 
@@ -294,7 +297,7 @@ def _match_spectrum(actual: np.ndarray, expected: list, tolerance: float) -> boo
     return True
 
 
-def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
+def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy, tracking: tuple = ()):
     """The witness set delta, x_j for each j in it, and the factor of P(lam) at each distinct mode.
 
     The verdict depends on the plant and the modes only, so it is decided on
@@ -304,10 +307,16 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy):
     factor the plant's ``pool`` fact holds (the V*g discovery of
     :func:`synthesize` factors every mode into it) is read from there; one
     :func:`factor_pencils` call factors the others, not kept on the plant.
+    The ``tracking`` frequency, if given, is read or factored alike, and its
+    factor is kept as the plant's ``steady-state`` fact, out of the pool fact.
     """
     held = _memo(sys, "pool", (vg_span.pool, tol), dict) if isinstance(vg_span, KernelSpan) else {}
-    missing = [lam for lam in dict.fromkeys(lambdas) if lam not in held]
-    factors = {lam: held[lam] for lam in lambdas if lam in held} | dict(zip(missing, factor_pencils(sys, missing, tol)))
+    wanted = dict.fromkeys((*lambdas, *tracking))
+    missing = [mu for mu in wanted if mu not in held]
+    factors = {mu: held[mu] for mu in wanted if mu in held} | dict(zip(missing, factor_pencils(sys, missing, tol)))
+    for tf in tracking:
+        held.pop(tf, None)
+        _memo(sys, "steady-state", tol, lambda: factors.pop(tf))
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:
@@ -429,13 +438,15 @@ def synthesize(
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
     zeros = report.zeros
     validate_modes(sys, spec.lambdas, zeros)
+    # Without a kept steady-state fact, the tracking pencil joins the stacked SVD of the mode pencils.
+    tracking = () if _memo(sys, "steady-state", tol) else (sys.domain.tracking_frequency,)
 
     if replay is not None:
         vg_V = np.atleast_2d(np.asarray(replay.vg_state, dtype=float))
         vg_W = np.atleast_2d(np.asarray(replay.vg_input, dtype=float))
         vg = PairedBasis(V=vg_V, W=vg_W, modes=_infer_column_modes(sys, vg_V, vg_W))
         vg.validate(sys, tol)
-        delta, directions, _ = _witnesses(sys, vg, spec.lambdas, tol)
+        delta, directions, _ = _witnesses(sys, vg, spec.lambdas, tol, tracking)
         for j in delta:
             if j in replay.directions:
                 v, w = (np.asarray(x, dtype=float).reshape(-1) for x in replay.directions[j])
@@ -445,8 +456,8 @@ def synthesize(
     else:
         # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
         def plant_facts():
-            vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas)
-            return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol))
+            vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas, extra=tracking)
+            return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol, tracking))
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
         vg_kernels, delta, directions, factors = _memo(sys, "witnesses", (spec.lambdas, pool, tol), plant_facts)

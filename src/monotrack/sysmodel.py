@@ -14,9 +14,10 @@ confirmed with an explicit rank test of the pencil.
 
 Stabilizability is the same question asked of the pair (A, B): its
 uncontrollable modes are its fixed modes too, and one routine finds the
-candidates of both pairs (the eigenvalues that recur when the input's Gram
-matrix shifts the state matrix) and one confirms them by a rank test. Only
-NumPy's LAPACK routines are used.
+candidates of both pairs in one stacked eigenvalue problem per shape (the
+eigenvalues that recur when the input's Gram matrix shifts the state
+matrix) and one confirms them by a rank test. Only NumPy's LAPACK routines
+are used.
 """
 
 from __future__ import annotations
@@ -322,13 +323,15 @@ def _zero_fact(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
 
 
 def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
-    """``(zeros, normal rank, rank of P at the tracking frequency tf, dim V*)``.
+    """``(zeros, normal rank, rank of P at the tracking frequency tf, dim V*, candidates of (A, B))``.
 
     ``zeros`` may be the confirmation's error. P(tf) is factored only when a candidate lies within the clustering
-    radius of tf, and no candidate is moved onto tf.
+    radius of tf, and no candidate is moved onto tf. One :func:`_fixed_mode_candidates` call finds the zeros'
+    candidates, (A_f, B_f)'s at the reduction's threshold, and (A, B)'s at that of [A B] for :func:`_unstable_fixed_modes`.
     """
     A_f, B_f, nr, threshold = _reduction(sys, tol)
-    candidates = _fixed_mode_candidates(A_f, B_f, threshold)
+    AB_threshold = tol.rank_threshold((sys.n, sys.n + sys.m), float(np.linalg.norm(np.hstack([sys.A, sys.B]))))
+    candidates, uncontrollable = _fixed_mode_candidates([(A_f, B_f, threshold), (sys.A, sys.B, AB_threshold)])
     tf = sys.domain.tracking_frequency
     probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _, _ in candidates) else []
     try:
@@ -343,28 +346,32 @@ def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
         )
     except IllConditionedPencil as exc:
         zeros, ranks = exc, [rank_of(rosenbrock(sys, tf), tol) for _ in probe]
-    return zeros, nr, ranks[0] if probe else nr, A_f.shape[0]
+    return zeros, nr, ranks[0] if probe else nr, A_f.shape[0], uncontrollable
 
 
-def _fixed_mode_candidates(A: np.ndarray, B: np.ndarray, threshold: float) -> list[tuple]:
-    """``(value, shifted value, size)`` of each candidate uncontrollable mode of the pair (A, B).
+def _fixed_mode_candidates(pairs: list[tuple]) -> list[list[tuple]]:
+    """Per ``(A, B, threshold)`` of ``pairs``, ``(value, shifted value, size)`` of each candidate uncontrollable mode of (A, B).
 
-    The uncontrollable modes are the eigenvalues common to A and A - s B B^T, s = ||A||_F / ||B||_F^2, which
-    one stacked eigenvalue problem gives; a B at or below ``threshold`` has no columns. A candidate is a
-    cluster of eig(A) in the closed upper half-plane (its conjugate stands for itself) with the nearest
+    The uncontrollable modes are the eigenvalues common to A and A - s B B^T, s = ||A||_F / ||B||_F^2; a B at
+    or below ``threshold`` has no columns. One stacked eigenvalue problem per shape gives every spectrum, all
+    complex once one is; a real spectrum read as complex gives the same candidates, bit for bit. A candidate is
+    a cluster of eig(A) in the closed upper half-plane (its conjugate stands for itself) with the nearest
     eigenvalue of the shifted matrix within the clustering radius; ``size`` counts its eigenvalues of A.
     """
-    if not A.size:
-        return []
-    norm_b = float(np.linalg.norm(B))
-    stack = [A] if norm_b <= threshold else [A, A - np.linalg.norm(A) / norm_b**2 * (B @ B.T)]
-    spectra = np.linalg.eigvals(np.stack(stack))
-    candidates = []
-    for z, size in _cluster(spectra[0]):
-        w = complex(spectra[-1][np.argmin(np.abs(spectra[-1] - z))])
-        if z.imag >= 0.0 and abs(w - z) <= _CLUSTER_RTOL * (1.0 + abs(z)):
-            candidates.append((z, w if z.imag else complex(w.real, 0.0), size))
-    return candidates
+    stacks = []
+    for A, B, threshold in pairs:
+        norm_b = float(np.linalg.norm(B))
+        stacks.append([] if not A.size else [A] if norm_b <= threshold else [A, A - np.linalg.norm(A) / norm_b**2 * (B @ B.T)])
+    spectra = iter(_per_dtype([M for stack in stacks for M in stack], np.linalg.eigvals))
+    found = []
+    for stack in stacks:
+        own, candidates = [next(spectra) for _ in stack], []
+        for z, size in _cluster(own[0]) if own else []:
+            w = complex(own[-1][np.argmin(np.abs(own[-1] - z))])
+            if z.imag >= 0.0 and abs(w - z) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+                candidates.append((z, w if z.imag else complex(w.real, 0.0), size))
+        found.append(candidates)
+    return found
 
 
 def _confirm(pencil, n: int, candidates: list, probe: list, target: int, tol: TolerancePolicy):
@@ -424,14 +431,15 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
     The normal rank, the invariant zeros and the rank of the pencil at the
     tracking frequency come from the plant's ``zeros`` fact, which
     :func:`invariant_zeros` shares: one orthogonal reduction, one stacked
-    eigenvalue problem and one stacked confirmation (see :func:`_zero_facts`).
-    They are carried on the report for the caller to reuse, and no random
-    number is drawn.
+    eigenvalue problem per shape and one stacked confirmation (see
+    :func:`_zero_facts`). They are carried on the report for the caller to
+    reuse, and no random number is drawn.
 
     Stabilizability is the same fixed-mode test applied to the pair (A, B)
-    (see :func:`_unstable_fixed_modes`): one stacked eigenvalue problem
-    finds the candidates, and one stacked SVD per dtype confirms the
-    unstable ones on [A - vI, B]. The plant is stabilizable when none is
+    (see :func:`_unstable_fixed_modes`): the ``zeros`` fact holds its
+    candidates, from the zeros' eigenvalue call when A_f has A's shape (D of
+    full row rank), and one stacked SVD per dtype confirms the unstable ones
+    on [A - vI, B]. The plant is stabilizable when none is
     confirmed; ``details["stabilizable"]`` lists the confirmed modes, both
     members of a pair, once per eigenvalue of A. An unstable candidate that the
     rank test can neither confirm nor reject fails the assumption, with the
@@ -446,15 +454,15 @@ def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> 
 def _unstable_fixed_modes(sys: LtiSystem, tol: TolerancePolicy) -> list[complex]:
     """The unstable uncontrollable modes of (A, B), both members of a pair.
 
-    The candidates of :func:`_fixed_mode_candidates` are taken at the threshold of [A B], and the unstable ones
-    are confirmed by :func:`_confirm` on [A - vI, B] at rank n, which may raise :class:`IllConditionedPencil`.
+    The candidates, found at the threshold of [A B], are read from the plant's ``zeros`` fact (see
+    :func:`_zero_facts`), and the unstable ones are confirmed by :func:`_confirm` on [A - vI, B] at rank n,
+    which may raise :class:`IllConditionedPencil`.
     The eigenvalues of A in the confirmed clusters, and their conjugates, are listed at the means of the
     groups they form within the square root of the clustering radius, once per eigenvalue: roundoff splits
     a defective mode by about its square root, also beyond the clustering radius, and the mean stays.
     """
     A, B, n = sys.A, sys.B, sys.n
-    threshold = tol.rank_threshold((n, n + sys.m), float(np.linalg.norm(np.hstack([A, B]))))
-    unstable = [c for c in _fixed_mode_candidates(A, B, threshold) if not sys.domain.is_stable(c[0])]
+    unstable = [c for c in _zero_fact(sys, tol)[4] if not sys.domain.is_stable(c[0])]
     if not unstable:
         return []
     confirmed, _ = _confirm(lambda v: np.hstack([A - v * np.eye(n), B]), n, unstable, [], n, tol)
@@ -469,7 +477,7 @@ def _unstable_fixed_modes(sys: LtiSystem, tol: TolerancePolicy) -> list[complex]
 def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     """The report of :func:`audit_assumptions`, computed."""
     details: dict[str, str] = {}
-    zeros, nr, at_freq, _ = _zero_fact(sys, tol)
+    zeros, nr, at_freq = _zero_fact(sys, tol)[:3]
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 

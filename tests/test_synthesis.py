@@ -32,6 +32,16 @@ def direction(sys, j, lam):
     return _direction_from(sys, j, lam, factor_pencil(sys, lam))
 
 
+def lstsq_steady_state(sys, r):
+    """The minimum-norm solution of P(tf) [x; u] = [0; r] by least squares at the default rank cut."""
+    P = sysmodel.rosenbrock(sys, sys.domain.tracking_frequency)
+    sol, *_ = np.linalg.lstsq(P, np.concatenate([np.zeros(sys.n), r]), rcond=10.0 * max(P.shape) * np.finfo(float).eps)
+    return sol
+
+
+LAPACK = ("svd", "eig", "eigvals", "solve", "lstsq", "qr", "inv", "pinv")
+
+
 def fail_first_draw(monkeypatch) -> list:
     """Make the first V*g draw of ``synthesize`` raise; returns the seeds of every draw asked for."""
     true_draw, seeds = synthesis.draw, []
@@ -157,6 +167,35 @@ class TestSteadyState:
         for kept, other, new in zip(first, again, fresh):
             assert kept.tobytes() == other.tobytes() == new.tobytes()
 
+    @pytest.mark.parametrize(
+        "make, lambdas",
+        [
+            (lambda: mt.LtiSystem.load(demo_system_path()), (-1.0, -2.0, -1.0)),
+            (lambda: mt.generate(mt.GeneratorSpec(6, 3, 2, mt.TimeDomain.DISCRETE, seed=0)), (0.5, 0.45)),
+            (lambda: wide_plant(0, 0, 4), (-1.0, -1.25, -1.5, -1.75)),
+        ],
+        ids=["demo", "discrete", "strictly-proper"],
+    )
+    def test_a_fresh_design_leaves_its_solve_no_factorization(self, make, lambdas, monkeypatch):
+        # A design factors the tracking pencil in the stacked SVD of its mode
+        # pencils (the V*g discovery's first call), so neither its witnesses
+        # nor its solve factor anything, and a solve right after it makes no
+        # LAPACK call; alone on a fresh plant the solve makes one SVD, with
+        # the same bits.
+        designed, alone = make(), make()
+        reference = np.linspace(1.0, -0.5, designed.p)
+        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
+        mt.synthesize(designed, mt.SynthesisSpec(lambdas=lambdas, reference=reference))
+        assert factored == [[]]
+        calls = count_calls(monkeypatch, *((np.linalg, name) for name in LAPACK))
+        after_design = np.concatenate(mt.steady_state(designed, reference))
+        assert calls == {name: 0 for name in LAPACK}
+        by_itself = np.concatenate(mt.steady_state(alone, reference))
+        assert calls == {name: int(name == "svd") for name in LAPACK}
+        assert after_design.tobytes() == by_itself.tobytes()
+        oracle = lstsq_steady_state(alone, reference)
+        assert np.linalg.norm(after_design - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_an_unreachable_reference_raises_on_every_call(self):
         # G(s) = s / (s + 1) has a zero at the tracking frequency: no
         # equilibrium reaches a nonzero reference, while zero is reachable.
@@ -265,27 +304,37 @@ class TestSynthesize:
     def test_each_distinct_mode_pencil_is_factored_once(self, fresh_demo, monkeypatch):
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
         # come from one factorization. The V*g discovery factors the distinct
-        # modes with its zero -6 in one stacked call, and the witnesses read
-        # them from the plant's pool fact.
+        # modes and the tracking pencil P(0) with its zero -6 in one stacked
+        # call, and the witnesses read them from the plant's pool fact.
         factored = {
             key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
             for owner, key in ((subspaces, "discovery"), (synthesis, "witnesses"))
         }
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert factored == {"discovery": [pytest.approx([-6.0, -1.0, -2.0], abs=1e-9)], "witnesses": [[]]}
+        assert factored == {"discovery": [pytest.approx([-6.0, -1.0, -2.0, 0.0], abs=1e-9)], "witnesses": [[]]}
+
+    def test_a_replay_factors_its_modes_and_the_tracking_pencil_in_one_call(self, fresh_demo, demo_replay, monkeypatch):
+        # A replay discovers nothing: the witnesses factor the distinct modes
+        # and P(0) together, and a second replay reads the kept P(0).
+        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        first = mt.synthesize(fresh_demo, spec, replay=demo_replay)
+        again = mt.synthesize(fresh_demo, spec, replay=demo_replay)
+        assert factored == [[-1.0, -2.0, 0.0], [-1.0, -2.0]]
+        assert first.x_ss.tobytes() == again.x_ss.tobytes()
 
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 SVD of D in the reduction, 1 stacked SVD at the zero
         # candidates, none for stabilizability (its one uncontrollable mode
-        # is stable). V*g: 1 stacked SVD of P(-6) and the 2 mode pencils; the
+        # is stable). V*g: 1 stacked SVD of P(-6), the 2 mode pencils and the
+        # tracking pencil P(0), which the steady-state solve reads; the
         # kernel of P(-6) reaches n less the zeros 2, 3 and 5, so no pool
         # pencil is factored, and the draw makes no rank test. 1 solvability
-        # rank test (h is the span's dimension), 1 rank test of V, 1
-        # steady-state solve. A change that brings back a recomputation or
-        # splits a stacked call fails here.
+        # rank test (h is the span's dimension), 1 rank test of V. A change
+        # that brings back a recomputation or splits a stacked call fails here.
         calls = count_calls(monkeypatch, (np.linalg, "svd"))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert calls == {"svd": 2 + 1 + 1 + 1 + 1}
+        assert calls == {"svd": 2 + 1 + 1 + 1}
 
     def test_a_failing_design_tries_in_two_batches(self, monkeypatch):
         # Every try of the (10,4,3) ladder rung fails. The first candidate is
@@ -303,13 +352,13 @@ class TestSynthesize:
         assert shapes == {name: [(1, 10, 10), (6, 10, 10)] for name in ("svd", "solve", "eigvals")}
 
     def test_a_first_design_factors_its_pencils_in_one_call(self, monkeypatch):
-        # The seeded zero -3, the modes -1 and -1.25 and the pool values the
-        # V*g discovery is predicted to visit share one stacked full SVD; one
-        # call per pool value would make six.
+        # The seeded zero -3, the modes -1 and -1.25, the tracking pencil P(0)
+        # and the pool values the V*g discovery is predicted to visit share
+        # one stacked full SVD; one call per pool value would make six.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, planted_zero_values=(-3.0,), seed=0))
         shapes = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args: np.shape(a))
         mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0)))
-        assert [shape for shape in shapes if len(shape) == 3 and shape[1:] == (8, 9)] == [(7, 8, 9)]
+        assert [shape for shape in shapes if len(shape) == 3 and shape[1:] == (8, 9)] == [(8, 8, 9)]
 
     def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.

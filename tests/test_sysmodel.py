@@ -431,21 +431,22 @@ class TestAuditAssumptions:
 
     def test_full_rank_audit_takes_the_normal_rank_from_the_reduction(self, fresh_demo, monkeypatch):
         # The demo's D has full row rank: the reduction makes one SVD and no
-        # step. One stacked SVD confirms the 4 zeros; no zero is near 0, so
-        # P(0) is not factored. One mode of A is uncontrollable, but it is
-        # stable, so the stabilizability test takes its eigenvalue problem
-        # and no SVD.
+        # step, and A_f has A's shape, so one stacked eigenvalue problem finds
+        # the candidates of both fixed-mode tests. One stacked SVD confirms
+        # the 4 zeros; no zero is near 0, so P(0) is not factored. One mode of
+        # A is uncontrollable, but it is stable, so the stabilizability test
+        # takes no SVD.
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "svd"), (np.linalg, "eigvals"))
         report = mt.audit_assumptions(fresh_demo)
-        assert calls == {"rank_of": 0, "svd": 1 + 1, "eigvals": 1 + 1}
+        assert calls == {"rank_of": 0, "svd": 1 + 1, "eigvals": 1}
         assert report.normal_rank == fresh_demo.n + fresh_demo.p
         assert report.details["no_zero_at_tracking_frequency"] == "pencil rank 8 at frequency 0.0"
         assert report.stabilizable
 
     def test_zeros_alone_are_the_audit_zeros_bit_for_bit(self, fresh_demo, monkeypatch):
         # invariant_zeros without an audit makes the reduction's one SVD, the
-        # one stacked eigenvalue problem and the one confirmation SVD, and no
-        # stabilizability test.
+        # one stacked eigenvalue problem, which also finds the candidates of
+        # (A, B), and the one confirmation SVD; it confirms no candidate of (A, B).
         audited = mt.audit_assumptions(mt.LtiSystem(fresh_demo.A, fresh_demo.B, fresh_demo.C, fresh_demo.D)).zeros
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         zeros = mt.invariant_zeros(fresh_demo)
@@ -455,14 +456,17 @@ class TestAuditAssumptions:
     def test_a_controllable_single_input_plant_takes_one_eigenvalue_problem(self, monkeypatch):
         # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
         # from one input: no eigenvalue of A recurs in A - s b b^T, so the
-        # one stacked eigenvalue problem leaves no candidate and no pencil is
-        # factored.
+        # one stacked eigenvalue problem of the plant's zeros fact leaves no
+        # candidate, and the test reads them with no call and factors no pencil.
         A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
         B = np.array([[1.0], [0.0], [1.0], [1.0]])
         plant = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
+        eigvals = record_calls(monkeypatch, np.linalg, "eigvals", lambda a, *args: np.shape(a))
+        assert sysmodel._zero_fact(plant, mt.DEFAULT_POLICY)[4] == []
+        assert len(eigvals) == 2  # D = 0: A_f is smaller than A
         calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
         assert sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY) == []
-        assert calls == {"svd": 0, "eigvals": 1}
+        assert calls == {"svd": 0, "eigvals": 0}
         assert mt.audit_assumptions(plant).stabilizable
 
     def test_a_strictly_proper_draw_at_n_64_audits_in_two_svds(self, monkeypatch):
@@ -535,6 +539,66 @@ class TestAuditAssumptions:
         assert not report.no_zero_at_tracking_frequency
 
 
+def both_pairs(plant, tol=mt.DEFAULT_POLICY):
+    """The two pairs of the fixed-mode tests: (A_f, B_f) at the reduction's threshold and (A, B) at that of [A B]."""
+    A_f, B_f, _, threshold = sysmodel._reduction(plant, tol)
+    AB_threshold = tol.rank_threshold((plant.n, plant.n + plant.m), float(np.linalg.norm(np.hstack([plant.A, plant.B]))))
+    return [(A_f, B_f, threshold), (plant.A, plant.B, AB_threshold)]
+
+
+class TestOneEigenvalueCallForBothFixedModeTests:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        m=st.integers(1, 4),
+        p=st.integers(1, 4),
+        proper=st.booleans(),
+        hidden=st.integers(0, 2),
+    )
+    @settings(max_examples=150)
+    def test_the_merged_call_gives_the_candidates_of_two_separate_calls_bit_for_bit(self, seed, n, m, p, proper, hidden):
+        # The first ``hidden`` states are unreachable from B, so (A, B) has candidates to find.
+        assume(hidden < n)
+        m, p = (m, p) if proper else (min(m, n - hidden), min(p, n))
+        rng = np.random.default_rng(seed)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        A[:hidden, hidden:], B[:hidden] = 0.0, 0.0
+        T, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        D = rng.standard_normal((p, m)) if proper else np.zeros((p, m))
+        try:
+            plant = mt.LtiSystem(T @ A @ T.T, T @ B, rng.standard_normal((p, n)), D)
+        except ValueError:
+            assume(False)
+        pairs = both_pairs(plant)
+        merged = sysmodel._fixed_mode_candidates(pairs)
+        separate = [sysmodel._fixed_mode_candidates([pair])[0] for pair in pairs]
+        assert repr(merged) == repr(separate)
+
+    def test_a_complex_spectrum_of_A_beside_a_real_one_of_A_f(self, monkeypatch):
+        # A = [[0, 1], [-1, 0]] has eigenvalues +-j, and A_f = A - B C has the
+        # real ones of s^2 + 3s + 1. One stacked call returns both spectra
+        # complex; the candidates are still those of separate calls.
+        plant = mt.LtiSystem([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]], [[0.0, 3.0]], [[1.0]])
+        pairs = both_pairs(plant)
+        assert not np.iscomplexobj(np.linalg.eigvals(pairs[0][0])) and np.iscomplexobj(np.linalg.eigvals(plant.A))
+        shapes = record_calls(monkeypatch, np.linalg, "eigvals", lambda a, *args: np.shape(a))
+        merged = sysmodel._fixed_mode_candidates(pairs)
+        assert shapes == [(3, 2, 2)]
+        assert repr(merged) == repr([sysmodel._fixed_mode_candidates([pair])[0] for pair in pairs])
+        assert [len(candidates) for candidates in merged] == [2, 0]
+
+    @pytest.mark.parametrize("proper, calls", [(False, 2), (True, 1)])
+    def test_an_audit_makes_one_eigenvalue_call_per_shape(self, proper, calls, monkeypatch):
+        # The wide-outputs plant is strictly proper and its A_f is 2 x 2, smaller
+        # than A; with a D of full row rank, A_f has A's shape and one call serves both tests.
+        plant = wide_plant(0, 0, 4)
+        if proper:
+            plant = mt.LtiSystem(plant.A, plant.B, plant.C, np.random.default_rng(1).standard_normal((plant.p, plant.m)))
+        counted = count_calls(monkeypatch, (np.linalg, "eigvals"))
+        mt.audit_assumptions(plant)
+        assert counted == {"eigvals": calls}
+
+
 def _hidden_uncontrollable_plant(seed, kind, unstable, domain, n_c, m):
     """T [[A_u, 0], [*, A_c]] T^T with B = T [0; B_c], and the eigenvalues of A_u.
 
@@ -576,13 +640,15 @@ class TestStabilizabilityAgainstPbh:
         # Five single-input steps of a controllability staircase reach the
         # controllable states, and the hidden mode leaks into the sixth block
         # at about 1.3 times the threshold. The fixed-mode test finds it in
-        # one stacked eigenvalue problem and confirms it in one stacked SVD
-        # of [A - vI, b] at its two values, with no Newton step.
+        # the stacked eigenvalue problem of the plant's zeros fact and
+        # confirms it in one stacked SVD of [A - vI, b] at its two values,
+        # with no Newton step.
         plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
+        sysmodel._zero_fact(plant, mt.DEFAULT_POLICY)
         stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
         bad = sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY)
-        assert calls == {"rank_of": 0, "eigvals": 1}
+        assert calls == {"rank_of": 0, "eigvals": 0}
         assert stacks == [(2, 6, 7)]
         assert bad == pytest.approx(modes, rel=1e-8)
         report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
