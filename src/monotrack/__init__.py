@@ -35,7 +35,7 @@ _EXPORTS = {
     "solvability": ("SolvabilityVerdict", "check_solvable", "validate_modes"),
     "subspaces": (
         "PairedBasis", "default_frequency_pool", "discover_rstar", "discover_vstar_g", "draw",
-        "factor_pencil", "factor_pencils", "rstar_recursive", "vstar_recursive",
+        "factor_pencils", "rstar_recursive", "vstar_recursive",
     ),
     "synthesis": (
         "DirectionPair", "FeedbackResult", "Replay", "SynthesisSpec", "control_input", "steady_state",

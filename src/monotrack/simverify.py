@@ -193,9 +193,9 @@ def simulate(
     the one-step recursion, so about 2 log2(N) matrix products replace N - 1
     matrix-vector products. The default horizon covers roughly eight time
     constants of the slowest assigned mode; a given horizon must be positive
-    and finite, or :class:`ValueError` is raised. In discrete time a horizon
-    H of at least 1 means the steps 0 ... floor(H), and a ``num_samples``
-    other than floor(H) + 1 raises :class:`ValueError`.
+    and finite, and ``x0`` finite, or :class:`ValueError` is raised. In
+    discrete time a horizon H of at least 1 means the steps 0 ... floor(H),
+    and a ``num_samples`` other than floor(H) + 1 raises :class:`ValueError`.
 
     The stability gate, C + DF, the sample times and the transition's powers
     run once per gain and sampling, and the plant keeps them for the latest
@@ -205,6 +205,8 @@ def simulate(
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
         raise ValueError(f"initial state length {x0.shape[0]} != states {sys.n}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"initial state must be finite, got {x0.tolist()}")
     if horizon is not None and not 0.0 < float(horizon) < np.inf:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if horizon is not None and sys.domain is TimeDomain.DISCRETE:

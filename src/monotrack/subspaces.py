@@ -3,8 +3,8 @@
 Three families of subspaces drive the solvability theory and the synthesis:
 
 * R_j at a real mode - the state directions reachable with that single
-  assigned mode with output j deleted, read from one :func:`factor_pencil`
-  by :func:`_single_mode_basis`;
+  assigned mode with output j deleted, read from one :func:`factor_pencils`
+  factor by :func:`_single_mode_basis`;
 * R* - the saturated sum of such kernels over a pool of distinct stable
   frequencies, the output-nulling reachability subspace, for the full plant
   or with one output row deleted;
@@ -64,7 +64,7 @@ from .sysmodel import (
     _memo,
     _min_phase_violation,
     _read_only,
-    _zero_fact,
+    _structure,
     exclusion_violation,
     rosenbrock,
 )
@@ -172,11 +172,6 @@ def factor_pencils(sys: LtiSystem, mus, tol: TolerancePolicy = DEFAULT_POLICY) -
     pencils = [rosenbrock(sys, mu) for mu in mus]
     factors = _per_dtype(pencils, lambda stack: full_svds(stack, tol))
     return [PencilFactor(*_read_only((P, u, s, vh)), rank, sys.n) for P, (u, s, vh, rank) in zip(pencils, factors)]
-
-
-def factor_pencil(sys: LtiSystem, mu: complex, tol: TolerancePolicy = DEFAULT_POLICY) -> PencilFactor:
-    """Factor the system pencil at ``mu`` once (one SVD): :func:`factor_pencils` of one value."""
-    return factor_pencils(sys, (mu,), tol)[0]
 
 
 class _SpanTracker:
@@ -301,7 +296,7 @@ def default_frequency_pool(
 def _single_mode_basis(sys: LtiSystem, kernel: np.ndarray, mu: float) -> PairedBasis:
     """Directions with the single assignable real mode ``mu``, from a kernel of P(mu).
 
-    Given ``factor_pencil(sys, mu).kernel(j)``, the state parts span R_j at
+    Given ``factor_pencils(sys, [mu])[0].kernel(j)``, the state parts span R_j at
     ``mu`` (the kernel-projected subspace of the plant with output ``j``
     deleted). Kernel columns whose state parts depend linearly on earlier
     ones are dropped, so V always has full column rank; the paired input
@@ -373,9 +368,9 @@ def _discover(
     zero of geometric multiplicity g takes at least g dimensions of V*. The
     span stops growing at dim V* less ``fixed``; reaching it at the last pool
     value is saturation. None sets no bound. A pool exhausted below the
-    bound, an empty one too, raises :class:`SaturationFailure`. dim V* and
-    the normal rank nr are read from the plant's ``zeros`` fact, computed if
-    the plant lacks it.
+    bound, an empty one too, raises :class:`SaturationFailure`. The normal
+    rank nr and dim V*, the column count of the reduction's basis T, are read
+    from the plant's ``structure`` fact, computed if the plant lacks it.
 
     The factors are kept read-only in the plant's ``pool`` fact, a dict from
     mu to :class:`PencilFactor` for ``(pool, tol)`` that the discoveries over
@@ -392,9 +387,9 @@ def _discover(
     factors = _memo(sys, "pool", (pool, tol), dict)
     for mu in set(factors).difference(pool):
         del factors[mu]
-    nr, _, dim_vstar = _zero_fact(sys, tol)[1:4]
-    width = sys.n + sys.m - nr + (excluded_output is not None)
-    bound = math.inf if fixed is None else dim_vstar - fixed
+    structure = _structure(sys, tol)
+    width = sys.n + sys.m - structure.report.normal_rank + (excluded_output is not None)
+    bound = math.inf if fixed is None else structure.T.shape[1] - fixed
     limit = sys.n if fixed is None else bound
 
     def stop(i: int, dim: int) -> int:  # the index past the values predicted from pool[i] at dimension dim

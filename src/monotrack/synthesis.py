@@ -173,8 +173,11 @@ def _infer_column_modes(sys: LtiSystem, V: np.ndarray, W: np.ndarray) -> tuple:
     """Assign a generating frequency to each replayed basis column.
 
     Columns satisfying a scalar eigen-relation get that real frequency;
-    otherwise adjacent columns are interpreted as a realified complex pair.
+    otherwise adjacent columns are a realified complex pair. A zero column raises :class:`ValueError`.
     """
+    zero = np.flatnonzero(~V.any(axis=0))
+    if zero.size:
+        raise ValueError(f"replayed basis column {zero[0]} is zero")
     modes = []
     k = 0
     scale = max(1.0, float(np.linalg.norm(sys.A)))

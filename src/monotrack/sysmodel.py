@@ -233,27 +233,29 @@ def rosenbrock(sys: LtiSystem, lam: complex) -> np.ndarray:
 
 
 def normal_rank(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Generic rank of the pencil: n + p less the output rows :func:`_reduction` finds dependent, with no sample."""
-    return _reduction(sys, tol)[2]
+    """Generic rank of the pencil: n + p less the output rows :func:`_reduction` finds dependent, from the ``structure``."""
+    return _structure(sys, tol).report.normal_rank
 
 
-def _reduction(sys: LtiSystem, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """``(A_f, B_f, normal rank, threshold)``: the plant on V* from one orthogonal reduction.
+def _reduction(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
+    """``(T, A_f, B_f, F0, N, normal rank, threshold)``: the plant on V* from one orthogonal reduction.
 
     Each step compresses the rows of D by an SVD. The rows C_2 of C left
     without feedthrough must stay zero, so the state is restricted to ker C_2
-    and C_2 [A B] is appended to the outputs (Emami-Naeini & Van Dooren
-    1982). The steps end when D has full row rank or no state is left; the
-    state left is V*. There F0 = -D^+ C is a friend, N = ker D holds the free
-    inputs, A_f = A + B F0 and B_f = B N. A dependent row of C_2 is a zero
-    row of the pencil at every frequency, and the normal rank is n + p less
-    their count. Every rank decision is made at ``threshold``, the policy's
-    for P's shape and ``||P(0)||_F``; a matrix whose Frobenius norm is below
-    it has rank 0 and is not factored.
+    and C_2 [A B] is appended to the outputs (Emami-Naeini & Van Dooren 1982).
+    The steps end when D has full row rank or no state is left; the state left
+    is V*, with the product T of the steps' restrictions as its orthonormal
+    basis. There F0 = -D^+ C is a friend, N = ker D holds the free inputs,
+    A_f = A + B F0 and B_f = B N: A T + B F0 = T A_f, C T + D F0 = 0 and
+    B N = T B_f. A dependent row of C_2 is a zero row of the pencil at every
+    frequency, and the normal rank is n + p less their count. Every rank
+    decision is made at ``threshold``, the policy's for P's shape and
+    ``||P(0)||_F``; a matrix whose Frobenius norm is below it has rank 0 and
+    is not factored.
     """
     n, m, p = sys.n, sys.m, sys.p
     threshold = tol.rank_threshold((n + p, n + m), float(np.linalg.norm(rosenbrock(sys, 0.0))))
-    A, B, C, D, dependent = sys.A, sys.B, sys.C, sys.D, 0
+    A, B, C, D, T, dependent = sys.A, sys.B, sys.C, sys.D, np.eye(n), 0
     while True:
         if np.linalg.norm(D) <= threshold:
             U, s, Wh, r = np.eye(D.shape[0]), np.empty(0), np.eye(m), 0
@@ -271,9 +273,9 @@ def _reduction(sys: LtiSystem, tol: TolerancePolicy) -> tuple[np.ndarray, np.nda
             break
         R, K = Vh[:q].T, Vh[q:].T
         C, D = np.vstack([C @ K, R.T @ A @ K]), np.vstack([D, R.T @ B])
-        A, B = K.T @ A @ K, K.T @ B
-    F0 = -Wh[:r].T @ (C / s[:r, None])
-    return A + B @ F0, B @ Wh[r:].T, n + p - dependent, threshold
+        A, B, T = K.T @ A @ K, K.T @ B, T @ K
+    F0, N = -Wh[:r].T @ (C / s[:r, None]), Wh[r:].T
+    return T, A + B @ F0, B @ N, F0, N, n + p - dependent, threshold
 
 
 def _cluster(values, rtol: float = _CLUSTER_RTOL) -> list[tuple[complex, int]]:
@@ -301,9 +303,9 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
     1973): the uncontrollable modes of the pair (A_f, B_f) of
     :func:`_reduction`, found by :func:`_fixed_mode_candidates` and each
     confirmed by a rank test on P(z) (:func:`_confirm`). No random number is
-    drawn. The zeros are kept on the plant as its ``zeros`` fact for ``tol``,
-    which :func:`audit_assumptions` shares; the list returned is the
-    caller's own.
+    drawn. The zeros are read from the plant's ``structure`` fact for ``tol``
+    (see :func:`_analyze`), which :func:`audit_assumptions` shares; the list
+    returned is the caller's own.
 
     Raises
     ------
@@ -311,42 +313,10 @@ def invariant_zeros(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> li
         If a candidate sits in the gray zone where the rank test can neither
         confirm nor reject it, also after one Newton step (see :func:`_confirm`).
     """
-    zeros = _zero_fact(sys, tol)[0]
+    zeros = _structure(sys, tol).zeros
     if isinstance(zeros, IllConditionedPencil):
         raise zeros.with_traceback(None)
     return list(zeros)
-
-
-def _zero_fact(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
-    """The plant's ``zeros`` fact for ``tol``: :func:`_zero_facts`, computed once."""
-    return _memo(sys, "zeros", tol, lambda: _zero_facts(sys, tol))
-
-
-def _zero_facts(sys: LtiSystem, tol: TolerancePolicy) -> tuple:
-    """``(zeros, normal rank, rank of P at the tracking frequency tf, dim V*, candidates of (A, B))``.
-
-    ``zeros`` may be the confirmation's error. P(tf) is factored only when a candidate lies within the clustering
-    radius of tf, and no candidate is moved onto tf. One :func:`_fixed_mode_candidates` call finds the zeros'
-    candidates, (A_f, B_f)'s at the reduction's threshold, and (A, B)'s at that of [A B] for :func:`_unstable_fixed_modes`.
-    """
-    A_f, B_f, nr, threshold = _reduction(sys, tol)
-    AB_threshold = tol.rank_threshold((sys.n, sys.n + sys.m), float(np.linalg.norm(np.hstack([sys.A, sys.B]))))
-    candidates, uncontrollable = _fixed_mode_candidates([(A_f, B_f, threshold), (sys.A, sys.B, AB_threshold)])
-    tf = sys.domain.tracking_frequency
-    probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _, _ in candidates) else []
-    try:
-        confirmed, ranks = _confirm(lambda v: rosenbrock(sys, v), sys.n, candidates, probe, nr, tol)
-        zeros = sorted(
-            (
-                InvariantZero(w, lost, sys.domain.is_interior_stable(z))
-                for z, lost in filter(None, confirmed)
-                for w in ([z, z.conjugate()] if z.imag else [z])
-            ),
-            key=lambda z: (z.value.real, z.value.imag),
-        )
-    except IllConditionedPencil as exc:
-        zeros, ranks = exc, [rank_of(rosenbrock(sys, tf), tol) for _ in probe]
-    return zeros, nr, ranks[0] if probe else nr, A_f.shape[0], uncontrollable
 
 
 def _fixed_mode_candidates(pairs: list[tuple]) -> list[list[tuple]]:
@@ -392,7 +362,7 @@ def _confirm(pencil, n: int, candidates: list, probe: list, target: int, tol: To
         z, P, s = values[j], pencils[j], spectra[j]
         if s[target - 1] > tol.rank_threshold(P.shape, float(s[0])):
             step = _newton_step(P, n, target)
-            if abs(step) <= _CLUSTER_RTOL * (1.0 + abs(z)):
+            if step is not None and abs(step) <= _CLUSTER_RTOL * (1.0 + abs(z)):
                 z += step
                 s = np.linalg.svd(pencil(z.real if z.imag == 0.0 else z), compute_uv=False)
         threshold = tol.rank_threshold(P.shape, float(s[0]))
@@ -406,10 +376,11 @@ def _confirm(pencil, n: int, candidates: list, probe: list, target: int, tol: To
     return confirmed, ranks
 
 
-def _newton_step(P: np.ndarray, n: int, target: int) -> complex:
-    """Newton's step dz toward a zero of the ``target``-th singular value of ``P`` = P(z); dP/dz is -diag(I_n, 0)."""
+def _newton_step(P: np.ndarray, n: int, target: int) -> complex | None:
+    """Newton's step dz toward a zero of the ``target``-th singular value of ``P`` = P(z), dP/dz = -diag(I_n, 0); None if flat."""
     u, s, vh = np.linalg.svd(P)
-    return complex(s[target - 1] / (u[:n, target - 1].conj() @ vh[target - 1, :n].conj()))
+    slope = u[:n, target - 1].conj() @ vh[target - 1, :n].conj()
+    return complex(s[target - 1] / slope) if slope else None
 
 
 def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
@@ -428,41 +399,39 @@ def _min_phase_violation(zeros: list[InvariantZero]) -> str | None:
 def audit_assumptions(sys: LtiSystem, tol: TolerancePolicy = DEFAULT_POLICY) -> AssumptionReport:
     """Check the four standing assumptions required by the tracking setup.
 
-    The normal rank, the invariant zeros and the rank of the pencil at the
-    tracking frequency come from the plant's ``zeros`` fact, which
-    :func:`invariant_zeros` shares: one orthogonal reduction, one stacked
-    eigenvalue problem per shape and one stacked confirmation (see
-    :func:`_zero_facts`). They are carried on the report for the caller to
-    reuse, and no random number is drawn.
+    The report is read from the plant's ``structure`` fact for ``tol``, which
+    :func:`invariant_zeros` and :func:`normal_rank` share, and returned as is
+    by later calls (treat it as read-only). One orthogonal reduction gives the
+    normal rank, one stacked eigenvalue problem per shape and one stacked
+    confirmation give the invariant zeros and the rank of the pencil at the
+    tracking frequency (see :func:`_analyze`). They are carried on the report
+    for the caller to reuse, and no random number is drawn.
 
     Stabilizability is the same fixed-mode test applied to the pair (A, B)
-    (see :func:`_unstable_fixed_modes`): the ``zeros`` fact holds its
-    candidates, from the zeros' eigenvalue call when A_f has A's shape (D of
-    full row rank), and one stacked SVD per dtype confirms the unstable ones
-    on [A - vI, B]. The plant is stabilizable when none is
-    confirmed; ``details["stabilizable"]`` lists the confirmed modes, both
-    members of a pair, once per eigenvalue of A. An unstable candidate that the
-    rank test can neither confirm nor reject fails the assumption, with the
-    reason in the details.
-
-    The report is kept on the plant as its ``audit`` fact for ``tol`` and
-    returned as is by later calls (treat it as read-only).
+    (see :func:`_unstable_fixed_modes`): its candidates come from the zeros'
+    eigenvalue call, in the same stack when A_f has A's shape (D of full row
+    rank), and one stacked SVD per dtype confirms the unstable ones on
+    [A - vI, B]. The plant is stabilizable when none is confirmed;
+    ``details["stabilizable"]`` lists the confirmed modes, both members of a
+    pair, once per eigenvalue of A. An unstable candidate that the rank test
+    can neither confirm nor reject fails the assumption, with the reason in
+    the details.
     """
-    return _memo(sys, "audit", tol, lambda: _audit(sys, tol))
+    return _structure(sys, tol).report
 
 
-def _unstable_fixed_modes(sys: LtiSystem, tol: TolerancePolicy) -> list[complex]:
+def _unstable_fixed_modes(sys: LtiSystem, candidates: list, tol: TolerancePolicy) -> list[complex]:
     """The unstable uncontrollable modes of (A, B), both members of a pair.
 
-    The candidates, found at the threshold of [A B], are read from the plant's ``zeros`` fact (see
-    :func:`_zero_facts`), and the unstable ones are confirmed by :func:`_confirm` on [A - vI, B] at rank n,
+    ``candidates`` are (A, B)'s from :func:`_fixed_mode_candidates`, found at the threshold of [A B], and the
+    unstable ones are confirmed by :func:`_confirm` on [A - vI, B] at rank n,
     which may raise :class:`IllConditionedPencil`.
     The eigenvalues of A in the confirmed clusters, and their conjugates, are listed at the means of the
     groups they form within the square root of the clustering radius, once per eigenvalue: roundoff splits
     a defective mode by about its square root, also beyond the clustering radius, and the mean stays.
     """
     A, B, n = sys.A, sys.B, sys.n
-    unstable = [c for c in _zero_fact(sys, tol)[4] if not sys.domain.is_stable(c[0])]
+    unstable = [c for c in candidates if not sys.domain.is_stable(c[0])]
     if not unstable:
         return []
     confirmed, _ = _confirm(lambda v: np.hstack([A - v * np.eye(n), B]), n, unstable, [], n, tol)
@@ -474,15 +443,60 @@ def _unstable_fixed_modes(sys: LtiSystem, tol: TolerancePolicy) -> list[complex]
     return [complex(z) for z, size in _cluster(modes, _CLUSTER_RTOL**0.5) for _ in range(size)]
 
 
-def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
-    """The report of :func:`audit_assumptions`, computed."""
+@dataclass(frozen=True)
+class _Structure:
+    """A plant's ``structure`` fact for one tolerance policy: its reduction onto V*, its zeros and its audit.
+
+    T (an orthonormal basis of V*), A_f, B_f, F0 (a friend) and N (the free inputs) are :func:`_reduction`'s, read-only;
+    ``zeros`` is the sorted zero list or the :class:`IllConditionedPencil` of its confirmation.
+    """
+
+    T: np.ndarray
+    A_f: np.ndarray
+    B_f: np.ndarray
+    F0: np.ndarray
+    N: np.ndarray
+    zeros: list[InvariantZero] | IllConditionedPencil
+    report: AssumptionReport
+
+
+def _structure(sys: LtiSystem, tol: TolerancePolicy) -> _Structure:
+    """The plant's ``structure`` fact for ``tol``: :func:`_analyze`, computed once."""
+    return _memo(sys, "structure", tol, lambda: _analyze(sys, tol))
+
+
+def _analyze(sys: LtiSystem, tol: TolerancePolicy) -> _Structure:
+    """The ``structure`` fact, computed: the reduction, the zeros, then the audit that reads them.
+
+    One :func:`_fixed_mode_candidates` call finds the zeros' candidates, (A_f, B_f)'s at the reduction's threshold,
+    and (A, B)'s at that of [A B] for :func:`_unstable_fixed_modes`. P at the tracking frequency tf is factored only
+    when a candidate lies within the clustering radius of tf, and no candidate is moved onto tf.
+    """
+    T, A_f, B_f, F0, N, nr, threshold = _reduction(sys, tol)
+    AB_threshold = tol.rank_threshold((sys.n, sys.n + sys.m), float(np.linalg.norm(np.hstack([sys.A, sys.B]))))
+    candidates, uncontrollable = _fixed_mode_candidates([(A_f, B_f, threshold), (sys.A, sys.B, AB_threshold)])
+    tf = sys.domain.tracking_frequency
+    probe = [tf] if any(abs(z - tf) <= _CLUSTER_RTOL * (1.0 + tf) for z, _, _ in candidates) else []
+    try:
+        confirmed, ranks = _confirm(lambda v: rosenbrock(sys, v), sys.n, candidates, probe, nr, tol)
+        zeros = sorted(
+            (
+                InvariantZero(w, lost, sys.domain.is_interior_stable(z))
+                for z, lost in filter(None, confirmed)
+                for w in ([z, z.conjugate()] if z.imag else [z])
+            ),
+            key=lambda z: (z.value.real, z.value.imag),
+        )
+    except IllConditionedPencil as exc:
+        zeros, ranks = exc, [rank_of(rosenbrock(sys, tf), tol) for _ in probe]
+    at_freq = ranks[0] if probe else nr
+
     details: dict[str, str] = {}
-    zeros, nr, at_freq = _zero_fact(sys, tol)[:3]
     right_invertible = nr == sys.n + sys.p
     details["right_invertible"] = f"normal rank {nr} (full row rank is {sys.n + sys.p})"
 
     try:
-        bad_modes = _unstable_fixed_modes(sys, tol)
+        bad_modes = _unstable_fixed_modes(sys, uncontrollable, tol)
         reason = f"uncontrollable unstable modes {bad_modes}" if bad_modes else None
     except IllConditionedPencil as exc:
         reason = f"stabilizability test ill-conditioned: {exc}"
@@ -490,26 +504,28 @@ def _audit(sys: LtiSystem, tol: TolerancePolicy) -> AssumptionReport:
     details["stabilizable"] = reason or "all unstable modes controllable"
 
     no_zero_at_freq = at_freq == sys.n + sys.p
-    details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {sys.domain.tracking_frequency}"
+    details["no_zero_at_tracking_frequency"] = f"pencil rank {at_freq} at frequency {tf}"
 
     if isinstance(zeros, IllConditionedPencil):
         details["distinct_min_phase_zeros"] = f"zero computation ill-conditioned: {zeros}"
-        zeros, distinct = None, False
+        reported, distinct = None, False
     else:
         reason = _min_phase_violation(zeros)
         distinct = reason is None
         minimum = [z.value for z in zeros if z.is_minimum_phase]
         details["distinct_min_phase_zeros"] = reason or f"minimum-phase zeros {minimum}"
+        reported = zeros
 
-    return AssumptionReport(
+    report = AssumptionReport(
         right_invertible=right_invertible,
         stabilizable=stabilizable,
         no_zero_at_tracking_frequency=no_zero_at_freq,
         distinct_min_phase_zeros=distinct,
         details=details,
         normal_rank=nr,
-        zeros=zeros,
+        zeros=reported,
     )
+    return _Structure(*_read_only((T, A_f, B_f, F0, N)), zeros, report)
 
 
 def exclusion_violation(value: float, zeros: list[InvariantZero]) -> bool:

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,20 @@ DEMO_XSS = np.array([0.0, -2.0, 10 / 3, 0.0, -7 / 15])
 DEMO_USS = np.array([-48 / 5, -14 / 15, -1.0, -2.0])
 
 DEMO_ZEROS = (-6.0, 2.0, 3.0, 5.0)
+
+
+# Pure integrators, A = 0 with B of full row rank, each with its modes: as
+# factories, so every test gets a plant with no kept fact.
+INTEGRATORS = [
+    pytest.param(lambda: mt.LtiSystem(np.zeros((2, 2)), np.eye(2), np.eye(2), np.zeros((2, 2))), (-1.0, -2.0), id="two-state"),
+    pytest.param(lambda: mt.LtiSystem([[0.0]], [[1.0]], [[1.0]], [[0.0]]), (-1.0,), id="siso"),
+]
+
+
+def source_env() -> dict:
+    """The environment of a subprocess that imports this checkout's monotrack."""
+    source_root = str(Path(mt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
 
 
 def wide_plant(seed, index, p):

@@ -12,7 +12,7 @@ from monotrack.subspaces import (
     _SpanTracker,
     _validated_pool,
     default_frequency_pool,
-    factor_pencil,
+    factor_pencils,
 )
 
 
@@ -25,7 +25,7 @@ def probe_discover(sys, seeded: list, pool, excluded_output, tol, tag) -> Kernel
                 tracker.try_add(col.reshape(-1, 1))
     visited = []
     for mu in pool:
-        kernel = factor_pencil(sys, mu, tol).kernel(excluded_output)
+        kernel = factor_pencils(sys, (mu,), tol)[0].kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
             tracker.try_add(kernel[: sys.n, k : k + 1])
@@ -48,5 +48,5 @@ def probe_vstar_g(sys, zeros, free_pool=None, avoid=(), tol=DEFAULT_POLICY) -> K
     """V*g by :func:`probe_discover`, seeded with the kernels at the minimum-phase zeros."""
     pool = _validated_pool(sys, free_pool, zeros, avoid)
     modes = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
-    seeded = [(mode, factor_pencil(sys, mode, tol).kernel()) for mode in modes]
+    seeded = [(mode, factor_pencils(sys, (mode,), tol)[0].kernel()) for mode in modes]
     return probe_discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0))

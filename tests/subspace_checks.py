@@ -4,7 +4,7 @@ import numpy as np
 
 import monotrack as mt
 from monotrack.numkernel import ABSOLUTE_FLOOR, _as_matrix, orthonormalize
-from monotrack.subspaces import _single_mode_basis, factor_pencil
+from monotrack.subspaces import _single_mode_basis, factor_pencils
 
 
 def containment_residual(inner, outer, tol=mt.DEFAULT_POLICY) -> float:
@@ -38,4 +38,4 @@ def span_equal(first, second, tol=mt.DEFAULT_POLICY, residual: float = 1e-8) -> 
 
 def single_mode_basis(sys, lam, excluded_output=None):
     """R_j at the real mode ``lam`` as ``synthesize`` builds it: from one factored pencil."""
-    return _single_mode_basis(sys, factor_pencil(sys, lam).kernel(excluded_output), float(lam))
+    return _single_mode_basis(sys, factor_pencils(sys, (lam,))[0].kernel(excluded_output), float(lam))

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import monotrack as mt
 from monotrack import cli, subspaces
 from monotrack.fixtures import demo_replay_path, demo_system_path
 
-from .conftest import DEMO_GAIN, count_calls, record_calls
+from .conftest import DEMO_GAIN, INTEGRATORS, count_calls, record_calls, source_env
 
 
 def run_cli(argv):
@@ -469,6 +471,32 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith("config error:")
         assert not any(out.iterdir())
 
+    def test_a_replay_with_a_zero_basis_column_is_a_config_error(self, tmp_path, capsys):
+        replay = json.loads(demo_replay_path().read_text())
+        for row in replay["V_g"]:
+            row[1] = 0.0
+        path, out = tmp_path / "replay.json", tmp_path / "out"
+        path.write_text(json.dumps(replay))
+        code = run_cli([
+            "--command", "synthesize", "--system", str(demo_system_path()), "--lambdas=-1,-2,-1",
+            "--reference=2,2,2", "--replay-vg", str(path), "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: replayed basis column 1 is zero\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("x0", ["nan,0,0,0,0", "0,inf,0,0,0"])
+    def test_an_initial_state_that_is_not_finite_is_a_config_error(self, tmp_path, capsys, command, x0):
+        out = tmp_path / "out"
+        code = run_cli([
+            "--command", command, "--system", str(demo_system_path()), "--lambdas=-1,-2,-1",
+            "--reference=2,2,2", f"--x0={x0}", "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: initial state must be finite")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("field, value", [("A", {"x": 1}), ("B", 5), ("C", [[1.0, None, 0.0, 0.0, 0.0]]), ("D", [[1.0], [2.0, 3.0]])])
     def test_a_malformed_system_file_is_a_config_error(self, tmp_path, capsys, field, value):
         system = json.loads(demo_system_path().read_text()) | {field: value}
@@ -485,3 +513,29 @@ class TestMalformedFiles:
         assert replay.directions.keys() == demo_replay.directions.keys()
         for j, (v, w) in replay.directions.items():
             assert np.array_equal(v, demo_replay.directions[j][0]) and np.array_equal(w, demo_replay.directions[j][1])
+
+
+class TestJobsUnderWarningsAsErrors:
+    """CLI jobs in a process of their own under ``python -W error``, as the benchmark and CI start them."""
+
+    @staticmethod
+    def job(*argv):
+        cmd = [sys.executable, "-W", "error", "-m", "monotrack.cli", *argv]
+        return subprocess.run(cmd, env=source_env(), capture_output=True, text=True)
+
+    @pytest.mark.parametrize("make, lambdas", INTEGRATORS)
+    def test_a_pure_integrator_is_analyzed_and_designed(self, tmp_path, make, lambdas):
+        # [A - 0 I, B] = [0, B]: the stabilizability confirmation's singular
+        # pair has no state part, and its Newton step no slope.
+        plant = make()
+        plant.save(tmp_path / "plant.json")
+        system = ["--system", str(tmp_path / "plant.json")]
+        analyzed = self.job("--command", "analyze", *system, "--out", str(tmp_path / "analyze"))
+        assert analyzed.returncode == cli.EXIT_OK, analyzed.stderr[-800:]
+        assert read_json(tmp_path / "analyze" / "analysis.json")["assumptions"]["stabilizable"] is True
+        modes, reference = ",".join(map(str, lambdas)), ",".join(["1"] * plant.p)
+        designed = self.job(
+            "--command", "synthesize", *system, f"--lambdas={modes}", f"--reference={reference}", "--out", str(tmp_path / "gain"),
+        )
+        assert designed.returncode == cli.EXIT_OK, designed.stderr[-800:]
+        assert (tmp_path / "gain" / "gain.csv").exists()

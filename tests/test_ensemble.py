@@ -247,7 +247,7 @@ class TestGenericityTrial:
         assert stacks == [(7, (5, 5))] * 7 + [(1, (5, 5))]
 
     def test_direction_kernels_are_computed_once(self, monkeypatch):
-        # subspaces.factor_pencil factors through subspaces.factor_pencils, so a pool factor is seen too.
+        # Every pencil factor goes through subspaces.factor_pencils, so a pool factor is seen too.
         factored = {
             key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
             for owner, key in ((synthesis, "direction"), (subspaces, "discovery"))

@@ -11,6 +11,8 @@ import pytest
 import monotrack as mt
 from monotrack.fixtures import demo_system_path
 
+from .conftest import source_env
+
 
 def test_star_import_binds_the_public_api_only():
     namespace = {}
@@ -38,12 +40,6 @@ def test_a_public_name_is_looked_up_once(monkeypatch):
     assert lookups == ["synthesize"]
     with pytest.raises(AttributeError, match="no_such_name"):
         mt.no_such_name
-
-
-def source_env() -> dict:
-    """The environment of a subprocess that imports this checkout's monotrack."""
-    source_root = str(Path(mt.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
 
 
 def run_probe(code: str, *argv: str, options=(), env=None) -> subprocess.CompletedProcess:

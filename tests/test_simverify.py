@@ -274,6 +274,13 @@ def diagonal_plant_and_gain():
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_an_initial_state_that_is_not_finite_raises_value_error(self, demo_system, demo_feedback, bad):
+        x0 = np.array(DEMO_X0_A, dtype=float)
+        x0[2] = bad
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            mt.simulate(demo_system, demo_feedback, x0)
+
     def test_zero_initial_error_stays_zero(self, demo_system, demo_feedback):
         trace = mt.simulate(demo_system, demo_feedback, demo_feedback.x_ss)
         assert np.max(np.abs(trace.epsilon)) <= 1e-12

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import monotrack as mt
 from monotrack import subspaces, sysmodel
+from monotrack.fixtures import demo_system_path
 from monotrack.numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, TolerancePolicy, rank_of, residual_violation
 from monotrack.subspaces import (
     _POOL_VISITS,
@@ -15,7 +16,6 @@ from monotrack.subspaces import (
     discover_rstar,
     discover_vstar_g,
     draw,
-    factor_pencil,
     factor_pencils,
 )
 from monotrack.sysmodel import rosenbrock
@@ -94,7 +94,7 @@ class TestPencilFactor:
 
     def test_row_deleted_kernels_and_directions_match_the_old_construction(self, demo_system):
         for plant, mu in factor_oracle_cases(demo_system):
-            factor = factor_pencil(plant, mu)
+            factor = factor_pencils(plant, (mu,))[0]
             for j in range(plant.p):
                 kernel, expected = factor.kernel(j), deleted_row_kernel(plant, mu, j)
                 assert kernel.shape == expected.shape, (plant.n, plant.p, mu, j)
@@ -106,7 +106,7 @@ class TestPencilFactor:
 
     def test_whole_kernel_is_the_nullspace_byte_for_byte(self, demo_system):
         for plant, mu in factor_oracle_cases(demo_system)[::7]:
-            kernel = factor_pencil(plant, mu).kernel()
+            kernel = factor_pencils(plant, (mu,))[0].kernel()
             assert kernel.tobytes() == mt.nullspace(rosenbrock(plant, mu)).tobytes()
 
     @given(
@@ -135,7 +135,7 @@ class TestPencilFactor:
             Q = np.linalg.qr(rng.normal(size=(A.shape[0], A.shape[0])))[0]
             A, B, C = Q @ A @ Q.T, Q @ B, C @ Q.T
         plant = mt.LtiSystem.relaxed(A, B, C, rng.normal(size=(p, m)))
-        factor = factor_pencil(plant, mu)
+        factor = factor_pencils(plant, (mu,))[0]
         missing = [j for j in range(p) if factor.solution(j) is None]
         assume(missing)
         for j in missing:
@@ -145,7 +145,7 @@ class TestPencilFactor:
             assert np.linalg.norm(beta) <= ABSOLUTE_FLOOR
 
     def test_an_output_outside_the_range_leaves_the_kernel_of_the_whole_pencil(self):
-        factor = factor_pencil(TALL_PLANT, -2.0)
+        factor = factor_pencils(TALL_PLANT, (-2.0,))[0]
         assert np.allclose(np.abs(factor.null_basis[:, 0]), [0.0, 1.0, 0.0])
         for j in range(TALL_PLANT.p):
             assert factor.solution(j) is None and min_norm_direction(TALL_PLANT, -2.0, j) is None
@@ -155,7 +155,7 @@ class TestPencilFactor:
 
 
 class TestFactorPencils:
-    """One stacked SVD per dtype against one ``factor_pencil`` per mode, bit for bit."""
+    """One stacked SVD per dtype against one one-value ``factor_pencils`` call per mode, bit for bit."""
 
     @given(
         seed=st.integers(0, 2**20),
@@ -179,7 +179,7 @@ class TestFactorPencils:
         factors = factor_pencils(plant, mus, policy)
         assert len(factors) == len(mus)
         for mu, got in zip(mus, factors):
-            want = factor_pencil(plant, mu, policy)
+            want = factor_pencils(plant, (mu,), policy)[0]
             assert got.rank == want.rank and got.n == want.n
             for name in ("pencil", "u", "s", "vh"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -531,12 +531,12 @@ def batch_plants():
 
 
 def kept_dim_vstar(plant):
-    """dim V* as the plant's ``zeros`` fact keeps it."""
-    return sysmodel._zero_fact(plant, DEFAULT_POLICY)[3]
+    """dim V* as the plant's ``structure`` fact keeps it: the column count of its basis T."""
+    return sysmodel._structure(plant, DEFAULT_POLICY).T.shape[1]
 
 
 def audited_copy(plant):
-    """A new object of ``plant`` that holds its zeros fact alone, and the zeros."""
+    """A new object of ``plant`` that holds its structure fact alone, and the zeros."""
     copy = mt.LtiSystem.from_json_dict(plant.to_json_dict())
     return copy, mt.invariant_zeros(copy)
 
@@ -598,6 +598,66 @@ class TestBatchedDiscovery:
                     calls = [[mu for mu in mus if mu in span.pool] for mus in factored]
                     assert [mus for mus in calls if mus] == [[mu for mu, _ in span.visited]]
         assert reached >= 50
+
+
+def filtered_plant(p):
+    """A generated plant with a zero at +2 and a 1/(s+1) filter on each of its p outputs: n = 2p + 4, D = 0."""
+    g = mt.generate(mt.GeneratorSpec(p + 4, p + 2, p, planted_zero_values=(2.0,), seed=0))
+    A = np.block([[g.A, np.zeros((g.n, p))], [g.C, -np.eye(p)]])
+    return mt.LtiSystem(A, np.vstack([g.B, g.D]), np.hstack([np.zeros((p, g.n)), np.eye(p)]), np.zeros((p, g.m)))
+
+
+STRUCTURE_CASES = (
+    [pytest.param(sweep_plants, size, id=f"sweep-{size}") for size in SWEEP_SIZES]
+    + [pytest.param(strictly_proper_plants, size, id=f"strictly-proper-{size}") for size in STRICTLY_PROPER_SIZES]
+    + [pytest.param(lambda: [filtered_plant(p) for p in range(4, 20, 2)], (), id="filtered")]
+    + [pytest.param(lambda: [mt.LtiSystem.load(demo_system_path())], (), id="demo")]
+)
+
+
+class TestPlantStructure:
+    """The reduction's basis T of V*, friend F0 and free inputs N, kept in the plant's one ``structure`` fact."""
+
+    @pytest.mark.parametrize("plants, size", STRUCTURE_CASES)
+    def test_the_basis_friend_and_free_inputs_satisfy_their_identities(self, plants, size):
+        for i, plant in enumerate(plants(*size)):
+            s = sysmodel._structure(plant, DEFAULT_POLICY)
+            A, B, C, D = plant.A, plant.B, plant.C, plant.D
+            bound = 1e-12 * max(1.0, np.linalg.norm(A))
+            assert np.linalg.norm(A @ s.T + B @ s.F0 - s.T @ s.A_f) <= bound, f"plant {i}"
+            assert np.linalg.norm(C @ s.T + D @ s.F0) <= bound, f"plant {i}"
+            assert np.linalg.norm(B @ s.N - s.T @ s.B_f) <= bound, f"plant {i}"
+            assert np.linalg.norm(s.T.T @ s.T - np.eye(s.T.shape[1])) <= 1e-13, f"plant {i}"
+            assert s.T.shape[1] == mt.vstar_recursive(plant).shape[1], f"plant {i}"
+            assert not any(M.flags.writeable for M in (s.T, s.A_f, s.B_f, s.F0, s.N))
+
+    @pytest.mark.parametrize("first", ["normal_rank", "invariant_zeros", "audit_assumptions", "discovery"])
+    def test_a_fresh_plant_reduces_once_per_policy_whatever_it_is_asked_first(self, first, monkeypatch):
+        # The strictly proper plant takes two reduction steps and has no zeros,
+        # so a discovery asked first needs none computed.
+        plant = wide_plant(0, 0, 8)
+        asks = {
+            "normal_rank": mt.normal_rank,
+            "invariant_zeros": mt.invariant_zeros,
+            "audit_assumptions": mt.audit_assumptions,
+            "discovery": lambda plant, tol: discover_rstar(plant, tol=tol, zeros=[]),
+        }
+        calls = count_calls(monkeypatch, (sysmodel, "_reduction"))
+        for k, tol in enumerate((DEFAULT_POLICY, TolerancePolicy(relative_rank_tol=1e-10))):
+            asks[first](plant, tol)
+            for ask in asks.values():
+                ask(plant, tol)
+            assert calls == {"_reduction": k + 1}
+            assert sysmodel._structure(plant, tol).T.shape == (plant.n, 2)
+        assert "structure" in plant._facts and not {"zeros", "audit"} & plant._facts.keys()
+
+    def test_the_normal_rank_after_an_audit_makes_no_lapack_call(self, monkeypatch):
+        plant = wide_plant(0, 1, 10)
+        report = mt.audit_assumptions(plant)
+        calls = count_calls(monkeypatch, *((np.linalg, name) for name in ("svd", "eigvals", "eig", "solve", "lstsq", "qr")))
+        assert mt.normal_rank(plant) == report.normal_rank
+        assert mt.invariant_zeros(plant) == report.zeros
+        assert set(calls.values()) == {0}
 
 
 def test_conformable_ordering_puts_pairs_first():

@@ -11,7 +11,7 @@ import monotrack as mt
 from monotrack import subspaces, synthesis, sysmodel
 from monotrack.fixtures import demo_system_path
 from monotrack.numkernel import RESIDUAL_TOL
-from monotrack.subspaces import factor_pencil
+from monotrack.subspaces import factor_pencils
 from monotrack.synthesis import _direction_from
 
 from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, record_calls, wide_plant
@@ -29,7 +29,7 @@ DEMO_W3 = np.array([-55 / 4, -9 / 2, 0.0, -9.0]) / 18.0
 
 def direction(sys, j, lam):
     """Output ``j``'s direction pair at ``lam``, as ``synthesize`` reads it from the factored pencil."""
-    return _direction_from(sys, j, lam, factor_pencil(sys, lam))
+    return _direction_from(sys, j, lam, factor_pencils(sys, (lam,))[0])
 
 
 def lstsq_steady_state(sys, r):
@@ -261,6 +261,16 @@ class TestSynthesize:
         scaled = mt.Replay(demo_replay.vg_state, demo_replay.vg_input, scaled_directions)
         fb_scaled = mt.synthesize(demo_system, spec, replay=scaled)
         assert np.max(np.abs(fb.F - fb_scaled.F)) <= 1e-8
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_a_replayed_basis_with_a_zero_column_raises_value_error(self, demo_system, demo_replay, column):
+        # A zero column has no eigen-relation: its Rayleigh quotient would be 0/0.
+        V = np.array(demo_replay.vg_state, dtype=float)
+        V[:, column] = 0.0
+        replay = mt.Replay(V, demo_replay.vg_input, demo_replay.directions)
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        with pytest.raises(ValueError, match=f"^replayed basis column {column} is zero$"):
+            mt.synthesize(demo_system, spec, replay=replay)
 
     def test_eigen_relations_and_output_nulling(self, demo_system, demo_feedback):
         fb = demo_feedback
@@ -513,7 +523,7 @@ class TestPlantMemo:
         mt.synthesize(fresh_demo, self.SPEC)
         calls = count_calls(
             monkeypatch,
-            (sysmodel, "_audit"),
+            (sysmodel, "_analyze"),
             (synthesis, "discover_vstar_g"),
             (synthesis, "factor_pencils"),
             (subspaces, "factor_pencils"),
@@ -525,7 +535,7 @@ class TestPlantMemo:
         fb = mt.synthesize(fresh_demo, spec)
         # The rank test of V, the one rank test of a try; the steady-state factor is kept.
         assert calls == {
-            "_audit": 0, "discover_vstar_g": 0, "factor_pencils": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
+            "_analyze": 0, "discover_vstar_g": 0, "factor_pencils": 0, "check_solvable": 0, "_verify_gain": 1, "svd": 1,
         }
         assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
 
@@ -557,7 +567,7 @@ class TestPlantMemo:
     def test_the_kept_facts_stay_one_per_kind_and_never_stale(self):
         # One plant object through 40 user pools, two tolerance policies, a
         # gain per design and two samplings per gain. It keeps the latest
-        # value of each of its seven kinds of fact, and every design and
+        # value of each of its six kinds of fact, and every design and
         # trace equals that of a fresh plant.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
         policies = (mt.DEFAULT_POLICY, mt.TolerancePolicy(relative_rank_tol=1e-10))
@@ -569,12 +579,12 @@ class TestPlantMemo:
             fresh = mt.LtiSystem(plant.A, plant.B, plant.C, plant.D)
             fb = mt.synthesize(plant, spec, tol)
             assert fb.to_json_dict() == mt.synthesize(fresh, spec, tol).to_json_dict()
-            assert len(plant._facts) <= 7
+            assert len(plant._facts) <= 6
             for samples in (40, 64):
                 trace = mt.simulate(plant, fb, x0, num_samples=samples)
                 assert trace.epsilon.tobytes() == mt.simulate(fresh, fb, x0, num_samples=samples).epsilon.tobytes()
-                assert len(plant._facts) <= 7
-        assert len(plant._facts) == 7
+                assert len(plant._facts) <= 6
+        assert len(plant._facts) == 6
 
     def test_the_pool_fact_holds_the_latest_design_modes_alone(self):
         # One user pool and six mode tuples: the V*g discovery factors each

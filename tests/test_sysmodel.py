@@ -13,7 +13,7 @@ from monotrack.seeding import DEFAULT_SEED, rng_for
 from monotrack.sysmodel import rosenbrock
 
 from .compression_oracle import oracle_zeros, sampled_normal_rank
-from .conftest import DEMO_ZEROS, count_calls, record_calls, wide_plant
+from .conftest import DEMO_ZEROS, INTEGRATORS, count_calls, record_calls, wide_plant
 from .pbh_oracle import pbh_stabilizable
 
 
@@ -129,6 +129,26 @@ class TestNormalRank:
         calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
         assert mt.normal_rank(sys) == 3 == sampled_normal_rank(sys)
         assert calls == {"rank_of": 0}
+
+
+class TestPureIntegrators:
+    """The only candidate of (A, B), 0, is unstable, and the smallest singular pair of [A - 0 I, B] = [0, B] has no state part."""
+
+    def test_a_singular_pair_with_no_state_part_takes_no_newton_step(self):
+        assert sysmodel._newton_step(np.hstack([np.zeros((2, 2)), np.eye(2)]), 2, 2) is None
+
+    @pytest.mark.parametrize("make, lambdas", INTEGRATORS)
+    def test_an_integrator_is_audited_and_designed(self, make, lambdas):
+        # The test suite turns warnings into errors, so a division by the
+        # zero slope would fail here.
+        plant = make()
+        report = mt.audit_assumptions(plant)
+        assert report.all_pass and report.zeros == []
+        assert report.details["stabilizable"] == "all unstable modes controllable"
+        assert mt.normal_rank(make()) == plant.n + plant.p
+        fb = mt.synthesize(plant, mt.SynthesisSpec(lambdas=lambdas, reference=np.ones(plant.p)))
+        assert sorted(z.real for z in fb.closed_loop_spectrum) == pytest.approx(sorted(lambdas), rel=1e-12)
+        assert np.array_equal(fb.x_ss, np.ones(plant.n)) and not fb.u_ss.any()
 
 
 class TestInvariantZeros:
@@ -326,8 +346,8 @@ class TestReduction:
             [[-1, -1, 1], [1, -2, 1], [-2, 1, -1]],
             D,
         )
-        A_f, B_f, nr, threshold = sysmodel._reduction(plant, mt.DEFAULT_POLICY)
-        assert A_f.shape == (1, 1) and A_f[0, 0] == pytest.approx(5.0, rel=1e-12)
+        T, A_f, B_f, _, _, nr, threshold = sysmodel._reduction(plant, mt.DEFAULT_POLICY)
+        assert T.shape == (3, 1) and A_f.shape == (1, 1) and A_f[0, 0] == pytest.approx(5.0, rel=1e-12)
         assert np.linalg.norm(B_f) <= threshold
         assert nr == sampled_normal_rank(plant) == 6
         zeros = mt.invariant_zeros(plant)
@@ -456,18 +476,17 @@ class TestAuditAssumptions:
     def test_a_controllable_single_input_plant_takes_one_eigenvalue_problem(self, monkeypatch):
         # Unstable modes 1 +- 2j and 0.5 with a stable mode -1, all reachable
         # from one input: no eigenvalue of A recurs in A - s b b^T, so the
-        # one stacked eigenvalue problem of the plant's zeros fact leaves no
-        # candidate, and the test reads them with no call and factors no pencil.
+        # stacked eigenvalue problem of the audit leaves (A, B) no candidate,
+        # and the stabilizability test factors no [A - vI, b].
         A = np.array([[1.0, 2.0, 0.0, 0.0], [-2.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, -1.0]])
         B = np.array([[1.0], [0.0], [1.0], [1.0]])
         plant = mt.LtiSystem(A, B, [[1.0, 0.0, 1.0, 0.0]], [[0.0]])
         eigvals = record_calls(monkeypatch, np.linalg, "eigvals", lambda a, *args: np.shape(a))
-        assert sysmodel._zero_fact(plant, mt.DEFAULT_POLICY)[4] == []
-        assert len(eigvals) == 2  # D = 0: A_f is smaller than A
-        calls = count_calls(monkeypatch, (np.linalg, "svd"), (np.linalg, "eigvals"))
-        assert sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY) == []
-        assert calls == {"svd": 0, "eigvals": 0}
-        assert mt.audit_assumptions(plant).stabilizable
+        stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
+        report = mt.audit_assumptions(plant)
+        assert eigvals == [(1, 3, 3), (2, 4, 4)]  # D = 0: A_f is smaller than A
+        assert not [shape for shape in stacks if shape[-2:] == (4, 5)]
+        assert report.stabilizable
 
     def test_a_strictly_proper_draw_at_n_64_audits_in_two_svds(self, monkeypatch):
         # D = 0 is below the threshold and takes no SVD. The reduction makes
@@ -512,17 +531,18 @@ class TestAuditAssumptions:
 
     def test_the_report_and_zeros_are_kept_on_the_plant(self, fresh_demo, monkeypatch):
         report = mt.audit_assumptions(fresh_demo)
-        calls = count_calls(monkeypatch, (sysmodel, "_audit"), (sysmodel, "_reduction"))
+        calls = count_calls(monkeypatch, (sysmodel, "_analyze"), (sysmodel, "_reduction"))
         assert mt.audit_assumptions(fresh_demo) is report
         zeros = mt.invariant_zeros(fresh_demo)
         assert zeros == report.zeros and zeros is not report.zeros
         zeros.clear()
         assert mt.invariant_zeros(fresh_demo) == report.zeros
-        assert calls == {"_audit": 0, "_reduction": 0}
+        assert mt.normal_rank(fresh_demo) == report.normal_rank
+        assert calls == {"_analyze": 0, "_reduction": 0}
         # Another policy is another key.
         other = mt.TolerancePolicy(relative_rank_tol=1e-10)
         assert mt.audit_assumptions(fresh_demo, other) is not report
-        assert calls == {"_audit": 1, "_reduction": 1}
+        assert calls == {"_analyze": 1, "_reduction": 1}
 
     def test_uncontrollable_unstable_mode_fails(self):
         A = np.diag([1.0, -2.0])
@@ -541,7 +561,7 @@ class TestAuditAssumptions:
 
 def both_pairs(plant, tol=mt.DEFAULT_POLICY):
     """The two pairs of the fixed-mode tests: (A_f, B_f) at the reduction's threshold and (A, B) at that of [A B]."""
-    A_f, B_f, _, threshold = sysmodel._reduction(plant, tol)
+    _, A_f, B_f, _, _, _, threshold = sysmodel._reduction(plant, tol)
     AB_threshold = tol.rank_threshold((plant.n, plant.n + plant.m), float(np.linalg.norm(np.hstack([plant.A, plant.B]))))
     return [(A_f, B_f, threshold), (plant.A, plant.B, AB_threshold)]
 
@@ -640,19 +660,18 @@ class TestStabilizabilityAgainstPbh:
         # Five single-input steps of a controllability staircase reach the
         # controllable states, and the hidden mode leaks into the sixth block
         # at about 1.3 times the threshold. The fixed-mode test finds it in
-        # the stacked eigenvalue problem of the plant's zeros fact and
-        # confirms it in one stacked SVD of [A - vI, b] at its two values,
-        # with no Newton step.
+        # the audit's stacked eigenvalue problem of A's shape and confirms it
+        # in one stacked SVD of [A - vI, b] at its two values, with no Newton
+        # step, after the zeros' confirmation.
         plant, modes = _hidden_uncontrollable_plant(0, "real", True, mt.TimeDomain.CONTINUOUS, 5, 1)
-        sysmodel._zero_fact(plant, mt.DEFAULT_POLICY)
         stacks = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args, **kwargs: a.shape)
-        calls = count_calls(monkeypatch, (sysmodel, "rank_of"), (np.linalg, "eigvals"))
-        bad = sysmodel._unstable_fixed_modes(plant, mt.DEFAULT_POLICY)
-        assert calls == {"rank_of": 0, "eigvals": 0}
-        assert stacks == [(2, 6, 7)]
-        assert bad == pytest.approx(modes, rel=1e-8)
-        report = sysmodel._audit(plant, mt.DEFAULT_POLICY)
-        assert not report.stabilizable and reported_modes(report) == bad
+        eigvals = record_calls(monkeypatch, np.linalg, "eigvals", lambda a, *args: np.shape(a))
+        calls = count_calls(monkeypatch, (sysmodel, "rank_of"))
+        report = mt.audit_assumptions(plant)
+        assert calls == {"rank_of": 0}
+        assert eigvals == [(1, 5, 5), (2, 6, 6)]  # D = 0: A_f is smaller than A
+        assert [shape for shape in stacks if shape[-2:] == (6, 7)] == [(2, 6, 7)] and stacks[-1] == (2, 6, 7)
+        assert not report.stabilizable and reported_modes(report) == pytest.approx(modes, rel=1e-8)
 
     @pytest.mark.parametrize(
         "seed, kind, domain, n_c, m",
