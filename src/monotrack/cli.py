@@ -204,9 +204,10 @@ def _cmd_simulate(config: JobConfig, out: Path) -> int:
 
     _require(config, "system_path", "lambdas", "reference", "x0_list")
     system, fb = _synthesize_from_config(config)
+    # Every trace is computed before any is written, so a bad initial state writes nothing.
+    traces = [simulate(system, fb, x0, config.horizon, config.samples) for x0 in config.x0_list]
     manifest = {"traces": []}
-    for idx, x0 in enumerate(config.x0_list):
-        trace = simulate(system, fb, x0, config.horizon, config.samples)
+    for idx, (x0, trace) in enumerate(zip(config.x0_list, traces)):
         name = f"trace_{idx}.csv"
         trace_to_csv(trace, out / name)
         manifest["traces"].append({"x0": list(x0), "file": name, "samples": trace.num_samples})

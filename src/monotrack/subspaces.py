@@ -337,7 +337,7 @@ class KernelSpan:
 
     ``seeded``: (mode, kernel) pairs taken in full; ``visited``: pool pairs up
     to saturation; ``basis``: orthonormal; ``tag``: the mixing stream of
-    :func:`draw`; ``inputs``: m; ``pool``: the frequencies the discovery may visit.
+    :func:`draw`; ``inputs``: m.
     """
 
     seeded: tuple
@@ -345,7 +345,6 @@ class KernelSpan:
     basis: np.ndarray
     tag: tuple
     inputs: int
-    pool: tuple
 
     @property
     def dim(self) -> int:
@@ -372,20 +371,18 @@ def _discover(
     rank nr and dim V*, the column count of the reduction's basis T, are read
     from the plant's ``structure`` fact, computed if the plant lacks it.
 
-    The factors are kept read-only in the plant's ``pool`` fact, a dict from
-    mu to :class:`PencilFactor` for ``(pool, tol)`` that the discoveries over
-    one pool and :func:`synthesis._witnesses` share; of the values off the
-    pool it keeps only the last discovery's, so it stays bounded. One
-    :func:`factor_pencils` call factors the seeded modes, the ``extra``
-    values and the pool values the walk is predicted to visit, and one more
-    each value the walk reaches unfactored and those predicted to follow it:
-    ceil((bound - dim) / w), where a kernel off the zeros has
-    w = n + m - nr columns (one more, x_j, with an output row deleted) and a
-    seeded one, at a simple zero, w + 1, twice for a pair; an unbounded walk
-    predicts up to n.
+    The factors come from the plant's store (:func:`_factor_into`), first rid
+    of every value that is not on the pool, seeded, ``extra`` or the tracking
+    frequency, so it stays bounded. One :func:`_factor_into` call factors the
+    seeded modes, the ``extra`` values and the pool values the walk is
+    predicted to visit, and one more each value the walk reaches unfactored
+    and those predicted to follow it: ceil((bound - dim) / w), where a kernel
+    off the zeros has w = n + m - nr columns (one more, x_j, with an output
+    row deleted) and a seeded one, at a simple zero, w + 1, twice for a pair;
+    an unbounded walk predicts up to n.
     """
-    factors = _memo(sys, "pool", (pool, tol), dict)
-    for mu in set(factors).difference(pool):
+    factors = _memo(sys, "pencils", tol, dict)
+    for mu in set(factors).difference(pool, seeded, extra, (sys.domain.tracking_frequency,)):
         del factors[mu]
     structure = _structure(sys, tol)
     width = sys.n + sys.m - structure.report.normal_rank + (excluded_output is not None)
@@ -397,7 +394,7 @@ def _discover(
 
     seeded_dim = sum((width + 1) * (1 + isinstance(mode, complex)) for mode in seeded)
     ahead = pool[: stop(0, seeded_dim)] if seeded_dim < bound else ()
-    _factor_into(sys, factors, [*seeded, *extra, *ahead], tol)
+    _factor_into(sys, [*seeded, *extra, *ahead], tol)
     seeded = [(mode, factors[mode].kernel()) for mode in seeded]
     tracker = _SpanTracker(sys.n)
     for mode, kernel in seeded:
@@ -409,7 +406,7 @@ def _discover(
         if tracker.dim >= bound:
             break
         if mu not in factors:
-            _factor_into(sys, factors, pool[i : stop(i, tracker.dim)], tol)
+            _factor_into(sys, pool[i : stop(i, tracker.dim)], tol)
         kernel = factors[mu].kernel(excluded_output)
         before = tracker.dim
         for k in range(kernel.shape[1]):
@@ -420,13 +417,20 @@ def _discover(
     else:
         if visited or tracker.dim < limit:
             raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m, pool)
+    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m)
 
 
-def _factor_into(sys: LtiSystem, factors: dict, values: list, tol: TolerancePolicy) -> None:
-    """Factor the ``values`` that ``factors`` lacks, in one :func:`factor_pencils` call, into it."""
-    missing = [mu for mu in dict.fromkeys(values) if mu not in factors]
-    factors.update(zip(missing, factor_pencils(sys, missing, tol)))
+def _factor_into(sys: LtiSystem, values, tol: TolerancePolicy, keep: tuple | None = None) -> dict:
+    """The factor of P(mu) at each of ``values``, from the plant's ``pencils`` fact, its one store per policy.
+
+    The values it lacks are factored in one :func:`factor_pencils` call, none
+    when it lacks none, and kept: all of them, or those in ``keep`` alone.
+    """
+    held = _memo(sys, "pencils", tol, dict)
+    missing = [mu for mu in dict.fromkeys(values) if mu not in held]
+    new = dict(zip(missing, factor_pencils(sys, missing, tol))) if missing else {}
+    held.update(new if keep is None else {mu: new[mu] for mu in keep if mu in new})
+    return {mu: new[mu] if mu in new else held[mu] for mu in values}
 
 
 def _best_block(span: _SpanTracker, kernel: np.ndarray, mode, n: int, rng):
@@ -512,7 +516,7 @@ def _conformable_min_phase(zeros: list[InvariantZero]) -> list[InvariantZero]:
 
 def discover_vstar_g(
     sys: LtiSystem, free_pool=None, tol: TolerancePolicy = DEFAULT_POLICY, *, zeros: list[InvariantZero],
-    avoid: tuple = (), extra: tuple = (),
+    avoid: tuple = (),
 ) -> KernelSpan:
     """The kernels that span the stabilisability output-nulling subspace.
 
@@ -523,9 +527,8 @@ def discover_vstar_g(
     The discovery stops once the span reaches dim V* less the geometric
     multiplicities of the zeros that are not minimum phase (see
     :func:`_discover`); the seeded kernels alone may reach it, and then no
-    pool frequency is visited. The first :func:`factor_pencils` call also
-    factors the ``avoid`` values, a design's modes, and the ``extra`` ones, its
-    tracking frequency, into the plant's ``pool`` fact for :func:`synthesis._witnesses`.
+    pool frequency is visited. The first :func:`_factor_into` call also
+    factors the ``avoid`` values: a design's modes and tracking frequency.
     """
     reason = _min_phase_violation(zeros)
     if reason is not None:
@@ -535,7 +538,7 @@ def discover_vstar_g(
     # a real pencil so the kernel carries no complex phase.
     seeded = [complex(z.value) if z.value.imag > 0.0 else float(z.value.real) for z in _conformable_min_phase(zeros)]
     fixed = _fixed_dims(zeros, every=False)
-    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed, extra=(*avoid, *extra))
+    return _discover(sys, seeded, pool, None, tol, ("vstar-g-mixing", 0), fixed=fixed, extra=avoid)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
 from .numkernel import ABSOLUTE_FLOOR, DEFAULT_POLICY, RESIDUAL_TOL, TolerancePolicy, ranks_of
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .solvability import SolvabilityVerdict, check_solvable, validate_modes
-from .subspaces import KernelSpan, PairedBasis, PencilFactor, _single_mode_basis, discover_vstar_g, draw, factor_pencils
+from .subspaces import KernelSpan, PairedBasis, PencilFactor, _factor_into, _single_mode_basis, discover_vstar_g, draw
 from .sysmodel import AssumptionReport, LtiSystem, _memo, _read_only, audit_assumptions
 
 _SPECTRUM_TOL = 1e-6
@@ -148,16 +148,16 @@ def steady_state(sys: LtiSystem, r, tol: TolerancePolicy = DEFAULT_POLICY) -> tu
     """Minimum-norm steady-state pair (x_ss, u_ss) for the step reference ``r``.
 
     The :class:`PencilFactor` of the tracking pencil P(0) (P(1) in discrete
-    time) is the plant's ``steady-state`` fact, kept per policy: a design takes
-    it from the stacked SVD of its modes (:func:`_witnesses`), a call alone
-    makes one SVD. Only the solve for ``r`` and its residual check run on
-    every call, so an unreachable reference raises :class:`Unsolvable` every time.
+    time) is kept in the plant's store (:func:`_factor_into`): a design or a
+    replay factors it with its modes, a call alone in one SVD. Only the solve
+    for ``r`` and its residual check run on every call, so an unreachable
+    reference raises :class:`Unsolvable` every time.
     """
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != sys.p:
         raise ValueError(f"reference length {r.shape[0]} != outputs {sys.p}")
-    factor = _memo(sys, "steady-state", tol, lambda: factor_pencils(sys, (sys.domain.tracking_frequency,), tol)[0])
-    sol = factor.solve(np.concatenate([np.zeros(sys.n), r]))
+    tf = sys.domain.tracking_frequency
+    sol = _factor_into(sys, (tf,), tol)[tf].solve(np.concatenate([np.zeros(sys.n), r]))
     if sol is None:
         raise Unsolvable(f"no equilibrium reaches the reference {r.tolist()}")
     return sol[: sys.n], sol[sys.n :]
@@ -306,20 +306,12 @@ def _witnesses(sys: LtiSystem, vg_span, lambdas: tuple, tol: TolerancePolicy, tr
     The verdict depends on the plant and the modes only, so it is decided on
     the V*g span given (discovered, or a replay's validated basis) and
     raised as :class:`NotSolvable`. Each factor gives its outputs their R_j
-    kernel and their x_j, or :class:`DegenerateDirection`. A mode whose
-    factor the plant's ``pool`` fact holds (the V*g discovery of
-    :func:`synthesize` factors every mode into it) is read from there; one
-    :func:`factor_pencils` call factors the others, not kept on the plant.
-    The ``tracking`` frequency, if given, is read or factored alike, and its
-    factor is kept as the plant's ``steady-state`` fact, out of the pool fact.
+    kernel and their x_j, or :class:`DegenerateDirection`. The factors at
+    the modes and the ``tracking`` frequency come from one :func:`_factor_into`
+    call; a replay keeps only the tracking factor, so replays do not grow the store.
     """
-    held = _memo(sys, "pool", (vg_span.pool, tol), dict) if isinstance(vg_span, KernelSpan) else {}
-    wanted = dict.fromkeys((*lambdas, *tracking))
-    missing = [mu for mu in wanted if mu not in held]
-    factors = {mu: held[mu] for mu in wanted if mu in held} | dict(zip(missing, factor_pencils(sys, missing, tol)))
-    for tf in tracking:
-        held.pop(tf, None)
-        _memo(sys, "steady-state", tol, lambda: factors.pop(tf))
+    keep = None if isinstance(vg_span, KernelSpan) else tracking
+    factors = _factor_into(sys, (*lambdas, *tracking), tol, keep)
     rstar_bases = [_single_mode_basis(sys, factors[lam].kernel(j), lam) for j, lam in enumerate(lambdas)]
     verdict: SolvabilityVerdict = check_solvable(sys, vg_span, rstar_bases, tol)
     if not verdict.solvable:
@@ -422,7 +414,8 @@ def synthesize(
     :func:`genericity_trial`).
     Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
     kept on the plant for the latest (modes, pool, policy), so a repeat
-    design on the same plant only draws, verifies and solves.
+    design on the same plant only draws, verifies and solves. Every design
+    factors the tracking pencil with its modes unless the plant holds it.
 
     Raises
     ------
@@ -441,8 +434,7 @@ def synthesize(
         raise AssumptionViolation(f"standing assumptions fail: {report.details}", report)
     zeros = report.zeros
     validate_modes(sys, spec.lambdas, zeros)
-    # Without a kept steady-state fact, the tracking pencil joins the stacked SVD of the mode pencils.
-    tracking = () if _memo(sys, "steady-state", tol) else (sys.domain.tracking_frequency,)
+    tracking = (sys.domain.tracking_frequency,)
 
     if replay is not None:
         vg_V = np.atleast_2d(np.asarray(replay.vg_state, dtype=float))
@@ -459,7 +451,7 @@ def synthesize(
     else:
         # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
         def plant_facts():
-            vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=spec.lambdas, extra=tracking)
+            vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=(*spec.lambdas, *tracking))
             return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol, tracking))
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)

@@ -116,6 +116,12 @@ def count_calls(monkeypatch, *targets):
     return calls
 
 
+def kept_pencils(plant, tol=mt.DEFAULT_POLICY) -> dict:
+    """The plant's store of pencil factors for ``tol``, a dict from value to factor; empty when it keeps none."""
+    held = plant._facts.get("pencils")
+    return held[1] if held is not None and held[0] == tol else {}
+
+
 def record_calls(monkeypatch, owner, name, read):
     """Wrap ``owner.name`` with monkeypatch; returns the live list of ``read(*args)``, one entry per call."""
     seen = []

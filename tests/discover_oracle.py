@@ -35,7 +35,7 @@ def probe_discover(sys, seeded: list, pool, excluded_output, tol, tag) -> Kernel
     else:
         if tracker.dim > 0 and visited:
             raise SaturationFailure("subspace dimension still growing at pool exhaustion")
-    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m, tuple(pool))
+    return KernelSpan(tuple(seeded), tuple(visited), tracker.Q.copy(), tag, sys.m)
 
 
 def probe_rstar(sys, zeros, excluded_output=None, tol=DEFAULT_POLICY) -> KernelSpan:

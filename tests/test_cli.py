@@ -497,6 +497,17 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.startswith("config error: initial state must be finite")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("bad", ["nan,0,0,0,0", "0.1,0.2"], ids=["not-finite", "wrong-length"])
+    def test_a_later_bad_initial_state_leaves_no_earlier_trace(self, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        code = run_cli([
+            "--command", "simulate", "--system", str(demo_system_path()), "--lambdas=-1,-2,-1",
+            "--reference=2,2,2", "--x0=0.1,-0.2,0.1,0.1,0", f"--x0={bad}", "--out", str(out),
+        ])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("field, value", [("A", {"x": 1}), ("B", 5), ("C", [[1.0, None, 0.0, 0.0, 0.0]]), ("D", [[1.0], [2.0, 3.0]])])
     def test_a_malformed_system_file_is_a_config_error(self, tmp_path, capsys, field, value):
         system = json.loads(demo_system_path().read_text()) | {field: value}

@@ -248,37 +248,29 @@ class TestGenericityTrial:
 
     def test_direction_kernels_are_computed_once(self, monkeypatch):
         # Every pencil factor goes through subspaces.factor_pencils, so a pool factor is seen too.
-        factored = {
-            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
-            for owner, key in ((synthesis, "direction"), (subspaces, "discovery"))
-        }
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         calls = count_calls(monkeypatch, (synthesis, "check_solvable"))
         for trials in (2, 20):
             # A new plant object per call: a plant keeps its pool factors.
             stats = mt.genericity_trial(mt.LtiSystem.load(demo_system_path()), trials=trials, seed=3)
             assert stats.failures == 0
-        # The trial modes are -1, -1.5 and -2. The V*g discovery factors no
-        # pool pencil, so P(-1), P(-1.5) and P(-2) are factored for the
-        # directions, in one stacked call per genericity call.
-        assert factored["direction"] == [[-1.0, -1.5, -2.0]] * 2
-        # V*g is discovered once per call (P(-6) alone reaches its bound), and
-        # solvability is decided once on its span; only the draws repeat per trial.
-        assert factored["discovery"] == [pytest.approx([-6.0], abs=1e-9)] * 2
+        # The trial modes are -1, -1.5 and -2. V*g is discovered once per call
+        # (P(-6) alone reaches its bound) and factors no pool pencil, so
+        # P(-1), P(-1.5) and P(-2) are factored for the directions, in one
+        # stacked call per genericity call. Solvability is decided once on
+        # the span; only the draws repeat per trial.
+        assert factored == [pytest.approx([-6.0], abs=1e-9), [-1.0, -1.5, -2.0]] * 2
         assert calls["check_solvable"] == 2
 
     def test_a_trial_mode_the_discovery_visited_is_not_factored_again(self, monkeypatch):
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
-        factored = {
-            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
-            for owner, key in ((synthesis, "direction"), (subspaces, "discovery"))
-        }
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         stats = mt.genericity_trial(plant, trials=20)
         assert stats.trials == 20
         # The V*g discovery visits -1, -1.5, ..., -3.5, which holds the trial
         # modes -1 and -1.5; the directions read their factors from the
-        # plant's pool fact, so the stacked call factors nothing.
-        assert [mu for mus in factored["discovery"] for mu in mus] == [-1.0 - 0.5 * k for k in range(6)]
-        assert factored["direction"] == [[]]
+        # plant's store of pencil factors, so they factor nothing.
+        assert [mu for mus in factored for mu in mus] == [-1.0 - 0.5 * k for k in range(6)]
 
     def test_a_generated_plant_reuses_the_zeros_of_its_audit(self, monkeypatch):
         # generate() audits the plant it returns, and the audit keeps its
@@ -290,15 +282,26 @@ class TestGenericityTrial:
         assert stats.trials == 20
 
     def test_kernel_failure_fails_every_trial(self, monkeypatch):
-        def failing_factor(*args):
-            raise mt.IllConditionedPencil("forced kernel failure")
+        factor = subspaces.factor_pencils
 
-        # The stacked direction pencils fail, then a kernel of the subspace
-        # discovery. A new plant object per owner: a plant that holds the
-        # factor of every trial mode factors no direction pencil.
-        for owner in (synthesis, subspaces):
+        def failing_after(calls):
+            made = []
+
+            def failing_factor(*args):
+                made.append(1)
+                if len(made) > calls:
+                    raise mt.IllConditionedPencil("forced kernel failure")
+                return factor(*args)
+
+            return failing_factor
+
+        # The stacked direction pencils fail (the discovery's one call, at
+        # the zero -6, passes), then a kernel of the subspace discovery. A new
+        # plant object per case: a plant that holds the factor of every trial
+        # mode factors no direction pencil.
+        for calls in (1, 0):
             with monkeypatch.context() as patch:
-                patch.setattr(owner, "factor_pencils", failing_factor)
+                patch.setattr(subspaces, "factor_pencils", failing_after(calls))
                 stats = mt.genericity_trial(mt.LtiSystem.load(demo_system_path()), trials=4, seed=3)
             assert stats.failures == 4
             assert stats.failing_seeds == tuple(3 + 1000003 * (t + 1) for t in range(4))

@@ -20,7 +20,7 @@ from monotrack.subspaces import (
 )
 from monotrack.sysmodel import rosenbrock
 
-from .conftest import count_calls, record_calls, wide_plant
+from .conftest import count_calls, kept_pencils, record_calls, wide_plant
 from .discover_oracle import probe_rstar, probe_vstar_g
 from .draw_oracle import LoopSpanTracker, loop_best_block, loop_draw
 from .subspace_checks import containment_residual, single_mode_basis, span_equal
@@ -355,15 +355,15 @@ class TestVstarG:
         assert sorted(fb.closed_loop_spectrum, key=lambda z: z.real)[:2] == pytest.approx([-6.0, -6.0])
 
     def test_a_kept_pool_kernel_cannot_be_written_through(self):
-        # A visited kernel is a view of a factor the plant keeps in its pool
-        # fact, which a design over the same pool reads; a write to it must
+        # A visited kernel is a view of a factor the plant keeps in its store
+        # of pencil factors, which a design over the same pool reads; a write to it must
         # fail rather than change that design.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
         spec = mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0))
         before = mt.synthesize(mt.LtiSystem.from_json_dict(plant.to_json_dict()), spec).F
         span = discover_vstar_g(plant, zeros=mt.invariant_zeros(plant), avoid=spec.lambdas)
         kernel = span.visited[0][1]
-        assert any(np.shares_memory(kernel, f.vh) for f in plant._facts["pool"][1].values())
+        assert any(np.shares_memory(kernel, f.vh) for f in kept_pencils(plant).values())
         with pytest.raises(ValueError):
             kernel[...] = 0.0
         assert np.array_equal(mt.synthesize(plant, spec).F, before)
@@ -565,7 +565,7 @@ def discoveries_bits(plant, design_modes: bool):
             bits.append(repr(exc))
             continue
         bits.append([span.basis.tobytes(), [(mode, k.tobytes()) for mode, k in span.seeded + span.visited]])
-        kept = plant._facts["pool"][1]
+        kept = kept_pencils(plant)
         bits.append([(mu, f.rank, *(a.tobytes() for a in (f.pencil, f.u, f.s, f.vh))) for mu, f in kept.items()])
     return bits
 
@@ -584,18 +584,19 @@ class TestBatchedDiscovery:
         factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         reached = 0
         for plant in batch_plants():
-            for fixed, discover in (
-                (True, lambda plant, zeros: discover_rstar(plant, zeros=zeros)),
-                (False, lambda plant, zeros: discover_vstar_g(plant, zeros=zeros)),
-                (False, lambda plant, zeros: discover_vstar_g(plant, zeros=zeros, avoid=modes_of(plant))),
+            for fixed, avoid, discover in (
+                (True, (), lambda plant, zeros, avoid: discover_rstar(plant, zeros=zeros)),
+                (False, (), lambda plant, zeros, avoid: discover_vstar_g(plant, zeros=zeros)),
+                (False, modes_of(plant), lambda plant, zeros, avoid: discover_vstar_g(plant, zeros=zeros, avoid=avoid)),
             ):
                 copy, zeros = audited_copy(plant)
                 factored.clear()
-                span = discover(copy, zeros)
+                span = discover(copy, zeros, avoid)
                 if span.dim == kept_dim_vstar(copy) - _fixed_dims(zeros, every=fixed):
                     # Every kernel added its full width, so one call factored the values visited, and no other.
                     reached += 1
-                    calls = [[mu for mu in mus if mu in span.pool] for mus in factored]
+                    pool = mt.default_frequency_pool(copy, zeros, avoid=avoid)
+                    calls = [[mu for mu in mus if mu in pool] for mus in factored]
                     assert [mus for mus in calls if mus] == [[mu for mu, _ in span.visited]]
         assert reached >= 50
 

@@ -14,7 +14,7 @@ from monotrack.numkernel import RESIDUAL_TOL
 from monotrack.subspaces import factor_pencils
 from monotrack.synthesis import _direction_from
 
-from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, record_calls, wide_plant
+from .conftest import DEMO_GAIN, DEMO_USS, DEMO_XSS, count_calls, kept_pencils, record_calls, wide_plant
 from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
 from .try_oracle import one_try_at_a_time
 
@@ -179,14 +179,18 @@ class TestSteadyState:
     def test_a_fresh_design_leaves_its_solve_no_factorization(self, make, lambdas, monkeypatch):
         # A design factors the tracking pencil in the stacked SVD of its mode
         # pencils (the V*g discovery's first call), so neither its witnesses
-        # nor its solve factor anything, and a solve right after it makes no
-        # LAPACK call; alone on a fresh plant the solve makes one SVD, with
-        # the same bits.
-        designed, alone = make(), make()
+        # nor its solve factor anything: the design factors what its V*g
+        # discovery alone does. A solve right after it makes no LAPACK call;
+        # alone on a fresh plant the solve makes one SVD, with the same bits.
+        designed, alone, discovered = make(), make(), make()
         reference = np.linspace(1.0, -0.5, designed.p)
-        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         mt.synthesize(designed, mt.SynthesisSpec(lambdas=lambdas, reference=reference))
-        assert factored == [[]]
+        by_design = factored[:]
+        factored.clear()
+        tracking = discovered.domain.tracking_frequency
+        subspaces.discover_vstar_g(discovered, zeros=mt.invariant_zeros(discovered), avoid=(*lambdas, tracking))
+        assert by_design == factored and tracking in by_design[0]
         calls = count_calls(monkeypatch, *((np.linalg, name) for name in LAPACK))
         after_design = np.concatenate(mt.steady_state(designed, reference))
         assert calls == {name: 0 for name in LAPACK}
@@ -315,18 +319,16 @@ class TestSynthesize:
         # Outputs 0 and 2 share the mode -1: their R_j kernels and directions
         # come from one factorization. The V*g discovery factors the distinct
         # modes and the tracking pencil P(0) with its zero -6 in one stacked
-        # call, and the witnesses read them from the plant's pool fact.
-        factored = {
-            key: record_calls(monkeypatch, owner, "factor_pencils", lambda sys, mus, *args: list(mus))
-            for owner, key in ((subspaces, "discovery"), (synthesis, "witnesses"))
-        }
+        # call, and the witnesses read them from the plant's store of factors.
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
-        assert factored == {"discovery": [pytest.approx([-6.0, -1.0, -2.0, 0.0], abs=1e-9)], "witnesses": [[]]}
+        assert factored == [pytest.approx([-6.0, -1.0, -2.0, 0.0], abs=1e-9)]
 
     def test_a_replay_factors_its_modes_and_the_tracking_pencil_in_one_call(self, fresh_demo, demo_replay, monkeypatch):
         # A replay discovers nothing: the witnesses factor the distinct modes
-        # and P(0) together, and a second replay reads the kept P(0).
-        factored = record_calls(monkeypatch, synthesis, "factor_pencils", lambda sys, mus, *args: list(mus))
+        # and P(0) together, and a second replay reads the kept P(0). A
+        # replay keeps no mode factor, so the second one factors the modes again.
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         first = mt.synthesize(fresh_demo, spec, replay=demo_replay)
         again = mt.synthesize(fresh_demo, spec, replay=demo_replay)
@@ -525,7 +527,6 @@ class TestPlantMemo:
             monkeypatch,
             (sysmodel, "_analyze"),
             (synthesis, "discover_vstar_g"),
-            (synthesis, "factor_pencils"),
             (subspaces, "factor_pencils"),
             (synthesis, "check_solvable"),
             (synthesis, "_verify_gain"),
@@ -567,7 +568,7 @@ class TestPlantMemo:
     def test_the_kept_facts_stay_one_per_kind_and_never_stale(self):
         # One plant object through 40 user pools, two tolerance policies, a
         # gain per design and two samplings per gain. It keeps the latest
-        # value of each of its six kinds of fact, and every design and
+        # value of each of its five kinds of fact, and every design and
         # trace equals that of a fresh plant.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
         policies = (mt.DEFAULT_POLICY, mt.TolerancePolicy(relative_rank_tol=1e-10))
@@ -579,22 +580,71 @@ class TestPlantMemo:
             fresh = mt.LtiSystem(plant.A, plant.B, plant.C, plant.D)
             fb = mt.synthesize(plant, spec, tol)
             assert fb.to_json_dict() == mt.synthesize(fresh, spec, tol).to_json_dict()
-            assert len(plant._facts) <= 6
+            assert len(plant._facts) <= 5
             for samples in (40, 64):
                 trace = mt.simulate(plant, fb, x0, num_samples=samples)
                 assert trace.epsilon.tobytes() == mt.simulate(fresh, fb, x0, num_samples=samples).epsilon.tobytes()
-                assert len(plant._facts) <= 6
-        assert len(plant._facts) == 6
+                assert len(plant._facts) <= 5
+        assert len(plant._facts) == 5
 
-    def test_the_pool_fact_holds_the_latest_design_modes_alone(self):
+    def test_the_pencil_store_holds_the_pool_the_tracking_frequency_and_the_latest_design_modes(self):
         # One user pool and six mode tuples: the V*g discovery factors each
-        # design's modes into the pool fact and drops the earlier ones.
+        # design's modes into the plant's store of pencil factors and drops
+        # the earlier ones; the tracking frequency stays.
         plant = mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0))
         pool = (-1.5, -2.0, -2.5, -3.0, -3.5, -4.0, -4.5)
         for k in range(6):
             lambdas = (-1.1 - 0.1 * k, -1.35 - 0.1 * k)
             mt.synthesize(plant, mt.SynthesisSpec(lambdas=lambdas, reference=(1.0, 1.0), free_pool=pool))
-            assert {mu for mu in plant._facts["pool"][1] if mu not in pool} == set(lambdas).difference(pool)
+            assert set(kept_pencils(plant)).difference(pool) == set(lambdas).difference(pool) | {0.0}
+
+    def test_a_replay_after_a_design_at_the_same_modes_factors_nothing(self, fresh_demo, demo_replay, monkeypatch):
+        # The design keeps the factors at its modes and at the tracking
+        # frequency, which the replay reads: no SVD has a pencil's shape.
+        designed = mt.synthesize(fresh_demo, self.SPEC)
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
+        shapes = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args: np.shape(a)[-2:])
+        replayed = mt.synthesize(fresh_demo, self.SPEC, replay=demo_replay)
+        assert factored == [] and (fresh_demo.n + fresh_demo.p, fresh_demo.n + fresh_demo.m) not in shapes
+        assert replayed.x_ss.tobytes() == designed.x_ss.tobytes()
+        alone = mt.synthesize(mt.LtiSystem.load(demo_system_path()), self.SPEC, replay=demo_replay)
+        assert replayed.to_json_dict() == alone.to_json_dict()
+
+    @pytest.mark.parametrize("replayed", [False, True], ids=["design", "replay"])
+    def test_a_lone_solve_after_a_design_or_a_replay_makes_no_lapack_call(self, fresh_demo, demo_replay, replayed, monkeypatch):
+        mt.synthesize(fresh_demo, self.SPEC, replay=demo_replay if replayed else None)
+        calls = count_calls(monkeypatch, *((np.linalg, name) for name in LAPACK))
+        x_ss, u_ss = mt.steady_state(fresh_demo, (1.0, -0.5, 0.25))
+        assert calls == {name: 0 for name in LAPACK}
+        want = mt.steady_state(mt.LtiSystem.load(demo_system_path()), (1.0, -0.5, 0.25))
+        assert x_ss.tobytes() == want[0].tobytes() and u_ss.tobytes() == want[1].tobytes()
+
+    def test_replays_at_many_mode_tuples_do_not_grow_the_store(self, fresh_demo, demo_replay):
+        # A replay keeps only the tracking factor, whatever its modes.
+        replay = mt.Replay(demo_replay.vg_state, demo_replay.vg_input)
+        sizes = []
+        for k in range(20):
+            lambdas = (-1.0 - 0.05 * k, -2.0 - 0.05 * k, -1.0 - 0.05 * k)
+            mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=lambdas, reference=(2.0, 2.0, 2.0)), replay=replay)
+            sizes.append(len(kept_pencils(fresh_demo)))
+        assert max(sizes) <= sizes[0]
+
+    def test_an_analysis_then_a_design_factor_no_value_twice(self, fresh_demo, monkeypatch):
+        # R*, every R*_j and V*g over the default pool, then a design whose
+        # V*g discovery seeds the same zero -6 over a mode-avoiding pool:
+        # each value is factored once.
+        factored = record_calls(monkeypatch, subspaces, "factor_pencils", lambda sys, mus, *args: list(mus))
+        zeros = mt.invariant_zeros(fresh_demo)
+        mt.discover_rstar(fresh_demo, zeros=zeros)
+        for j in range(fresh_demo.p):
+            mt.discover_rstar(fresh_demo, j, zeros=zeros)
+        mt.discover_vstar_g(fresh_demo, zeros=zeros)
+        analyzed = len(factored)
+        spec = mt.SynthesisSpec(lambdas=(-1.25, -3.0, -4.0), reference=(1.0, 1.0, 1.0))
+        fb = mt.synthesize(fresh_demo, spec)
+        values = [mu for mus in factored for mu in mus]
+        assert len(factored) > analyzed and len(values) == len(set(values))
+        assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
 
     def test_a_not_solvable_plant_raises_afresh_on_every_call(self):
         sys = mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D)
