@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import GenerationFailed, MonotrackError, NotSolvable, RankDeficientAfterRetries
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, _per_dtype, full_svds, nullspace, rank_of, ranks_of
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, _per_dtype, full_svds, nullspace, ranks_of
 from .seeding import DEFAULT_SEED, rng_for
 from .subspaces import default_frequency_pool, discover_vstar_g, draw
 from .synthesis import _random_direction, _witnesses
@@ -175,15 +175,10 @@ def _verify_planted(sys: LtiSystem, spec: GeneratorSpec, tol: TolerancePolicy) -
     report = audit_assumptions(sys, tol)
     if not report.all_pass:
         return False
-    computed = [z.value for z in report.zeros]
-    for z in spec.planted_zero_values:
-        if not any(abs(z - zc) <= 1e-6 * (1.0 + abs(z)) for zc in computed):
-            return False
-    for mode in spec.planted_uncontrollable_modes:
-        pbh = rank_of(np.hstack([sys.A - mode * np.eye(sys.n), sys.B]), tol)
-        if pbh == sys.n:
-            return False
-    return True
+    if not all(any(abs(z - zc.value) <= 1e-6 * (1.0 + abs(z)) for zc in report.zeros) for z in spec.planted_zero_values):
+        return False
+    pencils = [np.hstack([sys.A - mode * np.eye(sys.n), sys.B]) for mode in spec.planted_uncontrollable_modes]
+    return not pencils or sys.n not in ranks_of(np.stack(pencils), tol)
 
 
 @dataclass(frozen=True)

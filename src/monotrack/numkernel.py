@@ -85,12 +85,20 @@ def _per_dtype(mats: list, factor) -> list:
 
 
 def ranks_of(stack, tol: TolerancePolicy = DEFAULT_POLICY) -> list[int]:
-    """Rank of each (r, c) member of a (k, r, c) ``stack``, from one singular-value SVD; an empty member has rank 0.
+    """Rank of each member of a (k, r, c) ``stack`` or list of matrices, from one SVD; an empty member has rank 0.
 
     Each member gets its own threshold, from its own largest singular value.
-    LAPACK factors the members one at a time, so each rank is the one a
-    separate call would give, bit for bit.
+    LAPACK factors the members one at a time, so each rank is the one a separate call gives, bit for bit. Matrices
+    of different shapes are zero-padded to the largest; a padded member's own min(r, c) singular values, judged at
+    its own shape's threshold, agree with a separate call's to about 1e-15 relative, not bit for bit.
     """
+    shapes = [np.shape(M) for M in stack] if isinstance(stack, list) else []
+    if len(set(shapes)) > 1:
+        padded = np.zeros((len(stack), *map(max, zip(*shapes))), np.result_type(*stack))
+        for slot, M, (r, c) in zip(padded, stack, shapes):
+            slot[:r, :c] = M
+        svs = zip(np.linalg.svd(padded, compute_uv=False), shapes)
+        return [_rank(s[: min(shape)], shape, tol) if min(shape) else 0 for s, shape in svs]
     stack = np.asarray(stack)
     if stack.size == 0:
         return [0] * stack.shape[0]
@@ -145,8 +153,7 @@ def residual_violation(M, x, b, smax: float) -> str | None:
 
 def subspace_sum_dim(bases, tol: TolerancePolicy = DEFAULT_POLICY) -> int:
     """Dimension of the sum of the given subspaces (rank of the concatenation)."""
-    mats = [_as_matrix(b) for b in bases]
-    mats = [m for m in mats if m.shape[1] > 0]
+    mats = [m for m in map(_as_matrix, bases) if m.shape[1] > 0]
     if not mats:
         return 0
     rows = {m.shape[0] for m in mats}

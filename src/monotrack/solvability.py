@@ -8,11 +8,11 @@ the subspaces at a mode tuple it is the frequency-dependent family, and when
 V*g is larger than ``n - p`` it also finds the outputs that need an assigned
 mode (the rest are tracked instantaneously).
 
-The family is Rado's condition for an independent transversal of the R_j
-taken modulo V*g (R. Rado 1942; J. Edmonds 1965, 1967): with one generic
-pick r_j in each R_j, rank [V*g, r_1 ... r_p] is the least value over S of
-dim(V*g + sum R_S) + p - card(S), so the family holds exactly when it is n,
-and n minus it is the largest deficiency of a subset. The picks come from the fixed
+The family is Rado's condition for an independent transversal of the R_j taken modulo V*g (R. Rado 1942;
+J. Edmonds 1965, 1967): with one generic pick r_j in each R_j, rank [V*g, r_1 ... r_p] is the least value
+over S of dim(V*g + sum R_S) + p - card(S), so the family holds exactly when it is n, and n minus it is the
+largest deficiency of a subset. The same stacked rank test ranks the prefixes [V*g, r_1 ... r_j], and an
+output needs an assigned mode when its prefix raises the rank. The picks come from the fixed
 ``DEFAULT_SEED`` stream, so a verdict depends on the bases alone.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LambdaAtZero, NumericalInconsistency, UnstableLambda
-from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, rank_of, ranks_of, subspace_sum_dim
+from .numkernel import DEFAULT_POLICY, TolerancePolicy, _as_matrix, ranks_of, subspace_sum_dim
 from .seeding import DEFAULT_SEED, mixing_coefficients, rng_for
 from .subspaces import KernelSpan
 from .sysmodel import InvariantZero, LtiSystem, TimeDomain, exclusion_violation
@@ -64,23 +64,20 @@ def _picks(bases, seed: int, attempt: int) -> list:
     return [B @ mixing_coefficients(rng, B.shape[1])[:, None] for B in bases]
 
 
-def _greedy_witness(vg, picks, n: int, h: int, tol: TolerancePolicy):
-    """The witness set delta of picks that complete V*g to rank n, or None if the scan falls short.
+def _transversal(vg, picks, n: int, h: int | None, tol: TolerancePolicy) -> tuple:
+    """``(h, rank [V*g, picks], delta)`` of one draw from one :func:`ranks_of`; delta is None when the draw fails.
 
-    Output j joins delta when r_j raises the rank, up to n: the greedy, lexicographically first basis.
+    The stack holds V*g alone when ``h`` is None, then the prefixes [V*g, r_1 ... r_j] (the full matrix alone when
+    h <= n - p). Output j joins delta when its prefix rank exceeds h and every prefix rank before it; a delta
+    short of n - h members fails the draw, as rank decisions need not be monotone.
     """
-    if h == n - len(picks):
-        return tuple(range(len(picks)))
-    delta, chosen, rank = [], [vg], h
-    for j, r in enumerate(picks):
-        if rank == n:
-            break
-        grown = subspace_sum_dim([*chosen, r], tol)
-        if grown > rank:
-            delta.append(j)
-            chosen.append(r)
-            rank = grown
-    return tuple(delta) if rank == n else None
+    p, full = len(picks), np.hstack([vg, *picks])
+    prefixes = [full] if h is not None and h <= n - p else [full[:, : full.shape[1] - p + j] for j in range(1, p + 1)]
+    h, *ranks = ranks_of([vg, *prefixes], tol) if h is None else [h, *ranks_of(prefixes, tol)]
+    if ranks[-1] < n or h <= n - p:
+        return h, ranks[-1], tuple(range(p)) if ranks[-1] == n and h == n - p else None
+    delta = tuple(j for j, (grown, peak) in enumerate(zip(ranks, np.maximum.accumulate([h, *ranks]))) if grown > peak)
+    return h, n, delta if len(delta) == n - h else None
 
 
 def _certificate(vg, bases, picks, rank: int, n: int, h: int, tol: TolerancePolicy) -> tuple:
@@ -109,15 +106,14 @@ def check_solvable(
     Pass the full per-output reachability subspaces for the frequency-free
     test, or the subspaces at a mode tuple (validated beforehand with
     :func:`validate_modes`) for the frequency-dependent one. h = dim V*g is
-    read from a :class:`KernelSpan`, whose basis is orthonormal, and taken
-    by a rank test of any other basis (an array, or a replayed paired basis).
+    read from a :class:`KernelSpan`, whose basis is orthonormal, and from the
+    first draw's rank test for any other basis (an array, or a replay).
 
     The test draws one direction per output from the ``DEFAULT_SEED``
     transversal stream and passes when V*g and the draws span the state
-    space: one rank test per draw, up to four draws (one when h + p < n). It
-    takes no seed: the verdict and delta are functions of the bases. When
-    h = dim V*g exceeds n - p, a greedy scan of at most p more rank tests
-    finds delta, of cardinality ``n - h`` (empty, with no draw, when h = n).
+    space. Each draw is one stacked rank test, whose prefix ranks also give
+    delta, of cardinality ``n - h`` (empty, with no draw, when h = n); up to
+    four draws (one when h + p < n). The verdict and delta are functions of the bases.
     When every draw failed, p rank tests on the first draw's picks, made as
     one stacked test, and one on the full bases give the certificate in
     ``failing_subsets``: at most two subsets, smallest first.
@@ -133,16 +129,16 @@ def check_solvable(
     if len(bases) != sys.p:
         raise ValueError(f"expected {sys.p} per-output bases, got {len(bases)}")
     n, p = sys.n, sys.p
-    h = vstar_g_basis.dim if isinstance(vstar_g_basis, KernelSpan) else rank_of(vg, tol)
-    if h == n:
-        # V*g spans the state space, so every output is tracked instantaneously.
-        return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())
-    for attempt in range(_DRAWS if h + p >= n else 1):
+    h = vstar_g_basis.dim if isinstance(vstar_g_basis, KernelSpan) else None
+    for attempt in range(_DRAWS):
+        if h == n:
+            # V*g spans the state space, so every output is tracked instantaneously.
+            return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=())
+        if attempt and h + p < n:
+            break
         picks = _picks(bases, DEFAULT_SEED, attempt)
-        rank = subspace_sum_dim([vg, *picks], tol)
-        if attempt == 0:
-            first = picks, rank
-        delta = _greedy_witness(vg, picks, n, h, tol) if rank == n else None
+        h, rank, delta = _transversal(vg, picks, n, h, tol)
+        first = (picks, rank) if attempt == 0 else first
         if delta is not None:
             return SolvabilityVerdict(solvable=True, failing_subsets=(), h=h, delta=delta)
     failures = _certificate(vg, bases, *first, n, h, tol)

@@ -38,6 +38,7 @@ from .numkernel import (
     _rank,
     full_svd,
     rank_of,
+    ranks_of,
 )
 
 _CLUSTER_RTOL = 1e-6
@@ -103,9 +104,10 @@ class LtiSystem:
             raise ValueError("matrices must be finite")
         if not _check_ranks:
             return
-        if rank_of(np.vstack([B, D])) != m:
+        rank_bd, rank_cd = ranks_of([np.vstack([B, D]), np.hstack([C, D]).T])  # both tall, so little padding
+        if rank_bd != m:
             raise ValueError("[B; D] must have full column rank")
-        if rank_of(np.hstack([C, D])) != p:
+        if rank_cd != p:
             raise ValueError("[C D] must have full row rank")
 
     @classmethod

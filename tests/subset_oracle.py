@@ -1,4 +1,5 @@
-"""The exhaustive subset enumeration that ``solvability`` once reported with, as an oracle for its certificate."""
+"""The exhaustive subset enumeration that ``solvability`` once reported with, as an oracle for its certificate,
+and the greedy scan it once found delta with, as an oracle for the witness set."""
 
 import itertools
 
@@ -23,6 +24,25 @@ def _failing_subsets(vg, bases, n: int, h: int, tol: TolerancePolicy, cap=_MAX_R
                 if len(failures) == cap:
                     return tuple(failures)
     return tuple(failures)
+
+
+def _greedy_witness(vg, picks, n: int, h: int, tol: TolerancePolicy):
+    """The witness set delta of picks that complete V*g to rank n, or None if the scan falls short.
+
+    Output j joins delta when r_j raises the rank, up to n: the greedy, lexicographically first basis.
+    """
+    if h == n - len(picks):
+        return tuple(range(len(picks)))
+    delta, chosen, rank = [], [vg], h
+    for j, r in enumerate(picks):
+        if rank == n:
+            break
+        grown = subspace_sum_dim([*chosen, r], tol)
+        if grown > rank:
+            delta.append(j)
+            chosen.append(r)
+            rank = grown
+    return tuple(delta) if rank == n else None
 
 
 def dimensions_consistent(vg, bases, tol: TolerancePolicy) -> bool:

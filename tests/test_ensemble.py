@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ class TestGenerate:
         assert any(abs(v + 6.0) <= 1e-6 for v in values)
         pbh = mt.rank_of(np.hstack([sys.A + 6.0 * np.eye(sys.n), sys.B]))
         assert pbh < sys.n
+
+    def test_planted_modes_are_rank_tested_in_one_stack(self, monkeypatch):
+        # Every planted mode's [A - uI, B] in one ranks_of stack, judged as one
+        # rank test per mode judges it; a mode that some input reaches fails the plant.
+        spec = mt.GeneratorSpec(n=6, m=3, p=2, planted_uncontrollable_modes=(-2.0, -3.0), seed=1)
+        sys = mt.generate(spec)
+        stacks = record_calls(monkeypatch, ensemble, "ranks_of", lambda stack, *args: stack.shape)
+        for modes, planted in (((-2.0, -3.0), True), ((-2.0, -7.0), False), ((-7.0, -3.0), False)):
+            checked = dataclasses.replace(spec, planted_uncontrollable_modes=modes)
+            assert ensemble._verify_planted(sys, checked, mt.DEFAULT_POLICY) is planted
+            assert planted == all(mt.rank_of(np.hstack([sys.A - u * np.eye(sys.n), sys.B])) < sys.n for u in modes)
+        assert stacks == [(2, sys.n, sys.n + sys.m)] * 3
 
     def test_coincident_planted_zeros_exhaust_the_attempts(self):
         # Two planted zeros at -1 fail the distinct minimum-phase zero audit on every attempt.

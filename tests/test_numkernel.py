@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import monotrack as mt
@@ -81,6 +81,54 @@ class TestRanksOf:
         stack = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))])
         assert mt.ranks_of(stack) == [3, 2, 0]
         assert calls == {"svd": 1}
+
+    @given(
+        seed=st.integers(0, 2**20),
+        k=st.integers(2, 5),
+        complex_entries=st.booleans(),
+        policy=st.sampled_from(POLICIES),
+    )
+    @settings(max_examples=80)
+    def test_mixed_shapes_equal_one_rank_test_per_member(self, seed, k, complex_entries, policy):
+        # Members of different shapes and scales (2^-40 ... 2^40), ranks below
+        # full among them; each is judged as a separate call judges it.
+        rng = np.random.default_rng(seed)
+        members = []
+        for rows, cols, inner, scale in zip(*rng.integers((1, 0, 0, -1), (7, 7, 7, 2), size=(k, 4)).T):
+            M = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+            if complex_entries:
+                M = M + 1j * (rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols)))
+            members.append(M * 2.0 ** (40 * scale))
+        assume(len({M.shape for M in members}) > 1)
+        ranks = mt.ranks_of(members, policy)
+        assert ranks == [mt.rank_of(M, policy) for M in members]
+        assert all(type(r) is int for r in ranks)
+
+    def test_scaled_input_and_output_matrices_in_one_call(self, monkeypatch):
+        # The constructor's pair with B scaled by 2^-40 and C by 2^40: each
+        # member's threshold follows its own largest singular value.
+        rng = np.random.default_rng(7)
+        B, C, D = rng.normal(size=(6, 3)), rng.normal(size=(2, 6)), rng.normal(size=(2, 3))
+        pair = [np.vstack([B * 2.0**-40, D]), np.hstack([C * 2.0**40, D]).T]
+        deficient = [np.vstack([B * 2.0**-40, D]) @ np.diag([1.0, 1.0, 0.0]), pair[1] @ np.diag([1.0, 0.0])]
+        separate = [mt.rank_of(M) for M in pair + deficient]
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        assert mt.ranks_of(pair) + mt.ranks_of(deficient) == separate == [3, 2, 2, 1]
+        assert calls == {"svd": 2}
+
+    def test_padding_adds_no_rank(self, monkeypatch):
+        # Each member counts only its own min(r, c) singular values, and an
+        # empty member, padded among others, has rank 0.
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        members = [np.ones((2, 2)), np.eye(2), np.zeros((5, 4)), np.ones((5, 1)), np.zeros((3, 0)), np.zeros((0, 4))]
+        assert mt.ranks_of(members) == [1, 2, 0, 1, 0, 0]
+        assert calls == {"svd": 1}
+
+    def test_a_padded_member_keeps_its_own_shapes_threshold(self):
+        # sigma_2 = 1e-14 lies above the 2 x 2 default threshold (4.4e-15) and
+        # below that of the 2 x 20 member it is padded to (4.4e-14).
+        members = [np.diag([1.0, 1e-14]), np.ones((2, 20))]
+        assert mt.ranks_of(members) == [mt.rank_of(M) for M in members] == [2, 1]
 
 
 class TestNullspace:

@@ -335,6 +335,26 @@ class TestSynthesize:
         assert factored == [[-1.0, -2.0, 0.0], [-1.0, -2.0]]
         assert first.x_ss.tobytes() == again.x_ss.tobytes()
 
+    def test_a_replay_rank_tests_its_basis_once(self, fresh_demo, demo_replay, monkeypatch):
+        # PairedBasis.validate rank-tests V_g in an SVD of its own; the
+        # solvability test reads h off its draw's stacked rank test, where
+        # V_g rides zero-padded beside the prefixes [V_g, r_1 ... r_j].
+        V = np.asarray(demo_replay.vg_state, dtype=float)
+        operands = record_calls(monkeypatch, np.linalg, "svd", lambda a, *args: np.array(a, ndmin=3))
+
+        def holds_vg(member):
+            rows, cols = V.shape
+            if member.shape[0] < rows or member.shape[1] < cols:
+                return False
+            return np.array_equal(member[:rows, :cols], V) and not member[rows:].any() and not member[:, cols:].any()
+
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+        mt.synthesize(fresh_demo, spec, replay=demo_replay)
+        alone = [a for a in operands if len(a) == 1 and holds_vg(a[0])]
+        stacked = [a for a in operands if len(a) > 1 and any(holds_vg(member) for member in a)]
+        assert len(alone) == 1 and alone[0][0].shape == V.shape
+        assert len(stacked) == 1 and len(stacked[0]) == 1 + fresh_demo.p
+
     def test_demo_design_svd_budget(self, fresh_demo, monkeypatch):
         # The audit: 1 SVD of D in the reduction, 1 stacked SVD at the zero
         # candidates, none for stabilizability (its one uncontrollable mode

@@ -19,14 +19,34 @@ from .pbh_oracle import pbh_stabilizable
 
 class TestLtiSystem:
     def test_rejects_rank_deficient_input_stack(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\[B; D\] must have full column rank$"):
             mt.LtiSystem(np.eye(2), np.zeros((2, 1)), np.eye(1, 2), np.zeros((1, 1)))
 
     def test_rejects_dependent_output_rows(self, demo_system):
         C = np.vstack([demo_system.C, demo_system.C[0]])
         D = np.vstack([demo_system.D, demo_system.D[0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\[C D\] must have full row rank$"):
             mt.LtiSystem(demo_system.A, demo_system.B, C, D)
+
+    @pytest.mark.parametrize("n, m, p", [(5, 3, 3), (6, 4, 2), (4, 2, 3)])
+    def test_a_checked_construction_makes_one_svd(self, monkeypatch, n, m, p):
+        # [B; D] and [C D]^T share one stacked rank test, padded when m != p;
+        # the relaxed constructor makes none.
+        rng = np.random.default_rng([n, m, p])
+        matrices = rng.normal(size=(n, n)), rng.normal(size=(n, m)), rng.normal(size=(p, n)), rng.normal(size=(p, m))
+        calls = count_calls(monkeypatch, (np.linalg, "svd"))
+        mt.LtiSystem(*matrices)
+        assert calls == {"svd": 1}
+        mt.LtiSystem.relaxed(*matrices)
+        assert calls == {"svd": 1}
+
+    def test_both_checks_are_judged_in_the_one_test(self):
+        # [B; D] passes and [C D] fails, and the reverse, with m != p so the stack is padded.
+        B, D = np.eye(3, 2), np.zeros((1, 2))
+        with pytest.raises(ValueError, match=r"^\[C D\] must have full row rank$"):
+            mt.LtiSystem(np.eye(3), B, np.zeros((1, 3)), D)
+        with pytest.raises(ValueError, match=r"^\[B; D\] must have full column rank$"):
+            mt.LtiSystem(np.eye(3), np.ones((3, 2)), np.eye(1, 3), D)
 
     def test_relaxed_constructor_bypasses_rank_checks(self):
         sys = mt.LtiSystem.relaxed(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1)))
