@@ -49,6 +49,17 @@ class SynthesisSpec:
             raise ValueError("reference must be finite")
         object.__setattr__(self, "reference", ref)
 
+    def _values(self) -> tuple:
+        """The fields by value: equality and the hash read these, as the generated ones fail on the ndarray ``reference``."""
+        pool = None if self.free_pool is None else tuple(self.free_pool)
+        return self.lambdas, tuple(self.reference.tolist()), pool, self.seed
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
 
 @dataclass(frozen=True)
 class DirectionPair:
@@ -219,22 +230,18 @@ def _closed_loop(sys: LtiSystem, F: np.ndarray, formed: tuple | None = None) -> 
 def _closed_loops(sys: LtiSystem, gains) -> list[tuple]:
     """``(A + BF, eigvals(A + BF), C + DF)`` for each gain F of ``gains``, the spectra from one stacked ``eigvals``.
 
-    A gain whose closed loop the plant keeps (:func:`_closed_loop`), as a
-    repeat design of the same gain has it, is read, not formed. The others'
-    products are formed one gain at a time, as 2-D products, since a
+    The products are formed one gain at a time, as 2-D products, since a
     batched ``matmul`` may round differently. A stacked ``eigvals`` returns
     every spectrum complex once one member has a complex eigenvalue; each
     spectrum here is real when all of its imaginary parts are zero, as a
     2-D ``eigvals`` returns it. LAPACK factors the members one at a time, so
     each member has the bits and the dtype of a separate call.
     """
-    loops = [_memo(sys, "closed-loop", (F.shape, F.tobytes())) for F in gains]
-    missing = [i for i, loop in enumerate(loops) if loop is None]
-    if missing:
-        closed = [sys.A + sys.B @ gains[i] for i in missing]
-        for i, a, s in zip(missing, closed, np.linalg.eigvals(np.array(closed))):
-            loops[i] = (a, s.real if np.iscomplexobj(s) and not s.imag.any() else s, sys.C + sys.D @ gains[i])
-    return loops
+    closed = [sys.A + sys.B @ F for F in gains]
+    return [
+        (a, s.real if np.iscomplexobj(s) and not s.imag.any() else s, sys.C + sys.D @ F)
+        for F, a, s in zip(gains, closed, np.linalg.eigvals(np.array(closed)))
+    ]
 
 
 def _verify_gain(sys, spec, vg, directions, delta, V, W, F, closed_loop):
@@ -396,6 +403,16 @@ def _try_candidates(sys: LtiSystem, spec: SynthesisSpec, delta, candidates, tol:
     raise RankDeficientAfterRetries("eigenvector matrix stayed singular after all retries")
 
 
+def _design(sys: LtiSystem, spec: SynthesisSpec, delta, candidates, tol: TolerancePolicy) -> tuple:
+    """The passing gain of :func:`_try_candidates`, as read-only ``(F, V, W, closed_loop)``, and what the result derives from it."""
+    vg, V, W, F, closed_loop = _try_candidates(sys, spec, delta, candidates, tol)
+    closed_loop = _closed_loop(sys, F, closed_loop)
+    assigned = {j: float(spec.lambdas[j]) for j in delta} | {j: "instantaneous" for j in range(sys.p) if j not in delta}
+    column_modes = tuple([float(spec.lambdas[j]) for j in delta] + list(vg.modes))
+    spectrum = tuple(sorted((complex(z) for z in closed_loop[1]), key=lambda z: (z.real, z.imag)))
+    return (*_read_only((F, V, W)), closed_loop, spectrum, assigned, column_modes)
+
+
 def synthesize(
     sys: LtiSystem,
     spec: SynthesisSpec,
@@ -414,8 +431,11 @@ def synthesize(
     :func:`genericity_trial`).
     Outside a replay, the V*g kernels, delta, the x_j and the mode factors are
     kept on the plant for the latest (modes, pool, policy), so a repeat
-    design on the same plant only draws, verifies and solves. Every design
-    factors the tracking pencil with its modes unless the plant holds it.
+    design on the same plant only draws, verifies and solves; so is the
+    gain that passed at the latest seed, read-only, so a repeat design at
+    that seed only solves the steady state for its reference. A failure is
+    not kept. Every design factors the tracking pencil with its modes
+    unless the plant holds it.
 
     Raises
     ------
@@ -447,32 +467,34 @@ def synthesize(
                 v, w = (np.asarray(x, dtype=float).reshape(-1) for x in replay.directions[j])
                 directions[j] = _stacked_pair(sys, j, spec.lambdas[j], np.concatenate([v, w]))
                 directions[j].validate(sys)
-        candidates = [(vg, directions)]
+        design = _design(sys, spec, delta, [(vg, directions)], tol)
     else:
         # V*g, delta and the x_j are facts of the plant and the modes; only the paired basis is drawn.
         def plant_facts():
             vg_kernels = discover_vstar_g(sys, spec.free_pool, tol, zeros=zeros, avoid=(*spec.lambdas, *tracking))
-            return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol, tracking))
+            return (vg_kernels, *_witnesses(sys, vg_kernels, spec.lambdas, tol, tracking), {})
 
         pool = None if spec.free_pool is None else tuple(float(mu) for mu in spec.free_pool)
-        vg_kernels, delta, directions, factors = _memo(sys, "witnesses", (spec.lambdas, pool, tol), plant_facts)
-        candidates = _candidates(sys, vg_kernels, directions, factors, spec.seed)
+        vg_kernels, delta, directions, factors, kept = _memo(sys, "witnesses", (spec.lambdas, pool, tol), plant_facts)
+        # The gain depends on these facts and the seed alone: the latest seed's passing design is kept with them.
+        design = kept.get(spec.seed)
+        if design is None:
+            design = _design(sys, spec, delta, _candidates(sys, vg_kernels, directions, factors, spec.seed), tol)
+            kept.clear()
+            kept[spec.seed] = design
 
-    vg, V, W, F, closed_loop = _try_candidates(sys, spec, delta, candidates, tol)
-    spectrum = _closed_loop(sys, F, closed_loop)[1]
-
+    F, V, W, closed_loop, spectrum, assigned, column_modes = design
+    _closed_loop(sys, F, closed_loop)
     x_ss, u_ss = steady_state(sys, spec.reference, tol)
-    assigned = {j: float(spec.lambdas[j]) for j in delta} | {j: "instantaneous" for j in range(sys.p) if j not in delta}
-    column_modes = tuple([float(spec.lambdas[j]) for j in delta] + list(vg.modes))
-    spectrum_sorted = tuple(sorted((complex(z) for z in spectrum), key=lambda z: (z.real, z.imag)))
     return FeedbackResult(
-        F=F,
+        F=np.copy(F),
         x_ss=x_ss,
         u_ss=u_ss,
-        V=V,
-        W=W,
-        closed_loop_spectrum=spectrum_sorted,
-        assigned_modes=assigned,
+        V=np.copy(V),
+        W=np.copy(W),
+        closed_loop_spectrum=spectrum,
+        assigned_modes=dict(assigned),
         delta=tuple(delta),
         column_modes=column_modes,
     )
+

@@ -5,7 +5,9 @@ the dim of its V*g discovery, as ``plant_sets_expected.json`` records them.
 A plant may move only between a design and ``UnstableResult``, and only
 where the side that designs has cond(V) above ``ILL_CONDITIONED``: such a
 move is roundoff in V. Changes that move outcomes on purpose rewrite the
-records with ``python -m tests.plant_sets``.
+records with ``python -m tests.plant_sets``. Each plant that designs is
+designed a second time on the same object at a second reference, and must
+equal a fresh plant's design there.
 """
 
 import json
@@ -44,5 +46,13 @@ def test_every_plant_keeps_its_record(name):
             assert got["dim_vg"] <= reference_dim(plant, mt.invariant_zeros(plant)), label
         if got["outcome"] != want["outcome"]:
             assert {got["outcome"], want["outcome"]} == {"design", "UnstableResult"} and (got["ill"] or want["ill"]), label
-        if fb is not None and plant.domain is mt.TimeDomain.CONTINUOUS:
-            checks.check_design(plant.A, plant.B, plant.C, plant.D, fb.F, fb.x_ss, fb.u_ss, np.ones(plant.p), fb.assigned_modes)
+        if fb is None:
+            continue
+        # A second design on the same object, at a second reference, reads the kept gain.
+        spec = mt.SynthesisSpec(lambdas=modes, reference=np.linspace(-1.0, 2.0, plant.p), seed=seed)
+        again = mt.synthesize(plant, spec)
+        fresh = mt.LtiSystem(plant.A, plant.B, plant.C, plant.D, plant.domain)
+        assert again.to_json_dict() == mt.synthesize(fresh, spec).to_json_dict(), label
+        if plant.domain is mt.TimeDomain.CONTINUOUS:
+            for design, r in ((fb, np.ones(plant.p)), (again, spec.reference)):
+                checks.check_design(plant.A, plant.B, plant.C, plant.D, design.F, design.x_ss, design.u_ss, r, design.assigned_modes)

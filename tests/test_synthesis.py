@@ -392,15 +392,15 @@ class TestSynthesize:
         mt.synthesize(plant, mt.SynthesisSpec(lambdas=(-1.0, -1.25), reference=(1.0, 1.0)))
         assert [shape for shape in shapes if len(shape) == 3 and shape[1:] == (8, 9)] == [(8, 8, 9)]
 
-    def test_spectrum_failure_prints_plain_numbers(self, demo_system, monkeypatch):
+    def test_spectrum_failure_prints_plain_numbers(self, fresh_demo, monkeypatch):
         # A spectrum that misses its modes is reported with Python floats, not NumPy reprs.
         monkeypatch.setattr(synthesis, "_SPECTRUM_TOL", 0.0)
         with pytest.raises(mt.UnstableResult) as info:
-            mt.synthesize(demo_system, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+            mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
         assert str(info.value).startswith("closed-loop spectrum [")
         assert "np." not in str(info.value)
 
-    def test_last_resort_directions_solve_the_pencil_equation(self, demo_system, monkeypatch):
+    def test_last_resort_directions_solve_the_pencil_equation(self, fresh_demo, monkeypatch):
         # Every verification fails, so the final redraw runs; its directions
         # are x_j plus a kernel vector and keep unit coupling.
         verified = []
@@ -413,10 +413,10 @@ class TestSynthesize:
         monkeypatch.setattr(synthesis, "_REDRAWS", 2)
         spec = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
         with pytest.raises(mt.UnstableResult):
-            mt.synthesize(demo_system, spec)
+            mt.synthesize(fresh_demo, spec)
         first, last = verified[0], verified[-1]
         for j, pair in last.items():
-            pair.validate(demo_system)
+            pair.validate(fresh_demo)
             assert abs(pair.beta - 1.0) <= 1e-12
             assert np.linalg.norm(pair.v - first[j].v) > 1e-6
 
@@ -536,8 +536,38 @@ class TestSynthesize:
         assert fb.instantaneous_outputs == (0, 1)
 
 
+class TestSynthesisSpec:
+    """Specs compare and hash by value, the reference by its entries."""
+
+    BASE = mt.SynthesisSpec(lambdas=(-1, -2), reference=(1, 2))
+
+    def test_equal_values_are_equal_and_hash_alike(self):
+        same = mt.SynthesisSpec(lambdas=[-1.0, -2.0], reference=np.array([1.0, 2.0]))
+        assert same == self.BASE and hash(same) == hash(self.BASE) and len({same, self.BASE}) == 1
+        pooled = dataclasses.replace(self.BASE, free_pool=[-3.0, -4.0])
+        as_tuple = dataclasses.replace(self.BASE, free_pool=(-3.0, -4.0))
+        assert pooled == as_tuple and hash(pooled) == hash(as_tuple)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"lambdas": (-1, -3)}, {"reference": (1, 3)}, {"free_pool": (-3.0,)}, {"seed": 1}],
+        ids=["lambdas", "reference", "pool", "seed"],
+    )
+    def test_one_field_apart_is_unequal(self, change):
+        other = dataclasses.replace(self.BASE, **change)
+        assert other != self.BASE and not other == self.BASE
+
+    def test_a_spec_is_not_equal_to_its_fields(self):
+        assert self.BASE != (self.BASE.lambdas, self.BASE.reference, None, self.BASE.seed)
+
+
 class TestPlantMemo:
-    """A plant object keeps the facts that depend on it alone; every design is still drawn and verified."""
+    """A plant object keeps the facts that depend on it alone, and the gain that passed at the latest seed.
+
+    A repeat design at that seed, on the same modes, pool and policy, reads
+    the gain and solves only its steady state; any other design is drawn and
+    verified, and a design that fails is tried again on every call.
+    """
 
     SPEC = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
 
@@ -568,6 +598,81 @@ class TestPlantMemo:
         again = mt.synthesize(fresh_demo, dataclasses.replace(self.SPEC, reference=np.array([1.0, -0.5, 0.25])))
         assert calls == {"eigvals": 0}
         assert again.F.tobytes() == first.F.tobytes()
+
+    def test_a_repeat_design_at_the_same_seed_only_solves_its_steady_state(self, fresh_demo, monkeypatch):
+        mt.synthesize(fresh_demo, self.SPEC)
+        calls = count_calls(
+            monkeypatch,
+            (synthesis, "_candidates"),
+            (synthesis, "_try_candidates"),
+            (synthesis, "_verify_gain"),
+            *((np.linalg, name) for name in LAPACK),
+        )
+        spec = dataclasses.replace(self.SPEC, reference=np.array([1.0, -0.5, 0.25]))
+        fb = mt.synthesize(fresh_demo, spec)
+        assert calls == dict.fromkeys(calls, 0)
+        assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec).to_json_dict()
+        # (x_ss, u_ss) is the equilibrium of the new reference.
+        state = fresh_demo.A @ fb.x_ss + fresh_demo.B @ fb.u_ss
+        output = fresh_demo.C @ fb.x_ss + fresh_demo.D @ fb.u_ss
+        assert np.allclose(state, 0.0, atol=1e-10) and np.allclose(output, spec.reference, atol=1e-10)
+
+    def test_a_simulate_after_a_kept_design_computes_no_spectrum(self, fresh_demo, demo_replay, monkeypatch):
+        # A replay in between puts its own gain's closed loop on the plant; the
+        # repeat design puts back the closed loop of the gain it reads.
+        mt.synthesize(fresh_demo, self.SPEC)
+        mt.synthesize(fresh_demo, self.SPEC, replay=demo_replay)
+        fb, x0 = mt.synthesize(fresh_demo, self.SPEC), np.linspace(-1.0, 1.0, fresh_demo.n)
+        calls = count_calls(monkeypatch, (np.linalg, "eigvals"))
+        trace = mt.simulate(fresh_demo, fb, x0)
+        assert calls == {"eigvals": 0}
+        assert trace.epsilon.tobytes() == mt.simulate(mt.LtiSystem.load(demo_system_path()), fb, x0).epsilon.tobytes()
+
+    def test_writing_into_a_returned_design_does_not_reach_the_next(self, fresh_demo):
+        first = mt.synthesize(fresh_demo, self.SPEC)
+        want = first.to_json_dict()
+        for array in (first.F, first.V, first.W):
+            array[...] = 0.0
+        first.assigned_modes.clear()
+        assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == want
+
+    def test_a_design_that_raises_is_tried_again_on_every_call(self, monkeypatch):
+        # The (10,4,3) ladder rung: its last candidate fails verification.
+        plant = mt.generate(mt.GeneratorSpec(10, 4, 3, seed=0))
+        spec = mt.SynthesisSpec(lambdas=(-1.0, -1.25, -1.5), reference=np.ones(3))
+        tries = count_calls(monkeypatch, (synthesis, "_try_candidates"))
+        raised = []
+        for k in (1, 2):
+            with pytest.raises(mt.UnstableResult) as err:
+                mt.synthesize(plant, spec)
+            assert tries == {"_try_candidates": k}
+            raised.append(str(err.value))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize(
+        "change, tol",
+        [
+            ({"seed": 3}, mt.DEFAULT_POLICY),
+            ({"lambdas": (-0.5, -1.5, -2.5)}, mt.DEFAULT_POLICY),
+            ({"free_pool": (-3.0, -4.0, -5.0)}, mt.DEFAULT_POLICY),
+            ({}, mt.TolerancePolicy(relative_rank_tol=1e-10)),
+        ],
+        ids=["seed", "modes", "pool", "policy"],
+    )
+    def test_another_seed_modes_pool_or_policy_designs_afresh(self, fresh_demo, change, tol, monkeypatch):
+        mt.synthesize(fresh_demo, self.SPEC)
+        spec = dataclasses.replace(self.SPEC, **change)
+        calls = count_calls(monkeypatch, (synthesis, "_candidates"), (synthesis, "_verify_gain"))
+        fb = mt.synthesize(fresh_demo, spec, tol)
+        assert calls["_candidates"] == 1 and calls["_verify_gain"] >= 1
+        assert fb.to_json_dict() == mt.synthesize(mt.LtiSystem.load(demo_system_path()), spec, tol).to_json_dict()
+
+    def test_only_the_latest_seed_is_kept(self, fresh_demo, monkeypatch):
+        first = mt.synthesize(fresh_demo, self.SPEC)
+        mt.synthesize(fresh_demo, dataclasses.replace(self.SPEC, seed=3))
+        calls = count_calls(monkeypatch, (synthesis, "_candidates"))
+        assert mt.synthesize(fresh_demo, self.SPEC).to_json_dict() == first.to_json_dict()
+        assert calls == {"_candidates": 1}
 
     def test_designs_on_one_plant_equal_designs_on_fresh_plants(self, fresh_demo):
         # Modes A, then B, then A again: the slot of A is replaced and refilled.
