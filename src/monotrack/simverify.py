@@ -8,7 +8,9 @@ integrator ripple would otherwise produce false monotonicity verdicts. The
 samples are filled by doubling: the block of samples known so far is
 advanced by the transition matrix's power that spans it, and that power is
 squared, so N samples take about log2(N) matrix products, plus as many for
-one correction sweep that keeps the one-step recursion's accuracy. The work
+one correction sweep. The sweep keeps the one-step recursion's accuracy on
+the continuous plant sets, but not on ill-conditioned discrete closed loops
+(the FOUND line on discrete accuracy in CHANGES.md). The work
 that does not depend on the initial state (the stability check, the output
 map, the transition and its powers) runs once per gain, which the plant
 keeps; the fill, the sweep and the tracking error run per initial state.
@@ -16,8 +18,9 @@ The closed loop A + BF, its spectrum and C + DF come from the plant's kept
 closed loop of the latest gain, which synthesis formed when it verified
 that gain, so a simulation right after a synthesis computes no spectrum.
 Verification covers three properties per output, each judged for all
-outputs at once: monotone decay, an exponential rate envelope, and
-single-mode structure of the tracking error.
+outputs at once, in a few passes over the p x N tracking error: monotone
+decay, an exponential rate envelope, and single-mode structure of the
+tracking error. Each verdict has the bits of its per-output loop.
 """
 
 from __future__ import annotations
@@ -190,12 +193,15 @@ def simulate(
     doubling: with samples 0..c-1 known and P = transition^c, samples
     c..2c-1 are P times samples 0..c-1, then P is squared. One correction
     sweep over the same powers then brings the samples to the accuracy of
-    the one-step recursion, so about 2 log2(N) matrix products replace N - 1
-    matrix-vector products. The default horizon covers roughly eight time
-    constants of the slowest assigned mode; a given horizon must be positive
-    and finite, and ``x0`` finite, or :class:`ValueError` is raised. In
-    discrete time a horizon H of at least 1 means the steps 0 ... floor(H),
-    and a ``num_samples`` other than floor(H) + 1 raises :class:`ValueError`.
+    the one-step recursion, as shown on the continuous plant sets; on
+    ill-conditioned discrete closed loops it does not (the FOUND line on
+    discrete accuracy in CHANGES.md). About 2 log2(N) matrix products
+    replace N - 1 matrix-vector products. The default horizon covers
+    roughly eight time constants of the slowest assigned mode; a given
+    horizon must be positive and finite, and ``x0`` finite, or
+    :class:`ValueError` is raised. In discrete time a horizon H of at least
+    1 means the steps 0 ... floor(H), and a ``num_samples`` other than
+    floor(H) + 1 raises :class:`ValueError`.
 
     The stability gate, C + DF, the sample times and the transition's powers
     run once per gain and sampling, and the plant keeps them for the latest
@@ -254,14 +260,19 @@ def check_monotonic(trace: SimulationTrace) -> list[str]:
     Differences within ``_MONOTONE_TIE_TOL * max|eps_k|`` count as ties so that
     floating-point plateaus near zero do not fail the check; beyond ties the
     successive differences must keep one sign and the magnitude must never
-    grow.
+    grow. The verdicts are those of the per-output loop, bit for bit: a
+    difference beyond the ties on both sides is found from the row's largest
+    and smallest difference, which skip NaN as the elementwise tests do.
     """
-    magnitudes = np.abs(trace.epsilon)
-    peak = np.max(magnitudes, axis=1)
-    ties = (_MONOTONE_TIE_TOL * peak)[:, None]
-    diffs = np.diff(trace.epsilon, axis=1)
-    mixed_signs = np.any(diffs > ties, axis=1) & np.any(diffs < -ties, axis=1)
-    non_increasing = np.all(magnitudes[:, 1:] <= magnitudes[:, :-1] + ties, axis=1)
+    eps = trace.epsilon
+    magnitudes = np.abs(eps)
+    peak = magnitudes.max(axis=1)
+    ties = _MONOTONE_TIE_TOL * peak
+    diffs = eps[:, 1:] - eps[:, :-1]
+    mixed_signs = (np.fmax.reduce(diffs, axis=1, initial=-np.inf) > ties) & (
+        np.fmin.reduce(diffs, axis=1, initial=np.inf) < -ties
+    )
+    non_increasing = (magnitudes[:, 1:] <= magnitudes[:, :-1] + ties[:, None]).all(axis=1)
     return [
         "instantaneous" if flat else "monotone" if ok else "not_monotone"
         for flat, ok in zip(peak <= ABSOLUTE_FLOOR, ~mixed_signs & non_increasing)
@@ -269,17 +280,20 @@ def check_monotonic(trace: SimulationTrace) -> list[str]:
 
 
 def check_rate(trace: SimulationTrace, rate: RateSpec) -> list[bool]:
-    """Envelope test |eps_k(t)| <= beta_k * exp(rho t) (or rho^t) per output."""
+    """Envelope test |eps_k(t)| <= beta_k * exp(rho t) (or rho^t) per output.
+
+    The verdicts are those of the per-output loop, bit for bit.
+    """
     rate.validate(trace.domain)
     if trace.domain is TimeDomain.CONTINUOUS:
         envelope = np.exp(rate.rho * trace.times)
     else:
         envelope = rate.rho ** trace.times
     magnitudes = np.abs(trace.epsilon)
-    flat = np.max(magnitudes, axis=1) <= ABSOLUTE_FLOOR
-    beta = magnitudes[:, :1] * (1.0 + _MONOTONE_TIE_TOL)
-    within = np.all(magnitudes <= beta * envelope + ABSOLUTE_FLOOR, axis=1)
-    return [bool(v) for v in flat | within]
+    flat = magnitudes.max(axis=1) <= ABSOLUTE_FLOOR
+    bound = magnitudes[:, :1] * (1.0 + _MONOTONE_TIE_TOL) * envelope
+    bound += ABSOLUTE_FLOOR
+    return (flat | (magnitudes <= bound).all(axis=1)).tolist()
 
 
 def fit_single_mode(trace: SimulationTrace) -> list[ModeFit]:
@@ -291,7 +305,10 @@ def fit_single_mode(trace: SimulationTrace) -> list[ModeFit]:
     change sign); outputs that never rise above the floor are tagged
     instantaneous and skipped. All outputs are fitted in one array pass,
     over a copy of the non-instantaneous rows only when some output is
-    instantaneous, and each output's :class:`ModeFit` is built once.
+    instantaneous, and each output's :class:`ModeFit` is built once. Every
+    field has the bits of the per-output fit over the selected rows: the
+    temporaries are reused in place, but each row sum adds the same values
+    in the same order.
     """
     if trace.num_samples < 8:
         raise InsufficientData(f"{trace.num_samples} samples; at least 8 required")
@@ -299,35 +316,50 @@ def fit_single_mode(trace: SimulationTrace) -> list[ModeFit]:
     # sums below then take the same bits with or without one.
     eps = np.ascontiguousarray(trace.epsilon)
     magnitudes = np.abs(eps)
-    peak = np.max(magnitudes, axis=1)
+    peak = magnitudes.max(axis=1)
     usable = magnitudes > ABSOLUTE_FLOOR
+    count = usable.sum(axis=1)
     instantaneous = (peak <= ABSOLUTE_FLOOR) | (magnitudes[:, 0] <= ABSOLUTE_FLOOR)
-    short = ~instantaneous & (np.sum(usable, axis=1) < 2)
-    if np.any(short):
+    short = ~instantaneous & (count < 2)
+    if short.any():
         raise InsufficientData(f"output {int(np.argmax(short))} has fewer than two samples above the floor")
 
-    if np.any(instantaneous):
+    if instantaneous.any():
         rows = np.flatnonzero(~instantaneous)
-        eps, usable, magnitudes, peak = eps[rows], usable[rows], magnitudes[rows], peak[rows]
+        eps, usable, magnitudes, peak, count = eps[rows], usable[rows], magnitudes[rows], peak[rows], count[rows]
     weight = usable.astype(float)
-    count = np.sum(weight, axis=1)
-    log_mag = np.log(np.where(usable, magnitudes, 1.0))
+    # log|eps| is exactly 0.0 where the weight is 0, so its sum needs no weighting.
+    log_mag = np.where(usable, magnitudes, 1.0)
+    np.log(log_mag, out=log_mag)
     t_mean = weight @ trace.times / count
-    y_mean = np.sum(weight * log_mag, axis=1) / count
-    t_dev = weight * (trace.times - t_mean[:, None])
-    slope = np.sum(t_dev * (log_mag - y_mean[:, None]), axis=1) / np.sum(t_dev * t_dev, axis=1)
+    y_mean = log_mag.sum(axis=1) / count
+    t_dev = trace.times - t_mean[:, None]
+    t_dev *= weight
+    log_mag -= y_mean[:, None]
+    log_mag *= t_dev
+    t_dev *= t_dev
+    slope = log_mag.sum(axis=1) / t_dev.sum(axis=1)
     intercept = y_mean - slope * t_mean
 
-    sign = np.sign(eps[np.arange(eps.shape[0]), np.argmax(usable, axis=1)])[:, None]
-    sign_changes = np.any(usable & (np.sign(eps) != sign), axis=1)
+    sign = np.sign(eps[np.arange(eps.shape[0]), np.argmax(usable, axis=1)])
+    # Times its row's sign, a usable sample of the other sign is below -floor.
+    signed = eps * sign[:, None]
+    sign_changes = np.fmin.reduce(signed, axis=1) < -ABSOLUTE_FLOOR
+    scale = np.exp(intercept)
     if trace.domain is TimeDomain.CONTINUOUS:
         lam_hat = slope
-        model = np.exp(intercept[:, None] + slope[:, None] * trace.times)
+        model = slope[:, None] * trace.times
+        model += intercept[:, None]
+        np.exp(model, out=model)
     else:
         lam_hat = np.exp(slope)
-        model = np.exp(intercept)[:, None] * lam_hat[:, None] ** trace.times
-    gamma_hat = sign[:, 0] * np.exp(intercept)
-    residual = np.sqrt(np.mean((eps - sign * model) ** 2, axis=1)) / peak
+        model = lam_hat[:, None] ** trace.times
+        model *= scale[:, None]
+    gamma_hat = sign * scale
+    # The sign is +-1, so (sign eps - model)^2 has the bits of (eps - sign model)^2.
+    np.subtract(signed, model, out=model)
+    model *= model
+    residual = np.sqrt(model.mean(axis=1)) / peak
     residual[sign_changes] = 1.0
 
     fitted = zip(lam_hat.tolist(), gamma_hat.tolist(), residual.tolist())
