@@ -44,8 +44,6 @@ EXIT_NOT_SOLVABLE = 2
 EXIT_ASSUMPTIONS = 3
 EXIT_NUMERICAL = 4
 
-_COMMANDS = ("analyze", "synthesize", "simulate", "verify", "ensemble")
-
 
 @dataclass
 class JobConfig:
@@ -65,18 +63,9 @@ class JobConfig:
     ensemble_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Read each field as its type: a malformed one raises ValueError, a config error, so no job meets it."""
-        for key, value, kind in (
-            ("system", self.system_path, str), ("out", self.out_dir, str), ("replay_vg", self.replay_vg, str),
-            ("ensemble", self.ensemble_options, dict), ("x0", self.x0_list, (list, tuple)),
-        ):
-            if value is not None:
-                _typed(key, value, kind)
-        self.x0_list = tuple(_vector("x0", x0) for x0 in self.x0_list or ())
-        for key in ("lambdas", "reference", "free_pool"):
-            setattr(self, key, _vector(key, getattr(self, key)) or None)
-        for key, kind in (("horizon", float), ("samples", int), ("rho", float), ("seed", int), ("tol_rank", float)):
-            setattr(self, key, _number(key, getattr(self, key), kind))
+        """Read each field by its reader in ``_FIELDS``: a malformed one raises ValueError, a config error, so no job meets it."""
+        for name, (key, read, *_) in _FIELDS.items():
+            setattr(self, name, read(key, getattr(self, name)))
 
     def policy(self) -> TolerancePolicy:
         return TolerancePolicy(relative_rank_tol=self.tol_rank)
@@ -106,12 +95,6 @@ def _load_replay(path: str):
         entry = _typed("direction", entry, dict)
         directions[_typed("output", entry["output"], int)] = (_vector("v", entry["v"]), _vector("w", entry["w"]))
     return Replay(vg_state=_matrix("V_g", payload["V_g"]), vg_input=_matrix("W_g", payload["W_g"]), directions=directions)
-
-
-def _require(config: JobConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(config, n) in (None, (), "")]
-    if missing:
-        raise ValueError(f"command '{config.command}' requires {', '.join(missing)}")
 
 
 def _cmd_analyze(config: JobConfig, out: Path) -> int:
@@ -191,7 +174,6 @@ def _synthesize_from_config(config: JobConfig):
 
 
 def _cmd_synthesize(config: JobConfig, out: Path) -> int:
-    _require(config, "system_path", "lambdas", "reference")
     system, fb = _synthesize_from_config(config)
     _write_json(out / "feedback.json", fb.to_json_dict())
     _write_gain_csv(out / "gain.csv", fb.F)
@@ -202,7 +184,6 @@ def _cmd_synthesize(config: JobConfig, out: Path) -> int:
 def _cmd_simulate(config: JobConfig, out: Path) -> int:
     from .simverify import simulate, trace_to_csv
 
-    _require(config, "system_path", "lambdas", "reference", "x0_list")
     system, fb = _synthesize_from_config(config)
     # Every trace is computed before any is written, so a bad initial state writes nothing.
     traces = [simulate(system, fb, x0, config.horizon, config.samples) for x0 in config.x0_list]
@@ -219,7 +200,6 @@ def _cmd_simulate(config: JobConfig, out: Path) -> int:
 def _cmd_verify(config: JobConfig, out: Path) -> int:
     from .simverify import RateSpec, check_monotonic, check_rate, fit_single_mode, simulate
 
-    _require(config, "system_path", "lambdas", "reference", "x0_list")
     system, fb = _synthesize_from_config(config)
     rate = RateSpec(config.rho) if config.rho is not None else None
     per_output = [
@@ -261,13 +241,12 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
     from .ensemble import GeneratorSpec, batch_report, generate, genericity_trial
 
     policy = config.policy()
-    options = dict(config.ensemble_options)
-    trials = _number("trials", options.pop("trials", 100), int)
+    options = config.ensemble_options
+    trials = _number("trials", options.get("trials", 100), int)
     if config.system_path:
         system = LtiSystem.load(config.system_path)
     else:
-        plant_keys = {"n", "m", "p"}
-        if not plant_keys <= options.keys():
+        if not {"n", "m", "p"} <= options.keys():
             raise ValueError("ensemble without a system file needs n, m, p")
         spec = GeneratorSpec(
             n=_number("n", options["n"], int),
@@ -285,23 +264,28 @@ def _cmd_ensemble(config: JobConfig, out: Path) -> int:
     return EXIT_OK if stats.failures == 0 else EXIT_NUMERICAL
 
 
+# Each command's handler and the JobConfig fields it requires.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("system_path",)),
+    "synthesize": (_cmd_synthesize, ("system_path", "lambdas", "reference")),
+    "simulate": (_cmd_simulate, ("system_path", "lambdas", "reference", "x0_list")),
+    "verify": (_cmd_verify, ("system_path", "lambdas", "reference", "x0_list")),
+    "ensemble": (_cmd_ensemble, ()),
+}
+
+
 def run(config: JobConfig) -> int:
     """Execute one job; artifacts in config.out_dir; exit status per contract."""
     try:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if config.command == "analyze":
-            _require(config, "system_path")
-            return _cmd_analyze(config, out)
-        if config.command == "synthesize":
-            return _cmd_synthesize(config, out)
-        if config.command == "simulate":
-            return _cmd_simulate(config, out)
-        if config.command == "verify":
-            return _cmd_verify(config, out)
-        if config.command == "ensemble":
-            return _cmd_ensemble(config, out)
-        raise ValueError(f"unknown command {config.command!r}")
+        if not isinstance(config.command, str) or config.command not in _COMMANDS:
+            raise ValueError(f"unknown command {config.command!r}")
+        handler, required = _COMMANDS[config.command]
+        missing = [name for name in required if getattr(config, name) in (None, (), "")]
+        if missing:
+            raise ValueError(f"command '{config.command}' requires {', '.join(missing)}")
+        return handler(config, out)
     except NotSolvable as exc:
         print(f"not solvable: {exc}", file=_sys.stderr)
         if exc.verdict is not None:
@@ -323,7 +307,7 @@ def run(config: JobConfig) -> int:
         return EXIT_NUMERICAL
 
 
-def _number(key: str, value, kind: type):
+def _number(key: str, value, kind: type = float):
     """``value`` as ``kind`` (float, int for a whole number, complex from a number or an [re, im] pair), None kept."""
     if value is None:
         return None
@@ -359,50 +343,75 @@ def _vector(key: str, value, kind: type = float) -> tuple:
     return tuple(_number(key, x, kind) for x in items)
 
 
+# The readers of the job fields: each takes a field's config key and value
+# and returns the value typed, or raises ValueError.
+def _text(key: str, value):
+    return None if value is None else _typed(key, value, str)
+
+
+def _reals(key: str, value):
+    return _vector(key, value) or None
+
+
+def _states(key: str, value) -> tuple:
+    return () if value is None else tuple(_vector(key, x0) for x0 in _typed(key, value, (list, tuple)))
+
+
+def _whole(key: str, value):
+    return _number(key, value, int)
+
+
+def _object(key: str, value, keys) -> dict:
+    """``value`` when it is a dict with no key outside ``keys``; anything else raises ValueError."""
+    unknown = sorted(_typed(key, value, dict).keys() - keys)
+    if unknown:
+        raise ValueError(f"unknown {key} key(s): {', '.join(map(repr, unknown))}")
+    return value
+
+
+def _ensemble(key: str, value) -> dict:
+    """The trial count, and the plant that ``generate`` draws when the job names no system file."""
+    return _object(key, value, ("trials", "n", "m", "p", "domain", "planted_zeros", "planted_uncontrollable"))
+
+
+# Every JobConfig field, in the order of the --help text, as (config key, which
+# its errors also print; reader; flag, None for a config file only; the flag's
+# argparse type, action and help).
+_FIELDS = {
+    "system_path": ("system", _text, "--system", {"help": "system JSON file"}),
+    "lambdas": ("lambdas", _reals, "--lambdas", {"help": "comma-separated closed-loop modes, one per output"}),
+    "reference": ("reference", _reals, "--reference", {"help": "comma-separated step reference"}),
+    "x0_list": ("x0", _states, "--x0", {"action": "append", "help": "comma-separated initial state (repeatable)"}),
+    "rho": ("rho", _number, "--rho", {"type": float, "help": "decay-rate bound for verification"}),
+    "seed": ("seed", _whole, "--seed", {"type": int}),
+    "out_dir": ("out", _text, "--out", {"help": "output directory"}),
+    "replay_vg": ("replay_vg", _text, "--replay-vg", {"help": "JSON file with V_g/W_g (and optional directions) to replay"}),
+    "tol_rank": ("tol_rank", _number, "--tol-rank", {"type": float, "help": "relative rank tolerance override"}),
+    "horizon": ("horizon", _number, "--horizon", {"type": float}),
+    "samples": ("samples", _whole, "--samples", {"type": int}),
+    "free_pool": ("free_pool", _reals, None, {}),
+    "ensemble_options": ("ensemble", _ensemble, None, {}),
+}
+
+
 def build_config(argv=None) -> JobConfig:
     parser = argparse.ArgumentParser(prog="monotrack", description="Globally monotonic tracking toolbox")
     parser.add_argument("--config", help="JSON job file; flags override its fields")
     parser.add_argument("--command", choices=_COMMANDS)
-    parser.add_argument("--system", help="system JSON file")
-    parser.add_argument("--lambdas", help="comma-separated closed-loop modes, one per output")
-    parser.add_argument("--reference", help="comma-separated step reference")
-    parser.add_argument("--x0", action="append", help="comma-separated initial state (repeatable)")
-    parser.add_argument("--rho", type=float, help="decay-rate bound for verification")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--replay-vg", help="JSON file with V_g/W_g (and optional directions) to replay")
-    parser.add_argument("--tol-rank", type=float, help="relative rank tolerance override")
-    parser.add_argument("--horizon", type=float)
-    parser.add_argument("--samples", type=int)
-    args = parser.parse_args(argv)
+    for key, _, flag, options in _FIELDS.values():
+        if flag:
+            parser.add_argument(flag, dest=key, **options)
+    args = vars(parser.parse_args(argv))
 
     payload: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else payload.get(key, default)
-
-    command = pick(args.command, "command")
-    if command is None:
+    if args["config"]:
+        with open(args["config"], "r", encoding="utf-8") as fh:
+            payload = _object("config", json.load(fh), ["command", *(key for key, *_ in _FIELDS.values())])
+    # A flag wins over its config key; a field given by neither, or only as null, keeps its JobConfig default.
+    given = {key: value for source in (payload, args) for key, value in source.items() if value is not None}
+    if given.get("command") is None:
         parser.error("a command is required (flag --command or config field)")
-    return JobConfig(
-        command=command,
-        system_path=pick(args.system, "system"),
-        lambdas=pick(args.lambdas, "lambdas"),
-        reference=pick(args.reference, "reference"),
-        x0_list=args.x0 if args.x0 else payload.get("x0", []),
-        horizon=pick(args.horizon, "horizon"),
-        samples=pick(args.samples, "samples"),
-        rho=pick(args.rho, "rho"),
-        seed=pick(args.seed, "seed", DEFAULT_SEED),
-        out_dir=pick(args.out, "out", "."),
-        tol_rank=pick(args.tol_rank, "tol_rank"),
-        replay_vg=pick(args.replay_vg, "replay_vg"),
-        free_pool=payload.get("free_pool"),
-        ensemble_options=payload.get("ensemble", {}),
-    )
+    return JobConfig(given["command"], **{name: given[key] for name, (key, *_) in _FIELDS.items() if key in given})
 
 
 def main(argv=None) -> None:

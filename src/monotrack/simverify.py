@@ -50,7 +50,7 @@ _PADE_13 = (
 _THETA_13 = 5.371920351148152
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     """Sampled error-state and tracking-error trajectories."""
 

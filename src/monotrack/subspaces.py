@@ -75,7 +75,7 @@ _EXTEND_RTOL = 1e-8
 _POOL_VISITS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairedBasis:
     """State directions with their paired input directions.
 
@@ -122,7 +122,7 @@ class PairedBasis:
             raise ValueError("state directions are rank deficient")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilFactor:
     """One full SVD ``u diag(s) vh`` of the system pencil P(mu) and its rank decision.
 
@@ -331,7 +331,7 @@ def _real_columns(vec: np.ndarray, mode) -> list[np.ndarray]:
     return [vec.real]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpan:
     """The pencil kernels spanning one kernel-stacked subspace; nothing in it is random.
 

@@ -61,7 +61,7 @@ class SynthesisSpec:
         return hash(self._values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectionPair:
     """A state/input pair steering one output with a single assigned mode."""
 
@@ -83,7 +83,7 @@ class DirectionPair:
             raise ValueError("direction pair has vanishing output coupling")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Replay:
     """User-supplied basis and direction pairs for exact reproduction runs."""
 
@@ -92,7 +92,7 @@ class Replay:
     directions: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedbackResult:
     F: np.ndarray
     x_ss: np.ndarray

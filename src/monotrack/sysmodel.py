@@ -69,7 +69,7 @@ class TimeDomain(enum.Enum):
         return 0.0 if self is TimeDomain.CONTINUOUS else 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LtiSystem:
     """State-space plant with n states, m inputs and p outputs.
 
@@ -445,7 +445,7 @@ def _unstable_fixed_modes(sys: LtiSystem, candidates: list, tol: TolerancePolicy
     return [complex(z) for z, size in _cluster(modes, _CLUSTER_RTOL**0.5) for _ in range(size)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Structure:
     """A plant's ``structure`` fact for one tolerance policy: its reduction onto V*, its zeros and its audit.
 

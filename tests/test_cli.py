@@ -12,6 +12,38 @@ from monotrack.fixtures import demo_replay_path, demo_system_path
 from .conftest import DEMO_GAIN, INTEGRATORS, count_calls, record_calls, source_env
 
 
+# ``monotrack --help`` at 80 columns, as argparse prints it from Python 3.10 on.
+HELP = """\
+usage: monotrack [-h] [--config CONFIG]
+                 [--command {analyze,synthesize,simulate,verify,ensemble}]
+                 [--system SYSTEM] [--lambdas LAMBDAS] [--reference REFERENCE]
+                 [--x0 X0] [--rho RHO] [--seed SEED] [--out OUT]
+                 [--replay-vg REPLAY_VG] [--tol-rank TOL_RANK]
+                 [--horizon HORIZON] [--samples SAMPLES]
+
+Globally monotonic tracking toolbox
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON job file; flags override its fields
+  --command {analyze,synthesize,simulate,verify,ensemble}
+  --system SYSTEM       system JSON file
+  --lambdas LAMBDAS     comma-separated closed-loop modes, one per output
+  --reference REFERENCE
+                        comma-separated step reference
+  --x0 X0               comma-separated initial state (repeatable)
+  --rho RHO             decay-rate bound for verification
+  --seed SEED
+  --out OUT             output directory
+  --replay-vg REPLAY_VG
+                        JSON file with V_g/W_g (and optional directions) to
+                        replay
+  --tol-rank TOL_RANK   relative rank tolerance override
+  --horizon HORIZON
+  --samples SAMPLES
+"""
+
+
 def run_cli(argv):
     config = cli.build_config(argv)
     return cli.run(config)
@@ -104,6 +136,36 @@ class TestAnalyze:
         assert ill_conditioned_zeros in capsys.readouterr().err
         assert not (tmp_path / "analysis.json").exists()
 
+
+    def test_a_plant_that_fails_the_mode_free_test_exits_not_solvable(self, tmp_path, capsys):
+        from .test_solvability import UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D
+
+        mt.LtiSystem(UNSOLVABLE_A, UNSOLVABLE_B, UNSOLVABLE_C, UNSOLVABLE_D).save(tmp_path / "plant.json")
+        out = tmp_path / "run"
+        code = run_cli(["--command", "analyze", "--system", str(tmp_path / "plant.json"), "--out", str(out)])
+        assert code == cli.EXIT_NOT_SOLVABLE
+        assert read_json(out / "analysis.json")["lambda_free"]["solvable"] is False
+        assert "mode-free solvability: FAIL" in capsys.readouterr().out
+
+    def test_an_unstabilizable_plant_exits_assumption_failure(self, tmp_path, capsys):
+        mt.LtiSystem(
+            np.diag([1.0, -2.0]), np.array([[0.0], [1.0]]), np.array([[1.0, 1.0]]), np.array([[1.0]])
+        ).save(tmp_path / "plant.json")
+        out = tmp_path / "run"
+        code = run_cli(["--command", "analyze", "--system", str(tmp_path / "plant.json"), "--out", str(out)])
+        assert code == cli.EXIT_ASSUMPTIONS
+        assert read_json(out / "analysis.json")["assumptions"]["stabilizable"] is False
+        assert "assumption audit: FAIL" in capsys.readouterr().out
+
+    def test_a_vstar_g_wider_than_n_minus_p_gets_a_note(self, tmp_path, capsys):
+        # dim V*g = 6 > n - p = 4: the mode-free test does not apply, and no verdict is printed.
+        mt.generate(mt.GeneratorSpec(6, 3, 2, seed=0)).save(tmp_path / "plant.json")
+        out = tmp_path / "run"
+        assert run_cli(["--command", "analyze", "--system", str(tmp_path / "plant.json"), "--out", str(out)]) == cli.EXIT_OK
+        payload = read_json(out / "analysis.json")
+        assert payload["dims"]["vstar_g"] == 6
+        assert payload["lambda_free"] == {"note": "dim V*g exceeds n - p; use a mode tuple for the generalized test"}
+        assert "mode-free solvability" not in capsys.readouterr().out
 
     def test_a_lapack_failure_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which is a config error; a
@@ -240,6 +302,29 @@ class TestSimulateAndVerify:
             assert entry["fit_residual"] <= 1e-6
 
 
+    VERIFY = [
+        "--command", "verify", "--system", str(demo_system_path()), "--lambdas=-1,-2,-1", "--reference=2,2,2",
+        "--x0=0.1,-0.2,0.1,0.1,0",
+    ]
+
+    def test_a_rate_bound_faster_than_a_mode_fails_its_outputs(self, tmp_path, capsys):
+        # Outputs 0 and 2 decay at -1, slower than the bound -1.5; output 1 decays at -2.
+        code = run_cli([*self.VERIFY, "--rho=-1.5", "--out", str(tmp_path)])
+        assert code == cli.EXIT_NUMERICAL
+        per_output = read_json(tmp_path / "verify.json")["per_output"]
+        assert [entry["rate_ok"] for entry in per_output] == [False, True, False]
+        assert all(entry["monotone"] for entry in per_output)
+        assert "output 0: mode=-1.0 monotone=True rate_ok=False" in capsys.readouterr().out
+
+    def test_a_trace_judged_not_monotone_fails_its_output(self, tmp_path, monkeypatch):
+        from monotrack import simverify
+
+        monkeypatch.setattr(simverify, "check_monotonic", lambda trace: ["monotone", "not_monotone", "monotone"])
+        assert run_cli([*self.VERIFY, "--rho=-1", "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+        per_output = read_json(tmp_path / "verify.json")["per_output"]
+        assert [entry["monotone"] for entry in per_output] == [True, False, True]
+        assert all(entry["rate_ok"] for entry in per_output)
+
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize("horizon", ["-5", "0", "nan", "inf"])
     def test_a_horizon_that_is_not_positive_and_finite_is_a_config_error(self, tmp_path, capsys, command, horizon):
@@ -320,6 +405,14 @@ class TestEnsembleCommand:
         assert message in capsys.readouterr().err
         assert not (out / "ensemble.json").exists()
 
+    def test_a_generated_plant_needs_its_size(self, tmp_path, capsys):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"ensemble": {"trials": 2, "n": 8, "m": 4}}))
+        out = tmp_path / "ens"
+        assert run_cli(["--command", "ensemble", "--config", str(config), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: ensemble without a system file needs n, m, p\n"
+        assert not (out / "ensemble.json").exists()
+
     def test_whole_numbers_from_json_are_coerced(self, tmp_path):
         config = tmp_path / "job.json"
         config.write_text(json.dumps({"ensemble": {"trials": "4", "n": 3.0, "m": "2", "p": 2}}))
@@ -393,6 +486,16 @@ class TestConfigFields:
         assert cli.run(parsed) == 0
         assert read_json(tmp_path / "sim" / "simulate.json")["traces"][0]["samples"] == 50
 
+    def test_a_null_field_keeps_its_default(self, tmp_path, monkeypatch):
+        # A null seed, output directory or ensemble counts as absent, so each keeps its default.
+        monkeypatch.chdir(tmp_path)
+        job = {"command": "synthesize", "system": str(demo_system_path()), "lambdas": [-1, -2, -1], "reference": [2, 2, 2]}
+        (tmp_path / "null.json").write_text(json.dumps(job | {"seed": None, "out": None, "ensemble": None}))
+        (tmp_path / "plain.json").write_text(json.dumps(job | {"out": "plain"}))
+        assert run_cli(["--config", "null.json"]) == cli.EXIT_OK
+        assert run_cli(["--config", "plain.json"]) == cli.EXIT_OK
+        assert (tmp_path / "gain.csv").read_bytes() == (tmp_path / "plain" / "gain.csv").read_bytes()
+
     @pytest.mark.parametrize("field, value", [("tol_rank", "tight"), ("samples", 50.5), ("rho", [1])])
     def test_a_malformed_numeric_field_is_a_config_error(self, tmp_path, capsys, field, value):
         config = tmp_path / "job.json"
@@ -438,6 +541,47 @@ class TestConfigFields:
         assert info.value.code == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["frobnicate", ["analyze"]])
+    def test_an_unknown_command_in_a_config_file_is_a_config_error(self, tmp_path, capsys, command):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"command": command, "system": str(demo_system_path())}))
+        assert run_cli(["--config", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: unknown command {command!r}\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_a_job_without_a_command_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"system": str(demo_system_path())}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(config), "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("error: a command is required (flag --command or config field)\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            ({"command": "analyze", "tol_rnk": 1e-10}, "unknown config key(s): 'tol_rnk'"),
+            ({"command": "ensemble", "ensemble": {"trails": 5}}, "unknown ensemble key(s): 'trails'"),
+        ],
+        ids=["top-level", "ensemble"],
+    )
+    def test_an_unknown_key_is_a_config_error(self, tmp_path, capsys, job, message):
+        config, out = tmp_path / "job.json", tmp_path / "out"
+        config.write_text(json.dumps({"system": str(demo_system_path()), **job}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["--config", str(config), "--out", str(out)])
+        assert info.value.code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_the_help_text_is_unchanged(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            cli.build_config(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == HELP
 
     def test_a_job_config_holds_no_field_of_the_wrong_type(self):
         # So cli.run, which turns errors into exit codes, never meets one.

@@ -28,3 +28,12 @@ def test_library_example_prints_its_comments():
     assert mt.check_monotonic(trace) == ["monotone"] * 3
     fitted = [f.lambda_hat for f in mt.fit_single_mode(trace)]
     assert np.allclose(fitted, [-1.0, -2.0, -1.0], rtol=0.0, atol=1e-6)
+
+
+def test_the_cli_field_table_lists_every_job_field():
+    from monotrack import cli
+
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` \| (`--[\w-]+`|—) \|", section, re.MULTILINE)
+    assert rows[0] == ("command", "`--command`")
+    assert rows[1:] == [(key, f"`{flag}`" if flag else "—") for key, _, flag, _ in cli._FIELDS.values()]

@@ -276,6 +276,26 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=f"^replayed basis column {column} is zero$"):
             mt.synthesize(demo_system, spec, replay=replay)
 
+    def test_a_replayed_realified_pair_reproduces_its_gain(self):
+        # Planted zeros at -1 +- 2j put two realified complex pairs into V*g:
+        # a replay infers each pair's mode from its two columns, and rejects
+        # a pair whose second column no longer completes the rotation block.
+        spec = mt.SynthesisSpec(lambdas=(-1.5, -1.75), reference=(1.0, 1.0))
+        plant = mt.generate(mt.GeneratorSpec(6, 3, 2, planted_zero_values=(-1 + 2j, -1 - 2j), seed=0))
+        fb = mt.synthesize(plant, spec)
+        k = len(fb.delta)
+        assert sum(isinstance(mode, complex) for mode in fb.column_modes) == 4 and isinstance(fb.column_modes[k], complex)
+        V, W = fb.V[:, k:], fb.W[:, k:]
+        directions = {j: (fb.V[:, i], fb.W[:, i]) for i, j in enumerate(fb.delta)}
+        fresh = mt.LtiSystem(plant.A, plant.B, plant.C, plant.D, plant.domain)
+        replayed = mt.synthesize(fresh, spec, replay=mt.Replay(V, W, directions))
+        assert replayed.F.tobytes() == fb.F.tobytes()
+        assert np.allclose(replayed.column_modes, fb.column_modes, rtol=0.0, atol=1e-9)
+        bent = V.copy()
+        bent[0, k + 1] += 1e-3
+        with pytest.raises(ValueError, match="^replayed basis columns form no valid realified pair$"):
+            mt.synthesize(fresh, spec, replay=mt.Replay(bent, W, directions))
+
     def test_eigen_relations_and_output_nulling(self, demo_system, demo_feedback):
         fb = demo_feedback
         closed = demo_system.A + demo_system.B @ fb.F
@@ -534,6 +554,82 @@ class TestSynthesize:
         assert fb.assigned_modes == {0: "instantaneous", 1: "instantaneous"}
         assert fb.delta == ()
         assert fb.instantaneous_outputs == (0, 1)
+
+
+class TestVerifyGain:
+    """Each check of ``_verify_gain`` rejects a crafted change of the demo's passing try with its own reason."""
+
+    @pytest.fixture
+    def passing_try(self, fresh_demo, monkeypatch):
+        tries = []
+        verify = synthesis._verify_gain
+
+        def recording(*args):
+            reason = verify(*args)
+            if reason is None:
+                tries.append(args)
+            return reason
+
+        monkeypatch.setattr(synthesis, "_verify_gain", recording)
+        mt.synthesize(fresh_demo, mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0)))
+        monkeypatch.undo()
+        return dict(zip(("sys", "spec", "vg", "directions", "delta", "V", "W", "F", "closed_loop"), tries[0]))
+
+    def test_the_passing_try_passes(self, passing_try):
+        assert synthesis._verify_gain(**passing_try) is None
+
+    def test_a_perturbed_gain_does_not_reproduce_its_directions(self, passing_try):
+        F = passing_try["F"].copy()
+        F[0, 0] += 1e-3
+        reason = synthesis._verify_gain(**passing_try | {"F": F})
+        assert reason == "gain does not reproduce the requested directions"
+
+    def test_an_unstable_mode_that_the_spectrum_matches_is_not_stable(self, passing_try):
+        # Output 0's mode -1 becomes +1 in the spec and in the spectrum alike, so only the stability check fails.
+        A, spectrum, out_map = passing_try["closed_loop"]
+        spectrum = np.array(spectrum, dtype=complex)
+        spectrum[np.argmin(np.abs(spectrum + 1.0))] = 1.0
+        spec = dataclasses.replace(passing_try["spec"], lambdas=(1.0, -2.0, -1.0))
+        reason = synthesis._verify_gain(**passing_try | {"spec": spec, "closed_loop": (A, spectrum, out_map)})
+        assert reason == "closed-loop spectrum is not contained in the stability region"
+
+    def test_a_perturbed_vstar_g_basis_is_not_output_nulling(self, passing_try):
+        vg = passing_try["vg"]
+        bent = dataclasses.replace(vg, V=vg.V + 1e-3)
+        reason = synthesis._verify_gain(**passing_try | {"vg": bent})
+        assert reason == "stabilisability basis is not output-nulling under the gain"
+
+
+class TestValueTypes:
+    """The frozen types that hold arrays compare and hash by identity, so ``==`` and ``hash`` never raise."""
+
+    SPEC = mt.SynthesisSpec(lambdas=(-1.0, -2.0, -1.0), reference=(2.0, 2.0, 2.0))
+
+    def one_of_each(self) -> dict:
+        plant = mt.LtiSystem.load(demo_system_path())
+        fb = mt.synthesize(plant, self.SPEC)
+        kernels = mt.discover_vstar_g(plant, zeros=mt.audit_assumptions(plant).zeros)
+        factor = factor_pencils(plant, (-1.0,))[0]
+        return {
+            "LtiSystem": plant,
+            "FeedbackResult": fb,
+            "SimulationTrace": mt.simulate(plant, fb, np.zeros(plant.n)),
+            "PairedBasis": mt.draw(kernels),
+            "DirectionPair": _direction_from(plant, 0, -1.0, factor),
+            "Replay": mt.Replay(fb.V, fb.W),
+            "KernelSpan": kernels,
+            "PencilFactor": factor,
+            "_Structure": sysmodel._structure(plant, mt.DEFAULT_POLICY),
+        }
+
+    def test_distinct_objects_are_unequal_and_each_equals_itself(self):
+        first, second = self.one_of_each(), self.one_of_each()
+        for name, a in first.items():
+            b = second[name]
+            assert a is not b and type(a) is type(b), name
+            assert a == a and not a != a, name
+            assert a != b and not a == b, name
+            assert len({a, b, a}) == 2 and hash(a) == hash(a), name
 
 
 class TestSynthesisSpec:
